@@ -1,13 +1,24 @@
 //! Shared structural analyses computed once and consumed by many passes.
 
 use fusa_netlist::netlist::Driver;
-use fusa_netlist::{GateId, Levelizer, NetId, Netlist, StructuralProfile};
+use fusa_netlist::{GateId, Levelizer, NetId, Netlist, TestabilityProfile};
 
 /// A validated netlist plus the dataflow facts the passes share.
 ///
-/// All analyses are computed eagerly in [`LintContext::new`]; each is
-/// linear (or near-linear) in the size of the design, so the context is
-/// cheap compared to even a single fault-simulation workload.
+/// All analyses are computed eagerly in [`LintContext::new`], each under
+/// its own span:
+///
+/// * `lint.constants` — ternary constant propagation, one levelized
+///   sweep;
+/// * `lint.observability` / `lint.reachability` — backward and forward
+///   graph searches, linear in gates plus pins;
+/// * `lint.testability` — the [`TestabilityProfile`]: SCOAP fixpoints
+///   (linear on acyclic logic, iterated inside flop-coupled loops),
+///   articulation points (linear) and post-dominance (iterative
+///   dominators, near-linear on netlists in practice).
+///
+/// The graph centralities are not computed here: no pass reads them, and
+/// exact betweenness alone is O(V·E).
 pub struct LintContext<'a> {
     /// The design under analysis.
     pub netlist: &'a Netlist,
@@ -22,20 +33,21 @@ pub struct LintContext<'a> {
     /// flip-flop output. Constant cells are sources of their own and are
     /// deliberately *not* counted here.
     reachable: Vec<bool>,
-    /// SCOAP testability and graph-centrality measures, shared by the
+    /// SCOAP testability, articulation and post-dominance, shared by the
     /// structural criticality passes.
-    structural: StructuralProfile,
+    structural: TestabilityProfile,
 }
 
 impl<'a> LintContext<'a> {
     /// Computes all shared analyses for `netlist`.
     pub fn new(netlist: &'a Netlist) -> LintContext<'a> {
+        let obs = fusa_obs::global();
         LintContext {
             netlist,
-            const_value: propagate_constants(netlist),
-            observable: observable_gates(netlist),
-            reachable: reachable_gates(netlist),
-            structural: StructuralProfile::analyze(netlist),
+            const_value: obs.time("lint.constants", || propagate_constants(netlist)),
+            observable: obs.time("lint.observability", || observable_gates(netlist)),
+            reachable: obs.time("lint.reachability", || reachable_gates(netlist)),
+            structural: obs.time("lint.testability", || TestabilityProfile::analyze(netlist)),
         }
     }
 
@@ -61,8 +73,8 @@ impl<'a> LintContext<'a> {
         self.reachable[gate.index()]
     }
 
-    /// SCOAP testability and centrality measures of the design.
-    pub fn structural(&self) -> &StructuralProfile {
+    /// SCOAP testability, articulation and post-dominance of the design.
+    pub fn structural(&self) -> &TestabilityProfile {
         &self.structural
     }
 }
@@ -77,7 +89,7 @@ impl<'a> LintContext<'a> {
 /// kind-specific shortcuts, so e.g. `XOR(a, a)`-style reconvergence is
 /// *not* folded (correct: per-gate enumeration treats the two pins
 /// independently) while `AND(x, 0)` and `OAI21(1, x, y)` are.
-fn propagate_constants(netlist: &Netlist) -> Vec<Option<bool>> {
+pub(crate) fn propagate_constants(netlist: &Netlist) -> Vec<Option<bool>> {
     let mut value: Vec<Option<bool>> = vec![None; netlist.net_count()];
     let order = Levelizer::levelize(netlist);
     for &gate_id in order.order() {
@@ -108,7 +120,7 @@ fn propagate_constants(netlist: &Netlist) -> Vec<Option<bool>> {
 /// Reverse reachability from primary outputs over gate fanin edges,
 /// traversing through flip-flops: a gate is observable if some primary
 /// output transitively depends on it, in this or any later cycle.
-fn observable_gates(netlist: &Netlist) -> Vec<bool> {
+pub(crate) fn observable_gates(netlist: &Netlist) -> Vec<bool> {
     let mut observable = vec![false; netlist.gate_count()];
     let mut stack: Vec<GateId> = Vec::new();
     for (_, net) in netlist.primary_outputs() {

@@ -16,7 +16,8 @@
 //! * [`LintPass`] — a named, stateless analysis appending
 //!   [`LintFinding`]s to a [`LintReport`];
 //! * [`LintContext`] — shared dataflow facts (ternary constants,
-//!   observability, reachability) computed once per design;
+//!   observability, reachability, SCOAP testability and dominance)
+//!   computed once per design;
 //! * [`all_passes`] / [`lint_netlist`] — the default pass registry and
 //!   one-call entry point;
 //! * [`untestable_stuck_at_sites`] — the machine-consumable summary the
@@ -122,18 +123,23 @@ pub fn run_passes(netlist: &Netlist, passes: &[Box<dyn LintPass>]) -> LintReport
 /// The fault-injection pipeline drops these sites from its campaign
 /// fault list; the affected gates keep criticality score 0, exactly
 /// what simulating them would have concluded, at zero cost.
+///
+/// Only the two analyses these rules read are computed, not a full
+/// [`LintContext`].
 pub fn untestable_stuck_at_sites(netlist: &Netlist) -> Vec<(GateId, bool)> {
-    let ctx = LintContext::new(netlist);
+    let obs = fusa_obs::global();
+    let const_value = obs.time("lint.constants", || context::propagate_constants(netlist));
+    let observable = obs.time("lint.observability", || context::observable_gates(netlist));
     let mut sites = Vec::new();
-    for i in 0..netlist.gate_count() {
-        let gate = GateId(i as u32);
-        if !ctx.is_observable(gate) {
-            sites.push((gate, false));
-            sites.push((gate, true));
+    for (i, gate) in netlist.gates().iter().enumerate() {
+        let id = GateId(i as u32);
+        if !observable[i] {
+            sites.push((id, false));
+            sites.push((id, true));
             continue;
         }
-        if let Some(v) = ctx.gate_const_value(gate) {
-            sites.push((gate, v));
+        if let Some(v) = const_value[gate.output.index()] {
+            sites.push((id, v));
         }
     }
     sites
@@ -181,6 +187,18 @@ mod tests {
         assert!(!sites.iter().any(|&(g, _)| g == of("Z")));
         // The tie cell is constant: its same-polarity fault is untestable.
         assert!(sites.contains(&(of("T1"), true)));
+    }
+
+    #[test]
+    fn synth_10k_lint_csv_is_pinned() {
+        // The same digest the command-level benchmark pins for `lint` on
+        // this design; the whole report is near-linear to compute, so it
+        // stays cheap in a debug build.
+        let report = lint_netlist(&designs::synth_10k(1));
+        assert_eq!(
+            fusa_obs::fnv1a64_hex(report.render_csv().as_bytes()),
+            "fnv1a64:6be628521f96e0cd"
+        );
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub use error::NetlistError;
 pub use gate::{Gate, GateId, GateKind};
 pub use netlist::{gate_ids, in_output_cone, net_ids, Driver, Net, NetId, Netlist};
 pub use stats::NetlistStats;
-pub use structural::{StructuralProfile, SCOAP_INF, SEQUENTIAL_STEP};
+pub use structural::{StructuralProfile, TestabilityProfile, SCOAP_INF, SEQUENTIAL_STEP};
 pub use synth::{Synth, Word};
 pub use topo::{combinational_loops, strongly_connected_components, LevelizedOrder, Levelizer};

@@ -19,11 +19,19 @@
 //!   ternary slot whose cost is the flop's own output net (resolved by
 //!   the fixpoint).
 //!
+//! * **Graph structure** — articulation points of the undirected gate
+//!   graph (single points whose removal disconnects logic) and
+//!   post-dominator counts (gates every path from some cone must cross
+//!   to reach an output).
+//!
 //! * **Graph centralities** — Brandes betweenness over the directed gate
-//!   graph (fanout convergence corridors), articulation points of its
-//!   undirected skeleton (single points whose removal disconnects
-//!   logic), PageRank (influence flow) and post-dominator counts
-//!   (gates every path from some cone must cross to reach an output).
+//!   graph (fanout convergence corridors) and PageRank (influence flow).
+//!
+//! The first two families are near-linear and make up the
+//! [`TestabilityProfile`] the linter and the fault-list filter read.
+//! Exact betweenness costs O(V·E), so only [`StructuralProfile`], which
+//! adds the centralities, pays for it; `fusa rank` and the structural
+//! feature channels are its only readers.
 //!
 //! Fixpoint scheduling reuses the one Tarjan SCC implementation in
 //! [`crate::topo::strongly_connected_components`]: components are
@@ -53,7 +61,78 @@ pub const SEQUENTIAL_STEP: u32 = 10;
 /// PageRank damping factor (the standard 0.85).
 const PAGERANK_DAMPING: f64 = 0.85;
 
-/// All static structural measures of one design.
+/// The near-linear structural measures of one design: SCOAP
+/// testability, articulation points and post-dominance.
+///
+/// SCOAP vectors are indexed by [`crate::NetId`]; graph vectors by
+/// [`GateId`]. Use the `gate_*` accessors to read a gate's testability
+/// through its output net.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TestabilityProfile {
+    /// Per-net SCOAP 0-controllability.
+    pub cc0: Vec<u32>,
+    /// Per-net SCOAP 1-controllability.
+    pub cc1: Vec<u32>,
+    /// Per-net SCOAP observability.
+    pub co: Vec<u32>,
+    /// Per-gate articulation flag on the undirected gate graph: removing
+    /// the gate disconnects previously connected logic.
+    pub articulation: Vec<bool>,
+    /// Per-gate post-dominance count: how many other gates' every path
+    /// to a primary output passes through this gate.
+    pub dominated: Vec<u32>,
+}
+
+impl TestabilityProfile {
+    /// Computes the near-linear measures for `netlist`.
+    pub fn analyze(netlist: &Netlist) -> TestabilityProfile {
+        TestabilityProfile::with_adjacency(netlist, &gate_adjacency(netlist))
+    }
+
+    fn with_adjacency(netlist: &Netlist, adjacency: &[Vec<u32>]) -> TestabilityProfile {
+        let components = strongly_connected_components(adjacency);
+        let mut comp_of = vec![0u32; netlist.gate_count()];
+        for (ci, component) in components.iter().enumerate() {
+            for &g in component {
+                comp_of[g as usize] = ci as u32;
+            }
+        }
+        let (cc0, cc1) = controllability(netlist, &components, &comp_of);
+        let co = observability(netlist, &cc0, &cc1, &components, &comp_of);
+        TestabilityProfile {
+            cc0,
+            cc1,
+            co,
+            articulation: articulation_points(&undirected(adjacency)),
+            dominated: post_dominance(netlist, adjacency),
+        }
+    }
+
+    /// SCOAP 0-controllability of the gate's output net.
+    pub fn gate_cc0(&self, netlist: &Netlist, gate: GateId) -> u32 {
+        self.cc0[netlist.gate(gate).output.index()]
+    }
+
+    /// SCOAP 1-controllability of the gate's output net.
+    pub fn gate_cc1(&self, netlist: &Netlist, gate: GateId) -> u32 {
+        self.cc1[netlist.gate(gate).output.index()]
+    }
+
+    /// SCOAP observability of the gate's output net.
+    pub fn gate_co(&self, netlist: &Netlist, gate: GateId) -> u32 {
+        self.co[netlist.gate(gate).output.index()]
+    }
+
+    /// Combined controllability difficulty of a gate: the harder of its
+    /// two stuck-at activation costs (`max(CC0, CC1)` of the output).
+    pub fn gate_control_difficulty(&self, netlist: &Netlist, gate: GateId) -> u32 {
+        self.gate_cc0(netlist, gate)
+            .max(self.gate_cc1(netlist, gate))
+    }
+}
+
+/// All static structural measures of one design: the
+/// [`TestabilityProfile`] fields plus the graph centralities.
 ///
 /// SCOAP vectors are indexed by [`crate::NetId`]; centrality vectors by
 /// [`GateId`]. Use the `gate_*` accessors to read a gate's testability
@@ -80,26 +159,28 @@ pub struct StructuralProfile {
 }
 
 impl StructuralProfile {
-    /// Computes every structural measure for `netlist`.
+    /// Computes every structural measure for `netlist`, including the
+    /// O(V·E) exact betweenness.
     pub fn analyze(netlist: &Netlist) -> StructuralProfile {
         let adjacency = gate_adjacency(netlist);
-        let components = strongly_connected_components(&adjacency);
-        let mut comp_of = vec![0u32; netlist.gate_count()];
-        for (ci, component) in components.iter().enumerate() {
-            for &g in component {
-                comp_of[g as usize] = ci as u32;
-            }
-        }
-        let (cc0, cc1) = controllability(netlist, &components, &comp_of);
-        let co = observability(netlist, &cc0, &cc1, &components, &comp_of);
+        let TestabilityProfile {
+            cc0,
+            cc1,
+            co,
+            articulation,
+            dominated,
+        } = TestabilityProfile::with_adjacency(netlist, &adjacency);
+        let (betweenness, pagerank) = fusa_obs::global().time("structural.centralities", || {
+            (betweenness(&adjacency), pagerank(&adjacency))
+        });
         StructuralProfile {
             cc0,
             cc1,
             co,
-            betweenness: betweenness(&adjacency),
-            pagerank: pagerank(&adjacency),
-            articulation: articulation_points(&undirected(&adjacency)),
-            dominated: post_dominance(netlist, &adjacency),
+            betweenness,
+            pagerank,
+            articulation,
+            dominated,
         }
     }
 
@@ -414,53 +495,97 @@ fn observability(
 /// Brandes betweenness centrality on a directed unweighted graph:
 /// for every node the number of shortest source→target paths passing
 /// through it, accumulated over all sources by BFS plus reverse
-/// dependency propagation.
+/// dependency propagation. One BFS per source makes the cost O(V·E).
+///
+/// Shortest-path predecessors are not stored: a reverse-adjacency
+/// neighbour `v` of `w` is one exactly when `dist[v] + 1 == dist[w]`.
+/// Each `delta[v]` still sums its successors' shares in reverse BFS
+/// order, so the result is bit-identical to the textbook form. Only the
+/// nodes the previous BFS reached are reset between sources, and the
+/// BFS visit order doubles as its queue.
 pub fn betweenness(adjacency: &[Vec<u32>]) -> Vec<f64> {
     let n = adjacency.len();
+    let edges = adjacency
+        .iter()
+        .enumerate()
+        .flat_map(|(v, successors)| successors.iter().map(move |&w| (v as u32, w)));
+    let successors = CompressedRows::new(n, edges.clone());
+    let predecessors = CompressedRows::new(n, edges.map(|(v, w)| (w, v)));
     let mut centrality = vec![0.0; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
     let mut sigma = vec![0.0f64; n];
-    let mut dist = vec![-1i64; n];
+    let mut dist = vec![-1i32; n];
     let mut delta = vec![0.0f64; n];
-    let mut queue = VecDeque::new();
     for source in 0..n {
-        order.clear();
-        queue.clear();
-        for v in 0..n {
-            preds[v].clear();
+        for &v in &order {
+            let v = v as usize;
             sigma[v] = 0.0;
             dist[v] = -1;
             delta[v] = 0.0;
         }
+        order.clear();
         sigma[source] = 1.0;
         dist[source] = 0;
-        queue.push_back(source);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &w in &adjacency[v] {
+        order.push(source as u32);
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head] as usize;
+            head += 1;
+            for &w in successors.row(v) {
                 let w = w as usize;
                 if dist[w] < 0 {
                     dist[w] = dist[v] + 1;
-                    queue.push_back(w);
+                    order.push(w as u32);
                 }
                 if dist[w] == dist[v] + 1 {
                     sigma[w] += sigma[v];
-                    preds[w].push(v as u32);
                 }
             }
         }
-        for &w in order.iter().rev() {
-            for &v in &preds[w] {
+        // order[0] is the source: it has no predecessors and earns no
+        // centrality from its own paths.
+        for &w in order[1..].iter().rev() {
+            let w = w as usize;
+            for &v in predecessors.row(w) {
                 let v = v as usize;
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
+                if dist[v] + 1 == dist[w] {
+                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
+                }
             }
-            if w != source {
-                centrality[w] += delta[w];
-            }
+            centrality[w] += delta[w];
         }
     }
     centrality
+}
+
+/// A graph's rows in one flat array: row `r` holds the values of the
+/// `(r, value)` pairs it was built from, in their original order.
+struct CompressedRows {
+    start: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl CompressedRows {
+    fn new(rows: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> CompressedRows {
+        let mut start = vec![0u32; rows + 1];
+        for (row, _) in pairs.clone() {
+            start[row as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut fill = start.clone();
+        let mut values = vec![0u32; start[rows] as usize];
+        for (row, value) in pairs {
+            values[fill[row as usize] as usize] = value;
+            fill[row as usize] += 1;
+        }
+        CompressedRows { start, values }
+    }
+
+    fn row(&self, r: usize) -> &[u32] {
+        &self.values[self.start[r] as usize..self.start[r + 1] as usize]
+    }
 }
 
 /// PageRank over a directed graph with uniform teleport and dangling

@@ -505,6 +505,22 @@ fn builtin_designs_match_references() {
     }
 }
 
+/// Brandes betweenness of every built-in, pinned bit-for-bit: the digest
+/// covers the raw `f64` bits in design and gate order, so a change to
+/// the accumulation order (not just to the values beyond a tolerance)
+/// shows up here. `rank.csv` and the structural feature channels read
+/// these exact floats.
+#[test]
+fn builtin_betweenness_is_bit_identical() {
+    let mut bits = Vec::new();
+    for netlist in fusa_netlist::designs::all_designs() {
+        for value in betweenness(&gate_adjacency(&netlist)) {
+            bits.extend_from_slice(&value.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(fusa_obs::fnv1a64_hex(&bits), "fnv1a64:d6bec20196d2ece2");
+}
+
 /// Golden structural summaries of the built-ins: a coarse fingerprint
 /// (finite-cost counts, articulation count, dominance mass) that moves
 /// only when the SCOAP rules or graph passes themselves change.
