@@ -1,7 +1,9 @@
 //! The GCN models: Table-1 classifier and §3.4 regressor.
 
-use fusa_neuro::layers::{Dropout, GraphConv, LogSoftmax, Relu};
-use fusa_neuro::{CsrMatrix, Matrix, Param};
+use fusa_neuro::layers::{log_softmax_rows_in_place, Dropout, GraphConv, LogSoftmax, Relu};
+use fusa_neuro::{CsrMatrix, Matrix, Param, RowPlan};
+use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 
 /// Architecture hyper-parameters for [`GcnClassifier`] /
 /// [`GcnRegressor`].
@@ -106,12 +108,25 @@ impl GcnConfig {
 
 /// Shared GCN trunk: stacked GraphConv+ReLU with one dropout, then a
 /// projection GraphConv.
+///
+/// Activations move through the layers by value: each GraphConv's
+/// aggregated `ÂH` is owned by its dense layer's backward cache, ReLU and
+/// dropout work in place, and gradients flow back the same way.
 #[derive(Debug, Clone)]
 struct GcnTrunk {
     convs: Vec<GraphConv>,
     relus: Vec<Relu>,
     dropout: Dropout,
     dropout_position: usize,
+}
+
+/// The parameter values (and gradients) of a trunk plus its dropout
+/// generator state: enough to put a model back exactly as it was at an
+/// earlier epoch, without copying any of its activation-sized caches.
+#[derive(Debug, Clone)]
+pub(crate) struct TrunkSnapshot {
+    params: Vec<Param>,
+    dropout_rng: ChaCha8Rng,
 }
 
 impl GcnTrunk {
@@ -137,33 +152,63 @@ impl GcnTrunk {
         }
     }
 
-    /// Caching forward pass. `training` controls dropout.
+    /// Caching forward pass. `training` controls dropout. An eval-mode
+    /// pass also keeps every layer's input: it is the pass the edge-
+    /// gradient backward (the explainer) follows.
     fn forward(&mut self, adj: &CsrMatrix, x: &Matrix, training: bool) -> Matrix {
-        let mut h = x.clone();
+        let keep_inputs = !training;
         let hidden_count = self.relus.len();
+        let mut input = Cow::Borrowed(x);
         for i in 0..hidden_count {
-            h = self.convs[i].forward(adj, &h);
-            h = self.relus[i].forward(&h);
-            if i == self.dropout_position {
-                h = if training {
-                    self.dropout.forward(&h)
-                } else {
-                    self.dropout.forward_inference(&h)
-                };
+            let h = self.convs[i].forward_owned(adj, input, keep_inputs);
+            let mut h = self.relus[i].forward_owned(h);
+            if i == self.dropout_position && training {
+                h = self.dropout.forward_owned(h);
             }
+            input = Cow::Owned(h);
         }
-        self.convs[hidden_count].forward(adj, &h)
+        self.convs[hidden_count].forward_owned(adj, input, keep_inputs)
     }
 
-    /// Cache-free inference pass.
-    fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let hidden_count = self.relus.len();
-        for i in 0..hidden_count {
-            h = self.convs[i].forward_inference(adj, &h);
-            h = h.map(|v| v.max(0.0));
+    /// Cache-free inference pass computing only the rows `plan` selects
+    /// at each layer (every row for [`RowPlan::all`]).
+    fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
+        assert!(
+            plan.depth().is_none_or(|depth| depth == self.convs.len()),
+            "row plan depth does not match the model"
+        );
+        let input = plan.input(x);
+        let mut h = self.convs[0].forward_inference(plan.adjacency(0, adj), &input);
+        for (i, conv) in self.convs.iter().enumerate().skip(1) {
+            h.map_in_place(|v| v.max(0.0));
+            h = conv.forward_inference(plan.adjacency(i, adj), &h);
         }
-        self.convs[hidden_count].forward_inference(adj, &h)
+        h
+    }
+
+    /// Backward through every layer above the first convolution;
+    /// returns the gradient w.r.t. the first convolution's output. If
+    /// `edge_grads` is `Some`, the per-CSR-entry adjacency gradients of
+    /// the layers passed are accumulated into it.
+    fn backward_to_first(
+        &mut self,
+        adj: &CsrMatrix,
+        grad_output: &Matrix,
+        edge_grads: &mut Option<&mut Vec<f64>>,
+        training: bool,
+    ) -> Matrix {
+        let hidden_count = self.relus.len();
+        let mut grad = self.backward_conv(hidden_count, adj, grad_output, edge_grads);
+        for i in (0..hidden_count).rev() {
+            if i == self.dropout_position && training {
+                grad = self.dropout.backward_owned(grad);
+            }
+            grad = self.relus[i].backward_owned(grad);
+            if i > 0 {
+                grad = self.backward_conv(i, adj, &grad, edge_grads);
+            }
+        }
+        grad
     }
 
     /// Backward pass. Returns `∂L/∂X`; if `edge_grads` is `Some`, the
@@ -176,17 +221,15 @@ impl GcnTrunk {
         mut edge_grads: Option<&mut Vec<f64>>,
         training: bool,
     ) -> Matrix {
-        let hidden_count = self.relus.len();
-        let mut grad = grad_output.clone();
-        grad = self.backward_conv(hidden_count, adj, &grad, &mut edge_grads);
-        for i in (0..hidden_count).rev() {
-            if i == self.dropout_position && training {
-                grad = self.dropout.backward(&grad);
-            }
-            grad = self.relus[i].backward(&grad);
-            grad = self.backward_conv(i, adj, &grad, &mut edge_grads);
-        }
-        grad
+        let grad = self.backward_to_first(adj, grad_output, &mut edge_grads, training);
+        self.backward_conv(0, adj, &grad, &mut edge_grads)
+    }
+
+    /// Backward pass that accumulates parameter gradients only: the
+    /// first convolution skips `∂L/∂X`, which training never reads.
+    fn backward_params(&mut self, adj: &CsrMatrix, grad_output: &Matrix, training: bool) {
+        let grad = self.backward_to_first(adj, grad_output, &mut None, training);
+        self.convs[0].backward_params(&grad);
     }
 
     fn backward_conv(
@@ -212,8 +255,26 @@ impl GcnTrunk {
         }
     }
 
+    fn params(&self) -> Vec<&Param> {
+        self.convs.iter().flat_map(|c| c.params()).collect()
+    }
+
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.convs.iter_mut().flat_map(|c| c.params_mut()).collect()
+    }
+
+    fn snapshot(&self) -> TrunkSnapshot {
+        TrunkSnapshot {
+            params: self.params().into_iter().cloned().collect(),
+            dropout_rng: self.dropout.rng().clone(),
+        }
+    }
+
+    fn restore(&mut self, snapshot: TrunkSnapshot) {
+        for (param, saved) in self.params_mut().into_iter().zip(snapshot.params) {
+            *param = saved;
+        }
+        self.dropout.set_rng(snapshot.dropout_rng);
     }
 
     fn parameter_count(&self) -> usize {
@@ -243,6 +304,11 @@ impl GcnTrunk {
 /// let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// let log_probs = model.forward(&adj, &x, false);
 /// assert_eq!(log_probs.shape(), (2, 2));
+///
+/// // Inference restricted to node 1 reproduces that row bit for bit.
+/// let plan = model.row_plan(&adj, &[1]);
+/// let row = model.forward_inference_rows(&adj, &x, &plan);
+/// assert_eq!(row.row(0), model.forward_inference(&adj, &x).row(1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct GcnClassifier {
@@ -274,15 +340,37 @@ impl GcnClassifier {
     }
 
     /// Caching forward pass returning per-node log class probabilities
-    /// (`N × 2`). Set `training` for dropout.
+    /// (`N × 2`). Set `training` for dropout; an eval-mode pass
+    /// (`training = false`) also keeps what
+    /// [`GcnClassifier::backward_with_edge_grads`] needs.
     pub fn forward(&mut self, adj: &CsrMatrix, x: &Matrix, training: bool) -> Matrix {
         let logits = self.trunk.forward(adj, x, training);
-        self.log_softmax.forward(&logits)
+        self.log_softmax.forward_owned(logits)
     }
 
-    /// Cache-free inference pass.
+    /// Cache-free inference pass over every node.
     pub fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        fusa_neuro::layers::log_softmax_rows(&self.trunk.forward_inference(adj, x))
+        self.forward_inference_rows(adj, x, &RowPlan::all())
+    }
+
+    /// Cache-free inference of just the output rows `plan` was built for
+    /// (see [`GcnClassifier::row_plan`]), one row per requested node in
+    /// request order. Each layer computes only the rows the next one
+    /// reads, and every row is bit-identical to the same node's row of
+    /// [`GcnClassifier::forward_inference`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` was built for a different depth.
+    pub fn forward_inference_rows(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
+        let mut out = self.trunk.forward_inference(adj, x, plan);
+        log_softmax_rows_in_place(&mut out);
+        out
+    }
+
+    /// A [`RowPlan`] producing the output rows of nodes `rows`.
+    pub fn row_plan(&self, adj: &CsrMatrix, rows: &[usize]) -> RowPlan {
+        RowPlan::new(adj, rows, self.trunk.convs.len())
     }
 
     /// Backward pass from the log-probability gradient. Returns
@@ -292,8 +380,24 @@ impl GcnClassifier {
         self.trunk.backward(adj, &grad, None, training)
     }
 
+    /// Backward pass that accumulates parameter gradients only, skipping
+    /// `∂L/∂X` of the input features (the training step).
+    pub(crate) fn backward_params(
+        &mut self,
+        adj: &CsrMatrix,
+        grad_log_probs: Matrix,
+        training: bool,
+    ) {
+        let grad = self.log_softmax.backward_owned(grad_log_probs);
+        self.trunk.backward_params(adj, &grad, training);
+    }
+
     /// Backward pass that also accumulates per-CSR-entry adjacency
     /// gradients (summed over all convolution layers) for the explainer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless it follows an eval-mode [`GcnClassifier::forward`].
     pub fn backward_with_edge_grads(
         &mut self,
         adj: &CsrMatrix,
@@ -321,8 +425,23 @@ impl GcnClassifier {
     }
 
     /// All trainable parameters in a stable order.
+    pub fn params(&self) -> Vec<&Param> {
+        self.trunk.params()
+    }
+
+    /// All trainable parameters in a stable order, mutably.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.trunk.params_mut()
+    }
+
+    /// Parameters and dropout state, for [`GcnClassifier::restore`].
+    pub(crate) fn snapshot(&self) -> TrunkSnapshot {
+        self.trunk.snapshot()
+    }
+
+    /// Puts parameters and dropout state back to a snapshot's.
+    pub(crate) fn restore(&mut self, snapshot: TrunkSnapshot) {
+        self.trunk.restore(snapshot);
     }
 
     /// Total scalar parameter count.
@@ -371,14 +490,40 @@ impl GcnRegressor {
         self.trunk.forward(adj, x, training)
     }
 
-    /// Cache-free inference pass.
+    /// Cache-free inference pass over every node.
     pub fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        self.trunk.forward_inference(adj, x)
+        self.forward_inference_rows(adj, x, &RowPlan::all())
+    }
+
+    /// Cache-free inference of just the output rows `plan` was built for;
+    /// see [`GcnClassifier::forward_inference_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` was built for a different depth.
+    pub fn forward_inference_rows(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
+        self.trunk.forward_inference(adj, x, plan)
+    }
+
+    /// A [`RowPlan`] producing the output rows of nodes `rows`.
+    pub fn row_plan(&self, adj: &CsrMatrix, rows: &[usize]) -> RowPlan {
+        RowPlan::new(adj, rows, self.trunk.convs.len())
     }
 
     /// Backward pass. Returns `∂L/∂X`.
     pub fn backward(&mut self, adj: &CsrMatrix, grad_output: &Matrix, training: bool) -> Matrix {
         self.trunk.backward(adj, grad_output, None, training)
+    }
+
+    /// Backward pass that accumulates parameter gradients only (the
+    /// training step).
+    pub(crate) fn backward_params(
+        &mut self,
+        adj: &CsrMatrix,
+        grad_output: &Matrix,
+        training: bool,
+    ) {
+        self.trunk.backward_params(adj, grad_output, training);
     }
 
     /// Per-node predicted criticality scores.
@@ -388,8 +533,23 @@ impl GcnRegressor {
     }
 
     /// All trainable parameters in a stable order.
+    pub fn params(&self) -> Vec<&Param> {
+        self.trunk.params()
+    }
+
+    /// All trainable parameters in a stable order, mutably.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.trunk.params_mut()
+    }
+
+    /// Parameters and dropout state, for [`GcnRegressor::restore`].
+    pub(crate) fn snapshot(&self) -> TrunkSnapshot {
+        self.trunk.snapshot()
+    }
+
+    /// Puts parameters and dropout state back to a snapshot's.
+    pub(crate) fn restore(&mut self, snapshot: TrunkSnapshot) {
+        self.trunk.restore(snapshot);
     }
 
     /// A Table-1-style architecture listing (no log-softmax row).

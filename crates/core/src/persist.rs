@@ -87,10 +87,8 @@ pub fn save_classifier<W: Write>(model: &GcnClassifier, mut writer: W) -> Result
     writeln!(writer, "dropout {}", config.dropout)?;
     writeln!(writer, "seed {}", config.seed)?;
 
-    // Parameters in the model's stable ordering; cloning sidesteps the
-    // mutable borrow that params_mut() requires.
-    let mut clone = model.clone();
-    for param in clone.params_mut() {
+    // Parameters in the model's stable ordering.
+    for param in model.params() {
         writeln!(
             writer,
             "param {} {}",

@@ -1,11 +1,11 @@
 //! Training, evaluation and grid-search hyper-parameter optimization.
 
-use crate::model::{GcnClassifier, GcnConfig, GcnRegressor};
+use crate::model::{GcnClassifier, GcnConfig, GcnRegressor, TrunkSnapshot};
 use fusa_neuro::loss::{mse_loss, nll_loss};
 use fusa_neuro::metrics::{Confusion, RocCurve};
 use fusa_neuro::optim::Adam;
 use fusa_neuro::split::Split;
-use fusa_neuro::{CsrMatrix, Matrix};
+use fusa_neuro::{CsrMatrix, Matrix, RowPlan};
 
 /// Training hyper-parameters (§3.3.3 / §4.1).
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +82,10 @@ pub fn train_classifier(
     let mut optimizer =
         Adam::with_weight_decay(train_config.learning_rate, train_config.weight_decay);
     let mut history = TrainHistory::default();
-    let mut best: Option<(f64, GcnClassifier)> = None;
+    let mut best: Option<(f64, TrunkSnapshot)> = None;
+    // Validation reads the model's output on validation nodes only, so
+    // its eval pass computes just the rows those outputs depend on.
+    let validation_plan = model.row_plan(adj, &split.validation);
     let progress = fusa_obs::Progress::start(
         obs,
         "train",
@@ -93,15 +96,30 @@ pub fn train_classifier(
 
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
-        let log_probs = model.forward(adj, features, true);
-        let (loss, grad) = nll_loss(&log_probs, &targets, &split.train);
-        for p in model.params_mut() {
-            p.zero_grad();
-        }
-        model.backward(adj, &grad, true);
-        optimizer.step(&mut model.params_mut());
+        let (loss, grad) = obs.time("train.forward", || {
+            let log_probs = model.forward(adj, features, true);
+            nll_loss(&log_probs, &targets, &split.train)
+        });
+        obs.time("train.backward", || {
+            for p in model.params_mut() {
+                p.zero_grad();
+            }
+            model.backward_params(adj, grad, true);
+        });
+        obs.time("train.optimizer", || {
+            optimizer.step(&mut model.params_mut())
+        });
 
-        let val_accuracy = validation_accuracy(&model, adj, features, labels, &split.validation);
+        let val_accuracy = obs.time("train.validation", || {
+            validation_accuracy(
+                &model,
+                adj,
+                features,
+                labels,
+                &split.validation,
+                &validation_plan,
+            )
+        });
         history.train_loss.push(loss);
         history.validation_metric.push(val_accuracy);
         if best
@@ -110,7 +128,10 @@ pub fn train_classifier(
             .unwrap_or(true)
         {
             history.best_epoch = history.validation_metric.len() - 1;
-            best = Some((val_accuracy, model.clone()));
+            best = Some((
+                val_accuracy,
+                obs.time("train.snapshot", || model.snapshot()),
+            ));
         }
         obs.add("train.epochs", 1);
         obs.observe("train.epoch_seconds", epoch_started.elapsed().as_secs_f64());
@@ -135,29 +156,35 @@ pub fn train_classifier(
         obs.gauge_set("train.final_loss", loss);
     }
 
-    let final_model = if train_config.keep_best {
-        best.map(|(_, m)| m).unwrap_or(model)
-    } else {
-        model
-    };
-    let evaluation = evaluate_classifier(&final_model, adj, features, labels, split);
-    (final_model, history, evaluation)
+    if train_config.keep_best {
+        if let Some((_, snapshot)) = best {
+            model.restore(snapshot);
+        }
+    }
+    let evaluation = evaluate_classifier(&model, adj, features, labels, split);
+    (model, history, evaluation)
 }
 
+/// Accuracy on `validation`, from an eval pass restricted by `plan`
+/// (built for exactly those rows) to the rows it reads.
 fn validation_accuracy(
     model: &GcnClassifier,
     adj: &CsrMatrix,
     features: &Matrix,
     labels: &[bool],
     validation: &[usize],
+    plan: &RowPlan,
 ) -> f64 {
     if validation.is_empty() {
         return 0.0;
     }
-    let predictions = model.predict(adj, features);
+    let predictions = model
+        .forward_inference_rows(adj, features, plan)
+        .argmax_rows();
     let correct = validation
         .iter()
-        .filter(|&&i| (predictions[i] == 1) == labels[i])
+        .zip(predictions)
+        .filter(|&(&i, class)| (class == 1) == labels[i])
         .count();
     correct as f64 / validation.len() as f64
 }
@@ -218,7 +245,12 @@ pub fn train_regressor(
     let mut optimizer =
         Adam::with_weight_decay(train_config.learning_rate, train_config.weight_decay);
     let mut history = TrainHistory::default();
-    let mut best: Option<(f64, GcnRegressor)> = None;
+    let mut best: Option<(f64, TrunkSnapshot)> = None;
+    let validation_plan = model.row_plan(adj, &split.validation);
+    // The restricted eval pass yields validation rows in split order, so
+    // the validation MSE runs over positions 0..len of those rows.
+    let validation_scores: Vec<f64> = split.validation.iter().map(|&i| scores[i]).collect();
+    let validation_positions: Vec<usize> = (0..split.validation.len()).collect();
     let progress = fusa_obs::Progress::start(
         obs,
         "train-regressor",
@@ -229,21 +261,29 @@ pub fn train_regressor(
 
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
-        let predictions = model.forward(adj, features, true);
-        let (loss, grad) = mse_loss(&predictions, scores, &split.train);
-        for p in model.params_mut() {
-            p.zero_grad();
-        }
-        model.backward(adj, &grad, true);
-        optimizer.step(&mut model.params_mut());
+        let (loss, grad) = obs.time("train.forward", || {
+            let predictions = model.forward(adj, features, true);
+            mse_loss(&predictions, scores, &split.train)
+        });
+        obs.time("train.backward", || {
+            for p in model.params_mut() {
+                p.zero_grad();
+            }
+            model.backward_params(adj, &grad, true);
+        });
+        obs.time("train.optimizer", || {
+            optimizer.step(&mut model.params_mut())
+        });
 
-        let val_predictions = model.forward_inference(adj, features);
-        let (val_loss, _) = mse_loss(&val_predictions, scores, &split.validation);
+        let val_loss = obs.time("train.validation", || {
+            let val_predictions = model.forward_inference_rows(adj, features, &validation_plan);
+            mse_loss(&val_predictions, &validation_scores, &validation_positions).0
+        });
         history.train_loss.push(loss);
         history.validation_metric.push(-val_loss);
         if best.as_ref().map(|(b, _)| -val_loss > *b).unwrap_or(true) {
             history.best_epoch = history.validation_metric.len() - 1;
-            best = Some((-val_loss, model.clone()));
+            best = Some((-val_loss, obs.time("train.snapshot", || model.snapshot())));
         }
         obs.add("train.regressor_epochs", 1);
         obs.observe("train.epoch_seconds", epoch_started.elapsed().as_secs_f64());
@@ -264,13 +304,13 @@ pub fn train_regressor(
         }
     }
 
-    let final_model = if train_config.keep_best {
-        best.map(|(_, m)| m).unwrap_or(model)
-    } else {
-        model
-    };
-    let predictions = final_model.predict_scores(adj, features);
-    (final_model, history, predictions)
+    if train_config.keep_best {
+        if let Some((_, snapshot)) = best {
+            model.restore(snapshot);
+        }
+    }
+    let predictions = model.predict_scores(adj, features);
+    (model, history, predictions)
 }
 
 /// Grid-search hyper-parameter optimization (§3.3.2): sweeps layer

@@ -3,6 +3,12 @@
 //! Every layer caches whatever its backward pass needs during `forward`,
 //! so the calling convention is strictly `forward` → `backward` per step
 //! (the cache is overwritten by the next forward call).
+//!
+//! The `*_owned` passes take their input by value and work in place:
+//! activations and gradients move through a layer stack without being
+//! copied, and a layer that must keep its input for backward keeps the
+//! moved matrix itself. The borrowing `forward`/`backward` entry points
+//! clone once and delegate to them.
 
 use crate::init::glorot_uniform;
 use crate::matrix::Matrix;
@@ -10,6 +16,7 @@ use crate::param::Param;
 use crate::sparse::CsrMatrix;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 
 /// Fully connected layer: `Y = X·W + b`.
 #[derive(Debug, Clone)]
@@ -41,12 +48,16 @@ impl Dense {
         self.weight.value.cols()
     }
 
-    /// Forward pass, caching the input for backward.
+    /// Forward pass, caching a copy of the input for backward.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let y = x
-            .matmul(&self.weight.value)
-            .add_row_broadcast(self.bias.value.row(0));
-        self.cached_input = Some(x.clone());
+        self.forward_owned(x.clone())
+    }
+
+    /// Forward pass that takes ownership of the input and caches it for
+    /// backward without copying.
+    pub fn forward_owned(&mut self, x: Matrix) -> Matrix {
+        let y = self.forward_inference(&x);
+        self.cached_input = Some(x);
         y
     }
 
@@ -63,6 +74,18 @@ impl Dense {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+        self.backward_params(grad_output);
+        grad_output.matmul_transpose(&self.weight.value)
+    }
+
+    /// Backward pass for the parameters only: accumulates weight/bias
+    /// gradients and skips `∂L/∂X` (for a first layer, whose input is
+    /// data rather than an upstream activation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub fn backward_params(&mut self, grad_output: &Matrix) {
         let x = self
             .cached_input
             .as_ref()
@@ -71,10 +94,14 @@ impl Dense {
             .accumulate_grad(&x.transpose_matmul(grad_output));
         let bias_grad = Matrix::from_vec(1, grad_output.cols(), grad_output.column_sums());
         self.bias.accumulate_grad(&bias_grad);
-        grad_output.matmul_transpose(&self.weight.value)
     }
 
     /// The layer's trainable parameters.
+    pub fn params(&self) -> Vec<&Param> {
+        vec![&self.weight, &self.bias]
+    }
+
+    /// The layer's trainable parameters, mutably.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
@@ -82,11 +109,12 @@ impl Dense {
 
 /// Graph convolution (Kipf & Welling, Eq. 2 of the paper):
 /// `H' = Â · H · W + b` with `Â` the symmetrically normalized adjacency.
+///
+/// The aggregated `ÂH` is cached once, by the inner [`Dense`] layer.
 #[derive(Debug, Clone)]
 pub struct GraphConv {
     /// The dense transform applied after aggregation.
     pub linear: Dense,
-    cached_aggregated: Option<Matrix>,
     cached_input: Option<Matrix>,
 }
 
@@ -95,7 +123,6 @@ impl GraphConv {
     pub fn new(in_features: usize, out_features: usize, seed: u64) -> GraphConv {
         GraphConv {
             linear: Dense::new(in_features, out_features, seed),
-            cached_aggregated: None,
             cached_input: None,
         }
     }
@@ -111,12 +138,26 @@ impl GraphConv {
     }
 
     /// Forward pass: aggregate neighbours through `adj`, then transform.
+    /// Keeps a copy of the input, so edge gradients can follow.
     pub fn forward(&mut self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        let aggregated = adj.matmul(x);
-        let y = self.linear.forward(&aggregated);
-        self.cached_aggregated = Some(aggregated);
-        self.cached_input = Some(x.clone());
-        y
+        self.forward_owned(adj, Cow::Borrowed(x), true)
+    }
+
+    /// Forward pass over a borrowed or owned input (a stack's first
+    /// layer borrows the feature matrix; later layers own their
+    /// activations). The aggregated `ÂX` moves into the dense layer's
+    /// cache. The input itself is kept — moved when owned — only when
+    /// `keep_input` is set, which
+    /// [`GraphConv::backward_with_edge_grads`] requires.
+    pub fn forward_owned(
+        &mut self,
+        adj: &CsrMatrix,
+        x: Cow<'_, Matrix>,
+        keep_input: bool,
+    ) -> Matrix {
+        let aggregated = adj.matmul(&x);
+        self.cached_input = keep_input.then(|| x.into_owned());
+        self.linear.forward_owned(aggregated)
     }
 
     /// Forward pass without caching (inference).
@@ -138,13 +179,23 @@ impl GraphConv {
         adj.transpose_matmul(&grad_aggregated)
     }
 
+    /// Backward pass for the parameters only (no `∂L/∂X`): what a first
+    /// layer needs during training.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub fn backward_params(&mut self, grad_output: &Matrix) {
+        self.linear.backward_params(grad_output);
+    }
+
     /// Backward pass that additionally returns the per-edge gradients
     /// `∂L/∂Â[r,c]` in CSR entry order — the signal the GNN explainer's
     /// edge mask trains on.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
+    /// Panics unless the preceding forward pass kept its input.
     pub fn backward_with_edge_grads(
         &mut self,
         adj: &CsrMatrix,
@@ -153,15 +204,19 @@ impl GraphConv {
         let x = self
             .cached_input
             .as_ref()
-            .expect("GraphConv::backward requires a prior forward call")
-            .clone();
+            .expect("GraphConv::backward_with_edge_grads requires a forward that kept its input");
         let grad_aggregated = self.linear.backward(grad_output);
-        let edge_grads = adj.edge_gradients(&grad_aggregated, &x);
+        let edge_grads = adj.edge_gradients(&grad_aggregated, x);
         let grad_x = adj.transpose_matmul(&grad_aggregated);
         (grad_x, edge_grads)
     }
 
     /// The layer's trainable parameters.
+    pub fn params(&self) -> Vec<&Param> {
+        self.linear.params()
+    }
+
+    /// The layer's trainable parameters, mutably.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.linear.params_mut()
     }
@@ -181,8 +236,19 @@ impl Relu {
 
     /// Forward pass.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.mask = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
-        x.map(|v| v.max(0.0))
+        self.forward_owned(x.clone())
+    }
+
+    /// In-place forward pass; the mask buffer is reused across calls.
+    pub fn forward_owned(&mut self, mut x: Matrix) -> Matrix {
+        let mut mask = self.mask.take().unwrap_or_default();
+        mask.clear();
+        for v in x.as_mut_slice() {
+            mask.push(*v > 0.0);
+            *v = v.max(0.0);
+        }
+        self.mask = Some(mask);
+        x
     }
 
     /// Forward pass without caching (inference).
@@ -196,11 +262,19 @@ impl Relu {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+        self.backward_owned(grad_output.clone())
+    }
+
+    /// In-place backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub fn backward_owned(&mut self, mut grad: Matrix) -> Matrix {
         let mask = self
             .mask
             .as_ref()
             .expect("Relu::backward requires a prior forward call");
-        let mut grad = grad_output.clone();
         for (g, &keep) in grad.as_mut_slice().iter_mut().zip(mask) {
             if !keep {
                 *g = 0.0;
@@ -237,26 +311,30 @@ impl Dropout {
 
     /// Training-mode forward pass (samples a fresh mask).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
+        self.forward_owned(x.clone())
+    }
+
+    /// In-place training-mode forward pass; the mask buffer is reused
+    /// across calls. Mask entries are drawn in element order.
+    pub fn forward_owned(&mut self, mut x: Matrix) -> Matrix {
         if self.p == 0.0 {
             self.mask = None;
-            return x.clone();
+            return x;
         }
         let keep = 1.0 - self.p;
-        let mask: Vec<f64> = (0..x.as_slice().len())
-            .map(|_| {
-                if self.rng.gen_bool(keep) {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mut y = x.clone();
-        for (v, &m) in y.as_mut_slice().iter_mut().zip(&mask) {
+        let mut mask = self.mask.take().unwrap_or_default();
+        mask.clear();
+        for v in x.as_mut_slice() {
+            let m = if self.rng.gen_bool(keep) {
+                1.0 / keep
+            } else {
+                0.0
+            };
+            mask.push(m);
             *v *= m;
         }
         self.mask = Some(mask);
-        y
+        x
     }
 
     /// Inference-mode forward pass (identity).
@@ -266,16 +344,29 @@ impl Dropout {
 
     /// Backward pass (applies the same mask).
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        match &self.mask {
-            None => grad_output.clone(),
-            Some(mask) => {
-                let mut grad = grad_output.clone();
-                for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
-                    *g *= m;
-                }
-                grad
+        self.backward_owned(grad_output.clone())
+    }
+
+    /// In-place backward pass (applies the same mask).
+    pub fn backward_owned(&mut self, mut grad: Matrix) -> Matrix {
+        if let Some(mask) = &self.mask {
+            for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
+                *g *= m;
             }
         }
+        grad
+    }
+
+    /// The mask generator's state: with [`Dropout::set_rng`], lets a
+    /// caller snapshot and restore the layer without cloning its
+    /// activation-sized mask.
+    pub fn rng(&self) -> &ChaCha8Rng {
+        &self.rng
+    }
+
+    /// Restores a mask generator state taken with [`Dropout::rng`].
+    pub fn set_rng(&mut self, rng: ChaCha8Rng) {
+        self.rng = rng;
     }
 }
 
@@ -293,9 +384,15 @@ impl LogSoftmax {
 
     /// Numerically stable forward pass.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let y = log_softmax_rows(x);
-        self.cached_output = Some(y.clone());
-        y
+        self.forward_owned(x.clone())
+    }
+
+    /// In-place forward pass; caches a copy of the (class-wide, so
+    /// narrow) output for backward.
+    pub fn forward_owned(&mut self, mut x: Matrix) -> Matrix {
+        log_softmax_rows_in_place(&mut x);
+        self.cached_output = Some(x.clone());
+        x
     }
 
     /// Forward pass without caching (inference).
@@ -309,15 +406,23 @@ impl LogSoftmax {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+        self.backward_owned(grad_output.clone())
+    }
+
+    /// In-place backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub fn backward_owned(&mut self, mut grad: Matrix) -> Matrix {
         let y = self
             .cached_output
             .as_ref()
             .expect("LogSoftmax::backward requires a prior forward call");
-        let mut grad = grad_output.clone();
         for r in 0..grad.rows() {
-            let gsum: f64 = grad_output.row(r).iter().sum();
-            let yrow = y.row(r).to_vec();
-            for (g, ylog) in grad.row_mut(r).iter_mut().zip(yrow) {
+            let row = grad.row_mut(r);
+            let gsum: f64 = row.iter().sum();
+            for (g, &ylog) in row.iter_mut().zip(y.row(r)) {
                 *g -= ylog.exp() * gsum;
             }
         }
@@ -328,15 +433,20 @@ impl LogSoftmax {
 /// Stand-alone numerically stable row-wise log-softmax.
 pub fn log_softmax_rows(x: &Matrix) -> Matrix {
     let mut y = x.clone();
-    for r in 0..y.rows() {
-        let row = y.row_mut(r);
+    log_softmax_rows_in_place(&mut y);
+    y
+}
+
+/// [`log_softmax_rows`] in place.
+pub fn log_softmax_rows_in_place(x: &mut Matrix) {
+    for r in 0..x.rows() {
+        let row = x.row_mut(r);
         let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let logsum = row.iter().map(|&v| (v - max).exp()).sum::<f64>().ln() + max;
         for v in row {
             *v -= logsum;
         }
     }
-    y
 }
 
 /// Stand-alone row-wise softmax.

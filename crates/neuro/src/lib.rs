@@ -8,7 +8,8 @@
 //!   operations;
 //! * [`CsrMatrix`] — compressed-sparse-row matrices for normalized graph
 //!   adjacency, with sparse×dense products and per-edge gradients (needed
-//!   by the GNN explainer);
+//!   by the GNN explainer), and [`RowPlan`] — the rows each layer of a
+//!   graph-convolution stack must compute for a chosen set of outputs;
 //! * [`layers`] — `Dense`, `GraphConv`, `ReLU`, `Dropout`, `LogSoftmax`
 //!   with explicit forward/backward passes;
 //! * [`loss`] — negative log-likelihood, mean-squared-error and binary
@@ -40,4 +41,4 @@ pub mod split;
 
 pub use matrix::Matrix;
 pub use param::Param;
-pub use sparse::CsrMatrix;
+pub use sparse::{CsrMatrix, RowPlan};

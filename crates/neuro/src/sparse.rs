@@ -1,6 +1,7 @@
 //! Compressed-sparse-row matrices for graph adjacency.
 
 use crate::matrix::Matrix;
+use std::borrow::Cow;
 
 /// A square-or-rectangular sparse matrix in CSR layout.
 ///
@@ -227,6 +228,72 @@ impl CsrMatrix {
         }
     }
 
+    /// Sorted, deduplicated column indices stored in any of `rows`: the
+    /// rows of a dense operand that `self × dense` reads to produce
+    /// those output rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row index is out of bounds.
+    pub fn columns_of(&self, rows: &[usize]) -> Vec<usize> {
+        let mut read = vec![false; self.cols];
+        for &r in rows {
+            for (c, _) in self.row_entries(r) {
+                read[c] = true;
+            }
+        }
+        (0..self.cols).filter(|&c| read[c]).collect()
+    }
+
+    /// The submatrix of `rows` (in the given order, repeats allowed),
+    /// each row keeping its entries in stored order. With `cols` (sorted
+    /// and deduplicated) the columns are renumbered to positions in it,
+    /// so the result multiplies a dense operand holding just those rows;
+    /// without it the columns are unchanged.
+    ///
+    /// Row `i` of `select(rows, cols) × dense[cols]` performs exactly the
+    /// operations of row `rows[i]` of `self × dense`, so it is
+    /// bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of bounds or a selected row stores a column
+    /// missing from `cols`.
+    pub fn select(&self, rows: &[usize], cols: Option<&[usize]>) -> CsrMatrix {
+        let position: Option<Vec<usize>> = cols.map(|cols| {
+            let mut position = vec![usize::MAX; self.cols];
+            for (i, &c) in cols.iter().enumerate() {
+                position[c] = i;
+            }
+            position
+        });
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for &r in rows {
+            for (c, v) in self.row_entries(r) {
+                let c = match &position {
+                    Some(position) => {
+                        assert!(position[c] != usize::MAX, "column {c} not selected");
+                        position[c]
+                    }
+                    None => c,
+                };
+                col_idx.push(c);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix {
+            rows: rows.len(),
+            cols: cols.map_or(self.cols, <[usize]>::len),
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Converts to a dense matrix (test/debug helper).
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
@@ -236,6 +303,114 @@ impl CsrMatrix {
             }
         }
         m
+    }
+}
+
+/// Row restriction of a stack of graph convolutions `Hₗ = f(Â·Hₗ₋₁·Wₗ)`:
+/// which rows each layer must compute so the last layer yields exactly
+/// the requested output rows.
+///
+/// Working back from the output, layer `l` computes the rows layer `l+1`
+/// aggregates from (the columns [`CsrMatrix::columns_of`] its rows
+/// store), and the first layer reads only those rows of the input. Each
+/// layer gets `Â` restricted by [`CsrMatrix::select`] to the rows it
+/// computes, with columns renumbered to the previous layer's rows. Every
+/// computed row repeats the operations of the unrestricted pass, so the
+/// outputs are bit-identical to the requested rows of a full pass.
+///
+/// # Example
+///
+/// ```
+/// use fusa_neuro::{CsrMatrix, Matrix, RowPlan};
+///
+/// // A path 0 - 1 - 2 - 3 with self-loops.
+/// let mut triplets = vec![];
+/// for i in 0..4 {
+///     triplets.push((i, i, 0.5));
+///     if i + 1 < 4 {
+///         triplets.push((i, i + 1, 0.25));
+///         triplets.push((i + 1, i, 0.25));
+///     }
+/// }
+/// let adj = CsrMatrix::from_triplets(4, 4, &triplets);
+/// let plan = RowPlan::new(&adj, &[0], 2);
+/// let x = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0], &[4.0]]);
+/// // Two hops from node 0 reach nodes 0..=2, never node 3.
+/// let h = plan.adjacency(0, &adj).matmul(&plan.input(&x));
+/// let y = plan.adjacency(1, &adj).matmul(&h);
+/// assert_eq!(y.shape(), (1, 1));
+/// assert_eq!(y.get(0, 0), adj.matmul(&adj.matmul(&x)).get(0, 0));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct RowPlan {
+    /// Input rows the first layer reads; `None` for all rows.
+    input_rows: Option<Vec<usize>>,
+    /// Per layer, `Â` restricted to the rows that layer computes; `None`
+    /// where a layer computes every row from every input row.
+    layers: Vec<Option<CsrMatrix>>,
+}
+
+impl RowPlan {
+    /// The unrestricted plan, valid for any depth: every layer computes
+    /// every row.
+    pub fn all() -> RowPlan {
+        RowPlan::default()
+    }
+
+    /// A plan for `depth` stacked layers over the square adjacency `adj`
+    /// whose last layer computes `rows`, in that order (repeats allowed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `adj` is not square or a row is out of bounds.
+    pub fn new(adj: &CsrMatrix, rows: &[usize], depth: usize) -> RowPlan {
+        assert_eq!(adj.rows(), adj.cols(), "row plans need a square adjacency");
+        let n = adj.rows();
+        let is_all =
+            |rows: &[usize]| rows.len() == n && rows.iter().enumerate().all(|(i, &r)| i == r);
+        let mut layers = Vec::with_capacity(depth);
+        let mut computed = rows.to_vec();
+        let mut computed_all = is_all(&computed);
+        for _ in 0..depth {
+            let read = adj.columns_of(&computed);
+            let read_all = read.len() == n;
+            layers.push(if computed_all && read_all {
+                None
+            } else {
+                Some(adj.select(&computed, (!read_all).then_some(read.as_slice())))
+            });
+            computed = read;
+            computed_all = read_all;
+        }
+        layers.reverse();
+        RowPlan {
+            input_rows: (!computed_all).then_some(computed),
+            layers,
+        }
+    }
+
+    /// Number of layers the plan restricts; `None` for [`RowPlan::all`],
+    /// which fits any depth.
+    pub fn depth(&self) -> Option<usize> {
+        (!self.layers.is_empty() || self.input_rows.is_some()).then_some(self.layers.len())
+    }
+
+    /// The adjacency layer `layer` (0-based) multiplies by: `full` itself
+    /// or its restriction.
+    pub fn adjacency<'a>(&'a self, layer: usize, full: &'a CsrMatrix) -> &'a CsrMatrix {
+        self.layers
+            .get(layer)
+            .and_then(Option::as_ref)
+            .unwrap_or(full)
+    }
+
+    /// The rows of the input `x` the first layer reads: `x` itself when
+    /// it reads them all, else a copy of just those rows.
+    pub fn input<'a>(&self, x: &'a Matrix) -> Cow<'a, Matrix> {
+        match &self.input_rows {
+            None => Cow::Borrowed(x),
+            Some(rows) => Cow::Owned(x.select_rows(rows)),
+        }
     }
 }
 

@@ -275,16 +275,16 @@ impl Progress {
             .name(format!("fusa-progress-{label}"))
             .spawn(move || {
                 let mut stopped = beat.stop.lock().expect("progress lock poisoned");
-                loop {
+                // `stop` is checked before every wait: a drop that set it
+                // (and notified) before this thread first took the lock
+                // would otherwise be missed for a whole interval.
+                while !*stopped {
                     let (guard, timeout) = beat
                         .wake
                         .wait_timeout(stopped, interval)
                         .expect("progress lock poisoned");
                     stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
+                    if !*stopped && timeout.timed_out() {
                         beat.emit(false);
                     }
                 }
@@ -456,6 +456,37 @@ mod tests {
         }
         let finals: Vec<_> = beats.iter().filter(|b| b.get("final").is_some()).collect();
         assert_eq!(finals.len(), 1, "exactly one final beat");
+    }
+
+    /// Dropping an armed handle right after start must not wait out the
+    /// heartbeat interval: the stop flag set before the thread first
+    /// takes the lock is seen before its first wait.
+    #[test]
+    fn immediate_drop_does_not_wait_for_the_interval() {
+        let recorder = leaked_recorder();
+        recorder.attach_sink(Box::new(std::io::sink()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let started = Instant::now();
+        std::thread::spawn(move || {
+            let progress = Progress::start(
+                recorder,
+                "teardown",
+                "units",
+                1,
+                ProgressConfig {
+                    stderr: false,
+                    interval: Duration::from_secs(3600),
+                },
+            );
+            assert!(progress.is_active());
+            drop(progress);
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("drop of a fresh heartbeat blocked on its interval");
+        assert!(started.elapsed() < Duration::from_millis(900));
+        recorder.detach_sink();
     }
 
     #[test]

@@ -608,26 +608,45 @@ fn validate_args(spec: &CommandSpec, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Why a command line failed. Only argument errors (unknown command,
+/// arity, unknown or value-less flag) are followed by the usage text; a
+/// runtime failure (unreadable or unparsable design, degenerate labels,
+/// I/O) prints its one `error:` line alone.
+enum CliError {
+    Usage(String),
+    Runtime(String),
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        Err(CliError::Usage(message)) => {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{}", usage());
             ExitCode::FAILURE
         }
+        Err(CliError::Runtime(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let command = args.first().ok_or("missing command")?;
+fn run(args: &[String]) -> Result<(), CliError> {
+    let command = args
+        .first()
+        .ok_or_else(|| CliError::Usage("missing command".into()))?;
     let spec = COMMANDS
         .iter()
         .find(|c| c.name == command.as_str())
-        .ok_or_else(|| format!("unknown command `{command}`"))?;
-    validate_args(spec, args)?;
+        .ok_or_else(|| CliError::Usage(format!("unknown command `{command}`")))?;
+    validate_args(spec, args).map_err(CliError::Usage)?;
+    run_command(spec, args).map_err(CliError::Runtime)
+}
+
+fn run_command(spec: &CommandSpec, args: &[String]) -> Result<(), String> {
     match spec.name {
         "designs" => {
             for design in designs::all_designs() {

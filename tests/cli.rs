@@ -267,6 +267,60 @@ fn analyze_writes_parseable_manifest_with_stage_coverage() {
     assert!(kinds.contains("campaign"), "{kinds:?}");
 }
 
+/// The `train` stage is accounted for by its per-epoch children, so
+/// `fusa report` shows where training time goes.
+#[test]
+fn train_stage_children_cover_its_wall_time() {
+    use fusa::obs::RunManifest;
+
+    let run_dir = std::env::temp_dir().join("fusa_cli_train_spans");
+    let output = fusa()
+        .args(["analyze", "or1200_icfsm", "--fast", "--run-dir"])
+        .arg(&run_dir)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{:?}", output);
+    let manifest =
+        RunManifest::parse(&std::fs::read_to_string(run_dir.join("manifest.json")).unwrap())
+            .expect("manifest parses");
+    let seconds = |path: &str| {
+        manifest
+            .stages
+            .iter()
+            .find(|s| s.name == path)
+            .map(|s| s.seconds)
+            .unwrap_or_else(|| panic!("stage `{path}` missing"))
+    };
+    let train = seconds("train");
+    let children: f64 = ["forward", "backward", "optimizer", "validation", "snapshot"]
+        .iter()
+        .map(|child| seconds(&format!("train/train.{child}")))
+        .sum();
+    assert!(
+        children >= 0.9 * train,
+        "train children cover {children:.4}s of {train:.4}s"
+    );
+}
+
+/// Runtime failures print their one-line error; the usage text is for
+/// argument errors only.
+#[test]
+fn runtime_error_prints_one_line_without_usage() {
+    let missing = std::env::temp_dir().join("fusa_cli_no_such_design.v");
+    let output = fusa()
+        .arg("analyze")
+        .arg(&missing)
+        .arg("--fast")
+        .output()
+        .unwrap();
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let lines: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(lines[0].starts_with("error: cannot read"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
+
 #[test]
 fn same_seed_runs_produce_identical_digests() {
     use fusa::obs::RunManifest;
