@@ -1,6 +1,6 @@
-//! Fault-campaign throughput measurement: accelerated hot path (cone
-//! restriction + early exit + zero-alloc stepping) vs the exhaustive
-//! full-netlist reference, per built-in design.
+//! Fault-campaign throughput measurement: accelerated hot path
+//! (differential stepping + early exit on the wide kernel) vs the
+//! exhaustive full-netlist reference, per built-in design.
 //!
 //! Emits `BENCH_campaign.json` (hand-rolled JSON — the workspace
 //! carries no serde) with fault-cycles/sec for both paths plus the
@@ -32,6 +32,7 @@ struct Measurement {
     stepped_fault_cycles: u64,
     gate_evals: u64,
     gate_evals_full: u64,
+    dense_handoffs: u64,
     cone_build_seconds: f64,
     cone_coverage: f64,
     report: CampaignReport,
@@ -40,6 +41,13 @@ struct Measurement {
 impl Measurement {
     fn fault_cycles_per_second(&self) -> f64 {
         self.fault_cycles as f64 / self.seconds.max(1e-12)
+    }
+
+    /// Gate evaluations per stepped fault-cycle: the work one fault
+    /// machine costs per cycle, with a pass's evaluations shared by its
+    /// `64 · lane_words` machines.
+    fn evals_per_stepped_fault_cycle(&self) -> f64 {
+        self.gate_evals as f64 / self.stepped_fault_cycles.max(1) as f64
     }
 }
 
@@ -62,6 +70,7 @@ fn measure(
         stepped_fault_cycles: stats.stepped_fault_cycles,
         gate_evals: stats.gate_evals,
         gate_evals_full: stats.gate_evals_full,
+        dense_handoffs: stats.dense_handoffs,
         cone_build_seconds: stats.cone_build_seconds,
         cone_coverage: stats.cone_coverage,
         report,
@@ -158,7 +167,7 @@ fn main() {
         first = false;
         let _ = write!(
             entries,
-            "\n    {{\n      \"design\": \"{}\",\n      \"gates\": {},\n      \"faults\": {},\n      \"fault_cycles\": {},\n      \"reference\": {{\n        \"seconds\": {:.4},\n        \"fault_cycles_per_second\": {:.0},\n        \"stepped_fault_cycles\": {},\n        \"gate_evals\": {}\n      }},\n      \"accelerated\": {{\n        \"seconds\": {:.4},\n        \"fault_cycles_per_second\": {:.0},\n        \"stepped_fault_cycles\": {},\n        \"gate_evals\": {},\n        \"gate_evals_full\": {},\n        \"gate_evals_saved_fraction\": {:.4},\n        \"lane_words\": {},\n        \"cone_build_seconds\": {:.4},\n        \"cone_coverage\": {:.4}\n      }},\n      \"speedup\": {:.2}\n    }}",
+            "\n    {{\n      \"design\": \"{}\",\n      \"gates\": {},\n      \"faults\": {},\n      \"fault_cycles\": {},\n      \"reference\": {{\n        \"seconds\": {:.4},\n        \"fault_cycles_per_second\": {:.0},\n        \"stepped_fault_cycles\": {},\n        \"gate_evals\": {}\n      }},\n      \"accelerated\": {{\n        \"seconds\": {:.4},\n        \"fault_cycles_per_second\": {:.0},\n        \"stepped_fault_cycles\": {},\n        \"gate_evals\": {},\n        \"gate_evals_full\": {},\n        \"gate_evals_saved_fraction\": {:.4},\n        \"lane_words\": {},\n        \"evals_per_stepped_fault_cycle\": {:.4},\n        \"dense_handoffs\": {}\n      }},\n      \"speedup\": {:.2}\n    }}",
             json_escape(netlist.name()),
             netlist.gate_count(),
             faults.len(),
@@ -174,8 +183,8 @@ fn main() {
             accelerated.gate_evals_full,
             evals_saved,
             accelerated_config.lane_words,
-            accelerated.cone_build_seconds,
-            accelerated.cone_coverage,
+            accelerated.evals_per_stepped_fault_cycle(),
+            accelerated.dense_handoffs,
             speedup,
         );
     }
@@ -476,9 +485,10 @@ fn measure_io_retry(smoke: bool) -> String {
 
 /// A deterministic fault sample built from contiguous gate blocks
 /// spread across the design. Contiguity matters: consecutive 64-fault
-/// chunks then share fanout cones, as they do in a full-list campaign.
-/// Strided single-gate sampling would push every chunk-group's union
-/// cone toward the whole netlist and hide the wide kernel's sharing.
+/// chunks then share fanout logic, as they do in a full-list campaign,
+/// so one pass's fault effects overlap across its words. Strided
+/// single-gate sampling would spread every pass over the whole netlist
+/// and hide the wide kernel's sharing.
 fn sampled_faults(netlist: &Netlist, count: usize) -> FaultList {
     const BLOCK: usize = 256;
     let total = netlist.gate_count();
@@ -499,7 +509,8 @@ fn sampled_faults(netlist: &Netlist, count: usize) -> FaultList {
 /// Scalar-vs-wide sweep over the synthesized scaling designs, one JSON
 /// entry per design size. The scalar baseline keeps cone restriction
 /// and early exit on — it is exactly the pre-SoA accelerated kernel —
-/// so `speedup` isolates the wide-lane rework.
+/// so `speedup_vs_scalar` isolates the wide kernel: lane width plus
+/// differential stepping.
 fn measure_design_sizes(smoke: bool) -> String {
     let seed = 1;
     let designs: Vec<Netlist> = vec![
@@ -567,14 +578,14 @@ fn measure_design_sizes(smoke: bool) -> String {
             }
             let _ = write!(
                 wide_entries,
-                "\n        {{\n          \"lane_words\": {},\n          \"lanes\": {},\n          \"seconds\": {:.4},\n          \"fault_cycles_per_second\": {:.0},\n          \"gate_evals\": {},\n          \"cone_build_seconds\": {:.4},\n          \"cone_coverage\": {:.4},\n          \"speedup_vs_scalar\": {:.2}\n        }}",
+                "\n        {{\n          \"lane_words\": {},\n          \"lanes\": {},\n          \"seconds\": {:.4},\n          \"fault_cycles_per_second\": {:.0},\n          \"gate_evals\": {},\n          \"evals_per_stepped_fault_cycle\": {:.4},\n          \"dense_handoffs\": {},\n          \"speedup_vs_scalar\": {:.2}\n        }}",
                 lane_words,
                 64 * lane_words,
                 wide.seconds,
                 wide.fault_cycles_per_second(),
                 wide.gate_evals,
-                wide.cone_build_seconds,
-                wide.cone_coverage,
+                wide.evals_per_stepped_fault_cycle(),
+                wide.dense_handoffs,
                 wide.fault_cycles_per_second() / scalar.fault_cycles_per_second(),
             );
             wide_rates.push(wide.fault_cycles_per_second());

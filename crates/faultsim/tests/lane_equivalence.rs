@@ -4,11 +4,16 @@
 //! The proptest generates random sequential netlists, injects every
 //! stuck-at site (gate outputs *and* input pins), and compares every
 //! `FaultOutcome` and every `first_divergence` cycle between the scalar
-//! reference (`lane_words: 0`) and each wide width, across thread
-//! counts and the cone/early-exit accelerations. A second property
+//! full-sweep reference (`lane_words: 0`, no cone) and each wide width,
+//! across thread counts, differential stepping with early exit versus
+//! the full sweep, both Dangerous thresholds (`0.0` and the pipeline's
+//! `0.2`) and latent classification on and off. A second property
 //! checks durability: a checkpoint written at one lane width resumes
 //! bit-identically at another, because the checkpoint unit is always
-//! the 64-fault chunk regardless of how many chunks a pass packs.
+//! the 64-fault chunk regardless of how many chunks a pass packs. The
+//! design tests pin both sides of the dense hand-off: a built-in design
+//! whose passes switch to the full sweep, and a synthetic one whose
+//! passes mostly stay differential.
 
 use fusa_faultsim::{
     CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign, FaultInjection, FaultList,
@@ -30,16 +35,14 @@ fn workloads_for(netlist: &Netlist, seed: u64) -> WorkloadSuite {
     )
 }
 
-fn run_with(
-    netlist: &Netlist,
-    faults: &FaultList,
-    workloads: &WorkloadSuite,
+/// Latent classification on, classic detection threshold.
+fn config(
     threads: usize,
     restrict_to_cone: bool,
     early_exit: bool,
     lane_words: usize,
-) -> CampaignReport {
-    FaultCampaign::new(CampaignConfig {
+) -> CampaignConfig {
+    CampaignConfig {
         threads,
         classify_latent: true,
         min_divergence_fraction: 0.0,
@@ -47,9 +50,23 @@ fn run_with(
         early_exit,
         lane_words,
         shard: None,
-    })
-    .run(netlist, faults, workloads)
-    .expect("campaign runs")
+    }
+}
+
+fn run_with(
+    netlist: &Netlist,
+    faults: &FaultList,
+    workloads: &WorkloadSuite,
+    config: CampaignConfig,
+) -> CampaignReport {
+    FaultCampaign::new(config)
+        .run(netlist, faults, workloads)
+        .expect("campaign runs")
+}
+
+/// Chunk groups one campaign simulates at `lane_words`.
+fn group_count(faults: &FaultList, workloads: &WorkloadSuite, lane_words: usize) -> u64 {
+    (workloads.workloads().len() * faults.len().div_ceil(64).div_ceil(lane_words)) as u64
 }
 
 fn assert_reports_identical(context: &str, reference: &CampaignReport, candidate: &CampaignReport) {
@@ -78,12 +95,16 @@ proptest! {
 
     /// Every wide width, under every acceleration combination and
     /// thread count, reproduces the scalar kernel bit for bit — on
-    /// random netlists over every stuck-at site including input pins.
+    /// random netlists over every stuck-at site including input pins,
+    /// at both Dangerous thresholds and with latent classification on
+    /// and off.
     #[test]
     fn wide_kernel_is_bit_identical_to_scalar(
         seed in 0u64..1u64 << 48,
         num_gates in 40usize..120,
         sequential_fraction in 0.05f64..0.4,
+        min_divergence_fraction in (0usize..2).prop_map(|i| [0.0, 0.2][i]),
+        classify_latent: bool,
     ) {
         let netlist = random_netlist(&RandomNetlistConfig {
             num_inputs: 6,
@@ -94,18 +115,28 @@ proptest! {
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0x1A9E5);
+        let with_thresholds = |config: CampaignConfig| CampaignConfig {
+            classify_latent,
+            min_divergence_fraction,
+            ..config
+        };
 
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, 0);
+        let reference = run_with(
+            &netlist, &faults, &workloads,
+            with_thresholds(config(1, false, false, 0)),
+        );
         for lane_words in [1usize, 4, 8] {
             for threads in [1usize, 4] {
                 for (restrict_to_cone, early_exit) in [(false, false), (true, true)] {
                     let candidate = run_with(
                         &netlist, &faults, &workloads,
-                        threads, restrict_to_cone, early_exit, lane_words,
+                        with_thresholds(config(threads, restrict_to_cone, early_exit, lane_words)),
                     );
                     assert_reports_identical(
                         &format!(
-                            "W={lane_words} threads={threads} cone={restrict_to_cone} early_exit={early_exit}"
+                            "W={lane_words} threads={threads} cone={restrict_to_cone} \
+                             early_exit={early_exit} fraction={min_divergence_fraction} \
+                             latent={classify_latent}"
                         ),
                         &reference,
                         &candidate,
@@ -133,7 +164,7 @@ proptest! {
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0xCAFE);
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, 0);
+        let reference = run_with(&netlist, &faults, &workloads, config(1, false, false, 0));
 
         let path = std::env::temp_dir().join(format!(
             "fusa_lane_equivalence_{}_{seed:x}.jsonl",
@@ -179,22 +210,35 @@ proptest! {
 }
 
 /// The built-in designs, checked once per width (cheap config): the
-/// proptest covers the space, this pins the real designs CI ships.
+/// proptest covers the space, this pins the real designs CI ships. Their
+/// fault effects fill most of the logic, so some passes must hand off
+/// to the full sweep.
 #[test]
 fn builtin_designs_all_widths_agree() {
+    let mut handoffs = 0;
     for netlist in fusa_netlist::designs::all_designs() {
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = workloads_for(&netlist, 7);
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, 0);
+        let reference = run_with(&netlist, &faults, &workloads, config(1, false, false, 0));
         for lane_words in [1usize, 4, 8] {
-            let wide = run_with(&netlist, &faults, &workloads, 4, true, true, lane_words);
+            let wide = run_with(
+                &netlist,
+                &faults,
+                &workloads,
+                config(4, true, true, lane_words),
+            );
             assert_reports_identical(
                 &format!("{} W={lane_words}", netlist.name()),
                 &reference,
                 &wide,
             );
+            handoffs += wide.stats().dense_handoffs;
         }
     }
+    assert!(
+        handoffs > 0,
+        "no built-in pass handed off to the full sweep"
+    );
 }
 
 /// The synthetic scaling designs run the wide kernel too: a 10k-gate
@@ -213,9 +257,19 @@ fn synthetic_design_widths_agree() {
         });
     let faults = FaultList::all_gate_outputs(&netlist);
     let workloads = workloads_for(&netlist, 11);
-    let reference = run_with(&netlist, &faults, &workloads, 1, false, false, 0);
+    let reference = run_with(&netlist, &faults, &workloads, config(1, false, false, 0));
     for lane_words in [4usize, 8] {
-        let wide = run_with(&netlist, &faults, &workloads, 2, true, true, lane_words);
+        let wide = run_with(
+            &netlist,
+            &faults,
+            &workloads,
+            config(2, true, true, lane_words),
+        );
         assert_reports_identical(&format!("synthetic W={lane_words}"), &reference, &wide);
+        // Sparse fault effects: most passes finish differentially.
+        assert!(
+            wide.stats().dense_handoffs < group_count(&faults, &workloads, lane_words),
+            "synthetic W={lane_words}: every pass handed off"
+        );
     }
 }

@@ -49,7 +49,7 @@ pub mod workload;
 pub use bitsim::{ActiveCone, BitSim};
 pub use probability::{SignalStats, SignalStatsConfig};
 pub use sim::Simulator;
-pub use soa::{SoaNetlist, WideCone, WideSim};
+pub use soa::{SoaNetlist, WideSim};
 pub use value::Logic;
 pub use vcd::VcdRecorder;
 pub use workload::{Workload, WorkloadConfig, WorkloadKind, WorkloadSuite};

@@ -23,11 +23,14 @@
 //! the per-word loops compile to SIMD on targets with 256/512-bit
 //! vector units.
 //!
-//! Cone-restricted stepping mirrors [`crate::BitSim`] exactly:
-//! [`WideCone`] is the structure-of-arrays form of
-//! [`crate::ActiveCone`], and [`WideSim::seed_boundary_packed`] /
-//! [`WideSim::settle_restricted`] / [`WideSim::clock_restricted`]
-//! reproduce the restricted schedule bit-for-bit in every word.
+//! Fault campaigns step the same machines *differentially*
+//! ([`WideSim::reset_diff`], [`WideSim::settle_diff`],
+//! [`WideSim::clock_diff`]): every net and register then holds its
+//! per-lane difference from a fault-free golden run, read back from a
+//! bit-packed golden snapshot ([`WideSim::snapshot_nets_packed`]), and
+//! only gates with a differing input or an installed force are
+//! evaluated. [`WideSim::end_diff`] hands the machines over to the full
+//! sweep once activity makes the events dearer than sweeping.
 //!
 //! # Example
 //!
@@ -55,8 +58,7 @@
 //! # }
 //! ```
 
-use crate::bitsim::ActiveCone;
-use fusa_netlist::{GateId, GateKind, Levelizer, NetId, Netlist};
+use fusa_netlist::{Gate, GateId, GateKind, Levelizer, NetId, Netlist};
 
 /// Maximum input-pin count of any cell in the gate library (the fixed
 /// stride of the flattened input-net table).
@@ -64,6 +66,12 @@ pub const MAX_PINS: usize = 4;
 
 /// Sentinel index: no force installed on this net / gate.
 const NO_FORCE: u32 = u32::MAX;
+
+/// [`SoaNetlist::net_driver`] entry of a primary-input net.
+const DRIVER_INPUT: u32 = u32::MAX - 1;
+
+/// [`SoaNetlist::net_driver`] entry of a net nothing drives.
+const NO_DRIVER: u32 = u32::MAX;
 
 /// One maximal stretch of the schedule sharing a level and a cell kind.
 #[derive(Debug, Clone, Copy)]
@@ -77,12 +85,15 @@ struct Run {
 ///
 /// Position `p` of the schedule evaluates the gate whose output net is
 /// `out_net[p]` from input nets `in_nets[p * MAX_PINS ..][..arity]`
-/// (unused pins hold `0` and are never read). Runs never cross a
-/// levelization boundary, so evaluating positions in order respects all
-/// combinational dependencies.
+/// (unused pins hold `0` and are never read); its kind is that of run
+/// `run_of[p]`. Runs never cross a levelization boundary, so evaluating
+/// positions in order respects all combinational dependencies: every
+/// reader of a net sits at a later position than its driver, and in a
+/// later run.
 #[derive(Debug, Clone, Default)]
 pub struct WideSchedule {
     runs: Vec<Run>,
+    run_of: Vec<u32>,
     out_net: Vec<u32>,
     in_nets: Vec<u32>,
     gate_ids: Vec<u32>,
@@ -99,6 +110,7 @@ impl WideSchedule {
 
         let mut schedule = WideSchedule {
             runs: Vec::new(),
+            run_of: Vec::with_capacity(sorted.len()),
             out_net: Vec::with_capacity(sorted.len()),
             in_nets: vec![0u32; sorted.len() * MAX_PINS],
             gate_ids: Vec::with_capacity(sorted.len()),
@@ -124,6 +136,7 @@ impl WideSchedule {
                     end: pos as u32 + 1,
                 }),
             }
+            schedule.run_of.push(schedule.runs.len() as u32 - 1);
         }
         schedule
     }
@@ -156,6 +169,9 @@ struct SeqGate {
 
 /// The flat simulation tables of one design, built once and shared by
 /// every [`WideSim`] (any `W`) over that design.
+///
+/// Gates share one *position* space: combinational gates take their
+/// schedule positions `0..C`, flip-flop `s` takes `C + s`.
 #[derive(Debug, Clone)]
 pub struct SoaNetlist {
     net_count: usize,
@@ -163,32 +179,32 @@ pub struct SoaNetlist {
     output_nets: Vec<u32>,
     comb: WideSchedule,
     seq: Vec<SeqGate>,
-    /// Gate id → index into `seq` (`NO_FORCE` for combinational gates).
-    seq_pos_of_gate: Vec<u32>,
+    /// Gate id → position.
+    pos_of_gate: Vec<u32>,
     /// Gate id → input-pin count, for pin-force validation.
     arity_of_gate: Vec<u8>,
-    /// Gate id → levelization level (flops at 0), for cone schedules.
-    levels: Vec<u32>,
+    /// Net → position of its driving gate, [`DRIVER_INPUT`] for a
+    /// primary input, [`NO_DRIVER`] for an undriven net.
+    net_driver: Vec<u32>,
+    /// Net `n`'s readers are `readers[reader_start[n]..reader_start[n + 1]]`:
+    /// the positions of the gates reading it, each gate once.
+    reader_start: Vec<u32>,
+    readers: Vec<u32>,
 }
 
 impl SoaNetlist {
     /// Levelizes `netlist` and lays its evaluation schedule out flat.
     pub fn new(netlist: &Netlist) -> SoaNetlist {
         let order = Levelizer::levelize(netlist);
-        let levels: Vec<u32> = (0..netlist.gate_count())
-            .map(|g| order.level(GateId(g as u32)))
-            .collect();
-        let comb = WideSchedule::build(netlist, order.order(), &levels);
+        let comb = WideSchedule::build(netlist, order.order(), order.levels());
 
         let mut seq = Vec::new();
-        let mut seq_pos_of_gate = vec![NO_FORCE; netlist.gate_count()];
         for g in netlist.sequential_gates() {
             let gate = netlist.gate(g);
             let mut in_nets = [0u32; MAX_PINS];
             for (pin, &net) in gate.inputs.iter().enumerate() {
                 in_nets[pin] = net.index() as u32;
             }
-            seq_pos_of_gate[g.index()] = seq.len() as u32;
             seq.push(SeqGate {
                 kind: gate.kind,
                 arity: gate.inputs.len() as u8,
@@ -198,13 +214,57 @@ impl SoaNetlist {
             });
         }
 
+        // Position space: schedule positions, then flip-flops.
+        let ids: Vec<u32> = comb
+            .gate_ids
+            .iter()
+            .copied()
+            .chain(seq.iter().map(|flop| flop.gate_id))
+            .collect();
+        let mut pos_of_gate = vec![0u32; netlist.gate_count()];
+        for (pos, &g) in ids.iter().enumerate() {
+            pos_of_gate[g as usize] = pos as u32;
+        }
+        let gates: Vec<&Gate> = ids.iter().map(|&g| netlist.gate(GateId(g))).collect();
+        let pi_nets: Vec<u32> = netlist
+            .primary_inputs()
+            .iter()
+            .map(|n| n.index() as u32)
+            .collect();
+        let mut net_driver = vec![NO_DRIVER; netlist.net_count()];
+        for &net in &pi_nets {
+            net_driver[net as usize] = DRIVER_INPUT;
+        }
+        for (pos, gate) in gates.iter().enumerate() {
+            net_driver[gate.output.index()] = pos as u32;
+        }
+
+        // Reader rows, compressed: count, prefix-sum, fill. A gate that
+        // reads one net on several pins is listed once.
+        let distinct_reads = gates.iter().enumerate().flat_map(|(pos, gate)| {
+            let pins = &gate.inputs;
+            pins.iter()
+                .enumerate()
+                .filter(move |&(i, net)| !pins[..i].contains(net))
+                .map(move |(_, net)| (net.index(), pos as u32))
+        });
+        let mut reader_start = vec![0u32; netlist.net_count() + 1];
+        for (net, _) in distinct_reads.clone() {
+            reader_start[net + 1] += 1;
+        }
+        for n in 0..netlist.net_count() {
+            reader_start[n + 1] += reader_start[n];
+        }
+        let mut fill = reader_start.clone();
+        let mut readers = vec![0u32; reader_start[netlist.net_count()] as usize];
+        for (net, pos) in distinct_reads {
+            readers[fill[net] as usize] = pos;
+            fill[net] += 1;
+        }
+
         SoaNetlist {
             net_count: netlist.net_count(),
-            pi_nets: netlist
-                .primary_inputs()
-                .iter()
-                .map(|n| n.index() as u32)
-                .collect(),
+            pi_nets,
             output_nets: netlist
                 .primary_outputs()
                 .iter()
@@ -212,13 +272,15 @@ impl SoaNetlist {
                 .collect(),
             comb,
             seq,
-            seq_pos_of_gate,
+            pos_of_gate,
             arity_of_gate: netlist
                 .gates()
                 .iter()
                 .map(|g| g.inputs.len() as u8)
                 .collect(),
-            levels,
+            net_driver,
+            reader_start,
+            readers,
         }
     }
 
@@ -232,6 +294,11 @@ impl SoaNetlist {
         self.seq.len()
     }
 
+    /// Number of primary outputs.
+    pub fn output_count(&self) -> usize {
+        self.output_nets.len()
+    }
+
     /// Gate evaluations one full settle+clock cycle costs.
     pub fn full_evals_per_cycle(&self) -> u64 {
         (self.comb.len() + self.seq.len()) as u64
@@ -242,60 +309,62 @@ impl SoaNetlist {
     pub fn packed_net_words(&self) -> usize {
         self.net_count.div_ceil(64)
     }
+
+    /// Index into the flip-flop tables of `gate`, `None` when it is
+    /// combinational.
+    fn seq_index(&self, gate: GateId) -> Option<usize> {
+        (self.pos_of_gate[gate.index()] as usize).checked_sub(self.comb.len())
+    }
+
+    /// Positions of the gates reading `net`.
+    #[inline(always)]
+    fn readers_of(&self, net: usize) -> &[u32] {
+        &self.readers[self.reader_start[net] as usize..self.reader_start[net + 1] as usize]
+    }
 }
 
-/// Structure-of-arrays form of an [`ActiveCone`]: the restricted
-/// schedule, cone flop list, boundary nets and reachable outputs of one
-/// fault chunk group, ready for [`WideSim`]'s restricted stepping.
-#[derive(Debug, Clone)]
-pub struct WideCone {
-    comb: WideSchedule,
-    /// Indices into [`SoaNetlist::seq`] of the cone's flip-flops.
-    seq_pos: Vec<u32>,
-    boundary_nets: Vec<u32>,
-    /// `(primary-output slot, net)` pairs a cone fault can reach.
-    output_slots: Vec<(u32, u32)>,
-    size: usize,
+/// Bit `i` of a packed bit vector (such as a golden snapshot from
+/// [`WideSim::snapshot_nets_packed`]) as a 64-lane broadcast word.
+#[inline(always)]
+pub fn bit_lanes(bits: &[u64], i: usize) -> u64 {
+    0u64.wrapping_sub((bits[i >> 6] >> (i & 63)) & 1)
 }
 
-impl WideCone {
-    /// Converts a [`crate::BitSim`]-built [`ActiveCone`] into flat form.
-    pub fn from_active(soa: &SoaNetlist, netlist: &Netlist, cone: &ActiveCone) -> WideCone {
-        WideCone {
-            comb: WideSchedule::build(netlist, cone.comb_order(), &soa.levels),
-            seq_pos: cone
-                .seq_gates()
-                .iter()
-                .map(|g| soa.seq_pos_of_gate[g.index()])
-                .collect(),
-            boundary_nets: cone
-                .boundary_nets()
-                .iter()
-                .map(|n| n.index() as u32)
-                .collect(),
-            output_slots: cone
-                .output_slots()
-                .iter()
-                .map(|&(slot, net)| (slot as u32, net.index() as u32))
-                .collect(),
-            size: cone.gate_count(),
+/// Expands `$arm!(Kind, arity)` for the combinational cell kind `$kind`,
+/// so a kind run resolves its cell function once, not once per gate.
+macro_rules! dispatch_comb_kind {
+    ($kind:expr, $arm:ident) => {
+        match $kind {
+            GateKind::Buf => $arm!(Buf, 1),
+            GateKind::Inv => $arm!(Inv, 1),
+            GateKind::And2 => $arm!(And2, 2),
+            GateKind::And3 => $arm!(And3, 3),
+            GateKind::And4 => $arm!(And4, 4),
+            GateKind::Or2 => $arm!(Or2, 2),
+            GateKind::Or3 => $arm!(Or3, 3),
+            GateKind::Or4 => $arm!(Or4, 4),
+            GateKind::Nand2 => $arm!(Nand2, 2),
+            GateKind::Nand3 => $arm!(Nand3, 3),
+            GateKind::Nand4 => $arm!(Nand4, 4),
+            GateKind::Nor2 => $arm!(Nor2, 2),
+            GateKind::Nor3 => $arm!(Nor3, 3),
+            GateKind::Nor4 => $arm!(Nor4, 4),
+            GateKind::Xor2 => $arm!(Xor2, 2),
+            GateKind::Xnor2 => $arm!(Xnor2, 2),
+            GateKind::Mux2 => $arm!(Mux2, 3),
+            GateKind::Ao21 => $arm!(Ao21, 3),
+            GateKind::Ao22 => $arm!(Ao22, 4),
+            GateKind::Aoi21 => $arm!(Aoi21, 3),
+            GateKind::Aoi22 => $arm!(Aoi22, 4),
+            GateKind::Oai21 => $arm!(Oai21, 3),
+            GateKind::Oai22 => $arm!(Oai22, 4),
+            GateKind::Tie0 => $arm!(Tie0, 0),
+            GateKind::Tie1 => $arm!(Tie1, 0),
+            GateKind::Dff | GateKind::Dffr | GateKind::Dffe | GateKind::Dffre => {
+                unreachable!("sequential gates never enter the combinational schedule")
+            }
         }
-    }
-
-    /// Number of gates in the cone.
-    pub fn gate_count(&self) -> usize {
-        self.size
-    }
-
-    /// Gate evaluations one restricted settle+clock cycle costs.
-    pub fn evals_per_cycle(&self) -> u64 {
-        (self.comb.len() + self.seq_pos.len()) as u64
-    }
-
-    /// `(slot, net)` for each primary output a cone fault can reach.
-    pub fn output_slots(&self) -> &[(u32, u32)] {
-        &self.output_slots
-    }
+    };
 }
 
 /// Evaluates `kind` over `W` words of 64 lanes each.
@@ -371,12 +440,32 @@ pub fn eval_wide<const W: usize>(
 /// pass carries up to `64·W` independent fault machines. Registers
 /// power up at `0`; [`WideSim::reset`] clears state but keeps forces,
 /// exactly like [`crate::BitSim::reset`].
+///
+/// # Differential mode
+///
+/// Between [`WideSim::reset_diff`] and [`WideSim::end_diff`] the same
+/// machines are stepped against a golden (fault-free, force-free) run
+/// of the same input vectors, given as one packed snapshot per cycle
+/// ([`WideSim::snapshot_nets_packed`] of a broadcast run after its
+/// settle). Every net and register then holds its per-lane *difference*
+/// from golden — zero means golden, and a read is the golden bit XOR the
+/// difference — so [`WideSim::net_word`] and [`WideSim::flop_word`]
+/// return differences. Each cycle the fault sites (gates with a force)
+/// and the registers whose state differs seed events; a net whose
+/// difference is nonzero marks its readers in a bitset over gate
+/// positions, and one forward scan in schedule order drains it. Only
+/// gates with a differing input or a force are evaluated, and only
+/// flip-flops with a differing input, a differing state or a pin force
+/// are clocked. The results are bit-identical to [`WideSim::settle`] /
+/// [`WideSim::clock`] on the same forces.
 #[derive(Debug, Clone)]
 pub struct WideSim<'a, const W: usize> {
     soa: &'a SoaNetlist,
-    /// Net values, net-major: `values[net * W + word]`.
+    /// Net values (differences in differential mode), net-major:
+    /// `values[net * W + word]`.
     values: Vec<u64>,
-    /// Flop state, seq-position-major: `state[seq_pos * W + word]`.
+    /// Flop state (differences in differential mode),
+    /// seq-position-major: `state[seq_pos * W + word]`.
     state: Vec<u64>,
     /// Broadcast drive per primary input (same in every word).
     input_drive: Vec<u64>,
@@ -393,6 +482,20 @@ pub struct WideSim<'a, const W: usize> {
     /// `(seq_pos * W + word, lanes)` XORed into state at the next clock.
     state_flips: Vec<(u32, u64)>,
     cycles: u64,
+    /// Differential mode: one bit per gate position still to evaluate.
+    pending: Vec<u64>,
+    /// Differential mode: nets whose difference is nonzero this cycle.
+    diff_nets: Vec<u32>,
+    /// Differential mode: flip-flops whose state may differ.
+    diff_flops: Vec<u32>,
+    /// Differential mode: one bit per position evaluated every cycle,
+    /// the drivers of forced nets and the pin-forced gates.
+    forced_positions: Vec<u64>,
+    /// Differential mode: forced primary-input and flip-flop output
+    /// nets, republished every cycle.
+    seed_nets: Vec<u32>,
+    /// The seed lists no longer match the installed forces.
+    seeds_stale: bool,
 }
 
 impl<'a, const W: usize> WideSim<'a, W> {
@@ -413,6 +516,12 @@ impl<'a, const W: usize> WideSim<'a, W> {
             pin_forced_gates: Vec::new(),
             state_flips: Vec::new(),
             cycles: 0,
+            pending: vec![0; (soa.comb.len() + soa.seq.len()).div_ceil(64)],
+            diff_nets: Vec::new(),
+            diff_flops: Vec::new(),
+            forced_positions: vec![0; (soa.comb.len() + soa.seq.len()).div_ceil(64)],
+            seed_nets: Vec::new(),
+            seeds_stale: false,
         }
     }
 
@@ -455,6 +564,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
             self.force_or.push([0u64; W]);
             self.force_slot[net.index()] = slot;
             self.forced_nets.push(net.index() as u32);
+            self.seeds_stale = true;
         }
         if stuck_high {
             self.force_or[slot as usize][word] |= lanes;
@@ -489,6 +599,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
             self.pin_force_or.push([[0u64; W]; MAX_PINS]);
             self.pin_force_slot[gate.index()] = slot;
             self.pin_forced_gates.push(gate.index() as u32);
+            self.seeds_stale = true;
         }
         if stuck_high {
             self.pin_force_or[slot as usize][pin as usize][word] |= lanes;
@@ -505,9 +616,11 @@ impl<'a, const W: usize> WideSim<'a, W> {
     /// Panics if `gate` is not sequential or `word` is out of range.
     pub fn schedule_state_flip(&mut self, gate: GateId, word: usize, lanes: u64) {
         assert!(word < W, "word {word} out of range for W={W}");
-        let pos = self.soa.seq_pos_of_gate[gate.index()];
-        assert!(pos != NO_FORCE, "state flips target flip-flops");
-        self.state_flips.push((pos * W as u32 + word as u32, lanes));
+        let s = self
+            .soa
+            .seq_index(gate)
+            .expect("state flips target flip-flops");
+        self.state_flips.push(((s * W + word) as u32, lanes));
     }
 
     /// Removes every installed force and any pending state flips.
@@ -523,6 +636,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
         self.pin_force_and.clear();
         self.pin_force_or.clear();
         self.state_flips.clear();
+        self.seeds_stale = true;
     }
 
     /// The 64 lanes of `net` in one word.
@@ -542,13 +656,34 @@ impl<'a, const W: usize> WideSim<'a, W> {
     ///
     /// Panics if `gate` is not sequential.
     pub fn flop_word(&self, gate: GateId, word: usize) -> u64 {
-        let pos = self.soa.seq_pos_of_gate[gate.index()];
-        assert!(pos != NO_FORCE, "flop_word targets flip-flops");
-        self.state[pos as usize * W + word]
+        let s = self
+            .soa
+            .seq_index(gate)
+            .expect("flop_word targets flip-flops");
+        self.state[s * W + word]
+    }
+
+    /// Packs lane 0 of word 0 of every net into a bit-per-net snapshot
+    /// (the format of [`crate::BitSim::snapshot_nets_packed`]).
+    ///
+    /// In a *broadcast* run without forces every net's lanes are
+    /// all-zeros or all-ones, so the snapshot captures the machine
+    /// exactly; it is the golden input of differential mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from
+    /// [`SoaNetlist::packed_net_words`].
+    pub fn snapshot_nets_packed(&self, out: &mut [u64]) {
+        assert_eq!(out.len(), self.soa.packed_net_words());
+        out.fill(0);
+        for (i, lanes) in self.values.chunks_exact(W).enumerate() {
+            out[i >> 6] |= (lanes[0] & 1) << (i & 63);
+        }
     }
 
     #[inline(always)]
-    fn masked_write(&mut self, net: usize, mut v: [u64; W]) {
+    fn masked(&self, net: usize, mut v: [u64; W]) -> [u64; W] {
         let slot = self.force_slot[net];
         if slot != NO_FORCE {
             let and = &self.force_and[slot as usize];
@@ -557,6 +692,12 @@ impl<'a, const W: usize> WideSim<'a, W> {
                 v[w] = (v[w] & and[w]) | or[w];
             }
         }
+        v
+    }
+
+    #[inline(always)]
+    fn masked_write(&mut self, net: usize, v: [u64; W]) {
+        let v = self.masked(net, v);
         self.values[net * W..net * W + W].copy_from_slice(&v);
     }
 
@@ -584,35 +725,312 @@ impl<'a, const W: usize> WideSim<'a, W> {
         self.cycles += 1;
     }
 
-    /// Seeds every cone boundary net from a packed golden snapshot (the
-    /// same snapshot format as [`crate::BitSim::snapshot_nets_packed`]),
-    /// broadcast to all words.
-    pub fn seed_boundary_packed(&mut self, cone: &WideCone, packed: &[u64]) {
-        for &net in &cone.boundary_nets {
-            let i = net as usize;
-            let bit = (packed[i >> 6] >> (i & 63)) & 1;
-            self.values[i * W..i * W + W].fill(0u64.wrapping_sub(bit));
-        }
+    /// Resets register state (as [`WideSim::reset`]) and enters
+    /// differential mode: every net and register equals the golden
+    /// machine, which also powers up at `0`. Forces and pending state
+    /// flips stay.
+    pub fn reset_diff(&mut self) {
+        self.values.fill(0);
+        self.state.fill(0);
+        self.pending.fill(0);
+        self.diff_nets.clear();
+        self.diff_flops.clear();
+        self.cycles = 0;
     }
 
-    /// [`WideSim::settle`] restricted to the gates of `cone`. Boundary
-    /// nets must already hold golden values; non-cone nets are stale.
-    pub fn settle_restricted(&mut self, cone: &WideCone) {
-        for i in 0..cone.seq_pos.len() {
-            self.publish_flop(cone.seq_pos[i] as usize);
-        }
-        self.sweep_schedule(&cone.comb);
-    }
-
-    /// [`WideSim::clock`] restricted to the flip-flops of `cone`.
-    pub fn clock_restricted(&mut self, cone: &WideCone) {
+    /// Differential [`WideSim::settle`] against `golden`, the packed
+    /// snapshot of the golden run's settled nets in this cycle. Returns
+    /// the number of combinational gates evaluated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `golden.len()` differs from
+    /// [`SoaNetlist::packed_net_words`].
+    pub fn settle_diff(&mut self, golden: &[u64]) -> u64 {
         let soa = self.soa;
-        for i in 0..cone.seq_pos.len() {
-            let s = cone.seq_pos[i] as usize;
-            self.clock_flop(s, &soa.seq[s]);
+        assert_eq!(golden.len(), soa.packed_net_words());
+        if self.seeds_stale {
+            self.collect_seeds();
         }
-        self.apply_state_flips();
+        // Last cycle's differences are void: every net restarts golden.
+        for &net in &self.diff_nets {
+            let net = net as usize;
+            self.values[net * W..net * W + W].fill(0);
+        }
+        self.diff_nets.clear();
+
+        for (pending, &forced) in self.pending.iter_mut().zip(&self.forced_positions) {
+            *pending |= forced;
+        }
+        for i in 0..self.seed_nets.len() {
+            let net = self.seed_nets[i] as usize;
+            let g = bit_lanes(golden, net);
+            let mut v = [g; W];
+            let driver = soa.net_driver[net];
+            if driver != DRIVER_INPUT {
+                let s = driver as usize - soa.comb.len();
+                for (w, lanes) in v.iter_mut().enumerate() {
+                    *lanes ^= self.state[s * W + w];
+                }
+            }
+            self.write_diff(net, self.masked(net, v), g);
+        }
+        // Registers whose state differs publish their output and are
+        // clocked this cycle.
+        for i in 0..self.diff_flops.len() {
+            let s = self.diff_flops[i] as usize;
+            let net = soa.seq[s].out_net as usize;
+            let g = bit_lanes(golden, net);
+            let mut v = [g; W];
+            for (w, lanes) in v.iter_mut().enumerate() {
+                *lanes ^= self.state[s * W + w];
+            }
+            self.write_diff(net, self.masked(net, v), g);
+            self.mark(soa.comb.len() + s);
+        }
+        self.diff_flops.clear();
+
+        // Readers sit in later runs than their drivers, so each run is
+        // drained in one visit.
+        let mut evals = 0;
+        let mut from = 0;
+        while let Some(p) = self.next_pending(from, soa.comb.len()) {
+            let run = soa.comb.runs[soa.comb.run_of[p] as usize];
+            evals += self.drain_run(run, p, golden);
+            from = run.end as usize;
+        }
+        evals
+    }
+
+    /// Differential [`WideSim::clock`] after [`WideSim::settle_diff`]
+    /// with the same `golden` snapshot. Returns the number of flip-flops
+    /// clocked.
+    pub fn clock_diff(&mut self, golden: &[u64]) -> u64 {
+        let soa = self.soa;
+        let comb_len = soa.comb.len();
+        let mut evals = 0;
+        let mut from = comb_len;
+        while let Some(p) = self.next_pending(from, comb_len + soa.seq.len()) {
+            self.pending[p >> 6] &= !(1u64 << (p & 63));
+            from = p + 1;
+            let s = p - comb_len;
+            let flop = &soa.seq[s];
+            let arity = flop.arity as usize;
+            let mut ins = [[0u64; W]; MAX_PINS];
+            let mut golden_ins = [[0u64; 1]; MAX_PINS];
+            for pin in 0..arity {
+                let net = flop.in_nets[pin] as usize;
+                let g = bit_lanes(golden, net);
+                golden_ins[pin][0] = g;
+                for (lanes, &d) in ins[pin].iter_mut().zip(self.net_lanes(net)) {
+                    *lanes = g ^ d;
+                }
+            }
+            if self.is_forced(p) {
+                self.apply_pin_masks(flop.gate_id as usize, &mut ins, arity);
+            }
+            // The golden register publishes its state unforced.
+            let golden_q = bit_lanes(golden, flop.out_net as usize);
+            let mut q = [golden_q; W];
+            for (w, lanes) in q.iter_mut().enumerate() {
+                *lanes ^= self.state[s * W + w];
+            }
+            let next = eval_wide::<W>(flop.kind, &ins, &q);
+            let golden_next = eval_wide::<1>(flop.kind, &golden_ins, &[golden_q])[0];
+            let mut any = 0;
+            for (w, &lanes) in next.iter().enumerate() {
+                let diff = lanes ^ golden_next;
+                self.state[s * W + w] = diff;
+                any |= diff;
+            }
+            if any != 0 {
+                self.diff_flops.push(s as u32);
+            }
+            evals += 1;
+        }
+        for (index, lanes) in self.state_flips.drain(..) {
+            self.state[index as usize] ^= lanes;
+            self.diff_flops.push(index / W as u32);
+        }
         self.cycles += 1;
+        evals
+    }
+
+    /// Leaves differential mode after a [`WideSim::clock_diff`]: register
+    /// state becomes absolute (golden XOR difference), read from
+    /// `golden_next`, the golden snapshot of the *next* cycle, so
+    /// [`WideSim::settle`] / [`WideSim::clock`] continue the same
+    /// machines. Net values are stale until the next settle.
+    pub fn end_diff(&mut self, golden_next: &[u64]) {
+        assert_eq!(golden_next.len(), self.soa.packed_net_words());
+        for (s, flop) in self.soa.seq.iter().enumerate() {
+            let golden_q = bit_lanes(golden_next, flop.out_net as usize);
+            for lanes in &mut self.state[s * W..s * W + W] {
+                *lanes ^= golden_q;
+            }
+        }
+    }
+
+    /// Rebuilds the per-cycle seeds from the installed forces. A force
+    /// on an undriven net is never visible, as in [`WideSim::settle`].
+    fn collect_seeds(&mut self) {
+        let soa = self.soa;
+        self.forced_positions.fill(0);
+        self.seed_nets.clear();
+        for &net in &self.forced_nets {
+            match soa.net_driver[net as usize] {
+                NO_DRIVER => {}
+                p if (p as usize) < soa.comb.len() => {
+                    self.forced_positions[p as usize >> 6] |= 1u64 << (p & 63);
+                }
+                _ => self.seed_nets.push(net),
+            }
+        }
+        for &gate in &self.pin_forced_gates {
+            let p = soa.pos_of_gate[gate as usize];
+            self.forced_positions[p as usize >> 6] |= 1u64 << (p & 63);
+        }
+        self.seeds_stale = false;
+    }
+
+    /// The `W` words of `net`.
+    #[inline(always)]
+    fn net_lanes(&self, net: usize) -> &[u64; W] {
+        self.values[net * W..net * W + W]
+            .try_into()
+            .expect("a net holds W words")
+    }
+
+    #[inline(always)]
+    fn mark(&mut self, pos: usize) {
+        self.pending[pos >> 6] |= 1u64 << (pos & 63);
+    }
+
+    #[inline(always)]
+    fn is_forced(&self, pos: usize) -> bool {
+        (self.forced_positions[pos >> 6] >> (pos & 63)) & 1 != 0
+    }
+
+    /// The lowest pending position in `from..end`, left pending.
+    #[inline(always)]
+    fn next_pending(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let last = (end - 1) >> 6;
+        let mut i = from >> 6;
+        let mut bits = self.pending[i] & (u64::MAX << (from & 63));
+        loop {
+            if i == last {
+                bits &= u64::MAX >> (63 - ((end - 1) & 63));
+            }
+            if bits != 0 {
+                return Some(i * 64 + bits.trailing_zeros() as usize);
+            }
+            if i == last {
+                return None;
+            }
+            i += 1;
+            bits = self.pending[i];
+        }
+    }
+
+    /// Evaluates and clears the pending positions of one kind run, from
+    /// `first` to the run's end; the cell function is resolved once per
+    /// run, as in [`WideSim::settle`].
+    fn drain_run(&mut self, run: Run, first: usize, golden: &[u64]) -> u64 {
+        let end = run.end as usize;
+        macro_rules! arm {
+            ($kind:ident, $arity:expr) => {
+                self.drain_kind::<$arity, _>(first, end, golden, |ins| {
+                    eval_wide::<W>(GateKind::$kind, ins, &[0u64; W])
+                })
+            };
+        }
+        dispatch_comb_kind!(run.kind, arm)
+    }
+
+    #[inline(always)]
+    fn drain_kind<const A: usize, F>(
+        &mut self,
+        first: usize,
+        end: usize,
+        golden: &[u64],
+        f: F,
+    ) -> u64
+    where
+        F: Fn(&[[u64; W]; MAX_PINS]) -> [u64; W],
+    {
+        let mut evals = 0;
+        let last = (end - 1) >> 6;
+        for i in first >> 6..=last {
+            // Evaluations only mark later runs, so the run's bits of this
+            // word can be claimed at once.
+            let mut bits = self.pending[i];
+            if i == first >> 6 {
+                bits &= u64::MAX << (first & 63);
+            }
+            if i == last {
+                bits &= u64::MAX >> (63 - ((end - 1) & 63));
+            }
+            self.pending[i] &= !bits;
+            while bits != 0 {
+                let p = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                evals += 1;
+                self.eval_diff::<A, F>(p, golden, &f);
+            }
+        }
+        evals
+    }
+
+    #[inline(always)]
+    fn eval_diff<const A: usize, F>(&mut self, p: usize, golden: &[u64], f: &F)
+    where
+        F: Fn(&[[u64; W]; MAX_PINS]) -> [u64; W],
+    {
+        let sched = &self.soa.comb;
+        let mut ins = [[0u64; W]; MAX_PINS];
+        let nets = &sched.in_nets[p * MAX_PINS..p * MAX_PINS + MAX_PINS];
+        for (slot, &net) in ins.iter_mut().zip(nets).take(A) {
+            let net = net as usize;
+            let g = bit_lanes(golden, net);
+            for (lanes, &d) in slot.iter_mut().zip(self.net_lanes(net)) {
+                *lanes = g ^ d;
+            }
+        }
+        let out = sched.out_net[p] as usize;
+        let v = if self.is_forced(p) {
+            self.apply_pin_masks(sched.gate_ids[p] as usize, &mut ins, A);
+            self.masked(out, f(&ins))
+        } else {
+            f(&ins)
+        };
+        self.write_diff(out, v, bit_lanes(golden, out));
+    }
+
+    /// Stores `net`'s faulty value `v` (after its force) as a
+    /// difference from its golden lanes `g`; a nonzero difference marks
+    /// the net's readers. Called at most once per net and cycle, except
+    /// that a forced flip-flop output with differing state is published
+    /// twice with the same value.
+    #[inline(always)]
+    fn write_diff(&mut self, net: usize, v: [u64; W], g: u64) {
+        let mut diff = [0u64; W];
+        let mut any = 0;
+        for (d, &lanes) in diff.iter_mut().zip(&v) {
+            *d = lanes ^ g;
+            any |= *d;
+        }
+        if any == 0 {
+            return;
+        }
+        self.values[net * W..net * W + W].copy_from_slice(&diff);
+        self.diff_nets.push(net as u32);
+        let soa = self.soa;
+        for &reader in soa.readers_of(net) {
+            self.mark(reader as usize);
+        }
     }
 
     #[inline(always)]
@@ -682,36 +1100,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
                 })
             };
         }
-        match run.kind {
-            GateKind::Buf => arm!(Buf, 1),
-            GateKind::Inv => arm!(Inv, 1),
-            GateKind::And2 => arm!(And2, 2),
-            GateKind::And3 => arm!(And3, 3),
-            GateKind::And4 => arm!(And4, 4),
-            GateKind::Or2 => arm!(Or2, 2),
-            GateKind::Or3 => arm!(Or3, 3),
-            GateKind::Or4 => arm!(Or4, 4),
-            GateKind::Nand2 => arm!(Nand2, 2),
-            GateKind::Nand3 => arm!(Nand3, 3),
-            GateKind::Nand4 => arm!(Nand4, 4),
-            GateKind::Nor2 => arm!(Nor2, 2),
-            GateKind::Nor3 => arm!(Nor3, 3),
-            GateKind::Nor4 => arm!(Nor4, 4),
-            GateKind::Xor2 => arm!(Xor2, 2),
-            GateKind::Xnor2 => arm!(Xnor2, 2),
-            GateKind::Mux2 => arm!(Mux2, 3),
-            GateKind::Ao21 => arm!(Ao21, 3),
-            GateKind::Ao22 => arm!(Ao22, 4),
-            GateKind::Aoi21 => arm!(Aoi21, 3),
-            GateKind::Aoi22 => arm!(Aoi22, 4),
-            GateKind::Oai21 => arm!(Oai21, 3),
-            GateKind::Oai22 => arm!(Oai22, 4),
-            GateKind::Tie0 => arm!(Tie0, 0),
-            GateKind::Tie1 => arm!(Tie1, 0),
-            GateKind::Dff | GateKind::Dffr | GateKind::Dffe | GateKind::Dffre => {
-                unreachable!("sequential gates never enter the combinational schedule")
-            }
-        }
+        dispatch_comb_kind!(run.kind, arm)
     }
 
     #[inline(always)]
@@ -880,71 +1269,217 @@ mod tests {
         }
     }
 
-    /// Cone-restricted wide stepping must match full wide stepping on
-    /// every net the cone can influence (mirrors the BitSim cone tests).
+    /// Differential stepping must reproduce the full sweep on every net
+    /// and register of every word — with net forces on gate outputs,
+    /// primary inputs and flip-flop outputs, pin forces on gates and
+    /// flip-flops, state flips, and a hand-off back to the full sweep.
     #[test]
-    fn restricted_wide_matches_full_wide() {
+    fn differential_stepping_matches_full_sweep() {
+        for seed in [5u64, 19, 42] {
+            let netlist = random_netlist(&RandomNetlistConfig {
+                num_gates: 150,
+                sequential_fraction: 0.2,
+                seed,
+                ..Default::default()
+            });
+            let soa = SoaNetlist::new(&netlist);
+            let ids: Vec<GateId> = gate_ids(&netlist).collect();
+            let flops = netlist.sequential_gates();
+            let pis = netlist.primary_inputs();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD1FF);
+
+            let mut full = WideSim::<4>::new(&soa);
+            let mut diff = WideSim::<4>::new(&soa);
+            for word in 0..4 {
+                let mut nets = vec![
+                    netlist.gate(ids[rng.gen_range(0..ids.len())]).output,
+                    pis[word % pis.len()],
+                ];
+                if !flops.is_empty() {
+                    nets.push(netlist.gate(flops[word % flops.len()]).output);
+                }
+                for net in nets {
+                    let (lanes, high) = (rng.gen::<u64>(), rng.gen::<bool>());
+                    full.force_lanes(net, high, word, lanes);
+                    diff.force_lanes(net, high, word, lanes);
+                }
+                let mut pinned = vec![ids[rng.gen_range(0..ids.len())]];
+                if !flops.is_empty() {
+                    pinned.push(flops[(word + 1) % flops.len()]);
+                }
+                for g in pinned {
+                    let arity = netlist.gate(g).inputs.len();
+                    if arity > 0 {
+                        let pin = rng.gen_range(0..arity) as u8;
+                        let (lanes, high) = (rng.gen::<u64>(), rng.gen::<bool>());
+                        full.force_pin_lanes(g, pin, high, word, lanes);
+                        diff.force_pin_lanes(g, pin, high, word, lanes);
+                    }
+                }
+            }
+
+            let cycles = 30;
+            let handoff = 20;
+            let pi_count = pis.len();
+            let vectors: Vec<Vec<bool>> = (0..cycles)
+                .map(|_| (0..pi_count).map(|_| rng.gen()).collect())
+                .collect();
+            let mut golden = WideSim::<1>::new(&soa);
+            let mut snapshots = vec![vec![0u64; soa.packed_net_words()]; cycles];
+            for (vector, snapshot) in vectors.iter().zip(&mut snapshots) {
+                golden.set_vector_broadcast(vector);
+                golden.settle();
+                golden.snapshot_nets_packed(snapshot);
+                golden.clock();
+            }
+
+            full.reset();
+            diff.reset_diff();
+            for (cycle, vector) in vectors.iter().enumerate() {
+                let snapshot = &snapshots[cycle];
+                if cycle == 7 && !flops.is_empty() {
+                    for word in 0..4 {
+                        let (flop, lanes) = (flops[(3 * word) % flops.len()], rng.gen());
+                        full.schedule_state_flip(flop, word, lanes);
+                        diff.schedule_state_flip(flop, word, lanes);
+                    }
+                }
+                full.set_vector_broadcast(vector);
+                full.settle();
+                let differential = cycle < handoff;
+                if differential {
+                    let evals = diff.settle_diff(snapshot);
+                    assert!(evals <= soa.comb.len() as u64);
+                } else {
+                    diff.set_vector_broadcast(vector);
+                    diff.settle();
+                }
+                for net in 0..netlist.net_count() {
+                    let golden_net = if differential {
+                        bit_lanes(snapshot, net)
+                    } else {
+                        0
+                    };
+                    for word in 0..4 {
+                        assert_eq!(
+                            golden_net ^ diff.net_word(NetId(net as u32), word),
+                            full.net_word(NetId(net as u32), word),
+                            "seed {seed} cycle {cycle} net {net} word {word}"
+                        );
+                    }
+                }
+                full.clock();
+                if differential {
+                    diff.clock_diff(snapshot);
+                } else {
+                    diff.clock();
+                }
+                if cycle + 1 == handoff {
+                    diff.end_diff(&snapshots[cycle + 1]);
+                }
+                let next = snapshots.get(cycle + 1);
+                for &f in &flops {
+                    let golden_q = match next {
+                        Some(next) if cycle + 1 < handoff => {
+                            bit_lanes(next, netlist.gate(f).output.index())
+                        }
+                        _ => 0,
+                    };
+                    for word in 0..4 {
+                        assert_eq!(
+                            golden_q ^ diff.flop_word(f, word),
+                            full.flop_word(f, word),
+                            "seed {seed} cycle {cycle} flop state word {word}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An unforced machine is the golden machine: differential stepping
+    /// evaluates nothing.
+    #[test]
+    fn differential_stepping_without_forces_is_idle() {
         let netlist = random_netlist(&RandomNetlistConfig {
-            num_gates: 120,
-            seed: 17,
+            num_gates: 80,
+            seed: 8,
             ..Default::default()
         });
         let soa = SoaNetlist::new(&netlist);
-        let ids: Vec<GateId> = gate_ids(&netlist).collect();
-        let roots = [ids[0], ids[ids.len() / 2], ids[ids.len() - 1]];
-        let helper = BitSim::new(&netlist);
-        let active = helper.active_cone(&roots);
-        let cone = WideCone::from_active(&soa, &netlist, &active);
-        assert_eq!(cone.evals_per_cycle(), active.evals_per_cycle());
-
-        let mut golden = BitSim::new(&netlist);
-        let mut full = WideSim::<4>::new(&soa);
-        let mut restricted = WideSim::<4>::new(&soa);
-        for (word, &root) in roots.iter().enumerate() {
-            let net = netlist.gate(root).output;
-            full.force_lanes(net, true, word, u64::MAX);
-            restricted.force_lanes(net, true, word, u64::MAX);
-        }
-
-        let mut rng = ChaCha8Rng::seed_from_u64(0xC0DE);
-        let pi_count = netlist.primary_inputs().len();
-        let mut packed = vec![0u64; golden.packed_net_words()];
-        for _ in 0..16 {
-            let vector: Vec<bool> = (0..pi_count).map(|_| rng.gen()).collect();
+        let mut golden = WideSim::<1>::new(&soa);
+        let mut diff = WideSim::<8>::new(&soa);
+        let mut snapshot = vec![0u64; soa.packed_net_words()];
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        diff.reset_diff();
+        for _ in 0..10 {
+            let vector: Vec<bool> = (0..netlist.primary_inputs().len())
+                .map(|_| rng.gen())
+                .collect();
             golden.set_vector_broadcast(&vector);
             golden.settle();
-            golden.snapshot_nets_packed(&mut packed);
-
-            full.set_vector_broadcast(&vector);
-            full.settle();
-
-            restricted.seed_boundary_packed(&cone, &packed);
-            restricted.settle_restricted(&cone);
-
-            for word in 0..4 {
-                for &(slot, net) in cone.output_slots() {
-                    assert_eq!(
-                        restricted.net_word(NetId(net), word),
-                        full.net_word(NetId(net), word),
-                        "output slot {slot} word {word} diverged"
-                    );
-                }
-            }
-
+            golden.snapshot_nets_packed(&mut snapshot);
             golden.clock();
-            full.clock();
-            restricted.clock_restricted(&cone);
+            assert_eq!(diff.settle_diff(&snapshot), 0);
+            assert_eq!(diff.clock_diff(&snapshot), 0);
+        }
+        assert!(diff.values.iter().all(|&d| d == 0));
+    }
 
-            for &g in active.seq_gates() {
-                for word in 0..4 {
-                    assert_eq!(
-                        restricted.flop_word(g, word),
-                        full.flop_word(g, word),
-                        "cone flop state diverged in word {word}"
-                    );
-                }
+    /// Golden snapshots taken on the SoA kernel are byte-identical to
+    /// the scalar kernel's.
+    #[test]
+    fn packed_snapshot_matches_bitsim() {
+        let netlist = random_netlist(&RandomNetlistConfig {
+            num_gates: 130,
+            seed: 23,
+            ..Default::default()
+        });
+        let soa = SoaNetlist::new(&netlist);
+        let mut wide = WideSim::<1>::new(&soa);
+        let mut scalar = BitSim::new(&netlist);
+        let mut a = vec![0u64; soa.packed_net_words()];
+        let mut b = vec![0u64; scalar.packed_net_words()];
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for _ in 0..20 {
+            let vector: Vec<bool> = (0..netlist.primary_inputs().len())
+                .map(|_| rng.gen())
+                .collect();
+            wide.set_vector_broadcast(&vector);
+            wide.settle();
+            wide.snapshot_nets_packed(&mut a);
+            scalar.set_vector_broadcast(&vector);
+            scalar.settle();
+            scalar.snapshot_nets_packed(&mut b);
+            assert_eq!(a, b);
+            wide.clock();
+            scalar.clock();
+        }
+    }
+
+    /// Every gate position is listed once under each distinct net it
+    /// reads, and nowhere else.
+    #[test]
+    fn reader_rows_list_each_reading_gate_once() {
+        let netlist = random_netlist(&RandomNetlistConfig {
+            num_gates: 120,
+            seed: 31,
+            ..Default::default()
+        });
+        let soa = SoaNetlist::new(&netlist);
+        let mut expected = 0;
+        for g in gate_ids(&netlist) {
+            let pos = soa.pos_of_gate[g.index()];
+            let mut inputs = netlist.gate(g).inputs.clone();
+            inputs.sort();
+            inputs.dedup();
+            for net in inputs {
+                let readers = soa.readers_of(net.index());
+                assert_eq!(readers.iter().filter(|&&r| r == pos).count(), 1);
+                expected += 1;
             }
         }
+        assert_eq!(soa.readers.len(), expected);
     }
 
     #[test]
@@ -955,6 +1490,7 @@ mod tests {
             ..Default::default()
         });
         let soa = SoaNetlist::new(&netlist);
+        let levels = Levelizer::levelize(&netlist);
         let comb_count = netlist.combinational_gates().len();
         assert_eq!(soa.comb.len(), comb_count);
         assert!(soa.comb.run_count() <= comb_count);
@@ -966,7 +1502,11 @@ mod tests {
             for pos in run.start..run.end {
                 let g = soa.comb.gate_ids[pos as usize] as usize;
                 assert_eq!(netlist.gate(GateId(g as u32)).kind, run.kind);
-                assert_eq!(soa.levels[g], soa.levels[first], "run crosses a level");
+                assert_eq!(
+                    levels.level(GateId(g as u32)),
+                    levels.level(GateId(first as u32)),
+                    "run crosses a level"
+                );
             }
         }
         assert_eq!(covered, comb_count);

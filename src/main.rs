@@ -81,7 +81,7 @@ const RUN_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--no-cone",
         value: None,
-        help: "disable cone-restricted fault simulation",
+        help: "sweep the full netlist every cycle (the reference) instead of only the gates faults disturb",
     },
     FlagSpec {
         name: "--no-early-exit",
