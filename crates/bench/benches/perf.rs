@@ -1,8 +1,8 @@
 //! Criterion performance benches covering every substrate:
 //! netlist construction, levelization, scalar and bit-parallel
 //! simulation, fault campaigns, graph normalization, GCN training and
-//! inference, explainer iterations, and the static-analysis lint
-//! passes.
+//! inference, the GCN's product kernels, explainer iterations, and the
+//! static-analysis lint passes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fusa_faultsim::{CampaignConfig, FaultCampaign, FaultList};
@@ -12,8 +12,10 @@ use fusa_graph::{normalized_adjacency, CircuitGraph, FeatureMatrix};
 use fusa_logicsim::{
     BitSim, SignalStats, SignalStatsConfig, Simulator, WorkloadConfig, WorkloadSuite,
 };
-use fusa_netlist::designs::{or1200_icfsm, sdram_ctrl};
+use fusa_netlist::designs::{or1200_icfsm, sdram_ctrl, synth_10k};
 use fusa_netlist::Levelizer;
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
 fn bench_netlist(c: &mut Criterion) {
@@ -176,6 +178,49 @@ fn bench_gcn(c: &mut Criterion) {
     });
 }
 
+/// The five products of a training epoch at layer 3 of Table 1 (32 → 64
+/// features) on synth_10k's graph (9.7k nodes), so a kernel regression
+/// shows without the pipeline. The layer input and the output gradient
+/// are ReLU-like, about half zero.
+fn bench_gcn_kernels(c: &mut Criterion) {
+    let adj = normalized_adjacency(&CircuitGraph::from_netlist(&synth_10k(1)));
+    let n = adj.rows();
+    let mut rng = ChaCha8Rng::seed_from_u64(0x6C4);
+    let mut dense = |rows: usize, cols: usize, relu: bool| {
+        let data = (0..rows * cols)
+            .map(|_| {
+                let x: f64 = rng.gen_range(-1.0..1.0);
+                if relu {
+                    x.max(0.0)
+                } else {
+                    x
+                }
+            })
+            .collect();
+        fusa_neuro::Matrix::from_vec(rows, cols, data)
+    };
+    let h = dense(n, 32, true);
+    let weight = dense(32, 64, false);
+    let grad = dense(n, 64, true);
+    let aggregated = adj.matmul(&h);
+    let grad_input = grad.matmul_transpose(&weight);
+    c.bench_function("gcn/kernel_spmm_10k_32", |b| {
+        b.iter(|| black_box(adj.matmul(&h)))
+    });
+    c.bench_function("gcn/kernel_matmul_10k_32x64", |b| {
+        b.iter(|| black_box(aggregated.matmul(&weight)))
+    });
+    c.bench_function("gcn/kernel_transpose_matmul_10k_32x64", |b| {
+        b.iter(|| black_box(aggregated.transpose_matmul(&grad)))
+    });
+    c.bench_function("gcn/kernel_matmul_transpose_10k_64x32", |b| {
+        b.iter(|| black_box(grad.matmul_transpose(&weight)))
+    });
+    c.bench_function("gcn/kernel_spmm_transpose_10k_32", |b| {
+        b.iter(|| black_box(adj.transpose_matmul(&grad_input)))
+    });
+}
+
 fn bench_lint(c: &mut Criterion) {
     let netlist = sdram_ctrl();
     c.bench_function("lint/all_passes_sdram_ctrl", |b| {
@@ -200,6 +245,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_netlist, bench_simulation, bench_fault_campaign, bench_graph, bench_gcn, bench_lint, bench_pipeline
+    targets = bench_netlist, bench_simulation, bench_fault_campaign, bench_graph, bench_gcn, bench_gcn_kernels, bench_lint, bench_pipeline
 }
 criterion_main!(benches);

@@ -107,6 +107,13 @@ pub enum PipelineError {
         /// Total number of nodes.
         total: usize,
     },
+    /// The stratified split left no node for validation, so a trained
+    /// model could not be evaluated. Happens when each class has a single
+    /// node (a two-node design).
+    EmptyValidation {
+        /// Total number of nodes.
+        total: usize,
+    },
     /// The fault campaign itself failed (lost unit result, checkpoint
     /// I/O or a resume/checkpoint mismatch).
     Campaign(CampaignError),
@@ -127,6 +134,10 @@ impl fmt::Display for PipelineError {
             PipelineError::DegenerateLabels { critical, total } => write!(
                 f,
                 "degenerate labels: {critical}/{total} nodes critical; adjust threshold or workloads"
+            ),
+            PipelineError::EmptyValidation { total } => write!(
+                f,
+                "no node left for validation: the split of {total} nodes put every node in training; the design is too small to evaluate a classifier"
             ),
             PipelineError::Campaign(error) => write!(f, "fault campaign failed: {error}"),
             PipelineError::Interrupted { completed, total } => write!(
@@ -281,7 +292,9 @@ impl FusaPipeline {
     /// # Errors
     ///
     /// Returns [`PipelineError::DegenerateLabels`] if the fault campaign
-    /// labels every node identically (no classification task exists).
+    /// labels every node identically (no classification task exists),
+    /// and [`PipelineError::EmptyValidation`] if the split leaves no node
+    /// to validate on.
     pub fn run(&self, netlist: &Netlist) -> Result<FusaAnalysis, PipelineError> {
         let obs = fusa_obs::global();
 
@@ -358,6 +371,9 @@ impl FusaPipeline {
             self.config.train_fraction,
             self.config.split_seed,
         );
+        if split.validation.is_empty() {
+            return Err(PipelineError::EmptyValidation { total });
+        }
         let model_config = GcnConfig {
             in_features: features.cols(),
             ..self.config.model.clone()

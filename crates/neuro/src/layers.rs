@@ -242,9 +242,9 @@ impl Relu {
     /// In-place forward pass; the mask buffer is reused across calls.
     pub fn forward_owned(&mut self, mut x: Matrix) -> Matrix {
         let mut mask = self.mask.take().unwrap_or_default();
-        mask.clear();
-        for v in x.as_mut_slice() {
-            mask.push(*v > 0.0);
+        mask.resize(x.as_slice().len(), false);
+        for (v, keep) in x.as_mut_slice().iter_mut().zip(&mut mask) {
+            *keep = *v > 0.0;
             *v = v.max(0.0);
         }
         self.mask = Some(mask);
@@ -276,9 +276,7 @@ impl Relu {
             .as_ref()
             .expect("Relu::backward requires a prior forward call");
         for (g, &keep) in grad.as_mut_slice().iter_mut().zip(mask) {
-            if !keep {
-                *g = 0.0;
-            }
+            *g = if keep { *g } else { 0.0 };
         }
         grad
     }
@@ -321,18 +319,9 @@ impl Dropout {
             self.mask = None;
             return x;
         }
-        let keep = 1.0 - self.p;
         let mut mask = self.mask.take().unwrap_or_default();
-        mask.clear();
-        for v in x.as_mut_slice() {
-            let m = if self.rng.gen_bool(keep) {
-                1.0 / keep
-            } else {
-                0.0
-            };
-            mask.push(m);
-            *v *= m;
-        }
+        mask.resize(x.as_slice().len(), 0.0);
+        draw_mask(&mut self.rng, 1.0 - self.p, &mut mask, x.as_mut_slice());
         self.mask = Some(mask);
         x
     }
@@ -367,6 +356,19 @@ impl Dropout {
     /// Restores a mask generator state taken with [`Dropout::rng`].
     pub fn set_rng(&mut self, rng: ChaCha8Rng) {
         self.rng = rng;
+    }
+}
+
+/// Draws one inverted-dropout mask entry per element of `x`, in element
+/// order, into `mask` and applies it. Each entry is `1/keep` or `+0.0`:
+/// the positive finite scale times the coin flip as `1.0` or `0.0`. A
+/// branch (or a select, which LLVM may turn into one) on a coin flip
+/// would mispredict half the time.
+fn draw_mask(rng: &mut ChaCha8Rng, keep: f64, mask: &mut [f64], x: &mut [f64]) {
+    let scale = 1.0 / keep;
+    for (v, m) in x.iter_mut().zip(mask) {
+        *m = scale * f64::from(u8::from(rng.gen_bool(keep)));
+        *v *= *m;
     }
 }
 

@@ -30,6 +30,7 @@
 //! ```
 
 pub mod init;
+mod kernels;
 pub mod layers;
 pub mod loss;
 pub mod matrix;

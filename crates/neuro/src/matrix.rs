@@ -1,5 +1,6 @@
 //! Dense row-major matrices.
 
+use crate::kernels::{self, Version};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -157,21 +158,7 @@ impl Matrix {
             "matmul shape mismatch: {}x{} × {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        kernels::matmul(Version::detect(), self, other)
     }
 
     /// `selfᵀ × other` without materializing the transpose.
@@ -181,57 +168,23 @@ impl Matrix {
     /// Panics if `self.rows() != other.rows()`.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let arow = &self.data[r * self.cols..(r + 1) * self.cols];
-            let brow = &other.data[r * other.cols..(r + 1) * other.cols];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        kernels::transpose_matmul(Version::detect(), self, other)
     }
 
     /// `self × otherᵀ`, the input gradient `G·Wᵀ` of a dense layer.
     ///
-    /// Runs as a row-axpy over `otherᵀ` (transposed once per call):
-    /// output row `i` accumulates `self[i,k] · otherᵀ[k,:]` for `k` in
-    /// order. Every element therefore sees the same products, in the same
-    /// order and from the same `-0.0` start, as the dot product
-    /// `Σ_k self[i,k]·other[j,k]` computed by `Iterator::sum`, so results
-    /// are bit-identical to it while the inner loop runs over contiguous
-    /// memory. There is no zero-skip: adding a `±0` product can flip the
-    /// sign of a zero accumulator.
+    /// Every element is bit-identical to the dot product
+    /// `Σ_k self[i,k]·other[j,k]` computed by `Iterator::sum`: the same
+    /// products, in the same order, from the same `-0.0` start. There is
+    /// no zero-skip: adding a `±0` product can flip the sign of a zero
+    /// accumulator.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_transpose shape mismatch");
-        let other_t = other.transpose();
-        let width = other.rows;
-        let mut out = Matrix::filled(self.rows, width, -0.0);
-        if width == 0 {
-            return out;
-        }
-        for (arow, orow) in self
-            .data
-            .chunks_exact(self.cols.max(1))
-            .zip(out.data.chunks_exact_mut(width))
-        {
-            for (&a, brow) in arow.iter().zip(other_t.data.chunks_exact(width)) {
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        kernels::matmul_transpose(Version::detect(), self, other)
     }
 
     /// The transposed matrix.
@@ -434,94 +387,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0], &[9.0, 1.0]]);
         assert_eq!(a.matmul_transpose(&b), a.matmul(&b.transpose()));
-    }
-
-    /// The dot-product form `matmul_transpose` had before it became a
-    /// row-axpy: the bit-identity oracle for the differential tests.
-    fn matmul_transpose_dot(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.rows());
-        for i in 0..a.rows() {
-            for j in 0..b.rows() {
-                let dot: f64 = a.row(i).iter().zip(b.row(j)).map(|(&x, &y)| x * y).sum();
-                out.set(i, j, dot);
-            }
-        }
-        out
-    }
-
-    fn assert_bits_eq(a: &Matrix, b: &Matrix) {
-        assert_eq!(a.shape(), b.shape());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x:e} vs {y:e}");
-        }
-    }
-
-    #[test]
-    fn matmul_transpose_keeps_signed_zero_of_dot_product() {
-        // All-(-0.0) rows sum to -0.0 only from a -0.0 start; mixed-sign
-        // zero products must round to +0.0 exactly as the dot does.
-        let a = Matrix::from_rows(&[&[-0.0, -0.0], &[0.0, -0.0], &[0.0, 0.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 2.0], &[-1.0, 3.0], &[-0.0, 0.0]]);
-        assert_bits_eq(&a.matmul_transpose(&b), &matmul_transpose_dot(&a, &b));
-        // An empty inner dimension yields the sum of nothing: -0.0.
-        let a = Matrix::zeros(2, 0);
-        let b = Matrix::zeros(3, 0);
-        assert_bits_eq(&a.matmul_transpose(&b), &matmul_transpose_dot(&a, &b));
-        assert!(a.matmul_transpose(&b).get(1, 2).is_sign_negative());
-    }
-
-    mod differential {
-        use super::*;
-        use proptest::prelude::*;
-        use rand::prelude::*;
-        use rand_chacha::ChaCha8Rng;
-
-        /// An element that stresses summation order and zero handling:
-        /// a signed zero, a subnormal, a tiny or an ordinary magnitude.
-        fn element(rng: &mut ChaCha8Rng) -> f64 {
-            let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
-            match rng.gen_range(0..5u32) {
-                0 => sign * 0.0,
-                1 => sign * f64::from_bits(rng.gen_range(1u64..(1 << 52))),
-                2 => sign * rng.gen_range(0.0..1e-300),
-                _ => sign * rng.gen_range(0.0..1e3),
-            }
-        }
-
-        /// A `rows × cols` matrix in which about a quarter of the rows
-        /// are entirely (signed) zero.
-        fn matrix(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Matrix {
-            let mut data = Vec::with_capacity(rows * cols);
-            for _ in 0..rows {
-                if rng.gen_bool(0.25) {
-                    let zero = if rng.gen_bool(0.5) { -0.0 } else { 0.0 };
-                    data.extend(std::iter::repeat_n(zero, cols));
-                } else {
-                    data.extend((0..cols).map(|_| element(rng)));
-                }
-            }
-            Matrix::from_vec(rows, cols, data)
-        }
-
-        proptest! {
-            #[test]
-            fn matmul_transpose_is_bit_identical_to_dot_products(
-                seed: u64,
-                n in 0usize..7,
-                k in 0usize..7,
-                m in 0usize..7,
-            ) {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let a = matrix(&mut rng, n, k);
-                let b = matrix(&mut rng, m, k);
-                let axpy = a.matmul_transpose(&b);
-                let dot = matmul_transpose_dot(&a, &b);
-                prop_assert_eq!(axpy.shape(), dot.shape());
-                for (x, y) in axpy.as_slice().iter().zip(dot.as_slice()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{:e} vs {:e}", x, y);
-                }
-            }
-        }
     }
 
     #[test]

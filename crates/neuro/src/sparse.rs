@@ -1,5 +1,6 @@
 //! Compressed-sparse-row matrices for graph adjacency.
 
+use crate::kernels::{self, Version};
 use crate::matrix::Matrix;
 use std::borrow::Cow;
 
@@ -146,21 +147,7 @@ impl CsrMatrix {
             dense.rows(),
             dense.cols()
         );
-        let mut out = Matrix::zeros(self.rows, dense.cols());
-        for r in 0..self.rows {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for k in lo..hi {
-                let c = self.col_idx[k];
-                let v = self.values[k];
-                let src = dense.row(c);
-                let dst = out.row_mut(r);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += v * s;
-                }
-            }
-        }
-        out
+        kernels::spmm(Version::detect(), self, dense)
     }
 
     /// `selfᵀ × dense` without materializing the transpose.
@@ -170,21 +157,12 @@ impl CsrMatrix {
     /// Panics if `self.rows() != dense.rows()`.
     pub fn transpose_matmul(&self, dense: &Matrix) -> Matrix {
         assert_eq!(self.rows, dense.rows(), "spmm^T shape mismatch");
-        let mut out = Matrix::zeros(self.cols, dense.cols());
-        for r in 0..self.rows {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let src = dense.row(r);
-            for k in lo..hi {
-                let c = self.col_idx[k];
-                let v = self.values[k];
-                let dst = out.row_mut(c);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += v * s;
-                }
-            }
-        }
-        out
+        kernels::spmm_transpose(Version::detect(), self, dense)
+    }
+
+    /// The CSR arrays: row pointers, column indices and values.
+    pub(crate) fn parts(&self) -> (&[usize], &[usize], &[f64]) {
+        (&self.row_ptr, &self.col_idx, &self.values)
     }
 
     /// Per-edge gradient: for each stored entry `(r, c)`, the derivative

@@ -322,6 +322,40 @@ fn runtime_error_prints_one_line_without_usage() {
 }
 
 #[test]
+fn analyze_rejects_a_design_too_small_to_validate() {
+    // One critical gate (g1 drives the output) and one benign gate (g2 is
+    // unobservable): the labels are not degenerate, but the stratified
+    // split puts both one-member classes in training.
+    let dir = std::env::temp_dir().join("fusa_cli_two_gates");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("two_gates.v");
+    std::fs::write(
+        &path,
+        "module two_gates (a, b, y);\n  input a, b;\n  output y;\n  wire n2;\n  \
+         ND2 g1 (.A(a), .B(b), .Z(y));\n  IV g2 (.A(a), .Z(n2));\nendmodule\n",
+    )
+    .unwrap();
+    for (mode, extra) in [("fast", Some("--fast")), ("default", None)] {
+        let output = fusa()
+            .arg("analyze")
+            .arg(&path)
+            .arg("--run-dir")
+            .arg(dir.join(mode))
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{mode}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let lines: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
+        assert_eq!(lines.len(), 1, "{mode}: {stderr}");
+        assert!(
+            lines[0].starts_with("error: no node left for validation"),
+            "{mode}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn same_seed_runs_produce_identical_digests() {
     use fusa::obs::RunManifest;
 
