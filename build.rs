@@ -32,5 +32,16 @@ fn main() {
         .map(|s| s.trim().to_string())
         .unwrap_or_default();
     println!("cargo:rustc-env=FUSA_GIT_COMMIT={commit}");
+    // HEAD changes on a checkout; a commit on a branch moves only the
+    // branch's ref file, or `packed-refs` once `git pack-refs` packed it.
+    // cargo reruns this script on every build while a watched path is
+    // missing, so `packed-refs` is watched only when it exists.
     println!("cargo:rerun-if-changed=.git/HEAD");
+    let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
+    if let Some(branch_ref) = head.strip_prefix("ref: ") {
+        println!("cargo:rerun-if-changed=.git/{}", branch_ref.trim());
+    }
+    if std::path::Path::new(".git/packed-refs").exists() {
+        println!("cargo:rerun-if-changed=.git/packed-refs");
+    }
 }

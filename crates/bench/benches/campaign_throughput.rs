@@ -1,8 +1,9 @@
 //! Criterion bench for the fault-injection campaign hot path.
 //!
-//! Measures the accelerated campaign (cone restriction + early exit,
-//! the default) against the exhaustive full-netlist reference on the
-//! built-in designs. Both paths are bit-identical by construction (see
+//! Measures the accelerated campaign (differential stepping + early
+//! exit, the default) against the reference oracle
+//! (`fusa_faultsim::reference::stuck_at`: one thread, per-gate full
+//! sweep) on the built-in designs. Both paths are bit-identical (see
 //! `crates/faultsim/tests/cone_equivalence.rs`), so the delta here is
 //! pure throughput. `bench_campaign` (the companion `--bin`) turns the
 //! same measurement into `BENCH_campaign.json`.
@@ -18,7 +19,7 @@
 //! and the `./ci` compare gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fusa_faultsim::{CampaignConfig, FaultCampaign, FaultList};
+use fusa_faultsim::{reference, CampaignConfig, FaultCampaign, FaultList};
 use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
 use fusa_netlist::designs::{or1200_icfsm, synth_10k, uart_ctrl};
 use fusa_netlist::{GateId, Netlist};
@@ -42,18 +43,8 @@ fn accelerated() -> CampaignConfig {
     }
 }
 
-fn reference() -> CampaignConfig {
-    CampaignConfig {
-        threads: 1,
-        restrict_to_cone: false,
-        early_exit: false,
-        lane_words: 0,
-        ..Default::default()
-    }
-}
-
-/// Cone + early exit at a given lane width (`0` = legacy scalar): the
-/// SoA-vs-legacy axis, everything else held at the accelerated default.
+/// Differential stepping + early exit at a given lane width, everything
+/// else held at the accelerated default.
 fn at_width(lane_words: usize) -> CampaignConfig {
     CampaignConfig {
         threads: 1,
@@ -64,9 +55,10 @@ fn at_width(lane_words: usize) -> CampaignConfig {
 
 /// A deterministic fault sample built from contiguous gate blocks
 /// spread across the design. Contiguity matters: consecutive 64-fault
-/// chunks then share fanout cones, as they do in a full-list campaign.
-/// Strided single-gate sampling would push every chunk-group's union
-/// cone toward the whole netlist and hide the wide kernel's sharing.
+/// chunks then share fanout logic, as they do in a full-list campaign,
+/// so one pass's fault effects overlap across its words. Strided
+/// single-gate sampling would spread every pass over the whole netlist
+/// and hide the wide kernel's sharing.
 fn sampled_faults(netlist: &Netlist, count: usize) -> FaultList {
     const BLOCK: usize = 256;
     let total = netlist.gate_count();
@@ -84,10 +76,10 @@ fn sampled_faults(netlist: &Netlist, count: usize) -> FaultList {
     FaultList::for_gates(netlist, &gates)
 }
 
-/// Lane-width sweep of the structure-of-arrays kernel against the
-/// legacy scalar path, on one builtin and one ~10k-gate synthesized
-/// design (sampled faults). Bit-identity across these configurations is
-/// enforced by `crates/faultsim/tests/lane_equivalence.rs`.
+/// Lane-width sweep of the structure-of-arrays kernel on one builtin
+/// and one ~10k-gate synthesized design (sampled faults). Bit-identity
+/// across these configurations is enforced by
+/// `crates/faultsim/tests/lane_equivalence.rs`.
 fn bench_lane_widths(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_widths");
     group.sample_size(10);
@@ -99,7 +91,7 @@ fn bench_lane_widths(c: &mut Criterion) {
     ];
     for (faults, netlist) in &cases {
         let workloads = workloads_for(netlist);
-        for (label, lane_words) in [("legacy", 0usize), ("w1", 1), ("w4", 4), ("w8", 8)] {
+        for (label, lane_words) in [("w1", 1usize), ("w4", 4), ("w8", 8)] {
             group.bench_function(&format!("{label}_{}", netlist.name()), |b| {
                 let campaign = FaultCampaign::new(at_width(lane_words));
                 b.iter(|| black_box(campaign.run(netlist, faults, &workloads)))
@@ -120,8 +112,8 @@ fn bench_campaign_throughput(c: &mut Criterion) {
             b.iter(|| black_box(campaign.run(&netlist, &faults, &workloads)))
         });
         group.bench_function(&format!("full_netlist_{}", netlist.name()), |b| {
-            let campaign = FaultCampaign::new(reference());
-            b.iter(|| black_box(campaign.run(&netlist, &faults, &workloads)))
+            let config = CampaignConfig::default();
+            b.iter(|| black_box(reference::stuck_at(&netlist, &faults, &workloads, &config)))
         });
         group.bench_function(&format!("traced_{}", netlist.name()), |b| {
             let campaign = FaultCampaign::new(accelerated());

@@ -1,6 +1,8 @@
 //! Fault-campaign throughput measurement: accelerated hot path
 //! (differential stepping + early exit on the wide kernel) vs the
-//! exhaustive full-netlist reference, per built-in design.
+//! reference oracle `fusa_faultsim::reference::stuck_at` (one thread,
+//! per-gate full sweep, one 64-fault chunk per pass), per built-in
+//! design.
 //!
 //! Emits `BENCH_campaign.json` (hand-rolled JSON — the workspace
 //! carries no serde) with fault-cycles/sec for both paths plus the
@@ -8,9 +10,9 @@
 //! return bit-identical outcomes and first-divergence cycles.
 //!
 //! A second section sweeps the wide `[u64; W]` structure-of-arrays
-//! kernel against the legacy scalar path on synthesized 10k/30k/100k-
-//! gate designs (sampled faults — exhaustive lists at that scale would
-//! take hours), again cross-checking bit-identity at every lane width.
+//! kernel against the same oracle on synthesized 10k/30k/100k-gate
+//! designs (sampled faults — exhaustive lists at that scale would take
+//! hours), again cross-checking bit-identity at every lane width.
 //!
 //! A third section measures the live `status.json` heartbeat's cost on
 //! the campaign hot path: the same campaign with the status target off
@@ -20,7 +22,7 @@
 //! Usage: `cargo run --release -p fusa-bench --bin bench_campaign
 //!         [-- --smoke] [-- --out FILE]`
 
-use fusa_faultsim::{CampaignConfig, CampaignReport, FaultCampaign, FaultList};
+use fusa_faultsim::{reference, CampaignConfig, CampaignReport, FaultCampaign, FaultList};
 use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
 use fusa_netlist::{designs, GateId, Netlist};
 use std::fmt::Write as _;
@@ -33,12 +35,27 @@ struct Measurement {
     gate_evals: u64,
     gate_evals_full: u64,
     dense_handoffs: u64,
-    cone_build_seconds: f64,
-    cone_coverage: f64,
     report: CampaignReport,
 }
 
 impl Measurement {
+    /// Times `run` and keeps its report and stats.
+    fn of(run: impl FnOnce() -> CampaignReport) -> Measurement {
+        let started = Instant::now();
+        let report = run();
+        let seconds = started.elapsed().as_secs_f64();
+        let stats = report.stats().clone();
+        Measurement {
+            seconds,
+            fault_cycles: stats.fault_cycles,
+            stepped_fault_cycles: stats.stepped_fault_cycles,
+            gate_evals: stats.gate_evals,
+            gate_evals_full: stats.gate_evals_full,
+            dense_handoffs: stats.dense_handoffs,
+            report,
+        }
+    }
+
     fn fault_cycles_per_second(&self) -> f64 {
         self.fault_cycles as f64 / self.seconds.max(1e-12)
     }
@@ -58,23 +75,21 @@ fn measure(
     config: CampaignConfig,
 ) -> Measurement {
     let campaign = FaultCampaign::new(config);
-    let started = Instant::now();
-    let report = campaign
-        .run(netlist, faults, workloads)
-        .expect("campaign runs");
-    let seconds = started.elapsed().as_secs_f64();
-    let stats = report.stats().clone();
-    Measurement {
-        seconds,
-        fault_cycles: stats.fault_cycles,
-        stepped_fault_cycles: stats.stepped_fault_cycles,
-        gate_evals: stats.gate_evals,
-        gate_evals_full: stats.gate_evals_full,
-        dense_handoffs: stats.dense_handoffs,
-        cone_build_seconds: stats.cone_build_seconds,
-        cone_coverage: stats.cone_coverage,
-        report,
-    }
+    Measurement::of(|| {
+        campaign
+            .run(netlist, faults, workloads)
+            .expect("campaign runs")
+    })
+}
+
+/// The oracle on the same inputs, at the default thresholds.
+fn measure_reference(
+    netlist: &Netlist,
+    faults: &FaultList,
+    workloads: &WorkloadSuite,
+) -> Measurement {
+    let config = CampaignConfig::default();
+    Measurement::of(|| reference::stuck_at(netlist, faults, workloads, &config))
 }
 
 /// Both paths must agree bit-for-bit — this is the same invariant the
@@ -124,15 +139,8 @@ fn main() {
         threads: 1,
         ..Default::default()
     };
-    let reference_config = CampaignConfig {
-        threads: 1,
-        restrict_to_cone: false,
-        early_exit: false,
-        lane_words: 0,
-        ..Default::default()
-    };
 
-    println!("Fault-campaign throughput: accelerated vs full-netlist reference.\n");
+    println!("Fault-campaign throughput: accelerated vs the reference oracle.\n");
     println!(
         "{:<14} {:>7} {:>14} {:>14} {:>9} {:>12}",
         "design", "faults", "ref fc/s", "accel fc/s", "speedup", "evals saved"
@@ -144,7 +152,7 @@ fn main() {
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = WorkloadSuite::generate(&netlist, &workload_config);
 
-        let reference = measure(&netlist, &faults, &workloads, reference_config);
+        let reference = measure_reference(&netlist, &faults, &workloads);
         let accelerated = measure(&netlist, &faults, &workloads, accelerated_config);
         assert_identical(netlist.name(), &reference.report, &accelerated.report);
 
@@ -506,11 +514,10 @@ fn sampled_faults(netlist: &Netlist, count: usize) -> FaultList {
     FaultList::for_gates(netlist, &gates)
 }
 
-/// Scalar-vs-wide sweep over the synthesized scaling designs, one JSON
-/// entry per design size. The scalar baseline keeps cone restriction
-/// and early exit on — it is exactly the pre-SoA accelerated kernel —
-/// so `speedup_vs_scalar` isolates the wide kernel: lane width plus
-/// differential stepping.
+/// Oracle-vs-wide sweep over the synthesized scaling designs, one JSON
+/// entry per design size. The oracle runs no acceleration at all, so
+/// `speedup_vs_reference` is everything the kernel adds: lane width,
+/// differential stepping and early exit.
 fn measure_design_sizes(smoke: bool) -> String {
     let seed = 1;
     let designs: Vec<Netlist> = vec![
@@ -538,10 +545,12 @@ fn measure_design_sizes(smoke: bool) -> String {
         )
     };
 
-    println!("\nWide-lane SoA kernel vs legacy scalar on synthesized designs (sampled faults).\n");
+    println!(
+        "\nWide-lane SoA kernel vs the reference oracle on synthesized designs (sampled faults).\n"
+    );
     println!(
         "{:<12} {:>7} {:>7} {:>13} {:>13} {:>13} {:>13} {:>9}",
-        "design", "gates", "faults", "scalar fc/s", "64-lane", "256-lane", "512-lane", "best"
+        "design", "gates", "faults", "ref fc/s", "64-lane", "256-lane", "512-lane", "best"
     );
 
     let mut entries = String::new();
@@ -549,16 +558,7 @@ fn measure_design_sizes(smoke: bool) -> String {
     for netlist in &designs {
         let faults = sampled_faults(netlist, sampled_gates);
         let workloads = WorkloadSuite::generate(netlist, &workload_config);
-        let scalar = measure(
-            netlist,
-            &faults,
-            &workloads,
-            CampaignConfig {
-                threads: 1,
-                lane_words: 0,
-                ..Default::default()
-            },
-        );
+        let reference = measure_reference(netlist, &faults, &workloads);
         let mut wide_entries = String::new();
         let mut wide_rates = Vec::new();
         for (i, lane_words) in [1usize, 4, 8].into_iter().enumerate() {
@@ -572,13 +572,13 @@ fn measure_design_sizes(smoke: bool) -> String {
                     ..Default::default()
                 },
             );
-            assert_identical(netlist.name(), &scalar.report, &wide.report);
+            assert_identical(netlist.name(), &reference.report, &wide.report);
             if i > 0 {
                 wide_entries.push(',');
             }
             let _ = write!(
                 wide_entries,
-                "\n        {{\n          \"lane_words\": {},\n          \"lanes\": {},\n          \"seconds\": {:.4},\n          \"fault_cycles_per_second\": {:.0},\n          \"gate_evals\": {},\n          \"evals_per_stepped_fault_cycle\": {:.4},\n          \"dense_handoffs\": {},\n          \"speedup_vs_scalar\": {:.2}\n        }}",
+                "\n        {{\n          \"lane_words\": {},\n          \"lanes\": {},\n          \"seconds\": {:.4},\n          \"fault_cycles_per_second\": {:.0},\n          \"gate_evals\": {},\n          \"evals_per_stepped_fault_cycle\": {:.4},\n          \"dense_handoffs\": {},\n          \"speedup_vs_reference\": {:.2}\n        }}",
                 lane_words,
                 64 * lane_words,
                 wide.seconds,
@@ -586,7 +586,7 @@ fn measure_design_sizes(smoke: bool) -> String {
                 wide.gate_evals,
                 wide.evals_per_stepped_fault_cycle(),
                 wide.dense_handoffs,
-                wide.fault_cycles_per_second() / scalar.fault_cycles_per_second(),
+                wide.fault_cycles_per_second() / reference.fault_cycles_per_second(),
             );
             wide_rates.push(wide.fault_cycles_per_second());
         }
@@ -596,11 +596,11 @@ fn measure_design_sizes(smoke: bool) -> String {
             netlist.name(),
             netlist.gate_count(),
             faults.len(),
-            scalar.fault_cycles_per_second(),
+            reference.fault_cycles_per_second(),
             wide_rates[0],
             wide_rates[1],
             wide_rates[2],
-            best / scalar.fault_cycles_per_second(),
+            best / reference.fault_cycles_per_second(),
         );
 
         if !first {
@@ -609,19 +609,17 @@ fn measure_design_sizes(smoke: bool) -> String {
         first = false;
         let _ = write!(
             entries,
-            "\n    {{\n      \"design\": \"{}\",\n      \"gates\": {},\n      \"flops\": {},\n      \"faults\": {},\n      \"fault_cycles\": {},\n      \"bit_identical_checked\": true,\n      \"scalar\": {{\n        \"seconds\": {:.4},\n        \"fault_cycles_per_second\": {:.0},\n        \"gate_evals\": {},\n        \"cone_build_seconds\": {:.4},\n        \"cone_coverage\": {:.4}\n      }},\n      \"wide\": [{}\n      ],\n      \"best_speedup_vs_scalar\": {:.2}\n    }}",
+            "\n    {{\n      \"design\": \"{}\",\n      \"gates\": {},\n      \"flops\": {},\n      \"faults\": {},\n      \"fault_cycles\": {},\n      \"bit_identical_checked\": true,\n      \"reference\": {{\n        \"seconds\": {:.4},\n        \"fault_cycles_per_second\": {:.0},\n        \"gate_evals\": {}\n      }},\n      \"wide\": [{}\n      ],\n      \"best_speedup_vs_reference\": {:.2}\n    }}",
             json_escape(netlist.name()),
             netlist.gate_count(),
             netlist.sequential_gates().len(),
             faults.len(),
-            scalar.fault_cycles,
-            scalar.seconds,
-            scalar.fault_cycles_per_second(),
-            scalar.gate_evals,
-            scalar.cone_build_seconds,
-            scalar.cone_coverage,
+            reference.fault_cycles,
+            reference.seconds,
+            reference.fault_cycles_per_second(),
+            reference.gate_evals,
             wide_entries,
-            best / scalar.fault_cycles_per_second(),
+            best / reference.fault_cycles_per_second(),
         );
     }
     entries

@@ -9,14 +9,11 @@
 //!   only gates with a differing input or a fault site
 //!   ([`WideSim::settle_diff`]); a pass whose activity grows past a
 //!   measured break-even share of the gates (`DENSE_HANDOFF_SHARE`,
-//!   0.3) finishes on the full sweep.
-//!   The legacy scalar kernel restricts each chunk to the union fanout
-//!   cone of its faults instead ([`ActiveCone`]);
-//! * **wide lanes** — with `lane_words = W > 0`, `W` consecutive 64-fault
-//!   chunks of one workload are packed into the `[u64; W]` words of a
+//!   0.3) finishes on the full sweep;
+//! * **wide lanes** — `W = lane_words` consecutive 64-fault chunks of one
+//!   workload are packed into the `[u64; W]` words of a
 //!   structure-of-arrays [`WideSim`], so each pass advances up to `64·W`
-//!   fault machines through one branch-light sweep over flat tables
-//!   (`lane_words = 0` selects the legacy per-gate [`BitSim`] kernel);
+//!   fault machines through one branch-light sweep over flat tables;
 //! * **chunk-grained scheduling** — `(workload × chunk-group)` work items
 //!   are pulled from an atomic counter, with golden traces computed once
 //!   per workload and shared read-only through per-slot `OnceLock`s
@@ -27,6 +24,10 @@
 //! * **early exit** — once every lane of every chunk in a group has
 //!   diverged for `min_divergent_cycles`, no later cycle can change any
 //!   outcome and the group stops stepping.
+//!
+//! [`crate::reference::stuck_at`] is the independent oracle all of this
+//! is checked against: a single-threaded per-gate full sweep with a
+//! golden run of its own.
 
 use crate::checkpoint::{self, CheckpointHeader, CheckpointWriter};
 use crate::durability::{
@@ -36,7 +37,7 @@ use crate::fault::{Fault, FaultList, FaultSite};
 use crate::report::{CampaignReport, CampaignStats, FaultOutcome, WorkloadReport};
 use crate::shard::ShardSpec;
 use fusa_logicsim::soa::bit_lanes;
-use fusa_logicsim::{ActiveCone, BitSim, SoaNetlist, WideSim, Workload, WorkloadSuite};
+use fusa_logicsim::{SoaNetlist, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::{GateId, Netlist};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,12 +79,11 @@ pub struct CampaignConfig {
     /// of the time") motivates a small nonzero rate: transient one-cycle
     /// glitches are below the functional-safety concern threshold.
     pub min_divergence_fraction: f64,
-    /// Evaluate only what the faults can disturb: on the wide kernel,
-    /// differential stepping against the golden trace (gates with a
-    /// differing input or a fault site); on the scalar kernel, the union
-    /// fanout cone of each chunk's faults. Bit-identical to a
-    /// full-netlist run; `false` sweeps the full netlist every cycle,
-    /// the reference the differential suites check against.
+    /// Evaluate only what the faults can disturb: differential stepping
+    /// against the golden trace (gates with a differing input or a fault
+    /// site), handing a pass off to the full sweep once it stops paying.
+    /// Bit-identical to a full-netlist run; `false` sweeps the full
+    /// netlist every cycle, the in-kernel reference of `--no-cone`.
     pub restrict_to_cone: bool,
     /// Stop stepping a chunk group once every lane's outcome is decided.
     /// Bit-identical; disable only to benchmark or cross-check.
@@ -91,10 +91,10 @@ pub struct CampaignConfig {
     /// Width of the simulation word in 64-lane `u64` words: each pass
     /// advances `64 · lane_words` fault machines through the
     /// structure-of-arrays [`WideSim`] kernel. Supported widths are `1`,
-    /// `4` and `8`; `0` selects the legacy scalar [`BitSim`] path (one
-    /// 64-fault chunk per pass). Outcomes are bit-identical at every
-    /// setting, and checkpoints resume across settings, because the
-    /// checkpoint unit is always the 64-fault chunk.
+    /// `4` and `8`; any other value is rejected with
+    /// [`CampaignError::InvalidLaneWords`]. Outcomes are bit-identical at
+    /// every setting, and checkpoints resume across settings, because
+    /// the checkpoint unit is always the 64-fault chunk.
     pub lane_words: usize,
     /// Restrict the campaign to the units owned by one shard of an
     /// `n`-way split (`--shard i/n`). Ownership is a digest-stable
@@ -120,8 +120,8 @@ impl Default for CampaignConfig {
 }
 
 /// Runs stuck-at campaigns: every fault in a [`FaultList`] against every
-/// workload of a [`WorkloadSuite`], `64 · max(lane_words, 1)` fault
-/// machines per simulation pass.
+/// workload of a [`WorkloadSuite`], `64 · lane_words` fault machines per
+/// simulation pass (256 by default).
 ///
 /// For each workload the golden (fault-free) trace is computed once and
 /// shared read-only; fault machines then run the same vectors with
@@ -243,19 +243,18 @@ struct GroupOutput {
 
 /// Per-worker wide simulator, monomorphized over the configured width.
 enum WideHolder<'a> {
-    Off,
     W1(WideSim<'a, 1>),
     W4(WideSim<'a, 4>),
     W8(WideSim<'a, 8>),
 }
 
 impl<'a> WideHolder<'a> {
-    fn new(soa: Option<&'a SoaNetlist>, lane_words: usize) -> WideHolder<'a> {
-        match (soa, lane_words) {
-            (Some(soa), 1) => WideHolder::W1(WideSim::new(soa)),
-            (Some(soa), 4) => WideHolder::W4(WideSim::new(soa)),
-            (Some(soa), 8) => WideHolder::W8(WideSim::new(soa)),
-            _ => WideHolder::Off,
+    fn new(soa: &'a SoaNetlist, lane_words: usize) -> WideHolder<'a> {
+        match lane_words {
+            1 => WideHolder::W1(WideSim::new(soa)),
+            4 => WideHolder::W4(WideSim::new(soa)),
+            8 => WideHolder::W8(WideSim::new(soa)),
+            _ => unreachable!("lane_words {lane_words} is validated by FaultCampaign::run"),
         }
     }
 
@@ -271,73 +270,6 @@ impl<'a> WideHolder<'a> {
             WideHolder::W1(sim) => run_wide_group(sim, netlist, chunks, workload, trace, config),
             WideHolder::W4(sim) => run_wide_group(sim, netlist, chunks, workload, trace, config),
             WideHolder::W8(sim) => run_wide_group(sim, netlist, chunks, workload, trace, config),
-            WideHolder::Off => unreachable!("wide groups require lane_words > 0"),
-        }
-    }
-}
-
-/// Shared context of the scalar attempt loop, used by the legacy
-/// (`lane_words = 0`) path and by the per-member fallback after a wide
-/// pass panics.
-struct AttemptCtx<'a, 'n> {
-    netlist: &'n Netlist,
-    config: &'a CampaignConfig,
-    injection: &'a FaultInjection,
-    /// 1 + retry budget.
-    max_attempts: u32,
-    retries_total: &'a AtomicU64,
-    quarantined: &'a Mutex<Vec<QuarantinedUnit>>,
-    obs: &'static fusa_obs::Recorder,
-}
-
-impl<'a, 'n> AttemptCtx<'a, 'n> {
-    /// Runs one unit on the scalar kernel under `catch_unwind`: each
-    /// panicking attempt rebuilds the simulator (a panic leaves it in an
-    /// unknown state) and is retried until the budget runs out, then the
-    /// unit is quarantined and `None` returned.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_unit(
-        &self,
-        sim: &mut BitSim<'n>,
-        out_buf: &mut [u64],
-        unit: usize,
-        chunk_index: usize,
-        chunk: &[Fault],
-        workload: &Workload,
-        trace: &GoldenTrace,
-        cone: Option<&ActiveCone>,
-    ) -> Option<UnitOutput> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let inject = self.injection.should_panic(unit, attempt);
-            let attempted = catch_unwind(AssertUnwindSafe(|| {
-                if inject {
-                    panic!("injected unit fault (unit {unit}, attempt {attempt})");
-                }
-                self.obs.time_rooted("campaign/units", || {
-                    run_unit(sim, chunk, workload, trace, cone, self.config, out_buf)
-                })
-            }));
-            match attempted {
-                Ok(output) => break Some(output),
-                Err(payload) => {
-                    *sim = BitSim::new(self.netlist);
-                    if attempt >= self.max_attempts {
-                        self.quarantined.lock().expect("quarantine poisoned").push(
-                            QuarantinedUnit {
-                                unit,
-                                workload: workload.name.clone(),
-                                chunk: chunk_index,
-                                attempts: attempt,
-                                panic_message: panic_message(payload.as_ref()),
-                            },
-                        );
-                        break None;
-                    }
-                    self.retries_total.fetch_add(1, Ordering::Relaxed);
-                }
-            }
         }
     }
 }
@@ -393,15 +325,15 @@ impl FaultCampaign {
 
     /// Executes the campaign and returns the full report.
     ///
-    /// A unit that panics is retried up to
-    /// [`DurabilityConfig::max_unit_retries`] times on a fresh simulator
-    /// and then quarantined (its faults stay `Benign` and the unit is
-    /// listed in [`CampaignReport::quarantined`]). A panic inside a wide
-    /// pass first drops the whole group back to the scalar kernel, so
-    /// one poisoned chunk never takes its groupmates down with it. When
-    /// the durability interrupt flag is set mid-run, in-flight work
-    /// drains, the checkpoint is flushed and the partial report is
-    /// returned with [`CampaignReport::interrupted`] set.
+    /// A panic inside a pass splits its group: each member unit is
+    /// re-run alone, one chunk per pass, so one poisoned chunk never
+    /// takes its groupmates down with it. A unit that panics is retried
+    /// up to [`DurabilityConfig::max_unit_retries`] times on a fresh
+    /// simulator and then quarantined (its faults stay `Benign` and the
+    /// unit is listed in [`CampaignReport::quarantined`]). When the
+    /// durability interrupt flag is set mid-run, in-flight work drains,
+    /// the checkpoint is flushed and the partial report is returned with
+    /// [`CampaignReport::interrupted`] set.
     pub fn run(
         &self,
         netlist: &Netlist,
@@ -412,7 +344,7 @@ impl FaultCampaign {
         let _span = obs.span("campaign");
         let start = Instant::now();
         let config = self.config;
-        if !matches!(config.lane_words, 0 | 1 | 4 | 8) {
+        if !matches!(config.lane_words, 1 | 4 | 8) {
             return Err(CampaignError::InvalidLaneWords {
                 lane_words: config.lane_words,
             });
@@ -489,11 +421,11 @@ impl FaultCampaign {
         let writer = writer.as_ref();
 
         // Work items are chunk groups: `lane_words` consecutive chunks
-        // of one workload (a single chunk each on the legacy path).
-        // Only pending (not checkpointed) chunks become group members.
-        let group_width = config.lane_words.max(1);
+        // of one workload. Only pending (not checkpointed) chunks become
+        // group members.
+        let group_width = config.lane_words;
         let chunk_group_count = chunk_count.div_ceil(group_width);
-        let mut pending_groups: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+        let mut pending_groups: Vec<(usize, Vec<usize>)> = Vec::new();
         for w in 0..workload_list.len() {
             for cg in 0..chunk_group_count {
                 let members: Vec<usize> = (cg * group_width
@@ -502,7 +434,7 @@ impl FaultCampaign {
                     .filter(|&unit| owns(unit) && !completed.contains_key(&unit))
                     .collect();
                 if !members.is_empty() {
-                    pending_groups.push((w, cg, members));
+                    pending_groups.push((w, members));
                 }
             }
         }
@@ -534,17 +466,10 @@ impl FaultCampaign {
 
         let golden: Vec<OnceLock<GoldenTrace>> =
             (0..workload_list.len()).map(|_| OnceLock::new()).collect();
-        // Union fanout cones of the scalar kernel (one chunk per group).
-        let scalar_cones = config.lane_words == 0 && config.restrict_to_cone;
-        let cones: Vec<OnceLock<ActiveCone>> =
-            (0..chunk_group_count).map(|_| OnceLock::new()).collect();
         let results: Vec<OnceLock<UnitOutput>> = (0..unit_count).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
         let done_this_run = AtomicUsize::new(0);
         let retries_total = AtomicU64::new(0);
-        let cone_build_nanos = AtomicU64::new(0);
-        let cone_gates_total = AtomicU64::new(0);
-        let cones_built = AtomicU64::new(0);
         let dense_handoffs = AtomicU64::new(0);
         let quarantined: Mutex<Vec<QuarantinedUnit>> = Mutex::new(Vec::new());
         // Injected interruptions without an external flag land here so
@@ -565,24 +490,13 @@ impl FaultCampaign {
         let progress = &progress;
         let pending_groups = &pending_groups;
         let injection = &injection;
-        let quarantined_ref = &quarantined;
         let soa = &soa;
-        let attempt_ctx = AttemptCtx {
-            netlist,
-            config: &config,
-            injection,
-            max_attempts: durability.max_unit_retries.saturating_add(1),
-            retries_total: &retries_total,
-            quarantined: quarantined_ref,
-            obs,
-        };
-        let attempt_ctx = &attempt_ctx;
+        let max_attempts = durability.max_unit_retries.saturating_add(1);
 
         let worker = |busy_slot: &mut f64| {
-            let mut sim = BitSim::new(netlist);
-            let mut wide = WideHolder::new(soa.as_ref(), config.lane_words);
-            let mut out_buf = vec![0u64; netlist.primary_outputs().len()];
-            let mut roots: Vec<GateId> = Vec::with_capacity(LANES);
+            let mut wide = soa
+                .as_ref()
+                .map(|soa| WideHolder::new(soa, config.lane_words));
             // Thread-local latency/work histograms, merged into the
             // recorder once per worker so the hot loop stays lock-free.
             let mut unit_seconds = fusa_obs::Histogram::new();
@@ -595,107 +509,90 @@ impl FaultCampaign {
                 if slot >= pending_groups.len() {
                     break;
                 }
-                let (w, cg, members) = &pending_groups[slot];
-                let (w, cg) = (*w, *cg);
+                let (w, members) = &pending_groups[slot];
                 let begun = Instant::now();
-                let workload = &workload_list[w];
+                let workload = &workload_list[*w];
+                let soa = soa.as_ref().expect("tables built for pending groups");
+                let wide = wide.as_mut().expect("simulator built for pending groups");
                 // Rooted spans: workers run on fresh threads with empty
                 // span stacks, so fixed paths keep the breakdown
                 // identical across thread counts.
-                let trace = golden[w].get_or_init(|| {
+                let trace = golden[*w].get_or_init(|| {
                     obs.time_rooted("campaign/golden", || {
-                        let soa = soa.as_ref().expect("tables built for pending groups");
                         GoldenTrace::compute(soa, netlist, workload, &config)
                     })
                 });
-                let cone = scalar_cones.then(|| {
-                    cones[cg].get_or_init(|| {
-                        obs.time_rooted("campaign/cones", || {
-                            let built = Instant::now();
-                            roots.clear();
-                            let lo = cg * LANES;
-                            let hi = fault_slice.len().min((cg + 1) * LANES);
-                            roots.extend(fault_slice[lo..hi].iter().map(|f| f.gate));
-                            let active = sim.active_cone(&roots);
-                            cone_gates_total
-                                .fetch_add(active.gate_count() as u64, Ordering::Relaxed);
-                            cones_built.fetch_add(1, Ordering::Relaxed);
-                            cone_build_nanos
-                                .fetch_add(built.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            active
-                        })
+                let chunks: Vec<&[Fault]> = members
+                    .iter()
+                    .map(|&unit| {
+                        let c = unit % chunk_count;
+                        &fault_slice[c * LANES..fault_slice.len().min((c + 1) * LANES)]
                     })
-                });
-
-                let member_outputs: Vec<Option<UnitOutput>> = if config.lane_words == 0 {
-                    members
-                        .iter()
-                        .map(|&unit| {
-                            let c = unit % chunk_count;
-                            let chunk =
-                                &fault_slice[c * LANES..fault_slice.len().min((c + 1) * LANES)];
-                            attempt_ctx.attempt_unit(
-                                &mut sim,
-                                &mut out_buf,
-                                unit,
-                                c,
-                                chunk,
-                                workload,
-                                trace,
-                                cone,
-                            )
-                        })
-                        .collect()
-                } else {
-                    let chunks: Vec<&[Fault]> = members
-                        .iter()
-                        .map(|&unit| {
-                            let c = unit % chunk_count;
-                            &fault_slice[c * LANES..fault_slice.len().min((c + 1) * LANES)]
-                        })
-                        .collect();
-                    let inject = members.iter().any(|&unit| injection.should_panic(unit, 1));
-                    let attempted = catch_unwind(AssertUnwindSafe(|| {
-                        if inject {
-                            panic!("injected unit fault (wide group, units {members:?})");
-                        }
-                        obs.time_rooted("campaign/units", || {
-                            wide.run_group(netlist, &chunks, workload, trace, &config)
-                        })
-                    }));
-                    match attempted {
-                        Ok(group) => {
-                            if group.dense_handoff {
-                                dense_handoffs.fetch_add(1, Ordering::Relaxed);
-                            }
-                            split_group(group, &chunks)
-                        }
-                        Err(_) => {
-                            // A panic leaves the wide simulator in an
-                            // unknown state: rebuild it, then re-run
-                            // each member on the scalar kernel (full
-                            // sweep, the reference) with its own fresh
-                            // retry budget so one poisoned chunk cannot
-                            // quarantine its groupmates. The group
-                            // attempt itself is not a retry.
-                            wide = WideHolder::new(soa.as_ref(), config.lane_words);
-                            members
-                                .iter()
-                                .zip(&chunks)
-                                .map(|(&unit, &chunk)| {
-                                    attempt_ctx.attempt_unit(
-                                        &mut sim,
-                                        &mut out_buf,
-                                        unit,
-                                        unit % chunk_count,
-                                        chunk,
-                                        workload,
-                                        trace,
-                                        None,
-                                    )
-                                })
-                                .collect()
-                        }
+                    .collect();
+                // One pass over `chunks`, split into per-unit outputs.
+                let run_pass = |wide: &mut WideHolder, chunks: &[&[Fault]]| {
+                    let group = obs.time_rooted("campaign/units", || {
+                        wide.run_group(netlist, chunks, workload, trace, &config)
+                    });
+                    if group.dense_handoff {
+                        dense_handoffs.fetch_add(1, Ordering::Relaxed);
+                    }
+                    split_group(group, chunks)
+                };
+                let inject = members.iter().any(|&unit| injection.should_panic(unit, 1));
+                let attempted = catch_unwind(AssertUnwindSafe(|| {
+                    if inject {
+                        panic!("injected unit fault (wide group, units {members:?})");
+                    }
+                    run_pass(wide, &chunks)
+                }));
+                let member_outputs: Vec<Option<UnitOutput>> = match attempted {
+                    Ok(outputs) => outputs,
+                    Err(_) => {
+                        // A panic leaves the simulator in an unknown
+                        // state, so it is rebuilt after every panic. Each
+                        // member is then re-run alone, one chunk per
+                        // pass, with its own fresh retry budget so one
+                        // poisoned chunk cannot quarantine its
+                        // groupmates. The group attempt is not a retry.
+                        *wide = WideHolder::new(soa, config.lane_words);
+                        members
+                            .iter()
+                            .zip(&chunks)
+                            .map(|(&unit, chunk)| {
+                                let mut attempt = 0u32;
+                                loop {
+                                    attempt += 1;
+                                    let inject = injection.should_panic(unit, attempt);
+                                    let attempted = catch_unwind(AssertUnwindSafe(|| {
+                                        if inject {
+                                            panic!(
+                                                "injected unit fault (unit {unit}, attempt {attempt})"
+                                            );
+                                        }
+                                        run_pass(wide, std::slice::from_ref(chunk))
+                                    }));
+                                    let payload = match attempted {
+                                        Ok(mut output) => break output.pop().flatten(),
+                                        Err(payload) => payload,
+                                    };
+                                    *wide = WideHolder::new(soa, config.lane_words);
+                                    if attempt >= max_attempts {
+                                        quarantined.lock().expect("quarantine poisoned").push(
+                                            QuarantinedUnit {
+                                                unit,
+                                                workload: workload.name.clone(),
+                                                chunk: unit % chunk_count,
+                                                attempts: attempt,
+                                                panic_message: panic_message(payload.as_ref()),
+                                            },
+                                        );
+                                        break None;
+                                    }
+                                    retries_total.fetch_add(1, Ordering::Relaxed);
+                                }
+                            })
+                            .collect()
                     }
                 };
 
@@ -756,7 +653,6 @@ impl FaultCampaign {
 
         // Assemble per-workload reports from the per-unit slots (or the
         // checkpoint, on resume) and fold the throughput accounting.
-        let cones_built = cones_built.into_inner();
         let mut stats = CampaignStats {
             threads: workers,
             units: unit_count,
@@ -768,13 +664,6 @@ impl FaultCampaign {
             durability_degraded: checkpoint_lost || writer.is_some_and(|w| w.degraded()),
             lane_words: config.lane_words,
             dense_handoffs: dense_handoffs.into_inner(),
-            cone_build_seconds: cone_build_nanos.into_inner() as f64 / 1e9,
-            cone_coverage: if cones_built > 0 && netlist.gate_count() > 0 {
-                (cone_gates_total.into_inner() as f64 / cones_built as f64)
-                    / netlist.gate_count() as f64
-            } else {
-                0.0
-            },
             ..CampaignStats::default()
         };
         let mut workload_reports = Vec::with_capacity(workload_list.len());
@@ -842,141 +731,10 @@ impl FaultCampaign {
     }
 }
 
-/// Simulates one 64-fault chunk against one workload on the legacy
-/// scalar kernel and classifies each lane's outcome.
-#[allow(clippy::too_many_arguments)]
-fn run_unit(
-    sim: &mut BitSim,
-    chunk: &[Fault],
-    workload: &Workload,
-    trace: &GoldenTrace,
-    cone: Option<&ActiveCone>,
-    config: &CampaignConfig,
-    out_buf: &mut [u64],
-) -> UnitOutput {
-    let min_divergent_cycles =
-        ((config.min_divergence_fraction * workload.len() as f64).ceil() as u32).max(1);
-    let valid: u64 = if chunk.len() == LANES {
-        u64::MAX
-    } else {
-        (1u64 << chunk.len()) - 1
-    };
-
-    sim.reset();
-    sim.clear_forces();
-    for (lane, fault) in chunk.iter().enumerate() {
-        match fault.site {
-            FaultSite::Output => {
-                sim.force_lanes(fault.net, fault.stuck_at.value(), 1u64 << lane);
-            }
-            FaultSite::InputPin(pin) => {
-                sim.force_pin_lanes(fault.gate, pin, fault.stuck_at.value(), 1u64 << lane);
-            }
-        }
-    }
-
-    let full_evals = sim.full_evals_per_cycle();
-    let words = trace.packed_words;
-    let mut diverged: u64 = 0;
-    let mut satisfied: u64 = 0;
-    let mut divergent_cycles = [0u32; LANES];
-    let mut first_divergence: Vec<Option<u32>> = vec![None; chunk.len()];
-    let mut cycles_stepped = 0u64;
-    let mut gate_evals = 0u64;
-
-    for (cycle, vector) in workload.vectors.iter().enumerate() {
-        let mut mismatch: u64 = 0;
-        match cone {
-            Some(cone) => {
-                sim.seed_boundary_packed(cone, &trace.packed_nets[cycle * words..][..words]);
-                sim.settle_restricted(cone);
-                for &(slot, net) in cone.output_slots() {
-                    mismatch |= sim.net_lanes(net) ^ trace.output_lanes(cycle, slot);
-                }
-                sim.clock_restricted(cone);
-                gate_evals += cone.evals_per_cycle();
-            }
-            None => {
-                sim.step_broadcast_into(vector, out_buf);
-                for (o, &lanes) in out_buf.iter().enumerate() {
-                    mismatch |= lanes ^ trace.output_lanes(cycle, o);
-                }
-                gate_evals += full_evals;
-            }
-        }
-        cycles_stepped += 1;
-        mismatch &= valid;
-        if mismatch != 0 {
-            let newly = mismatch & !diverged;
-            let mut remaining = newly;
-            while remaining != 0 {
-                let lane = remaining.trailing_zeros() as usize;
-                remaining &= remaining - 1;
-                first_divergence[lane] = Some(cycle as u32);
-            }
-            diverged |= newly;
-            let mut counting = mismatch;
-            while counting != 0 {
-                let lane = counting.trailing_zeros() as usize;
-                counting &= counting - 1;
-                divergent_cycles[lane] += 1;
-                if divergent_cycles[lane] == min_divergent_cycles {
-                    satisfied |= 1u64 << lane;
-                }
-            }
-        }
-        // Once every lane has reached the Dangerous threshold no later
-        // cycle can change any outcome or first_divergence, and the
-        // latent sweep is moot (Dangerous takes priority).
-        if config.early_exit && satisfied == valid {
-            break;
-        }
-    }
-
-    // Latent sweep over end-of-workload flop state. Skipped when every
-    // lane is already Dangerous; restricted to cone flops when a cone is
-    // active (non-cone flops are provably golden).
-    let mut state_differs: u64 = 0;
-    if config.classify_latent && satisfied != valid {
-        let flops = match cone {
-            Some(cone) => cone.seq_gates(),
-            None => sim.sequential_gates(),
-        };
-        // The sweep borrows `sim` immutably, so collect XORs in one pass.
-        let mut differs = 0u64;
-        for &g in flops {
-            differs |= sim.flop_lanes(g) ^ trace.final_state_lanes(g);
-        }
-        state_differs = differs & valid;
-    }
-
-    let mut outcomes = vec![FaultOutcome::Benign; chunk.len()];
-    for (lane, outcome) in outcomes.iter_mut().enumerate() {
-        let mask = 1u64 << lane;
-        *outcome = if divergent_cycles[lane] >= min_divergent_cycles {
-            FaultOutcome::Dangerous
-        } else if diverged & mask != 0 {
-            // Observable but below the divergence-rate threshold.
-            FaultOutcome::Latent
-        } else if config.classify_latent && state_differs & mask != 0 {
-            FaultOutcome::Latent
-        } else {
-            FaultOutcome::Benign
-        };
-    }
-
-    UnitOutput {
-        outcomes,
-        first_divergence,
-        stepped_fault_cycles: chunk.len() as u64 * cycles_stepped,
-        gate_evals,
-    }
-}
-
 /// Simulates up to `W` 64-fault chunks of one workload in a single wide
 /// pass: chunk `i` occupies word `i`, every word shares the broadcast
 /// inputs and the golden trace, and each member's lanes are classified
-/// exactly as [`run_unit`] would.
+/// exactly as [`crate::reference::stuck_at`] classifies them.
 ///
 /// With `restrict_to_cone` the pass steps differentially against the
 /// golden snapshots, where a differing output net *is* a mismatch,
@@ -988,7 +746,8 @@ fn run_unit(
 /// Early exit fires only when *every* member is fully decided; a word
 /// that is decided earlier keeps stepping harmlessly (its Dangerous
 /// verdicts are monotone and its first-divergence cycles are already
-/// fixed), so per-lane outcomes stay bit-identical to the scalar path.
+/// fixed), so per-lane outcomes stay bit-identical to a single-chunk
+/// pass.
 fn run_wide_group<const W: usize>(
     sim: &mut WideSim<'_, W>,
     netlist: &Netlist,
@@ -1105,7 +864,7 @@ fn run_wide_group<const W: usize>(
     }
 
     // Latent sweep per member word, skipped for fully-Dangerous members
-    // exactly like the scalar path. Differential state already is the
+    // (Dangerous takes priority). Differential state already is the
     // difference from the golden final state.
     let mut state_differs = [0u64; W];
     if config.classify_latent {
@@ -1304,22 +1063,16 @@ mod tests {
         }
     }
 
-    /// Every acceleration (cone restriction, early exit) and thread
-    /// count must produce the same outcomes and first-divergence cycles.
+    /// Every acceleration (differential stepping, early exit) and thread
+    /// count must produce the oracle's outcomes and first-divergence
+    /// cycles.
     #[test]
     fn accelerations_are_bit_identical() {
         let netlist = fusa_netlist::designs::or1200_icfsm();
         let faults = FaultList::all_sites(&netlist);
         let workloads = tiny_suite(&netlist, 2, 24);
-        let reference = FaultCampaign::new(CampaignConfig {
-            threads: 1,
-            restrict_to_cone: false,
-            early_exit: false,
-            lane_words: 0,
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap();
+        let reference =
+            crate::reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
         for restrict_to_cone in [false, true] {
             for early_exit in [false, true] {
                 for threads in [1, 4] {
@@ -1348,19 +1101,14 @@ mod tests {
     }
 
     /// Every supported lane width must agree lane-for-lane with the
-    /// legacy scalar kernel, under both acceleration settings.
+    /// oracle, under both acceleration settings.
     #[test]
-    fn lane_widths_are_bit_identical_to_scalar() {
+    fn lane_widths_are_bit_identical_to_the_oracle() {
         let netlist = fusa_netlist::designs::or1200_icfsm();
         let faults = FaultList::all_sites(&netlist);
         let workloads = tiny_suite(&netlist, 2, 24);
-        let reference = FaultCampaign::new(CampaignConfig {
-            threads: 1,
-            lane_words: 0,
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap();
+        let reference =
+            crate::reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
         for lane_words in [1usize, 4, 8] {
             for (restrict_to_cone, early_exit) in [(true, true), (false, false)] {
                 let candidate = FaultCampaign::new(CampaignConfig {
@@ -1393,13 +1141,15 @@ mod tests {
         let netlist = inverter_netlist();
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = tiny_suite(&netlist, 1, 8);
-        let err = FaultCampaign::new(CampaignConfig {
-            lane_words: 3,
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap_err();
-        assert_eq!(err, CampaignError::InvalidLaneWords { lane_words: 3 });
+        for lane_words in [0, 3] {
+            let err = FaultCampaign::new(CampaignConfig {
+                lane_words,
+                ..Default::default()
+            })
+            .run(&netlist, &faults, &workloads)
+            .unwrap_err();
+            assert_eq!(err, CampaignError::InvalidLaneWords { lane_words });
+        }
     }
 
     /// Early exit must be invisible even with a nonzero Dangerous
@@ -1475,26 +1225,6 @@ mod tests {
         assert_eq!(stats.worker_busy_seconds.len(), 1);
         assert!(stats.fault_cycles_per_second() > 0.0);
         assert_eq!(stats.lane_words, 4, "default width is 4 words");
-        // The wide kernel builds no cones.
-        assert_eq!(stats.cone_build_seconds, 0.0);
-        assert_eq!(stats.cone_coverage, 0.0);
-
-        // Cone diagnostics of the scalar kernel: some time was spent
-        // building cones, and the mean cone is a proper fraction of the
-        // design.
-        let scalar = FaultCampaign::new(CampaignConfig {
-            threads: 1,
-            early_exit: false,
-            lane_words: 0,
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap();
-        let stats = scalar.stats();
-        assert!(stats.gate_evals < stats.gate_evals_full);
-        assert!(stats.cone_build_seconds > 0.0);
-        assert!(stats.cone_coverage > 0.0 && stats.cone_coverage <= 1.0);
-        assert_eq!(stats.dense_handoffs, 0, "the scalar kernel never hands off");
     }
 
     #[test]
@@ -1515,38 +1245,11 @@ mod tests {
             .run(&netlist, &faults, &workloads)
             .unwrap();
         assert_eq!(report.workload_reports()[0].outcomes.len(), faults.len());
-        // Cross-check a fault from the second chunk against a scalar
-        // single-fault run.
-        let target_index = 70;
-        let fault = faults.faults()[target_index];
-        let workload = &workloads[0];
-        let mut sim = BitSim::new(&netlist);
-        sim.force_lanes(fault.net, fault.stuck_at.value(), u64::MAX);
-        let mut golden = BitSim::new(&netlist);
-        let mut diverged = false;
-        for vector in &workload.vectors {
-            let f = sim.step_broadcast(vector);
-            let g = golden.step_broadcast(vector);
-            if f.iter().zip(&g).any(|(a, b)| (a ^ b) & 1 != 0) {
-                diverged = true;
-                break;
-            }
-        }
-        let expected = if diverged {
-            FaultOutcome::Dangerous
-        } else {
-            report.workload_reports()[0].outcomes[target_index]
-        };
-        assert_eq!(
-            report.workload_reports()[0].outcomes[target_index],
-            expected
-        );
-        if diverged {
-            assert_eq!(
-                report.workload_reports()[0].outcomes[target_index],
-                FaultOutcome::Dangerous
-            );
-        }
+        // The partial second chunk lines up with the oracle fault by
+        // fault.
+        let reference =
+            crate::reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
+        assert_eq!(report.workload_reports(), reference.workload_reports());
     }
 
     #[test]
@@ -1789,12 +1492,8 @@ mod tests {
         let netlist = fusa_netlist::designs::or1200_icfsm();
         let faults = FaultList::all_sites(&netlist);
         let workloads = tiny_suite(&netlist, 2, 24);
-        let reference = FaultCampaign::new(CampaignConfig {
-            lane_words: 0,
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap();
+        let reference =
+            crate::reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
         let path = temp_checkpoint("lane_width_resume");
         let partial = FaultCampaign::new(CampaignConfig {
             threads: 1,

@@ -463,33 +463,118 @@ pub(crate) fn encode_unit(unit: usize, output: &UnitOutput) -> String {
     .render()
 }
 
-/// Parses one unit line; `None` for torn, malformed or digest-failing
-/// records (the unit is simply simulated again).
-pub(crate) fn decode_unit(line: &str) -> Option<(usize, UnitOutput)> {
-    let json = Json::parse(line).ok()?;
-    let unit = json.get("unit")?.as_u64()? as usize;
-    let outcome_text = json.get("outcomes")?.as_str()?;
-    let mut outcomes = Vec::with_capacity(outcome_text.len());
-    for c in outcome_text.chars() {
-        outcomes.push(match c {
-            'D' => FaultOutcome::Dangerous,
-            'L' => FaultOutcome::Latent,
-            'B' => FaultOutcome::Benign,
-            _ => return None,
-        });
+/// Why [`decode_unit`] rejected a unit line: the first check the line
+/// failed, in the decoder's order. `Display` is the cause `fusa fsck`
+/// reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum UnitLineError {
+    /// Not JSON at all: a torn or partial write.
+    NotJson,
+    /// `unit` is missing or not a non-negative integer.
+    Unit,
+    /// `outcomes` is missing or not a string.
+    Outcomes,
+    /// An outcome character other than `D`, `L` or `B`.
+    OutcomeChar(char),
+    /// `first_divergence` is missing or not an array.
+    FirstDivergence,
+    /// A `first_divergence` entry is not a number.
+    FirstDivergenceEntry,
+    /// `first_divergence` and `outcomes` differ in length.
+    LaneCount {
+        /// Entries in `first_divergence`.
+        divergence: usize,
+        /// Characters in `outcomes`.
+        outcomes: usize,
+    },
+    /// A counter field is missing or not a non-negative integer.
+    Counter(&'static str),
+    /// `crc` is missing or not a string.
+    Crc,
+    /// `crc` does not match the payload.
+    CrcMismatch,
+}
+
+impl fmt::Display for UnitLineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UnitLineError::NotJson => f.write_str("not valid JSON (torn or partial write)"),
+            UnitLineError::Unit => f.write_str("missing or non-numeric `unit` field"),
+            UnitLineError::Outcomes => f.write_str("missing `outcomes` field"),
+            UnitLineError::OutcomeChar(c) => {
+                write!(f, "invalid outcome character {c:?} (expected D/L/B)")
+            }
+            UnitLineError::FirstDivergence => {
+                f.write_str("missing or malformed `first_divergence` array")
+            }
+            UnitLineError::FirstDivergenceEntry => {
+                f.write_str("non-numeric entry in `first_divergence`")
+            }
+            UnitLineError::LaneCount {
+                divergence,
+                outcomes,
+            } => write!(
+                f,
+                "first_divergence length {divergence} does not match {outcomes} outcomes"
+            ),
+            UnitLineError::Counter(field) => write!(f, "missing or non-numeric `{field}` field"),
+            UnitLineError::Crc => f.write_str("missing `crc` field"),
+            UnitLineError::CrcMismatch => {
+                f.write_str("crc mismatch: record digest does not match its payload")
+            }
+        }
     }
-    let mut first_divergence = Vec::new();
-    let mut fd_parts = Vec::new();
-    for item in json.get("first_divergence")?.as_arr()? {
-        let v = item.as_f64()?;
+}
+
+/// Parses one unit line. Resume, `fusa merge` and unit counts skip a
+/// rejected line (the unit simply runs again); `fusa fsck` reports why.
+pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), UnitLineError> {
+    let json = Json::parse(line).map_err(|_| UnitLineError::NotJson)?;
+    let unit = json
+        .get("unit")
+        .and_then(Json::as_u64)
+        .ok_or(UnitLineError::Unit)? as usize;
+    let outcome_text = json
+        .get("outcomes")
+        .and_then(Json::as_str)
+        .ok_or(UnitLineError::Outcomes)?;
+    let outcomes = outcome_text
+        .chars()
+        .map(|c| match c {
+            'D' => Ok(FaultOutcome::Dangerous),
+            'L' => Ok(FaultOutcome::Latent),
+            'B' => Ok(FaultOutcome::Benign),
+            other => Err(UnitLineError::OutcomeChar(other)),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let divergence = json
+        .get("first_divergence")
+        .and_then(Json::as_arr)
+        .ok_or(UnitLineError::FirstDivergence)?;
+    let mut first_divergence = Vec::with_capacity(divergence.len());
+    let mut fd_parts = Vec::with_capacity(divergence.len());
+    for item in divergence {
+        let v = item.as_f64().ok_or(UnitLineError::FirstDivergenceEntry)?;
         fd_parts.push(format!("{}", v as i64));
         first_divergence.push(if v < 0.0 { None } else { Some(v as u32) });
     }
     if first_divergence.len() != outcomes.len() {
-        return None;
+        return Err(UnitLineError::LaneCount {
+            divergence: first_divergence.len(),
+            outcomes: outcomes.len(),
+        });
     }
-    let stepped_fault_cycles = json.get("stepped_fault_cycles")?.as_u64()?;
-    let gate_evals = json.get("gate_evals")?.as_u64()?;
+    let counter = |field| {
+        json.get(field)
+            .and_then(Json::as_u64)
+            .ok_or(UnitLineError::Counter(field))
+    };
+    let stepped_fault_cycles = counter("stepped_fault_cycles")?;
+    let gate_evals = counter("gate_evals")?;
+    let crc = json
+        .get("crc")
+        .and_then(Json::as_str)
+        .ok_or(UnitLineError::Crc)?;
     let expected_crc = unit_crc(
         unit,
         outcome_text,
@@ -497,10 +582,10 @@ pub(crate) fn decode_unit(line: &str) -> Option<(usize, UnitOutput)> {
         stepped_fault_cycles,
         gate_evals,
     );
-    if json.get("crc")?.as_str()? != expected_crc {
-        return None;
+    if crc != expected_crc {
+        return Err(UnitLineError::CrcMismatch);
     }
-    Some((
+    Ok((
         unit,
         UnitOutput {
             outcomes,
@@ -561,7 +646,7 @@ pub fn read_unit_count(path: &Path) -> Result<usize, CheckpointError> {
     let mut units = std::collections::BTreeSet::new();
     for line in lines {
         let line = line.map_err(|e| io_error(path, &e))?;
-        if let Some((unit, _)) = decode_unit(&line) {
+        if let Ok((unit, _)) = decode_unit(&line) {
             units.insert(unit);
         }
     }
@@ -596,7 +681,7 @@ pub(crate) fn load_units(
     let mut units = HashMap::new();
     for line in lines {
         let Ok(line) = line else { break };
-        if let Some((unit, output)) = decode_unit(&line) {
+        if let Ok((unit, output)) = decode_unit(&line) {
             if unit < unit_count {
                 units.insert(unit, output);
             }
@@ -836,9 +921,11 @@ mod tests {
         assert_eq!(decoded.stepped_fault_cycles, 24);
         assert_eq!(decoded.gate_evals, 480);
         // Any tampering breaks the record digest.
-        assert!(decode_unit(&line.replace("DLB", "DDB")).is_none());
+        let tampered = decode_unit(&line.replace("DLB", "DDB")).map(|_| ());
+        assert_eq!(tampered, Err(UnitLineError::CrcMismatch));
         // Torn writes (truncated JSON) are skipped, not fatal.
-        assert!(decode_unit(&line[..line.len() - 10]).is_none());
+        let torn = decode_unit(&line[..line.len() - 10]).map(|_| ());
+        assert_eq!(torn, Err(UnitLineError::NotJson));
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub enum CampaignError {
     Checkpoint(CheckpointError),
     /// `resume` was requested without a checkpoint path to resume from.
     ResumeWithoutCheckpoint,
-    /// `CampaignConfig::lane_words` is outside the supported set
-    /// (`0` = legacy scalar path, or `1`/`4`/`8` wide words).
+    /// `CampaignConfig::lane_words` is not one of the supported widths
+    /// `1`, `4` and `8` (64, 256 and 512 fault lanes per pass).
     InvalidLaneWords {
         /// The rejected width.
         lane_words: usize,
@@ -64,8 +64,7 @@ impl fmt::Display for CampaignError {
             CampaignError::InvalidLaneWords { lane_words } => write!(
                 f,
                 "unsupported lane_words {lane_words}: use 1, 4 or 8 \
-                 (64/256/512 fault lanes per pass), or 0 for the legacy \
-                 scalar kernel"
+                 (64/256/512 fault lanes per pass)"
             ),
             CampaignError::InvalidShard { index, total } => write!(
                 f,

@@ -16,8 +16,7 @@
 //! characters, lane-count mismatches, digest failures), and the unit
 //! space comes from the same arithmetic `fusa merge` validates against.
 //! What fsck adds is the *diagnosis*: when the decoder rejects a line,
-//! `diagnose_unit_line` re-parses it step by step to name the first
-//! check that failed.
+//! its error names the first check that failed, and fsck reports it.
 //!
 //! Repair is conservative by construction:
 //!
@@ -40,7 +39,7 @@
 use crate::campaign::UnitOutput;
 use crate::checkpoint::{decode_unit, encode_unit, CheckpointHeader};
 use crate::merge::{campaign_unit_count, rerun_commands, MergeSource};
-use fusa_obs::{Json, RunManifest, StatusSnapshot};
+use fusa_obs::{RunManifest, StatusSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -331,7 +330,7 @@ fn check_checkpoint(
             continue;
         }
         match decode_unit(line) {
-            Some((unit, output)) => {
+            Ok((unit, output)) => {
                 if unit >= report.campaign_units {
                     report.push(
                         path,
@@ -367,8 +366,8 @@ fn check_checkpoint(
                     }
                 }
             }
-            None => {
-                report.push(path, Some(line_no), None, diagnose_unit_line(line));
+            Err(e) => {
+                report.push(path, Some(line_no), None, e.to_string());
                 needs_rewrite = true;
             }
         }
@@ -445,48 +444,6 @@ fn check_status(path: &Path, report: &mut FsckReport) -> Result<(), FsckError> {
         report.push(path, None, None, e);
     }
     Ok(())
-}
-
-/// Names the first validation check a rejected unit line fails. Only
-/// called for lines [`decode_unit`] returned `None` for, so the checks
-/// mirror the decoder's, in the decoder's order — if every structural
-/// check passes here, the rejection was the record digest.
-fn diagnose_unit_line(line: &str) -> String {
-    let json = match Json::parse(line) {
-        Ok(json) => json,
-        Err(_) => return "not valid JSON (torn or partial write)".into(),
-    };
-    if json.get("unit").and_then(Json::as_u64).is_none() {
-        return "missing or non-numeric `unit` field".into();
-    }
-    let Some(outcomes) = json.get("outcomes").and_then(Json::as_str) else {
-        return "missing `outcomes` field".into();
-    };
-    if let Some(bad) = outcomes.chars().find(|c| !matches!(c, 'D' | 'L' | 'B')) {
-        return format!("invalid outcome character {bad:?} (expected D/L/B)");
-    }
-    let Some(divergence) = json.get("first_divergence").and_then(Json::as_arr) else {
-        return "missing or malformed `first_divergence` array".into();
-    };
-    if divergence.iter().any(|item| item.as_f64().is_none()) {
-        return "non-numeric entry in `first_divergence`".into();
-    }
-    if divergence.len() != outcomes.chars().count() {
-        return format!(
-            "first_divergence length {} does not match {} outcomes",
-            divergence.len(),
-            outcomes.chars().count()
-        );
-    }
-    for field in ["stepped_fault_cycles", "gate_evals"] {
-        if json.get(field).and_then(Json::as_u64).is_none() {
-            return format!("missing or non-numeric `{field}` field");
-        }
-    }
-    if json.get("crc").and_then(Json::as_str).is_none() {
-        return "missing `crc` field".into();
-    }
-    "crc mismatch: record digest does not match its payload".into()
 }
 
 #[cfg(test)]

@@ -3,11 +3,14 @@
 //! This crate is the reproduction's substitute for the commercial fault
 //! simulator used in the paper (Cadence Xcelium, §4.1): it enumerates
 //! stuck-at-0/1 faults on every gate output ([`FaultList`]), runs each
-//! workload against all faults using the 64-lane fault-parallel engine
-//! from [`fusa_logicsim::BitSim`] ([`FaultCampaign`]), classifies each
-//! (fault, workload) outcome as *Dangerous*, *Latent* or *Benign*
-//! ([`FaultOutcome`]), and finally aggregates per-node criticality scores
-//! and labels exactly as Algorithm 1 of the paper ([`CriticalityDataset`]).
+//! workload against all faults on the wide-lane fault-parallel kernel
+//! [`fusa_logicsim::WideSim`], 256 fault machines per pass by default
+//! ([`FaultCampaign`]), classifies each (fault, workload) outcome as
+//! *Dangerous*, *Latent* or *Benign* ([`FaultOutcome`]), and finally
+//! aggregates per-node criticality scores and labels exactly as
+//! Algorithm 1 of the paper ([`CriticalityDataset`]). The
+//! [`reference`](mod@reference) module holds the independent oracle the
+//! campaign kernel is tested against.
 //!
 //! # Example
 //!
@@ -36,6 +39,7 @@ pub mod durability;
 pub mod fault;
 pub mod fsck;
 pub mod merge;
+pub mod reference;
 pub mod report;
 pub mod seu;
 pub mod shard;

@@ -291,7 +291,7 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
             // Decode validates the per-record digest, so a canonical
             // re-encoding is equal if and only if the payloads agree.
             match checkpoint::decode_unit(&line) {
-                Some((unit, output)) if unit < unit_count => {
+                Ok((unit, output)) if unit < unit_count => {
                     let canonical = checkpoint::encode_unit(unit, &output);
                     match merged.entry(unit) {
                         Entry::Occupied(existing) => {

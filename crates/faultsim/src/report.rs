@@ -82,8 +82,7 @@ pub struct CampaignStats {
     /// Gate evaluations performed by fault machines, once per gate per
     /// pass for all of its lanes: the gates differential stepping
     /// evaluated plus the full sweeps after a dense hand-off or under
-    /// `restrict_to_cone = false` (wide kernel), or the union-cone
-    /// sweeps (scalar kernel). Early exit lowers it too.
+    /// `restrict_to_cone = false`. Early exit lowers it too.
     pub gate_evals: u64,
     /// Gate evaluations a full-netlist, no-early-exit run would cost.
     pub gate_evals_full: u64,
@@ -104,21 +103,13 @@ pub struct CampaignStats {
     pub durability_degraded: bool,
     /// Units never attempted because the campaign was interrupted.
     pub units_skipped: usize,
-    /// Lane width the run used, in 64-lane `u64` words (`0` = legacy
-    /// scalar kernel).
+    /// Lane width the run used, in 64-lane `u64` words (`1`, `4` or
+    /// `8`; `0` in a report of [`crate::reference::stuck_at`]).
     pub lane_words: usize,
-    /// Chunk groups simulated by this run that switched from
-    /// differential stepping to the full sweep because one cycle
-    /// evaluated more than the break-even share (0.3) of the gates
-    /// (wide kernel only).
+    /// Chunk-group passes of this run that switched from differential
+    /// stepping to the full sweep because one cycle evaluated more than
+    /// the break-even share (0.3) of the gates.
     pub dense_handoffs: u64,
-    /// Seconds spent building fanout cones (`lane_words = 0` with cone
-    /// restriction only; the wide kernel builds none).
-    pub cone_build_seconds: f64,
-    /// Mean union-cone size as a fraction of the design's gate count,
-    /// in `(0, 1]`; `0.0` when no cone was built (wide kernel, or cone
-    /// restriction off). `lane_words = 0` only.
-    pub cone_coverage: f64,
 }
 
 impl CampaignStats {
@@ -131,7 +122,7 @@ impl CampaignStats {
     }
 
     /// Fraction of full-run gate evaluations avoided (differential
-    /// stepping or cone restriction, lane sharing, early exit).
+    /// stepping, lane sharing, early exit).
     pub fn gate_evals_saved_fraction(&self) -> f64 {
         if self.gate_evals_full == 0 {
             return 0.0;
@@ -171,8 +162,6 @@ impl CampaignStats {
         recorder.gauge_set("campaign.utilization", self.mean_utilization());
         recorder.gauge_set("campaign.lane_words", self.lane_words as f64);
         recorder.add("campaign.dense_handoffs", self.dense_handoffs);
-        recorder.gauge_set("campaign.cone_build_seconds", self.cone_build_seconds);
-        recorder.gauge_set("campaign.cone_coverage", self.cone_coverage);
         // Durability counters are published only when nonzero so clean
         // runs keep their established manifest shape.
         if self.units_from_checkpoint > 0 {

@@ -5,9 +5,10 @@
 //! equally cares about *transient* upsets: a particle strike flips one
 //! register bit once, and the question is whether the error is flushed,
 //! stays latent in state, or corrupts the outputs. This module injects
-//! one flip per flip-flop per injection cycle, 64 flops per pass, and
-//! aggregates per-flop SEU vulnerability scores analogous to
-//! Algorithm 1's criticality scores.
+//! one flip per flip-flop per injection cycle, `64 · lane_words` flops
+//! per pass, and aggregates per-flop SEU vulnerability scores analogous
+//! to Algorithm 1's criticality scores. [`crate::reference::seu`] is the
+//! independent oracle the kernel is tested against.
 
 use fusa_logicsim::{BitSim, SoaNetlist, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::{GateId, Netlist};
@@ -22,9 +23,8 @@ pub struct SeuConfig {
     pub threads: usize,
     /// Width of the simulation word in 64-lane `u64` words: each pass
     /// flips `64 · lane_words` flops through the structure-of-arrays
-    /// [`WideSim`] kernel. Supported widths are `1`, `4` and `8`; `0`
-    /// selects the legacy scalar [`BitSim`] path. Rates are identical
-    /// at every setting.
+    /// [`WideSim`] kernel. Supported widths are `1`, `4` and `8`. Rates
+    /// are identical at every setting.
     pub lane_words: usize,
 }
 
@@ -114,17 +114,20 @@ impl SeuCampaign {
 
     /// Injects one flip per flop at each configured injection point of
     /// each workload and aggregates vulnerability rates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane_words` is not `1`, `4` or `8`.
     pub fn run(&self, netlist: &Netlist, workloads: &WorkloadSuite) -> SeuReport {
         let obs = fusa_obs::global();
         let _span = obs.span("seu");
         assert!(
-            matches!(self.config.lane_words, 0 | 1 | 4 | 8),
-            "unsupported lane_words {}: use 1, 4 or 8, or 0 for the legacy scalar kernel",
+            matches!(self.config.lane_words, 1 | 4 | 8),
+            "unsupported lane_words {}: use 1, 4 or 8",
             self.config.lane_words
         );
         let flops = netlist.sequential_gates();
-        let soa =
-            (self.config.lane_words > 0 && !flops.is_empty()).then(|| SoaNetlist::new(netlist));
+        let soa = (!flops.is_empty()).then(|| SoaNetlist::new(netlist));
         let mut corrupted = vec![0usize; flops.len()];
         let mut latent = vec![0usize; flops.len()];
         let mut experiments = 0usize;
@@ -143,16 +146,18 @@ impl SeuCampaign {
                 let inject_cycle = ((workload.len() as f64 * fraction) as usize)
                     .min(workload.len().saturating_sub(1));
                 experiments += 1;
-                run_injection(
-                    netlist,
-                    soa.as_ref(),
-                    self.config.lane_words,
-                    workload,
-                    &flops,
-                    inject_cycle,
-                    &mut corrupted,
-                    &mut latent,
-                );
+                if let Some(soa) = &soa {
+                    run_injection(
+                        netlist,
+                        soa,
+                        self.config.lane_words,
+                        workload,
+                        &flops,
+                        inject_cycle,
+                        &mut corrupted,
+                        &mut latent,
+                    );
+                }
             }
         }
 
@@ -170,14 +175,14 @@ impl SeuCampaign {
     }
 }
 
-/// One injection experiment: `64 · max(lane_words, 1)` flops flipped per
-/// pass at `inject_cycle`. The golden trace always comes from the scalar
-/// broadcast simulator (its `0`/`u64::MAX` lanes compare against any
-/// word), so every lane width scores identically.
+/// One injection experiment: `64 · lane_words` flops flipped per pass
+/// at `inject_cycle`. The golden trace comes from the broadcast
+/// [`BitSim`] (its `0`/`u64::MAX` lanes compare against any word), so
+/// every lane width scores identically.
 #[allow(clippy::too_many_arguments)]
 fn run_injection(
     netlist: &Netlist,
-    soa: Option<&SoaNetlist>,
+    soa: &SoaNetlist,
     lane_words: usize,
     workload: &Workload,
     flops: &[GateId],
@@ -196,71 +201,23 @@ fn run_injection(
     }
     let golden_state: Vec<u64> = flops.iter().map(|&g| golden.flop_lanes(g)).collect();
 
-    match (soa, lane_words) {
-        (Some(soa), 1) => run_chunks_wide::<1>(
-            soa,
-            workload,
-            flops,
-            inject_cycle,
-            &golden_trace,
-            &golden_state,
-            corrupted,
-            latent,
-        ),
-        (Some(soa), 4) => run_chunks_wide::<4>(
-            soa,
-            workload,
-            flops,
-            inject_cycle,
-            &golden_trace,
-            &golden_state,
-            corrupted,
-            latent,
-        ),
-        (Some(soa), 8) => run_chunks_wide::<8>(
-            soa,
-            workload,
-            flops,
-            inject_cycle,
-            &golden_trace,
-            &golden_state,
-            corrupted,
-            latent,
-        ),
-        _ => {
-            let mut sim = BitSim::new(netlist);
-            for (chunk_index, chunk) in flops.chunks(64).enumerate() {
-                sim.reset();
-                let mut diverged: u64 = 0;
-                for (cycle, vector) in workload.vectors.iter().enumerate() {
-                    if cycle == inject_cycle {
-                        for (lane, &flop) in chunk.iter().enumerate() {
-                            sim.schedule_state_flip(flop, 1u64 << lane);
-                        }
-                    }
-                    sim.step_broadcast_into(vector, &mut out_buf);
-                    if cycle > inject_cycle {
-                        for (o, &lanes) in out_buf.iter().enumerate() {
-                            diverged |= lanes ^ golden_trace[cycle * output_count + o];
-                        }
-                    }
-                }
-                let mut state_differs: u64 = 0;
-                for (s, &g) in flops.iter().enumerate() {
-                    state_differs |= sim.flop_lanes(g) ^ golden_state[s];
-                }
-                for (lane, _) in chunk.iter().enumerate() {
-                    let index = chunk_index * 64 + lane;
-                    let mask = 1u64 << lane;
-                    if diverged & mask != 0 {
-                        corrupted[index] += 1;
-                    } else if state_differs & mask != 0 {
-                        latent[index] += 1;
-                    }
-                }
-            }
-        }
-    }
+    type Sweep =
+        fn(&SoaNetlist, &Workload, &[GateId], usize, &[u64], &[u64], &mut [usize], &mut [usize]);
+    let sweep: Sweep = match lane_words {
+        1 => run_chunks_wide::<1>,
+        4 => run_chunks_wide::<4>,
+        _ => run_chunks_wide::<8>,
+    };
+    sweep(
+        soa,
+        workload,
+        flops,
+        inject_cycle,
+        &golden_trace,
+        &golden_state,
+        corrupted,
+        latent,
+    );
 }
 
 /// Wide sweep of one injection experiment: flop `i` of a group occupies
@@ -406,10 +363,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_agree_with_scalar() {
+    fn lane_widths_agree_with_the_oracle() {
         // Differential: every wide width scores the exact same rates as
-        // the legacy scalar sweep on a random sequential netlist with
-        // more flops than one 64-lane word holds.
+        // the oracle on a random sequential netlist with more flops than
+        // one 64-lane word holds.
         use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
         let netlist = random_netlist(&RandomNetlistConfig {
             num_inputs: 6,
@@ -426,7 +383,7 @@ mod tests {
             })
             .run(&netlist, &workloads)
         };
-        let reference = run(0);
+        let reference = crate::reference::seu(&netlist, &workloads, &SeuConfig::default());
         assert!(reference.flops.len() > 64, "want multi-word flop count");
         for lane_words in [1usize, 4, 8] {
             let wide = run(lane_words);

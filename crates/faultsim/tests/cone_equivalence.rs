@@ -1,14 +1,16 @@
-//! Differential tests: the accelerated campaign hot path (cone
-//! restriction, early exit, multi-threaded unit scheduling) must be
-//! bit-identical to the exhaustive full-netlist reference.
+//! Differential tests: the accelerated campaign hot path (differential
+//! stepping, early exit, multi-threaded unit scheduling) must be
+//! bit-identical to the oracle, `fusa_faultsim::reference::stuck_at`.
 //!
 //! The proptest generates random sequential netlists, injects every
 //! stuck-at site (gate outputs *and* input pins), and compares every
 //! `FaultOutcome` and every `first_divergence` cycle across the
-//! acceleration configurations. Any divergence is a correctness bug in
-//! the cone/boundary/early-exit machinery, not a tuning regression.
+//! acceleration configurations at the default lane width. Any divergence
+//! is a correctness bug in the differential/hand-off/early-exit
+//! machinery, not a tuning regression. Lane widths are covered by
+//! `tests/lane_equivalence.rs`.
 
-use fusa_faultsim::{CampaignConfig, CampaignReport, FaultCampaign, FaultList};
+use fusa_faultsim::{reference, CampaignConfig, CampaignReport, FaultCampaign, FaultList};
 use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
 use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
 use fusa_netlist::Netlist;
@@ -38,16 +40,25 @@ fn run_with(
     FaultCampaign::new(CampaignConfig {
         threads,
         classify_latent,
-        min_divergence_fraction: 0.0,
         restrict_to_cone,
         early_exit,
-        // Legacy scalar kernel: the wide-lane differential lives in
-        // tests/lane_equivalence.rs.
-        lane_words: 0,
-        shard: None,
+        ..CampaignConfig::default()
     })
     .run(netlist, faults, workloads)
     .expect("campaign runs")
+}
+
+fn oracle(
+    netlist: &Netlist,
+    faults: &FaultList,
+    workloads: &WorkloadSuite,
+    classify_latent: bool,
+) -> CampaignReport {
+    let config = CampaignConfig {
+        classify_latent,
+        ..CampaignConfig::default()
+    };
+    reference::stuck_at(netlist, faults, workloads, &config)
 }
 
 fn assert_reports_identical(context: &str, reference: &CampaignReport, candidate: &CampaignReport) {
@@ -74,10 +85,10 @@ fn assert_reports_identical(context: &str, reference: &CampaignReport, candidate
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Cone-restricted simulation, early exit, and the threaded unit
-    /// queue are all bit-identical to the naive single-threaded
-    /// full-netlist campaign — on random netlists, over every stuck-at
-    /// site including input pins, with latent classification on or off.
+    /// Differential stepping, early exit, and the threaded unit queue
+    /// are all bit-identical to the oracle — on random netlists, over
+    /// every stuck-at site including input pins, with latent
+    /// classification on or off.
     #[test]
     fn accelerated_campaign_is_bit_identical_on_random_netlists(
         seed in 0u64..1u64 << 48,
@@ -92,18 +103,15 @@ proptest! {
             num_outputs: 5,
             seed,
         });
-        // Input-pin faults included: cones rooted at the faulty gate
-        // must cover pin-fault propagation too.
+        // Input-pin faults included: a pin force seeds differential
+        // stepping at its gate alone, not at the driving net.
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0x570C4);
 
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, classify_latent);
+        let reference = oracle(&netlist, &faults, &workloads, classify_latent);
         for threads in [1usize, 4] {
             for restrict_to_cone in [false, true] {
                 for early_exit in [false, true] {
-                    if threads == 1 && !restrict_to_cone && !early_exit {
-                        continue;
-                    }
                     let candidate = run_with(
                         &netlist, &faults, &workloads,
                         threads, restrict_to_cone, early_exit, classify_latent,
@@ -129,7 +137,7 @@ fn builtin_designs_cone_on_off_agree() {
     for netlist in fusa_netlist::designs::all_designs() {
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = workloads_for(&netlist, 7);
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, true);
+        let reference = oracle(&netlist, &faults, &workloads, true);
         let accelerated = run_with(&netlist, &faults, &workloads, 4, true, true, true);
         assert_reports_identical(netlist.name(), &reference, &accelerated);
     }

@@ -6,7 +6,8 @@
 //!
 //! * a **transient** fault (one failed attempt inside the retry budget)
 //!   must be invisible — the run completes, is not degraded, and its
-//!   stable summary digests identically to a fault-free reference;
+//!   stable summary digests identically to the oracle's
+//!   (`fusa_faultsim::reference::stuck_at`);
 //! * a **persistent** fault (every attempt fails) must degrade, never
 //!   corrupt: the campaign still completes in memory with bit-identical
 //!   outcomes, the degradation is flagged in the stable summary, and
@@ -18,8 +19,8 @@
 //! serializes on [`CHAOS_LOCK`].
 
 use fusa_faultsim::{
-    fsck_path, CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign, FaultList,
-    FsckOptions, IoRetryPolicy,
+    fsck_path, reference, CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign,
+    FaultList, FsckOptions, IoRetryPolicy,
 };
 use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
 use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
@@ -107,7 +108,7 @@ proptest! {
 
     /// One failed write attempt inside the default retry budget is
     /// invisible: the run completes undegraded and digests identically
-    /// to a fault-free reference, whatever the fault kind, thread count
+    /// to the oracle, whatever the fault kind, thread count
     /// or lane width — and whatever torn fragment the failed attempt
     /// left behind, `fsck` can always repair the checkpoint to clean.
     #[test]
@@ -125,15 +126,13 @@ proptest! {
         let workloads = workloads_for(&netlist, seed ^ 0x5eed);
         let config = CampaignConfig {
             threads,
-            lane_words: [0, 1, 4][lane_index],
+            lane_words: [1, 4, 8][lane_index],
             ..CampaignConfig::default()
         };
 
         reset_degraded();
         set_io_fault_injection(None);
-        let reference = FaultCampaign::new(config)
-            .run(&netlist, &faults, &workloads)
-            .expect("reference run");
+        let reference = reference::stuck_at(&netlist, &faults, &workloads, &config);
 
         let path = checkpoint_path("transient", seed);
         arm(vec![fail_op], None, kind_from(kind_index));
@@ -192,15 +191,13 @@ proptest! {
         let workloads = workloads_for(&netlist, seed ^ 0xdead);
         let config = CampaignConfig {
             threads,
-            lane_words: [0, 1, 4][lane_index],
+            lane_words: [1, 4, 8][lane_index],
             ..CampaignConfig::default()
         };
 
         reset_degraded();
         set_io_fault_injection(None);
-        let reference = FaultCampaign::new(config)
-            .run(&netlist, &faults, &workloads)
-            .expect("reference run");
+        let reference = reference::stuck_at(&netlist, &faults, &workloads, &config);
 
         let path = checkpoint_path("persistent", seed);
         arm(Vec::new(), Some(fail_every), kind_from(kind_index));

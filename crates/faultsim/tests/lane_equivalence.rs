@@ -1,11 +1,12 @@
 //! Differential tests: the wide `[u64; W]` structure-of-arrays kernel
-//! must be bit-identical to the legacy scalar `u64` path.
+//! must be bit-identical to the oracle,
+//! `fusa_faultsim::reference::stuck_at` (one thread, per-gate `BitSim`
+//! full sweep, a golden run of its own).
 //!
 //! The proptest generates random sequential netlists, injects every
 //! stuck-at site (gate outputs *and* input pins), and compares every
-//! `FaultOutcome` and every `first_divergence` cycle between the scalar
-//! full-sweep reference (`lane_words: 0`, no cone) and each wide width,
-//! across thread counts, differential stepping with early exit versus
+//! `FaultOutcome` and every `first_divergence` cycle between the oracle
+//! and each wide width, across thread counts, differential stepping with early exit versus
 //! the full sweep, both Dangerous thresholds (`0.0` and the pipeline's
 //! `0.2`) and latent classification on and off. A second property
 //! checks durability: a checkpoint written at one lane width resumes
@@ -16,7 +17,8 @@
 //! passes mostly stay differential.
 
 use fusa_faultsim::{
-    CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign, FaultInjection, FaultList,
+    reference, CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign, FaultInjection,
+    FaultList,
 };
 use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
 use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
@@ -94,12 +96,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6 })]
 
     /// Every wide width, under every acceleration combination and
-    /// thread count, reproduces the scalar kernel bit for bit — on
+    /// thread count, reproduces the oracle bit for bit — on
     /// random netlists over every stuck-at site including input pins,
     /// at both Dangerous thresholds and with latent classification on
     /// and off.
     #[test]
-    fn wide_kernel_is_bit_identical_to_scalar(
+    fn wide_kernel_is_bit_identical_to_the_oracle(
         seed in 0u64..1u64 << 48,
         num_gates in 40usize..120,
         sequential_fraction in 0.05f64..0.4,
@@ -121,9 +123,9 @@ proptest! {
             ..config
         };
 
-        let reference = run_with(
+        let reference = reference::stuck_at(
             &netlist, &faults, &workloads,
-            with_thresholds(config(1, false, false, 0)),
+            &with_thresholds(CampaignConfig::default()),
         );
         for lane_words in [1usize, 4, 8] {
             for threads in [1usize, 4] {
@@ -147,8 +149,8 @@ proptest! {
     }
 
     /// A `--lanes 512` (`lane_words: 8`) resume of a checkpoint written
-    /// by a `--lanes 64` (`lane_words: 1`) run is bit-identical to an
-    /// uninterrupted scalar campaign, wherever the interruption lands.
+    /// by a `--lanes 64` (`lane_words: 1`) run is bit-identical to the
+    /// oracle, wherever the interruption lands.
     #[test]
     fn resume_across_lane_widths_is_bit_identical(
         seed in 0u64..1u64 << 48,
@@ -164,7 +166,8 @@ proptest! {
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0xCAFE);
-        let reference = run_with(&netlist, &faults, &workloads, config(1, false, false, 0));
+        let reference =
+            reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
 
         let path = std::env::temp_dir().join(format!(
             "fusa_lane_equivalence_{}_{seed:x}.jsonl",
@@ -219,7 +222,8 @@ fn builtin_designs_all_widths_agree() {
     for netlist in fusa_netlist::designs::all_designs() {
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = workloads_for(&netlist, 7);
-        let reference = run_with(&netlist, &faults, &workloads, config(1, false, false, 0));
+        let reference =
+            reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
         for lane_words in [1usize, 4, 8] {
             let wide = run_with(
                 &netlist,
@@ -242,8 +246,7 @@ fn builtin_designs_all_widths_agree() {
 }
 
 /// The synthetic scaling designs run the wide kernel too: a 10k-gate
-/// generator output at default width matches the scalar reference on a
-/// sampled fault list (full coverage would dominate the test suite).
+/// generator output at widths 4 and 8 matches the oracle.
 #[test]
 fn synthetic_design_widths_agree() {
     let netlist =
@@ -257,7 +260,7 @@ fn synthetic_design_widths_agree() {
         });
     let faults = FaultList::all_gate_outputs(&netlist);
     let workloads = workloads_for(&netlist, 11);
-    let reference = run_with(&netlist, &faults, &workloads, config(1, false, false, 0));
+    let reference = reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
     for lane_words in [4usize, 8] {
         let wide = run_with(
             &netlist,

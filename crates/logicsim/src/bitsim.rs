@@ -1,7 +1,7 @@
 //! 64-lane bit-parallel Boolean simulator.
 
 use crate::eval::eval_u64;
-use fusa_netlist::{fanout_cone, Driver, GateId, LevelizedOrder, Levelizer, NetId, Netlist};
+use fusa_netlist::{GateId, LevelizedOrder, Levelizer, NetId, Netlist};
 
 /// Maximum input-pin count of any cell in the gate library.
 const MAX_PINS: usize = 4;
@@ -390,8 +390,8 @@ impl<'a> BitSim<'a> {
     ///
     /// In a *broadcast* (golden) run every net's lanes are all-zeros or
     /// all-ones, so lane 0 captures the machine exactly in 1/64th of the
-    /// memory. The result seeds cone boundaries via
-    /// [`BitSim::seed_boundary_packed`].
+    /// memory. This is the golden-snapshot format of
+    /// [`crate::WideSim::settle_diff`].
     ///
     /// # Panics
     ///
@@ -402,175 +402,6 @@ impl<'a> BitSim<'a> {
         for (i, &lanes) in self.values.iter().enumerate() {
             out[i >> 6] |= (lanes & 1) << (i & 63);
         }
-    }
-
-    /// Gate evaluations one full settle+clock cycle costs (combinational
-    /// evals plus flop updates) — the denominator for cone-saving stats.
-    pub fn full_evals_per_cycle(&self) -> u64 {
-        (self.order.order().len() + self.seq_gates.len()) as u64
-    }
-
-    /// Precomputes the restricted evaluation schedule for the union
-    /// fanout cone of `roots` (the ≤64 fault sites of one chunk).
-    ///
-    /// The cone crosses flip-flops, so repeated
-    /// [`BitSim::settle_restricted`] / [`BitSim::clock_restricted`]
-    /// cycles reproduce multi-cycle fault propagation exactly.
-    pub fn active_cone(&self, roots: &[GateId]) -> ActiveCone {
-        let cone = fanout_cone(self.netlist, roots);
-        let comb_order: Vec<GateId> = self
-            .order
-            .order()
-            .iter()
-            .copied()
-            .filter(|&g| cone.contains(g))
-            .collect();
-        let seq_gates: Vec<GateId> = self
-            .seq_gates
-            .iter()
-            .copied()
-            .filter(|&g| cone.contains(g))
-            .collect();
-
-        // Boundary nets: inputs of cone gates driven from outside the
-        // cone (primary inputs or non-cone gates). Their faulty-machine
-        // values are by construction identical to the golden machine, so
-        // they are seeded from the golden snapshot each cycle.
-        let mut seen = vec![false; self.netlist.net_count()];
-        let mut boundary_nets = Vec::new();
-        for &g in comb_order.iter().chain(seq_gates.iter()) {
-            for &net in &self.netlist.gate(g).inputs {
-                if seen[net.index()] {
-                    continue;
-                }
-                let external = match self.netlist.net(net).driver {
-                    Some(Driver::Gate(d)) => !cone.contains(d),
-                    _ => true,
-                };
-                if external {
-                    seen[net.index()] = true;
-                    boundary_nets.push(net);
-                }
-            }
-        }
-
-        // Primary outputs a cone fault can reach; all others are
-        // provably golden and need no comparison.
-        let output_slots: Vec<(usize, NetId)> = self
-            .netlist
-            .primary_outputs()
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, &(_, net))| match self.netlist.net(net).driver {
-                Some(Driver::Gate(d)) if cone.contains(d) => Some((slot, net)),
-                _ => None,
-            })
-            .collect();
-
-        ActiveCone {
-            comb_order,
-            seq_gates,
-            boundary_nets,
-            output_slots,
-            size: cone.len(),
-        }
-    }
-
-    /// Seeds every cone boundary net from a packed golden snapshot taken
-    /// at the same point of the same cycle
-    /// ([`BitSim::snapshot_nets_packed`] after the golden settle).
-    pub fn seed_boundary_packed(&mut self, cone: &ActiveCone, packed: &[u64]) {
-        for &net in &cone.boundary_nets {
-            let i = net.index();
-            let bit = (packed[i >> 6] >> (i & 63)) & 1;
-            self.values[i] = 0u64.wrapping_sub(bit);
-        }
-    }
-
-    /// [`BitSim::settle`] restricted to the gates of `cone`: publishes
-    /// cone flop outputs and evaluates cone combinational gates in
-    /// levelized order. Boundary nets must already hold golden values
-    /// (see [`BitSim::seed_boundary_packed`]); non-cone nets are left
-    /// stale and must not be read.
-    pub fn settle_restricted(&mut self, cone: &ActiveCone) {
-        let has_pin_forces = !self.pin_forced_gates.is_empty();
-        for i in 0..cone.seq_gates.len() {
-            self.publish_seq_output(cone.seq_gates[i]);
-        }
-        for i in 0..cone.comb_order.len() {
-            self.eval_comb_one(cone.comb_order[i], has_pin_forces);
-        }
-    }
-
-    /// [`BitSim::clock`] restricted to the flip-flops of `cone`.
-    /// Non-cone flop state is left stale; it is provably identical to
-    /// the golden machine and must be read from there instead.
-    pub fn clock_restricted(&mut self, cone: &ActiveCone) {
-        let has_pin_forces = !self.pin_forced_gates.is_empty();
-        for i in 0..cone.seq_gates.len() {
-            self.clock_one(cone.seq_gates[i], has_pin_forces);
-        }
-        for (gate, lanes) in self.state_flips.drain(..) {
-            self.state[gate.index()] ^= lanes;
-        }
-        self.cycles += 1;
-    }
-}
-
-/// The precomputed evaluation schedule for one fault chunk's union
-/// fanout cone: which gates to evaluate (in levelized order), which nets
-/// form the golden boundary, and which primary outputs / flip-flops can
-/// diverge at all.
-///
-/// Built once per chunk by [`BitSim::active_cone`]; driving
-/// [`BitSim::settle_restricted`] with it is bit-identical to a full
-/// [`BitSim::settle`] on every net the cone can influence.
-#[derive(Debug, Clone)]
-pub struct ActiveCone {
-    /// Cone combinational gates, in global levelized order.
-    comb_order: Vec<GateId>,
-    /// Cone flip-flops.
-    seq_gates: Vec<GateId>,
-    /// Inputs of cone gates driven from outside the cone.
-    boundary_nets: Vec<NetId>,
-    /// `(primary-output index, net)` of outputs a cone fault can reach.
-    output_slots: Vec<(usize, NetId)>,
-    /// Total cone gate count (combinational + sequential).
-    size: usize,
-}
-
-impl ActiveCone {
-    /// Number of gates in the cone.
-    pub fn gate_count(&self) -> usize {
-        self.size
-    }
-
-    /// Flip-flops inside the cone — the only flops whose faulty state
-    /// can differ from golden (the latent-fault sweep domain).
-    pub fn seq_gates(&self) -> &[GateId] {
-        &self.seq_gates
-    }
-
-    /// Cone combinational gates, in global levelized order (the
-    /// restricted evaluation schedule).
-    pub fn comb_order(&self) -> &[GateId] {
-        &self.comb_order
-    }
-
-    /// Inputs of cone gates driven from outside the cone — the nets
-    /// seeded from the golden snapshot each cycle.
-    pub fn boundary_nets(&self) -> &[NetId] {
-        &self.boundary_nets
-    }
-
-    /// `(slot, net)` for each primary output a cone fault can reach.
-    pub fn output_slots(&self) -> &[(usize, NetId)] {
-        &self.output_slots
-    }
-
-    /// Gate evaluations one restricted settle+clock cycle costs.
-    pub fn evals_per_cycle(&self) -> u64 {
-        (self.comb_order.len() + self.seq_gates.len()) as u64
     }
 }
 
@@ -681,106 +512,6 @@ mod tests {
         assert_eq!(sim.flop_lanes(netlist.sequential_gates()[0]), 0);
         // Force survives the reset.
         assert_eq!(sim.output_lanes()[0] & 1, 1);
-    }
-}
-
-#[cfg(test)]
-mod cone_tests {
-    use super::*;
-    use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
-    use fusa_netlist::gate_ids;
-    use rand::prelude::*;
-    use rand_chacha::ChaCha8Rng;
-
-    /// Drives a full fault machine and a cone-restricted fault machine
-    /// with the same stuck-at fault and asserts that every cone output
-    /// and cone flop matches cycle by cycle.
-    fn check_restricted_matches_full(netlist: &Netlist, root: GateId, stuck_high: bool) {
-        let pi_count = netlist.primary_inputs().len();
-        let mut rng = ChaCha8Rng::seed_from_u64(0xC0DE);
-        let vectors: Vec<Vec<bool>> = (0..16)
-            .map(|_| (0..pi_count).map(|_| rng.gen()).collect())
-            .collect();
-        let fault_net = netlist.gate(root).output;
-
-        let mut golden = BitSim::new(netlist);
-        let mut full = BitSim::new(netlist);
-        let mut restricted = BitSim::new(netlist);
-        full.force_lanes(fault_net, stuck_high, u64::MAX);
-        restricted.force_lanes(fault_net, stuck_high, u64::MAX);
-        let cone = restricted.active_cone(&[root]);
-        let mut packed = vec![0u64; golden.packed_net_words()];
-
-        for vector in &vectors {
-            golden.set_vector_broadcast(vector);
-            golden.settle();
-            golden.snapshot_nets_packed(&mut packed);
-
-            full.set_vector_broadcast(vector);
-            full.settle();
-
-            restricted.seed_boundary_packed(&cone, &packed);
-            restricted.settle_restricted(&cone);
-
-            for &(slot, net) in cone.output_slots() {
-                assert_eq!(
-                    restricted.net_lanes(net),
-                    full.net_lanes(net),
-                    "output slot {slot} diverged between full and restricted"
-                );
-            }
-            // Outputs outside the cone never leave the golden trajectory.
-            for (slot, &(_, net)) in netlist.primary_outputs().iter().enumerate() {
-                if !cone.output_slots().iter().any(|&(s, _)| s == slot) {
-                    assert_eq!(full.net_lanes(net), golden.net_lanes(net));
-                }
-            }
-
-            golden.clock();
-            full.clock();
-            restricted.clock_restricted(&cone);
-
-            for &g in cone.seq_gates() {
-                assert_eq!(
-                    restricted.flop_lanes(g),
-                    full.flop_lanes(g),
-                    "cone flop state diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn restricted_cone_matches_full_on_random_designs() {
-        for seed in [3u64, 17, 91] {
-            let netlist = random_netlist(&RandomNetlistConfig {
-                num_gates: 120,
-                seed,
-                ..Default::default()
-            });
-            let ids: Vec<GateId> = gate_ids(&netlist).collect();
-            for &root in [ids[0], ids[ids.len() / 2], ids[ids.len() - 1]].iter() {
-                check_restricted_matches_full(&netlist, root, true);
-                check_restricted_matches_full(&netlist, root, false);
-            }
-        }
-    }
-
-    #[test]
-    fn cone_schedule_is_smaller_than_netlist_for_local_faults() {
-        let netlist = random_netlist(&RandomNetlistConfig {
-            num_gates: 300,
-            seed: 5,
-            ..Default::default()
-        });
-        let sim = BitSim::new(&netlist);
-        // At least one gate's cone must be a strict subset on a 300-gate
-        // design; the last-created gates have shallow fanout.
-        let smallest = gate_ids(&netlist)
-            .map(|g| sim.active_cone(&[g]).evals_per_cycle())
-            .min()
-            .unwrap();
-        assert!(smallest < sim.full_evals_per_cycle());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod value;
 pub mod vcd;
 pub mod workload;
 
-pub use bitsim::{ActiveCone, BitSim};
+pub use bitsim::BitSim;
 pub use probability::{SignalStats, SignalStatsConfig};
 pub use sim::Simulator;
 pub use soa::{SoaNetlist, WideSim};

@@ -1427,7 +1427,7 @@ mod tests {
     }
 
     /// Golden snapshots taken on the SoA kernel are byte-identical to
-    /// the scalar kernel's.
+    /// [`BitSim`]'s.
     #[test]
     fn packed_snapshot_matches_bitsim() {
         let netlist = random_netlist(&RandomNetlistConfig {

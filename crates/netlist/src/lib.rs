@@ -28,7 +28,6 @@
 //! ```
 
 pub mod builder;
-pub mod cone;
 pub mod designs;
 pub mod error;
 pub mod gate;
@@ -42,7 +41,6 @@ pub mod topo;
 pub mod writer;
 
 pub use builder::NetlistBuilder;
-pub use cone::{fanout_cone, FanoutCone};
 pub use error::NetlistError;
 pub use gate::{Gate, GateId, GateKind};
 pub use netlist::{gate_ids, in_output_cone, net_ids, Driver, Net, NetId, Netlist};

@@ -60,6 +60,17 @@ enum Token {
     Punct(char),
 }
 
+/// Renders what an error found where it expected something else:
+/// "end of file", "`;`", "identifier `foo`" or "number `7`".
+fn found(token: Option<&Token>) -> String {
+    match token {
+        None => "end of file".to_string(),
+        Some(Token::Punct(c)) => format!("`{c}`"),
+        Some(Token::Ident(name)) => format!("identifier `{name}`"),
+        Some(Token::Number(n)) => format!("number `{n}`"),
+    }
+}
+
 struct Lexer<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
     line: usize,
@@ -286,14 +297,19 @@ impl Parser {
     fn expect_punct(&mut self, c: char) -> Result<(), NetlistError> {
         match self.next() {
             Some(Token::Punct(p)) if p == c => Ok(()),
-            other => Err(self.error_at_prev(format!("expected `{c}`, found {other:?}"))),
+            other => {
+                Err(self.error_at_prev(format!("expected `{c}`, found {}", found(other.as_ref()))))
+            }
         }
     }
 
     fn expect_ident(&mut self) -> Result<String, NetlistError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
-            other => Err(self.error_at_prev(format!("expected identifier, found {other:?}"))),
+            other => Err(self.error_at_prev(format!(
+                "expected identifier, found {}",
+                found(other.as_ref())
+            ))),
         }
     }
 
@@ -327,7 +343,11 @@ impl Parser {
                 match self.next() {
                     Some(Token::Punct(')')) => break,
                     Some(Token::Ident(_)) | Some(Token::Punct(',')) => {}
-                    other => return Err(self.error_at(format!("bad port list near {other:?}"))),
+                    other => {
+                        return Err(
+                            self.error_at(format!("bad port list near {}", found(other.as_ref())))
+                        )
+                    }
                 }
             }
         }
@@ -340,7 +360,9 @@ impl Parser {
         loop {
             let keyword = match self.peek() {
                 Some(Token::Ident(s)) => s.clone(),
-                other => return Err(self.error_at(format!("expected statement, found {other:?}"))),
+                other => {
+                    return Err(self.error_at(format!("expected statement, found {}", found(other))))
+                }
             };
             match keyword.as_str() {
                 "endmodule" => break,
@@ -386,7 +408,11 @@ impl Parser {
                             let slot = if v == 0 { &mut tie0 } else { &mut tie1 };
                             slot.get_or_insert(lhs_net);
                         }
-                        other => return Err(self.error_at(format!("bad assign rhs: {other:?}"))),
+                        other => {
+                            return Err(
+                                self.error_at(format!("bad assign rhs: {}", found(other.as_ref())))
+                            )
+                        }
                     }
                     self.expect_punct(';')?;
                 }
@@ -429,12 +455,16 @@ impl Parser {
             self.next();
             let msb = match self.next() {
                 Some(Token::Number(v)) => v,
-                other => return Err(self.error_at(format!("bad range msb: {other:?}"))),
+                other => {
+                    return Err(self.error_at(format!("bad range msb: {}", found(other.as_ref()))))
+                }
             };
             self.expect_punct(':')?;
             let lsb = match self.next() {
                 Some(Token::Number(v)) => v,
-                other => return Err(self.error_at(format!("bad range lsb: {other:?}"))),
+                other => {
+                    return Err(self.error_at(format!("bad range lsb: {}", found(other.as_ref()))))
+                }
             };
             self.expect_punct(']')?;
             range = Some((msb, lsb));
@@ -454,7 +484,9 @@ impl Parser {
             match self.next() {
                 Some(Token::Punct(',')) => continue,
                 Some(Token::Punct(';')) => break,
-                other => return Err(self.error_at(format!("bad declaration: {other:?}"))),
+                other => {
+                    return Err(self.error_at(format!("bad declaration: {}", found(other.as_ref()))))
+                }
             }
         }
         Ok(names)
@@ -498,7 +530,7 @@ impl Parser {
                     let net_name = self.expect_ident()?;
                     positional.push(builder.net(net_name));
                 }
-                other => return Err(self.error_at(format!("bad connection: {other:?}"))),
+                other => return Err(self.error_at(format!("bad connection: {}", found(other)))),
             }
             match self.peek() {
                 Some(Token::Punct(',')) => {
@@ -672,7 +704,14 @@ endmodule
         let src =
             "module t (a, z);\n input a;\n output z;\n IV U1 ;\n IV U2 (.A(a), .Z(z));\nendmodule";
         match parse_verilog(src) {
-            Err(NetlistError::Parse { line, .. }) => assert_eq!(line, 4),
+            Err(NetlistError::Parse { line, message }) => {
+                assert_eq!(line, 4);
+                assert!(message.ends_with("found `;`"), "{message}");
+                assert!(
+                    !message.contains("Some(") && !message.contains("None"),
+                    "{message}"
+                );
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }
@@ -680,9 +719,22 @@ endmodule
     #[test]
     fn truncated_module_rejected() {
         let src = "module t (a, z);\n input a;\n output z;\n IV U1 (.A(a), .Z(z));\n";
-        assert!(matches!(
-            parse_verilog(src),
-            Err(NetlistError::Parse { .. })
-        ));
+        match parse_verilog(src) {
+            Err(NetlistError::Parse { message, .. }) => {
+                assert_eq!(message, "expected statement, found end of file");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        // Cut inside a statement: the end of file is named there too.
+        match parse_verilog("module t (a, z);\n input a;\n output z;\n IV U1 (.A(a") {
+            Err(NetlistError::Parse { message, .. }) => {
+                assert!(message.ends_with("found end of file"), "{message}");
+                assert!(
+                    !message.contains("Some(") && !message.contains("None"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 }

@@ -76,7 +76,7 @@ const RUN_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--lanes",
         value: Some("N"),
-        help: "fault lanes per simulation pass: 64, 256 or 512 (default 256); `scalar` selects the legacy kernel",
+        help: "fault lanes per simulation pass: 64, 256 or 512 (default 256)",
     },
     FlagSpec {
         name: "--no-cone",
@@ -744,15 +744,10 @@ fn pipeline_config(args: &[String]) -> Result<PipelineConfig, String> {
     }
     if let Some(lanes) = flag_value(args, "--lanes") {
         config.campaign.lane_words = match lanes {
-            "scalar" => 0,
             "64" => 1,
             "256" => 4,
             "512" => 8,
-            other => {
-                return Err(format!(
-                    "bad --lanes value `{other}`: use 64, 256, 512 or scalar"
-                ))
-            }
+            other => return Err(format!("bad --lanes value `{other}`: use 64, 256 or 512")),
         };
     }
     if args.iter().any(|a| a == "--structural-features") {
@@ -1042,7 +1037,7 @@ fn manifest_config(config: &PipelineConfig) -> (ConfigEntries, SeedEntries) {
         ("campaign.chunk_faults".to_string(), "64".to_string()),
         (
             "campaign.faults_per_pass".to_string(),
-            (64 * config.campaign.lane_words.max(1)).to_string(),
+            (64 * config.campaign.lane_words).to_string(),
         ),
         (
             "criticality_threshold".to_string(),

@@ -306,19 +306,86 @@ fn train_stage_children_cover_its_wall_time() {
 /// argument errors only.
 #[test]
 fn runtime_error_prints_one_line_without_usage() {
-    let missing = std::env::temp_dir().join("fusa_cli_no_such_design.v");
+    let tmp = std::env::temp_dir();
+    let missing = tmp.join("fusa_cli_no_such_design.v");
+    let missing = missing.to_str().unwrap();
+    let run_dir = tmp.join("fusa_cli_bad_lanes");
+    let run_dir = run_dir.to_str().unwrap();
+    let cases: [(&[&str], &[&str]); 3] = [
+        (&["analyze", missing, "--fast"], &["error: cannot read"]),
+        // `scalar` was a lane width once; it is an unknown value now.
+        (
+            &[
+                "faults",
+                "uart_ctrl",
+                "--lanes",
+                "scalar",
+                "--run-dir",
+                run_dir,
+            ],
+            &["error: bad --lanes value `scalar`", "64", "256", "512"],
+        ),
+        (
+            &[
+                "seu",
+                "uart_ctrl",
+                "--lanes",
+                "scalar",
+                "--run-dir",
+                run_dir,
+            ],
+            &["error: bad --lanes value `scalar`", "64", "256", "512"],
+        ),
+    ];
+    for (args, expected) in cases {
+        let output = fusa().args(args).output().unwrap();
+        assert!(!output.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let lines: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
+        assert_eq!(lines.len(), 1, "{args:?}: {stderr}");
+        assert!(lines[0].starts_with(expected[0]), "{args:?}: {stderr}");
+        for text in expected {
+            assert!(lines[0].contains(text), "{args:?}: {stderr}");
+        }
+        assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
+
+/// The manifest names the commit the binary was built from: `build.rs`
+/// reruns when a commit moves the branch, not only when HEAD changes.
+#[test]
+fn manifest_records_the_built_commit() {
+    use fusa::obs::RunManifest;
+
+    let root = env!("CARGO_MANIFEST_DIR");
+    let head = Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .current_dir(root)
+        .output();
+    let head = match head {
+        Ok(out) if out.status.success() && std::path::Path::new(root).join(".git").exists() => {
+            String::from_utf8(out.stdout).unwrap().trim().to_string()
+        }
+        _ => {
+            eprintln!("skipped: no git checkout at {root}");
+            return;
+        }
+    };
+    let run_dir = std::env::temp_dir().join("fusa_cli_build_commit");
     let output = fusa()
-        .arg("analyze")
-        .arg(&missing)
-        .arg("--fast")
+        .args(["faults", "or1200_icfsm", "--fast", "--run-dir"])
+        .arg(&run_dir)
         .output()
         .unwrap();
-    assert!(!output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    let lines: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
-    assert_eq!(lines.len(), 1, "{stderr}");
-    assert!(lines[0].starts_with("error: cannot read"), "{stderr}");
-    assert!(!stderr.contains("usage:"), "{stderr}");
+    assert!(output.status.success(), "{output:?}");
+    let text = std::fs::read_to_string(run_dir.join("manifest.json")).unwrap();
+    let manifest = RunManifest::parse(&text).expect("manifest parses");
+    let commit = manifest
+        .build
+        .iter()
+        .find(|(key, _)| key == "git_commit")
+        .map(|(_, value)| value.as_str());
+    assert_eq!(commit, Some(head.as_str()));
 }
 
 #[test]
