@@ -5,19 +5,22 @@
 //!
 //! * **differential simulation** — a stuck-at fault only perturbs the
 //!   part of its fanout its effect actually reaches, so each pass steps
-//!   its fault machines as differences from the golden run and evaluates
-//!   only gates with a differing input or a fault site
-//!   ([`WideSim::settle_diff`]); a pass whose activity grows past a
-//!   measured break-even share of the gates (`DENSE_HANDOFF_SHARE`,
-//!   0.3) finishes on the full sweep;
+//!   its fault machines as differences from the golden run, which
+//!   persist across cycles: a gate is evaluated only when an input
+//!   difference changed, or when its golden inputs toggled while it
+//!   carries a difference or a fault site ([`WideSim::settle_diff`]); a
+//!   pass whose activity grows past a measured break-even share of the
+//!   gates (`DENSE_HANDOFF_SHARE`, 0.3) finishes on the full sweep;
 //! * **wide lanes** — `W = lane_words` consecutive 64-fault chunks of one
 //!   workload are packed into the `[u64; W]` words of a
 //!   structure-of-arrays [`WideSim`], so each pass advances up to `64·W`
 //!   fault machines through one branch-light sweep over flat tables;
 //! * **chunk-grained scheduling** — `(workload × chunk-group)` work items
-//!   are pulled from an atomic counter, with golden traces computed once
-//!   per workload and shared read-only through per-slot `OnceLock`s
-//!   (workers never contend on a lock to publish results); checkpoint
+//!   are pulled from an atomic counter; the golden traces of up to 64
+//!   workloads come from one bit-parallel pass, one lane per workload,
+//!   are shared read-only by that workload's groups and released when
+//!   its last group finishes; results land in per-slot `OnceLock`s
+//!   (workers never contend on a lock to publish them); checkpoint
 //!   unit identity stays the lane-width-invariant
 //!   `(workload × 64-fault chunk)`, so a campaign may be resumed under a
 //!   different `lane_words`;
@@ -38,11 +41,11 @@ use crate::report::{CampaignReport, CampaignStats, FaultOutcome, WorkloadReport}
 use crate::shard::ShardSpec;
 use fusa_logicsim::soa::bit_lanes;
 use fusa_logicsim::{SoaNetlist, WideSim, Workload, WorkloadSuite};
-use fusa_netlist::{GateId, Netlist};
+use fusa_netlist::Netlist;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Faults per chunk — one per lane of the `u64` simulation word. Chunks
@@ -52,15 +55,16 @@ pub(crate) const LANES: usize = u64::BITS as usize;
 /// Share of the gate count above which differential stepping costs more
 /// than a full sweep: a chunk group whose cycle evaluates more than this
 /// share of the gates finishes on the full sweep. Measured on a 2-vCPU
-/// Xeon host at `lane_words = 4`: one differential evaluation (event
-/// bookkeeping, golden reads, random access) cost 3.1–4.3× a full-sweep
-/// gate (31–36 ns against 7–11 ns on the built-in designs and
-/// `synth_10k`), so a cycle breaks even at 0.23–0.32 of the gates. At
-/// the campaign level 0.3 beat 0.4 on `or1200_if` (0.145–0.150 s against
-/// 0.161–0.179 s; 72 of 96 groups hand off instead of 48), tied on the
-/// other built-ins, and left `synth_10k` differential (one hand-off on
-/// three of ten workload seeds; 20 at 0.2, and slower); no hand-off at
-/// all is 1.5–2.0× slower on the built-ins.
+/// Xeon host at `lane_words = 4`, one thread, default configuration:
+/// one differential evaluation (event bookkeeping, golden reads, random
+/// access) cost 3.2–5.3× a full-sweep gate (26–52 ns against 6.5–12 ns
+/// on the built-in designs), so a cycle breaks even at 0.19–0.31 of the
+/// gates. At the campaign level 0.2, 0.3 and 0.4 tie on `sdram_ctrl`,
+/// `or1200_icfsm` and `uart_ctrl`, where no hand-off is 1.6–2.5×
+/// slower; on `or1200_if` 0.4 (47 of 96 groups hand off) and no
+/// hand-off tie with or beat 0.3 (72 groups), since its persistent
+/// differences cost a sixth of a sweep's evaluations; `synth_10k` never
+/// hands off at any share from 0.2 up.
 pub(crate) const DENSE_HANDOFF_SHARE: f64 = 0.3;
 
 /// Parameters of a [`FaultCampaign`].
@@ -80,7 +84,8 @@ pub struct CampaignConfig {
     /// glitches are below the functional-safety concern threshold.
     pub min_divergence_fraction: f64,
     /// Evaluate only what the faults can disturb: differential stepping
-    /// against the golden trace (gates with a differing input or a fault
+    /// against the golden trace (gates whose input differences changed,
+    /// or whose golden inputs toggled under a difference or a fault
     /// site), handing a pass off to the full sweep once it stops paying.
     /// Bit-identical to a full-netlist run; `false` sweeps the full
     /// netlist every cycle, the in-kernel reference of `--no-cone`.
@@ -140,9 +145,9 @@ pub struct FaultCampaign {
 }
 
 /// Golden (fault-free) reference of one workload, shared read-only
-/// across that workload's chunk units. A golden run is a broadcast run,
-/// where every value is all-zeros or all-ones, so everything is kept at
-/// one bit per value.
+/// across that workload's chunk units. The workload's golden machine is
+/// one lane of a bit-parallel pass, so everything is kept at one bit per
+/// value.
 struct GoldenTrace {
     /// Bit-per-output values of every settled cycle, cycle-major.
     outputs: Vec<u64>,
@@ -153,8 +158,14 @@ struct GoldenTrace {
     packed_nets: Vec<u64>,
     /// Words per cycle in `packed_nets`.
     packed_words: usize,
-    /// Golden end-of-workload flop state, one bit per gate id; empty
-    /// unless `classify_latent` is on.
+    /// Bit-per-position set of the gates whose golden inputs toggled
+    /// into every cycle ([`SoaNetlist::toggled_positions`]; empty in
+    /// cycle 0), cycle-major. Built from `packed_nets` by the first
+    /// group that needs it, so only the workloads in flight hold one.
+    toggled: OnceLock<Vec<u64>>,
+    /// Golden end-of-workload flop state, one bit per flip-flop in
+    /// [`Netlist::sequential_gates`] order; empty unless
+    /// `classify_latent` is on.
     final_state: Vec<u64>,
 }
 
@@ -164,56 +175,119 @@ impl GoldenTrace {
         bit_lanes(&self.outputs[cycle * self.output_words..], slot)
     }
 
-    /// Golden lanes of flip-flop `gate`'s state at workload end.
-    fn final_state_lanes(&self, gate: GateId) -> u64 {
-        bit_lanes(&self.final_state, gate.index())
+    /// Golden lanes of the `seq`-th flip-flop's state at workload end.
+    fn final_state_lanes(&self, seq: usize) -> u64 {
+        bit_lanes(&self.final_state, seq)
     }
 
-    fn compute(
+    /// The toggle sets of every cycle, [`SoaNetlist::position_words`]
+    /// words each.
+    fn toggled(&self, soa: &SoaNetlist) -> &[u64] {
+        self.toggled.get_or_init(|| {
+            fusa_obs::global().time_rooted("campaign/golden", || {
+                let positions = soa.position_words();
+                let snapshots = self.packed_nets.chunks_exact(self.packed_words);
+                let mut toggled = vec![0u64; snapshots.len() * positions];
+                let pairs = snapshots.clone().zip(snapshots.skip(1));
+                for ((prev, cur), out) in pairs.zip(toggled.chunks_mut(positions).skip(1)) {
+                    soa.toggled_positions(prev, cur, out);
+                }
+                toggled
+            })
+        })
+    }
+
+    /// The golden traces of `workloads`, one `WideSim<1>` pass per 64 of
+    /// them.
+    fn compute_all(
         soa: &SoaNetlist,
-        netlist: &Netlist,
-        workload: &Workload,
+        workloads: &[&Workload],
         config: &CampaignConfig,
-    ) -> GoldenTrace {
-        let mut golden = WideSim::<1>::new(soa);
+    ) -> Vec<GoldenTrace> {
+        workloads
+            .chunks(LANES)
+            .flat_map(|batch| GoldenTrace::compute_batch(soa, batch, config))
+            .collect()
+    }
+
+    /// The golden traces of up to 64 workloads from one `WideSim<1>`
+    /// pass, lane `i` running `batch[i]`. Shorter workloads stop being
+    /// recorded after their last cycle; each final state is taken right
+    /// after that workload's own last clock edge.
+    fn compute_batch(
+        soa: &SoaNetlist,
+        batch: &[&Workload],
+        config: &CampaignConfig,
+    ) -> Vec<GoldenTrace> {
+        debug_assert!(batch.len() <= LANES);
         let output_words = soa.output_count().div_ceil(64);
         let packed_words = soa.packed_net_words();
-        let mut outputs = vec![0u64; workload.len() * output_words];
-        let mut packed_nets = if config.restrict_to_cone {
-            Vec::with_capacity(workload.len() * packed_words)
-        } else {
-            Vec::new()
-        };
-        for (cycle, vector) in workload.vectors.iter().enumerate() {
-            golden.set_vector_broadcast(vector);
-            golden.settle();
-            let row = &mut outputs[cycle * output_words..][..output_words];
-            for o in 0..soa.output_count() {
-                row[o >> 6] |= (golden.output_word(o, 0) & 1) << (o & 63);
+        let cone = config.restrict_to_cone;
+        let mut traces: Vec<GoldenTrace> = batch
+            .iter()
+            .map(|workload| GoldenTrace {
+                outputs: vec![0; workload.len() * output_words],
+                output_words,
+                packed_nets: Vec::with_capacity(if cone {
+                    workload.len() * packed_words
+                } else {
+                    0
+                }),
+                packed_words,
+                toggled: OnceLock::new(),
+                final_state: if config.classify_latent {
+                    vec![0; soa.seq_count().div_ceil(64)]
+                } else {
+                    Vec::new()
+                },
+            })
+            .collect();
+        let mut golden = WideSim::<1>::new(soa);
+        let mut drive = vec![0u64; soa.input_count()];
+        let mut snapshots = vec![0u64; if cone { LANES * packed_words } else { 0 }];
+        let cycles = batch.iter().map(|w| w.len()).max().unwrap_or(0);
+        for cycle in 0..cycles {
+            drive.fill(0);
+            for (lane, workload) in batch.iter().enumerate() {
+                if let Some(vector) = workload.vectors.get(cycle) {
+                    assert_eq!(vector.len(), drive.len(), "one bit per primary input");
+                    for (word, &bit) in drive.iter_mut().zip(vector) {
+                        *word |= u64::from(bit) << lane;
+                    }
+                }
             }
-            if config.restrict_to_cone {
-                let at = packed_nets.len();
-                packed_nets.resize(at + packed_words, 0);
-                golden.snapshot_nets_packed(&mut packed_nets[at..]);
+            golden.set_input_lanes(&drive);
+            golden.settle();
+            if cone {
+                golden.snapshot_lanes_packed(&mut snapshots);
+            }
+            for (lane, (trace, workload)) in traces.iter_mut().zip(batch).enumerate() {
+                if cycle >= workload.len() {
+                    continue;
+                }
+                let row = &mut trace.outputs[cycle * output_words..][..output_words];
+                for o in 0..soa.output_count() {
+                    row[o >> 6] |= ((golden.output_word(o, 0) >> lane) & 1) << (o & 63);
+                }
+                if cone {
+                    trace
+                        .packed_nets
+                        .extend_from_slice(&snapshots[lane * packed_words..][..packed_words]);
+                }
             }
             golden.clock();
-        }
-        let final_state = if config.classify_latent {
-            let mut bits = vec![0u64; netlist.gate_count().div_ceil(64)];
-            for g in netlist.sequential_gates() {
-                bits[g.index() >> 6] |= (golden.flop_word(g, 0) & 1) << (g.index() & 63);
+            if config.classify_latent {
+                for (lane, (trace, workload)) in traces.iter_mut().zip(batch).enumerate() {
+                    if workload.len() == cycle + 1 {
+                        for s in 0..soa.seq_count() {
+                            trace.final_state[s >> 6] |=
+                                ((golden.state_word(s, 0) >> lane) & 1) << (s & 63);
+                        }
+                    }
+                }
             }
-            bits
-        } else {
-            Vec::new()
-        };
-        GoldenTrace {
-            outputs,
-            output_words,
-            packed_nets,
-            packed_words,
-            final_state,
         }
+        traces
     }
 }
 
@@ -260,16 +334,15 @@ impl<'a> WideHolder<'a> {
 
     fn run_group(
         &mut self,
-        netlist: &Netlist,
         chunks: &[&[Fault]],
         workload: &Workload,
         trace: &GoldenTrace,
         config: &CampaignConfig,
     ) -> GroupOutput {
         match self {
-            WideHolder::W1(sim) => run_wide_group(sim, netlist, chunks, workload, trace, config),
-            WideHolder::W4(sim) => run_wide_group(sim, netlist, chunks, workload, trace, config),
-            WideHolder::W8(sim) => run_wide_group(sim, netlist, chunks, workload, trace, config),
+            WideHolder::W1(sim) => run_wide_group(sim, chunks, workload, trace, config),
+            WideHolder::W4(sim) => run_wide_group(sim, chunks, workload, trace, config),
+            WideHolder::W8(sim) => run_wide_group(sim, chunks, workload, trace, config),
         }
     }
 }
@@ -464,8 +537,28 @@ impl FaultCampaign {
         progress.advance(completed.len() as u64);
         progress.set_workers(workers as u64);
 
-        let golden: Vec<OnceLock<GoldenTrace>> =
-            (0..workload_list.len()).map(|_| OnceLock::new()).collect();
+        // The golden traces of the workloads with pending groups, 64
+        // workloads per pass; each is dropped when its last group ends.
+        let mut groups_left = vec![0usize; workload_list.len()];
+        for (w, _) in &pending_groups {
+            groups_left[*w] += 1;
+        }
+        let mut golden: Vec<Option<Arc<GoldenTrace>>> = vec![None; workload_list.len()];
+        if let Some(soa) = &soa {
+            let needed: Vec<usize> = (0..workload_list.len())
+                .filter(|&w| groups_left[w] > 0)
+                .collect();
+            let workloads: Vec<&Workload> = needed.iter().map(|&w| &workload_list[w]).collect();
+            let traces = obs.time_rooted("campaign/golden", || {
+                GoldenTrace::compute_all(soa, &workloads, &config)
+            });
+            for (w, trace) in needed.into_iter().zip(traces) {
+                golden[w] = Some(Arc::new(trace));
+            }
+        }
+        let golden: Vec<Mutex<Option<Arc<GoldenTrace>>>> =
+            golden.into_iter().map(Mutex::new).collect();
+        let groups_left: Vec<AtomicUsize> = groups_left.into_iter().map(AtomicUsize::new).collect();
         let results: Vec<OnceLock<UnitOutput>> = (0..unit_count).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
         let done_this_run = AtomicUsize::new(0);
@@ -514,14 +607,11 @@ impl FaultCampaign {
                 let workload = &workload_list[*w];
                 let soa = soa.as_ref().expect("tables built for pending groups");
                 let wide = wide.as_mut().expect("simulator built for pending groups");
-                // Rooted spans: workers run on fresh threads with empty
-                // span stacks, so fixed paths keep the breakdown
-                // identical across thread counts.
-                let trace = golden[*w].get_or_init(|| {
-                    obs.time_rooted("campaign/golden", || {
-                        GoldenTrace::compute(soa, netlist, workload, &config)
-                    })
-                });
+                let trace = golden[*w]
+                    .lock()
+                    .expect("golden traces poisoned")
+                    .clone()
+                    .expect("traced before its groups run");
                 let chunks: Vec<&[Fault]> = members
                     .iter()
                     .map(|&unit| {
@@ -530,9 +620,12 @@ impl FaultCampaign {
                     })
                     .collect();
                 // One pass over `chunks`, split into per-unit outputs.
+                // Rooted spans: workers run on fresh threads with empty
+                // span stacks, so fixed paths keep the breakdown
+                // identical across thread counts.
                 let run_pass = |wide: &mut WideHolder, chunks: &[&[Fault]]| {
                     let group = obs.time_rooted("campaign/units", || {
-                        wide.run_group(netlist, chunks, workload, trace, &config)
+                        wide.run_group(chunks, workload, &trace, &config)
                     });
                     if group.dense_handoff {
                         dense_handoffs.fetch_add(1, Ordering::Relaxed);
@@ -595,6 +688,14 @@ impl FaultCampaign {
                             .collect()
                     }
                 };
+
+                // The workload's last group frees its trace; the count
+                // only elects who takes the slot, the `Arc` keeps the
+                // trace alive for any group still holding it.
+                drop(trace);
+                if groups_left[*w].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    golden[*w].lock().expect("golden traces poisoned").take();
+                }
 
                 let elapsed = begun.elapsed().as_secs_f64();
                 *busy_slot += elapsed;
@@ -737,7 +838,8 @@ impl FaultCampaign {
 /// exactly as [`crate::reference::stuck_at`] classifies them.
 ///
 /// With `restrict_to_cone` the pass steps differentially against the
-/// golden snapshots, where a differing output net *is* a mismatch,
+/// golden snapshots and toggle sets, where a differing output net *is*
+/// a mismatch,
 /// until the first cycle that evaluates more than
 /// [`DENSE_HANDOFF_SHARE`] of the gates; from the next cycle on it
 /// sweeps the full netlist, with register state loaded as golden XOR
@@ -750,7 +852,6 @@ impl FaultCampaign {
 /// pass.
 fn run_wide_group<const W: usize>(
     sim: &mut WideSim<'_, W>,
-    netlist: &Netlist,
     chunks: &[&[Fault]],
     workload: &Workload,
     trace: &GoldenTrace,
@@ -758,7 +859,7 @@ fn run_wide_group<const W: usize>(
 ) -> GroupOutput {
     let members = chunks.len();
     debug_assert!(0 < members && members <= W);
-    let output_count = netlist.primary_outputs().len();
+    let output_count = sim.soa().output_count();
     let min_divergent_cycles =
         ((config.min_divergence_fraction * workload.len() as f64).ceil() as u32).max(1);
     let mut valid = [0u64; W];
@@ -793,6 +894,12 @@ fn run_wide_group<const W: usize>(
     let full_evals = sim.soa().full_evals_per_cycle();
     let handoff_evals = (DENSE_HANDOFF_SHARE * full_evals as f64) as u64;
     let words = trace.packed_words;
+    let positions = sim.soa().position_words();
+    let toggles = if differential {
+        trace.toggled(sim.soa())
+    } else {
+        &[]
+    };
     let mut dense_handoff = false;
     let mut diverged = [0u64; W];
     let mut satisfied = [0u64; W];
@@ -807,7 +914,8 @@ fn run_wide_group<const W: usize>(
         mismatch[..members].fill(0);
         if differential {
             let golden = &trace.packed_nets[cycle * words..][..words];
-            let mut evals = sim.settle_diff(golden);
+            let toggled = &toggles[cycle * positions..][..positions];
+            let mut evals = sim.settle_diff(golden, toggled);
             for o in 0..output_count {
                 for (co, word) in mismatch.iter_mut().enumerate().take(members) {
                     *word |= sim.output_word(o, co);
@@ -868,19 +976,18 @@ fn run_wide_group<const W: usize>(
     // difference from the golden final state.
     let mut state_differs = [0u64; W];
     if config.classify_latent {
-        let flops = netlist.sequential_gates();
         for co in 0..members {
             if satisfied[co] == valid[co] {
                 continue;
             }
             let mut differs = 0u64;
-            for &g in &flops {
+            for s in 0..sim.soa().seq_count() {
                 let golden = if differential {
                     0
                 } else {
-                    trace.final_state_lanes(g)
+                    trace.final_state_lanes(s)
                 };
-                differs |= sim.flop_word(g, co) ^ golden;
+                differs |= sim.state_word(s, co) ^ golden;
             }
             state_differs[co] = differs & valid[co];
         }
@@ -941,6 +1048,76 @@ mod tests {
                 seed: 42,
             },
         )
+    }
+
+    /// One workload's trace from a broadcast `WideSim<1>` run of its own:
+    /// outputs, packed net snapshots and final flop state.
+    fn broadcast_trace(soa: &SoaNetlist, workload: &Workload) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        let mut sim = WideSim::<1>::new(soa);
+        let output_words = soa.output_count().div_ceil(64);
+        let mut outputs = vec![0u64; workload.len() * output_words];
+        let mut packed = vec![0u64; workload.len() * soa.packed_net_words()];
+        for (cycle, vector) in workload.vectors.iter().enumerate() {
+            sim.set_vector_broadcast(vector);
+            sim.settle();
+            for o in 0..soa.output_count() {
+                outputs[cycle * output_words + (o >> 6)] |= (sim.output_word(o, 0) & 1) << (o & 63);
+            }
+            sim.snapshot_nets_packed(
+                &mut packed[cycle * soa.packed_net_words()..][..soa.packed_net_words()],
+            );
+            sim.clock();
+        }
+        let mut final_state = vec![0u64; soa.seq_count().div_ceil(64)];
+        for s in 0..soa.seq_count() {
+            final_state[s >> 6] |= (sim.state_word(s, 0) & 1) << (s & 63);
+        }
+        (outputs, packed, final_state)
+    }
+
+    /// A batched golden pass records, for every workload, the trace a
+    /// broadcast run of that workload alone records — across a batch
+    /// boundary (65 workloads) and for unequal lengths, where each
+    /// lane's final state must be taken at its own last cycle.
+    #[test]
+    fn batched_golden_traces_match_broadcast_runs() {
+        use rand::prelude::*;
+        let netlist =
+            fusa_netlist::designs::random_netlist(&fusa_netlist::designs::RandomNetlistConfig {
+                num_gates: 120,
+                num_inputs: 7,
+                sequential_fraction: 0.25,
+                num_outputs: 70,
+                seed: 13,
+            });
+        let soa = SoaNetlist::new(&netlist);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+        let pi_count = netlist.primary_inputs().len();
+        let workloads: Vec<Workload> = (0..65)
+            .map(|i| Workload {
+                name: format!("hand#{i}"),
+                kind: WorkloadKind::UniformRandom,
+                vectors: (0..1 + (i * 7) % 23)
+                    .map(|_| (0..pi_count).map(|_| rng.gen()).collect())
+                    .collect(),
+            })
+            .collect();
+        let config = CampaignConfig::default();
+        for count in [1, 64, 65] {
+            let batch: Vec<&Workload> = workloads.iter().take(count).collect();
+            let traces = GoldenTrace::compute_all(&soa, &batch, &config);
+            assert_eq!(traces.len(), count);
+            for (workload, trace) in batch.iter().zip(&traces) {
+                let (outputs, packed, final_state) = broadcast_trace(&soa, workload);
+                assert_eq!(trace.outputs, outputs, "{count}: {} outputs", workload.name);
+                assert_eq!(trace.packed_nets, packed, "{count}: {} nets", workload.name);
+                assert_eq!(
+                    trace.final_state, final_state,
+                    "{count}: {} state",
+                    workload.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,12 @@
 //! ([`WideSim::reset_diff`], [`WideSim::settle_diff`],
 //! [`WideSim::clock_diff`]): every net and register then holds its
 //! per-lane difference from a fault-free golden run, read back from a
-//! bit-packed golden snapshot ([`WideSim::snapshot_nets_packed`]), and
-//! only gates with a differing input or an installed force are
-//! evaluated. [`WideSim::end_diff`] hands the machines over to the full
+//! bit-packed golden snapshot ([`WideSim::snapshot_nets_packed`],
+//! [`WideSim::snapshot_lanes_packed`]). Differences persist from cycle
+//! to cycle, and a gate is evaluated only when one of its input
+//! differences changed, or when its golden inputs toggled
+//! ([`SoaNetlist::toggled_positions`]) while it carries a difference or
+//! a force. [`WideSim::end_diff`] hands the machines over to the full
 //! sweep once activity makes the events dearer than sweeping.
 //!
 //! # Example
@@ -289,6 +292,11 @@ impl SoaNetlist {
         self.net_count
     }
 
+    /// Number of primary inputs.
+    pub fn input_count(&self) -> usize {
+        self.pi_nets.len()
+    }
+
     /// Number of flip-flops.
     pub fn seq_count(&self) -> usize {
         self.seq.len()
@@ -310,6 +318,49 @@ impl SoaNetlist {
         self.net_count.div_ceil(64)
     }
 
+    /// Number of `u64` words of a bit-per-position set over the gates:
+    /// schedule positions first, then one per flip-flop (the format of
+    /// [`SoaNetlist::toggled_positions`]).
+    pub fn position_words(&self) -> usize {
+        (self.comb.len() + self.seq.len()).div_ceil(64)
+    }
+
+    /// Marks in `out` the gate positions whose golden inputs toggled
+    /// between two consecutive cycles' packed snapshots `prev` and `cur`
+    /// ([`WideSim::snapshot_nets_packed`]): the readers of every net that
+    /// changed value, and a flip-flop whose next state reads its own
+    /// state when that state changed. These are the positions whose
+    /// differences [`WideSim::settle_diff`] re-evaluates without an
+    /// input difference having changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a snapshot's length differs from
+    /// [`SoaNetlist::packed_net_words`] or `out`'s from
+    /// [`SoaNetlist::position_words`].
+    pub fn toggled_positions(&self, prev: &[u64], cur: &[u64], out: &mut [u64]) {
+        assert_eq!(prev.len(), self.packed_net_words());
+        assert_eq!(cur.len(), self.packed_net_words());
+        assert_eq!(out.len(), self.position_words());
+        out.fill(0);
+        for (i, (&a, &b)) in prev.iter().zip(cur).enumerate() {
+            let mut changed = a ^ b;
+            while changed != 0 {
+                let net = i * 64 + changed.trailing_zeros() as usize;
+                changed &= changed - 1;
+                for &p in self.readers_of(net) {
+                    out[p as usize >> 6] |= 1u64 << (p & 63);
+                }
+                let p = self.net_driver[net] as usize;
+                if let Some(flop) = p.checked_sub(self.comb.len()).and_then(|s| self.seq.get(s)) {
+                    if matches!(flop.kind, GateKind::Dffe | GateKind::Dffre) {
+                        out[p >> 6] |= 1u64 << (p & 63);
+                    }
+                }
+            }
+        }
+    }
+
     /// Index into the flip-flop tables of `gate`, `None` when it is
     /// combinational.
     fn seq_index(&self, gate: GateId) -> Option<usize> {
@@ -328,6 +379,25 @@ impl SoaNetlist {
 #[inline(always)]
 pub fn bit_lanes(bits: &[u64], i: usize) -> u64 {
     0u64.wrapping_sub((bits[i >> 6] >> (i & 63)) & 1)
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `j` of row `i` trades
+/// places with bit `i` of row `j`. Each round swaps the off-diagonal
+/// blocks of every `2j`-square on the diagonal.
+fn transpose64(rows: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((rows[k] >> j) ^ rows[k + j]) & mask;
+            rows[k] ^= t << j;
+            rows[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
 }
 
 /// Expands `$arm!(Kind, arity)` for the combinational cell kind `$kind`,
@@ -447,17 +517,24 @@ pub fn eval_wide<const W: usize>(
 /// machines are stepped against a golden (fault-free, force-free) run
 /// of the same input vectors, given as one packed snapshot per cycle
 /// ([`WideSim::snapshot_nets_packed`] of a broadcast run after its
-/// settle). Every net and register then holds its per-lane *difference*
-/// from golden — zero means golden, and a read is the golden bit XOR the
-/// difference — so [`WideSim::net_word`] and [`WideSim::flop_word`]
-/// return differences. Each cycle the fault sites (gates with a force)
-/// and the registers whose state differs seed events; a net whose
-/// difference is nonzero marks its readers in a bitset over gate
-/// positions, and one forward scan in schedule order drains it. Only
-/// gates with a differing input or a force are evaluated, and only
-/// flip-flops with a differing input, a differing state or a pin force
-/// are clocked. The results are bit-identical to [`WideSim::settle`] /
-/// [`WideSim::clock`] on the same forces.
+/// settle) and the positions whose golden inputs toggled into that
+/// cycle ([`SoaNetlist::toggled_positions`]). Every net and register
+/// then holds its per-lane *difference* from golden — zero means
+/// golden, and a read is the golden bit XOR the difference — so
+/// [`WideSim::net_word`] and [`WideSim::flop_word`] return differences.
+///
+/// Differences persist across cycles: a gate's difference is a function
+/// of its golden inputs, its input differences and its forces, so it is
+/// re-evaluated only when one of them changed. A net whose difference
+/// changes marks its readers in a bitset over gate positions, and one
+/// forward scan in schedule order drains it. The other seeds are the
+/// *live* positions (a nonzero input difference, a force, or for a
+/// flip-flop a differing state, kept as one bitset) whose golden inputs
+/// toggled this cycle, found by one word-wise AND with the toggle set;
+/// a flip-flop whose state difference changed is clocked again. The
+/// results are bit-identical to [`WideSim::settle`] / [`WideSim::clock`]
+/// on the same forces. Forces are fixed from [`WideSim::reset_diff`] to
+/// [`WideSim::end_diff`]; state flips may be scheduled at any time.
 #[derive(Debug, Clone)]
 pub struct WideSim<'a, const W: usize> {
     soa: &'a SoaNetlist,
@@ -484,12 +561,15 @@ pub struct WideSim<'a, const W: usize> {
     cycles: u64,
     /// Differential mode: one bit per gate position still to evaluate.
     pending: Vec<u64>,
-    /// Differential mode: nets whose difference is nonzero this cycle.
-    diff_nets: Vec<u32>,
-    /// Differential mode: flip-flops whose state may differ.
-    diff_flops: Vec<u32>,
-    /// Differential mode: one bit per position evaluated every cycle,
-    /// the drivers of forced nets and the pin-forced gates.
+    /// Differential mode: one bit per live position, whose difference
+    /// can change when its golden inputs toggle: a nonzero input
+    /// difference, a force, or a flip-flop whose state differs.
+    live: Vec<u64>,
+    /// Differential mode: flip-flops whose state difference changed at
+    /// the last clock edge, published and clocked again next cycle.
+    changed_flops: Vec<u32>,
+    /// Differential mode: one bit per forced position, the drivers of
+    /// forced nets and the pin-forced gates.
     forced_positions: Vec<u64>,
     /// Differential mode: forced primary-input and flip-flop output
     /// nets, republished every cycle.
@@ -516,10 +596,10 @@ impl<'a, const W: usize> WideSim<'a, W> {
             pin_forced_gates: Vec::new(),
             state_flips: Vec::new(),
             cycles: 0,
-            pending: vec![0; (soa.comb.len() + soa.seq.len()).div_ceil(64)],
-            diff_nets: Vec::new(),
-            diff_flops: Vec::new(),
-            forced_positions: vec![0; (soa.comb.len() + soa.seq.len()).div_ceil(64)],
+            pending: vec![0; soa.position_words()],
+            live: vec![0; soa.position_words()],
+            changed_flops: Vec::new(),
+            forced_positions: vec![0; soa.position_words()],
             seed_nets: Vec::new(),
             seeds_stale: false,
         }
@@ -551,6 +631,17 @@ impl<'a, const W: usize> WideSim<'a, W> {
         for (drive, &bit) in self.input_drive.iter_mut().zip(vector) {
             *drive = if bit { u64::MAX } else { 0 };
         }
+    }
+
+    /// Drives primary input `i` with `lanes[i]` in every word, so each
+    /// lane can run its own input vectors: up to 64 golden machines side
+    /// by side in a `WideSim<1>`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes.len()` differs from the PI count.
+    pub fn set_input_lanes(&mut self, lanes: &[u64]) {
+        self.input_drive.copy_from_slice(lanes);
     }
 
     /// Installs a stuck-at force on `net`, restricted to the given lanes
@@ -663,6 +754,12 @@ impl<'a, const W: usize> WideSim<'a, W> {
         self.state[s * W + word]
     }
 
+    /// Current register state of the `seq`-th flip-flop (in
+    /// [`Netlist::sequential_gates`] order) in one word.
+    pub fn state_word(&self, seq: usize, word: usize) -> u64 {
+        self.state[seq * W + word]
+    }
+
     /// Packs lane 0 of word 0 of every net into a bit-per-net snapshot
     /// (the format of [`crate::BitSim::snapshot_nets_packed`]).
     ///
@@ -679,6 +776,32 @@ impl<'a, const W: usize> WideSim<'a, W> {
         out.fill(0);
         for (i, lanes) in self.values.chunks_exact(W).enumerate() {
             out[i >> 6] |= (lanes[0] & 1) << (i & 63);
+        }
+    }
+
+    /// Packs every lane of word 0 into a bit-per-net snapshot of its
+    /// own: `out[lane * packed_net_words()..][..packed_net_words()]`
+    /// receives lane `lane`, as [`WideSim::snapshot_nets_packed`] would
+    /// from a broadcast run of that lane's inputs. This is how one
+    /// [`WideSim::set_input_lanes`] pass yields the golden snapshots of
+    /// up to 64 workloads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not 64 times
+    /// [`SoaNetlist::packed_net_words`].
+    pub fn snapshot_lanes_packed(&self, out: &mut [u64]) {
+        let words = self.soa.packed_net_words();
+        assert_eq!(out.len(), 64 * words);
+        let mut block = [0u64; 64];
+        for b in 0..words {
+            for (i, slot) in block.iter_mut().enumerate() {
+                *slot = self.values.get((b * 64 + i) * W).copied().unwrap_or(0);
+            }
+            transpose64(&mut block);
+            for (lane, &bits) in block.iter().enumerate() {
+                out[lane * words + b] = bits;
+            }
         }
     }
 
@@ -727,41 +850,50 @@ impl<'a, const W: usize> WideSim<'a, W> {
 
     /// Resets register state (as [`WideSim::reset`]) and enters
     /// differential mode: every net and register equals the golden
-    /// machine, which also powers up at `0`. Forces and pending state
-    /// flips stay.
+    /// machine, which also powers up at `0`, and every fault site is
+    /// due in the first cycle. Forces and pending state flips stay;
+    /// forces must not change again before [`WideSim::end_diff`].
     pub fn reset_diff(&mut self) {
+        if self.seeds_stale {
+            self.collect_seeds();
+        }
         self.values.fill(0);
         self.state.fill(0);
-        self.pending.fill(0);
-        self.diff_nets.clear();
-        self.diff_flops.clear();
+        self.pending.copy_from_slice(&self.forced_positions);
+        self.live.copy_from_slice(&self.forced_positions);
+        self.changed_flops.clear();
         self.cycles = 0;
     }
 
     /// Differential [`WideSim::settle`] against `golden`, the packed
-    /// snapshot of the golden run's settled nets in this cycle. Returns
-    /// the number of combinational gates evaluated.
+    /// snapshot of the golden run's settled nets in this cycle, and
+    /// `toggled`, the positions whose golden inputs toggled since the
+    /// previous cycle ([`SoaNetlist::toggled_positions`]; any set in the
+    /// first cycle after [`WideSim::reset_diff`], which seeds every
+    /// fault site itself). Returns the number of combinational gates
+    /// evaluated.
     ///
     /// # Panics
     ///
     /// Panics if `golden.len()` differs from
-    /// [`SoaNetlist::packed_net_words`].
-    pub fn settle_diff(&mut self, golden: &[u64]) -> u64 {
+    /// [`SoaNetlist::packed_net_words`], `toggled.len()` from
+    /// [`SoaNetlist::position_words`], or if forces changed since
+    /// [`WideSim::reset_diff`].
+    pub fn settle_diff(&mut self, golden: &[u64], toggled: &[u64]) -> u64 {
         let soa = self.soa;
         assert_eq!(golden.len(), soa.packed_net_words());
-        if self.seeds_stale {
-            self.collect_seeds();
+        assert_eq!(toggled.len(), self.pending.len());
+        assert!(
+            !self.seeds_stale,
+            "forces changed in differential mode; install them before reset_diff"
+        );
+        // A live position whose golden inputs toggled may change its
+        // difference; any other position keeps last cycle's.
+        for ((pending, &live), &toggled) in self.pending.iter_mut().zip(&self.live).zip(toggled) {
+            *pending |= live & toggled;
         }
-        // Last cycle's differences are void: every net restarts golden.
-        for &net in &self.diff_nets {
-            let net = net as usize;
-            self.values[net * W..net * W + W].fill(0);
-        }
-        self.diff_nets.clear();
-
-        for (pending, &forced) in self.pending.iter_mut().zip(&self.forced_positions) {
-            *pending |= forced;
-        }
+        // Forced primary inputs and flip-flop outputs follow their
+        // golden value.
         for i in 0..self.seed_nets.len() {
             let net = self.seed_nets[i] as usize;
             let g = bit_lanes(golden, net);
@@ -775,10 +907,10 @@ impl<'a, const W: usize> WideSim<'a, W> {
             }
             self.write_diff(net, self.masked(net, v), g);
         }
-        // Registers whose state differs publish their output and are
-        // clocked this cycle.
-        for i in 0..self.diff_flops.len() {
-            let s = self.diff_flops[i] as usize;
+        // Registers whose state difference changed publish it and are
+        // clocked again: their next state reads their state.
+        for i in 0..self.changed_flops.len() {
+            let s = self.changed_flops[i] as usize;
             let net = soa.seq[s].out_net as usize;
             let g = bit_lanes(golden, net);
             let mut v = [g; W];
@@ -788,7 +920,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
             self.write_diff(net, self.masked(net, v), g);
             self.mark(soa.comb.len() + s);
         }
-        self.diff_flops.clear();
+        self.changed_flops.clear();
 
         // Readers sit in later runs than their drivers, so each run is
         // drained in one visit.
@@ -818,15 +950,18 @@ impl<'a, const W: usize> WideSim<'a, W> {
             let arity = flop.arity as usize;
             let mut ins = [[0u64; W]; MAX_PINS];
             let mut golden_ins = [[0u64; 1]; MAX_PINS];
+            let mut live = 0;
             for pin in 0..arity {
                 let net = flop.in_nets[pin] as usize;
                 let g = bit_lanes(golden, net);
                 golden_ins[pin][0] = g;
                 for (lanes, &d) in ins[pin].iter_mut().zip(self.net_lanes(net)) {
                     *lanes = g ^ d;
+                    live |= d;
                 }
             }
-            if self.is_forced(p) {
+            let forced = self.is_forced(p);
+            if forced {
                 self.apply_pin_masks(flop.gate_id as usize, &mut ins, arity);
             }
             // The golden register publishes its state unforced.
@@ -837,20 +972,22 @@ impl<'a, const W: usize> WideSim<'a, W> {
             }
             let next = eval_wide::<W>(flop.kind, &ins, &q);
             let golden_next = eval_wide::<1>(flop.kind, &golden_ins, &[golden_q])[0];
-            let mut any = 0;
+            let mut changed = 0;
             for (w, &lanes) in next.iter().enumerate() {
                 let diff = lanes ^ golden_next;
+                changed |= diff ^ self.state[s * W + w];
                 self.state[s * W + w] = diff;
-                any |= diff;
+                live |= diff;
             }
-            if any != 0 {
-                self.diff_flops.push(s as u32);
+            if changed != 0 {
+                self.changed_flops.push(s as u32);
             }
+            self.set_live(p, live != 0 || forced);
             evals += 1;
         }
         for (index, lanes) in self.state_flips.drain(..) {
             self.state[index as usize] ^= lanes;
-            self.diff_flops.push(index / W as u32);
+            self.changed_flops.push(index / W as u32);
         }
         self.cycles += 1;
         evals
@@ -871,8 +1008,8 @@ impl<'a, const W: usize> WideSim<'a, W> {
         }
     }
 
-    /// Rebuilds the per-cycle seeds from the installed forces. A force
-    /// on an undriven net is never visible, as in [`WideSim::settle`].
+    /// Rebuilds the seeds from the installed forces. A force on an
+    /// undriven net is never visible, as in [`WideSim::settle`].
     fn collect_seeds(&mut self) {
         let soa = self.soa;
         self.forced_positions.fill(0);
@@ -904,6 +1041,13 @@ impl<'a, const W: usize> WideSim<'a, W> {
     #[inline(always)]
     fn mark(&mut self, pos: usize) {
         self.pending[pos >> 6] |= 1u64 << (pos & 63);
+    }
+
+    #[inline(always)]
+    fn set_live(&mut self, pos: usize, live: bool) {
+        let bit = 1u64 << (pos & 63);
+        let word = &mut self.live[pos >> 6];
+        *word = (*word & !bit) | (bit * u64::from(live));
     }
 
     #[inline(always)]
@@ -991,42 +1135,42 @@ impl<'a, const W: usize> WideSim<'a, W> {
     {
         let sched = &self.soa.comb;
         let mut ins = [[0u64; W]; MAX_PINS];
+        let mut live = 0;
         let nets = &sched.in_nets[p * MAX_PINS..p * MAX_PINS + MAX_PINS];
         for (slot, &net) in ins.iter_mut().zip(nets).take(A) {
             let net = net as usize;
             let g = bit_lanes(golden, net);
             for (lanes, &d) in slot.iter_mut().zip(self.net_lanes(net)) {
                 *lanes = g ^ d;
+                live |= d;
             }
         }
         let out = sched.out_net[p] as usize;
-        let v = if self.is_forced(p) {
+        let forced = self.is_forced(p);
+        let v = if forced {
             self.apply_pin_masks(sched.gate_ids[p] as usize, &mut ins, A);
             self.masked(out, f(&ins))
         } else {
             f(&ins)
         };
+        self.set_live(p, live != 0 || forced);
         self.write_diff(out, v, bit_lanes(golden, out));
     }
 
     /// Stores `net`'s faulty value `v` (after its force) as a
-    /// difference from its golden lanes `g`; a nonzero difference marks
-    /// the net's readers. Called at most once per net and cycle, except
-    /// that a forced flip-flop output with differing state is published
-    /// twice with the same value.
+    /// difference from its golden lanes `g`; a difference that changed
+    /// marks the net's readers.
     #[inline(always)]
     fn write_diff(&mut self, net: usize, v: [u64; W], g: u64) {
-        let mut diff = [0u64; W];
-        let mut any = 0;
-        for (d, &lanes) in diff.iter_mut().zip(&v) {
-            *d = lanes ^ g;
-            any |= *d;
+        let mut changed = 0;
+        for (stored, &lanes) in self.values[net * W..net * W + W].iter_mut().zip(&v) {
+            let diff = lanes ^ g;
+            changed |= diff ^ *stored;
+            *stored = diff;
         }
-        if any == 0 {
+        if changed == 0 {
             return;
         }
-        self.values[net * W..net * W + W].copy_from_slice(&diff);
-        self.diff_nets.push(net as u32);
         let soa = self.soa;
         for &reader in soa.readers_of(net) {
             self.mark(reader as usize);
@@ -1269,13 +1413,38 @@ mod tests {
         }
     }
 
+    /// Golden snapshots of a broadcast run and the toggle set of every
+    /// cycle (empty in cycle 0).
+    fn golden_run(soa: &SoaNetlist, vectors: &[Vec<bool>]) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+        let mut golden = WideSim::<1>::new(soa);
+        let mut snapshots = vec![vec![0u64; soa.packed_net_words()]; vectors.len()];
+        let mut toggles = vec![vec![0u64; soa.position_words()]; vectors.len()];
+        for (cycle, vector) in vectors.iter().enumerate() {
+            golden.set_vector_broadcast(vector);
+            golden.settle();
+            golden.snapshot_nets_packed(&mut snapshots[cycle]);
+            golden.clock();
+            if cycle > 0 {
+                soa.toggled_positions(
+                    &snapshots[cycle - 1],
+                    &snapshots[cycle],
+                    &mut toggles[cycle],
+                );
+            }
+        }
+        (snapshots, toggles)
+    }
+
     /// Differential stepping must reproduce the full sweep on every net
     /// and register of every word — with net forces on gate outputs,
     /// primary inputs and flip-flop outputs, pin forces on gates and
     /// flip-flops, state flips, and a hand-off back to the full sweep.
+    /// Held-input phases (one vector repeated for several cycles, then a
+    /// toggle) check that persistent differences, toggle seeding and
+    /// the live bits track the full sweep.
     #[test]
     fn differential_stepping_matches_full_sweep() {
-        for seed in [5u64, 19, 42] {
+        for (seed, hold) in [(5u64, 1usize), (19, 1), (42, 1), (5, 5), (19, 4), (42, 7)] {
             let netlist = random_netlist(&RandomNetlistConfig {
                 num_gates: 150,
                 sequential_fraction: 0.2,
@@ -1286,7 +1455,7 @@ mod tests {
             let ids: Vec<GateId> = gate_ids(&netlist).collect();
             let flops = netlist.sequential_gates();
             let pis = netlist.primary_inputs();
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD1FF);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD1FF ^ hold as u64);
 
             let mut full = WideSim::<4>::new(&soa);
             let mut diff = WideSim::<4>::new(&soa);
@@ -1321,17 +1490,16 @@ mod tests {
             let cycles = 30;
             let handoff = 20;
             let pi_count = pis.len();
-            let vectors: Vec<Vec<bool>> = (0..cycles)
-                .map(|_| (0..pi_count).map(|_| rng.gen()).collect())
-                .collect();
-            let mut golden = WideSim::<1>::new(&soa);
-            let mut snapshots = vec![vec![0u64; soa.packed_net_words()]; cycles];
-            for (vector, snapshot) in vectors.iter().zip(&mut snapshots) {
-                golden.set_vector_broadcast(vector);
-                golden.settle();
-                golden.snapshot_nets_packed(snapshot);
-                golden.clock();
+            let mut vectors: Vec<Vec<bool>> = Vec::with_capacity(cycles);
+            for cycle in 0..cycles {
+                let vector = if cycle % hold == 0 {
+                    (0..pi_count).map(|_| rng.gen()).collect()
+                } else {
+                    vectors[cycle - 1].clone()
+                };
+                vectors.push(vector);
             }
+            let (snapshots, toggles) = golden_run(&soa, &vectors);
 
             full.reset();
             diff.reset_diff();
@@ -1348,7 +1516,7 @@ mod tests {
                 full.settle();
                 let differential = cycle < handoff;
                 if differential {
-                    let evals = diff.settle_diff(snapshot);
+                    let evals = diff.settle_diff(snapshot, &toggles[cycle]);
                     assert!(evals <= soa.comb.len() as u64);
                 } else {
                     diff.set_vector_broadcast(vector);
@@ -1364,7 +1532,7 @@ mod tests {
                         assert_eq!(
                             golden_net ^ diff.net_word(NetId(net as u32), word),
                             full.net_word(NetId(net as u32), word),
-                            "seed {seed} cycle {cycle} net {net} word {word}"
+                            "seed {seed} hold {hold} cycle {cycle} net {net} word {word}"
                         );
                     }
                 }
@@ -1389,7 +1557,7 @@ mod tests {
                         assert_eq!(
                             golden_q ^ diff.flop_word(f, word),
                             full.flop_word(f, word),
-                            "seed {seed} cycle {cycle} flop state word {word}"
+                            "seed {seed} hold {hold} cycle {cycle} flop state word {word}"
                         );
                     }
                 }
@@ -1407,23 +1575,124 @@ mod tests {
             ..Default::default()
         });
         let soa = SoaNetlist::new(&netlist);
-        let mut golden = WideSim::<1>::new(&soa);
-        let mut diff = WideSim::<8>::new(&soa);
-        let mut snapshot = vec![0u64; soa.packed_net_words()];
         let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let vectors: Vec<Vec<bool>> = (0..10)
+            .map(|_| {
+                (0..netlist.primary_inputs().len())
+                    .map(|_| rng.gen())
+                    .collect()
+            })
+            .collect();
+        let (snapshots, toggles) = golden_run(&soa, &vectors);
+        let mut diff = WideSim::<8>::new(&soa);
         diff.reset_diff();
-        for _ in 0..10 {
-            let vector: Vec<bool> = (0..netlist.primary_inputs().len())
-                .map(|_| rng.gen())
-                .collect();
-            golden.set_vector_broadcast(&vector);
-            golden.settle();
-            golden.snapshot_nets_packed(&mut snapshot);
-            golden.clock();
-            assert_eq!(diff.settle_diff(&snapshot), 0);
-            assert_eq!(diff.clock_diff(&snapshot), 0);
+        for (snapshot, toggled) in snapshots.iter().zip(&toggles) {
+            assert_eq!(diff.settle_diff(snapshot, toggled), 0);
+            assert_eq!(diff.clock_diff(snapshot), 0);
         }
         assert!(diff.values.iter().all(|&d| d == 0));
+    }
+
+    /// Once a forced machine's transient has passed and its inputs are
+    /// held, differential stepping evaluates nothing while the output
+    /// difference persists — even next to a free-running register whose
+    /// golden value toggles every cycle and which a state flip briefly
+    /// made differ.
+    #[test]
+    fn held_inputs_reach_an_idle_steady_state() {
+        let mut b = NetlistBuilder::new("steady");
+        let a = b.primary_input("a");
+        let c = b.primary_input("c");
+        let d = b.primary_input("d");
+        let z = b.gate(GateKind::And2, &[a, c]);
+        b.primary_output("z", z);
+        // t toggles every cycle; y = r ^ t differs only while r does.
+        let t_next = b.net("t_next");
+        let t = b.gate(GateKind::Dff, &[t_next]);
+        b.gate_driving("T_INV", GateKind::Inv, &[t], t_next);
+        let r = b.gate_named("R", GateKind::Dff, &[d]);
+        let y = b.gate(GateKind::Xor2, &[r, t]);
+        b.primary_output("y", y);
+        let netlist = b.finish().unwrap();
+        let soa = SoaNetlist::new(&netlist);
+        let r_gate = netlist.find_gate("R").unwrap();
+
+        let vectors = vec![vec![false, true, true]; 12];
+        let (snapshots, toggles) = golden_run(&soa, &vectors);
+        let mut diff = WideSim::<2>::new(&soa);
+        let z_lanes = 0xF0F0;
+        diff.force_lanes(z, true, 1, z_lanes);
+        diff.reset_diff();
+        for (cycle, (snapshot, toggled)) in snapshots.iter().zip(&toggles).enumerate() {
+            if cycle == 3 {
+                diff.schedule_state_flip(r_gate, 0, 0b101);
+            }
+            let evals = diff.settle_diff(snapshot, toggled) + diff.clock_diff(snapshot);
+            assert_eq!(diff.output_word(0, 1), z_lanes, "cycle {cycle}");
+            if cycle >= 6 {
+                assert_eq!(evals, 0, "cycle {cycle} is past the transient");
+                assert_eq!(diff.output_word(1, 0), 0, "cycle {cycle}");
+            }
+        }
+    }
+
+    /// Every lane of a per-lane-driven pass packs into the snapshot a
+    /// broadcast run of that lane's vectors takes.
+    #[test]
+    fn lane_snapshots_match_per_lane_broadcast_runs() {
+        let netlist = random_netlist(&RandomNetlistConfig {
+            num_gates: 160,
+            seed: 17,
+            ..Default::default()
+        });
+        let soa = SoaNetlist::new(&netlist);
+        let words = soa.packed_net_words();
+        let pi_count = netlist.primary_inputs().len();
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let drives: Vec<Vec<u64>> = (0..6)
+            .map(|_| (0..pi_count).map(|_| rng.gen()).collect())
+            .collect();
+        let mut lanes = WideSim::<1>::new(&soa);
+        let mut packed = vec![0u64; 64 * words];
+        let mut lane_runs: Vec<(usize, WideSim<1>)> = [0usize, 1, 31, 32, 63]
+            .into_iter()
+            .map(|lane| (lane, WideSim::<1>::new(&soa)))
+            .collect();
+        let mut expected = vec![0u64; words];
+        for drive in &drives {
+            lanes.set_input_lanes(drive);
+            lanes.settle();
+            lanes.snapshot_lanes_packed(&mut packed);
+            for (lane, sim) in &mut lane_runs {
+                let vector: Vec<bool> = drive.iter().map(|&d| (d >> *lane) & 1 == 1).collect();
+                sim.set_vector_broadcast(&vector);
+                sim.settle();
+                sim.snapshot_nets_packed(&mut expected);
+                assert_eq!(
+                    &packed[*lane * words..][..words],
+                    &expected[..],
+                    "lane {lane}"
+                );
+                sim.clock();
+            }
+            lanes.clock();
+        }
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut rng = ChaCha8Rng::seed_from_u64(64);
+        let mut rows = [0u64; 64];
+        for row in rows.iter_mut() {
+            *row = rng.gen();
+        }
+        let original = rows;
+        transpose64(&mut rows);
+        for (i, &row) in rows.iter().enumerate() {
+            for (j, &column) in original.iter().enumerate() {
+                assert_eq!((row >> j) & 1, (column >> i) & 1, "row {i} bit {j}");
+            }
+        }
     }
 
     /// Golden snapshots taken on the SoA kernel are byte-identical to

@@ -47,6 +47,16 @@ pub enum NetlistError {
         /// Human-readable description of the failure.
         message: String,
     },
+    /// A declaration's `[msb:lsb]` range is wider than
+    /// [`crate::parser::MAX_RANGE_WIDTH`] bits.
+    RangeTooWide {
+        /// 1-based line of the range.
+        line: usize,
+        /// Most significant index as written.
+        msb: i64,
+        /// Least significant index as written.
+        lsb: i64,
+    },
     /// A cell type in the source text is not part of the gate library.
     UnknownCell {
         /// The unresolved cell identifier.
@@ -81,6 +91,13 @@ impl fmt::Display for NetlistError {
             NetlistError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
+            NetlistError::RangeTooWide { line, msb, lsb } => write!(
+                f,
+                "parse error at line {line}: range [{msb}:{lsb}] declares {} bits, \
+                 more than the {} a declaration may hold",
+                u128::from(msb.abs_diff(*lsb)) + 1,
+                crate::parser::MAX_RANGE_WIDTH
+            ),
             NetlistError::UnknownCell { cell } => {
                 write!(f, "cell `{cell}` is not in the gate library")
             }

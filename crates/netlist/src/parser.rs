@@ -28,13 +28,21 @@ use crate::error::NetlistError;
 use crate::gate::GateKind;
 use crate::netlist::{NetId, Netlist};
 
+/// Widest `[msb:lsb]` range a declaration may expand, in bits. Every
+/// bit becomes a net, so the bound caps what a short source can make
+/// the parser allocate; the widest port of the built-in and synthesized
+/// designs is 64 bits.
+pub const MAX_RANGE_WIDTH: u64 = 1 << 16;
+
 /// Parses a structural-Verilog-subset source into a validated [`Netlist`].
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] for syntax errors,
-/// [`NetlistError::UnknownCell`] for cells outside the library, and any
-/// validation error from [`NetlistBuilder::finish`].
+/// [`NetlistError::RangeTooWide`] for a declared range wider than
+/// [`MAX_RANGE_WIDTH`], [`NetlistError::UnknownCell`] for cells outside
+/// the library, and any validation error from
+/// [`NetlistBuilder::finish`].
 ///
 /// # Example
 ///
@@ -271,15 +279,18 @@ impl Parser {
     }
 
     fn error_on(&self, pos: usize, message: impl Into<String>) -> NetlistError {
-        let line = self
-            .tokens
-            .get(pos.min(self.tokens.len().saturating_sub(1)))
-            .map(|(_, l)| *l)
-            .unwrap_or(0);
         NetlistError::Parse {
-            line,
+            line: self.line_on(pos),
             message: message.into(),
         }
+    }
+
+    /// Source line of the token at `pos` (the last token past the end).
+    fn line_on(&self, pos: usize) -> usize {
+        self.tokens
+            .get(pos.min(self.tokens.len().saturating_sub(1)))
+            .map(|(_, l)| *l)
+            .unwrap_or(0)
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -452,6 +463,7 @@ impl Parser {
         // Optional range: [msb:lsb]
         let mut range: Option<(i64, i64)> = None;
         if matches!(self.peek(), Some(Token::Punct('['))) {
+            let line = self.line_on(self.pos);
             self.next();
             let msb = match self.next() {
                 Some(Token::Number(v)) => v,
@@ -467,6 +479,14 @@ impl Parser {
                 }
             };
             self.expect_punct(']')?;
+            // Each bit becomes a net, so the width bounds an allocation.
+            if msb
+                .abs_diff(lsb)
+                .checked_add(1)
+                .is_none_or(|w| w > MAX_RANGE_WIDTH)
+            {
+                return Err(NetlistError::RangeTooWide { line, msb, lsb });
+            }
             range = Some((msb, lsb));
         }
         let mut names = Vec::new();
@@ -607,6 +627,25 @@ endmodule
         let src = "module t (z);\n output z;\n assign z = 1'b0;\nendmodule";
         let netlist = parse_verilog(src).unwrap();
         assert_eq!(netlist.gates()[0].kind, GateKind::Tie0);
+    }
+
+    #[test]
+    fn range_wider_than_the_bound_rejected() {
+        let widest = format!(
+            "module t (a, z);\n input [{}:0] a;\n output z;\n assign z = a[0];\nendmodule",
+            MAX_RANGE_WIDTH - 1
+        );
+        assert_eq!(
+            parse_verilog(&widest).unwrap().primary_inputs().len() as u64,
+            MAX_RANGE_WIDTH
+        );
+        for (msb, lsb) in [(9_999_999, 0), (0, MAX_RANGE_WIDTH as i64), (i64::MAX, 0)] {
+            let src = format!("module t (a, z);\n input a;\n output z;\n wire [{msb}:{lsb}] w;\n assign z = a;\nendmodule");
+            let err = parse_verilog(&src).unwrap_err();
+            assert_eq!(err, NetlistError::RangeTooWide { line: 4, msb, lsb });
+            let width = u128::from(msb.abs_diff(lsb)) + 1;
+            assert!(err.to_string().contains(&format!("{width} bits")), "{err}");
+        }
     }
 
     #[test]

@@ -311,8 +311,20 @@ fn runtime_error_prints_one_line_without_usage() {
     let missing = missing.to_str().unwrap();
     let run_dir = tmp.join("fusa_cli_bad_lanes");
     let run_dir = run_dir.to_str().unwrap();
-    let cases: [(&[&str], &[&str]); 3] = [
+    // A five-line netlist declaring ten million inputs.
+    let wide = tmp.join(format!("fusa_cli_wide_range_{}.v", std::process::id()));
+    std::fs::write(
+        &wide,
+        "module t (a, z);\n input [9999999:0] a;\n output z;\n assign z = a[0];\nendmodule\n",
+    )
+    .unwrap();
+    let wide = wide.to_str().unwrap();
+    let cases: [(&[&str], &[&str]); 4] = [
         (&["analyze", missing, "--fast"], &["error: cannot read"]),
+        (
+            &["stats", wide],
+            &["error: cannot parse", "line 2", "10000000 bits"],
+        ),
         // `scalar` was a lane width once; it is an unknown value now.
         (
             &[
@@ -339,7 +351,7 @@ fn runtime_error_prints_one_line_without_usage() {
     ];
     for (args, expected) in cases {
         let output = fusa().args(args).output().unwrap();
-        assert!(!output.status.success(), "{args:?}");
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         let lines: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
         assert_eq!(lines.len(), 1, "{args:?}: {stderr}");
@@ -349,6 +361,7 @@ fn runtime_error_prints_one_line_without_usage() {
         }
         assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
     }
+    std::fs::remove_file(wide).ok();
 }
 
 /// The manifest names the commit the binary was built from: `build.rs`
