@@ -1,8 +1,8 @@
 //! Criterion performance benches covering every substrate:
 //! netlist construction, levelization, scalar and bit-parallel
 //! simulation, fault campaigns, graph normalization, GCN training and
-//! inference, the GCN's product kernels, explainer iterations, and the
-//! static-analysis lint passes.
+//! inference, the GCN's fused convolution passes, explainer iterations,
+//! and the static-analysis lint passes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fusa_faultsim::{CampaignConfig, FaultCampaign, FaultList};
@@ -178,11 +178,17 @@ fn bench_gcn(c: &mut Criterion) {
     });
 }
 
-/// The five products of a training epoch at layer 3 of Table 1 (32 → 64
-/// features) on synth_10k's graph (9.7k nodes), so a kernel regression
-/// shows without the pipeline. The layer input and the output gradient
-/// are ReLU-like, about half zero.
-fn bench_gcn_kernels(c: &mut Criterion) {
+/// One graph convolution's fused passes at the shapes of Table 1's layer
+/// 3 (32 → 64 features) on synth_10k's graph (9.7k nodes), so a kernel
+/// regression shows without the pipeline. The forward pass gathers
+/// `Â·H`, multiplies it into `W` and adds the bias; the backward pass
+/// streams the weight and bias gradients, writes `G·Wᵀ` and gathers
+/// `Âᵀ·(G·Wᵀ)`, the input gradient. The input is ReLU-like, about half
+/// zero.
+fn bench_gcn_passes(c: &mut Criterion) {
+    use fusa_neuro::conv::{ConvStack, GraphConv, Workspace};
+    use fusa_neuro::layers::Dropout;
+
     let adj = normalized_adjacency(&CircuitGraph::from_netlist(&synth_10k(1)));
     let n = adj.rows();
     let mut rng = ChaCha8Rng::seed_from_u64(0x6C4);
@@ -200,24 +206,15 @@ fn bench_gcn_kernels(c: &mut Criterion) {
         fusa_neuro::Matrix::from_vec(rows, cols, data)
     };
     let h = dense(n, 32, true);
-    let weight = dense(32, 64, false);
-    let grad = dense(n, 64, true);
-    let aggregated = adj.matmul(&h);
-    let grad_input = grad.matmul_transpose(&weight);
-    c.bench_function("gcn/kernel_spmm_10k_32", |b| {
-        b.iter(|| black_box(adj.matmul(&h)))
+    let grad = dense(n, 64, false);
+    let convs = vec![GraphConv::new(32, 64, 0x6C4)];
+    let mut stack = ConvStack::new(convs, Dropout::new(0.0, 0), 0, false);
+    let mut workspace = Workspace::new(&adj);
+    c.bench_function("gcn/conv_forward_10k_32x64", |b| {
+        b.iter(|| black_box(stack.forward(&mut workspace, &h, true).get(0, 0)))
     });
-    c.bench_function("gcn/kernel_matmul_10k_32x64", |b| {
-        b.iter(|| black_box(aggregated.matmul(&weight)))
-    });
-    c.bench_function("gcn/kernel_transpose_matmul_10k_32x64", |b| {
-        b.iter(|| black_box(aggregated.transpose_matmul(&grad)))
-    });
-    c.bench_function("gcn/kernel_matmul_transpose_10k_64x32", |b| {
-        b.iter(|| black_box(grad.matmul_transpose(&weight)))
-    });
-    c.bench_function("gcn/kernel_spmm_transpose_10k_32", |b| {
-        b.iter(|| black_box(adj.transpose_matmul(&grad_input)))
+    c.bench_function("gcn/conv_backward_10k_32x64", |b| {
+        b.iter(|| black_box(stack.backward(&mut workspace, &grad)))
     });
 }
 
@@ -245,6 +242,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_netlist, bench_simulation, bench_fault_campaign, bench_graph, bench_gcn, bench_gcn_kernels, bench_lint, bench_pipeline
+    targets = bench_netlist, bench_simulation, bench_fault_campaign, bench_graph, bench_gcn, bench_gcn_passes, bench_lint, bench_pipeline
 }
 criterion_main!(benches);

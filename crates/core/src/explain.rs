@@ -18,6 +18,7 @@
 
 use crate::model::GcnClassifier;
 use fusa_graph::{feature_names, masked_adjacency, CircuitGraph};
+use fusa_neuro::conv::Workspace;
 use fusa_neuro::layers::sigmoid;
 use fusa_neuro::optim::Adam;
 use fusa_neuro::{Matrix, Param};
@@ -241,13 +242,14 @@ impl<'a> Explainer<'a> {
                 }
             }
 
-            let log_probs = model.forward(&adj, &masked_x, false);
+            let mut workspace = Workspace::new(&adj);
+            let log_probs = model.forward(&mut workspace, &masked_x, false);
             let prediction_loss = -log_probs.get(node, predicted_class);
             loss_trace.push(prediction_loss);
 
             let mut grad_lp = Matrix::zeros(log_probs.rows(), log_probs.cols());
             grad_lp.set(node, predicted_class, -1.0);
-            let (grad_x, entry_grads) = model.backward_with_edge_grads(&adj, &grad_lp);
+            let (grad_x, entry_grads) = model.backward_with_edge_grads(&mut workspace, &grad_lp);
 
             edge_logits.zero_grad();
             feature_logits.zero_grad();

@@ -1,9 +1,9 @@
 //! The GCN models: Table-1 classifier and §3.4 regressor.
 
-use fusa_neuro::layers::{log_softmax_rows_in_place, Dropout, GraphConv, LogSoftmax, Relu};
+use fusa_neuro::conv::{ConvStack, GraphConv, Workspace};
+use fusa_neuro::layers::Dropout;
 use fusa_neuro::{CsrMatrix, Matrix, Param, RowPlan};
 use rand_chacha::ChaCha8Rng;
-use std::borrow::Cow;
 
 /// Architecture hyper-parameters for [`GcnClassifier`] /
 /// [`GcnRegressor`].
@@ -106,203 +106,78 @@ impl GcnConfig {
     }
 }
 
-/// Shared GCN trunk: stacked GraphConv+ReLU with one dropout, then a
-/// projection GraphConv.
-///
-/// Activations move through the layers by value: each GraphConv's
-/// aggregated `ÂH` is owned by its dense layer's backward cache, ReLU and
-/// dropout work in place, and gradients flow back the same way.
-#[derive(Debug, Clone)]
-struct GcnTrunk {
-    convs: Vec<GraphConv>,
-    relus: Vec<Relu>,
-    dropout: Dropout,
-    dropout_position: usize,
+/// The convolution stack of `config` with `out_features` outputs: its
+/// weights seeded per layer, its dropout after the hidden layer Table 1
+/// places it.
+fn conv_stack(config: &GcnConfig, out_features: usize, log_softmax: bool) -> ConvStack {
+    assert!(!config.hidden.is_empty(), "need at least one hidden layer");
+    let mut widths = vec![config.in_features];
+    widths.extend_from_slice(&config.hidden);
+    widths.push(out_features);
+    let convs = widths
+        .windows(2)
+        .enumerate()
+        .map(|(i, pair)| {
+            GraphConv::new(pair[0], pair[1], config.seed.wrapping_add(i as u64 * 7919))
+        })
+        .collect();
+    ConvStack::new(
+        convs,
+        Dropout::new(config.dropout, config.seed.wrapping_add(0xD60)),
+        config.dropout_position(),
+        log_softmax,
+    )
 }
 
-/// The parameter values (and gradients) of a trunk plus its dropout
+/// The parameter values (and gradients) of a model plus its dropout
 /// generator state: enough to put a model back exactly as it was at an
-/// earlier epoch, without copying any of its activation-sized caches.
+/// earlier epoch.
 #[derive(Debug, Clone)]
 pub(crate) struct TrunkSnapshot {
     params: Vec<Param>,
     dropout_rng: ChaCha8Rng,
 }
 
-impl GcnTrunk {
-    fn new(config: &GcnConfig, out_features: usize) -> GcnTrunk {
-        assert!(!config.hidden.is_empty(), "need at least one hidden layer");
-        let mut convs = Vec::new();
-        let mut widths = vec![config.in_features];
-        widths.extend_from_slice(&config.hidden);
-        widths.push(out_features);
-        for (i, pair) in widths.windows(2).enumerate() {
-            convs.push(GraphConv::new(
-                pair[0],
-                pair[1],
-                config.seed.wrapping_add(i as u64 * 7919),
-            ));
-        }
-        let relus = vec![Relu::new(); config.hidden.len()];
-        GcnTrunk {
-            convs,
-            relus,
-            dropout: Dropout::new(config.dropout, config.seed.wrapping_add(0xD60)),
-            dropout_position: config.dropout_position(),
-        }
+fn snapshot(stack: &ConvStack) -> TrunkSnapshot {
+    TrunkSnapshot {
+        params: stack.params().into_iter().cloned().collect(),
+        dropout_rng: stack.dropout().rng().clone(),
     }
+}
 
-    /// Caching forward pass. `training` controls dropout. An eval-mode
-    /// pass also keeps every layer's input: it is the pass the edge-
-    /// gradient backward (the explainer) follows.
-    fn forward(&mut self, adj: &CsrMatrix, x: &Matrix, training: bool) -> Matrix {
-        let keep_inputs = !training;
-        let hidden_count = self.relus.len();
-        let mut input = Cow::Borrowed(x);
-        for i in 0..hidden_count {
-            let h = self.convs[i].forward_owned(adj, input, keep_inputs);
-            let mut h = self.relus[i].forward_owned(h);
-            if i == self.dropout_position && training {
-                h = self.dropout.forward_owned(h);
-            }
-            input = Cow::Owned(h);
-        }
-        self.convs[hidden_count].forward_owned(adj, input, keep_inputs)
+fn restore(stack: &mut ConvStack, snapshot: TrunkSnapshot) {
+    for (param, saved) in stack.params_mut().into_iter().zip(snapshot.params) {
+        *param = saved;
     }
+    stack.dropout_mut().set_rng(snapshot.dropout_rng);
+}
 
-    /// Cache-free inference pass computing only the rows `plan` selects
-    /// at each layer (every row for [`RowPlan::all`]).
-    fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
-        assert!(
-            plan.depth().is_none_or(|depth| depth == self.convs.len()),
-            "row plan depth does not match the model"
-        );
-        let input = plan.input(x);
-        let mut h = self.convs[0].forward_inference(plan.adjacency(0, adj), &input);
-        for (i, conv) in self.convs.iter().enumerate().skip(1) {
-            h.map_in_place(|v| v.max(0.0));
-            h = conv.forward_inference(plan.adjacency(i, adj), &h);
-        }
-        h
-    }
-
-    /// Backward through every layer above the first convolution;
-    /// returns the gradient w.r.t. the first convolution's output. If
-    /// `edge_grads` is `Some`, the per-CSR-entry adjacency gradients of
-    /// the layers passed are accumulated into it.
-    fn backward_to_first(
-        &mut self,
-        adj: &CsrMatrix,
-        grad_output: &Matrix,
-        edge_grads: &mut Option<&mut Vec<f64>>,
-        training: bool,
-    ) -> Matrix {
-        let hidden_count = self.relus.len();
-        let mut grad = self.backward_conv(hidden_count, adj, grad_output, edge_grads);
-        for i in (0..hidden_count).rev() {
-            if i == self.dropout_position && training {
-                grad = self.dropout.backward_owned(grad);
-            }
-            grad = self.relus[i].backward_owned(grad);
-            if i > 0 {
-                grad = self.backward_conv(i, adj, &grad, edge_grads);
-            }
-        }
-        grad
-    }
-
-    /// Backward pass. Returns `∂L/∂X`; if `edge_grads` is `Some`, the
-    /// per-CSR-entry adjacency gradients of every layer are accumulated
-    /// into it.
-    fn backward(
-        &mut self,
-        adj: &CsrMatrix,
-        grad_output: &Matrix,
-        mut edge_grads: Option<&mut Vec<f64>>,
-        training: bool,
-    ) -> Matrix {
-        let grad = self.backward_to_first(adj, grad_output, &mut edge_grads, training);
-        self.backward_conv(0, adj, &grad, &mut edge_grads)
-    }
-
-    /// Backward pass that accumulates parameter gradients only: the
-    /// first convolution skips `∂L/∂X`, which training never reads.
-    fn backward_params(&mut self, adj: &CsrMatrix, grad_output: &Matrix, training: bool) {
-        let grad = self.backward_to_first(adj, grad_output, &mut None, training);
-        self.convs[0].backward_params(&grad);
-    }
-
-    fn backward_conv(
-        &mut self,
-        index: usize,
-        adj: &CsrMatrix,
-        grad: &Matrix,
-        edge_grads: &mut Option<&mut Vec<f64>>,
-    ) -> Matrix {
-        match edge_grads {
-            Some(acc) => {
-                let (grad_x, grads) = self.convs[index].backward_with_edge_grads(adj, grad);
-                if acc.is_empty() {
-                    **acc = grads;
-                } else {
-                    for (a, g) in acc.iter_mut().zip(grads) {
-                        *a += g;
-                    }
-                }
-                grad_x
-            }
-            None => self.convs[index].backward(adj, grad),
-        }
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        self.convs.iter().flat_map(|c| c.params()).collect()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.convs.iter_mut().flat_map(|c| c.params_mut()).collect()
-    }
-
-    fn snapshot(&self) -> TrunkSnapshot {
-        TrunkSnapshot {
-            params: self.params().into_iter().cloned().collect(),
-            dropout_rng: self.dropout.rng().clone(),
-        }
-    }
-
-    fn restore(&mut self, snapshot: TrunkSnapshot) {
-        for (param, saved) in self.params_mut().into_iter().zip(snapshot.params) {
-            *param = saved;
-        }
-        self.dropout.set_rng(snapshot.dropout_rng);
-    }
-
-    fn parameter_count(&self) -> usize {
-        self.convs
-            .iter()
-            .map(|c| {
-                c.linear.weight.value.rows() * c.linear.weight.value.cols()
-                    + c.linear.bias.value.cols()
-            })
-            .sum()
-    }
+/// The output rows of `plan` from a workspace of their own.
+fn infer_once(stack: &ConvStack, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
+    stack.infer(&mut Workspace::new(adj), x, plan).clone()
 }
 
 /// The critical-node classifier of Table 1: four graph convolutions with
 /// ReLU activations, one dropout, and a log-softmax output over the two
 /// classes `{Non-critical, Critical}`.
 ///
+/// The model holds parameters only; its caching passes run in a
+/// [`Workspace`] over one adjacency, which a training run creates once
+/// and reuses in every epoch.
+///
 /// # Example
 ///
 /// ```
 /// use fusa_gcn::{GcnClassifier, GcnConfig};
+/// use fusa_neuro::conv::Workspace;
 /// use fusa_neuro::{CsrMatrix, Matrix};
 ///
 /// let config = GcnConfig { in_features: 2, hidden: vec![4], ..Default::default() };
 /// let mut model = GcnClassifier::new(config);
 /// let adj = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0)]);
 /// let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-/// let log_probs = model.forward(&adj, &x, false);
+/// let mut workspace = Workspace::new(&adj);
+/// let log_probs = model.forward(&mut workspace, &x, false);
 /// assert_eq!(log_probs.shape(), (2, 2));
 ///
 /// // Inference restricted to node 1 reproduces that row bit for bit.
@@ -313,8 +188,7 @@ impl GcnTrunk {
 #[derive(Debug, Clone)]
 pub struct GcnClassifier {
     config: GcnConfig,
-    trunk: GcnTrunk,
-    log_softmax: LogSoftmax,
+    stack: ConvStack,
 }
 
 /// Number of output classes (Critical / Non-critical).
@@ -328,8 +202,7 @@ impl GcnClassifier {
     /// Panics if `config.hidden` is empty.
     pub fn new(config: GcnConfig) -> GcnClassifier {
         GcnClassifier {
-            trunk: GcnTrunk::new(&config, NUM_CLASSES),
-            log_softmax: LogSoftmax::new(),
+            stack: conv_stack(&config, NUM_CLASSES, true),
             config,
         }
     }
@@ -339,13 +212,17 @@ impl GcnClassifier {
         &self.config
     }
 
-    /// Caching forward pass returning per-node log class probabilities
-    /// (`N × 2`). Set `training` for dropout; an eval-mode pass
-    /// (`training = false`) also keeps what
+    /// Caching forward pass over the workspace's adjacency, returning
+    /// per-node log class probabilities (`N × 2`). Set `training` for
+    /// dropout; an eval-mode pass (`training = false`) also keeps what
     /// [`GcnClassifier::backward_with_edge_grads`] needs.
-    pub fn forward(&mut self, adj: &CsrMatrix, x: &Matrix, training: bool) -> Matrix {
-        let logits = self.trunk.forward(adj, x, training);
-        self.log_softmax.forward_owned(logits)
+    pub fn forward<'w>(
+        &mut self,
+        ws: &'w mut Workspace<'_>,
+        x: &Matrix,
+        training: bool,
+    ) -> &'w Matrix {
+        self.stack.forward(ws, x, training)
     }
 
     /// Cache-free inference pass over every node.
@@ -363,52 +240,50 @@ impl GcnClassifier {
     ///
     /// Panics if `plan` was built for a different depth.
     pub fn forward_inference_rows(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
-        let mut out = self.trunk.forward_inference(adj, x, plan);
-        log_softmax_rows_in_place(&mut out);
-        out
+        infer_once(&self.stack, adj, x, plan)
+    }
+
+    /// [`GcnClassifier::forward_inference_rows`] into the buffers of `ws`,
+    /// whose adjacency `plan` was built for.
+    pub(crate) fn infer_rows<'w>(
+        &self,
+        ws: &'w mut Workspace<'_>,
+        x: &Matrix,
+        plan: &RowPlan,
+    ) -> &'w Matrix {
+        self.stack.infer(ws, x, plan)
     }
 
     /// A [`RowPlan`] producing the output rows of nodes `rows`.
     pub fn row_plan(&self, adj: &CsrMatrix, rows: &[usize]) -> RowPlan {
-        RowPlan::new(adj, rows, self.trunk.convs.len())
+        RowPlan::new(adj, rows, self.stack.depth())
     }
 
-    /// Backward pass from the log-probability gradient. Returns
-    /// `∂L/∂X`.
-    pub fn backward(&mut self, adj: &CsrMatrix, grad_log_probs: &Matrix, training: bool) -> Matrix {
-        let grad = self.log_softmax.backward(grad_log_probs);
-        self.trunk.backward(adj, &grad, None, training)
+    /// Backward pass from the log-probability gradient, after a forward
+    /// pass over `ws`. Returns `∂L/∂X`.
+    pub fn backward(&mut self, ws: &mut Workspace<'_>, grad_log_probs: &Matrix) -> Matrix {
+        self.stack.backward(ws, grad_log_probs)
     }
 
     /// Backward pass that accumulates parameter gradients only, skipping
     /// `∂L/∂X` of the input features (the training step).
-    pub(crate) fn backward_params(
-        &mut self,
-        adj: &CsrMatrix,
-        grad_log_probs: Matrix,
-        training: bool,
-    ) {
-        let grad = self.log_softmax.backward_owned(grad_log_probs);
-        self.trunk.backward_params(adj, &grad, training);
+    pub(crate) fn backward_params(&mut self, ws: &mut Workspace<'_>, grad_log_probs: &Matrix) {
+        self.stack.backward_params(ws, grad_log_probs);
     }
 
-    /// Backward pass that also accumulates per-CSR-entry adjacency
-    /// gradients (summed over all convolution layers) for the explainer.
+    /// Backward pass that also returns per-CSR-entry adjacency gradients
+    /// (summed over all convolution layers) for the explainer.
     ///
     /// # Panics
     ///
-    /// Panics unless it follows an eval-mode [`GcnClassifier::forward`].
+    /// Panics unless it follows an eval-mode [`GcnClassifier::forward`]
+    /// over `ws`.
     pub fn backward_with_edge_grads(
         &mut self,
-        adj: &CsrMatrix,
+        ws: &mut Workspace<'_>,
         grad_log_probs: &Matrix,
     ) -> (Matrix, Vec<f64>) {
-        let grad = self.log_softmax.backward(grad_log_probs);
-        let mut edge_grads = Vec::new();
-        let grad_x = self
-            .trunk
-            .backward(adj, &grad, Some(&mut edge_grads), false);
-        (grad_x, edge_grads)
+        self.stack.backward_with_edge_grads(ws, grad_log_probs)
     }
 
     /// Per-node predicted class: `argmax` over the output probabilities.
@@ -426,27 +301,27 @@ impl GcnClassifier {
 
     /// All trainable parameters in a stable order.
     pub fn params(&self) -> Vec<&Param> {
-        self.trunk.params()
+        self.stack.params()
     }
 
     /// All trainable parameters in a stable order, mutably.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.trunk.params_mut()
+        self.stack.params_mut()
     }
 
     /// Parameters and dropout state, for [`GcnClassifier::restore`].
     pub(crate) fn snapshot(&self) -> TrunkSnapshot {
-        self.trunk.snapshot()
+        snapshot(&self.stack)
     }
 
     /// Puts parameters and dropout state back to a snapshot's.
     pub(crate) fn restore(&mut self, snapshot: TrunkSnapshot) {
-        self.trunk.restore(snapshot);
+        restore(&mut self.stack, snapshot);
     }
 
     /// Total scalar parameter count.
     pub fn parameter_count(&self) -> usize {
-        self.trunk.parameter_count()
+        self.params().iter().map(|p| p.len()).sum()
     }
 
     /// A Table-1-style architecture listing.
@@ -464,7 +339,7 @@ impl GcnClassifier {
 #[derive(Debug, Clone)]
 pub struct GcnRegressor {
     config: GcnConfig,
-    trunk: GcnTrunk,
+    stack: ConvStack,
 }
 
 impl GcnRegressor {
@@ -475,7 +350,7 @@ impl GcnRegressor {
     /// Panics if `config.hidden` is empty.
     pub fn new(config: GcnConfig) -> GcnRegressor {
         GcnRegressor {
-            trunk: GcnTrunk::new(&config, 1),
+            stack: conv_stack(&config, 1, false),
             config,
         }
     }
@@ -485,9 +360,15 @@ impl GcnRegressor {
         &self.config
     }
 
-    /// Caching forward pass returning an `N × 1` score matrix.
-    pub fn forward(&mut self, adj: &CsrMatrix, x: &Matrix, training: bool) -> Matrix {
-        self.trunk.forward(adj, x, training)
+    /// Caching forward pass over the workspace's adjacency, returning an
+    /// `N × 1` score matrix.
+    pub fn forward<'w>(
+        &mut self,
+        ws: &'w mut Workspace<'_>,
+        x: &Matrix,
+        training: bool,
+    ) -> &'w Matrix {
+        self.stack.forward(ws, x, training)
     }
 
     /// Cache-free inference pass over every node.
@@ -502,28 +383,34 @@ impl GcnRegressor {
     ///
     /// Panics if `plan` was built for a different depth.
     pub fn forward_inference_rows(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
-        self.trunk.forward_inference(adj, x, plan)
+        infer_once(&self.stack, adj, x, plan)
+    }
+
+    /// [`GcnRegressor::forward_inference_rows`] into the buffers of `ws`,
+    /// whose adjacency `plan` was built for.
+    pub(crate) fn infer_rows<'w>(
+        &self,
+        ws: &'w mut Workspace<'_>,
+        x: &Matrix,
+        plan: &RowPlan,
+    ) -> &'w Matrix {
+        self.stack.infer(ws, x, plan)
     }
 
     /// A [`RowPlan`] producing the output rows of nodes `rows`.
     pub fn row_plan(&self, adj: &CsrMatrix, rows: &[usize]) -> RowPlan {
-        RowPlan::new(adj, rows, self.trunk.convs.len())
+        RowPlan::new(adj, rows, self.stack.depth())
     }
 
-    /// Backward pass. Returns `∂L/∂X`.
-    pub fn backward(&mut self, adj: &CsrMatrix, grad_output: &Matrix, training: bool) -> Matrix {
-        self.trunk.backward(adj, grad_output, None, training)
+    /// Backward pass, after a forward pass over `ws`. Returns `∂L/∂X`.
+    pub fn backward(&mut self, ws: &mut Workspace<'_>, grad_output: &Matrix) -> Matrix {
+        self.stack.backward(ws, grad_output)
     }
 
     /// Backward pass that accumulates parameter gradients only (the
     /// training step).
-    pub(crate) fn backward_params(
-        &mut self,
-        adj: &CsrMatrix,
-        grad_output: &Matrix,
-        training: bool,
-    ) {
-        self.trunk.backward_params(adj, grad_output, training);
+    pub(crate) fn backward_params(&mut self, ws: &mut Workspace<'_>, grad_output: &Matrix) {
+        self.stack.backward_params(ws, grad_output);
     }
 
     /// Per-node predicted criticality scores.
@@ -534,22 +421,22 @@ impl GcnRegressor {
 
     /// All trainable parameters in a stable order.
     pub fn params(&self) -> Vec<&Param> {
-        self.trunk.params()
+        self.stack.params()
     }
 
     /// All trainable parameters in a stable order, mutably.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.trunk.params_mut()
+        self.stack.params_mut()
     }
 
     /// Parameters and dropout state, for [`GcnRegressor::restore`].
     pub(crate) fn snapshot(&self) -> TrunkSnapshot {
-        self.trunk.snapshot()
+        snapshot(&self.stack)
     }
 
     /// Puts parameters and dropout state back to a snapshot's.
     pub(crate) fn restore(&mut self, snapshot: TrunkSnapshot) {
-        self.trunk.restore(snapshot);
+        restore(&mut self.stack, snapshot);
     }
 
     /// A Table-1-style architecture listing (no log-softmax row).
@@ -594,7 +481,9 @@ mod tests {
     #[test]
     fn classifier_outputs_log_probabilities() {
         let mut model = GcnClassifier::new(tiny_config());
-        let out = model.forward(&tiny_adj(), &tiny_x(), false);
+        let adj = tiny_adj();
+        let mut ws = Workspace::new(&adj);
+        let out = model.forward(&mut ws, &tiny_x(), false);
         assert_eq!(out.shape(), (3, 2));
         for r in 0..3 {
             let total: f64 = out.row(r).iter().map(|&v| v.exp()).sum();
@@ -605,8 +494,11 @@ mod tests {
     #[test]
     fn training_and_inference_paths_agree_without_dropout() {
         let mut model = GcnClassifier::new(tiny_config());
-        let a = model.forward(&tiny_adj(), &tiny_x(), false);
-        let b = model.forward_inference(&tiny_adj(), &tiny_x());
+        let adj = tiny_adj();
+        let a = model
+            .forward(&mut Workspace::new(&adj), &tiny_x(), false)
+            .clone();
+        let b = model.forward_inference(&adj, &tiny_x());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((x - y).abs() < 1e-12);
         }
@@ -620,9 +512,10 @@ mod tests {
         let targets = [1usize, 0, 1];
         let mask = [0usize, 1, 2];
 
-        let log_probs = model.forward(&adj, &x, false);
-        let (_, grad_lp) = fusa_neuro::loss::nll_loss(&log_probs, &targets, &mask);
-        let grad_x = model.backward(&adj, &grad_lp, false);
+        let mut ws = Workspace::new(&adj);
+        let log_probs = model.forward(&mut ws, &x, false);
+        let (_, grad_lp) = fusa_neuro::loss::nll_loss(log_probs, &targets, &mask);
+        let grad_x = model.backward(&mut ws, &grad_lp);
 
         let frozen = model.clone();
         let eps = 1e-6;
@@ -662,9 +555,10 @@ mod tests {
         let targets = [1usize, 0, 1];
         let mask = [0usize, 2];
 
-        let log_probs = model.forward(&adj, &x, false);
-        let (_, grad_lp) = fusa_neuro::loss::nll_loss(&log_probs, &targets, &mask);
-        let (_, edge_grads) = model.backward_with_edge_grads(&adj, &grad_lp);
+        let mut ws = Workspace::new(&adj);
+        let log_probs = model.forward(&mut ws, &x, false);
+        let (_, grad_lp) = fusa_neuro::loss::nll_loss(log_probs, &targets, &mask);
+        let (_, edge_grads) = model.backward_with_edge_grads(&mut ws, &grad_lp);
 
         let frozen = model.clone();
         let eps = 1e-6;
@@ -697,7 +591,9 @@ mod tests {
     #[test]
     fn regressor_outputs_single_column() {
         let mut model = GcnRegressor::new(tiny_config());
-        let out = model.forward(&tiny_adj(), &tiny_x(), false);
+        let adj = tiny_adj();
+        let mut ws = Workspace::new(&adj);
+        let out = model.forward(&mut ws, &tiny_x(), false);
         assert_eq!(out.shape(), (3, 1));
         assert_eq!(model.predict_scores(&tiny_adj(), &tiny_x()).len(), 3);
     }
@@ -739,8 +635,10 @@ mod tests {
             ..tiny_config()
         };
         let mut model = GcnClassifier::new(config);
-        let a = model.forward(&tiny_adj(), &tiny_x(), true);
-        let b = model.forward(&tiny_adj(), &tiny_x(), true);
+        let adj = tiny_adj();
+        let mut ws = Workspace::new(&adj);
+        let a = model.forward(&mut ws, &tiny_x(), true).clone();
+        let b = model.forward(&mut ws, &tiny_x(), true).clone();
         assert_ne!(a, b, "dropout masks should differ across calls");
         let c = model.forward_inference(&tiny_adj(), &tiny_x());
         let d = model.forward_inference(&tiny_adj(), &tiny_x());

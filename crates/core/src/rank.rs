@@ -210,8 +210,8 @@ fn fractional_ranks(values: &[f64]) -> Vec<f64> {
 /// # Errors
 ///
 /// Returns a message naming the offending line or gate when the header
-/// is missing, a row is malformed, a gate is unknown, or any gate has
-/// no score.
+/// is missing, a row is malformed, a score is not a finite number, a
+/// gate is unknown, or any gate has no score.
 pub fn parse_ground_truth(netlist: &Netlist, csv: &str) -> Result<Vec<f64>, String> {
     let mut lines = csv.lines();
     match lines.next() {
@@ -239,7 +239,9 @@ pub fn parse_ground_truth(netlist: &Netlist, csv: &str) -> Result<Vec<f64>, Stri
         let value: f64 = score
             .trim()
             .parse()
-            .map_err(|_| format!("line {}: bad score {score:?}", lineno + 2))?;
+            .ok()
+            .filter(|value: &f64| value.is_finite())
+            .ok_or_else(|| format!("line {}: bad score {score:?}", lineno + 2))?;
         scores[gate.index()] = Some(value);
     }
     scores
@@ -316,6 +318,11 @@ mod tests {
         assert!(parse_ground_truth(&n, "gate,score,label\nX,0.25,0\n")
             .unwrap_err()
             .contains("no score"));
+        for score in ["NaN", "inf", "-inf", "1e999"] {
+            let csv = format!("gate,score,label\nY,0.75,1\nX,{score},0\n");
+            let err = parse_ground_truth(&n, &csv).unwrap_err();
+            assert!(err.contains("line 3") && err.contains(score), "{err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Training, evaluation and grid-search hyper-parameter optimization.
 
 use crate::model::{GcnClassifier, GcnConfig, GcnRegressor, TrunkSnapshot};
+use fusa_neuro::conv::Workspace;
 use fusa_neuro::loss::{mse_loss, nll_loss};
 use fusa_neuro::metrics::{Confusion, RocCurve};
 use fusa_neuro::optim::Adam;
@@ -86,6 +87,8 @@ pub fn train_classifier(
     // Validation reads the model's output on validation nodes only, so
     // its eval pass computes just the rows those outputs depend on.
     let validation_plan = model.row_plan(adj, &split.validation);
+    // Every graph-sized buffer of the run, sized by the first epoch.
+    let mut workspace = Workspace::new(adj);
     let progress = fusa_obs::Progress::start(
         obs,
         "train",
@@ -97,14 +100,14 @@ pub fn train_classifier(
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
         let (loss, grad) = obs.time("train.forward", || {
-            let log_probs = model.forward(adj, features, true);
-            nll_loss(&log_probs, &targets, &split.train)
+            let log_probs = model.forward(&mut workspace, features, true);
+            nll_loss(log_probs, &targets, &split.train)
         });
         obs.time("train.backward", || {
             for p in model.params_mut() {
                 p.zero_grad();
             }
-            model.backward_params(adj, grad, true);
+            model.backward_params(&mut workspace, &grad);
         });
         obs.time("train.optimizer", || {
             optimizer.step(&mut model.params_mut())
@@ -113,7 +116,7 @@ pub fn train_classifier(
         let val_accuracy = obs.time("train.validation", || {
             validation_accuracy(
                 &model,
-                adj,
+                &mut workspace,
                 features,
                 labels,
                 &split.validation,
@@ -156,6 +159,8 @@ pub fn train_classifier(
         obs.gauge_set("train.final_loss", loss);
     }
 
+    // The evaluation below sizes buffers of its own.
+    drop(workspace);
     if train_config.keep_best {
         if let Some((_, snapshot)) = best {
             model.restore(snapshot);
@@ -169,7 +174,7 @@ pub fn train_classifier(
 /// (built for exactly those rows) to the rows it reads.
 fn validation_accuracy(
     model: &GcnClassifier,
-    adj: &CsrMatrix,
+    workspace: &mut Workspace<'_>,
     features: &Matrix,
     labels: &[bool],
     validation: &[usize],
@@ -178,9 +183,7 @@ fn validation_accuracy(
     if validation.is_empty() {
         return 0.0;
     }
-    let predictions = model
-        .forward_inference_rows(adj, features, plan)
-        .argmax_rows();
+    let predictions = model.infer_rows(workspace, features, plan).argmax_rows();
     let correct = validation
         .iter()
         .zip(predictions)
@@ -251,6 +254,7 @@ pub fn train_regressor(
     // the validation MSE runs over positions 0..len of those rows.
     let validation_scores: Vec<f64> = split.validation.iter().map(|&i| scores[i]).collect();
     let validation_positions: Vec<usize> = (0..split.validation.len()).collect();
+    let mut workspace = Workspace::new(adj);
     let progress = fusa_obs::Progress::start(
         obs,
         "train-regressor",
@@ -262,22 +266,22 @@ pub fn train_regressor(
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
         let (loss, grad) = obs.time("train.forward", || {
-            let predictions = model.forward(adj, features, true);
-            mse_loss(&predictions, scores, &split.train)
+            let predictions = model.forward(&mut workspace, features, true);
+            mse_loss(predictions, scores, &split.train)
         });
         obs.time("train.backward", || {
             for p in model.params_mut() {
                 p.zero_grad();
             }
-            model.backward_params(adj, &grad, true);
+            model.backward_params(&mut workspace, &grad);
         });
         obs.time("train.optimizer", || {
             optimizer.step(&mut model.params_mut())
         });
 
         let val_loss = obs.time("train.validation", || {
-            let val_predictions = model.forward_inference_rows(adj, features, &validation_plan);
-            mse_loss(&val_predictions, &validation_scores, &validation_positions).0
+            let val_predictions = model.infer_rows(&mut workspace, features, &validation_plan);
+            mse_loss(val_predictions, &validation_scores, &validation_positions).0
         });
         history.train_loss.push(loss);
         history.validation_metric.push(-val_loss);
@@ -304,6 +308,8 @@ pub fn train_regressor(
         }
     }
 
+    // The predictions below size buffers of their own.
+    drop(workspace);
     if train_config.keep_best {
         if let Some((_, snapshot)) = best {
             model.restore(snapshot);

@@ -1,27 +1,29 @@
-//! The five products of a GCN training epoch, register-tiled.
+//! The register-tiled kernels of the dense and graph layers.
 //!
-//! | Kernel | Product | Called by |
+//! | Kernel | Computes | Called by |
 //! |---|---|---|
-//! | [`matmul`] | `(ÂH)·W` | `Matrix::matmul` |
-//! | [`transpose_matmul`] | `(ÂH)ᵀ·G` | `Matrix::transpose_matmul` |
+//! | [`matmul`] | `X·W` | `Matrix::matmul` |
+//! | [`transpose_matmul`] | `Xᵀ·G` | `Matrix::transpose_matmul` |
 //! | [`matmul_transpose`] | `G·Wᵀ` | `Matrix::matmul_transpose` |
-//! | [`spmm`] | `Â·H` | `CsrMatrix::matmul` |
-//! | [`spmm_transpose`] | `Âᵀ·G` | `CsrMatrix::transpose_matmul` |
+//! | [`spmm_into`] | `Â·H` | `CsrMatrix::matmul`, the `∂L/∂X` gather of a [`ConvStack`] |
+//! | [`conv_forward`] | a graph convolution's forward rows | every [`ConvStack`] forward and inference pass |
+//! | [`conv_backward`] | a graph convolution's backward rows | every [`ConvStack`] backward pass |
 //!
-//! The first four are one computation seen per output row: add
+//! Each product is one computation seen per output row: add
 //! `Σₜ coefₜ · B[rowₜ, :]` to it, over a list of terms in a fixed order.
 //! [`accumulate`] does that with a tile of up to [`TILE`] output columns
 //! held in `[f64; T]` accumulators (registers) across the whole term
 //! list, instead of loading and storing the output row once per term as
-//! a row-axpy does. `Âᵀ·G` stays a row-axpy scatter.
+//! a row-axpy does. The two graph-convolution kernels run every product
+//! of one layer and direction inside one loop over the rows (DESIGN.md
+//! §16 lists the operations of each row).
 //!
 //! **Bit-identity.** Every output element performs exactly the
-//! operations of the row-axpy loop it replaced (kept as a test
-//! reference): the same products, multiplied then added (never fused),
-//! in the same order, from the same start value (`+0.0`, or `-0.0` for
-//! `G·Wᵀ`), with the same zero skips. Storing and reloading a partial sum
-//! does not round it, so a kernel may also split a reduction into
-//! consecutive blocks.
+//! operations of the loop it replaced (kept as a test reference): the
+//! same products, multiplied then added (never fused), in the same order,
+//! from the same start value (`+0.0`, or `-0.0` for `G·Wᵀ`), with the same
+//! zero skips. Storing and reloading a partial sum does not round it, so
+//! a kernel may also split a reduction into consecutive blocks or rows.
 //!
 //! **Two compiled versions.** Each kernel is one safe generic body,
 //! compiled as a plain function and, on x86_64, as a
@@ -31,15 +33,18 @@
 //! the compiler still may not fuse (Rust forbids contraction), so it
 //! would add nothing. There is no AVX-512 build (DESIGN.md §16 gives the
 //! measurement).
+//!
+//! [`ConvStack`]: crate::conv::ConvStack
 
+use crate::layers::{log_softmax_row, Dropout};
 use crate::matrix::Matrix;
 use crate::sparse::CsrMatrix;
 
 /// Output columns one tile keeps in registers: four 256-bit registers.
 const TILE: usize = 16;
 
-/// Rows of the reduction `(ÂH)ᵀ·G` accumulates per pass over its
-/// output; a block of `G` stays in cache while every output row reads it.
+/// Rows of the reduction `Xᵀ·G` accumulates per pass over its output; a
+/// block of `G` stays in cache while every output row reads it.
 const BLOCK_ROWS: usize = 64;
 
 /// A compiled version of the kernels. Holding one with AVX2 proves the
@@ -109,34 +114,157 @@ pub(crate) fn matmul_transpose(version: Version, g: &Matrix, w: &Matrix) -> Matr
     matmul_transpose_body(g, w)
 }
 
-/// `adj × h`, each row's entries in stored order.
-pub(crate) fn spmm(version: Version, adj: &CsrMatrix, h: &Matrix) -> Matrix {
+/// `adj × h` into `out`, each row summed from `+0.0` over its entries
+/// in stored order; `h` and `out` are row-major with `width` columns.
+pub(crate) fn spmm_into(
+    version: Version,
+    adj: &CsrMatrix,
+    width: usize,
+    h: &[f64],
+    out: &mut [f64],
+) {
     #[cfg(target_arch = "x86_64")]
     if version.avx2 {
         #[target_feature(enable = "avx2")]
-        fn avx2(adj: &CsrMatrix, h: &Matrix) -> Matrix {
-            spmm_body(adj, h)
+        fn avx2(adj: &CsrMatrix, width: usize, h: &[f64], out: &mut [f64]) {
+            spmm_body(adj, width, h, out)
         }
         // SAFETY: a `Version` with `avx2` set comes only from `detect`,
         // which found AVX2 on this CPU.
-        return unsafe { avx2(adj, h) };
+        return unsafe { avx2(adj, width, h, out) };
     }
-    spmm_body(adj, h)
+    spmm_body(adj, width, h, out)
 }
 
-/// `adjᵀ × g`, each output row's terms in ascending row order of `adj`.
-pub(crate) fn spmm_transpose(version: Version, adj: &CsrMatrix, g: &Matrix) -> Matrix {
+/// One graph convolution's forward rows; see [`Forward`].
+pub(crate) fn conv_forward(version: Version, pass: Forward<'_>) {
     #[cfg(target_arch = "x86_64")]
     if version.avx2 {
         #[target_feature(enable = "avx2")]
-        fn avx2(adj: &CsrMatrix, g: &Matrix) -> Matrix {
-            spmm_transpose_body(adj, g)
+        fn avx2(pass: Forward<'_>) {
+            conv_forward_body(pass)
         }
         // SAFETY: a `Version` with `avx2` set comes only from `detect`,
         // which found AVX2 on this CPU.
-        return unsafe { avx2(adj, g) };
+        return unsafe { avx2(pass) };
     }
-    spmm_transpose_body(adj, g)
+    conv_forward_body(pass)
+}
+
+/// One graph convolution's backward rows; see [`Backward`].
+pub(crate) fn conv_backward(version: Version, pass: Backward<'_>) {
+    #[cfg(target_arch = "x86_64")]
+    if version.avx2 {
+        #[target_feature(enable = "avx2")]
+        fn avx2(pass: Backward<'_>) {
+            conv_backward_body(pass)
+        }
+        // SAFETY: a `Version` with `avx2` set comes only from `detect`,
+        // which found AVX2 on this CPU.
+        return unsafe { avx2(pass) };
+    }
+    conv_backward_body(pass)
+}
+
+/// The operands of one graph convolution's forward rows: row `r` of the
+/// output is `f(Â[r,:]·H·W + b)`, where `f` is the [`Epilogue`].
+///
+/// Each row gathers `Â[r,:]·H` (from `+0.0`, entries in stored order),
+/// multiplies its nonzero entries into `W` (from `+0.0`, in column
+/// order), adds `b` and applies `f`: the operations, per element, of the
+/// separate products, bias add and activation passes it replaces.
+pub(crate) struct Forward<'a> {
+    /// `Â`: one output row per row, one row of `input` per column.
+    pub(crate) adj: &'a CsrMatrix,
+    /// `H`, row-major with `weight.rows()` columns.
+    pub(crate) input: &'a [f64],
+    /// `W`, `in × out`.
+    pub(crate) weight: &'a Matrix,
+    /// `b`, `out` wide.
+    pub(crate) bias: &'a [f64],
+    /// Where every row's `Â·H` is kept (the weight-gradient cache, `in`
+    /// wide); `None` keeps only the current row.
+    pub(crate) aggregated: Option<&'a mut [f64]>,
+    /// The output, `out` wide.
+    pub(crate) output: &'a mut [f64],
+    /// What each output row goes through after the bias.
+    pub(crate) epilogue: Epilogue<'a>,
+}
+
+/// What a forward row does to its output after the bias.
+pub(crate) enum Epilogue<'a> {
+    /// Nothing: a regression head.
+    Linear,
+    /// Row-wise log-softmax: a classification head.
+    LogSoftmax,
+    /// ReLU, writing `v > 0` per element into the mask when there is one.
+    Relu(Option<&'a mut [bool]>),
+    /// ReLU with its mask, then inverted dropout, whose mask entries are
+    /// drawn in element order.
+    ReluDropout {
+        relu: &'a mut [bool],
+        mask: &'a mut [f64],
+        dropout: &'a mut Dropout,
+    },
+}
+
+/// The operands of one graph convolution's backward rows.
+///
+/// Row `r` takes its output gradient `G[r,:]` from the [`Source`], then
+/// the dropout and ReLU masks. It adds `Â·H[r,k] · G[r,:]` to row `k` of
+/// `∂L/∂W` for every nonzero `k`, and `G[r,:]` to `∂L/∂b`: over the rows
+/// in ascending order, that is each element's order in `(Â·H)ᵀ·G` and in
+/// the column sums of `G`. Last it writes `D[r,:] = G[r,:]·Wᵀ` (from
+/// `-0.0`), the gradient of `Â·H` that the layer below gathers.
+pub(crate) struct Backward<'a> {
+    /// Rows of the layer: of `Â`, `Â·H` and `G`.
+    pub(crate) rows: usize,
+    /// Where `G` comes from.
+    pub(crate) source: Source<'a>,
+    /// The forward pass's ReLU mask, `out` wide, for a hidden layer.
+    pub(crate) relu: Option<&'a [bool]>,
+    /// The forward pass's dropout mask, `out` wide, when it drew one.
+    pub(crate) dropout: Option<&'a [f64]>,
+    /// `Â·H` of every row, as the forward pass kept it.
+    pub(crate) aggregated: &'a [f64],
+    /// `W`, `in × out`.
+    pub(crate) weight: &'a Matrix,
+    /// `∂L/∂W` is added to this, which starts at `+0.0`.
+    pub(crate) grad_weight: &'a mut [f64],
+    /// `∂L/∂b` is added to this, which starts at `+0.0`.
+    pub(crate) grad_bias: &'a mut [f64],
+    /// Where `D = G·Wᵀ` goes, `in` wide; `None` skips it.
+    pub(crate) below: Option<&'a mut [f64]>,
+    /// The gradients of `Â`'s stored entries; needs `below`.
+    pub(crate) edges: Option<Edges<'a>>,
+}
+
+/// Where a backward row's output gradient comes from.
+pub(crate) enum Source<'a> {
+    /// The loss gradient of the stack's output, `out` wide, taken back
+    /// through the log-softmax that produced `log_probs` when given.
+    Output {
+        grad: &'a [f64],
+        log_probs: Option<&'a [f64]>,
+    },
+    /// `Âᵀ·D` of the layer above, gathered from `+0.0` over the rows of
+    /// `adj_t = Âᵀ`, whose entries ascend in source row: the order in
+    /// which a scatter over `Â`'s rows adds them.
+    Above {
+        adj_t: &'a CsrMatrix,
+        grad: &'a [f64],
+    },
+}
+
+/// The per-entry gradients `∂L/∂Â[r,c] = D[r,:]·H[c,:]` of a backward
+/// pass, added to `grads` in `adj`'s entry order.
+pub(crate) struct Edges<'a> {
+    /// `Â`, whose row `r` lists the entries row `r` of `D` meets.
+    pub(crate) adj: &'a CsrMatrix,
+    /// `H`, the layer's input, `in` wide.
+    pub(crate) input: &'a [f64],
+    /// One gradient per stored entry of `adj`.
+    pub(crate) grads: &'a mut [f64],
 }
 
 /// Adds `Σₜ coefs[t] · b[rows[t], :]` to `out`, the terms in order. `b`
@@ -262,70 +390,310 @@ fn matmul_transpose_body(g: &Matrix, w: &Matrix) -> Matrix {
     out
 }
 
+/// Writes `Σ adj[r, c] · b[c, :]` over row `r`'s stored entries, in
+/// stored order, to `out`, from `+0.0`.
 #[inline(always)]
-fn spmm_body(adj: &CsrMatrix, h: &Matrix) -> Matrix {
-    let width = h.cols();
-    let mut out = Matrix::zeros(adj.rows(), width);
-    if width == 0 {
-        return out;
-    }
+fn gather(out: &mut [f64], adj: &CsrMatrix, r: usize, b: &[f64]) {
     let (row_ptr, col_idx, values) = adj.parts();
-    for (bounds, orow) in row_ptr
-        .windows(2)
-        .zip(out.as_mut_slice().chunks_exact_mut(width))
-    {
-        let entries = bounds[0]..bounds[1];
-        accumulate(
-            orow,
-            &col_idx[entries.clone()],
-            &values[entries],
-            h.as_slice(),
-        );
-    }
-    out
+    let entries = row_ptr[r]..row_ptr[r + 1];
+    out.fill(0.0);
+    accumulate(out, &col_idx[entries.clone()], &values[entries], b);
 }
 
-/// A scatter: row `r` of `g`, scaled by each entry `(r, c)` of `adj`, is
-/// added to output row `c`, so each output row receives its terms in
-/// ascending `r`. (A gather over the transposed pattern, tiled like the
-/// other kernels, measured no faster once it pays for the transposition.)
 #[inline(always)]
-fn spmm_transpose_body(adj: &CsrMatrix, g: &Matrix) -> Matrix {
-    let width = g.cols();
-    let mut out = Matrix::zeros(adj.cols(), width);
-    if width == 0 {
-        return out;
+fn spmm_body(adj: &CsrMatrix, width: usize, h: &[f64], out: &mut [f64]) {
+    assert_eq!(h.len(), adj.cols() * width, "spmm input shape");
+    assert_eq!(out.len(), adj.rows() * width, "spmm output shape");
+    for r in 0..adj.rows() {
+        gather(&mut out[r * width..(r + 1) * width], adj, r, h);
     }
-    let (row_ptr, col_idx, values) = adj.parts();
-    let out_data = out.as_mut_slice();
-    for (bounds, grow) in row_ptr.windows(2).zip(g.as_slice().chunks_exact(width)) {
-        for (&c, &v) in col_idx[bounds[0]..bounds[1]]
-            .iter()
-            .zip(&values[bounds[0]..bounds[1]])
-        {
-            for (o, &x) in out_data[c * width..(c + 1) * width].iter_mut().zip(grow) {
-                *o += v * x;
+}
+
+#[inline(always)]
+fn conv_forward_body(pass: Forward<'_>) {
+    let Forward {
+        adj,
+        input,
+        weight,
+        bias,
+        mut aggregated,
+        output,
+        mut epilogue,
+    } = pass;
+    let (in_width, out_width) = weight.shape();
+    let rows = adj.rows();
+    assert_eq!(input.len(), adj.cols() * in_width, "forward input shape");
+    assert_eq!(bias.len(), out_width, "forward bias shape");
+    assert_eq!(output.len(), rows * out_width, "forward output shape");
+    if let Some(cache) = &aggregated {
+        assert_eq!(cache.len(), rows * in_width, "forward cache shape");
+    }
+    epilogue.check(rows * out_width);
+    let mut row = vec![0.0; in_width];
+    let (mut terms, mut coefs) = (vec![0; in_width], vec![0.0; in_width]);
+    for r in 0..rows {
+        let aggregated_row = match aggregated.as_deref_mut() {
+            Some(cache) => &mut cache[r * in_width..(r + 1) * in_width],
+            None => &mut row[..],
+        };
+        gather(aggregated_row, adj, r, input);
+        let count = nonzeros(aggregated_row.iter().copied(), 0, &mut terms, &mut coefs);
+        let out = &mut output[r * out_width..(r + 1) * out_width];
+        out.fill(0.0);
+        accumulate(out, &terms[..count], &coefs[..count], weight.as_slice());
+        for (o, &b) in out.iter_mut().zip(bias) {
+            *o += b;
+        }
+        epilogue.apply(r * out_width..(r + 1) * out_width, out);
+    }
+}
+
+impl Epilogue<'_> {
+    /// Panics unless every mask covers `len` elements.
+    fn check(&self, len: usize) {
+        match self {
+            Epilogue::Linear | Epilogue::LogSoftmax | Epilogue::Relu(None) => {}
+            Epilogue::Relu(Some(relu)) => assert_eq!(relu.len(), len, "ReLU mask shape"),
+            Epilogue::ReluDropout { relu, mask, .. } => {
+                assert_eq!(relu.len(), len, "ReLU mask shape");
+                assert_eq!(mask.len(), len, "dropout mask shape");
             }
         }
     }
-    out
+
+    /// Applies the epilogue to `out`, the output elements `span`.
+    #[inline(always)]
+    fn apply(&mut self, span: std::ops::Range<usize>, out: &mut [f64]) {
+        match self {
+            Epilogue::Linear => {}
+            Epilogue::LogSoftmax => log_softmax_row(out),
+            Epilogue::Relu(None) => {
+                for v in out {
+                    *v = v.max(0.0);
+                }
+            }
+            Epilogue::Relu(Some(relu)) => relu_row(out, &mut relu[span]),
+            Epilogue::ReluDropout {
+                relu,
+                mask,
+                dropout,
+            } => {
+                relu_row(out, &mut relu[span.clone()]);
+                dropout.draw(&mut mask[span], out);
+            }
+        }
+    }
 }
 
+/// ReLU over `out`, recording `v > 0` per element in `keep`; neither
+/// loop branches on the data.
+#[inline(always)]
+fn relu_row(out: &mut [f64], keep: &mut [bool]) {
+    for (v, keep) in out.iter_mut().zip(keep) {
+        *keep = *v > 0.0;
+        *v = v.max(0.0);
+    }
+}
+
+#[inline(always)]
+fn conv_backward_body(pass: Backward<'_>) {
+    let Backward {
+        rows,
+        source,
+        relu,
+        dropout,
+        aggregated,
+        weight,
+        grad_weight,
+        grad_bias,
+        mut below,
+        mut edges,
+    } = pass;
+    let (in_width, out_width) = weight.shape();
+    match &source {
+        Source::Output { grad, log_probs } => {
+            assert_eq!(grad.len(), rows * out_width, "output gradient shape");
+            if let Some(log_probs) = log_probs {
+                assert_eq!(log_probs.len(), grad.len(), "log-probability shape");
+            }
+        }
+        Source::Above { adj_t, grad } => {
+            assert_eq!(adj_t.rows(), rows, "transposed adjacency rows");
+            assert_eq!(grad.len(), adj_t.cols() * out_width, "gradient above shape");
+        }
+    }
+    for mask in [relu.map(<[bool]>::len), dropout.map(<[f64]>::len)]
+        .into_iter()
+        .flatten()
+    {
+        assert_eq!(mask, rows * out_width, "backward mask shape");
+    }
+    assert_eq!(aggregated.len(), rows * in_width, "backward cache shape");
+    assert_eq!(
+        grad_weight.len(),
+        in_width * out_width,
+        "weight gradient shape"
+    );
+    assert_eq!(grad_bias.len(), out_width, "bias gradient shape");
+    if let Some(below) = &below {
+        assert_eq!(below.len(), rows * in_width, "gradient below shape");
+    }
+    if let Some(edges) = &edges {
+        assert!(below.is_some(), "edge gradients need the gradient below");
+        assert_eq!(edges.adj.rows(), rows, "edge adjacency rows");
+        assert_eq!(
+            edges.input.len(),
+            edges.adj.cols() * in_width,
+            "edge input shape"
+        );
+        assert_eq!(edges.grads.len(), edges.adj.nnz(), "edge gradient count");
+    }
+    let weight_t = weight.transpose();
+    let every: Vec<usize> = (0..out_width).collect();
+    let mut grad = vec![0.0; out_width];
+    let (mut terms, mut coefs) = (vec![0; in_width], vec![0.0; in_width]);
+    for r in 0..rows {
+        let span = r * out_width..(r + 1) * out_width;
+        match source {
+            Source::Output {
+                grad: output,
+                log_probs,
+            } => {
+                grad.copy_from_slice(&output[span.clone()]);
+                if let Some(log_probs) = log_probs {
+                    let sum: f64 = grad.iter().sum();
+                    for (g, &y) in grad.iter_mut().zip(&log_probs[span.clone()]) {
+                        *g -= y.exp() * sum;
+                    }
+                }
+            }
+            Source::Above { adj_t, grad: above } => gather(&mut grad, adj_t, r, above),
+        }
+        if let Some(mask) = dropout {
+            for (g, &m) in grad.iter_mut().zip(&mask[span.clone()]) {
+                *g *= m;
+            }
+        }
+        if let Some(mask) = relu {
+            for (g, &keep) in grad.iter_mut().zip(&mask[span]) {
+                *g = if keep { *g } else { 0.0 };
+            }
+        }
+        let aggregated_row = &aggregated[r * in_width..(r + 1) * in_width];
+        let count = nonzeros(aggregated_row.iter().copied(), 0, &mut terms, &mut coefs);
+        for (&k, &coef) in terms[..count].iter().zip(&coefs[..count]) {
+            let weight_row = &mut grad_weight[k * out_width..(k + 1) * out_width];
+            for (w, &g) in weight_row.iter_mut().zip(&grad) {
+                *w += coef * g;
+            }
+        }
+        for (b, &g) in grad_bias.iter_mut().zip(&grad) {
+            *b += g;
+        }
+        let Some(below) = below.as_deref_mut() else {
+            continue;
+        };
+        let d = &mut below[r * in_width..(r + 1) * in_width];
+        d.fill(-0.0);
+        accumulate(d, &every, &grad, weight_t.as_slice());
+        if let Some(Edges { adj, input, grads }) = edges.as_mut() {
+            let (row_ptr, col_idx, _) = adj.parts();
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                let c = col_idx[k];
+                let h = &input[c * in_width..(c + 1) * in_width];
+                let dot: f64 = d.iter().zip(h).map(|(&a, &b)| a * b).sum();
+                grads[k] += dot;
+            }
+        }
+    }
+}
+
+/// Operands and comparisons shared by the kernel and graph-convolution
+/// differential suites.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
+pub(crate) mod testing {
+    use super::Version;
+    use crate::matrix::Matrix;
+    use crate::sparse::CsrMatrix;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
     /// Every compiled version this CPU runs.
-    fn versions() -> Vec<Version> {
+    pub(crate) fn versions() -> Vec<Version> {
         let mut versions = vec![Version::BASELINE];
         if Version::detect() != Version::BASELINE {
             versions.push(Version::detect());
         }
         versions
     }
+
+    /// An element that stresses summation order and special values: a
+    /// signed zero, a subnormal, a tiny or an ordinary magnitude, or
+    /// (rarely, so most sums stay finite) an infinity or NaN.
+    pub(crate) fn element(rng: &mut ChaCha8Rng) -> f64 {
+        let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+        match rng.gen_range(0..64u32) {
+            0..=11 => sign * 0.0,
+            12..=19 => sign * f64::from_bits(rng.gen_range(1u64..(1 << 52))),
+            20..=27 => sign * rng.gen_range(0.0..1e-300),
+            28 => sign * f64::INFINITY,
+            29 => f64::NAN,
+            _ => sign * rng.gen_range(0.0..1e3),
+        }
+    }
+
+    /// A `rows × cols` matrix in which about a quarter of the rows are
+    /// entirely (signed) zero.
+    pub(crate) fn matrix(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Matrix {
+        let mut data = Vec::with_capacity(rows * cols);
+        for _ in 0..rows {
+            if rng.gen_bool(0.25) {
+                let zero = if rng.gen_bool(0.5) { -0.0 } else { 0.0 };
+                data.extend(std::iter::repeat_n(zero, cols));
+            } else {
+                data.extend((0..cols).map(|_| element(rng)));
+            }
+        }
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// A `rows × cols` sparse matrix storing about a third of its cells,
+    /// stored zeros included.
+    pub(crate) fn sparse(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> CsrMatrix {
+        let mut triplets = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if rng.gen_bool(0.3) {
+                    triplets.push((r, c, element(rng)));
+                }
+            }
+        }
+        CsrMatrix::from_triplets(rows, cols, &triplets)
+    }
+
+    /// Equal `to_bits`, except that a NaN matches any NaN: when both
+    /// addends are NaN, x86 returns the payload of the operand the
+    /// compiler put first, and the compiler may commute an addition.
+    pub(crate) fn assert_bits_eq(kernel: &[f64], reference: &[f64], what: &str) {
+        assert_eq!(kernel.len(), reference.len(), "{what}");
+        for (i, (x, y)) in kernel.iter().zip(reference).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{what}, element {i}: {x:e} ({:#x}) vs {y:e} ({:#x})",
+                x.to_bits(),
+                y.to_bits()
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{assert_bits_eq, matrix, sparse, versions};
+    use super::*;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
 
     // The row-axpy loops the kernels replaced, and for `G·Wᵀ` the dot
     // product that defines it: the bit-identity references.
@@ -384,85 +752,15 @@ mod tests {
         out
     }
 
-    fn spmm_transpose_reference(adj: &CsrMatrix, g: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(adj.cols(), g.cols());
-        for r in 0..adj.rows() {
-            for (c, v) in adj.row_entries(r) {
-                for (o, &y) in out.row_mut(c).iter_mut().zip(g.row(r)) {
-                    *o += v * y;
-                }
-            }
-        }
+    fn spmm(version: Version, adj: &CsrMatrix, h: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(adj.rows(), h.cols());
+        spmm_into(version, adj, h.cols(), h.as_slice(), out.as_mut_slice());
         out
     }
 
-    /// An element that stresses summation order and special values: a
-    /// signed zero, a subnormal, a tiny or an ordinary magnitude, or
-    /// (rarely, so most sums stay finite) an infinity or NaN.
-    fn element(rng: &mut ChaCha8Rng) -> f64 {
-        let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
-        match rng.gen_range(0..64u32) {
-            0..=11 => sign * 0.0,
-            12..=19 => sign * f64::from_bits(rng.gen_range(1u64..(1 << 52))),
-            20..=27 => sign * rng.gen_range(0.0..1e-300),
-            28 => sign * f64::INFINITY,
-            29 => f64::NAN,
-            _ => sign * rng.gen_range(0.0..1e3),
-        }
-    }
-
-    /// A `rows × cols` matrix in which about a quarter of the rows are
-    /// entirely (signed) zero.
-    fn matrix(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Matrix {
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows {
-            if rng.gen_bool(0.25) {
-                let zero = if rng.gen_bool(0.5) { -0.0 } else { 0.0 };
-                data.extend(std::iter::repeat_n(zero, cols));
-            } else {
-                data.extend((0..cols).map(|_| element(rng)));
-            }
-        }
-        Matrix::from_vec(rows, cols, data)
-    }
-
-    /// A `rows × cols` sparse matrix storing about a third of its cells,
-    /// stored zeros included.
-    fn sparse(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> CsrMatrix {
-        let mut triplets = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                if rng.gen_bool(0.3) {
-                    triplets.push((r, c, element(rng)));
-                }
-            }
-        }
-        CsrMatrix::from_triplets(rows, cols, &triplets)
-    }
-
-    /// Equal `to_bits`, except that a NaN matches any NaN: when both
-    /// addends are NaN, x86 returns the payload of the operand the
-    /// compiler put first, and the compiler may commute an addition.
-    fn assert_bits_eq(kernel: &Matrix, reference: &Matrix, what: &str) {
-        assert_eq!(kernel.shape(), reference.shape(), "{what}");
-        for (i, (x, y)) in kernel
-            .as_slice()
-            .iter()
-            .zip(reference.as_slice())
-            .enumerate()
-        {
-            assert!(
-                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                "{what}, element {i}: {x:e} ({:#x}) vs {y:e} ({:#x})",
-                x.to_bits(),
-                y.to_bits()
-            );
-        }
-    }
-
-    /// All five kernels, in every compiled version, against their
-    /// references on operands whose product has `n` rows, inner dimension
-    /// `k` and `m` columns.
+    /// The dense kernels and `Â·H`, in every compiled version, against
+    /// their references on operands whose product has `n` rows, inner
+    /// dimension `k` and `m` columns.
     fn check_all(seed: u64, n: usize, k: usize, m: usize) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let a = matrix(&mut rng, n, k);
@@ -474,29 +772,24 @@ mod tests {
         for version in versions() {
             let what = |kernel: &str| format!("{kernel} {n}x{k}x{m}, {version:?}");
             assert_bits_eq(
-                &matmul(version, &a, &b),
-                &matmul_reference(&a, &b),
+                matmul(version, &a, &b).as_slice(),
+                matmul_reference(&a, &b).as_slice(),
                 &what("matmul"),
             );
             assert_bits_eq(
-                &transpose_matmul(version, &a, &g),
-                &transpose_matmul_reference(&a, &g),
+                transpose_matmul(version, &a, &g).as_slice(),
+                transpose_matmul_reference(&a, &g).as_slice(),
                 &what("transpose_matmul"),
             );
             assert_bits_eq(
-                &matmul_transpose(version, &a, &w),
-                &matmul_transpose_reference(&a, &w),
+                matmul_transpose(version, &a, &w).as_slice(),
+                matmul_transpose_reference(&a, &w).as_slice(),
                 &what("matmul_transpose"),
             );
             assert_bits_eq(
-                &spmm(version, &adj, &h),
-                &spmm_reference(&adj, &h),
+                spmm(version, &adj, &h).as_slice(),
+                spmm_reference(&adj, &h).as_slice(),
                 &what("spmm"),
-            );
-            assert_bits_eq(
-                &spmm_transpose(version, &adj, &g),
-                &spmm_transpose_reference(&adj, &g),
-                &what("spmm_transpose"),
             );
         }
     }
@@ -519,7 +812,7 @@ mod tests {
             check_all(m as u64, 9, 11, m);
             check_all(m as u64, 3, 1, m);
         }
-        // Reductions that span several row blocks of `(ÂH)ᵀ·G`.
+        // Reductions that span several row blocks of `Xᵀ·G`.
         check_all(7, 3 * BLOCK_ROWS + 5, 6, 19);
     }
 
@@ -534,12 +827,16 @@ mod tests {
         for version in versions() {
             let what = format!("{version:?}");
             assert_bits_eq(
-                &matmul_transpose(version, &g, &w),
-                &matmul_transpose_reference(&g, &w),
+                matmul_transpose(version, &g, &w).as_slice(),
+                matmul_transpose_reference(&g, &w).as_slice(),
                 &what,
             );
             let empty = matmul_transpose(version, &g0, &w0);
-            assert_bits_eq(&empty, &matmul_transpose_reference(&g0, &w0), &what);
+            assert_bits_eq(
+                empty.as_slice(),
+                matmul_transpose_reference(&g0, &w0).as_slice(),
+                &what,
+            );
             assert!(empty.get(1, 2).is_sign_negative());
         }
     }

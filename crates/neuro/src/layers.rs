@@ -9,14 +9,17 @@
 //! copied, and a layer that must keep its input for backward keeps the
 //! moved matrix itself. The borrowing `forward`/`backward` entry points
 //! clone once and delegate to them.
+//!
+//! Graph convolutions are not layers of this kind: a
+//! [`ConvStack`](crate::conv::ConvStack) runs each of its layers in one
+//! fused row pass per direction, and [`Dropout`] is the generator those
+//! passes draw their masks from.
 
 use crate::init::glorot_uniform;
 use crate::matrix::Matrix;
 use crate::param::Param;
-use crate::sparse::CsrMatrix;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::borrow::Cow;
 
 /// Fully connected layer: `Y = X·W + b`.
 #[derive(Debug, Clone)]
@@ -107,121 +110,6 @@ impl Dense {
     }
 }
 
-/// Graph convolution (Kipf & Welling, Eq. 2 of the paper):
-/// `H' = Â · H · W + b` with `Â` the symmetrically normalized adjacency.
-///
-/// The aggregated `ÂH` is cached once, by the inner [`Dense`] layer.
-#[derive(Debug, Clone)]
-pub struct GraphConv {
-    /// The dense transform applied after aggregation.
-    pub linear: Dense,
-    cached_input: Option<Matrix>,
-}
-
-impl GraphConv {
-    /// Creates a Glorot-initialized graph convolution.
-    pub fn new(in_features: usize, out_features: usize, seed: u64) -> GraphConv {
-        GraphConv {
-            linear: Dense::new(in_features, out_features, seed),
-            cached_input: None,
-        }
-    }
-
-    /// Input feature width.
-    pub fn in_features(&self) -> usize {
-        self.linear.in_features()
-    }
-
-    /// Output feature width.
-    pub fn out_features(&self) -> usize {
-        self.linear.out_features()
-    }
-
-    /// Forward pass: aggregate neighbours through `adj`, then transform.
-    /// Keeps a copy of the input, so edge gradients can follow.
-    pub fn forward(&mut self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        self.forward_owned(adj, Cow::Borrowed(x), true)
-    }
-
-    /// Forward pass over a borrowed or owned input (a stack's first
-    /// layer borrows the feature matrix; later layers own their
-    /// activations). The aggregated `ÂX` moves into the dense layer's
-    /// cache. The input itself is kept — moved when owned — only when
-    /// `keep_input` is set, which
-    /// [`GraphConv::backward_with_edge_grads`] requires.
-    pub fn forward_owned(
-        &mut self,
-        adj: &CsrMatrix,
-        x: Cow<'_, Matrix>,
-        keep_input: bool,
-    ) -> Matrix {
-        let aggregated = adj.matmul(&x);
-        self.cached_input = keep_input.then(|| x.into_owned());
-        self.linear.forward_owned(aggregated)
-    }
-
-    /// Forward pass without caching (inference).
-    pub fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        self.linear.forward_inference(&adj.matmul(x))
-    }
-
-    /// Backward pass. Returns `∂L/∂X`; also exposes the gradient w.r.t.
-    /// the *aggregated* features via [`GraphConv::backward_with_edge_grads`]
-    /// when edge gradients are needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, adj: &CsrMatrix, grad_output: &Matrix) -> Matrix {
-        let grad_aggregated = self.linear.backward(grad_output);
-        // ∂L/∂X = Âᵀ · ∂L/∂(ÂX); Â is symmetric for undirected graphs but
-        // transpose_matmul keeps this correct in general.
-        adj.transpose_matmul(&grad_aggregated)
-    }
-
-    /// Backward pass for the parameters only (no `∂L/∂X`): what a first
-    /// layer needs during training.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward_params(&mut self, grad_output: &Matrix) {
-        self.linear.backward_params(grad_output);
-    }
-
-    /// Backward pass that additionally returns the per-edge gradients
-    /// `∂L/∂Â[r,c]` in CSR entry order — the signal the GNN explainer's
-    /// edge mask trains on.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the preceding forward pass kept its input.
-    pub fn backward_with_edge_grads(
-        &mut self,
-        adj: &CsrMatrix,
-        grad_output: &Matrix,
-    ) -> (Matrix, Vec<f64>) {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("GraphConv::backward_with_edge_grads requires a forward that kept its input");
-        let grad_aggregated = self.linear.backward(grad_output);
-        let edge_grads = adj.edge_gradients(&grad_aggregated, x);
-        let grad_x = adj.transpose_matmul(&grad_aggregated);
-        (grad_x, edge_grads)
-    }
-
-    /// The layer's trainable parameters.
-    pub fn params(&self) -> Vec<&Param> {
-        self.linear.params()
-    }
-
-    /// The layer's trainable parameters, mutably.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.linear.params_mut()
-    }
-}
-
 /// Rectified linear unit.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
@@ -283,13 +171,13 @@ impl Relu {
 }
 
 /// Inverted dropout: scales kept activations by `1/(1-p)` during
-/// training; identity at inference.
+/// training; identity at inference. Holds the drop probability and the
+/// mask generator; the passes that apply it keep the mask.
 #[derive(Debug, Clone)]
 pub struct Dropout {
     /// Drop probability in `[0, 1)`.
     pub p: f64,
     rng: ChaCha8Rng,
-    mask: Option<Vec<f64>>,
 }
 
 impl Dropout {
@@ -303,52 +191,25 @@ impl Dropout {
         Dropout {
             p,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            mask: None,
         }
     }
 
-    /// Training-mode forward pass (samples a fresh mask).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.forward_owned(x.clone())
-    }
-
-    /// In-place training-mode forward pass; the mask buffer is reused
-    /// across calls. Mask entries are drawn in element order.
-    pub fn forward_owned(&mut self, mut x: Matrix) -> Matrix {
-        if self.p == 0.0 {
-            self.mask = None;
-            return x;
+    /// Draws one mask entry per element of `x`, in element order, into
+    /// `mask` and applies it. Each entry is `1/keep` or `+0.0`: the
+    /// positive finite scale times the coin flip as `1.0` or `0.0`. A
+    /// branch (or a select, which LLVM may turn into one) on a coin flip
+    /// would mispredict half the time.
+    pub(crate) fn draw(&mut self, mask: &mut [f64], x: &mut [f64]) {
+        let keep = 1.0 - self.p;
+        let scale = 1.0 / keep;
+        for (v, m) in x.iter_mut().zip(mask) {
+            *m = scale * f64::from(u8::from(self.rng.gen_bool(keep)));
+            *v *= *m;
         }
-        let mut mask = self.mask.take().unwrap_or_default();
-        mask.resize(x.as_slice().len(), 0.0);
-        draw_mask(&mut self.rng, 1.0 - self.p, &mut mask, x.as_mut_slice());
-        self.mask = Some(mask);
-        x
-    }
-
-    /// Inference-mode forward pass (identity).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        x.clone()
-    }
-
-    /// Backward pass (applies the same mask).
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        self.backward_owned(grad_output.clone())
-    }
-
-    /// In-place backward pass (applies the same mask).
-    pub fn backward_owned(&mut self, mut grad: Matrix) -> Matrix {
-        if let Some(mask) = &self.mask {
-            for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
-                *g *= m;
-            }
-        }
-        grad
     }
 
     /// The mask generator's state: with [`Dropout::set_rng`], lets a
-    /// caller snapshot and restore the layer without cloning its
-    /// activation-sized mask.
+    /// caller snapshot and restore the generator.
     pub fn rng(&self) -> &ChaCha8Rng {
         &self.rng
     }
@@ -356,19 +217,6 @@ impl Dropout {
     /// Restores a mask generator state taken with [`Dropout::rng`].
     pub fn set_rng(&mut self, rng: ChaCha8Rng) {
         self.rng = rng;
-    }
-}
-
-/// Draws one inverted-dropout mask entry per element of `x`, in element
-/// order, into `mask` and applies it. Each entry is `1/keep` or `+0.0`:
-/// the positive finite scale times the coin flip as `1.0` or `0.0`. A
-/// branch (or a select, which LLVM may turn into one) on a coin flip
-/// would mispredict half the time.
-fn draw_mask(rng: &mut ChaCha8Rng, keep: f64, mask: &mut [f64], x: &mut [f64]) {
-    let scale = 1.0 / keep;
-    for (v, m) in x.iter_mut().zip(mask) {
-        *m = scale * f64::from(u8::from(rng.gen_bool(keep)));
-        *v *= *m;
     }
 }
 
@@ -442,12 +290,17 @@ pub fn log_softmax_rows(x: &Matrix) -> Matrix {
 /// [`log_softmax_rows`] in place.
 pub fn log_softmax_rows_in_place(x: &mut Matrix) {
     for r in 0..x.rows() {
-        let row = x.row_mut(r);
-        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let logsum = row.iter().map(|&v| (v - max).exp()).sum::<f64>().ln() + max;
-        for v in row {
-            *v -= logsum;
-        }
+        log_softmax_row(x.row_mut(r));
+    }
+}
+
+/// The log-softmax of one row, in place.
+#[inline(always)]
+pub(crate) fn log_softmax_row(row: &mut [f64]) {
+    let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let logsum = row.iter().map(|&v| (v - max).exp()).sum::<f64>().ln() + max;
+    for v in row {
+        *v -= logsum;
     }
 }
 
@@ -532,76 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn graphconv_aggregates_neighbours() {
-        let adj = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
-        let mut layer = GraphConv::new(1, 1, 3);
-        layer.linear.weight.value.set(0, 0, 1.0);
-        let x = Matrix::from_rows(&[&[5.0], &[7.0]]);
-        let y = layer.forward(&adj, &x);
-        assert!((y.get(0, 0) - 7.0).abs() < 1e-12);
-        assert!((y.get(1, 0) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn graphconv_input_gradient_matches_numeric() {
-        let adj = CsrMatrix::from_triplets(
-            3,
-            3,
-            &[
-                (0, 0, 0.5),
-                (0, 1, 0.5),
-                (1, 0, 0.3),
-                (2, 2, 1.0),
-                (1, 2, 0.7),
-            ],
-        );
-        let mut layer = GraphConv::new(2, 2, 21);
-        let x = Matrix::from_rows(&[&[1.0, 0.5], &[-0.2, 0.8], &[0.3, -0.4]]);
-        let _ = layer.forward(&adj, &x);
-        let grad_in = layer.backward(&adj, &Matrix::filled(3, 2, 1.0));
-        let frozen = layer.clone();
-        let numeric = numeric_grad(
-            |xx| frozen.forward_inference(&adj, xx).as_slice().iter().sum(),
-            &x,
-        );
-        assert_close(&grad_in, &numeric, 1e-5, "graphconv input grad");
-    }
-
-    #[test]
-    fn graphconv_edge_gradients_match_numeric() {
-        let adj = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 0.5), (1, 1, 0.9)]);
-        let mut layer = GraphConv::new(2, 1, 9);
-        let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -1.0]]);
-        let _ = layer.forward(&adj, &x);
-        let (_, edge_grads) = layer.backward_with_edge_grads(&adj, &Matrix::filled(2, 1, 1.0));
-
-        let frozen = layer.clone();
-        let eps = 1e-6;
-        for (k, _) in adj.triplets().iter().enumerate() {
-            let mut vp = adj.values().to_vec();
-            vp[k] += eps;
-            let mut vm = adj.values().to_vec();
-            vm[k] -= eps;
-            let fp: f64 = frozen
-                .forward_inference(&adj.with_values(vp), &x)
-                .as_slice()
-                .iter()
-                .sum();
-            let fm: f64 = frozen
-                .forward_inference(&adj.with_values(vm), &x)
-                .as_slice()
-                .iter()
-                .sum();
-            let numeric = (fp - fm) / (2.0 * eps);
-            assert!(
-                (numeric - edge_grads[k]).abs() < 1e-5,
-                "edge {k}: {numeric} vs {}",
-                edge_grads[k]
-            );
-        }
-    }
-
-    #[test]
     fn relu_zeroes_negative_gradients() {
         let mut relu = Relu::new();
         let x = Matrix::from_rows(&[&[-1.0, 2.0]]);
@@ -612,31 +395,14 @@ mod tests {
     }
 
     #[test]
-    fn dropout_inference_is_identity() {
-        let dropout = Dropout::new(0.5, 3);
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        assert_eq!(dropout.forward_inference(&x), x);
-    }
-
-    #[test]
     fn dropout_preserves_expectation() {
         let mut dropout = Dropout::new(0.3, 7);
-        let x = Matrix::filled(1, 20_000, 1.0);
-        let y = dropout.forward(&x);
-        let mean: f64 = y.as_slice().iter().sum::<f64>() / 20_000.0;
+        let mut x = vec![1.0; 20_000];
+        let mut mask = vec![0.0; 20_000];
+        dropout.draw(&mut mask, &mut x);
+        let mean: f64 = x.iter().sum::<f64>() / 20_000.0;
         assert!((mean - 1.0).abs() < 0.03, "mean {mean}");
-    }
-
-    #[test]
-    fn dropout_backward_uses_same_mask() {
-        let mut dropout = Dropout::new(0.5, 9);
-        let x = Matrix::filled(1, 64, 1.0);
-        let y = dropout.forward(&x);
-        let grad = dropout.backward(&Matrix::filled(1, 64, 1.0));
-        // Gradient is zero exactly where the forward output is zero.
-        for (g, v) in grad.as_slice().iter().zip(y.as_slice()) {
-            assert_eq!(*g == 0.0, *v == 0.0);
-        }
+        assert_eq!(x, mask);
     }
 
     #[test]

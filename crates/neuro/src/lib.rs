@@ -10,8 +10,11 @@
 //!   adjacency, with sparse×dense products and per-edge gradients (needed
 //!   by the GNN explainer), and [`RowPlan`] — the rows each layer of a
 //!   graph-convolution stack must compute for a chosen set of outputs;
-//! * [`layers`] — `Dense`, `GraphConv`, `ReLU`, `Dropout`, `LogSoftmax`
-//!   with explicit forward/backward passes;
+//! * [`conv`] — graph-convolution stacks whose forward, backward and
+//!   inference passes run one fused loop over the rows per layer, in
+//!   buffers a [`conv::Workspace`] keeps for the whole run;
+//! * [`layers`] — `Dense`, `ReLU`, `Dropout`, `LogSoftmax` with explicit
+//!   forward/backward passes;
 //! * [`loss`] — negative log-likelihood, mean-squared-error and binary
 //!   cross-entropy with masking (semi-supervised node splits);
 //! * [`optim`] — Adam and SGD over [`Param`] value/gradient pairs;
@@ -29,6 +32,7 @@
 //! assert_eq!(a.matmul(&b), a);
 //! ```
 
+pub mod conv;
 pub mod init;
 mod kernels;
 pub mod layers;

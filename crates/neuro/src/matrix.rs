@@ -80,6 +80,14 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// Makes this a `rows × cols` matrix, reusing its buffer; the
+    /// elements are left unspecified for the caller to overwrite.
+    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

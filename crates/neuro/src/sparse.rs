@@ -2,7 +2,6 @@
 
 use crate::kernels::{self, Version};
 use crate::matrix::Matrix;
-use std::borrow::Cow;
 
 /// A square-or-rectangular sparse matrix in CSR layout.
 ///
@@ -147,17 +146,46 @@ impl CsrMatrix {
             dense.rows(),
             dense.cols()
         );
-        kernels::spmm(Version::detect(), self, dense)
+        let mut out = Matrix::zeros(self.rows, dense.cols());
+        kernels::spmm_into(
+            Version::detect(),
+            self,
+            dense.cols(),
+            dense.as_slice(),
+            out.as_mut_slice(),
+        );
+        out
     }
 
-    /// `selfᵀ × dense` without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != dense.rows()`.
-    pub fn transpose_matmul(&self, dense: &Matrix) -> Matrix {
-        assert_eq!(self.rows, dense.rows(), "spmm^T shape mismatch");
-        kernels::spmm_transpose(Version::detect(), self, dense)
+    /// The transposed matrix. Each of its rows lists its entries in
+    /// ascending column, which is the row of `self` they come from: the
+    /// order in which a scatter over the rows of `self` visits them.
+    pub(crate) fn transpose(&self) -> CsrMatrix {
+        let mut row_ptr = vec![0; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        for r in 0..self.rows {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let slot = &mut next[self.col_idx[k]];
+                col_idx[*slot] = r;
+                values[*slot] = self.values[k];
+                *slot += 1;
+            }
+        }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// The CSR arrays: row pointers, column indices and values.
@@ -290,11 +318,12 @@ impl CsrMatrix {
 ///
 /// Working back from the output, layer `l` computes the rows layer `l+1`
 /// aggregates from (the columns [`CsrMatrix::columns_of`] its rows
-/// store), and the first layer reads only those rows of the input. Each
-/// layer gets `Â` restricted by [`CsrMatrix::select`] to the rows it
-/// computes, with columns renumbered to the previous layer's rows. Every
-/// computed row repeats the operations of the unrestricted pass, so the
-/// outputs are bit-identical to the requested rows of a full pass.
+/// store). Each layer gets `Â` restricted by [`CsrMatrix::select`] to the
+/// rows it computes, with columns renumbered to the previous layer's
+/// rows; the first layer keeps `Â`'s columns, so it reads the input
+/// itself. Every computed row repeats the operations of the unrestricted
+/// pass, so the outputs are bit-identical to the requested rows of a full
+/// pass.
 ///
 /// # Example
 ///
@@ -314,17 +343,17 @@ impl CsrMatrix {
 /// let plan = RowPlan::new(&adj, &[0], 2);
 /// let x = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0], &[4.0]]);
 /// // Two hops from node 0 reach nodes 0..=2, never node 3.
-/// let h = plan.adjacency(0, &adj).matmul(&plan.input(&x));
+/// let h = plan.adjacency(0, &adj).matmul(&x);
+/// assert_eq!(h.rows(), 2);
 /// let y = plan.adjacency(1, &adj).matmul(&h);
 /// assert_eq!(y.shape(), (1, 1));
 /// assert_eq!(y.get(0, 0), adj.matmul(&adj.matmul(&x)).get(0, 0));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RowPlan {
-    /// Input rows the first layer reads; `None` for all rows.
-    input_rows: Option<Vec<usize>>,
     /// Per layer, `Â` restricted to the rows that layer computes; `None`
-    /// where a layer computes every row from every input row.
+    /// where a layer computes every row from every input row. Empty for
+    /// [`RowPlan::all`].
     layers: Vec<Option<CsrMatrix>>,
 }
 
@@ -340,37 +369,37 @@ impl RowPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `adj` is not square or a row is out of bounds.
+    /// Panics if `adj` is not square, `depth` is 0 or a row is out of
+    /// bounds.
     pub fn new(adj: &CsrMatrix, rows: &[usize], depth: usize) -> RowPlan {
         assert_eq!(adj.rows(), adj.cols(), "row plans need a square adjacency");
+        assert!(depth > 0, "row plans need at least one layer");
         let n = adj.rows();
         let is_all =
             |rows: &[usize]| rows.len() == n && rows.iter().enumerate().all(|(i, &r)| i == r);
         let mut layers = Vec::with_capacity(depth);
         let mut computed = rows.to_vec();
         let mut computed_all = is_all(&computed);
-        for _ in 0..depth {
+        for layer in (0..depth).rev() {
             let read = adj.columns_of(&computed);
             let read_all = read.len() == n;
             layers.push(if computed_all && read_all {
                 None
             } else {
-                Some(adj.select(&computed, (!read_all).then_some(read.as_slice())))
+                let renumber = layer > 0 && !read_all;
+                Some(adj.select(&computed, renumber.then_some(read.as_slice())))
             });
             computed = read;
             computed_all = read_all;
         }
         layers.reverse();
-        RowPlan {
-            input_rows: (!computed_all).then_some(computed),
-            layers,
-        }
+        RowPlan { layers }
     }
 
     /// Number of layers the plan restricts; `None` for [`RowPlan::all`],
     /// which fits any depth.
     pub fn depth(&self) -> Option<usize> {
-        (!self.layers.is_empty() || self.input_rows.is_some()).then_some(self.layers.len())
+        (!self.layers.is_empty()).then_some(self.layers.len())
     }
 
     /// The adjacency layer `layer` (0-based) multiplies by: `full` itself
@@ -380,15 +409,6 @@ impl RowPlan {
             .get(layer)
             .and_then(Option::as_ref)
             .unwrap_or(full)
-    }
-
-    /// The rows of the input `x` the first layer reads: `x` itself when
-    /// it reads them all, else a copy of just those rows.
-    pub fn input<'a>(&self, x: &'a Matrix) -> Cow<'a, Matrix> {
-        match &self.input_rows {
-            None => Cow::Borrowed(x),
-            Some(rows) => Cow::Owned(x.select_rows(rows)),
-        }
     }
 }
 
@@ -405,14 +425,23 @@ mod tests {
     }
 
     #[test]
-    fn transpose_spmm_matches_dense() {
-        let triplets = [(0, 1, 1.5), (1, 0, -1.0), (1, 2, 2.0)];
-        let sparse = CsrMatrix::from_triplets(2, 3, &triplets);
-        let x = Matrix::from_rows(&[&[1.0], &[2.0]]);
+    fn transpose_matches_dense_and_ascends_in_source_row() {
+        let triplets = [
+            (0, 1, 1.5),
+            (1, 0, -1.0),
+            (1, 2, 2.0),
+            (2, 1, 0.5),
+            (3, 1, -0.0),
+        ];
+        let sparse = CsrMatrix::from_triplets(4, 3, &triplets);
+        let transposed = sparse.transpose();
+        assert_eq!((transposed.rows(), transposed.cols()), (3, 4));
+        assert_eq!(transposed.to_dense(), sparse.to_dense().transpose());
         assert_eq!(
-            sparse.transpose_matmul(&x),
-            sparse.to_dense().transpose().matmul(&x)
+            transposed.row_entries(1).collect::<Vec<_>>(),
+            vec![(0, 1.5), (2, 0.5), (3, -0.0)]
         );
+        assert_eq!(transposed.transpose(), sparse);
     }
 
     #[test]

@@ -319,7 +319,11 @@ fn runtime_error_prints_one_line_without_usage() {
     )
     .unwrap();
     let wide = wide.to_str().unwrap();
-    let cases: [(&[&str], &[&str]); 4] = [
+    // Ground truth whose score is not a number.
+    let nan_truth = tmp.join(format!("fusa_cli_nan_truth_{}.csv", std::process::id()));
+    std::fs::write(&nan_truth, "gate,score,label\nU0,NaN,1\n").unwrap();
+    let nan_truth = nan_truth.to_str().unwrap();
+    let cases: [(&[&str], &[&str]); 5] = [
         (&["analyze", missing, "--fast"], &["error: cannot read"]),
         (
             &["stats", wide],
@@ -348,6 +352,17 @@ fn runtime_error_prints_one_line_without_usage() {
             ],
             &["error: bad --lanes value `scalar`", "64", "256", "512"],
         ),
+        (
+            &[
+                "rank",
+                "or1200_icfsm",
+                "--ground-truth",
+                nan_truth,
+                "--run-dir",
+                run_dir,
+            ],
+            &["error: bad ground truth", "line 2", "\"NaN\""],
+        ),
     ];
     for (args, expected) in cases {
         let output = fusa().args(args).output().unwrap();
@@ -362,6 +377,7 @@ fn runtime_error_prints_one_line_without_usage() {
         assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
     }
     std::fs::remove_file(wide).ok();
+    std::fs::remove_file(nan_truth).ok();
 }
 
 /// The manifest names the commit the binary was built from: `build.rs`
