@@ -2,7 +2,8 @@
 //! netlist construction, levelization, scalar and bit-parallel
 //! simulation, fault campaigns, graph normalization, GCN training and
 //! inference, the GCN's fused convolution passes, explainer iterations,
-//! and the static-analysis lint passes.
+//! the structural analysis at 10k gates, and the static-analysis lint
+//! passes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fusa_faultsim::{CampaignConfig, FaultCampaign, FaultList};
@@ -13,7 +14,8 @@ use fusa_logicsim::{
     BitSim, SignalStats, SignalStatsConfig, Simulator, WorkloadConfig, WorkloadSuite,
 };
 use fusa_netlist::designs::{or1200_icfsm, sdram_ctrl, synth_10k};
-use fusa_netlist::Levelizer;
+use fusa_netlist::structural::{betweenness, gate_adjacency};
+use fusa_netlist::{Levelizer, TestabilityProfile};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -218,6 +220,25 @@ fn bench_gcn_passes(c: &mut Criterion) {
     });
 }
 
+/// The zero-simulation layer on the ~10k-gate synthetic design: the
+/// near-linear testability profile (SCOAP fixpoints, articulation,
+/// post-dominance) that lint and the fault-list filter compute, and the
+/// O(V·E) exact betweenness only `fusa rank` and the structural feature
+/// channels pay for.
+fn bench_structural(c: &mut Criterion) {
+    let netlist = synth_10k(1);
+    let adjacency = gate_adjacency(&netlist);
+    let mut group = c.benchmark_group("structural");
+    group.sample_size(5);
+    group.bench_function("testability_synth_10k", |b| {
+        b.iter(|| black_box(TestabilityProfile::analyze(&netlist)))
+    });
+    group.bench_function("betweenness_synth_10k", |b| {
+        b.iter(|| black_box(betweenness(&adjacency)))
+    });
+    group.finish();
+}
+
 fn bench_lint(c: &mut Criterion) {
     let netlist = sdram_ctrl();
     c.bench_function("lint/all_passes_sdram_ctrl", |b| {
@@ -242,6 +263,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_netlist, bench_simulation, bench_fault_campaign, bench_graph, bench_gcn, bench_gcn_passes, bench_lint, bench_pipeline
+    targets = bench_netlist, bench_simulation, bench_fault_campaign, bench_graph, bench_gcn, bench_gcn_passes, bench_structural, bench_lint, bench_pipeline
 }
 criterion_main!(benches);

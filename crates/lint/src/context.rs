@@ -13,9 +13,11 @@ use fusa_netlist::{GateId, Levelizer, NetId, Netlist, TestabilityProfile};
 /// * `lint.observability` / `lint.reachability` — backward and forward
 ///   graph searches, linear in gates plus pins;
 /// * `lint.testability` — the [`TestabilityProfile`]: SCOAP fixpoints
-///   (linear on acyclic logic, iterated inside flop-coupled loops),
-///   articulation points (linear) and post-dominance (iterative
-///   dominators, near-linear on netlists in practice).
+///   (linear on acyclic logic, iterated inside flop-coupled loops;
+///   child span `structural.scoap`), then articulation points (linear)
+///   and post-dominance (iterative dominators, near-linear on netlists
+///   in practice), which share the child span `structural.graph` with
+///   the SCC condensation.
 ///
 /// The graph centralities are not computed here: no pass reads them, and
 /// exact betweenness alone is O(V·E).

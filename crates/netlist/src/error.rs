@@ -57,6 +57,14 @@ pub enum NetlistError {
         /// Least significant index as written.
         lsb: i64,
     },
+    /// A module's declarations expand to more than
+    /// [`crate::parser::MAX_DECLARED_BITS`] bits in total.
+    TooManyDeclaredBits {
+        /// 1-based line of the declaration that crosses the bound.
+        line: usize,
+        /// Bits declared up to and including that declaration.
+        total: u64,
+    },
     /// A cell type in the source text is not part of the gate library.
     UnknownCell {
         /// The unresolved cell identifier.
@@ -97,6 +105,12 @@ impl fmt::Display for NetlistError {
                  more than the {} a declaration may hold",
                 u128::from(msb.abs_diff(*lsb)) + 1,
                 crate::parser::MAX_RANGE_WIDTH
+            ),
+            NetlistError::TooManyDeclaredBits { line, total } => write!(
+                f,
+                "parse error at line {line}: declarations reach {total} bits, \
+                 more than the {} a module may declare",
+                crate::parser::MAX_DECLARED_BITS
             ),
             NetlistError::UnknownCell { cell } => {
                 write!(f, "cell `{cell}` is not in the gate library")

@@ -34,13 +34,21 @@ use crate::netlist::{NetId, Netlist};
 /// designs is 64 bits.
 pub const MAX_RANGE_WIDTH: u64 = 1 << 16;
 
+/// Most bits the declarations of one module may expand to in total. One
+/// declaration may list many names under one range, so the range bound
+/// alone lets a short source declare millions of nets; the 100k-gate
+/// synthesized design declares about 96,000.
+pub const MAX_DECLARED_BITS: u64 = 1 << 22;
+
 /// Parses a structural-Verilog-subset source into a validated [`Netlist`].
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] for syntax errors,
 /// [`NetlistError::RangeTooWide`] for a declared range wider than
-/// [`MAX_RANGE_WIDTH`], [`NetlistError::UnknownCell`] for cells outside
+/// [`MAX_RANGE_WIDTH`], [`NetlistError::TooManyDeclaredBits`] for
+/// declarations past [`MAX_DECLARED_BITS`] in total,
+/// [`NetlistError::UnknownCell`] for cells outside
 /// the library, and any validation error from
 /// [`NetlistBuilder::finish`].
 ///
@@ -365,6 +373,7 @@ impl Parser {
         self.expect_punct(';')?;
 
         let mut outputs: Vec<String> = Vec::new();
+        let mut declared_bits = 0u64;
         let mut tie0: Option<NetId> = None;
         let mut tie1: Option<NetId> = None;
 
@@ -379,7 +388,7 @@ impl Parser {
                 "endmodule" => break,
                 "input" | "output" | "wire" => {
                     self.next();
-                    let names = self.parse_decl_names()?;
+                    let names = self.parse_decl_names(&mut declared_bits)?;
                     for n in names {
                         match keyword.as_str() {
                             "input" => {
@@ -459,11 +468,14 @@ impl Parser {
         builder.finish()
     }
 
-    fn parse_decl_names(&mut self) -> Result<Vec<String>, NetlistError> {
+    /// Parses one declaration's range and names, and expands them into
+    /// one name per bit once the module's running total of declared bits,
+    /// `declared_bits`, is known to stay within [`MAX_DECLARED_BITS`].
+    fn parse_decl_names(&mut self, declared_bits: &mut u64) -> Result<Vec<String>, NetlistError> {
+        let line = self.line_on(self.pos);
         // Optional range: [msb:lsb]
         let mut range: Option<(i64, i64)> = None;
         if matches!(self.peek(), Some(Token::Punct('['))) {
-            let line = self.line_on(self.pos);
             self.next();
             let msb = match self.next() {
                 Some(Token::Number(v)) => v,
@@ -489,9 +501,28 @@ impl Parser {
             }
             range = Some((msb, lsb));
         }
-        let mut names = Vec::new();
+        let mut bases = Vec::new();
         loop {
-            let base = self.expect_ident()?;
+            bases.push(self.expect_ident()?);
+            match self.next() {
+                Some(Token::Punct(',')) => continue,
+                Some(Token::Punct(';')) => break,
+                other => {
+                    return Err(self.error_at(format!("bad declaration: {}", found(other.as_ref()))))
+                }
+            }
+        }
+        // Bounded before any name is expanded: each bit becomes a net.
+        let width = range.map_or(1, |(msb, lsb)| msb.abs_diff(lsb) + 1);
+        let total = (bases.len() as u64)
+            .saturating_mul(width)
+            .saturating_add(*declared_bits);
+        if total > MAX_DECLARED_BITS {
+            return Err(NetlistError::TooManyDeclaredBits { line, total });
+        }
+        *declared_bits = total;
+        let mut names = Vec::new();
+        for base in bases {
             match range {
                 None => names.push(base),
                 Some((msb, lsb)) => {
@@ -499,13 +530,6 @@ impl Parser {
                     for bit in lo..=hi {
                         names.push(format!("{base}[{bit}]"));
                     }
-                }
-            }
-            match self.next() {
-                Some(Token::Punct(',')) => continue,
-                Some(Token::Punct(';')) => break,
-                other => {
-                    return Err(self.error_at(format!("bad declaration: {}", found(other.as_ref()))))
                 }
             }
         }
@@ -646,6 +670,21 @@ endmodule
             let width = u128::from(msb.abs_diff(lsb)) + 1;
             assert!(err.to_string().contains(&format!("{width} bits")), "{err}");
         }
+    }
+
+    #[test]
+    fn declared_bits_beyond_the_bound_rejected_before_expansion() {
+        // 300 names of 2^16 bits each: 19.7M nets from a 1.8 KB source.
+        let names: Vec<String> = (0..300).map(|i| format!("w{i}")).collect();
+        let src = format!(
+            "module t (a, z);\n input a;\n output z;\n wire [65535:0] {};\n assign z = a;\nendmodule",
+            names.join(", ")
+        );
+        let err = parse_verilog(&src).unwrap_err();
+        // The total counts the whole declaration: none of it was expanded.
+        let total = 2 + 300 * MAX_RANGE_WIDTH;
+        assert_eq!(err, NetlistError::TooManyDeclaredBits { line: 4, total });
+        assert!(err.to_string().contains(&format!("{total} bits")), "{err}");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   [`SEQUENTIAL_STEP`] instead of 1, making both measures sequential
 //!   depth-aware; a flip-flop's current state participates as an extra
 //!   ternary slot whose cost is the flop's own output net (resolved by
-//!   the fixpoint).
+//!   the fixpoint). The enumeration runs once per cell kind and process;
+//!   a gate visit takes a minimum over the kind's table of minimal
+//!   assignments.
 //!
 //! * **Graph structure** — articulation points of the undirected gate
 //!   graph (single points whose removal disconnects logic) and
@@ -39,10 +41,11 @@
 //! sinks first for observability) with a worklist inside each
 //! non-trivial component, so acyclic regions relax exactly once.
 
-use crate::gate::{GateId, GateKind};
+use crate::gate::{GateId, GateKind, ALL_GATE_KINDS};
 use crate::netlist::{Driver, Netlist};
 use crate::topo::strongly_connected_components;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Sentinel for an unachievable SCOAP goal: a value no input assignment
 /// can force, or a fault effect no assignment can sensitize to an
@@ -89,7 +92,12 @@ impl TestabilityProfile {
         TestabilityProfile::with_adjacency(netlist, &gate_adjacency(netlist))
     }
 
+    /// Times the graph passes (SCC condensation, articulation,
+    /// post-dominance) under `structural.graph` and the SCOAP fixpoints
+    /// under `structural.scoap`.
     fn with_adjacency(netlist: &Netlist, adjacency: &[Vec<u32>]) -> TestabilityProfile {
+        let obs = fusa_obs::global();
+        let graph = obs.span("structural.graph");
         let components = strongly_connected_components(adjacency);
         let mut comp_of = vec![0u32; netlist.gate_count()];
         for (ci, component) in components.iter().enumerate() {
@@ -97,14 +105,18 @@ impl TestabilityProfile {
                 comp_of[g as usize] = ci as u32;
             }
         }
+        let articulation = articulation_points(&undirected(adjacency));
+        let dominated = post_dominance(netlist, adjacency);
+        drop(graph);
+        let _scoap = obs.span("structural.scoap");
         let (cc0, cc1) = controllability(netlist, &components, &comp_of);
         let co = observability(netlist, &cc0, &cc1, &components, &comp_of);
         TestabilityProfile {
             cc0,
             cc1,
             co,
-            articulation: articulation_points(&undirected(adjacency)),
-            dominated: post_dominance(netlist, adjacency),
+            articulation,
+            dominated,
         }
     }
 
@@ -251,9 +263,13 @@ fn undirected(adjacency: &[Vec<u32>]) -> Vec<Vec<u32>> {
     undirected
 }
 
+/// Most ternary slots a cell has: four pins, or three pins plus a
+/// flip-flop's current state.
+const MAX_SLOTS: usize = 4;
+
 /// Controllability cost of one ternary slot (a pin, or a flop's current
 /// state): the cost of driving it to 0 or to 1.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SlotCost {
     zero: u32,
     one: u32,
@@ -320,90 +336,176 @@ fn forced_output(kind: GateKind, assignment: &[Option<bool>]) -> Option<bool> {
     result
 }
 
-/// Saturating sum of the charged (pinned) slots of a ternary
-/// assignment.
-fn charged_cost(assignment: &[Option<bool>], costs: &[SlotCost]) -> u32 {
-    assignment
-        .iter()
-        .zip(costs)
-        .filter_map(|(&trit, &cost)| trit.map(|value| cost.of(value)))
-        .fold(0u32, u32::saturating_add)
+/// A ternary assignment over at most [`MAX_SLOTS`] slots: slot `s` is
+/// pinned to bit `s` of `values` when bit `s` of `pinned` is set, and
+/// don't-care otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Assignment {
+    pinned: u8,
+    values: u8,
 }
 
-/// SCOAP controllability rule of one cell: the cheapest valid ternary
-/// assignment forcing the output to 0 and to 1, plus the step cost.
-fn output_controllability(kind: GateKind, costs: &[SlotCost]) -> (u32, u32) {
-    let step = if kind.is_sequential() {
-        SEQUENTIAL_STEP
-    } else {
-        COMB_STEP
-    };
-    let mut best = [SCOAP_INF, SCOAP_INF];
-    for_each_ternary(costs.len(), |assignment| {
-        if let Some(out) = forced_output(kind, assignment) {
-            let cost = charged_cost(assignment, costs);
-            if cost != SCOAP_INF {
-                let slot = usize::from(out);
-                best[slot] = best[slot].min(cost.saturating_add(step));
+impl Assignment {
+    fn of(trits: &[Option<bool>]) -> Assignment {
+        let mut assignment = Assignment {
+            pinned: 0,
+            values: 0,
+        };
+        for (slot, trit) in trits.iter().enumerate() {
+            if let Some(value) = *trit {
+                assignment.pinned |= 1 << slot;
+                assignment.values |= u8::from(value) << slot;
             }
         }
-    });
-    (best[0], best[1])
-}
-
-/// SCOAP observability rule of one pin: the cheapest side assignment
-/// under which flipping the pin provably flips the output, plus the
-/// output's observability and the step cost.
-fn pin_observability(kind: GateKind, costs: &[SlotCost], pin: usize, co_out: u32) -> u32 {
-    if co_out == SCOAP_INF {
-        return SCOAP_INF;
+        assignment
     }
-    let step = if kind.is_sequential() {
-        SEQUENTIAL_STEP
-    } else {
-        COMB_STEP
-    };
-    let others: Vec<usize> = (0..costs.len()).filter(|&i| i != pin).collect();
-    let mut best = SCOAP_INF;
-    for_each_ternary(others.len(), |side| {
-        let mut assignment: Vec<Option<bool>> = vec![None; costs.len()];
-        for (&slot, &trit) in others.iter().zip(side) {
-            assignment[slot] = trit;
-        }
-        assignment[pin] = Some(false);
-        let low = forced_output(kind, &assignment);
-        assignment[pin] = Some(true);
-        let high = forced_output(kind, &assignment);
-        if let (Some(b0), Some(b1)) = (low, high) {
-            if b0 != b1 {
-                assignment[pin] = None; // the pin itself is not charged
-                let cost = charged_cost(&assignment, costs);
-                if cost != SCOAP_INF {
-                    best = best.min(cost.saturating_add(co_out).saturating_add(step));
-                }
+
+    /// `true` when `self` pins a proper subset of `other`'s slots, each
+    /// to the value `other` pins it to.
+    fn generalizes(self, other: Assignment) -> bool {
+        self.pinned != other.pinned
+            && self.pinned & other.pinned == self.pinned
+            && (self.values ^ other.values) & self.pinned == 0
+    }
+
+    /// Saturating sum of the pinned slots' costs.
+    fn cost(self, costs: &[SlotCost; MAX_SLOTS]) -> u32 {
+        let mut total = 0u32;
+        for (slot, cost) in costs.iter().enumerate() {
+            if self.pinned >> slot & 1 != 0 {
+                total = total.saturating_add(cost.of(self.values >> slot & 1 != 0));
             }
         }
-    });
-    best
+        total
+    }
+}
+
+/// The valid assignments no other valid assignment generalizes.
+///
+/// Validity is upward-closed: pinning more slots of a forcing or
+/// sensitizing assignment keeps it forcing or sensitizing. Every pinned
+/// slot adds a non-negative term to a saturating sum, so an assignment
+/// never costs less than one it extends, and a minimum over the minimal
+/// assignments equals the minimum over all of them.
+fn minimal(valid: Vec<Assignment>) -> Vec<Assignment> {
+    valid
+        .iter()
+        .copied()
+        .filter(|&a| !valid.iter().any(|&b| b.generalizes(a)))
+        .collect()
+}
+
+/// The cheapest finite-cost assignment of `table`, plus `extra`
+/// (saturating), or [`SCOAP_INF`] when no assignment has a finite cost.
+fn cheapest(table: &[Assignment], costs: &[SlotCost; MAX_SLOTS], extra: u32) -> u32 {
+    table
+        .iter()
+        .map(|assignment| assignment.cost(costs))
+        .filter(|&cost| cost != SCOAP_INF)
+        .map(|cost| cost.saturating_add(extra))
+        .min()
+        .unwrap_or(SCOAP_INF)
+}
+
+/// The SCOAP rules of one cell kind, derived from its Boolean function
+/// by ternary enumeration: an assignment is valid when every completion
+/// of its don't-care slots agrees, and only pinned slots are charged.
+/// Only [`minimal`] assignments are kept.
+struct CellRules {
+    /// Assignments forcing the output to 0 (index 0) and to 1 (index 1).
+    forcing: [Vec<Assignment>; 2],
+    /// Per input pin: side assignments, with the pin itself don't-care,
+    /// under which flipping the pin provably flips the output.
+    sensitizing: Vec<Vec<Assignment>>,
+    /// Cost of passing through the cell.
+    step: u32,
+}
+
+impl CellRules {
+    /// The rules of `kind`, derived for every kind on first use.
+    fn of(kind: GateKind) -> &'static CellRules {
+        static RULES: OnceLock<Vec<CellRules>> = OnceLock::new();
+        // `ALL_GATE_KINDS` lists the kinds in declaration order, so a
+        // kind's discriminant is its index there.
+        &RULES.get_or_init(|| ALL_GATE_KINDS.map(CellRules::derive).into())[kind as usize]
+    }
+
+    fn derive(kind: GateKind) -> CellRules {
+        let slots = kind.num_inputs() + usize::from(kind.is_sequential());
+        assert!(slots <= MAX_SLOTS, "{kind:?} has {slots} ternary slots");
+        let mut forcing = [Vec::new(), Vec::new()];
+        for_each_ternary(slots, |assignment| {
+            if let Some(out) = forced_output(kind, assignment) {
+                forcing[usize::from(out)].push(Assignment::of(assignment));
+            }
+        });
+        let sensitizing = (0..kind.num_inputs())
+            .map(|pin| {
+                let mut valid = Vec::new();
+                for_each_ternary(slots, |side| {
+                    if side[pin].is_some() {
+                        return;
+                    }
+                    let mut trits = side.to_vec();
+                    trits[pin] = Some(false);
+                    let low = forced_output(kind, &trits);
+                    trits[pin] = Some(true);
+                    let high = forced_output(kind, &trits);
+                    if matches!((low, high), (Some(b0), Some(b1)) if b0 != b1) {
+                        valid.push(Assignment::of(side));
+                    }
+                });
+                minimal(valid)
+            })
+            .collect();
+        CellRules {
+            forcing: forcing.map(minimal),
+            sensitizing,
+            step: if kind.is_sequential() {
+                SEQUENTIAL_STEP
+            } else {
+                COMB_STEP
+            },
+        }
+    }
+
+    /// CC0 and CC1 of the output: the cheapest forcing assignment plus
+    /// the step cost.
+    fn controllability(&self, costs: &[SlotCost; MAX_SLOTS]) -> (u32, u32) {
+        let [zero, one] = &self.forcing;
+        (
+            cheapest(zero, costs, self.step),
+            cheapest(one, costs, self.step),
+        )
+    }
+
+    /// CO of input `pin`: the cheapest sensitizing side assignment plus
+    /// the output's observability and the step cost. A saturating sum
+    /// of non-negative terms is the same in any order.
+    fn observability(&self, pin: usize, costs: &[SlotCost; MAX_SLOTS], co_out: u32) -> u32 {
+        if co_out == SCOAP_INF {
+            return SCOAP_INF;
+        }
+        cheapest(
+            &self.sensitizing[pin],
+            costs,
+            co_out.saturating_add(self.step),
+        )
+    }
 }
 
 /// The ternary cost slots of a gate: one per pin, plus the flop's own
-/// output net as the current-state slot for sequential kinds.
-fn slot_costs(netlist: &Netlist, gate: usize, cc0: &[u32], cc1: &[u32]) -> Vec<SlotCost> {
+/// output net as the current-state slot for sequential kinds. Unused
+/// slots are never pinned.
+fn slot_costs(netlist: &Netlist, gate: usize, cc0: &[u32], cc1: &[u32]) -> [SlotCost; MAX_SLOTS] {
     let g = &netlist.gates()[gate];
-    let mut costs: Vec<SlotCost> = g
-        .inputs
-        .iter()
-        .map(|n| SlotCost {
-            zero: cc0[n.index()],
-            one: cc1[n.index()],
-        })
-        .collect();
-    if g.kind.is_sequential() {
-        costs.push(SlotCost {
-            zero: cc0[g.output.index()],
-            one: cc1[g.output.index()],
-        });
+    let state = g.kind.is_sequential().then_some(&g.output);
+    let mut costs = [SlotCost::default(); MAX_SLOTS];
+    for (cost, net) in costs.iter_mut().zip(g.inputs.iter().chain(state)) {
+        *cost = SlotCost {
+            zero: cc0[net.index()],
+            one: cc1[net.index()],
+        };
     }
     costs
 }
@@ -433,7 +535,7 @@ fn controllability(
             let gate = &netlist.gates()[g as usize];
             let out = gate.output.index();
             let costs = slot_costs(netlist, g as usize, &cc0, &cc1);
-            let (new0, new1) = output_controllability(gate.kind, &costs);
+            let (new0, new1) = CellRules::of(gate.kind).controllability(&costs);
             if new0 < cc0[out] || new1 < cc1[out] {
                 cc0[out] = cc0[out].min(new0);
                 cc1[out] = cc1[out].min(new1);
@@ -473,9 +575,10 @@ fn observability(
             in_queue[g as usize] = false;
             let gate = &netlist.gates()[g as usize];
             let co_out = co[gate.output.index()];
+            let rules = CellRules::of(gate.kind);
             let costs = slot_costs(netlist, g as usize, cc0, cc1);
             for (pin, &net) in gate.inputs.iter().enumerate() {
-                let candidate = pin_observability(gate.kind, &costs, pin, co_out);
+                let candidate = rules.observability(pin, &costs, co_out);
                 if candidate < co[net.index()] {
                     co[net.index()] = candidate;
                     if let Some(Driver::Gate(driver)) = netlist.net(net).driver {
@@ -503,6 +606,13 @@ fn observability(
 /// order, so the result is bit-identical to the textbook form. Only the
 /// nodes the previous BFS reached are reset between sources, and the
 /// BFS visit order doubles as its queue.
+///
+/// Both inner loops are free of data-dependent branches. Every visited
+/// edge stores its head at `order[len]` and advances `len` only when the
+/// head is newly reached, and an edge off the shortest-path DAG adds
+/// `+0.0` instead of skipping its term. `sigma` and `delta` start at
+/// `+0.0` or `1.0` and only ever add non-negative terms, so they are
+/// never `-0.0`, and adding `+0.0` leaves them bit-for-bit unchanged.
 pub fn betweenness(adjacency: &[Vec<u32>]) -> Vec<f64> {
     let n = adjacency.len();
     let edges = adjacency
@@ -512,50 +622,63 @@ pub fn betweenness(adjacency: &[Vec<u32>]) -> Vec<f64> {
     let successors = CompressedRows::new(n, edges.clone());
     let predecessors = CompressedRows::new(n, edges.map(|(v, w)| (w, v)));
     let mut centrality = vec![0.0; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
+    // One slot past `n`: once every node is reached, `len == n` and the
+    // remaining edges still store their head at `order[len]`.
+    let mut order = vec![0u32; n + 1];
+    let mut len = 0;
     let mut sigma = vec![0.0f64; n];
     let mut dist = vec![-1i32; n];
     let mut delta = vec![0.0f64; n];
     for source in 0..n {
-        for &v in &order {
+        for &v in &order[..len] {
             let v = v as usize;
             sigma[v] = 0.0;
             dist[v] = -1;
             delta[v] = 0.0;
         }
-        order.clear();
         sigma[source] = 1.0;
         dist[source] = 0;
-        order.push(source as u32);
+        order[0] = source as u32;
+        len = 1;
         let mut head = 0;
-        while head < order.len() {
+        while head < len {
             let v = order[head] as usize;
             head += 1;
+            // A self-loop `w == v` is neither fresh nor on the DAG, so
+            // neither value changes while `v`'s row is scanned.
+            let (dist_v, sigma_v) = (dist[v], sigma[v]);
             for &w in successors.row(v) {
                 let w = w as usize;
-                if dist[w] < 0 {
-                    dist[w] = dist[v] + 1;
-                    order.push(w as u32);
-                }
-                if dist[w] == dist[v] + 1 {
-                    sigma[w] += sigma[v];
-                }
+                let fresh = dist[w] < 0;
+                dist[w] = if fresh { dist_v + 1 } else { dist[w] };
+                order[len] = w as u32;
+                len += usize::from(fresh);
+                sigma[w] += kept_if(dist[w] == dist_v + 1, sigma_v);
             }
         }
         // order[0] is the source: it has no predecessors and earns no
         // centrality from its own paths.
-        for &w in order[1..].iter().rev() {
+        for &w in order[1..len].iter().rev() {
             let w = w as usize;
+            // Hoisted like above: a self-loop never passes the DAG test.
+            let (dist_w, sigma_w, share) = (dist[w], sigma[w], 1.0 + delta[w]);
             for &v in predecessors.row(w) {
                 let v = v as usize;
-                if dist[v] + 1 == dist[w] {
-                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
-                }
+                delta[v] += kept_if(dist[v] + 1 == dist_w, sigma[v] / sigma_w * share);
             }
             centrality[w] += delta[w];
         }
     }
     centrality
+}
+
+/// `value` when `keep` holds, `+0.0` otherwise, by masking its bits.
+///
+/// LLVM turns a plain mask back into an `f64` select, which x86-64 SSE
+/// lowers to a branch; `black_box` keeps the mask opaque so the select
+/// stays an `and`. The result is the same either way.
+fn kept_if(keep: bool, value: f64) -> f64 {
+    f64::from_bits(value.to_bits() & std::hint::black_box(u64::from(keep).wrapping_neg()))
 }
 
 /// A graph's rows in one flat array: row `r` holds the values of the
@@ -780,6 +903,122 @@ fn post_dominance(netlist: &Netlist, adjacency: &[Vec<u32>]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Per-visit reference: saturating sum of the charged (pinned) slots
+    /// of a ternary assignment.
+    fn charged_cost(assignment: &[Option<bool>], costs: &[SlotCost]) -> u32 {
+        assignment
+            .iter()
+            .zip(costs)
+            .filter_map(|(&trit, &cost)| trit.map(|value| cost.of(value)))
+            .fold(0u32, u32::saturating_add)
+    }
+
+    /// Per-visit reference of one cell's controllability rule: the
+    /// cheapest of every valid ternary assignment forcing the output to 0
+    /// and to 1, plus the step cost.
+    fn output_controllability(kind: GateKind, costs: &[SlotCost]) -> (u32, u32) {
+        let step = if kind.is_sequential() {
+            SEQUENTIAL_STEP
+        } else {
+            COMB_STEP
+        };
+        let mut best = [SCOAP_INF, SCOAP_INF];
+        for_each_ternary(costs.len(), |assignment| {
+            if let Some(out) = forced_output(kind, assignment) {
+                let cost = charged_cost(assignment, costs);
+                if cost != SCOAP_INF {
+                    let slot = usize::from(out);
+                    best[slot] = best[slot].min(cost.saturating_add(step));
+                }
+            }
+        });
+        (best[0], best[1])
+    }
+
+    /// Per-visit reference of one pin's observability rule: the cheapest
+    /// of every side assignment under which flipping the pin provably
+    /// flips the output, plus the output's observability and the step.
+    fn pin_observability(kind: GateKind, costs: &[SlotCost], pin: usize, co_out: u32) -> u32 {
+        if co_out == SCOAP_INF {
+            return SCOAP_INF;
+        }
+        let step = if kind.is_sequential() {
+            SEQUENTIAL_STEP
+        } else {
+            COMB_STEP
+        };
+        let others: Vec<usize> = (0..costs.len()).filter(|&i| i != pin).collect();
+        let mut best = SCOAP_INF;
+        for_each_ternary(others.len(), |side| {
+            let mut assignment: Vec<Option<bool>> = vec![None; costs.len()];
+            for (&slot, &trit) in others.iter().zip(side) {
+                assignment[slot] = trit;
+            }
+            assignment[pin] = Some(false);
+            let low = forced_output(kind, &assignment);
+            assignment[pin] = Some(true);
+            let high = forced_output(kind, &assignment);
+            if let (Some(b0), Some(b1)) = (low, high) {
+                if b0 != b1 {
+                    assignment[pin] = None; // the pin itself is not charged
+                    let cost = charged_cost(&assignment, costs);
+                    if cost != SCOAP_INF {
+                        best = best.min(cost.saturating_add(co_out).saturating_add(step));
+                    }
+                }
+            }
+        });
+        best
+    }
+
+    /// A slot cost from 0, small costs, halves and thirds of the range
+    /// (two or three of them saturate), near-infinite costs and
+    /// [`SCOAP_INF`].
+    fn random_cost(rng: &mut ChaCha8Rng) -> u32 {
+        match rng.gen_range(0..6) {
+            0 => 0,
+            1 => rng.gen_range(1..40),
+            2 => rng.gen_range(u32::MAX / 3..u32::MAX / 2),
+            3 => rng.gen_range(u32::MAX / 2..u32::MAX - 1),
+            4 => u32::MAX - 1,
+            _ => SCOAP_INF,
+        }
+    }
+
+    #[test]
+    fn rule_tables_match_per_visit_enumeration() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5C0A);
+        for kind in ALL_GATE_KINDS {
+            let slots = kind.num_inputs() + usize::from(kind.is_sequential());
+            let rules = CellRules::of(kind);
+            for _ in 0..200 {
+                let mut costs = [SlotCost::default(); MAX_SLOTS];
+                for cost in &mut costs[..slots] {
+                    *cost = SlotCost {
+                        zero: random_cost(&mut rng),
+                        one: random_cost(&mut rng),
+                    };
+                }
+                assert_eq!(
+                    rules.controllability(&costs),
+                    output_controllability(kind, &costs[..slots]),
+                    "{kind:?} {costs:?}"
+                );
+                for pin in 0..kind.num_inputs() {
+                    for co_out in [0, random_cost(&mut rng), SCOAP_INF] {
+                        assert_eq!(
+                            rules.observability(pin, &costs, co_out),
+                            pin_observability(kind, &costs[..slots], pin, co_out),
+                            "{kind:?} pin {pin} co_out {co_out} {costs:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn profile(netlist: &Netlist) -> StructuralProfile {
         StructuralProfile::analyze(netlist)

@@ -521,6 +521,52 @@ fn builtin_betweenness_is_bit_identical() {
     assert_eq!(fusa_obs::fnv1a64_hex(&bits), "fnv1a64:d6bec20196d2ece2");
 }
 
+/// Brandes betweenness of `synth_10k(1)`, pinned bit-for-bit the same
+/// way: its BFS frontiers are far wider and deeper than any built-in's,
+/// and `rank.csv` at 10k gates reads these exact floats.
+#[test]
+fn synth_10k_betweenness_is_bit_identical() {
+    let adjacency = gate_adjacency(&fusa_netlist::designs::synth_10k(1));
+    let bits: Vec<u8> = betweenness(&adjacency)
+        .iter()
+        .flat_map(|value| value.to_bits().to_le_bytes())
+        .collect();
+    assert_eq!(fusa_obs::fnv1a64_hex(&bits), "fnv1a64:b0e55db095a0340a");
+}
+
+/// A directed ring with chords and a self-loop: every BFS reaches every
+/// node, so the visit order fills up completely, which no built-in
+/// design does. The self-loop must never count as a shortest-path edge.
+#[test]
+fn betweenness_matches_reference_when_every_node_is_reached() {
+    let n = 41u32;
+    let adjacency: Vec<Vec<u32>> = (0..n)
+        .map(|v| {
+            let mut successors = vec![(v + 1) % n];
+            if v % 3 == 0 {
+                successors.push((v + 7) % n);
+            }
+            if v % 5 == 0 {
+                successors.push((v + 19) % n);
+            }
+            if v == 4 {
+                successors.push(v);
+            }
+            successors.sort_unstable();
+            successors.dedup();
+            successors
+        })
+        .collect();
+    let expect = reference_betweenness(&adjacency);
+    let engine = betweenness(&adjacency);
+    for (g, (got, want)) in engine.iter().zip(&expect).enumerate() {
+        assert!(
+            (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
+            "betweenness[{g}]: engine {got} vs reference {want}"
+        );
+    }
+}
+
 /// Golden structural summaries of the built-ins: a coarse fingerprint
 /// (finite-cost counts, articulation count, dominance mass) that moves
 /// only when the SCOAP rules or graph passes themselves change.

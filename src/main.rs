@@ -1240,14 +1240,38 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
     let design_arg = args.get(1).ok_or("missing design")?;
     let session = ObsSession::begin("rank", design_arg, args)?;
     let netlist = load_design(design_arg)?;
-    let rank = StaticRank::compute(&netlist);
 
+    // Every flag and the ground truth are checked before the analysis:
+    // exact betweenness makes it the slow part at scale.
     let top: usize = match flag_value(args, "--top") {
         Some(value) => value
             .parse()
             .map_err(|_| format!("bad --top value `{value}`"))?,
         None => 10,
     };
+    let min_rho = match flag_value(args, "--min-rho") {
+        Some(value) => Some(
+            value
+                .parse::<f64>()
+                .ok()
+                .filter(|min| min.is_finite())
+                .ok_or_else(|| format!("bad --min-rho value `{value}`: use a finite number"))?,
+        ),
+        None => None,
+    };
+    let ground_truth = match flag_value(args, "--ground-truth") {
+        Some(path) => {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+            let truth = parse_ground_truth(&netlist, &text)
+                .map_err(|e| format!("bad ground truth `{path}`: {e}"))?;
+            Some((path, truth))
+        }
+        None if min_rho.is_some() => return Err("--min-rho needs --ground-truth".to_string()),
+        None => None,
+    };
+
+    let rank = StaticRank::compute(&netlist);
     let ranking = rank.ranking();
     println!(
         "static criticality ranking of {} ({} gates, no simulation):",
@@ -1280,11 +1304,7 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
         .collect();
 
     let mut failed_min_rho = None;
-    if let Some(path) = flag_value(args, "--ground-truth") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let truth = parse_ground_truth(&netlist, &text)
-            .map_err(|e| format!("bad ground truth `{path}`: {e}"))?;
+    if let Some((path, truth)) = ground_truth {
         let evaluation = rank.evaluate(&truth);
         let obs = fusa::obs::global();
         println!("\nSpearman rho vs campaign ground truth ({path}):");
@@ -1294,17 +1314,12 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
         }
         println!("  {:<16} {:>7.4}", "combined", evaluation.combined_rho);
         obs.gauge_set("rank.rho.combined", evaluation.combined_rho);
-        if let Some(value) = flag_value(args, "--min-rho") {
-            let min: f64 = value
-                .parse()
-                .map_err(|_| format!("bad --min-rho value `{value}`"))?;
+        if let Some(min) = min_rho {
             // NaN rho (degenerate ground truth) must fail the gate too.
             if evaluation.combined_rho < min || evaluation.combined_rho.is_nan() {
                 failed_min_rho = Some((evaluation.combined_rho, min));
             }
         }
-    } else if flag_value(args, "--min-rho").is_some() {
-        return Err("--min-rho needs --ground-truth".to_string());
     }
 
     // The manifest is written even on a --min-rho failure so the rho

@@ -162,6 +162,21 @@ fn faults_summarizes_campaign() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("campaign:"));
     assert!(stdout.contains("Algorithm 1:"));
+
+    // The lint context's testability profile is split into its SCOAP
+    // fixpoints and its graph passes.
+    let manifest = fusa::obs::RunManifest::parse(
+        &std::fs::read_to_string(run_dir.join("manifest.json")).unwrap(),
+    )
+    .expect("manifest parses");
+    for child in ["structural.scoap", "structural.graph"] {
+        let path = format!("lint/lint.testability/{child}");
+        assert!(
+            manifest.stages.iter().any(|s| s.name == path),
+            "stage `{path}` missing from {:?}",
+            manifest.stages.iter().map(|s| &s.name).collect::<Vec<_>>()
+        );
+    }
 }
 
 #[test]
@@ -319,15 +334,32 @@ fn runtime_error_prints_one_line_without_usage() {
     )
     .unwrap();
     let wide = wide.to_str().unwrap();
+    // A 1.8 KB netlist whose one declaration lists 300 names of 2^16
+    // bits each: every range is within its bound, the total is not.
+    let many = tmp.join(format!("fusa_cli_many_names_{}.v", std::process::id()));
+    let names: Vec<String> = (0..300).map(|i| format!("w{i}")).collect();
+    std::fs::write(
+        &many,
+        format!(
+            "module t (a, z);\n wire [65535:0] {};\n input a;\n output z;\n assign z = a;\nendmodule\n",
+            names.join(", ")
+        ),
+    )
+    .unwrap();
+    let many = many.to_str().unwrap();
     // Ground truth whose score is not a number.
     let nan_truth = tmp.join(format!("fusa_cli_nan_truth_{}.csv", std::process::id()));
     std::fs::write(&nan_truth, "gate,score,label\nU0,NaN,1\n").unwrap();
     let nan_truth = nan_truth.to_str().unwrap();
-    let cases: [(&[&str], &[&str]); 5] = [
+    let cases: [(&[&str], &[&str]); 6] = [
         (&["analyze", missing, "--fast"], &["error: cannot read"]),
         (
             &["stats", wide],
             &["error: cannot parse", "line 2", "10000000 bits"],
+        ),
+        (
+            &["stats", many],
+            &["error: cannot parse", "line 2", "19660800 bits"],
         ),
         // `scalar` was a lane width once; it is an unknown value now.
         (
@@ -377,6 +409,7 @@ fn runtime_error_prints_one_line_without_usage() {
         assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
     }
     std::fs::remove_file(wide).ok();
+    std::fs::remove_file(many).ok();
     std::fs::remove_file(nan_truth).ok();
 }
 
@@ -1000,6 +1033,34 @@ fn rank_min_rho_gate_fails_when_unreachable() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("below --min-rho"), "{stderr}");
+
+    // A gate no rho can fail, and a gate with nothing to compare
+    // against, are rejected before any ranking is computed.
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["--ground-truth", gt.to_str().unwrap(), "--min-rho", "nan"],
+            "error: bad --min-rho value `nan`",
+        ),
+        (
+            &["--min-rho", "0.5"],
+            "error: --min-rho needs --ground-truth",
+        ),
+    ];
+    for (flags, expected) in cases {
+        let output = fusa()
+            .args(["rank", "uart_ctrl", "--run-dir"])
+            .arg(dir.join("rank_flags"))
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let lines: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
+        assert_eq!(lines.len(), 1, "{flags:?}: {stderr}");
+        assert!(lines[0].starts_with(expected), "{flags:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(!stdout.contains("ranking"), "{flags:?}: {stdout}");
+    }
 }
 
 #[test]
