@@ -148,7 +148,7 @@ pub struct FaultCampaign {
 /// across that workload's chunk units. The workload's golden machine is
 /// one lane of a bit-parallel pass, so everything is kept at one bit per
 /// value.
-struct GoldenTrace {
+pub(crate) struct GoldenTrace {
     /// Bit-per-output values of every settled cycle, cycle-major.
     outputs: Vec<u64>,
     /// Words per cycle in `outputs`.
@@ -171,12 +171,12 @@ struct GoldenTrace {
 
 impl GoldenTrace {
     /// Golden lanes of the `slot`-th primary output in `cycle`.
-    fn output_lanes(&self, cycle: usize, slot: usize) -> u64 {
+    pub(crate) fn output_lanes(&self, cycle: usize, slot: usize) -> u64 {
         bit_lanes(&self.outputs[cycle * self.output_words..], slot)
     }
 
     /// Golden lanes of the `seq`-th flip-flop's state at workload end.
-    fn final_state_lanes(&self, seq: usize) -> u64 {
+    pub(crate) fn final_state_lanes(&self, seq: usize) -> u64 {
         bit_lanes(&self.final_state, seq)
     }
 
@@ -199,7 +199,7 @@ impl GoldenTrace {
 
     /// The golden traces of `workloads`, one `WideSim<1>` pass per 64 of
     /// them.
-    fn compute_all(
+    pub(crate) fn compute_all(
         soa: &SoaNetlist,
         workloads: &[&Workload],
         config: &CampaignConfig,

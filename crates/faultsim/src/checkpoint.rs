@@ -70,7 +70,7 @@ use fusa_obs::{Fnv64, Json};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Lines, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -596,28 +596,32 @@ pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), UnitLineErr
     ))
 }
 
+/// Opens checkpoint `path` and parses its header line: the header and
+/// the unit lines after it, read lazily.
+pub(crate) fn open(
+    path: &Path,
+) -> Result<(CheckpointHeader, Lines<BufReader<File>>), CheckpointError> {
+    let file = File::open(path).map_err(|e| io_error(path, &e))?;
+    let mut lines = BufReader::new(file).lines();
+    let corrupt = |message| CheckpointError::Corrupt {
+        path: path.display().to_string(),
+        message,
+    };
+    let header = match lines.next() {
+        Some(Ok(line)) => CheckpointHeader::parse(&line).map_err(corrupt)?,
+        Some(Err(e)) => return Err(io_error(path, &e)),
+        None => return Err(corrupt("file is empty (no header line)".into())),
+    };
+    Ok((header, lines))
+}
+
 /// Reads and parses the header line of `path` without touching the
 /// unit records.
 ///
-/// This is the cheap "peek" used by `fusa merge` to learn the design
-/// name and campaign parameters bound by a shard checkpoint before
-/// reconstructing the campaign inputs.
+/// This is the cheap "peek" `fusa merge` uses to learn the design name
+/// a shard checkpoint binds, and `fusa top` its shard family.
 pub fn read_header(path: &Path) -> Result<CheckpointHeader, CheckpointError> {
-    let file = File::open(path).map_err(|e| io_error(path, &e))?;
-    let header_line = match BufReader::new(file).lines().next() {
-        Some(Ok(line)) => line,
-        Some(Err(e)) => return Err(io_error(path, &e)),
-        None => {
-            return Err(CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message: "file is empty (no header line)".into(),
-            })
-        }
-    };
-    CheckpointHeader::parse(&header_line).map_err(|message| CheckpointError::Corrupt {
-        path: path.display().to_string(),
-        message,
-    })
+    open(path).map(|(header, _)| header)
 }
 
 /// Counts the distinct completed units recorded in checkpoint `path`,
@@ -626,23 +630,7 @@ pub fn read_header(path: &Path) -> Result<CheckpointHeader, CheckpointError> {
 /// after a retry) count once. This is the ground truth `fusa top`'s
 /// unit counts are validated against in CI.
 pub fn read_unit_count(path: &Path) -> Result<usize, CheckpointError> {
-    let file = File::open(path).map_err(|e| io_error(path, &e))?;
-    let mut lines = BufReader::new(file).lines();
-    match lines.next() {
-        Some(Ok(line)) => {
-            CheckpointHeader::parse(&line).map_err(|message| CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message,
-            })?;
-        }
-        Some(Err(e)) => return Err(io_error(path, &e)),
-        None => {
-            return Err(CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message: "file is empty (no header line)".into(),
-            })
-        }
-    }
+    let (_, lines) = open(path)?;
     let mut units = std::collections::BTreeSet::new();
     for line in lines {
         let line = line.map_err(|e| io_error(path, &e))?;
@@ -660,23 +648,7 @@ pub(crate) fn load_units(
     expected: &CheckpointHeader,
     unit_count: usize,
 ) -> Result<HashMap<usize, UnitOutput>, CheckpointError> {
-    let file = File::open(path).map_err(|e| io_error(path, &e))?;
-    let mut lines = BufReader::new(file).lines();
-    let header_line = match lines.next() {
-        Some(Ok(line)) => line,
-        Some(Err(e)) => return Err(io_error(path, &e)),
-        None => {
-            return Err(CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message: "file is empty (no header line)".into(),
-            })
-        }
-    };
-    let header =
-        CheckpointHeader::parse(&header_line).map_err(|message| CheckpointError::Corrupt {
-            path: path.display().to_string(),
-            message,
-        })?;
+    let (header, lines) = open(path)?;
     header.check_compatible(expected)?;
     let mut units = HashMap::new();
     for line in lines {

@@ -98,7 +98,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Errors raised by [`merge_checkpoints`].
@@ -258,7 +258,7 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
     let mut skipped_lines = 0usize;
 
     for (source_index, path) in inputs.iter().enumerate() {
-        let header = checkpoint::read_header(path)?;
+        let (header, lines) = checkpoint::open(path)?;
         match &common {
             Some(common) => {
                 header
@@ -276,14 +276,8 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
         }
         let unit_count = campaign_unit_count(common.as_ref().expect("common header set"));
 
-        let file = File::open(path).map_err(|e| {
-            MergeError::Checkpoint(CheckpointError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })
-        })?;
         let mut contributed = 0usize;
-        for line in BufReader::new(file).lines().skip(1) {
+        for line in lines {
             let Ok(line) = line else { break };
             if line.trim().is_empty() {
                 continue;

@@ -10,7 +10,8 @@
 //! to Algorithm 1's criticality scores. [`crate::reference::seu`] is the
 //! independent oracle the kernel is tested against.
 
-use fusa_logicsim::{BitSim, SoaNetlist, WideSim, Workload, WorkloadSuite};
+use crate::campaign::{CampaignConfig, GoldenTrace};
+use fusa_logicsim::{SoaNetlist, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::{GateId, Netlist};
 
 /// Parameters of an [`SeuCampaign`].
@@ -19,8 +20,6 @@ pub struct SeuConfig {
     /// Cycles (fractions of workload length) at which flips are
     /// injected; each fraction is one injection experiment.
     pub injection_points: [f64; 3],
-    /// Worker threads (`0` = one per CPU).
-    pub threads: usize,
     /// Width of the simulation word in 64-lane `u64` words: each pass
     /// flips `64 · lane_words` flops through the structure-of-arrays
     /// [`WideSim`] kernel. Supported widths are `1`, `4` and `8`. Rates
@@ -32,7 +31,6 @@ impl Default for SeuConfig {
     fn default() -> Self {
         SeuConfig {
             injection_points: [0.25, 0.5, 0.75],
-            threads: 0,
             lane_words: 4,
         }
     }
@@ -128,6 +126,16 @@ impl SeuCampaign {
         );
         let flops = netlist.sequential_gates();
         let soa = (!flops.is_empty()).then(|| SoaNetlist::new(netlist));
+        // One golden pass per 64 workloads, outputs and end state only.
+        let golden_config = CampaignConfig {
+            restrict_to_cone: false,
+            classify_latent: true,
+            ..CampaignConfig::default()
+        };
+        let golden = soa.as_ref().map(|soa| {
+            let workloads: Vec<&Workload> = workloads.workloads().iter().collect();
+            GoldenTrace::compute_all(soa, &workloads, &golden_config)
+        });
         let mut corrupted = vec![0usize; flops.len()];
         let mut latent = vec![0usize; flops.len()];
         let mut experiments = 0usize;
@@ -137,7 +145,7 @@ impl SeuCampaign {
                 .is_some_and(|flag| flag.load(std::sync::atomic::Ordering::Acquire))
         };
 
-        'campaign: for workload in workloads.workloads() {
+        'campaign: for (w, workload) in workloads.workloads().iter().enumerate() {
             for &fraction in &self.config.injection_points {
                 if stop_requested() {
                     interrupted = true;
@@ -146,12 +154,12 @@ impl SeuCampaign {
                 let inject_cycle = ((workload.len() as f64 * fraction) as usize)
                     .min(workload.len().saturating_sub(1));
                 experiments += 1;
-                if let Some(soa) = &soa {
+                if let (Some(soa), Some(golden)) = (&soa, &golden) {
                     run_injection(
-                        netlist,
                         soa,
                         self.config.lane_words,
                         workload,
+                        &golden[w],
                         &flops,
                         inject_cycle,
                         &mut corrupted,
@@ -176,33 +184,22 @@ impl SeuCampaign {
 }
 
 /// One injection experiment: `64 · lane_words` flops flipped per pass
-/// at `inject_cycle`. The golden trace comes from the broadcast
-/// [`BitSim`] (its `0`/`u64::MAX` lanes compare against any word), so
-/// every lane width scores identically.
+/// at `inject_cycle`, scored against the workload's golden trace (its
+/// broadcast `0`/`u64::MAX` lanes compare against any word), so every
+/// lane width scores identically.
 #[allow(clippy::too_many_arguments)]
 fn run_injection(
-    netlist: &Netlist,
     soa: &SoaNetlist,
     lane_words: usize,
     workload: &Workload,
+    golden: &GoldenTrace,
     flops: &[GateId],
     inject_cycle: usize,
     corrupted: &mut [usize],
     latent: &mut [usize],
 ) {
-    // Golden trace.
-    let mut golden = BitSim::new(netlist);
-    let output_count = netlist.primary_outputs().len();
-    let mut out_buf = vec![0u64; output_count];
-    let mut golden_trace = Vec::with_capacity(workload.len() * output_count);
-    for vector in &workload.vectors {
-        golden.step_broadcast_into(vector, &mut out_buf);
-        golden_trace.extend_from_slice(&out_buf);
-    }
-    let golden_state: Vec<u64> = flops.iter().map(|&g| golden.flop_lanes(g)).collect();
-
     type Sweep =
-        fn(&SoaNetlist, &Workload, &[GateId], usize, &[u64], &[u64], &mut [usize], &mut [usize]);
+        fn(&SoaNetlist, &Workload, &GoldenTrace, &[GateId], usize, &mut [usize], &mut [usize]);
     let sweep: Sweep = match lane_words {
         1 => run_chunks_wide::<1>,
         4 => run_chunks_wide::<4>,
@@ -211,10 +208,9 @@ fn run_injection(
     sweep(
         soa,
         workload,
+        golden,
         flops,
         inject_cycle,
-        &golden_trace,
-        &golden_state,
         corrupted,
         latent,
     );
@@ -222,18 +218,15 @@ fn run_injection(
 
 /// Wide sweep of one injection experiment: flop `i` of a group occupies
 /// word `i / 64`, lane `i % 64`.
-#[allow(clippy::too_many_arguments)]
 fn run_chunks_wide<const W: usize>(
     soa: &SoaNetlist,
     workload: &Workload,
+    golden: &GoldenTrace,
     flops: &[GateId],
     inject_cycle: usize,
-    golden_trace: &[u64],
-    golden_state: &[u64],
     corrupted: &mut [usize],
     latent: &mut [usize],
 ) {
-    let output_count = golden_trace.len() / workload.len().max(1);
     let mut sim = WideSim::<W>::new(soa);
     for (group_index, group) in flops.chunks(64 * W).enumerate() {
         sim.reset();
@@ -249,8 +242,8 @@ fn run_chunks_wide<const W: usize>(
             sim.set_vector_broadcast(vector);
             sim.settle();
             if cycle > inject_cycle {
-                for o in 0..output_count {
-                    let golden = golden_trace[cycle * output_count + o];
+                for o in 0..soa.output_count() {
+                    let golden = golden.output_lanes(cycle, o);
                     for (co, word) in diverged.iter_mut().enumerate().take(members) {
                         *word |= sim.output_word(o, co) ^ golden;
                     }
@@ -260,8 +253,9 @@ fn run_chunks_wide<const W: usize>(
         }
         let mut state_differs = [0u64; W];
         for (s, &g) in flops.iter().enumerate() {
+            let golden = golden.final_state_lanes(s);
             for (co, word) in state_differs.iter_mut().enumerate().take(members) {
-                *word |= sim.flop_word(g, co) ^ golden_state[s];
+                *word |= sim.flop_word(g, co) ^ golden;
             }
         }
         for (i, _) in group.iter().enumerate() {

@@ -1,8 +1,8 @@
 //! `fusa` — command-line fault criticality analysis.
 //!
-//! The usage text is generated from [`COMMANDS`], the same table the
-//! argument validator reads, so help and parser cannot drift. Run
-//! `fusa` with no arguments to see it.
+//! The usage text is generated from [`COMMANDS`], the same table
+//! [`Args::parse`] reads, so help and parser cannot drift. Run `fusa`
+//! with no arguments to see it.
 //!
 //! `<design>` is a built-in name (`sdram_ctrl`, `or1200_if`,
 //! `or1200_icfsm`, `uart_ctrl`) or a path to a structural-Verilog file.
@@ -17,9 +17,10 @@
 //! run executes and `--progress` prints live heartbeat lines.
 
 use fusa::faultsim::{
-    DurabilityConfig, FaultCampaign, FaultList, QuarantinedUnit, SeuCampaign, SeuConfig, ShardSpec,
+    CampaignReport, DurabilityConfig, FaultCampaign, FaultList, QuarantinedUnit, SeuCampaign,
+    SeuConfig, ShardSpec,
 };
-use fusa::gcn::pipeline::{FusaPipeline, PipelineConfig, PipelineError};
+use fusa::gcn::pipeline::{FusaAnalysis, FusaPipeline, PipelineConfig, PipelineError};
 use fusa::gcn::report::{render_csv_report, render_text_report, ReportOptions};
 use fusa::gcn::ExplainerConfig;
 use fusa::logicsim::WorkloadSuite;
@@ -44,17 +45,13 @@ struct FlagSpec {
 }
 
 /// One CLI command: the single source of truth for the usage text and
-/// the flag validator.
+/// the argument parser.
 struct CommandSpec {
     name: &'static str,
-    /// Positional-argument synopsis, e.g. `<design>`.
+    /// Positional-argument synopsis, e.g. `<design>`: one word per
+    /// required argument, and a trailing `...` accepts more of the last
+    /// (`fusa merge <checkpoint>...`).
     positionals: &'static str,
-    /// Number of required positional arguments; the exact count unless
-    /// `variadic`, where it becomes the minimum.
-    positional_count: usize,
-    /// Whether extra positional arguments beyond `positional_count` are
-    /// accepted (`fusa merge <checkpoint>...`).
-    variadic: bool,
     flags: &'static [FlagSpec],
     /// Whether the shared run options (RUN_FLAGS) also apply.
     run_options: bool,
@@ -82,11 +79,6 @@ const RUN_FLAGS: &[FlagSpec] = &[
         name: "--no-cone",
         value: None,
         help: "sweep the full netlist every cycle (the reference) instead of only the gates faults disturb",
-    },
-    FlagSpec {
-        name: "--no-early-exit",
-        value: None,
-        help: "disable campaign early exit",
     },
     FlagSpec {
         name: "--trace-out",
@@ -149,8 +141,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "designs",
         positionals: "",
-        positional_count: 0,
-        variadic: false,
         flags: &[],
         run_options: false,
         help: "list built-in benchmark designs",
@@ -158,8 +148,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "stats",
         positionals: "<design>",
-        positional_count: 1,
-        variadic: false,
         flags: &[],
         run_options: false,
         help: "netlist statistics",
@@ -167,8 +155,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "lint",
         positionals: "<design>",
-        positional_count: 1,
-        variadic: false,
         flags: &[
             FlagSpec {
                 name: "--json",
@@ -192,8 +178,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "analyze",
         positionals: "<design>",
-        positional_count: 1,
-        variadic: false,
         flags: &[
             FlagSpec {
                 name: "--report",
@@ -222,8 +206,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "faults",
         positionals: "<design>",
-        positional_count: 1,
-        variadic: false,
         flags: &[
             FlagSpec {
                 name: "--csv",
@@ -242,8 +224,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "rank",
         positionals: "<design>",
-        positional_count: 1,
-        variadic: false,
         flags: &[
             FlagSpec {
                 name: "--csv",
@@ -282,8 +262,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "explain",
         positionals: "<design> <gate-name>",
-        positional_count: 2,
-        variadic: false,
         flags: &[],
         run_options: true,
         help: "why is this node critical?",
@@ -291,8 +269,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "seu",
         positionals: "<design>",
-        positional_count: 1,
-        variadic: false,
         flags: &[],
         run_options: true,
         help: "transient bit-flip vulnerability",
@@ -300,8 +276,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "harden",
         positionals: "<design>",
-        positional_count: 1,
-        variadic: false,
         flags: &[
             FlagSpec {
                 name: "--budget",
@@ -320,8 +294,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "synth",
         positionals: "<size>",
-        positional_count: 1,
-        variadic: false,
         flags: &[
             FlagSpec {
                 name: "--seed",
@@ -340,8 +312,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "merge",
         positionals: "<checkpoint>...",
-        positional_count: 1,
-        variadic: true,
         flags: &[
             FlagSpec {
                 name: "--out",
@@ -380,8 +350,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "fsck",
         positionals: "<run-dir|checkpoint>",
-        positional_count: 1,
-        variadic: false,
         flags: &[FlagSpec {
             name: "--repair",
             value: None,
@@ -393,8 +361,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "report",
         positionals: "<manifest.json>",
-        positional_count: 1,
-        variadic: false,
         flags: &[FlagSpec {
             name: "--json",
             value: None,
@@ -406,8 +372,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "top",
         positionals: "<results-root|run-dir>...",
-        positional_count: 1,
-        variadic: true,
         flags: &[
             FlagSpec {
                 name: "--once",
@@ -436,8 +400,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "export",
         positionals: "<run-dir>...",
-        positional_count: 1,
-        variadic: true,
         flags: &[
             FlagSpec {
                 name: "--prometheus",
@@ -456,8 +418,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "trace",
         positionals: "<trace.jsonl>",
-        positional_count: 1,
-        variadic: false,
         flags: &[
             FlagSpec {
                 name: "--kind",
@@ -481,8 +441,6 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "compare",
         positionals: "<baseline> <candidate>",
-        positional_count: 2,
-        variadic: false,
         flags: &[
             FlagSpec {
                 name: "--tolerance-pct",
@@ -563,49 +521,102 @@ fn usage() -> String {
     out
 }
 
-/// Validates `args` against the command's spec: every `--flag` must be
-/// declared (here or in the shared run options), value-taking flags must
-/// have a value, and the positional count must match.
-fn validate_args(spec: &CommandSpec, args: &[String]) -> Result<(), String> {
-    let find_flag = |name: &str| -> Option<&FlagSpec> {
-        spec.flags.iter().find(|f| f.name == name).or_else(|| {
-            spec.run_options
-                .then(|| RUN_FLAGS.iter().find(|f| f.name == name))
-                .flatten()
-        })
-    };
-    let mut positionals = 0usize;
-    let mut i = 1; // args[0] is the command itself
-    while i < args.len() {
-        let arg = &args[i];
-        if let Some(stripped) = arg.strip_prefix("--") {
-            let flag = find_flag(arg)
+/// A command line parsed against its [`CommandSpec`]: the positional
+/// arguments in order and each given flag with the value it consumed.
+/// Every `--` token is a flag, a value-taking flag consumes the next
+/// token whatever it looks like, and the first occurrence of a flag
+/// wins.
+struct Args<'a> {
+    /// The command line after `fusa`, as given; `line[0]` is the command.
+    line: &'a [String],
+    /// Exactly the spec's count of them, or at least it when variadic.
+    positionals: Vec<&'a str>,
+    flags: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Parses `line` against `spec`: every `--flag` must be declared
+    /// (there or in the shared run options), value-taking flags must
+    /// have a value, and the positional count must match.
+    fn parse(spec: &CommandSpec, line: &'a [String]) -> Result<Args<'a>, String> {
+        let run_flags = if spec.run_options { RUN_FLAGS } else { &[] };
+        let mut args = Args {
+            line,
+            positionals: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut tokens = line[1..].iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            let Some(stripped) = token.strip_prefix("--") else {
+                args.positionals.push(token);
+                continue;
+            };
+            let flag = spec
+                .flags
+                .iter()
+                .chain(run_flags)
+                .find(|f| f.name == token)
                 .ok_or_else(|| format!("unknown flag `--{stripped}` for `fusa {}`", spec.name))?;
-            if flag.value.is_some() {
-                i += 1;
-                if i >= args.len() {
-                    return Err(format!("flag `{}` needs a value", flag.name));
-                }
+            let value = flag.value.and_then(|_| tokens.next());
+            if flag.value.is_some() && value.is_none() {
+                return Err(format!("flag `{}` needs a value", flag.name));
             }
-        } else {
-            positionals += 1;
+            args.flags.push((flag.name, value));
         }
-        i += 1;
-    }
-    if spec.variadic {
-        if positionals < spec.positional_count {
+        let (got, wanted) = (
+            args.positionals.len(),
+            spec.positionals.split_whitespace().count(),
+        );
+        let variadic = spec.positionals.ends_with("...");
+        if got < wanted || (got > wanted && !variadic) {
+            let at_least = if variadic { "at least " } else { "" };
             return Err(format!(
-                "`fusa {}` takes at least {} positional argument(s) ({}), got {}",
-                spec.name, spec.positional_count, spec.positionals, positionals
+                "`fusa {}` takes {at_least}{wanted} positional argument(s) ({}), got {got}",
+                spec.name, spec.positionals
             ));
         }
-    } else if positionals != spec.positional_count {
-        return Err(format!(
-            "`fusa {}` takes {} positional argument(s) ({}), got {}",
-            spec.name, spec.positional_count, spec.positionals, positionals
-        ));
+        Ok(args)
     }
-    Ok(())
+
+    /// Whether the flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|&(flag, _)| flag == name)
+    }
+
+    /// The value the flag `name` consumed, if it was given.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|&&(flag, _)| flag == name)
+            .and_then(|&(_, value)| value)
+    }
+
+    /// The value of the numeric flag `name`, if it was given; a value
+    /// that does not parse as `T` is an error.
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|value| value.parse().map_err(|_| self.bad_value(name)))
+            .transpose()
+    }
+
+    /// The error for a value of `name` that does not parse or is out of
+    /// its domain.
+    fn bad_value(&self, name: &str) -> String {
+        format!(
+            "bad {name} value `{}`",
+            self.value(name).unwrap_or_default()
+        )
+    }
+
+    /// Writes `contents` to the file the flag `name` names, if it was
+    /// given, and says so on stdout.
+    fn write_file(&self, name: &str, contents: &str, what: &str) -> Result<(), String> {
+        if let Some(path) = self.value(name) {
+            std::fs::write(path, contents).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+            println!("{what} written to {path}");
+        }
+        Ok(())
+    }
 }
 
 /// Why a command line failed. Only argument errors (unknown command,
@@ -634,19 +645,19 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
-    let command = args
+fn run(line: &[String]) -> Result<(), CliError> {
+    let command = line
         .first()
         .ok_or_else(|| CliError::Usage("missing command".into()))?;
     let spec = COMMANDS
         .iter()
         .find(|c| c.name == command.as_str())
         .ok_or_else(|| CliError::Usage(format!("unknown command `{command}`")))?;
-    validate_args(spec, args).map_err(CliError::Usage)?;
-    run_command(spec, args).map_err(CliError::Runtime)
+    let args = Args::parse(spec, line).map_err(CliError::Usage)?;
+    run_command(spec, &args).map_err(CliError::Runtime)
 }
 
-fn run_command(spec: &CommandSpec, args: &[String]) -> Result<(), String> {
+fn run_command(spec: &CommandSpec, args: &Args) -> Result<(), String> {
     match spec.name {
         "designs" => {
             for design in designs::all_designs() {
@@ -655,7 +666,7 @@ fn run_command(spec: &CommandSpec, args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "stats" => {
-            let netlist = load_design(args.get(1).ok_or("missing design")?)?;
+            let netlist = load_design(args.positionals[0])?;
             println!("{}", NetlistStats::of(&netlist));
             Ok(())
         }
@@ -692,57 +703,21 @@ fn load_design(name: &str) -> Result<Netlist, String> {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Positional arguments of a validated command line, in order: walks
-/// `args` skipping each value-taking flag's value, mirroring
-/// [`validate_args`].
-fn positional_args<'a>(spec: &CommandSpec, args: &'a [String]) -> Vec<&'a str> {
-    let takes_value = |name: &str| -> bool {
-        spec.flags
-            .iter()
-            .chain(if spec.run_options { RUN_FLAGS } else { &[] })
-            .any(|f| f.name == name && f.value.is_some())
-    };
-    let mut out = Vec::new();
-    let mut i = 1; // args[0] is the command itself
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with("--") {
-            if takes_value(arg) {
-                i += 1;
-            }
-        } else {
-            out.push(arg.as_str());
-        }
-        i += 1;
-    }
-    out
-}
-
-fn pipeline_config(args: &[String]) -> Result<PipelineConfig, String> {
-    let mut config = if args.iter().any(|a| a == "--fast") {
+fn pipeline_config(args: &Args) -> Result<PipelineConfig, String> {
+    let mut config = if args.has("--fast") {
         PipelineConfig::fast()
     } else {
         PipelineConfig::default()
     };
-    // Campaign accelerations are bit-identical to the naive path; these
-    // knobs exist for benchmarking and cross-checking.
-    if args.iter().any(|a| a == "--no-cone") {
+    // The full sweep is bit-identical to differential stepping; the knob
+    // exists for benchmarking and cross-checking.
+    if args.has("--no-cone") {
         config.campaign.restrict_to_cone = false;
     }
-    if args.iter().any(|a| a == "--no-early-exit") {
-        config.campaign.early_exit = false;
-    }
-    if let Some(threads) = flag_value(args, "--threads").and_then(|t| t.parse().ok()) {
+    if let Some(threads) = args.number("--threads")? {
         config.campaign.threads = threads;
     }
-    if let Some(lanes) = flag_value(args, "--lanes") {
+    if let Some(lanes) = args.value("--lanes") {
         config.campaign.lane_words = match lanes {
             "64" => 1,
             "256" => 4,
@@ -750,7 +725,7 @@ fn pipeline_config(args: &[String]) -> Result<PipelineConfig, String> {
             other => return Err(format!("bad --lanes value `{other}`: use 64, 256 or 512")),
         };
     }
-    if args.iter().any(|a| a == "--structural-features") {
+    if args.has("--structural-features") {
         config.structural_features = true;
     }
     Ok(config)
@@ -758,12 +733,13 @@ fn pipeline_config(args: &[String]) -> Result<PipelineConfig, String> {
 
 /// One observed CLI run: resets the global recorder, optionally attaches
 /// the `--trace-out` sink, and on [`ObsSession::finish`] assembles and
-/// writes `<run-dir>/manifest.json`.
-struct ObsSession {
+/// writes `<run-dir>/manifest.json` and applies the `--strict` gates.
+struct ObsSession<'a> {
+    /// The command line: its run options, `--quiet-stats` and the
+    /// `--strict` flags.
+    args: &'a Args<'a>,
     run_id: String,
-    command_line: String,
     run_dir: PathBuf,
-    quiet: bool,
     started: Instant,
     /// Set when the campaign drained early on SIGINT/SIGTERM; recorded
     /// in the manifest so `fusa report`/`compare` can tell a partial run
@@ -780,8 +756,12 @@ struct ObsSession {
     merge_sources: Vec<MergeSourceRecord>,
 }
 
-impl ObsSession {
-    fn begin(command: &str, design_arg: &str, args: &[String]) -> Result<ObsSession, String> {
+impl<'a> ObsSession<'a> {
+    /// Begins the run of `args`' command on `design_arg`. Call it before
+    /// the design loads, so the parser's `parse` span lands in the
+    /// manifest.
+    fn begin(design_arg: &str, args: &'a Args) -> Result<ObsSession<'a>, String> {
+        let command = &args.line[0];
         let obs = fusa::obs::global();
         obs.reset();
         fusa::obs::reset_shutdown();
@@ -791,13 +771,13 @@ impl ObsSession {
         // schedules a failure.
         fusa::obs::arm_io_faults_from_env();
         fusa::obs::install_signal_handlers();
-        fusa::obs::set_progress_stderr(args.iter().any(|a| a == "--progress"));
-        if let Some(path) = flag_value(args, "--trace-out") {
+        fusa::obs::set_progress_stderr(args.has("--progress"));
+        if let Some(path) = args.value("--trace-out") {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create trace file `{path}`: {e}"))?;
             obs.attach_sink(Box::new(std::io::BufWriter::new(file)));
         }
-        let shard = match flag_value(args, "--shard") {
+        let shard = match args.value("--shard") {
             Some(spec) => Some(ShardSpec::parse(spec)?),
             None => None,
         };
@@ -818,7 +798,7 @@ impl ObsSession {
             ),
             None => format!("{command}-{design_slug}"),
         };
-        let run_dir = match flag_value(args, "--run-dir") {
+        let run_dir = match args.value("--run-dir") {
             Some(dir) => PathBuf::from(dir),
             None => PathBuf::from("results").join(&run_id),
         };
@@ -833,7 +813,7 @@ impl ObsSession {
         }
         // Arm live status.json snapshots for this run's progress phases
         // (campaign/train/lint heartbeats); `fusa top` watches these.
-        if args.iter().any(|a| a == "--no-status") {
+        if args.has("--no-status") {
             set_status_target(None);
         } else {
             set_status_target(Some(StatusTarget {
@@ -844,10 +824,9 @@ impl ObsSession {
             }));
         }
         Ok(ObsSession {
+            args,
             run_id,
-            command_line: format!("fusa {}", args.join(" ")),
             run_dir,
-            quiet: args.iter().any(|a| a == "--quiet-stats"),
             started: Instant::now(),
             interrupted: false,
             quarantined: Vec::new(),
@@ -856,23 +835,26 @@ impl ObsSession {
         })
     }
 
+    /// The command line as given, for the manifest and the resume hint.
+    fn command_line(&self) -> String {
+        format!("fusa {}", self.args.line.join(" "))
+    }
+
     /// Campaign durability options for this run: checkpoint under the
     /// run directory unless `--checkpoint` overrides, cooperative
     /// interruption through the process signal flag.
-    fn durability(&self, args: &[String]) -> Result<DurabilityConfig, String> {
-        let checkpoint = match flag_value(args, "--checkpoint") {
+    fn durability(&self) -> Result<DurabilityConfig, String> {
+        let checkpoint = match self.args.value("--checkpoint") {
             Some(path) => PathBuf::from(path),
             None => self.run_dir.join("checkpoint.jsonl"),
         };
-        let max_unit_retries = match flag_value(args, "--max-unit-retries") {
-            Some(value) => value
-                .parse()
-                .map_err(|_| format!("bad --max-unit-retries value `{value}`"))?,
-            None => DurabilityConfig::default().max_unit_retries,
-        };
+        let max_unit_retries = self
+            .args
+            .number("--max-unit-retries")?
+            .unwrap_or(DurabilityConfig::default().max_unit_retries);
         Ok(DurabilityConfig {
             checkpoint: Some(checkpoint),
-            resume: args.iter().any(|a| a == "--resume"),
+            resume: self.args.has("--resume"),
             max_unit_retries,
             interrupt: Some(fusa::obs::shutdown_flag()),
             ..DurabilityConfig::default()
@@ -894,44 +876,28 @@ impl ObsSession {
             .collect();
     }
 
-    /// Prints the interruption notice and the exact invocation that
-    /// resumes this run, then exits with the conventional SIGINT status.
-    fn exit_interrupted(self, design: &str, config: ConfigEntries, seeds: SeedEntries) -> ! {
-        let resume = if self
-            .command_line
-            .split_whitespace()
-            .any(|a| a == "--resume")
-        {
-            self.command_line.clone()
-        } else {
-            format!("{} --resume", self.command_line)
-        };
-        let mut session = self;
-        session.interrupted = true;
-        if let Err(error) = session.finish(design, config, seeds, vec![]) {
-            eprintln!("fusa: {error}");
-        }
-        eprintln!("fusa: interrupted — partial results checkpointed; resume with:");
-        eprintln!("  {resume}");
-        std::process::exit(130);
-    }
-
     /// Writes the manifest and (unless `--quiet-stats`) a one-screen
     /// summary. `design` is the parsed module name, not the CLI slug.
+    ///
+    /// A complete run then fails (exit 1) under `--strict` when campaign
+    /// units were quarantined, and under `--strict-durability` when a
+    /// checkpoint, trace or manifest write outlived its retry budget:
+    /// after the results and manifest are out, so the partial ground
+    /// truth stays inspectable and nothing is lost twice.
     fn finish(
         self,
         design: &str,
-        config: Vec<(String, String)>,
-        seeds: Vec<(String, u64)>,
+        config: ConfigEntries,
+        seeds: SeedEntries,
         digests: Vec<(String, String)>,
-    ) -> Result<(), String> {
+    ) {
         let obs = fusa::obs::global();
         // Disarm status snapshots: every progress phase has emitted its
         // final (finished) beat by now.
         set_status_target(None);
         obs.detach_sink();
         let snapshot = obs.snapshot();
-        let mut manifest = RunManifest::new(&self.run_id, &self.command_line, design);
+        let mut manifest = RunManifest::new(&self.run_id, &self.command_line(), design);
         manifest.wall_seconds = self.started.elapsed().as_secs_f64();
         manifest.absorb_snapshot(&snapshot);
         manifest.threads = manifest
@@ -951,7 +917,7 @@ impl ObsSession {
             index: s.index as u64,
             total: s.total as u64,
         });
-        manifest.merged_from = self.merge_sources.clone();
+        manifest.merged_from = self.merge_sources;
 
         // Manifest I/O failures (disk full, read-only results dir) must
         // not turn a finished analysis into a nonzero exit: warn and
@@ -960,22 +926,36 @@ impl ObsSession {
         let written = std::fs::create_dir_all(&self.run_dir).and_then(|()| {
             fusa::obs::write_file_with_faults("manifest", &path, manifest.to_json().as_bytes())
         });
-        if let Err(error) = written {
-            let reason = format!("manifest write to `{}` failed: {error}", path.display());
-            fusa::obs::mark_degraded(&reason);
-            eprintln!("fusa: {reason}; continuing without it");
-            return Ok(());
-        }
-        if !self.quiet {
-            println!(
+        match written {
+            Err(error) => {
+                let reason = format!("manifest write to `{}` failed: {error}", path.display());
+                fusa::obs::mark_degraded(&reason);
+                eprintln!("fusa: {reason}; continuing without it");
+            }
+            Ok(()) if !self.args.has("--quiet-stats") => println!(
                 "\nrun manifest: {} (wall {:.2}s, stages cover {:.0}%; `fusa report {}` for the breakdown)",
                 path.display(),
                 manifest.wall_seconds,
                 manifest.stage_coverage() * 100.0,
                 path.display(),
-            );
+            ),
+            Ok(()) => {}
         }
-        Ok(())
+
+        if self.interrupted {
+            return;
+        }
+        let quarantined = self.quarantined.len();
+        if quarantined > 0 && self.args.has("--strict") {
+            eprintln!("fusa: --strict: {quarantined} campaign unit(s) quarantined");
+            std::process::exit(1);
+        }
+        if fusa::obs::durability_degraded() && self.args.has("--strict-durability") {
+            let reason = fusa::obs::degraded_reason()
+                .unwrap_or_else(|| "a storage write outlived its retry budget".to_string());
+            eprintln!("fusa: --strict-durability: {reason}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -1023,10 +1003,6 @@ fn manifest_config(config: &PipelineConfig) -> (ConfigEntries, SeedEntries) {
         (
             "campaign.restrict_to_cone".to_string(),
             config.campaign.restrict_to_cone.to_string(),
-        ),
-        (
-            "campaign.early_exit".to_string(),
-            config.campaign.early_exit.to_string(),
         ),
         (
             "campaign.lane_words".to_string(),
@@ -1078,19 +1054,19 @@ fn manifest_config(config: &PipelineConfig) -> (ConfigEntries, SeedEntries) {
     (kv, seeds)
 }
 
-fn cmd_lint(args: &[String]) -> Result<(), String> {
+fn cmd_lint(args: &Args) -> Result<(), String> {
     use fusa::lint::{lint_netlist, LintSeverity};
 
-    let netlist = load_design(args.get(1).ok_or("missing design")?)?;
-    let deny = match flag_value(args, "--deny") {
+    let netlist = load_design(args.positionals[0])?;
+    let deny = match args.value("--deny") {
         Some(level) => LintSeverity::parse(level)
             .ok_or_else(|| format!("bad --deny level `{level}` (info|warnings|errors)"))?,
         None => LintSeverity::Error,
     };
     let report = lint_netlist(&netlist);
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         print!("{}", report.render_json());
-    } else if args.iter().any(|a| a == "--csv") {
+    } else if args.has("--csv") {
         print!("{}", report.render_csv());
     } else {
         print!("{}", report.render_text());
@@ -1107,114 +1083,151 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let design_arg = args.get(1).ok_or("missing design")?;
-    let mut session = ObsSession::begin("analyze", design_arg, args)?;
-    let netlist = load_design(design_arg)?;
-    let mut config = pipeline_config(args)?;
-    config.campaign.shard = session.shard;
-    let (config_kv, seeds) = manifest_config(&config);
-    let lint = lint_digest(&netlist);
-    let analysis = match FusaPipeline::new(config)
-        .with_campaign_durability(session.durability(args)?)
-        .run(&netlist)
-    {
-        Ok(analysis) => analysis,
-        Err(PipelineError::Interrupted { .. }) => {
-            session.exit_interrupted(netlist.name(), config_kv, seeds)
-        }
-        Err(error) => return Err(error.to_string()),
-    };
-    session.note_quarantined(&analysis.campaign_quarantined);
+/// The run of a pipeline command: its observed session, its design and
+/// the configuration its run options select.
+struct Run<'a> {
+    session: ObsSession<'a>,
+    netlist: Netlist,
+    config: PipelineConfig,
+}
 
-    let text = render_text_report(&analysis, &netlist, &ReportOptions::default());
+impl<'a> Run<'a> {
+    /// Begins the session, then loads `design_arg` (so the parser's
+    /// `parse` span lands in the manifest) and reads the run options.
+    fn begin(design_arg: &str, args: &'a Args) -> Result<Run<'a>, String> {
+        let session = ObsSession::begin(design_arg, args)?;
+        let netlist = load_design(design_arg)?;
+        let mut config = pipeline_config(args)?;
+        config.campaign.shard = session.shard;
+        Ok(Run {
+            session,
+            netlist,
+            config,
+        })
+    }
+
+    /// Runs [`FusaPipeline`] with the session's durability and notes the
+    /// campaign units it quarantined: the one run path of `analyze`,
+    /// `explain` and `harden`.
+    fn analyze(mut self) -> Result<(Run<'a>, FusaAnalysis), String> {
+        let pipeline = FusaPipeline::new(self.config.clone())
+            .with_campaign_durability(self.session.durability()?);
+        match pipeline.run(&self.netlist) {
+            Ok(analysis) => {
+                self.session
+                    .note_quarantined(&analysis.campaign_quarantined);
+                Ok((self, analysis))
+            }
+            Err(PipelineError::Interrupted { .. }) => self.exit_interrupted(),
+            Err(error) => Err(error.to_string()),
+        }
+    }
+
+    /// Prints a finished campaign's summary and its Algorithm 1 line,
+    /// writes the criticality CSV to `--csv` when given, and returns the
+    /// `summary.txt` and `criticality.csv` digests followed by `lint`,
+    /// the design's [`lint_digest`] taken before the campaign.
+    fn report_campaign(
+        &self,
+        report: CampaignReport,
+        lint: (String, String),
+    ) -> Result<Vec<(String, String)>, String> {
+        print!("{}", report.summary());
+        let stable_summary = report.summary_opts(false);
+        let dataset = report.into_dataset(self.config.criticality_threshold);
+        println!(
+            "\nAlgorithm 1: {} / {} nodes critical at th={}",
+            dataset.critical_count(),
+            dataset.labels().len(),
+            dataset.threshold()
+        );
+        let csv = dataset.to_csv(&self.netlist);
+        self.session
+            .args
+            .write_file("--csv", &csv, "criticality CSV")?;
+        Ok(vec![
+            digest("summary.txt", &stable_summary),
+            digest("criticality.csv", &csv),
+            lint,
+        ])
+    }
+
+    /// Prints the interruption notice and the exact invocation that
+    /// resumes this run, then exits with the conventional SIGINT status.
+    fn exit_interrupted(mut self) -> ! {
+        let mut resume = self.session.command_line();
+        if !self.session.args.has("--resume") {
+            resume.push_str(" --resume");
+        }
+        self.session.interrupted = true;
+        self.finish(Vec::new());
+        eprintln!("fusa: interrupted — partial results checkpointed; resume with:");
+        eprintln!("  {resume}");
+        std::process::exit(130);
+    }
+
+    /// Closes the session with the command's artifact digests.
+    fn finish(self, digests: Vec<(String, String)>) {
+        let (config, seeds) = manifest_config(&self.config);
+        self.session
+            .finish(self.netlist.name(), config, seeds, digests);
+    }
+}
+
+fn cmd_analyze(args: &Args) -> Result<(), String> {
+    let run = Run::begin(args.positionals[0], args)?;
+    let lint = lint_digest(&run.netlist);
+    let (run, analysis) = run.analyze()?;
+    let netlist = &run.netlist;
+
+    let text = render_text_report(&analysis, netlist, &ReportOptions::default());
     println!("{text}");
 
     // Digests cover only deterministic artifacts: the stats-free text
     // report and the per-node CSV are identical across same-seed runs.
     let stable_text = render_text_report(
         &analysis,
-        &netlist,
+        netlist,
         &ReportOptions {
             include_stats: false,
             ..ReportOptions::default()
         },
     );
-    let csv = render_csv_report(&analysis, &netlist);
+    let csv = render_csv_report(&analysis, netlist);
     let digests = vec![
-        (
-            "report.txt".to_string(),
-            fnv1a64_hex(stable_text.as_bytes()),
-        ),
-        ("nodes.csv".to_string(), fnv1a64_hex(csv.as_bytes())),
+        digest("report.txt", &stable_text),
+        digest("nodes.csv", &csv),
         lint,
     ];
 
-    if let Some(path) = flag_value(args, "--report") {
-        std::fs::write(path, &text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("report written to {path}");
-    }
-    if let Some(path) = flag_value(args, "--csv") {
-        std::fs::write(path, &csv).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("per-node CSV written to {path}");
-    }
-    if let Some(path) = flag_value(args, "--save-model") {
+    args.write_file("--report", &text, "report")?;
+    args.write_file("--csv", &csv, "per-node CSV")?;
+    if let Some(path) = args.value("--save-model") {
         let file =
             std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
         fusa::gcn::persist::save_classifier(&analysis.classifier, file)
             .map_err(|e| e.to_string())?;
         println!("trained model written to {path}");
     }
-    session.finish(netlist.name(), config_kv, seeds, digests)?;
-    exit_strict(args, analysis.campaign_quarantined.len());
-    exit_strict_durability(args);
+    run.finish(digests);
     Ok(())
 }
 
-fn cmd_faults(args: &[String]) -> Result<(), String> {
-    let design_arg = args.get(1).ok_or("missing design")?;
-    let mut session = ObsSession::begin("faults", design_arg, args)?;
-    let netlist = load_design(design_arg)?;
-    let mut config = pipeline_config(args)?;
-    config.campaign.shard = session.shard;
-    let (config_kv, seeds) = manifest_config(&config);
-    let faults = FaultList::all_gate_outputs(&netlist);
-    let workloads = WorkloadSuite::generate(&netlist, &config.workloads);
-    let lint = lint_digest(&netlist);
-    let report = FaultCampaign::new(config.campaign)
-        .with_durability(session.durability(args)?)
-        .run(&netlist, &faults, &workloads)
+fn cmd_faults(args: &Args) -> Result<(), String> {
+    let mut run = Run::begin(args.positionals[0], args)?;
+    let faults = FaultList::all_gate_outputs(&run.netlist);
+    let workloads = WorkloadSuite::generate(&run.netlist, &run.config.workloads);
+    let lint = lint_digest(&run.netlist);
+    let report = FaultCampaign::new(run.config.campaign)
+        .with_durability(run.session.durability()?)
+        .run(&run.netlist, &faults, &workloads)
         .map_err(|e| e.to_string())?;
-    session.note_quarantined(report.quarantined());
+    run.session.note_quarantined(report.quarantined());
     if report.interrupted() {
-        session.exit_interrupted(netlist.name(), config_kv, seeds);
+        run.exit_interrupted();
     }
-    print!("{}", report.summary());
-    let stable_summary = report.summary_opts(false);
-    let quarantined_count = report.quarantined().len();
-    let dataset = report.into_dataset(config.criticality_threshold);
-    println!(
-        "\nAlgorithm 1: {} / {} nodes critical at th={}",
-        dataset.critical_count(),
-        dataset.labels().len(),
-        dataset.threshold()
-    );
-    let csv = dataset.to_csv(&netlist);
-    let digests = vec![
-        (
-            "summary.txt".to_string(),
-            fnv1a64_hex(stable_summary.as_bytes()),
-        ),
-        ("criticality.csv".to_string(), fnv1a64_hex(csv.as_bytes())),
-        lint,
-    ];
-    if let Some(path) = flag_value(args, "--csv") {
-        std::fs::write(path, &csv).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("criticality CSV written to {path}");
-    }
-    session.finish(netlist.name(), config_kv, seeds, digests)?;
-    exit_strict(args, quarantined_count);
-    exit_strict_durability(args);
+    let digests = run.report_campaign(report, lint)?;
+    run.finish(digests);
     Ok(())
 }
 
@@ -1227,39 +1240,30 @@ fn cmd_faults(args: &[String]) -> Result<(), String> {
 /// `status.json`, and the run's final snapshot should come from its
 /// dominant phase, not a trailing sub-second lint pass.
 fn lint_digest(netlist: &Netlist) -> (String, String) {
-    let report = fusa::lint::lint_netlist(netlist);
-    (
-        "lint.csv".to_string(),
-        fnv1a64_hex(report.render_csv().as_bytes()),
-    )
+    digest("lint.csv", &fusa::lint::lint_netlist(netlist).render_csv())
 }
 
-fn cmd_rank(args: &[String]) -> Result<(), String> {
+/// The manifest digest entry of an artifact.
+fn digest(artifact: &str, contents: &str) -> (String, String) {
+    (artifact.to_string(), fnv1a64_hex(contents.as_bytes()))
+}
+
+fn cmd_rank(args: &Args) -> Result<(), String> {
     use fusa::gcn::{parse_ground_truth, StaticRank, CHANNEL_WEIGHTS, RANK_CHANNEL_NAMES};
 
-    let design_arg = args.get(1).ok_or("missing design")?;
-    let session = ObsSession::begin("rank", design_arg, args)?;
+    let design_arg = args.positionals[0];
+    let session = ObsSession::begin(design_arg, args)?;
     let netlist = load_design(design_arg)?;
 
     // Every flag and the ground truth are checked before the analysis:
     // exact betweenness makes it the slow part at scale.
-    let top: usize = match flag_value(args, "--top") {
-        Some(value) => value
-            .parse()
-            .map_err(|_| format!("bad --top value `{value}`"))?,
-        None => 10,
-    };
-    let min_rho = match flag_value(args, "--min-rho") {
-        Some(value) => Some(
-            value
-                .parse::<f64>()
-                .ok()
-                .filter(|min| min.is_finite())
-                .ok_or_else(|| format!("bad --min-rho value `{value}`: use a finite number"))?,
-        ),
-        None => None,
-    };
-    let ground_truth = match flag_value(args, "--ground-truth") {
+    let top = args.number("--top")?.unwrap_or(10);
+    let min_rho: Option<f64> = args.number("--min-rho")?;
+    if min_rho.is_some_and(|min| !min.is_finite()) {
+        let bad = args.bad_value("--min-rho");
+        return Err(format!("{bad}: use a finite number"));
+    }
+    let ground_truth = match args.value("--ground-truth") {
         Some(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
@@ -1291,11 +1295,8 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
     // The CSV is deterministic (pure structure, no RNG), so its digest
     // pins the whole ranking in the manifest.
     let csv = rank.to_csv(&netlist);
-    let digests = vec![("rank.csv".to_string(), fnv1a64_hex(csv.as_bytes()))];
-    if let Some(path) = flag_value(args, "--csv") {
-        std::fs::write(path, &csv).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("static-rank CSV written to {path}");
-    }
+    let digests = vec![digest("rank.csv", &csv)];
+    args.write_file("--csv", &csv, "static-rank CSV")?;
 
     let config_kv: ConfigEntries = RANK_CHANNEL_NAMES
         .iter()
@@ -1324,7 +1325,7 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
 
     // The manifest is written even on a --min-rho failure so the rho
     // gauges of the failing run stay inspectable.
-    session.finish(netlist.name(), config_kv, Vec::new(), digests)?;
+    session.finish(netlist.name(), config_kv, Vec::new(), digests);
     if let Some((rho, min)) = failed_min_rho {
         eprintln!("rank failed: combined Spearman rho {rho:.4} below --min-rho {min}");
         std::process::exit(1);
@@ -1332,49 +1333,15 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Under `--strict`, quarantined units make the whole run fail (after
-/// the manifest was written, so the partial ground truth stays
-/// inspectable).
-fn exit_strict(args: &[String], quarantined: usize) {
-    if quarantined > 0 && args.iter().any(|a| a == "--strict") {
-        eprintln!("fusa: --strict: {quarantined} campaign unit(s) quarantined");
-        std::process::exit(1);
-    }
-}
-
-/// Under `--strict-durability`, a degraded run — a checkpoint, trace or
-/// manifest write that outlived its retry budget — fails the command
-/// (after the results and manifest are out, so nothing is lost twice).
-fn exit_strict_durability(args: &[String]) {
-    if fusa::obs::durability_degraded() && args.iter().any(|a| a == "--strict-durability") {
-        let reason = fusa::obs::degraded_reason()
-            .unwrap_or_else(|| "a storage write outlived its retry budget".to_string());
-        eprintln!("fusa: --strict-durability: {reason}");
-        std::process::exit(1);
-    }
-}
-
-fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let design_arg = args.get(1).ok_or("missing design")?;
-    let mut session = ObsSession::begin("explain", design_arg, args)?;
-    let netlist = load_design(design_arg)?;
-    let gate_name = args.get(2).ok_or("missing gate name")?;
-    let gate = netlist
+fn cmd_explain(args: &Args) -> Result<(), String> {
+    let run = Run::begin(args.positionals[0], args)?;
+    let gate_name = args.positionals[1];
+    let gate = run
+        .netlist
         .find_gate(gate_name)
         .ok_or_else(|| format!("no gate named `{gate_name}`"))?;
-    let config = pipeline_config(args)?;
-    let (config_kv, seeds) = manifest_config(&config);
-    let analysis = match FusaPipeline::new(config)
-        .with_campaign_durability(session.durability(args)?)
-        .run(&netlist)
-    {
-        Ok(analysis) => analysis,
-        Err(PipelineError::Interrupted { .. }) => {
-            session.exit_interrupted(netlist.name(), config_kv, seeds)
-        }
-        Err(error) => return Err(error.to_string()),
-    };
-    session.note_quarantined(&analysis.campaign_quarantined);
+    let (run, analysis) = run.analyze()?;
+    let netlist = &run.netlist;
     let explainer = analysis.explainer(ExplainerConfig::default());
     let explanation = explainer.explain(gate.index());
     let mut text = format!(
@@ -1401,40 +1368,21 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         );
     }
     print!("{text}");
-    let digests = vec![("explanation.txt".to_string(), fnv1a64_hex(text.as_bytes()))];
-    session.finish(netlist.name(), config_kv, seeds, digests)?;
-    exit_strict(args, analysis.campaign_quarantined.len());
-    exit_strict_durability(args);
+    run.finish(vec![digest("explanation.txt", &text)]);
     Ok(())
 }
 
-fn cmd_harden(args: &[String]) -> Result<(), String> {
+fn cmd_harden(args: &Args) -> Result<(), String> {
     use fusa::netlist::harden::{tmr_overhead, tmr_protect};
     use fusa::netlist::GateId;
 
-    let design_arg = args.get(1).ok_or("missing design")?;
-    let mut session = ObsSession::begin("harden", design_arg, args)?;
-    let netlist = load_design(design_arg)?;
-    let budget: f64 = flag_value(args, "--budget")
-        .map(|v| v.parse().map_err(|_| "bad --budget value".to_string()))
-        .transpose()?
-        .unwrap_or(0.1);
+    let run = Run::begin(args.positionals[0], args)?;
+    let budget = args.number("--budget")?.unwrap_or(0.1);
     if !(0.0..=1.0).contains(&budget) {
         return Err("--budget must be in [0, 1]".into());
     }
-    let config = pipeline_config(args)?;
-    let (config_kv, seeds) = manifest_config(&config);
-    let analysis = match FusaPipeline::new(config)
-        .with_campaign_durability(session.durability(args)?)
-        .run(&netlist)
-    {
-        Ok(analysis) => analysis,
-        Err(PipelineError::Interrupted { .. }) => {
-            session.exit_interrupted(netlist.name(), config_kv, seeds)
-        }
-        Err(error) => return Err(error.to_string()),
-    };
-    session.note_quarantined(&analysis.campaign_quarantined);
+    let (run, analysis) = run.analyze()?;
+    let netlist = &run.netlist;
 
     let count = ((netlist.gate_count() as f64) * budget) as usize;
     let mut ranked: Vec<(usize, f64)> = analysis
@@ -1451,7 +1399,7 @@ fn cmd_harden(args: &[String]) -> Result<(), String> {
         .map(|&(i, _)| GateId(i as u32))
         .collect();
 
-    let hardened = tmr_protect(&netlist, &selection).map_err(|e| e.to_string())?;
+    let hardened = tmr_protect(netlist, &selection).map_err(|e| e.to_string())?;
     println!(
         "protected {} gates ({}% budget): {} -> {} gates ({:.2}x area)",
         selection.len(),
@@ -1471,39 +1419,27 @@ fn cmd_harden(args: &[String]) -> Result<(), String> {
         println!("  ... and {} more", selection.len() - 10);
     }
     let hardened_verilog = fusa::netlist::writer::write_verilog(&hardened);
-    let digests = vec![(
-        "hardened.v".to_string(),
-        fnv1a64_hex(hardened_verilog.as_bytes()),
-    )];
-    if let Some(path) = flag_value(args, "--out") {
-        std::fs::write(path, &hardened_verilog)
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("hardened netlist written to {path}");
-    }
-    session.finish(netlist.name(), config_kv, seeds, digests)?;
-    exit_strict(args, analysis.campaign_quarantined.len());
-    exit_strict_durability(args);
+    let digests = vec![digest("hardened.v", &hardened_verilog)];
+    args.write_file("--out", &hardened_verilog, "hardened netlist")?;
+    run.finish(digests);
     Ok(())
 }
 
-fn cmd_seu(args: &[String]) -> Result<(), String> {
-    let design_arg = args.get(1).ok_or("missing design")?;
-    let session = ObsSession::begin("seu", design_arg, args)?;
-    let netlist = load_design(design_arg)?;
-    if args.iter().any(|a| a == "--resume") || flag_value(args, "--checkpoint").is_some() {
+fn cmd_seu(args: &Args) -> Result<(), String> {
+    let run = Run::begin(args.positionals[0], args)?;
+    if args.has("--resume") || args.has("--checkpoint") {
         eprintln!("fusa: note: seu campaigns re-run from scratch; --checkpoint/--resume ignored");
     }
-    let config = pipeline_config(args)?;
-    let (config_kv, seeds) = manifest_config(&config);
-    let workloads = WorkloadSuite::generate(&netlist, &config.workloads);
+    let netlist = &run.netlist;
+    let workloads = WorkloadSuite::generate(netlist, &run.config.workloads);
     let report = SeuCampaign::new(SeuConfig {
-        lane_words: config.campaign.lane_words,
+        lane_words: run.config.campaign.lane_words,
         ..SeuConfig::default()
     })
     .with_interrupt(fusa::obs::shutdown_flag())
-    .run(&netlist, &workloads);
+    .run(netlist, &workloads);
     if report.interrupted {
-        session.exit_interrupted(netlist.name(), config_kv, seeds);
+        run.exit_interrupted();
     }
     let mut text = format!(
         "{}: {} flip-flops, mean SEU corruption rate {:.3}\n",
@@ -1516,28 +1452,16 @@ fn cmd_seu(args: &[String]) -> Result<(), String> {
         let _ = writeln!(text, "  {:<28} {rate:.2}", netlist.gate(gate).name);
     }
     print!("{text}");
-    let digests = vec![("seu.txt".to_string(), fnv1a64_hex(text.as_bytes()))];
-    session.finish(netlist.name(), config_kv, seeds, digests)?;
-    exit_strict_durability(args);
+    run.finish(vec![digest("seu.txt", &text)]);
     Ok(())
 }
 
 /// `fusa synth <size>`: writes a seeded synthetic benchmark netlist.
 /// Generation is deterministic, so the printed digest is stable for a
 /// given (size, seed) across machines and releases.
-fn cmd_synth(args: &[String]) -> Result<(), String> {
-    let spec = COMMANDS
-        .iter()
-        .find(|c| c.name == "synth")
-        .expect("synth spec");
-    let positionals = positional_args(spec, args);
-    let size = *positionals.first().ok_or("missing size")?;
-    let seed: u64 = match flag_value(args, "--seed") {
-        Some(value) => value
-            .parse()
-            .map_err(|_| format!("bad --seed value `{value}`"))?,
-        None => 1,
-    };
+fn cmd_synth(args: &Args) -> Result<(), String> {
+    let size = args.positionals[0];
+    let seed: u64 = args.number("--seed")?.unwrap_or(1);
     let netlist = match size {
         "10k" => designs::synth_10k(seed),
         "30k" => designs::synth_30k(seed),
@@ -1545,9 +1469,9 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown size `{other}`: use 10k, 30k or 100k")),
     };
     let verilog = fusa::netlist::writer::write_verilog(&netlist);
-    let out = flag_value(args, "--out")
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("synth_{size}.v"));
+    let out = args
+        .value("--out")
+        .map_or_else(|| format!("synth_{size}.v"), str::to_string);
     std::fs::write(&out, &verilog).map_err(|e| format!("cannot write `{out}`: {e}"))?;
     println!("{}", NetlistStats::of(&netlist));
     println!(
@@ -1562,30 +1486,20 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
 /// Every unit is already complete after a valid merge, so no simulation
 /// runs and the resulting summary and criticality CSV digests are
 /// bit-identical to an uninterrupted single-process run.
-fn cmd_merge(args: &[String]) -> Result<(), String> {
+fn cmd_merge(args: &Args) -> Result<(), String> {
     use fusa::faultsim::{merge_checkpoints, read_header, CheckpointHeader};
 
-    let spec = COMMANDS
-        .iter()
-        .find(|c| c.name == "merge")
-        .expect("merge spec");
-    let inputs: Vec<PathBuf> = positional_args(spec, args)
-        .into_iter()
-        .map(PathBuf::from)
-        .collect();
+    let inputs: Vec<PathBuf> = args.positionals.iter().map(PathBuf::from).collect();
     // Peek the first header for the design name; `fusa merge` wants no
     // mandatory <design> positional because the checkpoints know it.
-    let first = inputs.first().ok_or("missing checkpoint")?;
-    let header = read_header(first).map_err(|e| e.to_string())?;
-    let design_arg = flag_value(args, "--design")
-        .unwrap_or(&header.design)
-        .to_string();
-    let mut session = ObsSession::begin("merge", &design_arg, args)?;
-    let netlist = load_design(&design_arg)?;
+    let header = read_header(&inputs[0]).map_err(|e| e.to_string())?;
+    let design_arg = args.value("--design").unwrap_or(&header.design);
+    let mut run = Run::begin(design_arg, args)?;
+    let netlist = &run.netlist;
 
-    let out = match flag_value(args, "--out") {
+    let out = match args.value("--out") {
         Some(path) => PathBuf::from(path),
-        None => session.run_dir.join("checkpoint.jsonl"),
+        None => run.session.run_dir.join("checkpoint.jsonl"),
     };
     if inputs.iter().any(|input| input == &out) {
         return Err(format!(
@@ -1598,7 +1512,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         let _span = fusa::obs::global().span("merge");
         merge_checkpoints(&inputs, &out).map_err(|e| e.to_string())?
     };
-    session.merge_sources = outcome
+    run.session.merge_sources = outcome
         .sources
         .iter()
         .map(|source| MergeSourceRecord {
@@ -1633,26 +1547,24 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     // is rebuilt as every gate output first and with untestable sites
     // excluded (the `analyze` pipeline default) second, whichever
     // matches the header's fault digest.
-    let mut config = pipeline_config(args)?;
+    let config = &mut run.config;
     config.campaign.classify_latent = header.classify_latent;
     config.campaign.min_divergence_fraction = header.min_divergence_fraction;
-    config.campaign.shard = None;
-    let (config_kv, seeds) = manifest_config(&config);
-    let workloads = WorkloadSuite::generate(&netlist, &config.workloads);
+    let workloads = WorkloadSuite::generate(netlist, &config.workloads);
     let merged_header = &outcome.header;
     let faults = {
-        let all = FaultList::all_gate_outputs(&netlist);
-        let captured = CheckpointHeader::capture(&netlist, &all, &workloads, &config.campaign);
+        let all = FaultList::all_gate_outputs(netlist);
+        let captured = CheckpointHeader::capture(netlist, &all, &workloads, &config.campaign);
         if merged_header
             .check_compatible_ignoring_shard(&captured)
             .is_ok()
         {
             all
         } else {
-            all.exclude_untestable(&fusa::lint::untestable_stuck_at_sites(&netlist))
+            all.exclude_untestable(&fusa::lint::untestable_stuck_at_sites(netlist))
         }
     };
-    let captured = CheckpointHeader::capture(&netlist, &faults, &workloads, &config.campaign);
+    let captured = CheckpointHeader::capture(netlist, &faults, &workloads, &config.campaign);
     if let Err(error) = merged_header.check_compatible_ignoring_shard(&captured) {
         return Err(format!(
             "merged checkpoint does not match the reconstructed campaign: {error}\n\
@@ -1663,7 +1575,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
 
     // Resume from the merged checkpoint: the pending set is empty, so
     // this replays zero units and emits the single-run report.
-    let lint = lint_digest(&netlist);
+    let lint = lint_digest(netlist);
     let report = FaultCampaign::new(config.campaign)
         .with_durability(DurabilityConfig {
             checkpoint: Some(out.clone()),
@@ -1671,31 +1583,11 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
             interrupt: Some(fusa::obs::shutdown_flag()),
             ..DurabilityConfig::default()
         })
-        .run(&netlist, &faults, &workloads)
+        .run(netlist, &faults, &workloads)
         .map_err(|e| e.to_string())?;
-    print!("{}", report.summary());
-    let stable_summary = report.summary_opts(false);
-    let dataset = report.into_dataset(config.criticality_threshold);
-    println!(
-        "\nAlgorithm 1: {} / {} nodes critical at th={}",
-        dataset.critical_count(),
-        dataset.labels().len(),
-        dataset.threshold()
-    );
-    let csv = dataset.to_csv(&netlist);
-    let digests = vec![
-        (
-            "summary.txt".to_string(),
-            fnv1a64_hex(stable_summary.as_bytes()),
-        ),
-        ("criticality.csv".to_string(), fnv1a64_hex(csv.as_bytes())),
-        lint,
-    ];
-    if let Some(path) = flag_value(args, "--csv") {
-        std::fs::write(path, &csv).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("criticality CSV written to {path}");
-    }
-    session.finish(netlist.name(), config_kv, seeds, digests)
+    let digests = run.report_campaign(report, lint)?;
+    run.finish(digests);
+    Ok(())
 }
 
 /// `fusa fsck <run-dir|checkpoint> [--repair]`: validates campaign
@@ -1703,17 +1595,12 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
 /// cause); `--repair` rewrites the checkpoint keeping the valid header
 /// and every intact, digest-passing unit record. Exits 1 when damage
 /// remains unrepaired.
-fn cmd_fsck(args: &[String]) -> Result<(), String> {
+fn cmd_fsck(args: &Args) -> Result<(), String> {
     use fusa::faultsim::{fsck_path, FsckOptions};
 
-    let spec = COMMANDS
-        .iter()
-        .find(|c| c.name == "fsck")
-        .expect("fsck spec");
-    let positionals = positional_args(spec, args);
-    let path = PathBuf::from(*positionals.first().ok_or("missing path")?);
+    let path = PathBuf::from(args.positionals[0]);
     let options = FsckOptions {
-        repair: args.iter().any(|a| a == "--repair"),
+        repair: args.has("--repair"),
     };
     let report = fsck_path(&path, &options).map_err(|e| e.to_string())?;
     print!("{}", report.render());
@@ -1723,16 +1610,11 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let spec = COMMANDS
-        .iter()
-        .find(|c| c.name == "report")
-        .expect("report spec");
-    let positionals = positional_args(spec, args);
-    let path = positionals.first().ok_or("missing manifest path")?;
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let path = args.positionals[0];
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let manifest = RunManifest::parse(&text).map_err(|e| format!("`{path}`: {e}"))?;
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{}", render_manifest_report_json(&manifest).render_pretty());
     } else {
         print!("{}", render_manifest_report(&manifest));
@@ -1794,30 +1676,17 @@ fn collect_fleet(roots: &[PathBuf], stale_seconds: f64) -> Result<FleetView, Str
 }
 
 /// `fusa top <results-root|run-dir>...`: the live fleet dashboard.
-fn cmd_top(args: &[String]) -> Result<(), String> {
-    let spec = COMMANDS.iter().find(|c| c.name == "top").expect("top spec");
-    let roots: Vec<PathBuf> = positional_args(spec, args)
-        .iter()
-        .map(PathBuf::from)
-        .collect();
-    let json = args.iter().any(|a| a == "--json");
-    let once = json || args.iter().any(|a| a == "--once");
-    let interval = match flag_value(args, "--interval") {
-        Some(value) => value
-            .parse::<f64>()
-            .ok()
-            .filter(|s| *s > 0.0)
-            .ok_or_else(|| format!("bad --interval value `{value}`"))?,
-        None => 2.0,
+fn cmd_top(args: &Args) -> Result<(), String> {
+    let roots: Vec<PathBuf> = args.positionals.iter().map(PathBuf::from).collect();
+    let json = args.has("--json");
+    let once = json || args.has("--once");
+    let seconds = |name: &str, default: f64| match args.number::<f64>(name)? {
+        Some(seconds) if seconds > 0.0 => Ok(seconds),
+        Some(_) => Err(args.bad_value(name)),
+        None => Ok(default),
     };
-    let stale_seconds = match flag_value(args, "--stale") {
-        Some(value) => value
-            .parse::<f64>()
-            .ok()
-            .filter(|s| *s > 0.0)
-            .ok_or_else(|| format!("bad --stale value `{value}`"))?,
-        None => FleetOptions::DEFAULT_STALE_SECONDS,
-    };
+    let interval = seconds("--interval", 2.0)?;
+    let stale_seconds = seconds("--stale", FleetOptions::DEFAULT_STALE_SECONDS)?;
 
     loop {
         let view = collect_fleet(&roots, stale_seconds)?;
@@ -1846,16 +1715,12 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 
 /// `fusa export --prometheus <run-dir>...`: render status snapshots and
 /// manifests as a Prometheus textfile for node_exporter to scrape.
-fn cmd_export(args: &[String]) -> Result<(), String> {
-    if !args.iter().any(|a| a == "--prometheus") {
+fn cmd_export(args: &Args) -> Result<(), String> {
+    if !args.has("--prometheus") {
         return Err("`fusa export` needs a format; pass --prometheus".into());
     }
-    let spec = COMMANDS
-        .iter()
-        .find(|c| c.name == "export")
-        .expect("export spec");
     let mut runs = Vec::new();
-    for root in positional_args(spec, args) {
+    for &root in &args.positionals {
         let dir = PathBuf::from(root);
         let status = StatusSnapshot::read(&dir.join("status.json")).ok();
         let manifest = std::fs::read_to_string(dir.join("manifest.json"))
@@ -1869,7 +1734,7 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
         runs.push(PromRun { status, manifest });
     }
     let rendered = render_prometheus(&runs);
-    match flag_value(args, "--out") {
+    match args.value("--out") {
         Some(path) => {
             std::fs::write(path, rendered).map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("fusa: metrics written to {path}");
@@ -1881,20 +1746,15 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
 
 /// `fusa trace <trace.jsonl>`: offline span/event query over a
 /// `--trace-out` stream.
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let spec = COMMANDS
-        .iter()
-        .find(|c| c.name == "trace")
-        .expect("trace spec");
-    let positionals = positional_args(spec, args);
-    let path = positionals.first().ok_or("missing trace path")?;
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let path = args.positionals[0];
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let filter = TraceFilter {
-        kind: flag_value(args, "--kind").map(str::to_string),
-        name_substring: flag_value(args, "--name").map(str::to_string),
+        kind: args.value("--kind").map(str::to_string),
+        name_substring: args.value("--name").map(str::to_string),
     };
     let report = TraceReport::scan(&text, &filter);
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{}", report.to_json().render_pretty());
     } else {
         print!("{}", report.render_text());
@@ -1906,42 +1766,31 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// gate. Arguments are manifest files or run directories. Exits 1 when
 /// the candidate regressed (digest mismatch on same-seed runs, or a
 /// time metric beyond tolerance).
-fn cmd_compare(args: &[String]) -> Result<(), String> {
+fn cmd_compare(args: &Args) -> Result<(), String> {
     use fusa::obs::{
         append_bench_trajectory, compare_manifests, load_manifest_arg, CompareOptions,
     };
 
-    let spec = COMMANDS
-        .iter()
-        .find(|c| c.name == "compare")
-        .expect("compare spec");
-    let positionals = positional_args(spec, args);
-    let baseline_arg = positionals.first().ok_or("missing baseline")?;
-    let candidate_arg = positionals.get(1).ok_or("missing candidate")?;
-    let baseline = load_manifest_arg(std::path::Path::new(baseline_arg))?;
-    let candidate = load_manifest_arg(std::path::Path::new(candidate_arg))?;
+    let baseline = load_manifest_arg(std::path::Path::new(args.positionals[0]))?;
+    let candidate = load_manifest_arg(std::path::Path::new(args.positionals[1]))?;
 
     let mut options = CompareOptions::default();
-    if let Some(value) = flag_value(args, "--tolerance-pct") {
-        options.tolerance_pct = value
-            .parse()
-            .map_err(|_| format!("bad --tolerance-pct value `{value}`"))?;
+    if let Some(tolerance_pct) = args.number("--tolerance-pct")? {
+        options.tolerance_pct = tolerance_pct;
     }
-    if let Some(value) = flag_value(args, "--min-seconds") {
-        options.min_seconds = value
-            .parse()
-            .map_err(|_| format!("bad --min-seconds value `{value}`"))?;
+    if let Some(min_seconds) = args.number("--min-seconds")? {
+        options.min_seconds = min_seconds;
     }
     let comparison = compare_manifests(&baseline, &candidate, options);
 
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{}", comparison.to_json().render());
     } else {
         print!("{}", comparison.render_text());
     }
 
-    if args.iter().any(|a| a == "--append-bench") {
-        let path = flag_value(args, "--bench-file").unwrap_or("BENCH_campaign.json");
+    if args.has("--append-bench") {
+        let path = args.value("--bench-file").unwrap_or("BENCH_campaign.json");
         let existing = std::fs::read_to_string(path).unwrap_or_default();
         let updated = append_bench_trajectory(&existing, &comparison, &baseline, &candidate)?;
         std::fs::write(path, updated).map_err(|e| format!("cannot write `{path}`: {e}"))?;
@@ -1952,4 +1801,32 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         std::process::exit(1);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &[String]) -> Args<'_> {
+        let spec = COMMANDS.iter().find(|c| c.name == line[0]);
+        Args::parse(spec.expect("a fusa command"), line).expect("a valid command line")
+    }
+
+    #[test]
+    fn parse_reads_every_token_once() {
+        let words = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
+        // Positionals on both sides of a flag.
+        let line = words("explain or1200_icfsm --fast G1");
+        let args = parse(&line);
+        assert_eq!(args.positionals, ["or1200_icfsm", "G1"]);
+        assert!(args.has("--fast"));
+        // A value-taking flag consumes the next token, even a `--` one,
+        // and the first occurrence of a flag wins.
+        let line = words("faults --run-dir --fast d --threads 1 --threads 2");
+        let args = parse(&line);
+        assert_eq!(args.positionals, ["d"]);
+        assert_eq!(args.value("--run-dir"), Some("--fast"));
+        assert!(!args.has("--fast"));
+        assert_eq!(args.number::<usize>("--threads"), Ok(Some(1)));
+    }
 }

@@ -98,11 +98,16 @@ fn lint_deny_info_fails_with_nonzero_exit() {
 
 #[test]
 fn lint_deny_warnings_passes_on_clean_builtins() {
-    for design in ["sdram_ctrl", "or1200_if", "or1200_icfsm", "uart_ctrl"] {
-        let output = fusa()
-            .args(["lint", design, "--deny", "warnings"])
-            .output()
-            .unwrap();
+    // Odd designs put the flag before the design.
+    for (i, design) in ["sdram_ctrl", "or1200_if", "or1200_icfsm", "uart_ctrl"]
+        .into_iter()
+        .enumerate()
+    {
+        let args = match i % 2 {
+            0 => ["lint", design, "--deny", "warnings"],
+            _ => ["lint", "--deny", "warnings", design],
+        };
+        let output = fusa().args(args).output().unwrap();
         assert!(
             output.status.success(),
             "{design} not warning-clean: {output:?}"
@@ -351,7 +356,7 @@ fn runtime_error_prints_one_line_without_usage() {
     let nan_truth = tmp.join(format!("fusa_cli_nan_truth_{}.csv", std::process::id()));
     std::fs::write(&nan_truth, "gate,score,label\nU0,NaN,1\n").unwrap();
     let nan_truth = nan_truth.to_str().unwrap();
-    let cases: [(&[&str], &[&str]); 6] = [
+    let cases: [(&[&str], &[&str]); 8] = [
         (&["analyze", missing, "--fast"], &["error: cannot read"]),
         (
             &["stats", wide],
@@ -383,6 +388,30 @@ fn runtime_error_prints_one_line_without_usage() {
                 run_dir,
             ],
             &["error: bad --lanes value `scalar`", "64", "256", "512"],
+        ),
+        // A thread count that does not parse is an error, not the
+        // one-per-CPU default.
+        (
+            &[
+                "faults",
+                "uart_ctrl",
+                "--threads",
+                "abc",
+                "--run-dir",
+                run_dir,
+            ],
+            &["error: bad --threads value `abc`"],
+        ),
+        (
+            &[
+                "faults",
+                "uart_ctrl",
+                "--threads",
+                "-3",
+                "--run-dir",
+                run_dir,
+            ],
+            &["error: bad --threads value `-3`"],
         ),
         (
             &[
@@ -489,21 +518,27 @@ fn same_seed_runs_produce_identical_digests() {
     use fusa::obs::RunManifest;
 
     let dir = std::env::temp_dir().join("fusa_cli_determinism");
+    // Run "b" puts every flag before the design: the order of flags and
+    // positionals must not matter.
     let manifests: Vec<RunManifest> = ["a", "b"]
         .iter()
         .map(|sub| {
             let run_dir = dir.join(sub);
-            let output = fusa()
-                .args([
-                    "faults",
-                    "or1200_icfsm",
-                    "--fast",
-                    "--quiet-stats",
-                    "--run-dir",
-                    run_dir.to_str().unwrap(),
-                ])
-                .output()
-                .unwrap();
+            let flags = [
+                "--fast",
+                "--quiet-stats",
+                "--run-dir",
+                run_dir.to_str().unwrap(),
+            ];
+            let output = match *sub {
+                "a" => fusa().args(["faults", "or1200_icfsm"]).args(flags).output(),
+                _ => fusa()
+                    .arg("faults")
+                    .args(flags)
+                    .arg("or1200_icfsm")
+                    .output(),
+            }
+            .unwrap();
             assert!(output.status.success(), "{:?}", output);
             RunManifest::parse(&std::fs::read_to_string(run_dir.join("manifest.json")).unwrap())
                 .expect("manifest parses")
