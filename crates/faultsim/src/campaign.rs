@@ -292,6 +292,7 @@ impl GoldenTrace {
 }
 
 /// Result of one `(workload × chunk)` unit.
+#[derive(Debug, PartialEq)]
 pub(crate) struct UnitOutput {
     pub(crate) outcomes: Vec<FaultOutcome>,
     pub(crate) first_divergence: Vec<Option<u32>>,
@@ -464,7 +465,9 @@ impl FaultCampaign {
                 .as_ref()
                 .ok_or(CampaignError::ResumeWithoutCheckpoint)?;
             let expected = header.as_ref().expect("header captured with checkpoint");
-            completed = checkpoint::load_units(path, expected, unit_count)?;
+            completed = obs.time_rooted("campaign/replay", || {
+                checkpoint::load_units(path, expected, unit_count)
+            })?;
         }
         let mut checkpoint_lost = false;
         let mut writer = match (&durability.checkpoint, &header) {
@@ -701,6 +704,9 @@ impl FaultCampaign {
                 *busy_slot += elapsed;
                 progress.add_busy_seconds(elapsed);
                 let per_member = elapsed / members.len() as f64;
+                // One span per group, not per record: a span takes the
+                // recorder's lock.
+                let _checkpoint = writer.map(|_| obs.span_rooted("campaign/checkpoint"));
                 for (&unit, output) in members.iter().zip(member_outputs) {
                     if let Some(output) = output {
                         unit_gate_evals.observe(output.gate_evals as f64);

@@ -68,7 +68,7 @@ use fusa_logicsim::WorkloadSuite;
 use fusa_netlist::Netlist;
 use fusa_obs::{Fnv64, Json};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Lines, Write};
 use std::path::{Path, PathBuf};
@@ -403,64 +403,68 @@ impl CheckpointHeader {
     }
 }
 
-/// Canonical string a unit record's `crc` digests, recomputed on read.
+/// The record digest `crc`: FNV-1a64 of
+/// `{unit}|{outcomes}|{first_divergence}|{stepped}|{evals}`, where
+/// `{first_divergence}` is the lanes' entries as comma-separated
+/// integers (`-1` for none). The text is streamed into the hasher, not
+/// built; the writer and the reader both digest through here.
 fn unit_crc(
     unit: usize,
     outcomes: &str,
-    first_divergence: &str,
+    first_divergence: impl IntoIterator<Item = i64>,
     stepped: u64,
     evals: u64,
 ) -> String {
-    fusa_obs::fnv1a64_hex(
-        format!("{unit}|{outcomes}|{first_divergence}|{stepped}|{evals}").as_bytes(),
-    )
+    // Formatting into a hasher cannot fail.
+    let mut crc = Fnv64::new();
+    let _ = write!(crc, "{unit}|{outcomes}|");
+    for (i, d) in first_divergence.into_iter().enumerate() {
+        let _ = write!(crc, "{}{d}", if i > 0 { "," } else { "" });
+    }
+    let _ = write!(crc, "|{stepped}|{evals}");
+    crc.hex()
 }
 
-/// Serializes one completed unit as a checkpoint JSONL line (no newline).
+/// Serializes one completed unit as a checkpoint JSONL line (no
+/// newline), written straight into one string: the bytes
+/// [`Json::render`] gives the record's object. The counters print as a
+/// `Json::Num` of `x as f64` does; a lane's first divergence (`-1` to
+/// `u32::MAX`) prints the same digits as that number; and no string
+/// needs escaping (outcomes are `D`, `L` or `B`, the digest
+/// `fnv1a64:<hex>`).
 pub(crate) fn encode_unit(unit: usize, output: &UnitOutput) -> String {
-    let outcomes: String = output
-        .outcomes
-        .iter()
-        .map(|o| match o {
-            FaultOutcome::Dangerous => 'D',
-            FaultOutcome::Latent => 'L',
-            FaultOutcome::Benign => 'B',
-        })
-        .collect();
-    let fd_csv: String = output
-        .first_divergence
-        .iter()
-        .map(|d| d.map_or(-1i64, i64::from).to_string())
-        .collect::<Vec<_>>()
-        .join(",");
+    let first_divergence = || {
+        output
+            .first_divergence
+            .iter()
+            .map(|d| d.map_or(-1, i64::from))
+    };
+    // Formatting into a string cannot fail.
+    let mut line = String::with_capacity(160 + 12 * output.first_divergence.len());
+    let _ = write!(line, "{{\"unit\":{},\"outcomes\":\"", unit as f64);
+    let outcomes_at = line.len();
+    line.extend(output.outcomes.iter().map(|o| match o {
+        FaultOutcome::Dangerous => 'D',
+        FaultOutcome::Latent => 'L',
+        FaultOutcome::Benign => 'B',
+    }));
     let crc = unit_crc(
         unit,
-        &outcomes,
-        &fd_csv,
+        &line[outcomes_at..],
+        first_divergence(),
         output.stepped_fault_cycles,
         output.gate_evals,
     );
-    Json::Obj(vec![
-        ("unit".into(), Json::Num(unit as f64)),
-        ("outcomes".into(), Json::Str(outcomes)),
-        (
-            "first_divergence".into(),
-            Json::Arr(
-                output
-                    .first_divergence
-                    .iter()
-                    .map(|d| Json::Num(d.map_or(-1.0, f64::from)))
-                    .collect(),
-            ),
-        ),
-        (
-            "stepped_fault_cycles".into(),
-            Json::Num(output.stepped_fault_cycles as f64),
-        ),
-        ("gate_evals".into(), Json::Num(output.gate_evals as f64)),
-        ("crc".into(), Json::Str(crc)),
-    ])
-    .render()
+    line.push_str("\",\"first_divergence\":[");
+    for (i, d) in first_divergence().enumerate() {
+        let _ = write!(line, "{}{d}", if i > 0 { "," } else { "" });
+    }
+    let _ = write!(
+        line,
+        "],\"stepped_fault_cycles\":{},\"gate_evals\":{},\"crc\":\"{crc}\"}}",
+        output.stepped_fault_cycles as f64, output.gate_evals as f64,
+    );
+    line
 }
 
 /// Why [`decode_unit`] rejected a unit line: the first check the line
@@ -526,8 +530,11 @@ impl fmt::Display for UnitLineError {
     }
 }
 
-/// Parses one unit line. Resume, `fusa merge` and unit counts skip a
-/// rejected line (the unit simply runs again); `fusa fsck` reports why.
+/// Parses one unit line through [`Json::parse`], so any valid JSON
+/// object with the record's members decodes, canonical or not (`fusa
+/// fsck` re-encodes such a line). Resume, `fusa merge` and unit counts
+/// skip a rejected line (the unit simply runs again); `fusa fsck`
+/// reports why.
 pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), UnitLineError> {
     let json = Json::parse(line).map_err(|_| UnitLineError::NotJson)?;
     let unit = json
@@ -552,10 +559,8 @@ pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), UnitLineErr
         .and_then(Json::as_arr)
         .ok_or(UnitLineError::FirstDivergence)?;
     let mut first_divergence = Vec::with_capacity(divergence.len());
-    let mut fd_parts = Vec::with_capacity(divergence.len());
     for item in divergence {
         let v = item.as_f64().ok_or(UnitLineError::FirstDivergenceEntry)?;
-        fd_parts.push(format!("{}", v as i64));
         first_divergence.push(if v < 0.0 { None } else { Some(v as u32) });
     }
     if first_divergence.len() != outcomes.len() {
@@ -575,10 +580,12 @@ pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), UnitLineErr
         .get("crc")
         .and_then(Json::as_str)
         .ok_or(UnitLineError::Crc)?;
+    // Every entry is a number (checked above) and digests as `v as i64`,
+    // so a valid non-canonical line checks against what it holds.
     let expected_crc = unit_crc(
         unit,
         outcome_text,
-        &fd_parts.join(","),
+        divergence.iter().filter_map(Json::as_f64).map(|v| v as i64),
         stepped_fault_cycles,
         gate_evals,
     );
@@ -788,6 +795,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultList;
     use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
+    use proptest::prelude::*;
 
     fn sample_header() -> CheckpointHeader {
         let netlist = fusa_netlist::designs::or1200_icfsm();
@@ -898,6 +906,303 @@ mod tests {
         // Torn writes (truncated JSON) are skipped, not fatal.
         let torn = decode_unit(&line[..line.len() - 10]).map(|_| ());
         assert_eq!(torn, Err(UnitLineError::NotJson));
+    }
+
+    /// The reference record digest: its text built with `format!`.
+    fn reference_crc(
+        unit: usize,
+        outcomes: &str,
+        first_divergence: &str,
+        stepped: u64,
+        evals: u64,
+    ) -> String {
+        fusa_obs::fnv1a64_hex(
+            format!("{unit}|{outcomes}|{first_divergence}|{stepped}|{evals}").as_bytes(),
+        )
+    }
+
+    /// The reference encoder: the record built as a [`Json`] tree and
+    /// rendered, its digest text joined from one string per lane.
+    fn reference_encode(unit: usize, output: &UnitOutput) -> String {
+        let outcomes: String = output
+            .outcomes
+            .iter()
+            .map(|o| match o {
+                FaultOutcome::Dangerous => 'D',
+                FaultOutcome::Latent => 'L',
+                FaultOutcome::Benign => 'B',
+            })
+            .collect();
+        let fd_csv: String = output
+            .first_divergence
+            .iter()
+            .map(|d| d.map_or(-1i64, i64::from).to_string())
+            .collect::<Vec<_>>()
+            .join(",");
+        let crc = reference_crc(
+            unit,
+            &outcomes,
+            &fd_csv,
+            output.stepped_fault_cycles,
+            output.gate_evals,
+        );
+        Json::Obj(vec![
+            ("unit".into(), Json::Num(unit as f64)),
+            ("outcomes".into(), Json::Str(outcomes)),
+            (
+                "first_divergence".into(),
+                Json::Arr(
+                    output
+                        .first_divergence
+                        .iter()
+                        .map(|d| Json::Num(d.map_or(-1.0, f64::from)))
+                        .collect(),
+                ),
+            ),
+            (
+                "stepped_fault_cycles".into(),
+                Json::Num(output.stepped_fault_cycles as f64),
+            ),
+            ("gate_evals".into(), Json::Num(output.gate_evals as f64)),
+            ("crc".into(), Json::Str(crc)),
+        ])
+        .render()
+    }
+
+    /// The reference decoder: the same checks in the same order, its
+    /// digest text joined from one string per lane.
+    fn reference_decode(line: &str) -> Result<(usize, UnitOutput), UnitLineError> {
+        let json = Json::parse(line).map_err(|_| UnitLineError::NotJson)?;
+        let unit = json
+            .get("unit")
+            .and_then(Json::as_u64)
+            .ok_or(UnitLineError::Unit)? as usize;
+        let outcome_text = json
+            .get("outcomes")
+            .and_then(Json::as_str)
+            .ok_or(UnitLineError::Outcomes)?;
+        let outcomes = outcome_text
+            .chars()
+            .map(|c| match c {
+                'D' => Ok(FaultOutcome::Dangerous),
+                'L' => Ok(FaultOutcome::Latent),
+                'B' => Ok(FaultOutcome::Benign),
+                other => Err(UnitLineError::OutcomeChar(other)),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let divergence = json
+            .get("first_divergence")
+            .and_then(Json::as_arr)
+            .ok_or(UnitLineError::FirstDivergence)?;
+        let mut first_divergence = Vec::with_capacity(divergence.len());
+        let mut fd_parts = Vec::with_capacity(divergence.len());
+        for item in divergence {
+            let v = item.as_f64().ok_or(UnitLineError::FirstDivergenceEntry)?;
+            fd_parts.push(format!("{}", v as i64));
+            first_divergence.push(if v < 0.0 { None } else { Some(v as u32) });
+        }
+        if first_divergence.len() != outcomes.len() {
+            return Err(UnitLineError::LaneCount {
+                divergence: first_divergence.len(),
+                outcomes: outcomes.len(),
+            });
+        }
+        let counter = |field| {
+            json.get(field)
+                .and_then(Json::as_u64)
+                .ok_or(UnitLineError::Counter(field))
+        };
+        let stepped_fault_cycles = counter("stepped_fault_cycles")?;
+        let gate_evals = counter("gate_evals")?;
+        let crc = json
+            .get("crc")
+            .and_then(Json::as_str)
+            .ok_or(UnitLineError::Crc)?;
+        let expected_crc = reference_crc(
+            unit,
+            outcome_text,
+            &fd_parts.join(","),
+            stepped_fault_cycles,
+            gate_evals,
+        );
+        if crc != expected_crc {
+            return Err(UnitLineError::CrcMismatch);
+        }
+        Ok((
+            unit,
+            UnitOutput {
+                outcomes,
+                first_divergence,
+                stepped_fault_cycles,
+                gate_evals,
+            },
+        ))
+    }
+
+    /// A counter at 0, 2^53, `u64::MAX` or a random value.
+    fn counter() -> impl Strategy<Value = u64> {
+        (0usize..4, any::<u64>()).prop_map(|(pick, random)| [0, 1 << 53, u64::MAX, random][pick])
+    }
+
+    /// A unit of 0–64 lanes: every outcome, first divergences at `None`,
+    /// 0, `u32::MAX` or a random value, and extreme counters.
+    fn unit_record() -> impl Strategy<Value = (usize, UnitOutput)> {
+        let lane = (0usize..3, 0usize..4, any::<u32>()).prop_map(|(outcome, pick, random)| {
+            (
+                [
+                    FaultOutcome::Dangerous,
+                    FaultOutcome::Latent,
+                    FaultOutcome::Benign,
+                ][outcome],
+                [None, Some(0), Some(u32::MAX), Some(random)][pick],
+            )
+        });
+        let unit = (0usize..3, any::<usize>()).prop_map(|(pick, random)| [7, random, 0][pick]);
+        (
+            unit,
+            proptest::collection::vec(lane, 0..65),
+            counter(),
+            counter(),
+        )
+            .prop_map(|(unit, lanes, stepped_fault_cycles, gate_evals)| {
+                let (outcomes, first_divergence) = lanes.into_iter().unzip();
+                (
+                    unit,
+                    UnitOutput {
+                        outcomes,
+                        first_divergence,
+                        stepped_fault_cycles,
+                        gate_evals,
+                    },
+                )
+            })
+    }
+
+    /// `line` with member `key` replaced by `value`, or removed.
+    fn with_member(line: &str, key: &str, value: Option<Json>) -> String {
+        let Json::Obj(mut members) = Json::parse(line).unwrap() else {
+            panic!("a record is an object")
+        };
+        let at = members.iter().position(|(k, _)| k == key).unwrap();
+        match value {
+            Some(value) => members[at].1 = value,
+            None => {
+                members.remove(at);
+            }
+        }
+        Json::Obj(members).render()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// The streaming codec writes the reference's bytes, and both
+        /// decoders reach the same result on every canonical line.
+        #[test]
+        fn codec_matches_the_reference_codec(record in unit_record()) {
+            let (unit, output) = record;
+            let line = encode_unit(unit, &output);
+            prop_assert_eq!(&line, &reference_encode(unit, &output));
+            let decoded = decode_unit(&line);
+            prop_assert_eq!(&decoded, &reference_decode(&line));
+            if unit < 1 << 53 && output.stepped_fault_cycles < 1 << 53 && output.gate_evals < 1 << 53 {
+                prop_assert_eq!(decoded, Ok((unit, output)));
+            }
+        }
+
+        /// A damaged line fails the same check in both decoders.
+        #[test]
+        fn damaged_lines_fail_like_the_reference(record in unit_record(), cut in 1usize..40) {
+            let (unit, output) = record;
+            let line = encode_unit(unit, &output);
+            let outcomes_at = line.find("\"outcomes\":\"").unwrap() + 12;
+            let divergence_with = |extra: Json| {
+                let json = Json::parse(&line).unwrap();
+                let mut entries = json.get("first_divergence").unwrap().as_arr().unwrap().to_vec();
+                entries.push(extra);
+                with_member(&line, "first_divergence", Some(Json::Arr(entries)))
+            };
+            let mut damaged = vec![
+                (line[..line.len() - cut].to_string(), Some(UnitLineError::NotJson)),
+                (
+                    divergence_with(Json::Str("x".into())),
+                    Some(UnitLineError::FirstDivergenceEntry),
+                ),
+                (divergence_with(Json::Num(1.0)), None),
+                (
+                    with_member(&line, "gate_evals", None),
+                    Some(UnitLineError::Counter("gate_evals")),
+                ),
+                (
+                    with_member(&line, "stepped_fault_cycles", Some(Json::Num(-1.0))),
+                    Some(UnitLineError::Counter("stepped_fault_cycles")),
+                ),
+                (
+                    with_member(&line, "crc", Some(Json::Str(fusa_obs::fnv1a64_hex(b"")))),
+                    Some(UnitLineError::CrcMismatch),
+                ),
+                (with_member(&line, "crc", None), Some(UnitLineError::Crc)),
+                (with_member(&line, "unit", Some(Json::Num(0.5))), Some(UnitLineError::Unit)),
+                (
+                    with_member(&line, "first_divergence", Some(Json::Null)),
+                    Some(UnitLineError::FirstDivergence),
+                ),
+            ];
+            if !output.outcomes.is_empty() {
+                let mut bad = line.clone();
+                bad.replace_range(outcomes_at..outcomes_at + 1, "X");
+                damaged.push((bad, Some(UnitLineError::OutcomeChar('X'))));
+                let mut flipped = line.clone();
+                let swapped = if &line[outcomes_at..=outcomes_at] == "D" { "B" } else { "D" };
+                flipped.replace_range(outcomes_at..outcomes_at + 1, swapped);
+                damaged.push((flipped, Some(UnitLineError::CrcMismatch)));
+            }
+            for (text, expected) in damaged {
+                let decoded = decode_unit(&text).map(|_| ());
+                prop_assert_eq!(&decoded, &reference_decode(&text).map(|_| ()), "{}", text);
+                if let Some(expected) = expected {
+                    prop_assert_eq!(decoded, Err(expected), "{}", text);
+                } else {
+                    prop_assert!(matches!(decoded, Err(UnitLineError::LaneCount { .. })), "{}", text);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_line_decodes_and_reencodes_canonically() {
+        let output = sample_output();
+        let canonical = encode_unit(7, &output);
+        let crc = canonical
+            .split("\"crc\":\"")
+            .nth(1)
+            .unwrap()
+            .trim_end_matches("\"}");
+        // Members reordered, whitespace added, numbers written other ways.
+        let loose = format!(
+            "  {{ \"crc\" : \"{crc}\",\t\"gate_evals\": 4.8e2 ,\"stepped_fault_cycles\":24.0,\
+             \"first_divergence\" : [ 4e0 , -1, -1.0 ], \"outcomes\":\"DLB\", \"unit\" : 7 }} "
+        );
+        assert_ne!(loose, canonical);
+        let decoded = decode_unit(&loose).unwrap();
+        assert_eq!(decoded, reference_decode(&loose).unwrap());
+        assert_eq!(decoded, (7, sample_output()));
+        assert_eq!(encode_unit(decoded.0, &decoded.1), canonical);
+    }
+
+    #[test]
+    fn digest_reads_each_divergence_entry_as_parsed() {
+        // Entries no writer emits: the digest takes `v as i64` of each,
+        // the output clamps them into lanes.
+        let crc = reference_crc(2, "DDD", "4,5000000000,0", 1, 1);
+        let line = format!(
+            "{{\"unit\":2,\"outcomes\":\"DDD\",\"first_divergence\":[4.5,5e9,-0.5],\
+             \"stepped_fault_cycles\":1,\"gate_evals\":1,\"crc\":\"{crc}\"}}"
+        );
+        let decoded = decode_unit(&line);
+        assert_eq!(decoded, reference_decode(&line));
+        let (_, output) = decoded.unwrap();
+        assert_eq!(output.first_divergence, [Some(4), Some(u32::MAX), None]);
     }
 
     #[test]

@@ -572,8 +572,11 @@ pub struct WideSim<'a, const W: usize> {
     /// forced nets and the pin-forced gates.
     forced_positions: Vec<u64>,
     /// Differential mode: forced primary-input and flip-flop output
-    /// nets, republished every cycle.
+    /// nets, republished when their golden value toggles.
     seed_nets: Vec<u32>,
+    /// Differential mode: one bit per seed net, the golden value it was
+    /// last published with.
+    seed_golden: Vec<u64>,
     /// The seed lists no longer match the installed forces.
     seeds_stale: bool,
 }
@@ -601,6 +604,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
             changed_flops: Vec::new(),
             forced_positions: vec![0; soa.position_words()],
             seed_nets: Vec::new(),
+            seed_golden: Vec::new(),
             seeds_stale: false,
         }
     }
@@ -857,6 +861,8 @@ impl<'a, const W: usize> WideSim<'a, W> {
         if self.seeds_stale {
             self.collect_seeds();
         }
+        self.seed_golden
+            .resize(self.seed_nets.len().div_ceil(64), 0);
         self.values.fill(0);
         self.state.fill(0);
         self.pending.copy_from_slice(&self.forced_positions);
@@ -893,10 +899,18 @@ impl<'a, const W: usize> WideSim<'a, W> {
             *pending |= live & toggled;
         }
         // Forced primary inputs and flip-flop outputs follow their
-        // golden value.
+        // golden value. Forces are fixed and the loop below republishes
+        // every state change, so a seed net can change only when its
+        // golden value toggles, or in the first cycle, which publishes
+        // them all.
         for i in 0..self.seed_nets.len() {
             let net = self.seed_nets[i] as usize;
             let g = bit_lanes(golden, net);
+            let published = bit_lanes(&self.seed_golden, i);
+            if g == published && self.cycles > 0 {
+                continue;
+            }
+            self.seed_golden[i >> 6] ^= (g ^ published) & (1u64 << (i & 63));
             let mut v = [g; W];
             let driver = soa.net_driver[net];
             if driver != DRIVER_INPUT {

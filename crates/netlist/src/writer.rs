@@ -95,24 +95,19 @@ pub fn write_verilog(netlist: &Netlist) -> String {
         let _ = writeln!(out, "  assign {} = {};", port_name, names[net.index()]);
     }
 
+    // One line per gate, written in place: input pins, then the output.
     for gate in netlist.gates() {
-        let mut pins: Vec<String> = gate
-            .inputs
-            .iter()
-            .zip(gate.kind.input_pin_names())
-            .map(|(&net, pin)| format!(".{pin}({})", names[net.index()]))
-            .collect();
-        pins.push(format!(
-            ".{}({})",
-            gate.kind.output_pin_name(),
-            names[gate.output.index()]
-        ));
+        let _ = write!(out, "  {} ", gate.kind.cell_name());
+        push_sanitized(&mut out, &gate.name);
+        out.push_str(" (");
+        for (&net, pin) in gate.inputs.iter().zip(gate.kind.input_pin_names()) {
+            let _ = write!(out, ".{pin}({}), ", names[net.index()]);
+        }
         let _ = writeln!(
             out,
-            "  {} {} ({});",
-            gate.kind.cell_name(),
-            sanitize(&gate.name),
-            pins.join(", ")
+            ".{}({}));",
+            gate.kind.output_pin_name(),
+            names[gate.output.index()]
         );
     }
 
@@ -123,15 +118,20 @@ pub fn write_verilog(netlist: &Netlist) -> String {
 /// Maps internal names to parser-safe identifiers. Bit selects
 /// (`name[3]`) survive; anything else exotic is underscored.
 fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '[' || c == ']' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
+    let mut out = String::with_capacity(name.len());
+    push_sanitized(&mut out, name);
+    out
+}
+
+/// Appends [`sanitize`]`(name)` to `out`.
+fn push_sanitized(out: &mut String, name: &str) {
+    out.extend(name.chars().map(|c| {
+        if c.is_ascii_alphanumeric() || c == '_' || c == '[' || c == ']' {
+            c
+        } else {
+            '_'
+        }
+    }));
 }
 
 #[cfg(test)]

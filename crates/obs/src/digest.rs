@@ -46,6 +46,15 @@ impl Fnv64 {
     }
 }
 
+/// Absorbs formatted text, so `write!` digests what it would print
+/// without building the string.
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// One-shot digest of `bytes`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
@@ -79,6 +88,15 @@ mod tests {
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a64(b"foobar"));
         assert_eq!(h.hex(), fnv1a64_hex(b"foobar"));
+    }
+
+    #[test]
+    fn formatted_writes_digest_the_printed_text() {
+        use std::fmt::Write as _;
+        let mut h = Fnv64::new();
+        let (unit, outcomes, divergence) = (7, "DLB", -1);
+        write!(h, "{unit}|{outcomes}|{divergence}").unwrap();
+        assert_eq!(h.hex(), fnv1a64_hex(b"7|DLB|-1"));
     }
 
     #[test]

@@ -212,7 +212,11 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
-        let mut parser = Parser { bytes, at: 0 };
+        let mut parser = Parser {
+            text: input,
+            bytes,
+            at: 0,
+        };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -224,6 +228,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -374,12 +379,15 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the run up to the next quote or backslash.
+                    // Both are ASCII, so in a `&str` the run ends on a
+                    // char boundary.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.at..self.at + run]);
+                    self.at += run;
                 }
             }
         }
@@ -473,6 +481,46 @@ mod tests {
             pretty,
             "{\n  \"a\": [\n    1,\n    {\n      \"b\": true\n    }\n  ],\n  \"empty\": {},\n  \"none\": []\n}\n"
         );
+    }
+
+    #[test]
+    fn strings_round_trip_across_runs_and_escapes() {
+        for text in [
+            "",
+            "é",
+            "aé",
+            "é\"",
+            "\\€x",
+            "x€\\",
+            "日本\n語\t🎉",
+            "🎉\"🎉\\🎉",
+            "a\u{1}b\u{1f}",
+            "\"\"\\\\",
+        ] {
+            let rendered = escape(text);
+            assert_eq!(
+                Json::parse(&rendered).unwrap(),
+                Json::Str(text.into()),
+                "{rendered}"
+            );
+        }
+        // `\u` escapes and `\/` between runs of multi-byte characters.
+        assert_eq!(
+            Json::parse("\"ü\\u00e9ü\\/ü\"").unwrap(),
+            Json::Str("üéü/ü".into())
+        );
+        // An unterminated run fails at the end of the input.
+        assert_eq!(Json::parse("\"abc€").unwrap_err().offset, 7);
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_round_trips() {
+        // Two half-mebibyte runs of two-byte characters around escapes.
+        let mut text = "é".repeat(1 << 19);
+        text.insert_str(1 << 19, "\"\\\n");
+        let rendered = Json::Arr(vec![Json::Str(text.clone())]).render();
+        let parsed = Json::parse(&rendered).unwrap();
+        assert_eq!(parsed.as_arr().unwrap()[0].as_str(), Some(text.as_str()));
     }
 
     #[test]

@@ -174,14 +174,35 @@ fn faults_summarizes_campaign() {
         &std::fs::read_to_string(run_dir.join("manifest.json")).unwrap(),
     )
     .expect("manifest parses");
-    for child in ["structural.scoap", "structural.graph"] {
-        let path = format!("lint/lint.testability/{child}");
+    let has_stage = |manifest: &fusa::obs::RunManifest, path: &str| {
         assert!(
             manifest.stages.iter().any(|s| s.name == path),
             "stage `{path}` missing from {:?}",
             manifest.stages.iter().map(|s| &s.name).collect::<Vec<_>>()
         );
+    };
+    for child in ["structural.scoap", "structural.graph"] {
+        has_stage(&manifest, &format!("lint/lint.testability/{child}"));
     }
+    // Writing the checkpoint and replaying it on resume are timed.
+    has_stage(&manifest, "campaign/checkpoint");
+    let output = fusa()
+        .args([
+            "faults",
+            "or1200_icfsm",
+            "--fast",
+            "--resume",
+            "--run-dir",
+            run_dir.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let resumed = fusa::obs::RunManifest::parse(
+        &std::fs::read_to_string(run_dir.join("manifest.json")).unwrap(),
+    )
+    .expect("manifest parses");
+    has_stage(&resumed, "campaign/replay");
 }
 
 #[test]
