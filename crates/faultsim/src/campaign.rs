@@ -32,7 +32,7 @@
 //! is checked against: a single-threaded per-gate full sweep with a
 //! golden run of its own.
 
-use crate::checkpoint::{self, CheckpointHeader, CheckpointWriter};
+use crate::checkpoint::{self, CheckpointError, CheckpointHeader, CheckpointWriter};
 use crate::durability::{
     panic_message, CampaignError, DurabilityConfig, FaultInjection, QuarantinedUnit,
 };
@@ -42,7 +42,6 @@ use crate::shard::ShardSpec;
 use fusa_logicsim::soa::bit_lanes;
 use fusa_logicsim::{SoaNetlist, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::Netlist;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -90,9 +89,6 @@ pub struct CampaignConfig {
     /// Bit-identical to a full-netlist run; `false` sweeps the full
     /// netlist every cycle, the in-kernel reference of `--no-cone`.
     pub restrict_to_cone: bool,
-    /// Stop stepping a chunk group once every lane's outcome is decided.
-    /// Bit-identical; disable only to benchmark or cross-check.
-    pub early_exit: bool,
     /// Width of the simulation word in 64-lane `u64` words: each pass
     /// advances `64 · lane_words` fault machines through the
     /// structure-of-arrays [`WideSim`] kernel. Supported widths are `1`,
@@ -117,7 +113,6 @@ impl Default for CampaignConfig {
             classify_latent: true,
             min_divergence_fraction: 0.0,
             restrict_to_cone: true,
-            early_exit: true,
             lane_words: 4,
             shard: None,
         }
@@ -132,7 +127,7 @@ impl Default for CampaignConfig {
 /// shared read-only; fault machines then run the same vectors with
 /// per-lane stuck-at forces and are compared lane-wise against the golden
 /// values each cycle. Results are deterministic and independent of
-/// `threads`, `restrict_to_cone`, `early_exit` and `lane_words`.
+/// `threads`, `restrict_to_cone` and `lane_words`.
 ///
 /// # Example
 ///
@@ -300,76 +295,58 @@ pub(crate) struct UnitOutput {
     pub(crate) gate_evals: u64,
 }
 
-/// Result of one wide pass over a chunk group, split into per-unit
-/// [`UnitOutput`]s before recording.
-struct GroupOutput {
-    /// Per member chunk, per lane.
-    outcomes: Vec<Vec<FaultOutcome>>,
-    /// Per member chunk, per lane.
-    first_divergence: Vec<Vec<Option<u32>>>,
-    /// Cycles the group stepped (shared by every member).
-    cycles_stepped: u64,
-    /// Gate evaluations of the whole group (each gate is evaluated once
-    /// per cycle for all words together).
-    gate_evals: u64,
-    /// The group finished on the full sweep.
-    dense_handoff: bool,
+/// A campaign as [`FaultCampaign::plan`] lays it out before anything is
+/// simulated, with the result slots and counters the workers fill in.
+struct Plan<'a> {
+    config: CampaignConfig,
+    workloads: &'a [Workload],
+    faults: &'a [Fault],
+    chunk_count: usize,
+    units_in_shard: usize,
+    units_from_checkpoint: usize,
+    /// One slot per unit: the plan fills the checkpointed units, the
+    /// workers the rest.
+    results: Vec<OnceLock<UnitOutput>>,
+    /// Work items: a workload and the pending units of one of its chunk
+    /// groups (`lane_words` consecutive chunks), in claim order.
+    pending: Vec<(usize, Vec<usize>)>,
+    writer: Option<CheckpointWriter>,
+    /// The checkpoint could not be opened: degraded from the first unit.
+    checkpoint_lost: bool,
+    /// The worker of the configured lane width: it claims pending
+    /// groups until none is left or a stop is requested, and returns its
+    /// busy seconds.
+    worker: fn(&Work<'_>) -> f64,
+    tally: Tally,
 }
 
-/// Per-worker wide simulator, monomorphized over the configured width.
-enum WideHolder<'a> {
-    W1(WideSim<'a, 1>),
-    W4(WideSim<'a, 4>),
-    W8(WideSim<'a, 8>),
+/// What the workers count, for assembly.
+#[derive(Default)]
+struct Tally {
+    retries: AtomicU64,
+    dense_handoffs: AtomicU64,
+    quarantined: Mutex<Vec<QuarantinedUnit>>,
 }
 
-impl<'a> WideHolder<'a> {
-    fn new(soa: &'a SoaNetlist, lane_words: usize) -> WideHolder<'a> {
-        match lane_words {
-            1 => WideHolder::W1(WideSim::new(soa)),
-            4 => WideHolder::W4(WideSim::new(soa)),
-            8 => WideHolder::W8(WideSim::new(soa)),
-            _ => unreachable!("lane_words {lane_words} is validated by FaultCampaign::run"),
-        }
-    }
-
-    fn run_group(
-        &mut self,
-        chunks: &[&[Fault]],
-        workload: &Workload,
-        trace: &GoldenTrace,
-        config: &CampaignConfig,
-    ) -> GroupOutput {
-        match self {
-            WideHolder::W1(sim) => run_wide_group(sim, chunks, workload, trace, config),
-            WideHolder::W4(sim) => run_wide_group(sim, chunks, workload, trace, config),
-            WideHolder::W8(sim) => run_wide_group(sim, chunks, workload, trace, config),
-        }
-    }
-}
-
-/// Splits a [`GroupOutput`] into checkpointable per-unit outputs. Gate
-/// evaluations are shared by every word of a pass, so they are
-/// attributed evenly (remainder to the first members, keeping the sum
-/// exact and deterministic).
-fn split_group(group: GroupOutput, chunks: &[&[Fault]]) -> Vec<Option<UnitOutput>> {
-    let members = chunks.len() as u64;
-    let base_evals = group.gate_evals / members;
-    let extra = (group.gate_evals % members) as usize;
-    group
-        .outcomes
-        .into_iter()
-        .zip(group.first_divergence)
-        .zip(chunks.iter().enumerate())
-        .map(|((outcomes, first_divergence), (i, chunk))| {
-            Some(UnitOutput {
-                outcomes,
-                first_divergence,
-                stepped_fault_cycles: chunk.len() as u64 * group.cycles_stepped,
-                gate_evals: base_evals + u64::from(i < extra),
-            })
-        })
-        .collect()
+/// The state a campaign's workers share.
+struct Work<'a> {
+    plan: &'a Plan<'a>,
+    soa: &'a SoaNetlist,
+    /// The golden trace of each workload with pending groups, dropped
+    /// when its last group ends.
+    golden: Vec<Mutex<Option<Arc<GoldenTrace>>>>,
+    /// Groups not yet finished, per workload.
+    groups_left: Vec<AtomicUsize>,
+    /// The next pending group to claim.
+    next: AtomicUsize,
+    /// Units this run completed, counted for the injected interruptions.
+    done: AtomicUsize,
+    /// The interruption flag: set, the workers drain and stop.
+    stop: &'a AtomicBool,
+    injection: FaultInjection,
+    /// Attempts per unit of a panicking group before quarantine.
+    max_attempts: u32,
+    progress: &'a fusa_obs::Progress,
 }
 
 impl FaultCampaign {
@@ -417,114 +394,12 @@ impl FaultCampaign {
         let obs = fusa_obs::global();
         let _span = obs.span("campaign");
         let start = Instant::now();
-        let config = self.config;
-        if !matches!(config.lane_words, 1 | 4 | 8) {
-            return Err(CampaignError::InvalidLaneWords {
-                lane_words: config.lane_words,
-            });
-        }
-        if let Some(shard) = config.shard {
-            if shard.total == 0 || shard.index == 0 || shard.index > shard.total {
-                return Err(CampaignError::InvalidShard {
-                    index: shard.index,
-                    total: shard.total,
-                });
-            }
-        }
-        // Shard ownership of a unit is a pure function of the unit
-        // index, so scheduling, resumption and assembly all agree on
-        // which units this process is responsible for.
-        let owns = |unit: usize| config.shard.is_none_or(|shard| shard.owns(unit));
-        let durability = &self.durability;
-        let injection = if self.injection.is_noop() {
-            FaultInjection::from_env()
-        } else {
-            self.injection.clone()
+        let plan = self.plan(netlist, faults, workloads)?;
+        let threads = match self.config.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads => threads,
         };
-        let workload_list = workloads.workloads();
-        let fault_slice = faults.faults();
-        let chunk_count = fault_slice.len().div_ceil(LANES);
-        let unit_count = workload_list.len() * chunk_count;
-        let units_in_shard = if config.shard.is_some() {
-            (0..unit_count).filter(|&unit| owns(unit)).count()
-        } else {
-            unit_count
-        };
-
-        // Checkpoint setup: fingerprint the campaign, load completed
-        // units on resume (header mismatch is a hard error), and open
-        // the writer (write failures degrade to a warning).
-        let header = durability
-            .checkpoint
-            .as_ref()
-            .map(|_| CheckpointHeader::capture(netlist, faults, workloads, &config));
-        let mut completed: HashMap<usize, UnitOutput> = HashMap::new();
-        if durability.resume {
-            let path = durability
-                .checkpoint
-                .as_ref()
-                .ok_or(CampaignError::ResumeWithoutCheckpoint)?;
-            let expected = header.as_ref().expect("header captured with checkpoint");
-            completed = obs.time_rooted("campaign/replay", || {
-                checkpoint::load_units(path, expected, unit_count)
-            })?;
-        }
-        let mut checkpoint_lost = false;
-        let mut writer = match (&durability.checkpoint, &header) {
-            (Some(path), Some(header)) => {
-                let opened = if durability.resume {
-                    CheckpointWriter::append_to(path)
-                } else {
-                    CheckpointWriter::create(path, header)
-                };
-                match opened {
-                    Ok(writer) => Some(writer),
-                    Err(e) => {
-                        // Requested durability could not be provided at
-                        // all: that is degraded mode from the first unit.
-                        eprintln!("fusa-faultsim: {e}; continuing degraded without checkpointing");
-                        fusa_obs::mark_degraded(&e.to_string());
-                        checkpoint_lost = true;
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
-        if let Some(writer) = writer.as_mut() {
-            writer.set_retry_policy(durability.io_retry);
-        }
-        let writer = writer.as_ref();
-
-        // Work items are chunk groups: `lane_words` consecutive chunks
-        // of one workload. Only pending (not checkpointed) chunks become
-        // group members.
-        let group_width = config.lane_words;
-        let chunk_group_count = chunk_count.div_ceil(group_width);
-        let mut pending_groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for w in 0..workload_list.len() {
-            for cg in 0..chunk_group_count {
-                let members: Vec<usize> = (cg * group_width
-                    ..chunk_count.min((cg + 1) * group_width))
-                    .map(|c| w * chunk_count + c)
-                    .filter(|&unit| owns(unit) && !completed.contains_key(&unit))
-                    .collect();
-                if !members.is_empty() {
-                    pending_groups.push((w, members));
-                }
-            }
-        }
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.threads
-        };
-        let workers = threads.clamp(1, pending_groups.len().max(1));
-        // The flat tables behind the golden traces and every wide
-        // simulator, built once.
-        let soa = (!pending_groups.is_empty()).then(|| SoaNetlist::new(netlist));
+        let workers = threads.clamp(1, plan.pending.len().max(1));
         // Heartbeat over the unit work queue; a disabled no-op handle
         // unless a sink is attached or `--progress` enabled stderr.
         // Totals include checkpointed units so a resumed run reports
@@ -534,262 +409,224 @@ impl FaultCampaign {
             obs,
             "campaign",
             "units",
-            units_in_shard as u64,
+            plan.units_in_shard as u64,
             fusa_obs::ProgressConfig::default(),
         );
-        progress.advance(completed.len() as u64);
+        progress.advance(plan.units_from_checkpoint as u64);
         progress.set_workers(workers as u64);
-
-        // The golden traces of the workloads with pending groups, 64
-        // workloads per pass; each is dropped when its last group ends.
-        let mut groups_left = vec![0usize; workload_list.len()];
-        for (w, _) in &pending_groups {
-            groups_left[*w] += 1;
-        }
-        let mut golden: Vec<Option<Arc<GoldenTrace>>> = vec![None; workload_list.len()];
-        if let Some(soa) = &soa {
-            let needed: Vec<usize> = (0..workload_list.len())
-                .filter(|&w| groups_left[w] > 0)
-                .collect();
-            let workloads: Vec<&Workload> = needed.iter().map(|&w| &workload_list[w]).collect();
-            let traces = obs.time_rooted("campaign/golden", || {
-                GoldenTrace::compute_all(soa, &workloads, &config)
-            });
-            for (w, trace) in needed.into_iter().zip(traces) {
-                golden[w] = Some(Arc::new(trace));
-            }
-        }
-        let golden: Vec<Mutex<Option<Arc<GoldenTrace>>>> =
-            golden.into_iter().map(Mutex::new).collect();
-        let groups_left: Vec<AtomicUsize> = groups_left.into_iter().map(AtomicUsize::new).collect();
-        let results: Vec<OnceLock<UnitOutput>> = (0..unit_count).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let done_this_run = AtomicUsize::new(0);
-        let retries_total = AtomicU64::new(0);
-        let dense_handoffs = AtomicU64::new(0);
-        let quarantined: Mutex<Vec<QuarantinedUnit>> = Mutex::new(Vec::new());
         // Injected interruptions without an external flag land here so
         // library tests never touch process-global state.
-        let local_interrupt = AtomicBool::new(false);
-        let stop_requested = || {
-            durability
-                .interrupt
-                .is_some_and(|flag| flag.load(Ordering::Acquire))
-                || local_interrupt.load(Ordering::Acquire)
-        };
-        let request_stop = || match durability.interrupt {
-            Some(flag) => flag.store(true, Ordering::Release),
-            None => local_interrupt.store(true, Ordering::Release),
-        };
-
-        let mut busy = vec![0.0f64; workers];
-        let progress = &progress;
-        let pending_groups = &pending_groups;
-        let injection = &injection;
-        let soa = &soa;
-        let max_attempts = durability.max_unit_retries.saturating_add(1);
-
-        let worker = |busy_slot: &mut f64| {
-            let mut wide = soa
-                .as_ref()
-                .map(|soa| WideHolder::new(soa, config.lane_words));
-            // Thread-local latency/work histograms, merged into the
-            // recorder once per worker so the hot loop stays lock-free.
-            let mut unit_seconds = fusa_obs::Histogram::new();
-            let mut unit_gate_evals = fusa_obs::Histogram::new();
-            loop {
-                if stop_requested() {
-                    break;
-                }
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                if slot >= pending_groups.len() {
-                    break;
-                }
-                let (w, members) = &pending_groups[slot];
-                let begun = Instant::now();
-                let workload = &workload_list[*w];
-                let soa = soa.as_ref().expect("tables built for pending groups");
-                let wide = wide.as_mut().expect("simulator built for pending groups");
-                let trace = golden[*w]
-                    .lock()
-                    .expect("golden traces poisoned")
-                    .clone()
-                    .expect("traced before its groups run");
-                let chunks: Vec<&[Fault]> = members
-                    .iter()
-                    .map(|&unit| {
-                        let c = unit % chunk_count;
-                        &fault_slice[c * LANES..fault_slice.len().min((c + 1) * LANES)]
-                    })
-                    .collect();
-                // One pass over `chunks`, split into per-unit outputs.
-                // Rooted spans: workers run on fresh threads with empty
-                // span stacks, so fixed paths keep the breakdown
-                // identical across thread counts.
-                let run_pass = |wide: &mut WideHolder, chunks: &[&[Fault]]| {
-                    let group = obs.time_rooted("campaign/units", || {
-                        wide.run_group(chunks, workload, &trace, &config)
-                    });
-                    if group.dense_handoff {
-                        dense_handoffs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    split_group(group, chunks)
-                };
-                let inject = members.iter().any(|&unit| injection.should_panic(unit, 1));
-                let attempted = catch_unwind(AssertUnwindSafe(|| {
-                    if inject {
-                        panic!("injected unit fault (wide group, units {members:?})");
-                    }
-                    run_pass(wide, &chunks)
-                }));
-                let member_outputs: Vec<Option<UnitOutput>> = match attempted {
-                    Ok(outputs) => outputs,
-                    Err(_) => {
-                        // A panic leaves the simulator in an unknown
-                        // state, so it is rebuilt after every panic. Each
-                        // member is then re-run alone, one chunk per
-                        // pass, with its own fresh retry budget so one
-                        // poisoned chunk cannot quarantine its
-                        // groupmates. The group attempt is not a retry.
-                        *wide = WideHolder::new(soa, config.lane_words);
-                        members
-                            .iter()
-                            .zip(&chunks)
-                            .map(|(&unit, chunk)| {
-                                let mut attempt = 0u32;
-                                loop {
-                                    attempt += 1;
-                                    let inject = injection.should_panic(unit, attempt);
-                                    let attempted = catch_unwind(AssertUnwindSafe(|| {
-                                        if inject {
-                                            panic!(
-                                                "injected unit fault (unit {unit}, attempt {attempt})"
-                                            );
-                                        }
-                                        run_pass(wide, std::slice::from_ref(chunk))
-                                    }));
-                                    let payload = match attempted {
-                                        Ok(mut output) => break output.pop().flatten(),
-                                        Err(payload) => payload,
-                                    };
-                                    *wide = WideHolder::new(soa, config.lane_words);
-                                    if attempt >= max_attempts {
-                                        quarantined.lock().expect("quarantine poisoned").push(
-                                            QuarantinedUnit {
-                                                unit,
-                                                workload: workload.name.clone(),
-                                                chunk: unit % chunk_count,
-                                                attempts: attempt,
-                                                panic_message: panic_message(payload.as_ref()),
-                                            },
-                                        );
-                                        break None;
-                                    }
-                                    retries_total.fetch_add(1, Ordering::Relaxed);
-                                }
-                            })
-                            .collect()
-                    }
-                };
-
-                // The workload's last group frees its trace; the count
-                // only elects who takes the slot, the `Arc` keeps the
-                // trace alive for any group still holding it.
-                drop(trace);
-                if groups_left[*w].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    golden[*w].lock().expect("golden traces poisoned").take();
-                }
-
-                let elapsed = begun.elapsed().as_secs_f64();
-                *busy_slot += elapsed;
-                progress.add_busy_seconds(elapsed);
-                let per_member = elapsed / members.len() as f64;
-                // One span per group, not per record: a span takes the
-                // recorder's lock.
-                let _checkpoint = writer.map(|_| obs.span_rooted("campaign/checkpoint"));
-                for (&unit, output) in members.iter().zip(member_outputs) {
-                    if let Some(output) = output {
-                        unit_gate_evals.observe(output.gate_evals as f64);
-                        progress.add_work(output.stepped_fault_cycles);
-                        if let Some(writer) = writer {
-                            writer.record(unit, &output);
-                        }
-                        let stored = results[unit].set(output);
-                        debug_assert!(stored.is_ok(), "unit {unit} simulated once");
-                        let done = done_this_run.fetch_add(1, Ordering::Relaxed) + 1;
-                        if injection.interrupt_after_units == Some(done) {
-                            request_stop();
-                        }
-                        if injection.sigterm_after_units == Some(done) {
-                            fusa_obs::raise_shutdown_signal();
-                        }
-                    } else {
-                        // `None` = the unit exhausted its retry budget
-                        // and was quarantined; surface it on the live
-                        // status heartbeat.
-                        progress.add_quarantined(1);
-                    }
-                    unit_seconds.observe(per_member);
-                    progress.advance(1);
-                    if stop_requested() {
-                        // Members not yet recorded stay pending — a
-                        // resume simply runs them again.
-                        break;
-                    }
-                }
-            }
-            if unit_seconds.count() > 0 {
-                obs.observe_merged("campaign.unit_seconds", &unit_seconds);
-                obs.observe_merged("campaign.unit_gate_evals", &unit_gate_evals);
-            }
-        };
-
-        if workers <= 1 {
-            worker(&mut busy[0]);
+        let local = AtomicBool::new(false);
+        let stop = self.durability.interrupt.unwrap_or(&local);
+        let busy = if plan.pending.is_empty() {
+            vec![0.0; workers]
         } else {
-            let worker = &worker;
-            std::thread::scope(|scope| {
-                for slot in busy.iter_mut() {
-                    scope.spawn(move || worker(slot));
+            self.work(&plan, netlist, workers, stop, &progress)
+        };
+        let interrupted = stop.load(Ordering::Acquire);
+        plan.assemble(netlist, faults, busy, interrupted, start)
+    }
+
+    /// Validates the configuration, reads the checkpoint into the result
+    /// slots on resume (a header mismatch is a hard error), opens its
+    /// writer (an open failure degrades the run) and lists the pending
+    /// groups: the units this shard owns that no checkpoint holds.
+    fn plan<'a>(
+        &self,
+        netlist: &Netlist,
+        faults: &'a FaultList,
+        workloads: &'a WorkloadSuite,
+    ) -> Result<Plan<'a>, CampaignError> {
+        let config = self.config;
+        let worker: fn(&Work<'_>) -> f64 = match config.lane_words {
+            1 => worker::<1>,
+            4 => worker::<4>,
+            8 => worker::<8>,
+            lane_words => return Err(CampaignError::InvalidLaneWords { lane_words }),
+        };
+        if let Some(shard) = config.shard {
+            if shard.total == 0 || shard.index == 0 || shard.index > shard.total {
+                return Err(CampaignError::InvalidShard {
+                    index: shard.index,
+                    total: shard.total,
+                });
+            }
+        }
+        let chunk_count = faults.len().div_ceil(LANES);
+        let unit_count = workloads.len() * chunk_count;
+        let mut plan = Plan {
+            config,
+            workloads: workloads.workloads(),
+            faults: faults.faults(),
+            chunk_count,
+            units_in_shard: 0,
+            units_from_checkpoint: 0,
+            results: (0..unit_count).map(|_| OnceLock::new()).collect(),
+            pending: Vec::new(),
+            writer: None,
+            checkpoint_lost: false,
+            worker,
+            tally: Tally::default(),
+        };
+        plan.units_in_shard = (0..unit_count).filter(|&unit| plan.owns(unit)).count();
+
+        let durability = &self.durability;
+        if let Some(path) = &durability.checkpoint {
+            let header = CheckpointHeader::capture(netlist, faults, workloads, &config);
+            if durability.resume {
+                let units = fusa_obs::global().time_rooted("campaign/replay", || {
+                    let scan = checkpoint::scan(path)?;
+                    scan.header.check_compatible(&header)?;
+                    Ok::<_, CheckpointError>(scan.units)
+                })?;
+                plan.units_from_checkpoint = units.len();
+                for (unit, output) in units {
+                    plan.results[unit] = OnceLock::from(output);
                 }
-            });
+            }
+            let opened = if durability.resume {
+                CheckpointWriter::append_to(path)
+            } else {
+                CheckpointWriter::create(path, &header)
+            };
+            match opened {
+                Ok(mut writer) => {
+                    writer.set_retry_policy(durability.io_retry);
+                    plan.writer = Some(writer);
+                }
+                Err(e) => {
+                    eprintln!("fusa-faultsim: {e}; continuing degraded without checkpointing");
+                    fusa_obs::mark_degraded(&e.to_string());
+                    plan.checkpoint_lost = true;
+                }
+            }
+        } else if durability.resume {
+            return Err(CampaignError::ResumeWithoutCheckpoint);
         }
 
-        let interrupted = stop_requested();
-        let quarantined = quarantined.into_inner().expect("quarantine poisoned");
+        for w in 0..plan.workloads.len() {
+            for first in (0..chunk_count).step_by(config.lane_words) {
+                let members: Vec<usize> = (first..chunk_count.min(first + config.lane_words))
+                    .map(|c| w * chunk_count + c)
+                    .filter(|&unit| plan.owns(unit) && plan.results[unit].get().is_none())
+                    .collect();
+                if !members.is_empty() {
+                    plan.pending.push((w, members));
+                }
+            }
+        }
+        Ok(plan)
+    }
 
-        // Assemble per-workload reports from the per-unit slots (or the
-        // checkpoint, on resume) and fold the throughput accounting.
+    /// Builds the tables and the golden traces of the workloads with
+    /// pending groups, then runs `workers` workers over those groups and
+    /// returns their busy seconds.
+    fn work(
+        &self,
+        plan: &Plan<'_>,
+        netlist: &Netlist,
+        workers: usize,
+        stop: &AtomicBool,
+        progress: &fusa_obs::Progress,
+    ) -> Vec<f64> {
+        // The flat tables behind the golden traces and every wide
+        // simulator, built once.
+        let soa = SoaNetlist::new(netlist);
+        let mut groups_left = vec![0usize; plan.workloads.len()];
+        for (w, _) in &plan.pending {
+            groups_left[*w] += 1;
+        }
+        // The golden traces of the workloads with pending groups, 64
+        // workloads per pass.
+        let traced: Vec<usize> = (0..groups_left.len())
+            .filter(|&w| groups_left[w] > 0)
+            .collect();
+        let traces = fusa_obs::global().time_rooted("campaign/golden", || {
+            let workloads: Vec<&Workload> = traced.iter().map(|&w| &plan.workloads[w]).collect();
+            GoldenTrace::compute_all(&soa, &workloads, &plan.config)
+        });
+        let mut golden: Vec<Option<Arc<GoldenTrace>>> = vec![None; groups_left.len()];
+        for (w, trace) in traced.into_iter().zip(traces) {
+            golden[w] = Some(Arc::new(trace));
+        }
+        let work = Work {
+            plan,
+            soa: &soa,
+            golden: golden.into_iter().map(Mutex::new).collect(),
+            groups_left: groups_left.into_iter().map(AtomicUsize::new).collect(),
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            stop,
+            injection: if self.injection.is_noop() {
+                FaultInjection::from_env()
+            } else {
+                self.injection.clone()
+            },
+            max_attempts: self.durability.max_unit_retries.saturating_add(1),
+            progress,
+        };
+        let mut busy = vec![0.0f64; workers];
+        let work = &work;
+        std::thread::scope(|scope| {
+            for slot in busy.iter_mut() {
+                scope.spawn(move || *slot = (plan.worker)(work));
+            }
+        });
+        busy
+    }
+}
+
+impl<'a> Plan<'a> {
+    /// Shard ownership of a unit is a pure function of the unit index,
+    /// so scheduling, resumption and assembly all agree on which units
+    /// this process is responsible for.
+    fn owns(&self, unit: usize) -> bool {
+        self.config.shard.is_none_or(|shard| shard.owns(unit))
+    }
+
+    /// The faults of `unit`'s chunk.
+    fn chunk(&self, unit: usize) -> &'a [Fault] {
+        let c = unit % self.chunk_count;
+        &self.faults[c * LANES..self.faults.len().min((c + 1) * LANES)]
+    }
+
+    /// Folds the result slots into per-workload reports and the run's
+    /// statistics.
+    fn assemble(
+        mut self,
+        netlist: &Netlist,
+        faults: &FaultList,
+        busy: Vec<f64>,
+        interrupted: bool,
+        start: Instant,
+    ) -> Result<CampaignReport, CampaignError> {
+        let tally = &mut self.tally;
+        let quarantined = std::mem::take(tally.quarantined.get_mut().expect("quarantine poisoned"));
+        let writer = self.writer.as_ref();
         let mut stats = CampaignStats {
-            threads: workers,
-            units: unit_count,
-            units_in_shard,
-            units_from_checkpoint: completed.len(),
+            threads: busy.len(),
+            units: self.results.len(),
+            units_in_shard: self.units_in_shard,
+            units_from_checkpoint: self.units_from_checkpoint,
             units_quarantined: quarantined.len(),
-            unit_retries: retries_total.into_inner(),
+            unit_retries: *tally.retries.get_mut(),
             checkpoint_write_retries: writer.map_or(0, |w| w.write_retries()),
-            durability_degraded: checkpoint_lost || writer.is_some_and(|w| w.degraded()),
-            lane_words: config.lane_words,
-            dense_handoffs: dense_handoffs.into_inner(),
+            durability_degraded: self.checkpoint_lost || writer.is_some_and(|w| w.degraded()),
+            lane_words: self.config.lane_words,
+            dense_handoffs: *tally.dense_handoffs.get_mut(),
             ..CampaignStats::default()
         };
-        let mut workload_reports = Vec::with_capacity(workload_list.len());
-        for (w, workload) in workload_list.iter().enumerate() {
-            let mut outcomes = vec![FaultOutcome::Benign; fault_slice.len()];
-            let mut first_divergence: Vec<Option<u32>> = vec![None; fault_slice.len()];
-            for c in 0..chunk_count {
-                let unit = w * chunk_count + c;
-                let output = results[unit].get().or_else(|| completed.get(&unit));
-                let Some(output) = output else {
-                    if !owns(unit) {
-                        // Another shard's unit: its faults keep the
-                        // Benign default until `fusa merge` unions the
-                        // shard checkpoints.
-                        continue;
-                    }
-                    if quarantined.iter().any(|q| q.unit == unit) {
-                        // Quarantined: faults keep the Benign default and
-                        // the unit is listed in the report.
+        let mut workload_reports = Vec::with_capacity(self.workloads.len());
+        for (w, workload) in self.workloads.iter().enumerate() {
+            let mut outcomes = vec![FaultOutcome::Benign; self.faults.len()];
+            let mut first_divergence: Vec<Option<u32>> = vec![None; self.faults.len()];
+            for c in 0..self.chunk_count {
+                let unit = w * self.chunk_count + c;
+                let Some(output) = self.results[unit].get() else {
+                    // Another shard's unit keeps the Benign default until
+                    // `fusa merge` unions the shard checkpoints; so does a
+                    // quarantined one, which the report lists.
+                    if !self.owns(unit) || quarantined.iter().any(|q| q.unit == unit) {
                         continue;
                     }
                     if interrupted {
@@ -820,11 +657,11 @@ impl FaultCampaign {
         // (combinational evals plus flop updates), so the per-cycle
         // full-run cost is simply the gate count.
         stats.gate_evals_full = netlist.gate_count() as u64
-            * chunk_count as u64
-            * workload_list.iter().map(|w| w.len() as u64).sum::<u64>();
+            * self.chunk_count as u64
+            * self.workloads.iter().map(|w| w.len() as u64).sum::<u64>();
         stats.wall_seconds = start.elapsed().as_secs_f64();
         stats.worker_busy_seconds = busy;
-        stats.publish(obs);
+        stats.publish(fusa_obs::global());
 
         Ok(CampaignReport {
             faults: faults.clone(),
@@ -833,15 +670,214 @@ impl FaultCampaign {
             stats,
             interrupted,
             quarantined,
-            shard: config.shard,
+            shard: self.config.shard,
         })
     }
+}
+
+/// The worker at lane width `W` (see [`Plan::worker`]).
+fn worker<const W: usize>(work: &Work<'_>) -> f64 {
+    let obs = fusa_obs::global();
+    let mut sim = WideSim::<W>::new(work.soa);
+    let mut busy = 0.0;
+    // Thread-local latency/work histograms, merged into the recorder
+    // once per worker so the hot loop stays lock-free.
+    let mut unit_seconds = fusa_obs::Histogram::new();
+    let mut unit_gate_evals = fusa_obs::Histogram::new();
+    while !work.stop.load(Ordering::Acquire) {
+        let claimed = work.next.fetch_add(1, Ordering::Relaxed);
+        let Some((w, members)) = work.plan.pending.get(claimed) else {
+            break;
+        };
+        let begun = Instant::now();
+        let trace = work.golden[*w]
+            .lock()
+            .expect("golden traces poisoned")
+            .clone()
+            .expect("traced before its groups run");
+        let outputs = work.run_group(&mut sim, &work.plan.workloads[*w], members, &trace);
+        // The workload's last group frees its trace; the count only
+        // elects who takes the slot, the `Arc` keeps the trace alive for
+        // any group still holding it.
+        drop(trace);
+        if work.groups_left[*w].fetch_sub(1, Ordering::AcqRel) == 1 {
+            work.golden[*w]
+                .lock()
+                .expect("golden traces poisoned")
+                .take();
+        }
+        let elapsed = begun.elapsed().as_secs_f64();
+        busy += elapsed;
+        work.progress.add_busy_seconds(elapsed);
+        let per_member = elapsed / members.len() as f64;
+        // Record the group member by member, in the checkpoint and the
+        // result slots, until a stop is requested: members not yet
+        // recorded stay pending, and a resume runs them again. One span
+        // per group, not per record: a span takes the recorder's lock.
+        let writer = work.plan.writer.as_ref();
+        let _checkpoint = writer.map(|_| obs.span_rooted("campaign/checkpoint"));
+        for (&unit, output) in members.iter().zip(outputs) {
+            if let Some(output) = output {
+                unit_gate_evals.observe(output.gate_evals as f64);
+                work.progress.add_work(output.stepped_fault_cycles);
+                if let Some(writer) = writer {
+                    writer.record(unit, &output);
+                }
+                let stored = work.plan.results[unit].set(output);
+                debug_assert!(stored.is_ok(), "unit {unit} simulated once");
+                let done = work.done.fetch_add(1, Ordering::Relaxed) + 1;
+                if work.injection.interrupt_after_units == Some(done) {
+                    work.stop.store(true, Ordering::Release);
+                }
+                if work.injection.sigterm_after_units == Some(done) {
+                    fusa_obs::raise_shutdown_signal();
+                }
+            } else {
+                // The unit exhausted its retry budget and was
+                // quarantined; surface it on the live status heartbeat.
+                work.progress.add_quarantined(1);
+            }
+            unit_seconds.observe(per_member);
+            work.progress.advance(1);
+            if work.stop.load(Ordering::Acquire) {
+                break;
+            }
+        }
+    }
+    if unit_seconds.count() > 0 {
+        obs.observe_merged("campaign.unit_seconds", &unit_seconds);
+        obs.observe_merged("campaign.unit_gate_evals", &unit_gate_evals);
+    }
+    busy
+}
+
+impl<'a> Work<'a> {
+    /// Simulates the `members` of one chunk group of `workload` in one
+    /// pass; `None` marks a quarantined member.
+    ///
+    /// A panic splits the group: each member is re-run alone, one chunk
+    /// per pass, with its own fresh retry budget so one poisoned chunk
+    /// cannot quarantine its groupmates. The group attempt is not a
+    /// retry.
+    fn run_group<const W: usize>(
+        &self,
+        sim: &mut WideSim<'a, W>,
+        workload: &Workload,
+        members: &[usize],
+        trace: &GoldenTrace,
+    ) -> Vec<Option<UnitOutput>> {
+        let chunks: Vec<&[Fault]> = members.iter().map(|&unit| self.plan.chunk(unit)).collect();
+        let inject = members
+            .iter()
+            .any(|&unit| self.injection.should_panic(unit, 1))
+            .then(|| format!("injected unit fault (wide group, units {members:?})"));
+        match self.attempt(sim, &chunks, workload, trace, inject) {
+            Ok(outputs) => outputs.into_iter().map(Some).collect(),
+            Err(_) => members
+                .iter()
+                .zip(&chunks)
+                .map(|(&unit, chunk)| self.retry(sim, unit, chunk, workload, trace))
+                .collect(),
+        }
+    }
+
+    /// Runs `unit` alone until an attempt succeeds, or quarantines it
+    /// (`None`) once `max_attempts` attempts have panicked.
+    fn retry<const W: usize>(
+        &self,
+        sim: &mut WideSim<'a, W>,
+        unit: usize,
+        chunk: &[Fault],
+        workload: &Workload,
+        trace: &GoldenTrace,
+    ) -> Option<UnitOutput> {
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            let inject = self
+                .injection
+                .should_panic(unit, attempt)
+                .then(|| format!("injected unit fault (unit {unit}, attempt {attempt})"));
+            let payload = match self.attempt(sim, &[chunk], workload, trace, inject) {
+                Ok(mut output) => return output.pop(),
+                Err(payload) => payload,
+            };
+            if attempt >= self.max_attempts {
+                let quarantined = QuarantinedUnit {
+                    unit,
+                    workload: workload.name.clone(),
+                    chunk: unit % self.plan.chunk_count,
+                    attempts: attempt,
+                    panic_message: panic_message(payload.as_ref()),
+                };
+                self.plan
+                    .tally
+                    .quarantined
+                    .lock()
+                    .expect("quarantine poisoned")
+                    .push(quarantined);
+                return None;
+            }
+            self.plan.tally.retries.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// One pass over `chunks` under `catch_unwind`, after panicking with
+    /// `inject` when it is set. A panic leaves the simulator in an
+    /// unknown state, so it is rebuilt.
+    fn attempt<const W: usize>(
+        &self,
+        sim: &mut WideSim<'a, W>,
+        chunks: &[&[Fault]],
+        workload: &Workload,
+        trace: &GoldenTrace,
+        inject: Option<String>,
+    ) -> std::thread::Result<Vec<UnitOutput>> {
+        let attempted = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(message) = inject {
+                panic!("{message}");
+            }
+            // Rooted spans: workers run on fresh threads with empty span
+            // stacks, so fixed paths keep the breakdown identical across
+            // thread counts.
+            let (outputs, dense_handoff) = fusa_obs::global().time_rooted("campaign/units", || {
+                run_wide_group(sim, chunks, workload, trace, &self.plan.config)
+            });
+            let handoffs = &self.plan.tally.dense_handoffs;
+            handoffs.fetch_add(u64::from(dense_handoff), Ordering::Relaxed);
+            outputs
+        }));
+        if attempted.is_err() {
+            *sim = WideSim::new(self.soa);
+        }
+        attempted
+    }
+}
+
+/// Forces the faults of `chunks[i]` into word `i` of `sim`, one per
+/// lane, and returns each word's mask of lanes that hold a fault.
+fn force_chunks<const W: usize>(sim: &mut WideSim<'_, W>, chunks: &[&[Fault]]) -> [u64; W] {
+    sim.clear_forces();
+    let mut valid = [0u64; W];
+    for (co, chunk) in chunks.iter().enumerate() {
+        valid[co] = u64::MAX >> (LANES - chunk.len());
+        for (lane, fault) in chunk.iter().enumerate() {
+            let (value, lanes) = (fault.stuck_at.value(), 1u64 << lane);
+            match fault.site {
+                FaultSite::Output => sim.force_lanes(fault.net, value, co, lanes),
+                FaultSite::InputPin(pin) => sim.force_pin_lanes(fault.gate, pin, value, co, lanes),
+            }
+        }
+    }
+    valid
 }
 
 /// Simulates up to `W` 64-fault chunks of one workload in a single wide
 /// pass: chunk `i` occupies word `i`, every word shares the broadcast
 /// inputs and the golden trace, and each member's lanes are classified
-/// exactly as [`crate::reference::stuck_at`] classifies them.
+/// exactly as [`crate::reference::stuck_at`] classifies them. Returns
+/// one output per member, and whether the pass finished on the full
+/// sweep.
 ///
 /// With `restrict_to_cone` the pass steps differentially against the
 /// golden snapshots and toggle sets, where a differing output net *is*
@@ -862,34 +898,13 @@ fn run_wide_group<const W: usize>(
     workload: &Workload,
     trace: &GoldenTrace,
     config: &CampaignConfig,
-) -> GroupOutput {
+) -> (Vec<UnitOutput>, bool) {
     let members = chunks.len();
     debug_assert!(0 < members && members <= W);
     let output_count = sim.soa().output_count();
     let min_divergent_cycles =
         ((config.min_divergence_fraction * workload.len() as f64).ceil() as u32).max(1);
-    let mut valid = [0u64; W];
-    for (co, chunk) in chunks.iter().enumerate() {
-        valid[co] = if chunk.len() == LANES {
-            u64::MAX
-        } else {
-            (1u64 << chunk.len()) - 1
-        };
-    }
-
-    sim.clear_forces();
-    for (co, chunk) in chunks.iter().enumerate() {
-        for (lane, fault) in chunk.iter().enumerate() {
-            match fault.site {
-                FaultSite::Output => {
-                    sim.force_lanes(fault.net, fault.stuck_at.value(), co, 1u64 << lane);
-                }
-                FaultSite::InputPin(pin) => {
-                    sim.force_pin_lanes(fault.gate, pin, fault.stuck_at.value(), co, 1u64 << lane);
-                }
-            }
-        }
-    }
+    let valid = force_chunks(sim, chunks);
     let mut differential = config.restrict_to_cone;
     if differential {
         sim.reset_diff();
@@ -972,61 +987,48 @@ fn run_wide_group<const W: usize>(
             }
             all_satisfied &= satisfied[co] == valid[co];
         }
-        if config.early_exit && all_satisfied {
+        if all_satisfied {
             break;
         }
     }
 
-    // Latent sweep per member word, skipped for fully-Dangerous members
-    // (Dangerous takes priority). Differential state already is the
-    // difference from the golden final state.
-    let mut state_differs = [0u64; W];
-    if config.classify_latent {
-        for co in 0..members {
-            if satisfied[co] == valid[co] {
-                continue;
-            }
-            let mut differs = 0u64;
-            for s in 0..sim.soa().seq_count() {
-                let golden = if differential {
-                    0
-                } else {
-                    trace.final_state_lanes(s)
-                };
-                differs |= sim.state_word(s, co) ^ golden;
-            }
-            state_differs[co] = differs & valid[co];
-        }
-    }
-
-    let outcomes = chunks
+    let outputs = chunks
         .iter()
+        .zip(first_divergence)
         .enumerate()
-        .map(|(co, chunk)| {
-            (0..chunk.len())
-                .map(|lane| {
-                    let mask = 1u64 << lane;
-                    if divergent_cycles[co * LANES + lane] >= min_divergent_cycles {
-                        FaultOutcome::Dangerous
-                    } else if diverged[co] & mask != 0
-                        || (config.classify_latent && state_differs[co] & mask != 0)
-                    {
-                        FaultOutcome::Latent
+        .map(|(co, (chunk, first_divergence))| {
+            // Latent sweep, skipped for fully-Dangerous members (Dangerous
+            // takes priority). Differential state already is the
+            // difference from the golden final state.
+            let mut latent = diverged[co];
+            if config.classify_latent && satisfied[co] != valid[co] {
+                for s in 0..sim.soa().seq_count() {
+                    let golden = if differential {
+                        0
                     } else {
-                        FaultOutcome::Benign
-                    }
-                })
-                .collect()
+                        trace.final_state_lanes(s)
+                    };
+                    latent |= sim.state_word(s, co) ^ golden;
+                }
+            }
+            let outcome = |lane: usize| match 1u64 << lane {
+                mask if satisfied[co] & mask != 0 => FaultOutcome::Dangerous,
+                mask if latent & mask != 0 => FaultOutcome::Latent,
+                _ => FaultOutcome::Benign,
+            };
+            // Gate evaluations are shared by every word of the pass, so
+            // they are attributed evenly (remainder to the first members,
+            // keeping the sum exact and deterministic).
+            let (share, extra) = (gate_evals / members as u64, gate_evals % members as u64);
+            UnitOutput {
+                outcomes: (0..chunk.len()).map(outcome).collect(),
+                first_divergence,
+                stepped_fault_cycles: chunk.len() as u64 * cycles_stepped,
+                gate_evals: share + u64::from((co as u64) < extra),
+            }
         })
         .collect();
-
-    GroupOutput {
-        outcomes,
-        first_divergence,
-        cycles_stepped,
-        gate_evals,
-        dense_handoff,
-    }
+    (outputs, dense_handoff)
 }
 
 #[cfg(test)]
@@ -1257,27 +1259,24 @@ mod tests {
         let reference =
             crate::reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
         for restrict_to_cone in [false, true] {
-            for early_exit in [false, true] {
-                for threads in [1, 4] {
-                    let candidate = FaultCampaign::new(CampaignConfig {
-                        threads,
-                        restrict_to_cone,
-                        early_exit,
-                        ..Default::default()
-                    })
-                    .run(&netlist, &faults, &workloads)
-                    .unwrap();
-                    for (a, b) in reference
-                        .workload_reports()
-                        .iter()
-                        .zip(candidate.workload_reports())
-                    {
-                        assert_eq!(
-                            a.outcomes, b.outcomes,
-                            "cone={restrict_to_cone} early={early_exit} threads={threads}"
-                        );
-                        assert_eq!(a.first_divergence, b.first_divergence);
-                    }
+            for threads in [1, 4] {
+                let candidate = FaultCampaign::new(CampaignConfig {
+                    threads,
+                    restrict_to_cone,
+                    ..Default::default()
+                })
+                .run(&netlist, &faults, &workloads)
+                .unwrap();
+                for (a, b) in reference
+                    .workload_reports()
+                    .iter()
+                    .zip(candidate.workload_reports())
+                {
+                    assert_eq!(
+                        a.outcomes, b.outcomes,
+                        "cone={restrict_to_cone} threads={threads}"
+                    );
+                    assert_eq!(a.first_divergence, b.first_divergence);
                 }
             }
         }
@@ -1293,12 +1292,11 @@ mod tests {
         let reference =
             crate::reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
         for lane_words in [1usize, 4, 8] {
-            for (restrict_to_cone, early_exit) in [(true, true), (false, false)] {
+            for restrict_to_cone in [true, false] {
                 let candidate = FaultCampaign::new(CampaignConfig {
                     threads: 2,
                     lane_words,
                     restrict_to_cone,
-                    early_exit,
                     ..Default::default()
                 })
                 .run(&netlist, &faults, &workloads)
@@ -1311,7 +1309,7 @@ mod tests {
                 {
                     assert_eq!(
                         a.outcomes, b.outcomes,
-                        "lane_words={lane_words} cone={restrict_to_cone} early={early_exit}"
+                        "lane_words={lane_words} cone={restrict_to_cone}"
                     );
                     assert_eq!(a.first_divergence, b.first_divergence);
                 }
@@ -1337,34 +1335,26 @@ mod tests {
 
     /// Early exit must be invisible even with a nonzero Dangerous
     /// threshold (the satisfied mask tracks the threshold, not just the
-    /// first divergence).
+    /// first divergence): the oracle never exits early.
     #[test]
     fn early_exit_never_changes_outcomes_with_threshold() {
         let netlist = fusa_netlist::designs::or1200_icfsm();
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = tiny_suite(&netlist, 2, 32);
         for min_divergence_fraction in [0.05, 0.25, 0.9] {
-            let base = CampaignConfig {
+            let config = CampaignConfig {
                 threads: 1,
                 min_divergence_fraction,
                 ..Default::default()
             };
-            let without = FaultCampaign::new(CampaignConfig {
-                early_exit: false,
-                ..base
-            })
-            .run(&netlist, &faults, &workloads)
-            .unwrap();
-            let with = FaultCampaign::new(CampaignConfig {
-                early_exit: true,
-                ..base
-            })
-            .run(&netlist, &faults, &workloads)
-            .unwrap();
-            for (a, b) in without
+            let reference = crate::reference::stuck_at(&netlist, &faults, &workloads, &config);
+            let report = FaultCampaign::new(config)
+                .run(&netlist, &faults, &workloads)
+                .unwrap();
+            for (a, b) in reference
                 .workload_reports()
                 .iter()
-                .zip(with.workload_reports())
+                .zip(report.workload_reports())
             {
                 assert_eq!(a.outcomes, b.outcomes, "fraction {min_divergence_fraction}");
                 assert_eq!(a.first_divergence, b.first_divergence);
@@ -1379,7 +1369,6 @@ mod tests {
         let workloads = tiny_suite(&netlist, 2, 24);
         let report = FaultCampaign::new(CampaignConfig {
             threads: 1,
-            early_exit: false,
             ..Default::default()
         })
         .run(&netlist, &faults, &workloads)
@@ -1395,10 +1384,6 @@ mod tests {
             stats.fault_cycles,
             (faults.len() * 2 * 24) as u64,
             "logical size: faults x workloads x cycles"
-        );
-        assert_eq!(
-            stats.stepped_fault_cycles, stats.fault_cycles,
-            "no early exit => every fault-cycle stepped"
         );
         assert!(
             stats.gate_evals < stats.gate_evals_full,
@@ -1638,7 +1623,7 @@ mod tests {
         // both are bit-identical knobs, so the checkpoint stays valid.
         let resumed = FaultCampaign::new(CampaignConfig {
             threads: 1,
-            early_exit: false,
+            restrict_to_cone: false,
             ..Default::default()
         })
         .with_durability(DurabilityConfig {

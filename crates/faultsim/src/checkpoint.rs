@@ -11,6 +11,10 @@
 //! lines that are torn or fail their digest, so those units simply run
 //! again.
 //!
+//! One scan reads the unit lines for `--resume`, [`merge`](crate::merge)
+//! and [`fsck`](crate::fsck) alike: it keeps each unit's first intact
+//! record and lists every other line with the reason it was not taken.
+//!
 //! # The header-binding model
 //!
 //! Every knob that can change a unit's *outcome* is bound into the
@@ -20,11 +24,11 @@
 //! (names and vector bits, which cover the seeds), `classify_latent`,
 //! `min_divergence_fraction`, and — since schema v2 — the shard spec of
 //! a `--shard i/n` partial campaign. Not bound: `threads`,
-//! `restrict_to_cone`, `early_exit` and `lane_words`, which are
-//! bit-identical by construction (see the differential tests), so a
-//! campaign may be resumed under a different thread count, acceleration
-//! setting or lane width — the checkpoint unit is always the 64-fault
-//! chunk regardless of how many chunks a pass packs together.
+//! `restrict_to_cone` and `lane_words`, which are bit-identical by
+//! construction (see the differential tests), so a campaign may be
+//! resumed under a different thread count, acceleration setting or lane
+//! width — the checkpoint unit is always the 64-fault chunk regardless
+//! of how many chunks a pass packs together.
 //!
 //! The shard spec sits in between: it does not change any unit's
 //! outcome, but it changes which units a resumed process is allowed to
@@ -67,10 +71,11 @@ use crate::shard::ShardSpec;
 use fusa_logicsim::WorkloadSuite;
 use fusa_netlist::Netlist;
 use fusa_obs::{Fnv64, Json};
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Lines, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -379,6 +384,12 @@ impl CheckpointHeader {
         Ok(())
     }
 
+    /// Units of the full campaign this header describes: one per
+    /// workload and 64-fault chunk.
+    pub(crate) fn unit_count(&self) -> usize {
+        self.workload_count * self.fault_count.div_ceil(crate::campaign::LANES)
+    }
+
     /// Identity key of the shard *family*: a digest over every
     /// outcome-determining header field except the shard spec. Two
     /// checkpoints have equal family keys exactly when
@@ -467,11 +478,12 @@ pub(crate) fn encode_unit(unit: usize, output: &UnitOutput) -> String {
     line
 }
 
-/// Why [`decode_unit`] rejected a unit line: the first check the line
-/// failed, in the decoder's order. `Display` is the cause `fusa fsck`
-/// reports.
+/// Why a unit line does not decode: the first check the line failed,
+/// in the decoder's order. `Display` is the cause `fusa fsck` reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum UnitLineError {
+    /// Not UTF-8: bytes damaged on disk (checked by [`scan`]).
+    NotUtf8,
     /// Not JSON at all: a torn or partial write.
     NotJson,
     /// `unit` is missing or not a non-negative integer.
@@ -502,6 +514,7 @@ pub(crate) enum UnitLineError {
 impl fmt::Display for UnitLineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            UnitLineError::NotUtf8 => f.write_str("not valid UTF-8 (damaged bytes)"),
             UnitLineError::NotJson => f.write_str("not valid JSON (torn or partial write)"),
             UnitLineError::Unit => f.write_str("missing or non-numeric `unit` field"),
             UnitLineError::Outcomes => f.write_str("missing `outcomes` field"),
@@ -532,9 +545,7 @@ impl fmt::Display for UnitLineError {
 
 /// Parses one unit line through [`Json::parse`], so any valid JSON
 /// object with the record's members decodes, canonical or not (`fusa
-/// fsck` re-encodes such a line). Resume, `fusa merge` and unit counts
-/// skip a rejected line (the unit simply runs again); `fusa fsck`
-/// reports why.
+/// fsck` re-encodes such a line). [`scan`] is its one caller.
 pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), UnitLineError> {
     let json = Json::parse(line).map_err(|_| UnitLineError::NotJson)?;
     let unit = json
@@ -604,22 +615,22 @@ pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), UnitLineErr
 }
 
 /// Opens checkpoint `path` and parses its header line: the header and
-/// the unit lines after it, read lazily.
-pub(crate) fn open(
-    path: &Path,
-) -> Result<(CheckpointHeader, Lines<BufReader<File>>), CheckpointError> {
+/// the reader at the first unit line.
+fn open(path: &Path) -> Result<(CheckpointHeader, BufReader<File>), CheckpointError> {
     let file = File::open(path).map_err(|e| io_error(path, &e))?;
-    let mut lines = BufReader::new(file).lines();
+    let mut reader = BufReader::new(file);
     let corrupt = |message| CheckpointError::Corrupt {
         path: path.display().to_string(),
         message,
     };
-    let header = match lines.next() {
-        Some(Ok(line)) => CheckpointHeader::parse(&line).map_err(corrupt)?,
-        Some(Err(e)) => return Err(io_error(path, &e)),
-        None => return Err(corrupt("file is empty (no header line)".into())),
-    };
-    Ok((header, lines))
+    let mut line = Vec::new();
+    let read = reader.read_until(b'\n', &mut line);
+    if read.map_err(|e| io_error(path, &e))? == 0 {
+        return Err(corrupt("file is empty (no header line)".into()));
+    }
+    let line = std::str::from_utf8(&line).map_err(|_| corrupt("header is not UTF-8".into()))?;
+    let header = CheckpointHeader::parse(line).map_err(corrupt)?;
+    Ok((header, reader))
 }
 
 /// Reads and parses the header line of `path` without touching the
@@ -631,42 +642,74 @@ pub fn read_header(path: &Path) -> Result<CheckpointHeader, CheckpointError> {
     open(path).map(|(header, _)| header)
 }
 
-/// Counts the distinct completed units recorded in checkpoint `path`,
-/// applying the same tolerance as `--resume`: torn, malformed or
-/// digest-failing unit lines are skipped, duplicates (a unit re-written
-/// after a retry) count once. This is the ground truth `fusa top`'s
-/// unit counts are validated against in CI.
-pub fn read_unit_count(path: &Path) -> Result<usize, CheckpointError> {
-    let (_, lines) = open(path)?;
-    let mut units = std::collections::BTreeSet::new();
-    for line in lines {
-        let line = line.map_err(|e| io_error(path, &e))?;
-        if let Ok((unit, _)) = decode_unit(&line) {
-            units.insert(unit);
-        }
-    }
-    Ok(units.len())
+/// Why [`scan`] did not take a unit line into its records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Skipped {
+    /// Whitespace only, as a retried append leaves behind a torn write.
+    Blank,
+    /// The line does not decode.
+    Damaged(UnitLineError),
+    /// An intact record of a unit outside the header's campaign.
+    OutOfRange(usize),
+    /// The same record as the unit's first: a retried append.
+    Duplicate(usize),
+    /// An intact record that differs from the unit's first.
+    Conflict(usize),
 }
 
-/// Loads the completed units of `path`, hard-failing when the header is
-/// missing, unreadable or incompatible with `expected`.
-pub(crate) fn load_units(
-    path: &Path,
-    expected: &CheckpointHeader,
-    unit_count: usize,
-) -> Result<HashMap<usize, UnitOutput>, CheckpointError> {
-    let (header, lines) = open(path)?;
-    header.check_compatible(expected)?;
-    let mut units = HashMap::new();
-    for line in lines {
-        let Ok(line) = line else { break };
-        if let Ok((unit, output)) = decode_unit(&line) {
-            if unit < unit_count {
-                units.insert(unit, output);
-            }
+/// A checkpoint read line by line.
+pub(crate) struct Scan {
+    /// The header line, parsed.
+    pub(crate) header: CheckpointHeader,
+    /// The first intact record of each unit of the header's campaign.
+    pub(crate) units: BTreeMap<usize, UnitOutput>,
+    /// Every other unit line, in file order: its 1-based line number
+    /// and why it was not taken.
+    pub(crate) skipped: Vec<(usize, Skipped)>,
+}
+
+/// Reads checkpoint `path`: the only walk over unit lines. A missing,
+/// unreadable or corrupt header is an error, and so is a failed read;
+/// a damaged unit line is not, whatever its bytes.
+pub(crate) fn scan(path: &Path) -> Result<Scan, CheckpointError> {
+    let (header, mut reader) = open(path)?;
+    let unit_count = header.unit_count();
+    let mut units = BTreeMap::new();
+    let mut skipped = Vec::new();
+    let mut line = Vec::new();
+    for line_no in 2.. {
+        // Each line keeps its newline, which JSON skips as whitespace.
+        line.clear();
+        let read = reader.read_until(b'\n', &mut line);
+        if read.map_err(|e| io_error(path, &e))? == 0 {
+            break;
         }
+        if line.iter().all(u8::is_ascii_whitespace) {
+            skipped.push((line_no, Skipped::Blank));
+            continue;
+        }
+        let decoded = std::str::from_utf8(&line)
+            .map_err(|_| UnitLineError::NotUtf8)
+            .and_then(decode_unit);
+        let skip = match decoded {
+            Err(e) => Skipped::Damaged(e),
+            Ok((unit, _)) if unit >= unit_count => Skipped::OutOfRange(unit),
+            Ok((unit, output)) => match units.entry(unit) {
+                Entry::Vacant(slot) => {
+                    slot.insert(output);
+                    continue;
+                }
+                Entry::Occupied(first) if *first.get() == output => Skipped::Duplicate(unit),
+                Entry::Occupied(_) => Skipped::Conflict(unit),
+            },
+        };
+        skipped.push((line_no, skip));
     }
-    Ok(units)
+    Ok(Scan {
+        header,
+        units,
+        skipped,
+    })
 }
 
 /// Concurrent append-only checkpoint writer. Serialization happens on
@@ -793,24 +836,8 @@ impl CheckpointWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultList;
-    use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
+    use crate::test_support::{sample_header, temp_dir};
     use proptest::prelude::*;
-
-    fn sample_header() -> CheckpointHeader {
-        let netlist = fusa_netlist::designs::or1200_icfsm();
-        let faults = FaultList::all_gate_outputs(&netlist);
-        let workloads = WorkloadSuite::generate(
-            &netlist,
-            &WorkloadConfig {
-                num_workloads: 2,
-                vectors_per_workload: 8,
-                reset_cycles: 0,
-                seed: 3,
-            },
-        );
-        CheckpointHeader::capture(&netlist, &faults, &workloads, &CampaignConfig::default())
-    }
 
     fn sample_output() -> UnitOutput {
         UnitOutput {
@@ -827,7 +854,7 @@ mod tests {
 
     #[test]
     fn header_round_trips() {
-        let header = sample_header();
+        let header = sample_header(None);
         let parsed = CheckpointHeader::parse(&header.to_json_line()).unwrap();
         assert_eq!(parsed, header);
         assert!(parsed.check_compatible(&header).is_ok());
@@ -835,7 +862,7 @@ mod tests {
 
     #[test]
     fn mismatched_headers_are_rejected() {
-        let header = sample_header();
+        let header = sample_header(None);
         let mut other = header.clone();
         other.design_digest = "fnv1a64:0000000000000000".into();
         let err = other.check_compatible(&header).unwrap_err();
@@ -849,14 +876,14 @@ mod tests {
 
     #[test]
     fn sharded_header_round_trips_and_binds_shard_on_resume() {
-        let mut header = sample_header();
+        let mut header = sample_header(None);
         header.shard = Some(ShardSpec { index: 2, total: 3 });
         let parsed = CheckpointHeader::parse(&header.to_json_line()).unwrap();
         assert_eq!(parsed.shard, Some(ShardSpec { index: 2, total: 3 }));
         assert!(parsed.check_compatible(&header).is_ok());
 
         // A different shard (or no shard) cannot resume this checkpoint…
-        let unsharded = sample_header();
+        let unsharded = sample_header(None);
         let err = parsed.check_compatible(&unsharded).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch { ref field, .. } if field == "shard"));
         // …but merge-style comparison ignores the shard spec.
@@ -865,7 +892,7 @@ mod tests {
 
     #[test]
     fn v1_headers_parse_as_unsharded() {
-        let header = sample_header();
+        let header = sample_header(None);
         let line = header
             .to_json_line()
             .replace(CHECKPOINT_SCHEMA, CHECKPOINT_SCHEMA_V1);
@@ -881,7 +908,7 @@ mod tests {
 
     #[test]
     fn half_specified_shard_header_is_rejected() {
-        let mut header = sample_header();
+        let mut header = sample_header(None);
         header.shard = Some(ShardSpec { index: 2, total: 3 });
         let line = header.to_json_line().replace(",\"shard_total\":3", "");
         assert!(
@@ -1206,41 +1233,69 @@ mod tests {
     }
 
     #[test]
-    fn load_skips_corrupt_lines_and_validates_header() {
-        let header = sample_header();
-        let dir = std::env::temp_dir().join(format!("fusa_ckpt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn scan_takes_each_units_first_record_and_lists_every_other_line() {
+        let header = sample_header(None);
+        assert_eq!(header.unit_count(), 12, "2 workloads x 6 chunks");
+        let record = |unit| encode_unit(unit, &sample_output());
+        let other = UnitOutput {
+            gate_evals: 481,
+            ..sample_output()
+        };
+        let lines = [
+            header.to_json_line(),
+            record(0),
+            record(3),
+            "not json".into(),
+            " ".into(),
+            record(0),
+            encode_unit(0, &other),
+            record(99),
+            record(4) + "\r",
+            record(5),
+            "{\"unit\":5,\"outcomes\":\"D".into(),
+        ];
+        let mut bytes = lines.join("\n").into_bytes();
+        // Line 10 gets a byte that is not UTF-8.
+        bytes[lines[..9].iter().map(|l| l.len() + 1).sum::<usize>() + 4] = 0xFF;
+        let dir = temp_dir("scan");
         let path = dir.join("checkpoint.jsonl");
-        let writer = CheckpointWriter::create(&path, &header).unwrap();
-        writer.record(0, &sample_output());
-        writer.record(3, &sample_output());
-        drop(writer);
-        // Append garbage and a torn record.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("not json\n{\"unit\":5,\"outcomes\":\"D\n");
-        std::fs::write(&path, &text).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
 
-        let units = load_units(&path, &header, 8).unwrap();
-        assert_eq!(units.len(), 2);
-        assert!(units.contains_key(&0) && units.contains_key(&3));
-
-        let mut other = header.clone();
-        other.fault_count += 1;
-        other.fault_digest = "fnv1a64:ffffffffffffffff".into();
-        assert!(matches!(
-            load_units(&path, &other, 8),
-            Err(CheckpointError::Mismatch { .. })
-        ));
+        let scan = scan(&path).unwrap();
+        assert_eq!(scan.header, header);
+        assert_eq!(scan.units.keys().copied().collect::<Vec<_>>(), [0, 3, 4]);
+        assert_eq!(scan.units[&0], sample_output(), "the first record wins");
+        assert_eq!(
+            scan.skipped,
+            [
+                (4, Skipped::Damaged(UnitLineError::NotJson)),
+                (5, Skipped::Blank),
+                (6, Skipped::Duplicate(0)),
+                (7, Skipped::Conflict(0)),
+                (8, Skipped::OutOfRange(99)),
+                (10, Skipped::Damaged(UnitLineError::NotUtf8)),
+                (11, Skipped::Damaged(UnitLineError::NotJson)),
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn missing_checkpoint_is_io_error() {
-        let header = sample_header();
-        let path = std::env::temp_dir().join("fusa_ckpt_does_not_exist.jsonl");
-        assert!(matches!(
-            load_units(&path, &header, 8),
-            Err(CheckpointError::Io { .. })
-        ));
+    fn unreadable_files_and_headers_are_errors() {
+        let dir = temp_dir("unreadable");
+        let path = dir.join("checkpoint.jsonl");
+        assert!(matches!(scan(&path), Err(CheckpointError::Io { .. })));
+        for (bytes, cause) in [
+            (&b""[..], "file is empty"),
+            (b"\xFF\n", "header is not UTF-8"),
+            (b"{}\n", "no schema field"),
+        ] {
+            std::fs::write(&path, bytes).unwrap();
+            let Err(CheckpointError::Corrupt { message, .. }) = scan(&path) else {
+                panic!("{bytes:?} is a corrupt header");
+            };
+            assert!(message.contains(cause), "{message}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,21 +10,23 @@
 //! header and every intact unit record.
 //!
 //! The validation rules are deliberately the same code paths the rest
-//! of the system uses: headers go through
+//! of the system uses: the checkpoint is read by the one scan `--resume`
+//! and `fusa merge` use, so headers go through
 //! [`CheckpointHeader::parse`](crate::CheckpointHeader), unit records
-//! through the same decoder `--resume` applies (torn JSON, bad outcome
+//! through the same decoder (damaged bytes, torn JSON, bad outcome
 //! characters, lane-count mismatches, digest failures), and the unit
-//! space comes from the same arithmetic `fusa merge` validates against.
-//! What fsck adds is the *diagnosis*: when the decoder rejects a line,
-//! its error names the first check that failed, and fsck reports it.
+//! space is the header's. What fsck adds is the *diagnosis*: the scan
+//! lists every line it did not take with its 1-based number and the
+//! first check that failed, and fsck reports it.
 //!
 //! Repair is conservative by construction:
 //!
 //! - the rewritten file contains only records that already passed their
 //!   digest — fsck never invents or interpolates results;
 //! - conflicting duplicates (two *valid* records for one unit with
-//!   different payloads) keep the first occurrence, matching the
-//!   precedence `fusa merge` applies, and the conflict is reported;
+//!   different payloads) keep the first occurrence, the record
+//!   `--resume` takes, and the conflict is reported (`fusa merge`
+//!   refuses such a file until it is repaired);
 //! - a corrupt header is not repairable (the header binds the campaign
 //!   identity; guessing it could graft results onto the wrong design),
 //!   so fsck reports it and leaves the file untouched;
@@ -36,11 +38,9 @@
 //! `fusa faults … --resume` commands that would fill them, reusing the
 //! shard-aware hint machinery from [`crate::merge`].
 
-use crate::campaign::UnitOutput;
-use crate::checkpoint::{decode_unit, encode_unit, CheckpointHeader};
-use crate::merge::{campaign_unit_count, rerun_commands, MergeSource};
+use crate::checkpoint::{self, encode_unit, CheckpointError, CheckpointHeader, Skipped};
+use crate::merge::{rerun_commands, MergeSource};
 use fusa_obs::{RunManifest, StatusSnapshot};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -287,124 +287,80 @@ pub fn fsck_path(path: &Path, options: &FsckOptions) -> Result<FsckReport, FsckE
     Ok(report)
 }
 
-/// Scans one checkpoint file line by line, reporting every damaged
-/// line with its cause, and optionally rewrites the salvageable part.
+/// Scans one checkpoint file, reporting every damaged line with its
+/// cause, and optionally rewrites the salvageable part.
 fn check_checkpoint(
     path: &Path,
     options: &FsckOptions,
     report: &mut FsckReport,
 ) -> Result<(), FsckError> {
-    let text = fs::read_to_string(path).map_err(|e| FsckError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })?;
     report.checkpoint = Some(path.to_path_buf());
-
-    let mut lines = text.lines().enumerate();
-    let header = match lines.next() {
-        None => {
-            report.push(path, Some(1), None, "file is empty (no header line)".into());
+    let scan = match checkpoint::scan(path) {
+        Ok(scan) => scan,
+        Err(CheckpointError::Corrupt { message, .. }) => {
+            report.push(path, Some(1), None, format!("header: {message}"));
             return Ok(());
         }
-        Some((_, line)) => match CheckpointHeader::parse(line) {
-            Ok(header) => header,
-            Err(message) => {
-                report.push(path, Some(1), None, format!("header: {message}"));
-                return Ok(());
-            }
-        },
+        Err(CheckpointError::Io { path, message }) => return Err(FsckError::Io { path, message }),
+        Err(mismatch) => {
+            return Err(FsckError::Io {
+                path: path.display().to_string(),
+                message: mismatch.to_string(),
+            })
+        }
     };
-    report.campaign_units = campaign_unit_count(&header);
+    let header = scan.header;
+    report.campaign_units = header.unit_count();
 
-    // First intact record wins on conflict (the precedence `fusa merge`
-    // applies); identical duplicates — a unit rewritten after a retried
-    // append — are the normal torn-write recovery pattern, not damage.
-    let mut intact: BTreeMap<usize, (String, UnitOutput)> = BTreeMap::new();
-    let mut needs_rewrite = false;
-    for (index, line) in lines {
-        let line_no = index + 1;
-        if line.trim().is_empty() {
-            // Blank lines are what the newline-guarded retry path leaves
-            // behind a torn fragment; resume skips them, repair drops them.
-            needs_rewrite = true;
-            continue;
-        }
-        match decode_unit(line) {
-            Ok((unit, output)) => {
-                if unit >= report.campaign_units {
-                    report.push(
-                        path,
-                        Some(line_no),
-                        Some(unit),
-                        format!(
-                            "unit {unit} out of range (campaign has {} units)",
-                            report.campaign_units
-                        ),
-                    );
-                    needs_rewrite = true;
-                    continue;
-                }
-                let canonical = encode_unit(unit, &output);
-                match intact.get(&unit) {
-                    None => {
-                        intact.insert(unit, (canonical, output));
-                        // A non-canonical but valid line still re-encodes
-                        // identically, so only damage forces a rewrite.
-                    }
-                    Some((first, _)) if *first == canonical => needs_rewrite = true,
-                    Some(_) => {
-                        report.push(
-                            path,
-                            Some(line_no),
-                            Some(unit),
-                            format!(
-                                "conflicting duplicate of unit {unit} \
-                                 (differs from an earlier intact record; first wins)"
-                            ),
-                        );
-                        needs_rewrite = true;
-                    }
-                }
-            }
-            Err(e) => {
-                report.push(path, Some(line_no), None, e.to_string());
-                needs_rewrite = true;
-            }
-        }
+    // Blank lines (what the newline-guarded retry path leaves behind a
+    // torn fragment) and identical duplicates (a unit rewritten after a
+    // retried append) are the normal torn-write recovery pattern, not
+    // damage; repair drops them with the rest.
+    for (line, skipped) in &scan.skipped {
+        let (unit, cause) = match skipped {
+            Skipped::Blank | Skipped::Duplicate(_) => continue,
+            Skipped::Damaged(e) => (None, e.to_string()),
+            Skipped::OutOfRange(unit) => (
+                Some(*unit),
+                format!(
+                    "unit {unit} out of range (campaign has {} units)",
+                    report.campaign_units
+                ),
+            ),
+            Skipped::Conflict(unit) => (
+                Some(*unit),
+                format!(
+                    "conflicting duplicate of unit {unit} \
+                     (differs from an earlier intact record; first wins)"
+                ),
+            ),
+        };
+        report.push(path, Some(*line), unit, cause);
     }
 
-    let expected: Vec<usize> = (0..report.campaign_units)
-        .filter(|&unit| header.shard.is_none_or(|shard| shard.owns(unit)))
-        .collect();
-    report.expected_units = expected.len();
-    report.intact_units = intact.len();
+    let expected = (0..report.campaign_units)
+        .filter(|&unit| header.shard.is_none_or(|shard| shard.owns(unit)));
+    report.expected_units = expected.clone().count();
+    report.intact_units = scan.units.len();
     report.missing_units = expected
-        .iter()
-        .copied()
-        .filter(|unit| !intact.contains_key(unit))
+        .filter(|unit| !scan.units.contains_key(unit))
         .collect();
     if !report.missing_units.is_empty() {
         let sources = [MergeSource {
             path: path.to_path_buf(),
             shard: header.shard,
-            units: intact.len(),
+            units: scan.units.len(),
         }];
         report.resume_commands = rerun_commands(&header, &sources, &report.missing_units);
-        // The generic unsharded hint does not know the path; fsck does.
-        if header.shard.is_none() {
-            report.resume_commands = vec![format!(
-                "fusa faults {} --checkpoint {} --resume",
-                header.design,
-                path.display()
-            )];
-        }
     }
 
-    if options.repair && needs_rewrite {
+    // A valid non-canonical line re-encodes to the same record, so only
+    // a skipped line forces a rewrite.
+    if options.repair && !scan.skipped.is_empty() {
         let mut rebuilt = header.to_json_line();
         rebuilt.push('\n');
-        for (canonical, _) in intact.values() {
-            rebuilt.push_str(canonical);
+        for (unit, output) in &scan.units {
+            rebuilt.push_str(&encode_unit(*unit, output));
             rebuilt.push('\n');
         }
         let tmp = path.with_extension("jsonl.fsck-tmp");
@@ -451,35 +407,23 @@ mod tests {
     use super::*;
     use crate::campaign::{CampaignConfig, FaultCampaign, UnitOutput};
     use crate::durability::DurabilityConfig;
-    use crate::fault::FaultList;
-    use crate::report::FaultOutcome;
+    use crate::merge::{merge_checkpoints, MergeError};
+    use crate::report::{CampaignReport, FaultOutcome};
     use crate::shard::ShardSpec;
-    use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
+    use crate::test_support::{sample_campaign, sample_header, temp_dir};
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fusa-fsck-{tag}-{}", std::process::id(),));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("temp dir");
-        dir
-    }
-
-    fn sample_header(shard: Option<ShardSpec>) -> CheckpointHeader {
-        let netlist = fusa_netlist::designs::or1200_icfsm();
-        let faults = FaultList::all_gate_outputs(&netlist);
-        let workloads = WorkloadSuite::generate(
-            &netlist,
-            &WorkloadConfig {
-                num_workloads: 2,
-                vectors_per_workload: 8,
-                reset_cycles: 0,
-                seed: 3,
-            },
-        );
-        let config = CampaignConfig {
-            shard,
-            ..Default::default()
-        };
-        CheckpointHeader::capture(&netlist, &faults, &workloads, &config)
+    /// Runs the sample campaign, checkpointing to `path` or resuming
+    /// from it.
+    fn run_campaign(path: &Path, resume: bool) -> CampaignReport {
+        let (netlist, faults, workloads) = sample_campaign();
+        FaultCampaign::new(CampaignConfig::default())
+            .with_durability(DurabilityConfig {
+                checkpoint: Some(path.to_path_buf()),
+                resume,
+                ..Default::default()
+            })
+            .run(&netlist, &faults, &workloads)
+            .expect("campaign runs")
     }
 
     fn sample_output(unit: usize) -> UnitOutput {
@@ -492,20 +436,14 @@ mod tests {
     }
 
     fn write_checkpoint(path: &Path, header: &CheckpointHeader, units: &[usize]) {
-        let mut text = header.to_json_line();
-        text.push('\n');
-        for &unit in units {
-            text.push_str(&encode_unit(unit, &sample_output(unit)));
-            text.push('\n');
-        }
-        fs::write(path, text).expect("write checkpoint");
+        crate::test_support::write_checkpoint(path, header, units, sample_output);
     }
 
     #[test]
     fn clean_partial_checkpoint_reports_holes_with_resume_commands() {
         let dir = temp_dir("clean");
         let header = sample_header(None);
-        let units = campaign_unit_count(&header);
+        let units = header.unit_count();
         let path = dir.join("checkpoint.jsonl");
         let present: Vec<usize> = (0..units).filter(|u| u % 2 == 0).collect();
         write_checkpoint(&path, &header, &present);
@@ -566,28 +504,8 @@ mod tests {
     #[test]
     fn repair_salvages_intact_units_and_resume_accepts_the_result() {
         let dir = temp_dir("repair");
-        let netlist = fusa_netlist::designs::or1200_icfsm();
-        let faults = FaultList::all_gate_outputs(&netlist);
-        let workloads = WorkloadSuite::generate(
-            &netlist,
-            &WorkloadConfig {
-                num_workloads: 2,
-                vectors_per_workload: 8,
-                reset_cycles: 0,
-                seed: 3,
-            },
-        );
-        let config = CampaignConfig::default();
         let path = dir.join("checkpoint.jsonl");
-
-        // Reference: a clean full run with a checkpoint.
-        let reference = FaultCampaign::new(config)
-            .with_durability(DurabilityConfig {
-                checkpoint: Some(path.clone()),
-                ..Default::default()
-            })
-            .run(&netlist, &faults, &workloads)
-            .expect("reference run");
+        let reference = run_campaign(&path, false);
 
         // Damage it: tear one unit line, blank another.
         let text = fs::read_to_string(&path).unwrap();
@@ -613,14 +531,7 @@ mod tests {
         assert!(repaired_report.issues.is_empty(), "repair left no damage");
 
         // …and --resume must accept it and reproduce the reference.
-        let resumed = FaultCampaign::new(config)
-            .with_durability(DurabilityConfig {
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..Default::default()
-            })
-            .run(&netlist, &faults, &workloads)
-            .expect("resume after repair");
+        let resumed = run_campaign(&path, true);
         for (a, b) in reference
             .workload_reports()
             .iter()
@@ -637,6 +548,67 @@ mod tests {
             resumed.summary_opts(false),
             "repaired-then-resumed summary digests identically"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A byte that is not UTF-8 spoils its own unit line and no other,
+    /// for fsck, `--resume` and merge alike.
+    #[test]
+    fn a_damaged_byte_spoils_only_its_line() {
+        let dir = temp_dir("byte");
+        let path = dir.join("checkpoint.jsonl");
+        let clean = run_campaign(&path, false);
+        let units = clean.stats().units;
+        let text = fs::read_to_string(&path).unwrap();
+        let line = 1 + units / 2;
+        let at: usize = text.lines().take(line - 1).map(|l| l.len() + 1).sum();
+        let mut bytes = text.into_bytes();
+        bytes[at + 4] = 0xFF;
+        fs::write(&path, bytes).unwrap();
+        let copy = dir.join("copy.jsonl");
+        fs::copy(&path, &copy).unwrap();
+
+        let report = fsck_path(&path, &FsckOptions::default()).expect("fsck runs");
+        assert_eq!(report.intact_units, units - 1);
+        let issue = &report.issues[..];
+        assert!(issue.len() == 1 && issue[0].line == Some(line), "{issue:?}");
+        assert!(issue[0].cause.contains("UTF-8"), "{issue:?}");
+        // Resume simulates that unit alone, and merge then skips the line.
+        let resumed = run_campaign(&path, true);
+        assert_eq!(resumed.stats().units_from_checkpoint, units - 1);
+        assert_eq!(resumed.summary_opts(false), clean.summary_opts(false));
+        let merged = merge_checkpoints(&[path], &dir.join("merged.jsonl")).unwrap();
+        assert_eq!(merged.skipped_lines, 1);
+        // Repair keeps every other unit.
+        let repair = fsck_path(&copy, &FsckOptions { repair: true }).unwrap();
+        assert!(repair.sound());
+        assert_eq!(fs::read_to_string(&copy).unwrap().lines().count(), units);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crc-valid record that contradicts an earlier one for its unit
+    /// loses to it in `--resume` as in fsck's repair; merge refuses it.
+    #[test]
+    fn a_conflicting_duplicate_resumes_like_its_repair() {
+        let dir = temp_dir("first");
+        let path = dir.join("checkpoint.jsonl");
+        let clean = run_campaign(&path, false).summary_opts(false);
+        let text = fs::read_to_string(&path).unwrap();
+        let (unit, mut output) = checkpoint::decode_unit(text.lines().nth(1).unwrap()).unwrap();
+        output.outcomes[0] = match output.outcomes[0] {
+            FaultOutcome::Dangerous => FaultOutcome::Benign,
+            _ => FaultOutcome::Dangerous,
+        };
+        fs::write(&path, format!("{text}{}\n", encode_unit(unit, &output))).unwrap();
+        let repaired = dir.join("repaired.jsonl");
+        fs::copy(&path, &repaired).unwrap();
+
+        let err = merge_checkpoints(std::slice::from_ref(&path), &dir.join("m.jsonl")).unwrap_err();
+        assert!(matches!(err, MergeError::ConflictingUnit { .. }), "{err}");
+        let repair = fsck_path(&repaired, &FsckOptions { repair: true }).unwrap();
+        assert!(repair.repaired);
+        assert_eq!(run_campaign(&path, true).summary_opts(false), clean);
+        assert_eq!(run_campaign(&repaired, true).summary_opts(false), clean);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -664,7 +636,7 @@ mod tests {
         let dir = temp_dir("shard");
         let shard = ShardSpec { index: 1, total: 3 };
         let header = sample_header(Some(shard));
-        let units = campaign_unit_count(&header);
+        let units = header.unit_count();
         let owned: Vec<usize> = (0..units).filter(|&u| shard.owns(u)).collect();
         let path = dir.join("checkpoint.jsonl");
         write_checkpoint(&path, &header, &owned);

@@ -43,11 +43,12 @@ pub mod reference;
 pub mod report;
 pub mod seu;
 pub mod shard;
+#[cfg(test)]
+mod test_support;
 
 pub use campaign::{CampaignConfig, FaultCampaign};
 pub use checkpoint::{
-    read_header, read_unit_count, CheckpointError, CheckpointHeader, CHECKPOINT_SCHEMA,
-    CHECKPOINT_SCHEMA_V1,
+    read_header, CheckpointError, CheckpointHeader, CHECKPOINT_SCHEMA, CHECKPOINT_SCHEMA_V1,
 };
 pub use dataset::CriticalityDataset;
 pub use durability::{

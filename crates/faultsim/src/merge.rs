@@ -21,13 +21,15 @@
 //!    spec is exactly what shard checkpoints do. Violation:
 //!    [`MergeError::HeaderMismatch`].
 //! 2. **Conflict detection.** A unit may appear in several inputs (for
-//!    example after overlapping shard reruns). Records whose canonical
-//!    encoding is identical are deduplicated; records that disagree
-//!    about a unit's outcomes mean the inputs were not produced by the
-//!    same campaign, and the merge aborts with
-//!    [`MergeError::ConflictingUnit`] rather than guess. Torn or
-//!    corrupt lines (a shard killed mid-write) are skipped and counted,
-//!    exactly as `--resume` would skip them.
+//!    example after overlapping shard reruns), or twice in one. Records
+//!    that are identical are deduplicated; records that disagree about
+//!    a unit's outcomes, within one input or across inputs, mean the
+//!    inputs were not produced by the same campaign, and the merge
+//!    aborts with [`MergeError::ConflictingUnit`] rather than guess.
+//!    Torn or corrupt lines (a shard killed mid-write, a damaged byte)
+//!    are skipped and counted, exactly as `--resume` skips them: each
+//!    input is read by the checkpoint scan `--resume` and `fusa fsck`
+//!    use.
 //! 3. **Coverage.** After all inputs are read, every unit of the full
 //!    campaign must be present. Holes — a shard never ran, or was
 //!    interrupted and not resumed — abort with
@@ -91,11 +93,11 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::campaign::LANES;
-use crate::checkpoint::{self, CheckpointError, CheckpointHeader};
+use crate::campaign::UnitOutput;
+use crate::checkpoint::{self, CheckpointError, CheckpointHeader, Skipped};
 use crate::shard::{shard_of, ShardSpec};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -247,76 +249,63 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
     if inputs.is_empty() {
         return Err(MergeError::NoInputs);
     }
-    let mut common: Option<CheckpointHeader> = None;
+    let mut header: Option<CheckpointHeader> = None;
     // BTreeMap so the merged checkpoint lists units in unit order — the
     // canonical form a fresh single-process run would also settle into
-    // after sorting, and the easiest form to eyeball.
-    let mut merged: BTreeMap<usize, String> = BTreeMap::new();
-    let mut first_source: HashMap<usize, usize> = HashMap::new();
+    // after sorting, and the easiest form to eyeball. Each record keeps
+    // the index of the input that contributed it first.
+    let mut merged: BTreeMap<usize, (usize, UnitOutput)> = BTreeMap::new();
     let mut sources: Vec<MergeSource> = Vec::new();
     let mut duplicate_units = 0usize;
     let mut skipped_lines = 0usize;
 
     for (source_index, path) in inputs.iter().enumerate() {
-        let (header, lines) = checkpoint::open(path)?;
-        match &common {
-            Some(common) => {
-                header
-                    .check_compatible_ignoring_shard(common)
-                    .map_err(|mismatch| MergeError::HeaderMismatch {
-                        path: path.display().to_string(),
-                        mismatch,
-                    })?;
-            }
-            None => {
-                let mut stripped = header.clone();
-                stripped.shard = None;
-                common = Some(stripped);
+        let scan = checkpoint::scan(path)?;
+        // The first input's header, shard fields stripped, is the common
+        // one every input must match.
+        let common = header.get_or_insert_with(|| CheckpointHeader {
+            shard: None,
+            ..scan.header.clone()
+        });
+        scan.header
+            .check_compatible_ignoring_shard(common)
+            .map_err(|mismatch| MergeError::HeaderMismatch {
+                path: path.display().to_string(),
+                mismatch,
+            })?;
+        let conflict = |unit, first: &Path| MergeError::ConflictingUnit {
+            unit,
+            first: first.display().to_string(),
+            second: path.display().to_string(),
+        };
+        for (_, skipped) in &scan.skipped {
+            match *skipped {
+                Skipped::Blank => {}
+                Skipped::Duplicate(_) => duplicate_units += 1,
+                Skipped::Conflict(unit) => return Err(conflict(unit, path)),
+                Skipped::Damaged(_) | Skipped::OutOfRange(_) => skipped_lines += 1,
             }
         }
-        let unit_count = campaign_unit_count(common.as_ref().expect("common header set"));
-
         let mut contributed = 0usize;
-        for line in lines {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            // Decode validates the per-record digest, so a canonical
-            // re-encoding is equal if and only if the payloads agree.
-            match checkpoint::decode_unit(&line) {
-                Ok((unit, output)) if unit < unit_count => {
-                    let canonical = checkpoint::encode_unit(unit, &output);
-                    match merged.entry(unit) {
-                        Entry::Occupied(existing) => {
-                            if existing.get() != &canonical {
-                                return Err(MergeError::ConflictingUnit {
-                                    unit,
-                                    first: inputs[first_source[&unit]].display().to_string(),
-                                    second: path.display().to_string(),
-                                });
-                            }
-                            duplicate_units += 1;
-                        }
-                        Entry::Vacant(slot) => {
-                            slot.insert(canonical);
-                            first_source.insert(unit, source_index);
-                            contributed += 1;
-                        }
-                    }
+        for (unit, output) in scan.units {
+            match merged.entry(unit) {
+                Entry::Vacant(slot) => {
+                    slot.insert((source_index, output));
+                    contributed += 1;
                 }
-                _ => skipped_lines += 1,
+                Entry::Occupied(first) if first.get().1 == output => duplicate_units += 1,
+                Entry::Occupied(first) => return Err(conflict(unit, &inputs[first.get().0])),
             }
         }
         sources.push(MergeSource {
             path: path.clone(),
-            shard: header.shard,
+            shard: scan.header.shard,
             units: contributed,
         });
     }
 
-    let header = common.expect("at least one input");
-    let unit_count = campaign_unit_count(&header);
+    let header = header.expect("at least one input");
+    let unit_count = header.unit_count();
     let missing: Vec<usize> = (0..unit_count)
         .filter(|unit| !merged.contains_key(unit))
         .collect();
@@ -330,22 +319,18 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
         });
     }
 
-    let io_error = |e: &std::io::Error| MergeError::Io {
-        path: out.display().to_string(),
-        message: e.to_string(),
-    };
-    let file = File::create(out).map_err(|e| io_error(&e))?;
-    let mut writer = BufWriter::new(file);
-    let write_all = |writer: &mut BufWriter<File>| -> std::io::Result<()> {
-        writer.write_all(header.to_json_line().as_bytes())?;
-        writer.write_all(b"\n")?;
-        for line in merged.values() {
-            writer.write_all(line.as_bytes())?;
-            writer.write_all(b"\n")?;
+    let write = || -> std::io::Result<()> {
+        let mut writer = BufWriter::new(File::create(out)?);
+        writeln!(writer, "{}", header.to_json_line())?;
+        for (unit, (_, output)) in &merged {
+            writeln!(writer, "{}", checkpoint::encode_unit(*unit, output))?;
         }
         writer.flush()
     };
-    write_all(&mut writer).map_err(|e| io_error(&e))?;
+    write().map_err(|e| MergeError::Io {
+        path: out.display().to_string(),
+        message: e.to_string(),
+    })?;
 
     Ok(MergeOutcome {
         header,
@@ -356,18 +341,13 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
     })
 }
 
-/// Units of the full campaign a header describes. Shared with `fsck`,
-/// which validates a single checkpoint against the same unit space.
-pub(crate) fn campaign_unit_count(header: &CheckpointHeader) -> usize {
-    header.workload_count * header.fault_count.div_ceil(LANES)
-}
-
 /// Builds the exact `fusa faults … --shard i/n` commands that would
 /// fill `missing`. When every input carries a shard spec with a common
 /// total, holes are grouped per owning shard and the command resumes
 /// that shard's checkpoint if it was among the inputs; otherwise a
-/// single unsharded resume hint is emitted. Shared with `fsck`, which
-/// prints the same hints for holes left after a `--repair`.
+/// single unsharded resume hint is emitted, naming the checkpoint when
+/// there is one input. Shared with `fsck`, which prints the same hints
+/// for holes left after a `--repair`.
 pub(crate) fn rerun_commands(
     header: &CheckpointHeader,
     sources: &[MergeSource],
@@ -383,8 +363,12 @@ pub(crate) fn rerun_commands(
             totals.iter().all(|&t| t == first).then_some(first)
         });
     let Some(total) = common_total else {
+        let checkpoint = match sources {
+            [only] => only.path.display().to_string(),
+            _ => "<checkpoint>".to_string(),
+        };
         return vec![format!(
-            "fusa faults {design} --checkpoint <checkpoint> --resume"
+            "fusa faults {design} --checkpoint {checkpoint} --resume"
         )];
     };
     let mut holes: BTreeMap<usize, usize> = BTreeMap::new();
@@ -409,31 +393,8 @@ pub(crate) fn rerun_commands(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignConfig, UnitOutput};
-    use crate::fault::FaultList;
     use crate::report::FaultOutcome;
-    use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
-
-    /// A real header (or1200_icfsm, 2 workloads) whose unit space the
-    /// tests populate with synthetic records.
-    fn sample_header(shard: Option<ShardSpec>) -> CheckpointHeader {
-        let netlist = fusa_netlist::designs::or1200_icfsm();
-        let faults = FaultList::all_gate_outputs(&netlist);
-        let workloads = WorkloadSuite::generate(
-            &netlist,
-            &WorkloadConfig {
-                num_workloads: 2,
-                vectors_per_workload: 8,
-                reset_cycles: 0,
-                seed: 3,
-            },
-        );
-        let config = CampaignConfig {
-            shard,
-            ..Default::default()
-        };
-        CheckpointHeader::capture(&netlist, &faults, &workloads, &config)
-    }
+    use crate::test_support::{sample_header, temp_dir};
 
     fn sample_output(unit: usize) -> UnitOutput {
         UnitOutput {
@@ -448,21 +409,9 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fusa_merge_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     /// Writes a checkpoint containing `header` and the units of `units`.
     fn write_checkpoint(path: &Path, header: &CheckpointHeader, units: &[usize]) {
-        let mut text = header.to_json_line();
-        text.push('\n');
-        for &unit in units {
-            text.push_str(&checkpoint::encode_unit(unit, &sample_output(unit)));
-            text.push('\n');
-        }
-        std::fs::write(path, text).unwrap();
+        crate::test_support::write_checkpoint(path, header, units, sample_output);
     }
 
     fn owned_units(shard: ShardSpec, unit_count: usize) -> Vec<usize> {
@@ -472,7 +421,7 @@ mod tests {
     #[test]
     fn disjoint_shards_merge_to_full_coverage_in_unit_order() {
         let dir = temp_dir("disjoint");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         assert!(unit_count >= 4, "test design too small: {unit_count} units");
         let mut paths = Vec::new();
         for index in 1..=2 {
@@ -512,7 +461,7 @@ mod tests {
     #[test]
     fn identical_duplicates_dedupe_conflicting_payloads_abort() {
         let dir = temp_dir("overlap");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let all: Vec<usize> = (0..unit_count).collect();
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
@@ -551,7 +500,7 @@ mod tests {
     #[test]
     fn missing_shard_reports_hole_with_exact_rerun_command() {
         let dir = temp_dir("missing");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let mut paths = Vec::new();
         // Shards 1 and 3 of 3 present, shard 2 never ran.
         for index in [1usize, 3] {
@@ -585,7 +534,7 @@ mod tests {
     #[test]
     fn interrupted_shard_hole_suggests_resuming_its_checkpoint() {
         let dir = temp_dir("resume_hint");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let mut paths = Vec::new();
         for index in 1..=2 {
             let shard = ShardSpec { index, total: 2 };
@@ -611,9 +560,34 @@ mod tests {
     }
 
     #[test]
+    fn one_unsharded_input_gets_a_resume_hint_naming_it() {
+        let dir = temp_dir("unsharded_hint");
+        let path = dir.join("a.jsonl");
+        write_checkpoint(&path, &sample_header(None), &[0]);
+        let err = merge_checkpoints(&[path.clone(), path.clone()], &dir.join("m.jsonl"));
+        let Err(MergeError::MissingUnits { rerun, .. }) = err else {
+            panic!("expected MissingUnits, got {err:?}");
+        };
+        assert_eq!(
+            rerun,
+            ["fusa faults or1200_icfsm --checkpoint <checkpoint> --resume"]
+        );
+        let err = merge_checkpoints(std::slice::from_ref(&path), &dir.join("m.jsonl"));
+        let Err(MergeError::MissingUnits { rerun, .. }) = err else {
+            panic!("expected MissingUnits, got {err:?}");
+        };
+        let hint = format!(
+            "fusa faults or1200_icfsm --checkpoint {} --resume",
+            path.display()
+        );
+        assert_eq!(rerun, [hint]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn torn_final_line_is_tolerated_when_covered_elsewhere() {
         let dir = temp_dir("torn");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let shard1 = ShardSpec { index: 1, total: 2 };
         let shard2 = ShardSpec { index: 2, total: 2 };
         let a = dir.join("shard1.jsonl");
@@ -662,7 +636,7 @@ mod tests {
         // must fail with a typed error carrying the file path; any panic
         // here would take down a whole merge over one bad shard.
         let dir = temp_dir("torn_header");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let shard1 = ShardSpec { index: 1, total: 2 };
         let shard2 = ShardSpec { index: 2, total: 2 };
         let a = dir.join("shard1.jsonl");
@@ -706,7 +680,7 @@ mod tests {
             MergeError::NoInputs
         );
 
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
         write_checkpoint(&a, &sample_header(None), &[0]);

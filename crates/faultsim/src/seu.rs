@@ -119,11 +119,12 @@ impl SeuCampaign {
     pub fn run(&self, netlist: &Netlist, workloads: &WorkloadSuite) -> SeuReport {
         let obs = fusa_obs::global();
         let _span = obs.span("seu");
-        assert!(
-            matches!(self.config.lane_words, 1 | 4 | 8),
-            "unsupported lane_words {}: use 1, 4 or 8",
-            self.config.lane_words
-        );
+        let sweep = match self.config.lane_words {
+            1 => run_chunks_wide::<1>,
+            4 => run_chunks_wide::<4>,
+            8 => run_chunks_wide::<8>,
+            other => panic!("unsupported lane_words {other}: use 1, 4 or 8"),
+        };
         let flops = netlist.sequential_gates();
         let soa = (!flops.is_empty()).then(|| SoaNetlist::new(netlist));
         // One golden pass per 64 workloads, outputs and end state only.
@@ -155,9 +156,8 @@ impl SeuCampaign {
                     .min(workload.len().saturating_sub(1));
                 experiments += 1;
                 if let (Some(soa), Some(golden)) = (&soa, &golden) {
-                    run_injection(
+                    sweep(
                         soa,
-                        self.config.lane_words,
                         workload,
                         &golden[w],
                         &flops,
@@ -183,41 +183,11 @@ impl SeuCampaign {
     }
 }
 
-/// One injection experiment: `64 · lane_words` flops flipped per pass
-/// at `inject_cycle`, scored against the workload's golden trace (its
-/// broadcast `0`/`u64::MAX` lanes compare against any word), so every
-/// lane width scores identically.
-#[allow(clippy::too_many_arguments)]
-fn run_injection(
-    soa: &SoaNetlist,
-    lane_words: usize,
-    workload: &Workload,
-    golden: &GoldenTrace,
-    flops: &[GateId],
-    inject_cycle: usize,
-    corrupted: &mut [usize],
-    latent: &mut [usize],
-) {
-    type Sweep =
-        fn(&SoaNetlist, &Workload, &GoldenTrace, &[GateId], usize, &mut [usize], &mut [usize]);
-    let sweep: Sweep = match lane_words {
-        1 => run_chunks_wide::<1>,
-        4 => run_chunks_wide::<4>,
-        _ => run_chunks_wide::<8>,
-    };
-    sweep(
-        soa,
-        workload,
-        golden,
-        flops,
-        inject_cycle,
-        corrupted,
-        latent,
-    );
-}
-
-/// Wide sweep of one injection experiment: flop `i` of a group occupies
-/// word `i / 64`, lane `i % 64`.
+/// One injection experiment: `64 · W` flops flipped per pass at
+/// `inject_cycle` (flop `i` of a group in word `i / 64`, lane `i % 64`),
+/// scored against the workload's golden trace (its broadcast
+/// `0`/`u64::MAX` lanes compare against any word), so every lane width
+/// scores identically.
 fn run_chunks_wide<const W: usize>(
     soa: &SoaNetlist,
     workload: &Workload,

@@ -34,14 +34,12 @@ fn run_with(
     workloads: &WorkloadSuite,
     threads: usize,
     restrict_to_cone: bool,
-    early_exit: bool,
     classify_latent: bool,
 ) -> CampaignReport {
     FaultCampaign::new(CampaignConfig {
         threads,
         classify_latent,
         restrict_to_cone,
-        early_exit,
         ..CampaignConfig::default()
     })
     .run(netlist, faults, workloads)
@@ -111,19 +109,15 @@ proptest! {
         let reference = oracle(&netlist, &faults, &workloads, classify_latent);
         for threads in [1usize, 4] {
             for restrict_to_cone in [false, true] {
-                for early_exit in [false, true] {
-                    let candidate = run_with(
-                        &netlist, &faults, &workloads,
-                        threads, restrict_to_cone, early_exit, classify_latent,
-                    );
-                    assert_reports_identical(
-                        &format!(
-                            "threads={threads} cone={restrict_to_cone} early_exit={early_exit} latent={classify_latent}"
-                        ),
-                        &reference,
-                        &candidate,
-                    );
-                }
+                let candidate = run_with(
+                    &netlist, &faults, &workloads,
+                    threads, restrict_to_cone, classify_latent,
+                );
+                assert_reports_identical(
+                    &format!("threads={threads} cone={restrict_to_cone} latent={classify_latent}"),
+                    &reference,
+                    &candidate,
+                );
             }
         }
     }
@@ -138,7 +132,7 @@ fn builtin_designs_cone_on_off_agree() {
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = workloads_for(&netlist, 7);
         let reference = oracle(&netlist, &faults, &workloads, true);
-        let accelerated = run_with(&netlist, &faults, &workloads, 4, true, true, true);
+        let accelerated = run_with(&netlist, &faults, &workloads, 4, true, true);
         assert_reports_identical(netlist.name(), &reference, &accelerated);
     }
 }

@@ -1,7 +1,7 @@
 //! Differential tests: a campaign that is interrupted mid-run,
 //! checkpointed, and resumed must be bit-identical to one that ran
-//! uninterrupted — across thread counts, cone restriction and early
-//! exit, on random netlists.
+//! uninterrupted — across thread counts and cone restriction, on random
+//! netlists.
 //!
 //! Interruption is injected deterministically with
 //! [`FaultInjection::interrupt_after_units`] (no process-global signal
@@ -30,9 +30,9 @@ fn workloads_for(netlist: &Netlist, seed: u64) -> WorkloadSuite {
 
 /// A collision-free checkpoint path per proptest case (cases from
 /// different test binaries and shrink iterations must not share files).
-fn checkpoint_path(tag: &str, seed: u64, threads: usize, cone: bool, early: bool) -> PathBuf {
+fn checkpoint_path(tag: &str, seed: u64, threads: usize, cone: bool) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "fusa_durability_eq_{}_{tag}_{seed:x}_{threads}_{cone}_{early}.jsonl",
+        "fusa_durability_eq_{}_{tag}_{seed:x}_{threads}_{cone}.jsonl",
         std::process::id()
     ))
 }
@@ -79,7 +79,6 @@ proptest! {
         interrupt_fraction in 0.1f64..0.9,
         threads in 1usize..4,
         restrict_to_cone in any::<bool>(),
-        early_exit in any::<bool>(),
     ) {
         let netlist = random_netlist(&RandomNetlistConfig {
             num_inputs: 6,
@@ -95,7 +94,6 @@ proptest! {
             classify_latent: true,
             min_divergence_fraction: 0.0,
             restrict_to_cone,
-            early_exit,
             ..CampaignConfig::default()
         };
 
@@ -105,7 +103,7 @@ proptest! {
         let unit_count = workloads.workloads().len() * faults.len().div_ceil(64);
         let after = ((unit_count as f64 * interrupt_fraction) as usize).clamp(1, unit_count - 1);
 
-        let path = checkpoint_path("resume", seed, threads, restrict_to_cone, early_exit);
+        let path = checkpoint_path("resume", seed, threads, restrict_to_cone);
         let _ = std::fs::remove_file(&path);
 
         let partial = FaultCampaign::new(config)
@@ -136,7 +134,7 @@ proptest! {
         assert_reports_identical(
             &format!(
                 "seed={seed:x} after={after}/{unit_count} threads={threads} \
-                 cone={restrict_to_cone} early_exit={early_exit}"
+                 cone={restrict_to_cone}"
             ),
             &reference,
             &resumed,
@@ -168,7 +166,6 @@ proptest! {
             classify_latent: false,
             min_divergence_fraction: 0.0,
             restrict_to_cone: true,
-            early_exit: true,
             ..CampaignConfig::default()
         };
         let unit_count = workloads.workloads().len() * faults.len().div_ceil(64);
@@ -178,7 +175,7 @@ proptest! {
             .run(&netlist, &faults, &workloads)
             .expect("reference campaign runs");
 
-        let path = checkpoint_path("heal", seed, threads, true, true);
+        let path = checkpoint_path("heal", seed, threads, true);
         let _ = std::fs::remove_file(&path);
         let degraded = FaultCampaign::new(config)
             .with_durability(DurabilityConfig {

@@ -6,8 +6,8 @@
 //! The proptest generates random sequential netlists, injects every
 //! stuck-at site (gate outputs *and* input pins), and compares every
 //! `FaultOutcome` and every `first_divergence` cycle between the oracle
-//! and each wide width, across thread counts, differential stepping with early exit versus
-//! the full sweep, both Dangerous thresholds (`0.0` and the pipeline's
+//! and each wide width, across thread counts, differential stepping
+//! versus the full sweep, both Dangerous thresholds (`0.0` and the pipeline's
 //! `0.2`) and latent classification on and off. A second property
 //! checks durability: a checkpoint written at one lane width resumes
 //! bit-identically at another, because the checkpoint unit is always
@@ -38,18 +38,12 @@ fn workloads_for(netlist: &Netlist, seed: u64) -> WorkloadSuite {
 }
 
 /// Latent classification on, classic detection threshold.
-fn config(
-    threads: usize,
-    restrict_to_cone: bool,
-    early_exit: bool,
-    lane_words: usize,
-) -> CampaignConfig {
+fn config(threads: usize, restrict_to_cone: bool, lane_words: usize) -> CampaignConfig {
     CampaignConfig {
         threads,
         classify_latent: true,
         min_divergence_fraction: 0.0,
         restrict_to_cone,
-        early_exit,
         lane_words,
         shard: None,
     }
@@ -129,16 +123,15 @@ proptest! {
         );
         for lane_words in [1usize, 4, 8] {
             for threads in [1usize, 4] {
-                for (restrict_to_cone, early_exit) in [(false, false), (true, true)] {
+                for restrict_to_cone in [false, true] {
                     let candidate = run_with(
                         &netlist, &faults, &workloads,
-                        with_thresholds(config(threads, restrict_to_cone, early_exit, lane_words)),
+                        with_thresholds(config(threads, restrict_to_cone, lane_words)),
                     );
                     assert_reports_identical(
                         &format!(
                             "W={lane_words} threads={threads} cone={restrict_to_cone} \
-                             early_exit={early_exit} fraction={min_divergence_fraction} \
-                             latent={classify_latent}"
+                             fraction={min_divergence_fraction} latent={classify_latent}"
                         ),
                         &reference,
                         &candidate,
@@ -225,12 +218,7 @@ fn builtin_designs_all_widths_agree() {
         let reference =
             reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
         for lane_words in [1usize, 4, 8] {
-            let wide = run_with(
-                &netlist,
-                &faults,
-                &workloads,
-                config(4, true, true, lane_words),
-            );
+            let wide = run_with(&netlist, &faults, &workloads, config(4, true, lane_words));
             assert_reports_identical(
                 &format!("{} W={lane_words}", netlist.name()),
                 &reference,
@@ -262,12 +250,7 @@ fn synthetic_design_widths_agree() {
     let workloads = workloads_for(&netlist, 11);
     let reference = reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
     for lane_words in [4usize, 8] {
-        let wide = run_with(
-            &netlist,
-            &faults,
-            &workloads,
-            config(2, true, true, lane_words),
-        );
+        let wide = run_with(&netlist, &faults, &workloads, config(2, true, lane_words));
         assert_reports_identical(&format!("synthetic W={lane_words}"), &reference, &wide);
         // Sparse fault effects: most passes finish differentially.
         assert!(
