@@ -7,10 +7,12 @@
 //!   part of its fanout its effect actually reaches, so each pass steps
 //!   its fault machines as differences from the golden run, which
 //!   persist across cycles: a gate is evaluated only when an input
-//!   difference changed, or when its golden inputs toggled while it
-//!   carries a difference or a fault site ([`WideSim::settle_diff`]); a
-//!   pass whose activity grows past a measured break-even share of the
-//!   gates (`DENSE_HANDOFF_SHARE`, 0.3) finishes on the full sweep;
+//!   difference changed, or when a golden input its difference reads
+//!   toggled while it carries a difference or a fault site
+//!   ([`WideSim::settle_diff`]; a register whose enable and reset carry
+//!   no difference reads only those two golden inputs); a pass whose
+//!   activity grows past a measured break-even share of the gates
+//!   (`DENSE_HANDOFF_SHARE`, 0.3) finishes on the full sweep;
 //! * **wide lanes** — `W = lane_words` consecutive 64-fault chunks of one
 //!   workload are packed into the `[u64; W]` words of a
 //!   structure-of-arrays [`WideSim`], so each pass advances up to `64·W`
@@ -85,7 +87,9 @@ pub struct CampaignConfig {
     /// Evaluate only what the faults can disturb: differential stepping
     /// against the golden trace (gates whose input differences changed,
     /// or whose golden inputs toggled under a difference or a fault
-    /// site), handing a pass off to the full sweep once it stops paying.
+    /// site; a register whose enable and reset carry no difference
+    /// reads only those two golden inputs),
+    /// handing a pass off to the full sweep once it stops paying.
     /// Bit-identical to a full-netlist run; `false` sweeps the full
     /// netlist every cycle, the in-kernel reference of `--no-cone`.
     pub restrict_to_cone: bool,
@@ -153,10 +157,11 @@ pub(crate) struct GoldenTrace {
     packed_nets: Vec<u64>,
     /// Words per cycle in `packed_nets`.
     packed_words: usize,
-    /// Bit-per-position set of the gates whose golden inputs toggled
-    /// into every cycle ([`SoaNetlist::toggled_positions`]; empty in
-    /// cycle 0), cycle-major. Built from `packed_nets` by the first
-    /// group that needs it, so only the workloads in flight hold one.
+    /// The toggle sets of every cycle: the gates whose golden inputs
+    /// toggled into it, and the flip-flops whose reset did
+    /// ([`SoaNetlist::toggled_positions`]; empty in cycle 0),
+    /// cycle-major. Built from `packed_nets` by the first group that
+    /// needs them, so only the workloads in flight hold them.
     toggled: OnceLock<Vec<u64>>,
     /// Golden end-of-workload flop state, one bit per flip-flop in
     /// [`Netlist::sequential_gates`] order; empty unless
@@ -175,16 +180,16 @@ impl GoldenTrace {
         bit_lanes(&self.final_state, seq)
     }
 
-    /// The toggle sets of every cycle, [`SoaNetlist::position_words`]
+    /// The toggle sets of every cycle, [`SoaNetlist::toggle_words`]
     /// words each.
     fn toggled(&self, soa: &SoaNetlist) -> &[u64] {
         self.toggled.get_or_init(|| {
             fusa_obs::global().time_rooted("campaign/golden", || {
-                let positions = soa.position_words();
+                let toggle_words = soa.toggle_words();
                 let snapshots = self.packed_nets.chunks_exact(self.packed_words);
-                let mut toggled = vec![0u64; snapshots.len() * positions];
+                let mut toggled = vec![0u64; snapshots.len() * toggle_words];
                 let pairs = snapshots.clone().zip(snapshots.skip(1));
-                for ((prev, cur), out) in pairs.zip(toggled.chunks_mut(positions).skip(1)) {
+                for ((prev, cur), out) in pairs.zip(toggled.chunks_mut(toggle_words).skip(1)) {
                     soa.toggled_positions(prev, cur, out);
                 }
                 toggled
@@ -915,7 +920,7 @@ fn run_wide_group<const W: usize>(
     let full_evals = sim.soa().full_evals_per_cycle();
     let handoff_evals = (DENSE_HANDOFF_SHARE * full_evals as f64) as u64;
     let words = trace.packed_words;
-    let positions = sim.soa().position_words();
+    let toggle_words = sim.soa().toggle_words();
     let toggles = if differential {
         trace.toggled(sim.soa())
     } else {
@@ -935,7 +940,7 @@ fn run_wide_group<const W: usize>(
         mismatch[..members].fill(0);
         if differential {
             let golden = &trace.packed_nets[cycle * words..][..words];
-            let toggled = &toggles[cycle * positions..][..positions];
+            let toggled = &toggles[cycle * toggle_words..][..toggle_words];
             let mut evals = sim.settle_diff(golden, toggled);
             for o in 0..output_count {
                 for (co, word) in mismatch.iter_mut().enumerate().take(members) {
@@ -1097,6 +1102,7 @@ mod tests {
                 sequential_fraction: 0.25,
                 num_outputs: 70,
                 seed: 13,
+                ..Default::default()
             });
         let soa = SoaNetlist::new(&netlist);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
@@ -1405,6 +1411,7 @@ mod tests {
                 sequential_fraction: 0.1,
                 num_outputs: 6,
                 seed: 5,
+                ..Default::default()
             });
         let faults = FaultList::all_gate_outputs(&netlist);
         assert!(faults.len() > 64);

@@ -338,6 +338,7 @@ mod tests {
             sequential_fraction: 0.5,
             num_outputs: 5,
             seed: 11,
+            ..Default::default()
         });
         let workloads = suite(&netlist);
         let run = |lane_words: usize| {

@@ -100,6 +100,7 @@ proptest! {
             sequential_fraction,
             num_outputs: 5,
             seed,
+            ..Default::default()
         });
         // Input-pin faults included: a pin force seeds differential
         // stepping at its gate alone, not at the driving net.

@@ -86,6 +86,7 @@ proptest! {
             sequential_fraction,
             num_outputs: 5,
             seed,
+            ..Default::default()
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0xD0_4A8);
@@ -158,6 +159,7 @@ proptest! {
             sequential_fraction: 0.2,
             num_outputs: 5,
             seed,
+            ..Default::default()
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0x9_B1D);

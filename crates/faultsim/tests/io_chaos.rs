@@ -53,6 +53,7 @@ fn chaos_netlist(seed: u64, num_gates: usize) -> Netlist {
         num_inputs: 8,
         num_outputs: 6,
         sequential_fraction: 0.2,
+        ..Default::default()
     })
 }
 

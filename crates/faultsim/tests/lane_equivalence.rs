@@ -3,8 +3,10 @@
 //! `fusa_faultsim::reference::stuck_at` (one thread, per-gate `BitSim`
 //! full sweep, a golden run of its own).
 //!
-//! The proptest generates random sequential netlists, injects every
-//! stuck-at site (gate outputs *and* input pins), and compares every
+//! The proptest generates random sequential netlists with every register
+//! kind (plain, reset, enable, and both, on shared enable and reset
+//! nets), injects every stuck-at site (gate outputs *and* input pins,
+//! register enables and resets among them), and compares every
 //! `FaultOutcome` and every `first_divergence` cycle between the oracle
 //! and each wide width, across thread counts, differential stepping
 //! versus the full sweep, both Dangerous thresholds (`0.0` and the pipeline's
@@ -91,9 +93,9 @@ proptest! {
 
     /// Every wide width, under every acceleration combination and
     /// thread count, reproduces the oracle bit for bit — on
-    /// random netlists over every stuck-at site including input pins,
-    /// at both Dangerous thresholds and with latent classification on
-    /// and off.
+    /// random netlists with every register kind, over every stuck-at
+    /// site including input pins, at both Dangerous thresholds and with
+    /// latent classification on and off.
     #[test]
     fn wide_kernel_is_bit_identical_to_the_oracle(
         seed in 0u64..1u64 << 48,
@@ -108,6 +110,7 @@ proptest! {
             sequential_fraction,
             num_outputs: 5,
             seed,
+            mixed_registers: true,
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0x1A9E5);
@@ -156,6 +159,7 @@ proptest! {
             sequential_fraction: 0.2,
             num_outputs: 5,
             seed,
+            ..Default::default()
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0xCAFE);

@@ -93,6 +93,7 @@ proptest! {
             sequential_fraction,
             num_outputs: 5,
             seed,
+            ..Default::default()
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0x5AAD);

@@ -61,6 +61,7 @@ proptest! {
             sequential_fraction,
             num_outputs,
             seed,
+            ..Default::default()
         });
         check_split(&netlist)?;
     }

@@ -30,10 +30,11 @@
 //! bit-packed golden snapshot ([`WideSim::snapshot_nets_packed`],
 //! [`WideSim::snapshot_lanes_packed`]). Differences persist from cycle
 //! to cycle, and a gate is evaluated only when one of its input
-//! differences changed, or when its golden inputs toggled
-//! ([`SoaNetlist::toggled_positions`]) while it carries a difference or
-//! a force. [`WideSim::end_diff`] hands the machines over to the full
-//! sweep once activity makes the events dearer than sweeping.
+//! differences changed, or when a golden input its difference reads
+//! toggled ([`SoaNetlist::toggled_positions`]) while it carries a
+//! difference or a force. [`WideSim::end_diff`] hands the machines over
+//! to the full sweep once activity makes the events dearer than
+//! sweeping.
 //!
 //! # Example
 //!
@@ -160,7 +161,8 @@ impl WideSchedule {
     }
 }
 
-/// One flip-flop in structure-of-arrays form.
+/// One flip-flop in structure-of-arrays form. Pin 0 is D; the pins
+/// after it are the controls: enable then reset, as the kind has them.
 #[derive(Debug, Clone, Copy)]
 struct SeqGate {
     kind: GateKind,
@@ -168,6 +170,19 @@ struct SeqGate {
     out_net: u32,
     in_nets: [u32; MAX_PINS],
     gate_id: u32,
+}
+
+impl SeqGate {
+    /// The nets on the enable and reset pins.
+    fn control_nets(&self) -> &[u32] {
+        &self.in_nets[1..self.arity as usize]
+    }
+
+    /// The net on the reset pin, if the kind has one.
+    fn reset_net(&self) -> Option<u32> {
+        matches!(self.kind, GateKind::Dffr | GateKind::Dffre)
+            .then(|| self.in_nets[self.arity as usize - 1])
+    }
 }
 
 /// The flat simulation tables of one design, built once and shared by
@@ -319,42 +334,75 @@ impl SoaNetlist {
     }
 
     /// Number of `u64` words of a bit-per-position set over the gates:
-    /// schedule positions first, then one per flip-flop (the format of
-    /// [`SoaNetlist::toggled_positions`]).
-    pub fn position_words(&self) -> usize {
+    /// schedule positions first, then one per flip-flop.
+    fn position_words(&self) -> usize {
         (self.comb.len() + self.seq.len()).div_ceil(64)
     }
 
-    /// Marks in `out` the gate positions whose golden inputs toggled
-    /// between two consecutive cycles' packed snapshots `prev` and `cur`
-    /// ([`WideSim::snapshot_nets_packed`]): the readers of every net that
-    /// changed value, and a flip-flop whose next state reads its own
-    /// state when that state changed. These are the positions whose
-    /// differences [`WideSim::settle_diff`] re-evaluates without an
-    /// input difference having changed.
+    /// The first position word that holds a flip-flop: per-flop bitsets
+    /// cover the position words from here on.
+    fn first_flop_word(&self) -> usize {
+        self.comb.len() / 64
+    }
+
+    /// Number of position words from [`SoaNetlist::first_flop_word`] on.
+    fn flop_words(&self) -> usize {
+        self.position_words() - self.first_flop_word()
+    }
+
+    /// Number of `u64` words of one cycle's toggle sets (the format of
+    /// [`SoaNetlist::toggled_positions`]): a bit-per-position set over
+    /// the gates, followed by one over the position words that hold
+    /// flip-flops.
+    pub fn toggle_words(&self) -> usize {
+        self.position_words() + self.flop_words()
+    }
+
+    /// Writes to `out` the toggle sets of the cycle whose packed
+    /// snapshot is `cur`, after the cycle whose snapshot is `prev`
+    /// ([`WideSim::snapshot_nets_packed`]). The first set, one bit per
+    /// gate position, marks the positions whose difference can change
+    /// though no input difference did:
+    ///
+    /// * every combinational reader of a net that changed value;
+    /// * a flip-flop whose enable or reset net changed value. A register
+    ///   without a control difference or a pin force computes its next
+    ///   difference as ((ΔD·E) | (ΔQ·¬E))·¬R, which reads neither golden
+    ///   D nor golden Q ([`WideSim::clock_diff`]).
+    ///
+    /// The second set covers only the position words that hold
+    /// flip-flops, and marks the flip-flops whose reset net changed
+    /// value: a register whose state difference equals its D difference
+    /// ignores its enable but not its reset ([`WideSim::settle_diff`]).
     ///
     /// # Panics
     ///
     /// Panics if a snapshot's length differs from
     /// [`SoaNetlist::packed_net_words`] or `out`'s from
-    /// [`SoaNetlist::position_words`].
+    /// [`SoaNetlist::toggle_words`].
     pub fn toggled_positions(&self, prev: &[u64], cur: &[u64], out: &mut [u64]) {
         assert_eq!(prev.len(), self.packed_net_words());
         assert_eq!(cur.len(), self.packed_net_words());
-        assert_eq!(out.len(), self.position_words());
+        assert_eq!(out.len(), self.toggle_words());
         out.fill(0);
+        let (toggled, reset_toggled) = out.split_at_mut(self.position_words());
         for (i, (&a, &b)) in prev.iter().zip(cur).enumerate() {
             let mut changed = a ^ b;
             while changed != 0 {
                 let net = i * 64 + changed.trailing_zeros() as usize;
                 changed &= changed - 1;
                 for &p in self.readers_of(net) {
-                    out[p as usize >> 6] |= 1u64 << (p & 63);
-                }
-                let p = self.net_driver[net] as usize;
-                if let Some(flop) = p.checked_sub(self.comb.len()).and_then(|s| self.seq.get(s)) {
-                    if matches!(flop.kind, GateKind::Dffe | GateKind::Dffre) {
-                        out[p >> 6] |= 1u64 << (p & 63);
+                    let (word, bit) = (p as usize >> 6, 1u64 << (p & 63));
+                    let Some(s) = (p as usize).checked_sub(self.comb.len()) else {
+                        toggled[word] |= bit;
+                        continue;
+                    };
+                    let flop = &self.seq[s];
+                    if flop.control_nets().contains(&(net as u32)) {
+                        toggled[word] |= bit;
+                    }
+                    if flop.reset_net() == Some(net as u32) {
+                        reset_toggled[word - self.first_flop_word()] |= bit;
                     }
                 }
             }
@@ -372,6 +420,12 @@ impl SoaNetlist {
     fn readers_of(&self, net: usize) -> &[u32] {
         &self.readers[self.reader_start[net] as usize..self.reader_start[net + 1] as usize]
     }
+}
+
+/// Sets or clears the bits of `bit` in `word`, without a branch.
+#[inline(always)]
+fn set_bit(word: &mut u64, bit: u64, on: bool) {
+    *word = (*word & !bit) | (bit * u64::from(on));
 }
 
 /// Bit `i` of a packed bit vector (such as a golden snapshot from
@@ -517,11 +571,12 @@ pub fn eval_wide<const W: usize>(
 /// machines are stepped against a golden (fault-free, force-free) run
 /// of the same input vectors, given as one packed snapshot per cycle
 /// ([`WideSim::snapshot_nets_packed`] of a broadcast run after its
-/// settle) and the positions whose golden inputs toggled into that
-/// cycle ([`SoaNetlist::toggled_positions`]). Every net and register
-/// then holds its per-lane *difference* from golden — zero means
-/// golden, and a read is the golden bit XOR the difference — so
-/// [`WideSim::net_word`] and [`WideSim::flop_word`] return differences.
+/// settle) and the toggle sets of that cycle, the positions whose
+/// golden inputs toggled ([`SoaNetlist::toggled_positions`]). Every net
+/// and register then holds its per-lane *difference* from golden —
+/// zero means golden, and a read is the golden bit XOR the difference
+/// — so [`WideSim::net_word`] and [`WideSim::flop_word`] return
+/// differences.
 ///
 /// Differences persist across cycles: a gate's difference is a function
 /// of its golden inputs, its input differences and its forces, so it is
@@ -530,10 +585,12 @@ pub fn eval_wide<const W: usize>(
 /// forward scan in schedule order drains it. The other seeds are the
 /// *live* positions (a nonzero input difference, a force, or for a
 /// flip-flop a differing state, kept as one bitset) whose golden inputs
-/// toggled this cycle, found by one word-wise AND with the toggle set;
-/// a flip-flop whose state difference changed is clocked again. The
-/// results are bit-identical to [`WideSim::settle`] / [`WideSim::clock`]
-/// on the same forces. Forces are fixed from [`WideSim::reset_diff`] to
+/// toggled this cycle, found by one word-wise pass over the toggle
+/// sets. A flip-flop counts only the toggles of the golden inputs its
+/// next difference reads ([`WideSim::clock_diff`]); one whose state
+/// difference changed is clocked again. The results are bit-identical
+/// to [`WideSim::settle`] / [`WideSim::clock`] on the same forces.
+/// Forces are fixed from [`WideSim::reset_diff`] to
 /// [`WideSim::end_diff`]; state flips may be scheduled at any time.
 #[derive(Debug, Clone)]
 pub struct WideSim<'a, const W: usize> {
@@ -568,6 +625,14 @@ pub struct WideSim<'a, const W: usize> {
     /// Differential mode: flip-flops whose state difference changed at
     /// the last clock edge, published and clocked again next cycle.
     changed_flops: Vec<u32>,
+    /// Differential mode, over the flip-flop words of the position
+    /// space: *eager* flip-flops, with a difference on an enable or
+    /// reset pin or a pin force, are clocked every cycle.
+    eager: Vec<u64>,
+    /// Differential mode, over the flip-flop words: *steady* flip-flops,
+    /// whose state difference equals their D difference, react to reset
+    /// toggles only.
+    steady: Vec<u64>,
     /// Differential mode: one bit per forced position, the drivers of
     /// forced nets and the pin-forced gates.
     forced_positions: Vec<u64>,
@@ -602,6 +667,8 @@ impl<'a, const W: usize> WideSim<'a, W> {
             pending: vec![0; soa.position_words()],
             live: vec![0; soa.position_words()],
             changed_flops: Vec::new(),
+            eager: vec![0; soa.flop_words()],
+            steady: vec![0; soa.flop_words()],
             forced_positions: vec![0; soa.position_words()],
             seed_nets: Vec::new(),
             seed_golden: Vec::new(),
@@ -868,35 +935,56 @@ impl<'a, const W: usize> WideSim<'a, W> {
         self.pending.copy_from_slice(&self.forced_positions);
         self.live.copy_from_slice(&self.forced_positions);
         self.changed_flops.clear();
+        self.eager.fill(0);
+        self.steady.fill(0);
         self.cycles = 0;
     }
 
     /// Differential [`WideSim::settle`] against `golden`, the packed
     /// snapshot of the golden run's settled nets in this cycle, and
-    /// `toggled`, the positions whose golden inputs toggled since the
-    /// previous cycle ([`SoaNetlist::toggled_positions`]; any set in the
-    /// first cycle after [`WideSim::reset_diff`], which seeds every
-    /// fault site itself). Returns the number of combinational gates
-    /// evaluated.
+    /// `toggled`, the toggle sets of this cycle since the previous one
+    /// ([`SoaNetlist::toggled_positions`]; any sets in the first cycle
+    /// after [`WideSim::reset_diff`], which seeds every fault site
+    /// itself). Returns the number of combinational gates evaluated.
+    ///
+    /// Besides the positions whose input difference changed, a live
+    /// position is due when its toggle bit is set, except that a steady
+    /// flip-flop ([`WideSim::clock_diff`]) is due only on a reset toggle;
+    /// every eager flip-flop is due.
     ///
     /// # Panics
     ///
     /// Panics if `golden.len()` differs from
     /// [`SoaNetlist::packed_net_words`], `toggled.len()` from
-    /// [`SoaNetlist::position_words`], or if forces changed since
+    /// [`SoaNetlist::toggle_words`], or if forces changed since
     /// [`WideSim::reset_diff`].
     pub fn settle_diff(&mut self, golden: &[u64], toggled: &[u64]) -> u64 {
         let soa = self.soa;
         assert_eq!(golden.len(), soa.packed_net_words());
-        assert_eq!(toggled.len(), self.pending.len());
+        assert_eq!(toggled.len(), soa.toggle_words());
         assert!(
             !self.seeds_stale,
             "forces changed in differential mode; install them before reset_diff"
         );
         // A live position whose golden inputs toggled may change its
-        // difference; any other position keeps last cycle's.
-        for ((pending, &live), &toggled) in self.pending.iter_mut().zip(&self.live).zip(toggled) {
+        // difference; any other position keeps last cycle's. The flop
+        // words also take the reset toggles and the eager flops, and
+        // drop the enable toggles of the steady ones.
+        let (toggled, reset_toggled) = toggled.split_at(self.pending.len());
+        let split = soa.first_flop_word();
+        let (comb_pending, flop_pending) = self.pending.split_at_mut(split);
+        for ((pending, &live), &toggled) in comb_pending.iter_mut().zip(&self.live).zip(toggled) {
             *pending |= live & toggled;
+        }
+        let flop_words = flop_pending
+            .iter_mut()
+            .zip(&self.live[split..])
+            .zip(&toggled[split..])
+            .zip(&self.steady)
+            .zip(reset_toggled)
+            .zip(&self.eager);
+        for (((((pending, &live), &toggled), &steady), &reset), &eager) in flop_words {
+            *pending |= (live & ((toggled & !steady) | reset)) | eager;
         }
         // Forced primary inputs and flip-flop outputs follow their
         // golden value. Forces are fixed and the loop below republishes
@@ -951,9 +1039,22 @@ impl<'a, const W: usize> WideSim<'a, W> {
     /// Differential [`WideSim::clock`] after [`WideSim::settle_diff`]
     /// with the same `golden` snapshot. Returns the number of flip-flops
     /// clocked.
+    ///
+    /// Every register kind computes next = ((D·E) | (Q·¬E))·¬R, with
+    /// E ≡ 1 and R ≡ 0 where the kind has no such pin. Without a
+    /// difference on E or R and without a pin force, the next
+    /// difference is therefore ((ΔD·E) | (ΔQ·¬E))·¬R. It never reads
+    /// golden D or Q, and reads golden E only while ΔQ ≠ ΔD. So each
+    /// clocked flip-flop files itself for the next
+    /// [`WideSim::settle_diff`]: *eager* when a control pin differs or
+    /// a pin is forced (clocked every cycle), *steady* when its new ΔQ
+    /// equals ΔD (clocked on a reset toggle only), and otherwise clocked
+    /// on an enable or reset toggle. Besides, a flip-flop is clocked
+    /// when an input difference or its state difference changed.
     pub fn clock_diff(&mut self, golden: &[u64]) -> u64 {
         let soa = self.soa;
         let comb_len = soa.comb.len();
+        let first_flop_word = soa.first_flop_word();
         let mut evals = 0;
         let mut from = comb_len;
         while let Some(p) = self.next_pending(from, comb_len + soa.seq.len()) {
@@ -964,16 +1065,22 @@ impl<'a, const W: usize> WideSim<'a, W> {
             let arity = flop.arity as usize;
             let mut ins = [[0u64; W]; MAX_PINS];
             let mut golden_ins = [[0u64; 1]; MAX_PINS];
-            let mut live = 0;
+            let (mut live, mut control) = (0, 0);
             for pin in 0..arity {
                 let net = flop.in_nets[pin] as usize;
                 let g = bit_lanes(golden, net);
                 golden_ins[pin][0] = g;
+                let mut differs = 0;
                 for (lanes, &d) in ins[pin].iter_mut().zip(self.net_lanes(net)) {
                     *lanes = g ^ d;
-                    live |= d;
+                    differs |= d;
+                }
+                live |= differs;
+                if pin > 0 {
+                    control |= differs;
                 }
             }
+            let d_diff = *self.net_lanes(flop.in_nets[0] as usize);
             let forced = self.is_forced(p);
             if forced {
                 self.apply_pin_masks(flop.gate_id as usize, &mut ins, arity);
@@ -986,17 +1093,21 @@ impl<'a, const W: usize> WideSim<'a, W> {
             }
             let next = eval_wide::<W>(flop.kind, &ins, &q);
             let golden_next = eval_wide::<1>(flop.kind, &golden_ins, &[golden_q])[0];
-            let mut changed = 0;
+            let (mut changed, mut unsteady) = (0, 0);
             for (w, &lanes) in next.iter().enumerate() {
                 let diff = lanes ^ golden_next;
                 changed |= diff ^ self.state[s * W + w];
                 self.state[s * W + w] = diff;
                 live |= diff;
+                unsteady |= diff ^ d_diff[w];
             }
             if changed != 0 {
                 self.changed_flops.push(s as u32);
             }
             self.set_live(p, live != 0 || forced);
+            let (word, bit) = ((p >> 6) - first_flop_word, 1u64 << (p & 63));
+            set_bit(&mut self.eager[word], bit, control != 0 || forced);
+            set_bit(&mut self.steady[word], bit, unsteady == 0);
             evals += 1;
         }
         for (index, lanes) in self.state_flips.drain(..) {
@@ -1059,9 +1170,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
 
     #[inline(always)]
     fn set_live(&mut self, pos: usize, live: bool) {
-        let bit = 1u64 << (pos & 63);
-        let word = &mut self.live[pos >> 6];
-        *word = (*word & !bit) | (bit * u64::from(live));
+        set_bit(&mut self.live[pos >> 6], 1u64 << (pos & 63), live);
     }
 
     #[inline(always)]
@@ -1427,12 +1536,12 @@ mod tests {
         }
     }
 
-    /// Golden snapshots of a broadcast run and the toggle set of every
+    /// Golden snapshots of a broadcast run and the toggle sets of every
     /// cycle (empty in cycle 0).
     fn golden_run(soa: &SoaNetlist, vectors: &[Vec<bool>]) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
         let mut golden = WideSim::<1>::new(soa);
         let mut snapshots = vec![vec![0u64; soa.packed_net_words()]; vectors.len()];
-        let mut toggles = vec![vec![0u64; soa.position_words()]; vectors.len()];
+        let mut toggles = vec![vec![0u64; soa.toggle_words()]; vectors.len()];
         for (cycle, vector) in vectors.iter().enumerate() {
             golden.set_vector_broadcast(vector);
             golden.settle();
@@ -1455,14 +1564,21 @@ mod tests {
     /// flip-flops, state flips, and a hand-off back to the full sweep.
     /// Held-input phases (one vector repeated for several cycles, then a
     /// toggle) check that persistent differences, toggle seeding and
-    /// the live bits track the full sweep.
+    /// the live bits track the full sweep. Half the netlists draw every
+    /// register kind on shared enable and reset nets, so the eager and
+    /// steady flip-flops and the reset toggles are stepped too.
     #[test]
     fn differential_stepping_matches_full_sweep() {
-        for (seed, hold) in [(5u64, 1usize), (19, 1), (42, 1), (5, 5), (19, 4), (42, 7)] {
+        let cases = [(5u64, 1usize), (19, 1), (42, 1), (5, 5), (19, 4), (42, 7)];
+        for ((seed, hold), mixed_registers) in cases
+            .into_iter()
+            .flat_map(|case| [false, true].map(|mixed| (case, mixed)))
+        {
             let netlist = random_netlist(&RandomNetlistConfig {
                 num_gates: 150,
                 sequential_fraction: 0.2,
                 seed,
+                mixed_registers,
                 ..Default::default()
             });
             let soa = SoaNetlist::new(&netlist);
@@ -1470,6 +1586,7 @@ mod tests {
             let flops = netlist.sequential_gates();
             let pis = netlist.primary_inputs();
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD1FF ^ hold as u64);
+            let context = format!("seed {seed} hold {hold} mixed {mixed_registers}");
 
             let mut full = WideSim::<4>::new(&soa);
             let mut diff = WideSim::<4>::new(&soa);
@@ -1546,7 +1663,7 @@ mod tests {
                         assert_eq!(
                             golden_net ^ diff.net_word(NetId(net as u32), word),
                             full.net_word(NetId(net as u32), word),
-                            "seed {seed} hold {hold} cycle {cycle} net {net} word {word}"
+                            "{context} cycle {cycle} net {net} word {word}"
                         );
                     }
                 }
@@ -1571,7 +1688,7 @@ mod tests {
                         assert_eq!(
                             golden_q ^ diff.flop_word(f, word),
                             full.flop_word(f, word),
-                            "seed {seed} hold {hold} cycle {cycle} flop state word {word}"
+                            "{context} cycle {cycle} flop state word {word}"
                         );
                     }
                 }
@@ -1605,6 +1722,64 @@ mod tests {
             assert_eq!(diff.clock_diff(snapshot), 0);
         }
         assert!(diff.values.iter().all(|&d| d == 0));
+    }
+
+    /// A net's toggle marks its combinational readers, and a flip-flop
+    /// only through its enable or reset pin; a reset toggle also lands
+    /// in the reset set, which covers the flip-flop words alone.
+    #[test]
+    fn toggles_mark_combinational_readers_and_register_controls() {
+        let mut b = NetlistBuilder::new("controls");
+        let d = b.primary_input("d");
+        let e = b.primary_input("e");
+        let r = b.primary_input("r");
+        let z = b.gate_named("Z", GateKind::And2, &[d, e]);
+        b.primary_output("z", z);
+        let kinds = [
+            ("PLAIN", GateKind::Dff, vec![d]),
+            ("RESET", GateKind::Dffr, vec![d, r]),
+            ("ENABLE", GateKind::Dffe, vec![d, e]),
+            ("BOTH", GateKind::Dffre, vec![d, e, r]),
+            // One net on both the data and the enable pin.
+            ("SHARED", GateKind::Dffe, vec![e, e]),
+        ];
+        for (name, kind, pins) in &kinds {
+            let q = b.gate_named(*name, *kind, pins);
+            b.primary_output(name.to_lowercase(), q);
+        }
+        let netlist = b.finish().unwrap();
+        let soa = SoaNetlist::new(&netlist);
+        let words = soa.toggle_words();
+        let flop_words = soa.flop_words();
+        assert_eq!(words, soa.position_words() + flop_words);
+
+        let sets = |toggled: &[NetId]| {
+            let prev = vec![0u64; soa.packed_net_words()];
+            let mut cur = prev.clone();
+            for net in toggled {
+                cur[net.index() >> 6] |= 1u64 << (net.index() & 63);
+            }
+            let mut out = vec![u64::MAX; words];
+            soa.toggled_positions(&prev, &cur, &mut out);
+            let (toggled, reset) = out.split_at(words - flop_words);
+            let bit = |set: &[u64], p: usize| (set[p >> 6] >> (p & 63)) & 1 == 1;
+            let marked = |name: &str| {
+                let p = soa.pos_of_gate[netlist.find_gate(name).unwrap().index()] as usize;
+                let reset_bit = p
+                    .checked_sub(soa.first_flop_word() * 64)
+                    .is_some_and(|q| bit(reset, q));
+                (bit(toggled, p), reset_bit)
+            };
+            ["Z", "PLAIN", "RESET", "ENABLE", "BOTH", "SHARED"].map(marked)
+        };
+        let (f, t) = (false, true);
+        // Data toggles reach no register.
+        assert_eq!(sets(&[d]), [(t, f), (f, f), (f, f), (f, f), (f, f), (f, f)]);
+        // Enable toggles reach the enable registers, the shared pin too.
+        assert_eq!(sets(&[e]), [(t, f), (f, f), (f, f), (t, f), (t, f), (t, f)]);
+        // Reset toggles reach the reset registers in both sets.
+        assert_eq!(sets(&[r]), [(f, f), (f, f), (t, t), (f, f), (t, t), (f, f)]);
+        assert_eq!(sets(&[]), [(f, f); 6]);
     }
 
     /// Once a forced machine's transient has passed and its inputs are

@@ -20,6 +20,10 @@ pub struct RandomNetlistConfig {
     pub num_outputs: usize,
     /// RNG seed for reproducibility.
     pub seed: u64,
+    /// Draw every register kind (`Dff`, `Dffr`, `Dffe`, `Dffre`) on a
+    /// few shared enable and reset nets, instead of plain `Dff`s only.
+    /// Off by default, so a seed keeps the netlist it always had.
+    pub mixed_registers: bool,
 }
 
 impl Default for RandomNetlistConfig {
@@ -30,6 +34,7 @@ impl Default for RandomNetlistConfig {
             sequential_fraction: 0.15,
             num_outputs: 8,
             seed: 0xFA57,
+            mixed_registers: false,
         }
     }
 }
@@ -39,7 +44,9 @@ impl Default for RandomNetlistConfig {
 /// Gates only read nets created earlier (primary inputs or previous gate
 /// outputs), so the combinational subgraph is a DAG by construction.
 /// Flip-flops may additionally read any net, including later ones, giving
-/// realistic sequential feedback. The last `num_outputs` gate outputs
+/// realistic sequential feedback. With `mixed_registers`, the registers
+/// share two enable and two reset nets drawn from the existing ones, as
+/// the registers of one bank do. The last `num_outputs` gate outputs
 /// become primary outputs, so late gates are always observable.
 ///
 /// # Panics
@@ -106,10 +113,32 @@ pub fn random_netlist(config: &RandomNetlistConfig) -> Netlist {
         comb_outputs.push(out);
     }
 
+    // Mixed registers share two enable nets and two reset nets.
+    let shared: Vec<NetId> = if config.mixed_registers {
+        (0..4)
+            .map(|_| available[rng.gen_range(0..available.len())])
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let (enables, resets) = shared.split_at(shared.len() / 2);
+
     // Connect flip-flops: D from any available net.
     for (i, &q) in flop_outputs.iter().enumerate() {
         let d = available[rng.gen_range(0..available.len())];
-        b.gate_driving(format!("R{i}"), GateKind::Dff, &[d], q);
+        let (kind, pins) = if config.mixed_registers {
+            let enable = enables[rng.gen_range(0..enables.len())];
+            let reset = resets[rng.gen_range(0..resets.len())];
+            match rng.gen_range(0..4) {
+                0 => (GateKind::Dff, vec![d]),
+                1 => (GateKind::Dffr, vec![d, reset]),
+                2 => (GateKind::Dffe, vec![d, enable]),
+                _ => (GateKind::Dffre, vec![d, enable, reset]),
+            }
+        } else {
+            (GateKind::Dff, vec![d])
+        };
+        b.gate_driving(format!("R{i}"), kind, &pins, q);
     }
 
     // Tap outputs from the most recently created nets so deep logic is
@@ -165,6 +194,46 @@ mod tests {
             ..Default::default()
         });
         assert!(n.sequential_gates().is_empty());
+    }
+
+    #[test]
+    fn mixed_registers_draw_every_kind_on_shared_controls() {
+        let config = RandomNetlistConfig {
+            num_gates: 200,
+            sequential_fraction: 0.3,
+            ..Default::default()
+        };
+        let plain = random_netlist(&config);
+        let mixed = random_netlist(&RandomNetlistConfig {
+            mixed_registers: true,
+            ..config
+        });
+        let histogram = mixed.kind_histogram();
+        for kind in [
+            GateKind::Dff,
+            GateKind::Dffr,
+            GateKind::Dffe,
+            GateKind::Dffre,
+        ] {
+            assert!(
+                histogram.get(kind.cell_name()).is_some_and(|&n| n > 0),
+                "{kind:?}"
+            );
+        }
+        let controls: std::collections::BTreeSet<NetId> = mixed
+            .sequential_gates()
+            .iter()
+            .flat_map(|&g| mixed.gate(g).inputs[1..].to_vec())
+            .collect();
+        assert!(controls.len() <= 4, "{controls:?}");
+        // The option draws after the combinational gates: those match.
+        let comb = |n: &Netlist| -> Vec<_> {
+            n.combinational_gates()
+                .iter()
+                .map(|&g| n.gate(g).clone())
+                .collect()
+        };
+        assert_eq!(comb(&plain), comb(&mixed));
     }
 
     #[test]

@@ -403,6 +403,7 @@ fn random(seed: u64, num_gates: usize, sequential_fraction: f64) -> Netlist {
         sequential_fraction,
         num_outputs: 4,
         seed,
+        ..Default::default()
     })
 }
 

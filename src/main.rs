@@ -17,8 +17,8 @@
 //! run executes and `--progress` prints live heartbeat lines.
 
 use fusa::faultsim::{
-    CampaignReport, DurabilityConfig, FaultCampaign, FaultList, QuarantinedUnit, SeuCampaign,
-    SeuConfig, ShardSpec,
+    CampaignReport, CheckpointHeader, DurabilityConfig, FaultCampaign, FaultList, QuarantinedUnit,
+    SeuCampaign, SeuConfig, ShardSpec,
 };
 use fusa::gcn::pipeline::{FusaAnalysis, FusaPipeline, PipelineConfig, PipelineError};
 use fusa::gcn::report::{render_csv_report, render_text_report, ReportOptions};
@@ -35,6 +35,39 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes `text` to standard output and flushes it: the one writer of
+/// every command's results. When the reader has gone away, as in
+/// `fusa lint big.v | head -1`, the process ends quietly with status
+/// 141, what a shell reports for a writer that SIGPIPE ended; any other
+/// write error ends it with one `error:` line and status 1. `println!`
+/// would panic (status 101, with a backtrace) on both.
+fn write_stdout(text: std::fmt::Arguments) {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    let Err(error) = stdout.write_fmt(text).and_then(|()| stdout.flush()) else {
+        return;
+    };
+    if error.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(141);
+    }
+    eprintln!("error: cannot write to standard output: {error}");
+    std::process::exit(1);
+}
 
 /// One flag a command accepts.
 struct FlagSpec {
@@ -613,7 +646,7 @@ impl<'a> Args<'a> {
     fn write_file(&self, name: &str, contents: &str, what: &str) -> Result<(), String> {
         if let Some(path) = self.value(name) {
             std::fs::write(path, contents).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            println!("{what} written to {path}");
+            outln!("{what} written to {path}");
         }
         Ok(())
     }
@@ -661,13 +694,13 @@ fn run_command(spec: &CommandSpec, args: &Args) -> Result<(), String> {
     match spec.name {
         "designs" => {
             for design in designs::all_designs() {
-                println!("{design}");
+                outln!("{design}");
             }
             Ok(())
         }
         "stats" => {
             let netlist = load_design(args.positionals[0])?;
-            println!("{}", NetlistStats::of(&netlist));
+            outln!("{}", NetlistStats::of(&netlist));
             Ok(())
         }
         "lint" => cmd_lint(args),
@@ -932,7 +965,7 @@ impl<'a> ObsSession<'a> {
                 fusa::obs::mark_degraded(&reason);
                 eprintln!("fusa: {reason}; continuing without it");
             }
-            Ok(()) if !self.args.has("--quiet-stats") => println!(
+            Ok(()) if !self.args.has("--quiet-stats") => outln!(
                 "\nrun manifest: {} (wall {:.2}s, stages cover {:.0}%; `fusa report {}` for the breakdown)",
                 path.display(),
                 manifest.wall_seconds,
@@ -1065,11 +1098,11 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     };
     let report = lint_netlist(&netlist);
     if args.has("--json") {
-        print!("{}", report.render_json());
+        out!("{}", report.render_json());
     } else if args.has("--csv") {
-        print!("{}", report.render_csv());
+        out!("{}", report.render_csv());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     if report.has_at_least(deny) {
         let denied = report
@@ -1132,10 +1165,10 @@ impl<'a> Run<'a> {
         report: CampaignReport,
         lint: (String, String),
     ) -> Result<Vec<(String, String)>, String> {
-        print!("{}", report.summary());
+        out!("{}", report.summary());
         let stable_summary = report.summary_opts(false);
         let dataset = report.into_dataset(self.config.criticality_threshold);
-        println!(
+        outln!(
             "\nAlgorithm 1: {} / {} nodes critical at th={}",
             dataset.critical_count(),
             dataset.labels().len(),
@@ -1181,7 +1214,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     let netlist = &run.netlist;
 
     let text = render_text_report(&analysis, netlist, &ReportOptions::default());
-    println!("{text}");
+    outln!("{text}");
 
     // Digests cover only deterministic artifacts: the stats-free text
     // report and the per-node CSV are identical across same-seed runs.
@@ -1207,7 +1240,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
             std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
         fusa::gcn::persist::save_classifier(&analysis.classifier, file)
             .map_err(|e| e.to_string())?;
-        println!("trained model written to {path}");
+        outln!("trained model written to {path}");
     }
     run.finish(digests);
     Ok(())
@@ -1277,14 +1310,14 @@ fn cmd_rank(args: &Args) -> Result<(), String> {
 
     let rank = StaticRank::compute(&netlist);
     let ranking = rank.ranking();
-    println!(
+    outln!(
         "static criticality ranking of {} ({} gates, no simulation):",
         netlist.name(),
         ranking.len()
     );
-    println!("  {:>4}  {:<24} {:>9}", "rank", "gate", "combined");
+    outln!("  {:>4}  {:<24} {:>9}", "rank", "gate", "combined");
     for (position, &gate) in ranking.iter().take(top).enumerate() {
-        println!(
+        outln!(
             "  {:>4}  {:<24} {:>9.4}",
             position + 1,
             netlist.gates()[gate].name,
@@ -1308,12 +1341,12 @@ fn cmd_rank(args: &Args) -> Result<(), String> {
     if let Some((path, truth)) = ground_truth {
         let evaluation = rank.evaluate(&truth);
         let obs = fusa::obs::global();
-        println!("\nSpearman rho vs campaign ground truth ({path}):");
+        outln!("\nSpearman rho vs campaign ground truth ({path}):");
         for &(name, rho) in &evaluation.channel_rho {
-            println!("  {name:<16} {rho:>7.4}");
+            outln!("  {name:<16} {rho:>7.4}");
             obs.gauge_set(&format!("rank.rho.{name}"), rho);
         }
-        println!("  {:<16} {:>7.4}", "combined", evaluation.combined_rho);
+        outln!("  {:<16} {:>7.4}", "combined", evaluation.combined_rho);
         obs.gauge_set("rank.rho.combined", evaluation.combined_rho);
         if let Some(min) = min_rho {
             // NaN rho (degenerate ground truth) must fail the gate too.
@@ -1367,7 +1400,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
             netlist.gates()[*b].name,
         );
     }
-    print!("{text}");
+    out!("{text}");
     run.finish(vec![digest("explanation.txt", &text)]);
     Ok(())
 }
@@ -1400,7 +1433,7 @@ fn cmd_harden(args: &Args) -> Result<(), String> {
         .collect();
 
     let hardened = tmr_protect(netlist, &selection).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "protected {} gates ({}% budget): {} -> {} gates ({:.2}x area)",
         selection.len(),
         (budget * 100.0).round(),
@@ -1409,14 +1442,14 @@ fn cmd_harden(args: &Args) -> Result<(), String> {
         tmr_overhead(netlist.gate_count(), selection.len()),
     );
     for &gate in selection.iter().take(10) {
-        println!(
+        outln!(
             "  {:<24} P(critical) = {:.3}",
             netlist.gate(gate).name,
             analysis.evaluation.critical_probability[gate.index()],
         );
     }
     if selection.len() > 10 {
-        println!("  ... and {} more", selection.len() - 10);
+        outln!("  ... and {} more", selection.len() - 10);
     }
     let hardened_verilog = fusa::netlist::writer::write_verilog(&hardened);
     let digests = vec![digest("hardened.v", &hardened_verilog)];
@@ -1451,7 +1484,7 @@ fn cmd_seu(args: &Args) -> Result<(), String> {
     for (gate, rate) in report.ranking().into_iter().take(15) {
         let _ = writeln!(text, "  {:<28} {rate:.2}", netlist.gate(gate).name);
     }
-    print!("{text}");
+    out!("{text}");
     run.finish(vec![digest("seu.txt", &text)]);
     Ok(())
 }
@@ -1473,8 +1506,8 @@ fn cmd_synth(args: &Args) -> Result<(), String> {
         .value("--out")
         .map_or_else(|| format!("synth_{size}.v"), str::to_string);
     std::fs::write(&out, &verilog).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!("{}", NetlistStats::of(&netlist));
-    println!(
+    outln!("{}", NetlistStats::of(&netlist));
+    outln!(
         "seed {seed}, netlist digest {}, written to {out}",
         fnv1a64_hex(verilog.as_bytes())
     );
@@ -1487,7 +1520,7 @@ fn cmd_synth(args: &Args) -> Result<(), String> {
 /// runs and the resulting summary and criticality CSV digests are
 /// bit-identical to an uninterrupted single-process run.
 fn cmd_merge(args: &Args) -> Result<(), String> {
-    use fusa::faultsim::{merge_checkpoints, read_header, CheckpointHeader};
+    use fusa::faultsim::{merge_checkpoints, read_header, MergeError};
 
     let inputs: Vec<PathBuf> = args.positionals.iter().map(PathBuf::from).collect();
     // Peek the first header for the design name; `fusa merge` wants no
@@ -1508,10 +1541,16 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
         ));
     }
 
-    let outcome = {
+    let merged = {
         let _span = fusa::obs::global().span("merge");
-        merge_checkpoints(&inputs, &out).map_err(|e| e.to_string())?
+        merge_checkpoints(&inputs, &out)
     };
+    let outcome = merged.map_err(|mut error| {
+        if let MergeError::MissingUnits { rerun, .. } = &mut error {
+            runnable_hints(rerun, &header, Some((design_arg, netlist)));
+        }
+        error.to_string()
+    })?;
     run.session.merge_sources = outcome
         .sources
         .iter()
@@ -1522,7 +1561,7 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
             units: source.units as u64,
         })
         .collect();
-    println!(
+    outln!(
         "merged {} checkpoint(s) into {}: {} units ({} duplicate unit(s) deduped, {} torn line(s) skipped)",
         outcome.sources.len(),
         out.display(),
@@ -1535,7 +1574,7 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
             Some(s) => format!("shard {s}"),
             None => "unsharded".to_string(),
         };
-        println!(
+        outln!(
             "  {} ({shard}, {} units)",
             source.path.display(),
             source.units
@@ -1602,12 +1641,50 @@ fn cmd_fsck(args: &Args) -> Result<(), String> {
     let options = FsckOptions {
         repair: args.has("--repair"),
     };
-    let report = fsck_path(&path, &options).map_err(|e| e.to_string())?;
-    print!("{}", report.render());
+    let mut report = fsck_path(&path, &options).map_err(|e| e.to_string())?;
+    if let Some(header) = &report.header {
+        let netlist = load_design(&header.design).ok();
+        let design = netlist.as_ref().map(|n| (header.design.as_str(), n));
+        runnable_hints(&mut report.resume_commands, header, design);
+    }
+    out!("{}", report.render());
     if !report.sound() {
         std::process::exit(1);
     }
     Ok(())
+}
+
+/// Makes the `fusa faults <design> …` hints printed for the checkpoint
+/// with `header` run as they stand. The design argument becomes
+/// `design`'s when that loaded the checkpoint's design, and
+/// `<design.v>` otherwise (a file design's header holds its module
+/// name, not its path). `--fast` is appended when the checkpoint's
+/// workloads are the fast preset's: the header records no preset, but
+/// its workload digest tells the two apart.
+fn runnable_hints(
+    hints: &mut [String],
+    header: &CheckpointHeader,
+    design: Option<(&str, &Netlist)>,
+) {
+    let preset = PipelineConfig::fast();
+    let fast = |netlist: &Netlist| {
+        let workloads = WorkloadSuite::generate(netlist, &preset.workloads);
+        let faults = FaultList::all_gate_outputs(netlist);
+        CheckpointHeader::capture(netlist, &faults, &workloads, &preset.campaign)
+    };
+    let (arg, flag) = match design.map(|(arg, netlist)| (arg, fast(netlist))) {
+        Some((arg, fast)) if fast.design_digest == header.design_digest => {
+            let same = fast.workload_digest == header.workload_digest;
+            (arg, if same { " --fast" } else { "" })
+        }
+        _ => ("<design.v>", ""),
+    };
+    let prefix = format!("fusa faults {}", header.design);
+    for hint in hints {
+        if let Some(rest) = hint.strip_prefix(&prefix) {
+            *hint = format!("fusa faults {arg}{rest}{flag}");
+        }
+    }
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
@@ -1615,9 +1692,9 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let manifest = RunManifest::parse(&text).map_err(|e| format!("`{path}`: {e}"))?;
     if args.has("--json") {
-        println!("{}", render_manifest_report_json(&manifest).render_pretty());
+        outln!("{}", render_manifest_report_json(&manifest).render_pretty());
     } else {
-        print!("{}", render_manifest_report(&manifest));
+        out!("{}", render_manifest_report(&manifest));
     }
     Ok(())
 }
@@ -1691,15 +1768,13 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     loop {
         let view = collect_fleet(&roots, stale_seconds)?;
         if json {
-            println!("{}", view.to_json().render_pretty());
+            outln!("{}", view.to_json().render_pretty());
         } else {
             if !once {
                 // ANSI clear + home keeps the dashboard in place.
-                print!("\x1b[2J\x1b[H");
+                out!("\x1b[2J\x1b[H");
             }
-            print!("{}", view.render_text());
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
+            out!("{}", view.render_text());
         }
         if once {
             return Ok(());
@@ -1739,7 +1814,7 @@ fn cmd_export(args: &Args) -> Result<(), String> {
             std::fs::write(path, rendered).map_err(|e| format!("cannot write `{path}`: {e}"))?;
             eprintln!("fusa: metrics written to {path}");
         }
-        None => print!("{rendered}"),
+        None => out!("{rendered}"),
     }
     Ok(())
 }
@@ -1755,9 +1830,9 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     };
     let report = TraceReport::scan(&text, &filter);
     if args.has("--json") {
-        println!("{}", report.to_json().render_pretty());
+        outln!("{}", report.to_json().render_pretty());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     Ok(())
 }
@@ -1784,9 +1859,9 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     let comparison = compare_manifests(&baseline, &candidate, options);
 
     if args.has("--json") {
-        println!("{}", comparison.to_json().render());
+        outln!("{}", comparison.to_json().render());
     } else {
-        print!("{}", comparison.render_text());
+        out!("{}", comparison.render_text());
     }
 
     if args.has("--append-bench") {
@@ -1794,7 +1869,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         let existing = std::fs::read_to_string(path).unwrap_or_default();
         let updated = append_bench_trajectory(&existing, &comparison, &baseline, &candidate)?;
         std::fs::write(path, updated).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("trajectory entry appended to {path}");
+        outln!("trajectory entry appended to {path}");
     }
 
     if comparison.has_regression() {

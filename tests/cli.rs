@@ -1138,6 +1138,82 @@ fn missing_design_file_reports_cleanly() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("cannot read"));
 }
 
+/// A reader that closes the pipe after the first line (`fusa lint big.v
+/// | head -1`) ends the run quietly: no panic, no backtrace, not the
+/// panic status 101.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::BufRead as _;
+
+    let dir = std::env::temp_dir().join("fusa_cli_closed_stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    // A thousand gates no output observes, three lint findings each: the
+    // report is far larger than a pipe holds.
+    let mut verilog = String::from("module dead(a, z);\n  input a;\n  output z;\n");
+    for i in 0..1000 {
+        verilog += &format!("  wire w{i};\n");
+    }
+    verilog += "  IV keep (.A(a), .Z(z));\n";
+    for i in 0..1000 {
+        verilog += &format!("  IV g{i} (.A(a), .Z(w{i}));\n");
+    }
+    verilog += "endmodule\n";
+    let path = dir.join("dead.v");
+    std::fs::write(&path, verilog).unwrap();
+
+    let mut child = fusa()
+        .args(["lint", path.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("lint dead:"), "{first}");
+    let output = child.wait_with_output().unwrap();
+    assert_eq!(output.status.code(), Some(141), "{output:?}");
+    assert!(output.stderr.is_empty(), "{output:?}");
+}
+
+/// `fusa fsck` on a partial `--fast` checkpoint prints a resume command
+/// that runs as printed: it carries `--fast`, without which the
+/// checkpoint's workloads would not match.
+#[test]
+fn the_fsck_resume_hint_of_a_fast_checkpoint_runs() {
+    let dir = std::env::temp_dir().join("fusa_cli_resume_hint");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run_dir = dir.join("partial");
+    let output = fusa()
+        .args(["faults", "or1200_icfsm", "--fast", "--quiet-stats"])
+        .args(["--run-dir", run_dir.to_str().unwrap()])
+        .env("FUSA_CAMPAIGN_INTERRUPT_AFTER_UNITS", "5")
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(130), "{output:?}");
+
+    let output = fusa()
+        .args(["fsck", run_dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let hint = stdout
+        .lines()
+        .map(str::trim)
+        .find(|line| line.starts_with("fusa faults"))
+        .unwrap_or_else(|| panic!("no resume hint in {stdout}"));
+    assert!(hint.ends_with("--resume --fast"), "{hint}");
+
+    // Run it verbatim; its default run directory lands under `dir`.
+    let words: Vec<&str> = hint.split_whitespace().collect();
+    let output = fusa().args(&words[1..]).current_dir(&dir).output().unwrap();
+    assert!(output.status.success(), "{hint}: {output:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One `--fast` campaign exercises the whole telemetry surface: the
 /// final `status.json` snapshot, `report --json`, `trace` over the
 /// `--trace-out` stream, `export --prometheus`, and the `--no-status`

@@ -81,6 +81,7 @@ fn faults_outside_output_cone_are_never_dangerous() {
         num_outputs: 4,
         sequential_fraction: 0.1,
         seed: 99,
+        ..Default::default()
     });
     let faults = FaultList::all_gate_outputs(&design);
     let workloads = WorkloadSuite::generate(

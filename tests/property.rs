@@ -23,6 +23,7 @@ fn netlist_config() -> impl Strategy<Value = RandomNetlistConfig> {
                 sequential_fraction,
                 num_outputs,
                 seed,
+                ..Default::default()
             },
         )
 }
@@ -164,6 +165,7 @@ proptest! {
             num_outputs: 4,
             sequential_fraction: 0.15,
             seed,
+            ..Default::default()
         });
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = WorkloadSuite::generate(
@@ -308,6 +310,7 @@ mod fault_equivalence {
             num_outputs: 5,
             sequential_fraction: 0.1,
             seed: 4242,
+            ..Default::default()
         });
         let workloads = WorkloadSuite::generate(
             &netlist,
