@@ -41,7 +41,7 @@ use crate::durability::{
 use crate::fault::{Fault, FaultList, FaultSite};
 use crate::report::{CampaignReport, CampaignStats, FaultOutcome, WorkloadReport};
 use crate::shard::ShardSpec;
-use fusa_logicsim::soa::bit_lanes;
+use fusa_logicsim::soa::{bit_lanes, ToggleTrace};
 use fusa_logicsim::{SoaNetlist, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::Netlist;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,12 +157,12 @@ pub(crate) struct GoldenTrace {
     packed_nets: Vec<u64>,
     /// Words per cycle in `packed_nets`.
     packed_words: usize,
-    /// The toggle sets of every cycle: the gates whose golden inputs
-    /// toggled into it, and the flip-flops whose reset did
-    /// ([`SoaNetlist::toggled_positions`]; empty in cycle 0),
-    /// cycle-major. Built from `packed_nets` by the first group that
-    /// needs them, so only the workloads in flight hold them.
-    toggled: OnceLock<Vec<u64>>,
+    /// The golden toggles of every cycle, as the nonzero words of its
+    /// position, reset and net toggle sets
+    /// ([`SoaNetlist::toggle_trace`]; none in cycle 0). Built from
+    /// `packed_nets` by the first group that needs them, so only the
+    /// workloads in flight hold them.
+    toggles: OnceLock<ToggleTrace>,
     /// Golden end-of-workload flop state, one bit per flip-flop in
     /// [`Netlist::sequential_gates`] order; empty unless
     /// `classify_latent` is on.
@@ -180,20 +180,11 @@ impl GoldenTrace {
         bit_lanes(&self.final_state, seq)
     }
 
-    /// The toggle sets of every cycle, [`SoaNetlist::toggle_words`]
-    /// words each.
-    fn toggled(&self, soa: &SoaNetlist) -> &[u64] {
-        self.toggled.get_or_init(|| {
-            fusa_obs::global().time_rooted("campaign/golden", || {
-                let toggle_words = soa.toggle_words();
-                let snapshots = self.packed_nets.chunks_exact(self.packed_words);
-                let mut toggled = vec![0u64; snapshots.len() * toggle_words];
-                let pairs = snapshots.clone().zip(snapshots.skip(1));
-                for ((prev, cur), out) in pairs.zip(toggled.chunks_mut(toggle_words).skip(1)) {
-                    soa.toggled_positions(prev, cur, out);
-                }
-                toggled
-            })
+    /// The golden toggles of every cycle.
+    fn toggles(&self, soa: &SoaNetlist) -> &ToggleTrace {
+        self.toggles.get_or_init(|| {
+            fusa_obs::global()
+                .time_rooted("campaign/golden", || soa.toggle_trace(&self.packed_nets))
         })
     }
 
@@ -234,7 +225,7 @@ impl GoldenTrace {
                     0
                 }),
                 packed_words,
-                toggled: OnceLock::new(),
+                toggles: OnceLock::new(),
                 final_state: if config.classify_latent {
                     vec![0; soa.seq_count().div_ceil(64)]
                 } else {
@@ -885,9 +876,8 @@ fn force_chunks<const W: usize>(sim: &mut WideSim<'_, W>, chunks: &[&[Fault]]) -
 /// sweep.
 ///
 /// With `restrict_to_cone` the pass steps differentially against the
-/// golden snapshots and toggle sets, where a differing output net *is*
-/// a mismatch,
-/// until the first cycle that evaluates more than
+/// golden snapshots and toggles, where a differing output net *is* a
+/// mismatch, until the first cycle that evaluates more than
 /// [`DENSE_HANDOFF_SHARE`] of the gates; from the next cycle on it
 /// sweeps the full netlist, with register state loaded as golden XOR
 /// difference.
@@ -910,8 +900,10 @@ fn run_wide_group<const W: usize>(
     let min_divergent_cycles =
         ((config.min_divergence_fraction * workload.len() as f64).ceil() as u32).max(1);
     let valid = force_chunks(sim, chunks);
-    let mut differential = config.restrict_to_cone;
-    if differential {
+    // The golden toggles while the pass steps differentially, `None` on
+    // the full sweep.
+    let mut toggles = config.restrict_to_cone.then(|| trace.toggles(sim.soa()));
+    if toggles.is_some() {
         sim.reset_diff();
     } else {
         sim.reset();
@@ -920,16 +912,9 @@ fn run_wide_group<const W: usize>(
     let full_evals = sim.soa().full_evals_per_cycle();
     let handoff_evals = (DENSE_HANDOFF_SHARE * full_evals as f64) as u64;
     let words = trace.packed_words;
-    let toggle_words = sim.soa().toggle_words();
-    let toggles = if differential {
-        trace.toggled(sim.soa())
-    } else {
-        &[]
-    };
     let mut dense_handoff = false;
     let mut diverged = [0u64; W];
     let mut satisfied = [0u64; W];
-    let mut mismatch = [0u64; W];
     let mut divergent_cycles = vec![0u32; members * LANES];
     let mut first_divergence: Vec<Vec<Option<u32>>> =
         chunks.iter().map(|chunk| vec![None; chunk.len()]).collect();
@@ -937,21 +922,16 @@ fn run_wide_group<const W: usize>(
     let mut gate_evals = 0u64;
 
     for (cycle, vector) in workload.vectors.iter().enumerate() {
-        mismatch[..members].fill(0);
-        if differential {
+        let mut mismatch = [0u64; W];
+        if let Some(cycle_toggles) = toggles.map(|toggles| toggles.cycle(cycle)) {
             let golden = &trace.packed_nets[cycle * words..][..words];
-            let toggled = &toggles[cycle * toggle_words..][..toggle_words];
-            let mut evals = sim.settle_diff(golden, toggled);
-            for o in 0..output_count {
-                for (co, word) in mismatch.iter_mut().enumerate().take(members) {
-                    *word |= sim.output_word(o, co);
-                }
-            }
+            let mut evals = sim.settle_diff(golden, cycle_toggles);
+            mismatch = sim.output_mismatch();
             evals += sim.clock_diff(golden);
             gate_evals += evals;
             if evals > handoff_evals && cycle + 1 < workload.len() {
                 sim.end_diff(&trace.packed_nets[(cycle + 1) * words..][..words]);
-                differential = false;
+                toggles = None;
                 dense_handoff = true;
             }
         } else {
@@ -1008,7 +988,7 @@ fn run_wide_group<const W: usize>(
             let mut latent = diverged[co];
             if config.classify_latent && satisfied[co] != valid[co] {
                 for s in 0..sim.soa().seq_count() {
-                    let golden = if differential {
+                    let golden = if toggles.is_some() {
                         0
                     } else {
                         trace.final_state_lanes(s)

@@ -20,11 +20,11 @@
 
 use fusa_faultsim::{
     reference, CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign, FaultInjection,
-    FaultList,
+    FaultList, FaultSite,
 };
 use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
 use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
-use fusa_netlist::Netlist;
+use fusa_netlist::{GateKind, Netlist, NetlistBuilder};
 use proptest::prelude::*;
 
 fn workloads_for(netlist: &Netlist, seed: u64) -> WorkloadSuite {
@@ -261,5 +261,91 @@ fn synthetic_design_widths_agree() {
             wide.stats().dense_handoffs < group_count(&faults, &workloads, lane_words),
             "synthetic W={lane_words}: every pass handed off"
         );
+    }
+}
+
+/// A reset edge that reaches a steady register holding a difference
+/// must clear it, and a register with a forced pin must follow golden
+/// D and Q every cycle, at campaign level. A stuck-at-1 on the `Tie0`
+/// that feeds a DFFR or a DFFRE gives that register a difference equal
+/// to its D difference (steady) until the reset `r` rises; the
+/// register is observed only through `q & obs`, with `obs` the reset
+/// delayed a cycle, so the fault is never Dangerous unless a kernel
+/// keeps the difference past the edge. A stuck-at on the reset pin of
+/// a DFFR that samples `d` is seen directly on its output. Each group
+/// of faults runs alone, so no other lane of its pass clocks the
+/// register (a pin force on it, or a difference on `r`, would clock it
+/// every cycle) and stays differential; then every site runs
+/// together.
+#[test]
+fn reset_edges_and_forced_registers_match_the_oracle() {
+    let mut b = NetlistBuilder::new("reset_edges");
+    let d = b.primary_input("d");
+    let e = b.primary_input("e");
+    let r = b.primary_input("r");
+    let obs = b.gate_named("OBS", GateKind::Dff, &[r]);
+    let zero = b.gate_named("TIE_R", GateKind::Tie0, &[]);
+    let held = b.gate_named("HELD_R", GateKind::Dffr, &[zero, r]);
+    let z = b.gate(GateKind::And2, &[held, obs]);
+    b.primary_output("z", z);
+    let zero = b.gate_named("TIE_RE", GateKind::Tie0, &[]);
+    let held = b.gate_named("HELD_RE", GateKind::Dffre, &[zero, e, r]);
+    let z = b.gate(GateKind::And2, &[held, obs]);
+    b.primary_output("ze", z);
+    let q = b.gate_named("SAMPLE", GateKind::Dffr, &[d, r]);
+    b.primary_output("q", q);
+    // A fault-free inverter chain keeps the passes under the hand-off
+    // share, so they stay differential.
+    let mut chain = d;
+    for _ in 0..40 {
+        chain = b.gate(GateKind::Inv, &[chain]);
+    }
+    b.primary_output("chain", chain);
+    let netlist = b.finish().unwrap();
+    let gate = |name: &str| netlist.find_gate(name).unwrap();
+
+    let ties = FaultList::for_gates(&netlist, &[gate("TIE_R"), gate("TIE_RE")]);
+    let mut reset_pin = FaultList::all_sites(&netlist);
+    reset_pin.retain(|fault| fault.gate == gate("SAMPLE") && fault.site == FaultSite::InputPin(1));
+    let every_site = FaultList::all_sites(&netlist);
+    let workloads = WorkloadSuite::generate(
+        &netlist,
+        &WorkloadConfig {
+            num_workloads: 12,
+            vectors_per_workload: 32,
+            reset_cycles: 0,
+            seed: 0x5E7,
+        },
+    );
+    for (label, faults) in [
+        ("ties", &ties),
+        ("reset pin", &reset_pin),
+        ("all", &every_site),
+    ] {
+        for min_divergence_fraction in [0.0, 0.2] {
+            let with_fraction = |config: CampaignConfig| CampaignConfig {
+                min_divergence_fraction,
+                ..config
+            };
+            let reference = reference::stuck_at(
+                &netlist,
+                faults,
+                &workloads,
+                &with_fraction(CampaignConfig::default()),
+            );
+            for lane_words in [1usize, 4, 8] {
+                let candidate = run_with(
+                    &netlist,
+                    faults,
+                    &workloads,
+                    with_fraction(config(1, true, lane_words)),
+                );
+                let context = format!("{label} W={lane_words} fraction={min_divergence_fraction}");
+                assert_reports_identical(&context, &reference, &candidate);
+                if label != "all" {
+                    assert_eq!(candidate.stats().dense_handoffs, 0, "{context}: hand-off");
+                }
+            }
+        }
     }
 }

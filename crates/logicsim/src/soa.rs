@@ -31,7 +31,7 @@
 //! [`WideSim::snapshot_lanes_packed`]). Differences persist from cycle
 //! to cycle, and a gate is evaluated only when one of its input
 //! differences changed, or when a golden input its difference reads
-//! toggled ([`SoaNetlist::toggled_positions`]) while it carries a
+//! toggled ([`SoaNetlist::toggle_trace`]) while it carries a
 //! difference or a force. [`WideSim::end_diff`] hands the machines over
 //! to the full sweep once activity makes the events dearer than
 //! sweeping.
@@ -76,6 +76,9 @@ const DRIVER_INPUT: u32 = u32::MAX - 1;
 
 /// [`SoaNetlist::net_driver`] entry of a net nothing drives.
 const NO_DRIVER: u32 = u32::MAX;
+
+/// [`SoaNetlist::output_slot`] entry of a net no primary output reads.
+const NO_OUTPUT: u32 = u32::MAX;
 
 /// One maximal stretch of the schedule sharing a level and a cell kind.
 #[derive(Debug, Clone, Copy)]
@@ -204,6 +207,9 @@ pub struct SoaNetlist {
     /// Net → position of its driving gate, [`DRIVER_INPUT`] for a
     /// primary input, [`NO_DRIVER`] for an undriven net.
     net_driver: Vec<u32>,
+    /// Net → the first primary-output slot that reads it, [`NO_OUTPUT`]
+    /// for none.
+    output_slot: Vec<u32>,
     /// Net `n`'s readers are `readers[reader_start[n]..reader_start[n + 1]]`:
     /// the positions of the gates reading it, each gate once.
     reader_start: Vec<u32>,
@@ -280,14 +286,20 @@ impl SoaNetlist {
             fill[net] += 1;
         }
 
+        let output_nets: Vec<u32> = netlist
+            .primary_outputs()
+            .iter()
+            .map(|(_, n)| n.index() as u32)
+            .collect();
+        let mut output_slot = vec![NO_OUTPUT; netlist.net_count()];
+        for (slot, &net) in output_nets.iter().enumerate().rev() {
+            output_slot[net as usize] = slot as u32;
+        }
+
         SoaNetlist {
             net_count: netlist.net_count(),
             pi_nets,
-            output_nets: netlist
-                .primary_outputs()
-                .iter()
-                .map(|(_, n)| n.index() as u32)
-                .collect(),
+            output_nets,
             comb,
             seq,
             pos_of_gate,
@@ -297,6 +309,7 @@ impl SoaNetlist {
                 .map(|g| g.inputs.len() as u8)
                 .collect(),
             net_driver,
+            output_slot,
             reader_start,
             readers,
         }
@@ -339,74 +352,79 @@ impl SoaNetlist {
         (self.comb.len() + self.seq.len()).div_ceil(64)
     }
 
-    /// The first position word that holds a flip-flop: per-flop bitsets
-    /// cover the position words from here on.
-    fn first_flop_word(&self) -> usize {
-        self.comb.len() / 64
-    }
-
-    /// Number of position words from [`SoaNetlist::first_flop_word`] on.
-    fn flop_words(&self) -> usize {
-        self.position_words() - self.first_flop_word()
-    }
-
-    /// Number of `u64` words of one cycle's toggle sets (the format of
-    /// [`SoaNetlist::toggled_positions`]): a bit-per-position set over
-    /// the gates, followed by one over the position words that hold
-    /// flip-flops.
-    pub fn toggle_words(&self) -> usize {
-        self.position_words() + self.flop_words()
-    }
-
-    /// Writes to `out` the toggle sets of the cycle whose packed
-    /// snapshot is `cur`, after the cycle whose snapshot is `prev`
-    /// ([`WideSim::snapshot_nets_packed`]). The first set, one bit per
-    /// gate position, marks the positions whose difference can change
-    /// though no input difference did:
+    /// The golden toggles of every cycle of one workload, from its
+    /// packed snapshots, `snapshots`: cycle-major,
+    /// [`SoaNetlist::packed_net_words`] words a cycle
+    /// ([`WideSim::snapshot_nets_packed`]). The first cycle has none;
+    /// each later one holds, as `(word, bits)` pairs of its nonzero
+    /// words ([`CycleToggles`]), three sets:
     ///
-    /// * every combinational reader of a net that changed value;
-    /// * a flip-flop whose enable or reset net changed value. A register
+    /// * the *position* toggles, one bit per gate position whose
+    ///   difference can change though no input difference did: every
+    ///   combinational reader of a net that changed value, and every
+    ///   flip-flop whose enable or reset net changed value. A register
     ///   without a control difference or a pin force computes its next
     ///   difference as ((ΔD·E) | (ΔQ·¬E))·¬R, which reads neither golden
-    ///   D nor golden Q ([`WideSim::clock_diff`]).
-    ///
-    /// The second set covers only the position words that hold
-    /// flip-flops, and marks the flip-flops whose reset net changed
-    /// value: a register whose state difference equals its D difference
-    /// ignores its enable but not its reset ([`WideSim::settle_diff`]).
+    ///   D nor golden Q ([`WideSim::clock_diff`]);
+    /// * the *reset* toggles, the flip-flops whose reset net changed
+    ///   value: a register whose state difference equals its D
+    ///   difference ignores its enable but not its reset
+    ///   ([`WideSim::settle_diff`]);
+    /// * the golden *net* changes, one bit per net: the previous
+    ///   snapshot XOR this one.
     ///
     /// # Panics
     ///
-    /// Panics if a snapshot's length differs from
-    /// [`SoaNetlist::packed_net_words`] or `out`'s from
-    /// [`SoaNetlist::toggle_words`].
-    pub fn toggled_positions(&self, prev: &[u64], cur: &[u64], out: &mut [u64]) {
-        assert_eq!(prev.len(), self.packed_net_words());
-        assert_eq!(cur.len(), self.packed_net_words());
-        assert_eq!(out.len(), self.toggle_words());
-        out.fill(0);
-        let (toggled, reset_toggled) = out.split_at_mut(self.position_words());
-        for (i, (&a, &b)) in prev.iter().zip(cur).enumerate() {
-            let mut changed = a ^ b;
-            while changed != 0 {
-                let net = i * 64 + changed.trailing_zeros() as usize;
-                changed &= changed - 1;
-                for &p in self.readers_of(net) {
-                    let (word, bit) = (p as usize >> 6, 1u64 << (p & 63));
-                    let Some(s) = (p as usize).checked_sub(self.comb.len()) else {
-                        toggled[word] |= bit;
-                        continue;
-                    };
-                    let flop = &self.seq[s];
-                    if flop.control_nets().contains(&(net as u32)) {
-                        toggled[word] |= bit;
+    /// Panics if `snapshots.len()` is not a multiple of
+    /// [`SoaNetlist::packed_net_words`].
+    pub fn toggle_trace(&self, snapshots: &[u64]) -> ToggleTrace {
+        let net_words = self.packed_net_words();
+        assert_eq!(snapshots.len() % net_words, 0, "whole snapshots only");
+        let words = self.position_words();
+        let mut trace = ToggleTrace::default();
+        let mut sets = vec![0u64; 2 * words];
+        let mut prev: Option<&[u64]> = None;
+        for cur in snapshots.chunks_exact(net_words) {
+            if let Some(prev) = prev {
+                let (toggled, reset_toggled) = sets.split_at_mut(words);
+                for (i, (&a, &b)) in prev.iter().zip(cur).enumerate() {
+                    if a != b {
+                        trace.pairs.push((i as u32, a ^ b));
                     }
-                    if flop.reset_net() == Some(net as u32) {
-                        reset_toggled[word - self.first_flop_word()] |= bit;
+                    let mut changed = a ^ b;
+                    while changed != 0 {
+                        let net = i * 64 + changed.trailing_zeros() as usize;
+                        changed &= changed - 1;
+                        for &p in self.readers_of(net) {
+                            let (word, bit) = (p as usize >> 6, 1u64 << (p & 63));
+                            let Some(s) = (p as usize).checked_sub(self.comb.len()) else {
+                                toggled[word] |= bit;
+                                continue;
+                            };
+                            let flop = &self.seq[s];
+                            if flop.control_nets().contains(&(net as u32)) {
+                                toggled[word] |= bit;
+                            }
+                            if flop.reset_net() == Some(net as u32) {
+                                reset_toggled[word] |= bit;
+                            }
+                        }
                     }
                 }
             }
+            // Nets, then positions, then resets, each part's end noted.
+            trace.ends.push(trace.pairs.len());
+            for set in sets.chunks_exact_mut(words) {
+                for (i, bits) in set.iter_mut().enumerate() {
+                    if *bits != 0 {
+                        trace.pairs.push((i as u32, std::mem::take(bits)));
+                    }
+                }
+                trace.ends.push(trace.pairs.len());
+            }
+            prev = Some(cur);
         }
+        trace
     }
 
     /// Index into the flip-flop tables of `gate`, `None` when it is
@@ -420,6 +438,50 @@ impl SoaNetlist {
     fn readers_of(&self, net: usize) -> &[u32] {
         &self.readers[self.reader_start[net] as usize..self.reader_start[net + 1] as usize]
     }
+}
+
+/// The golden toggles of every cycle of one workload, kept sparse
+/// ([`SoaNetlist::toggle_trace`]): a cycle costs as many
+/// `(word, bits)` pairs as it has nonzero words.
+#[derive(Debug, Default)]
+pub struct ToggleTrace {
+    /// Cycle-major: each cycle's net pairs, then its position pairs,
+    /// then its reset pairs.
+    pairs: Vec<(u32, u64)>,
+    /// `ends[3 * cycle + part]`: the end in `pairs` of that part.
+    ends: Vec<usize>,
+}
+
+impl ToggleTrace {
+    /// The toggles of `cycle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is out of range.
+    pub fn cycle(&self, cycle: usize) -> CycleToggles<'_> {
+        let start = if cycle == 0 {
+            0
+        } else {
+            self.ends[3 * cycle - 1]
+        };
+        let [nets, positions, resets] = [0, 1, 2].map(|part| self.ends[3 * cycle + part]);
+        CycleToggles {
+            nets: &self.pairs[start..nets],
+            positions: &self.pairs[nets..positions],
+            resets: &self.pairs[positions..resets],
+        }
+    }
+}
+
+/// One cycle of a [`ToggleTrace`]: the nonzero words of its golden net
+/// changes (over net words) and of its position and reset toggle sets
+/// (over position words), each as `(word, bits)` pairs in ascending
+/// word order.
+#[derive(Debug, Clone, Copy)]
+pub struct CycleToggles<'t> {
+    nets: &'t [(u32, u64)],
+    positions: &'t [(u32, u64)],
+    resets: &'t [(u32, u64)],
 }
 
 /// Sets or clears the bits of `bit` in `word`, without a branch.
@@ -571,12 +633,12 @@ pub fn eval_wide<const W: usize>(
 /// machines are stepped against a golden (fault-free, force-free) run
 /// of the same input vectors, given as one packed snapshot per cycle
 /// ([`WideSim::snapshot_nets_packed`] of a broadcast run after its
-/// settle) and the toggle sets of that cycle, the positions whose
-/// golden inputs toggled ([`SoaNetlist::toggled_positions`]). Every net
-/// and register then holds its per-lane *difference* from golden —
-/// zero means golden, and a read is the golden bit XOR the difference
-/// — so [`WideSim::net_word`] and [`WideSim::flop_word`] return
-/// differences.
+/// settle) and the sparse toggles of that cycle
+/// ([`SoaNetlist::toggle_trace`]). Every net and register then holds
+/// its per-lane *difference* from golden — zero means golden, and a
+/// read is the golden bit XOR the difference — so
+/// [`WideSim::net_word`] and [`WideSim::flop_word`] return differences,
+/// and [`WideSim::output_mismatch`] the lanes whose outputs differ.
 ///
 /// Differences persist across cycles: a gate's difference is a function
 /// of its golden inputs, its input differences and its forces, so it is
@@ -585,13 +647,15 @@ pub fn eval_wide<const W: usize>(
 /// forward scan in schedule order drains it. The other seeds are the
 /// *live* positions (a nonzero input difference, a force, or for a
 /// flip-flop a differing state, kept as one bitset) whose golden inputs
-/// toggled this cycle, found by one word-wise pass over the toggle
-/// sets. A flip-flop counts only the toggles of the golden inputs its
-/// next difference reads ([`WideSim::clock_diff`]); one whose state
-/// difference changed is clocked again. The results are bit-identical
-/// to [`WideSim::settle`] / [`WideSim::clock`] on the same forces.
-/// Forces are fixed from [`WideSim::reset_diff`] to
-/// [`WideSim::end_diff`]; state flips may be scheduled at any time.
+/// toggled this cycle, found from the nonzero toggle words alone. A
+/// flip-flop counts only the toggles of the golden inputs its next
+/// difference reads ([`WideSim::clock_diff`]). A one-bit-per-word
+/// summary of the pending set lets every scan skip empty words, so a
+/// cycle costs its toggled, pending, seed and differing words, not the
+/// design's width. The results are bit-identical to
+/// [`WideSim::settle`] / [`WideSim::clock`] on the same forces. Forces
+/// are fixed from [`WideSim::reset_diff`] to [`WideSim::end_diff`];
+/// state flips may be scheduled at any time.
 #[derive(Debug, Clone)]
 pub struct WideSim<'a, const W: usize> {
     soa: &'a SoaNetlist,
@@ -618,31 +682,33 @@ pub struct WideSim<'a, const W: usize> {
     cycles: u64,
     /// Differential mode: one bit per gate position still to evaluate.
     pending: Vec<u64>,
+    /// Differential mode: one bit per word of `pending`, set exactly
+    /// when that word is nonzero.
+    pending_summary: Vec<u64>,
     /// Differential mode: one bit per live position, whose difference
     /// can change when its golden inputs toggle: a nonzero input
     /// difference, a force, or a flip-flop whose state differs.
     live: Vec<u64>,
     /// Differential mode: flip-flops whose state difference changed at
-    /// the last clock edge, published and clocked again next cycle.
+    /// the last clock edge or by a state flip, published next cycle.
     changed_flops: Vec<u32>,
-    /// Differential mode, over the flip-flop words of the position
-    /// space: *eager* flip-flops, with a difference on an enable or
-    /// reset pin or a pin force, are clocked every cycle.
-    eager: Vec<u64>,
-    /// Differential mode, over the flip-flop words: *steady* flip-flops,
+    /// Differential mode, one bit per position: *steady* flip-flops,
     /// whose state difference equals their D difference, react to reset
     /// toggles only.
     steady: Vec<u64>,
     /// Differential mode: one bit per forced position, the drivers of
     /// forced nets and the pin-forced gates.
     forced_positions: Vec<u64>,
-    /// Differential mode: forced primary-input and flip-flop output
-    /// nets, republished when their golden value toggles.
-    seed_nets: Vec<u32>,
-    /// Differential mode: one bit per seed net, the golden value it was
-    /// last published with.
-    seed_golden: Vec<u64>,
-    /// The seed lists no longer match the installed forces.
+    /// Differential mode: one bit per net, the forced primary-input and
+    /// flip-flop output nets, republished when their golden value
+    /// toggles.
+    seed_nets: Vec<u64>,
+    /// Differential mode: one bit per primary-output slot whose net
+    /// differs in some lane (a net read by several slots keeps its bit
+    /// at the first).
+    live_outputs: Vec<u64>,
+    /// `seed_nets` and `forced_positions` no longer match the installed
+    /// forces.
     seeds_stale: bool,
 }
 
@@ -665,13 +731,13 @@ impl<'a, const W: usize> WideSim<'a, W> {
             state_flips: Vec::new(),
             cycles: 0,
             pending: vec![0; soa.position_words()],
+            pending_summary: vec![0; soa.position_words().div_ceil(64)],
             live: vec![0; soa.position_words()],
             changed_flops: Vec::new(),
-            eager: vec![0; soa.flop_words()],
-            steady: vec![0; soa.flop_words()],
+            steady: vec![0; soa.position_words()],
             forced_positions: vec![0; soa.position_words()],
-            seed_nets: Vec::new(),
-            seed_golden: Vec::new(),
+            seed_nets: vec![0; soa.packed_net_words()],
+            live_outputs: vec![0; soa.output_nets.len().div_ceil(64)],
             seeds_stale: false,
         }
     }
@@ -928,99 +994,77 @@ impl<'a, const W: usize> WideSim<'a, W> {
         if self.seeds_stale {
             self.collect_seeds();
         }
-        self.seed_golden
-            .resize(self.seed_nets.len().div_ceil(64), 0);
         self.values.fill(0);
         self.state.fill(0);
-        self.pending.copy_from_slice(&self.forced_positions);
+        self.pending.fill(0);
+        self.pending_summary.fill(0);
+        for i in 0..self.forced_positions.len() {
+            self.mark_word(i, self.forced_positions[i]);
+        }
         self.live.copy_from_slice(&self.forced_positions);
         self.changed_flops.clear();
-        self.eager.fill(0);
         self.steady.fill(0);
+        self.live_outputs.fill(0);
         self.cycles = 0;
     }
 
     /// Differential [`WideSim::settle`] against `golden`, the packed
     /// snapshot of the golden run's settled nets in this cycle, and
-    /// `toggled`, the toggle sets of this cycle since the previous one
-    /// ([`SoaNetlist::toggled_positions`]; any sets in the first cycle
-    /// after [`WideSim::reset_diff`], which seeds every fault site
-    /// itself). Returns the number of combinational gates evaluated.
+    /// `toggles`, the golden toggles since the previous cycle
+    /// ([`ToggleTrace::cycle`]; any toggles in the first cycle after
+    /// [`WideSim::reset_diff`], which seeds every fault site itself).
+    /// Returns the number of combinational gates evaluated.
     ///
-    /// Besides the positions whose input difference changed, a live
-    /// position is due when its toggle bit is set, except that a steady
-    /// flip-flop ([`WideSim::clock_diff`]) is due only on a reset toggle;
-    /// every eager flip-flop is due.
+    /// It reads only the nonzero toggle words. Besides the positions
+    /// whose input difference changed, a live position is due when its
+    /// position toggle bit is set, except that a steady flip-flop
+    /// ([`WideSim::clock_diff`]) is due only on a reset toggle. The
+    /// forced primary-input and flip-flop output nets among the golden
+    /// net changes are republished, and so is every register whose
+    /// state difference changed since the last settle.
     ///
     /// # Panics
     ///
     /// Panics if `golden.len()` differs from
-    /// [`SoaNetlist::packed_net_words`], `toggled.len()` from
-    /// [`SoaNetlist::toggle_words`], or if forces changed since
-    /// [`WideSim::reset_diff`].
-    pub fn settle_diff(&mut self, golden: &[u64], toggled: &[u64]) -> u64 {
+    /// [`SoaNetlist::packed_net_words`], if a toggle word is out of
+    /// range, or if forces changed since [`WideSim::reset_diff`].
+    pub fn settle_diff(&mut self, golden: &[u64], toggles: CycleToggles<'_>) -> u64 {
         let soa = self.soa;
         assert_eq!(golden.len(), soa.packed_net_words());
-        assert_eq!(toggled.len(), soa.toggle_words());
         assert!(
             !self.seeds_stale,
             "forces changed in differential mode; install them before reset_diff"
         );
         // A live position whose golden inputs toggled may change its
-        // difference; any other position keeps last cycle's. The flop
-        // words also take the reset toggles and the eager flops, and
-        // drop the enable toggles of the steady ones.
-        let (toggled, reset_toggled) = toggled.split_at(self.pending.len());
-        let split = soa.first_flop_word();
-        let (comb_pending, flop_pending) = self.pending.split_at_mut(split);
-        for ((pending, &live), &toggled) in comb_pending.iter_mut().zip(&self.live).zip(toggled) {
-            *pending |= live & toggled;
+        // difference; any other position keeps last cycle's. A steady
+        // flip-flop ignores its enable toggles.
+        for &(word, bits) in toggles.positions {
+            let i = word as usize;
+            self.mark_word(i, self.live[i] & bits & !self.steady[i]);
         }
-        let flop_words = flop_pending
-            .iter_mut()
-            .zip(&self.live[split..])
-            .zip(&toggled[split..])
-            .zip(&self.steady)
-            .zip(reset_toggled)
-            .zip(&self.eager);
-        for (((((pending, &live), &toggled), &steady), &reset), &eager) in flop_words {
-            *pending |= (live & ((toggled & !steady) | reset)) | eager;
+        for &(word, bits) in toggles.resets {
+            let i = word as usize;
+            self.mark_word(i, self.live[i] & bits);
         }
         // Forced primary inputs and flip-flop outputs follow their
         // golden value. Forces are fixed and the loop below republishes
         // every state change, so a seed net can change only when its
         // golden value toggles, or in the first cycle, which publishes
         // them all.
-        for i in 0..self.seed_nets.len() {
-            let net = self.seed_nets[i] as usize;
-            let g = bit_lanes(golden, net);
-            let published = bit_lanes(&self.seed_golden, i);
-            if g == published && self.cycles > 0 {
-                continue;
+        if self.cycles == 0 {
+            for i in 0..self.seed_nets.len() {
+                self.publish_seeds(i, self.seed_nets[i], golden);
             }
-            self.seed_golden[i >> 6] ^= (g ^ published) & (1u64 << (i & 63));
-            let mut v = [g; W];
-            let driver = soa.net_driver[net];
-            if driver != DRIVER_INPUT {
-                let s = driver as usize - soa.comb.len();
-                for (w, lanes) in v.iter_mut().enumerate() {
-                    *lanes ^= self.state[s * W + w];
-                }
+        } else {
+            for &(word, changed) in toggles.nets {
+                let i = word as usize;
+                self.publish_seeds(i, changed & self.seed_nets[i], golden);
             }
-            self.write_diff(net, self.masked(net, v), g);
         }
-        // Registers whose state difference changed publish it and are
-        // clocked again: their next state reads their state.
+        // Registers whose state difference changed publish it.
         for i in 0..self.changed_flops.len() {
             let s = self.changed_flops[i] as usize;
-            let net = soa.seq[s].out_net as usize;
-            let g = bit_lanes(golden, net);
-            let mut v = [g; W];
-            for (w, lanes) in v.iter_mut().enumerate() {
-                *lanes ^= self.state[s * W + w];
-            }
-            self.write_diff(net, self.masked(net, v), g);
-            self.mark(soa.comb.len() + s);
+            self.publish_flop_diff(s, golden);
         }
         self.changed_flops.clear();
 
@@ -1028,7 +1072,8 @@ impl<'a, const W: usize> WideSim<'a, W> {
         // drained in one visit.
         let mut evals = 0;
         let mut from = 0;
-        while let Some(p) = self.next_pending(from, soa.comb.len()) {
+        while let Some((i, bits)) = self.pending_word(from, soa.comb.len()) {
+            let p = i * 64 + bits.trailing_zeros() as usize;
             let run = soa.comb.runs[soa.comb.run_of[p] as usize];
             evals += self.drain_run(run, p, golden);
             from = run.end as usize;
@@ -1045,77 +1090,118 @@ impl<'a, const W: usize> WideSim<'a, W> {
     /// difference on E or R and without a pin force, the next
     /// difference is therefore ((ΔD·E) | (ΔQ·¬E))·¬R. It never reads
     /// golden D or Q, and reads golden E only while ΔQ ≠ ΔD. So each
-    /// clocked flip-flop files itself for the next
-    /// [`WideSim::settle_diff`]: *eager* when a control pin differs or
-    /// a pin is forced (clocked every cycle), *steady* when its new ΔQ
-    /// equals ΔD (clocked on a reset toggle only), and otherwise clocked
-    /// on an enable or reset toggle. Besides, a flip-flop is clocked
-    /// when an input difference or its state difference changed.
+    /// clocked flip-flop files itself for the next cycle: *eager* when a
+    /// control pin differs or a pin is forced, and then it marks itself
+    /// to be clocked again; *steady* when its new ΔQ equals ΔD (clocked
+    /// on a reset toggle only); and otherwise clocked on an enable or
+    /// reset toggle. Besides, a flip-flop is clocked when an input
+    /// difference changed, and after a state flip. A difference its own
+    /// clock edge left is not clocked again: while ΔD, E and R hold it
+    /// is a fixed point of that clock.
     pub fn clock_diff(&mut self, golden: &[u64]) -> u64 {
         let soa = self.soa;
         let comb_len = soa.comb.len();
-        let first_flop_word = soa.first_flop_word();
         let mut evals = 0;
         let mut from = comb_len;
-        while let Some(p) = self.next_pending(from, comb_len + soa.seq.len()) {
-            self.pending[p >> 6] &= !(1u64 << (p & 63));
-            from = p + 1;
-            let s = p - comb_len;
-            let flop = &soa.seq[s];
-            let arity = flop.arity as usize;
-            let mut ins = [[0u64; W]; MAX_PINS];
-            let mut golden_ins = [[0u64; 1]; MAX_PINS];
-            let (mut live, mut control) = (0, 0);
-            for pin in 0..arity {
-                let net = flop.in_nets[pin] as usize;
-                let g = bit_lanes(golden, net);
-                golden_ins[pin][0] = g;
-                let mut differs = 0;
-                for (lanes, &d) in ins[pin].iter_mut().zip(self.net_lanes(net)) {
-                    *lanes = g ^ d;
-                    differs |= d;
-                }
-                live |= differs;
-                if pin > 0 {
-                    control |= differs;
-                }
+        while let Some((i, mut bits)) = self.pending_word(from, comb_len + soa.seq.len()) {
+            self.unmark_word(i, bits);
+            while bits != 0 {
+                let p = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.clock_flop_diff(p, golden);
+                evals += 1;
             }
-            let d_diff = *self.net_lanes(flop.in_nets[0] as usize);
-            let forced = self.is_forced(p);
-            if forced {
-                self.apply_pin_masks(flop.gate_id as usize, &mut ins, arity);
-            }
-            // The golden register publishes its state unforced.
-            let golden_q = bit_lanes(golden, flop.out_net as usize);
-            let mut q = [golden_q; W];
-            for (w, lanes) in q.iter_mut().enumerate() {
-                *lanes ^= self.state[s * W + w];
-            }
-            let next = eval_wide::<W>(flop.kind, &ins, &q);
-            let golden_next = eval_wide::<1>(flop.kind, &golden_ins, &[golden_q])[0];
-            let (mut changed, mut unsteady) = (0, 0);
-            for (w, &lanes) in next.iter().enumerate() {
-                let diff = lanes ^ golden_next;
-                changed |= diff ^ self.state[s * W + w];
-                self.state[s * W + w] = diff;
-                live |= diff;
-                unsteady |= diff ^ d_diff[w];
-            }
-            if changed != 0 {
-                self.changed_flops.push(s as u32);
-            }
-            self.set_live(p, live != 0 || forced);
-            let (word, bit) = ((p >> 6) - first_flop_word, 1u64 << (p & 63));
-            set_bit(&mut self.eager[word], bit, control != 0 || forced);
-            set_bit(&mut self.steady[word], bit, unsteady == 0);
-            evals += 1;
+            from = (i + 1) * 64;
         }
-        for (index, lanes) in self.state_flips.drain(..) {
+        // A difference a clock edge left is a fixed point of the
+        // register's own clock while ΔD, E and R hold, and a change in
+        // any of them marks the register. A flipped state is not, so a
+        // flipped register is clocked again.
+        for i in 0..self.state_flips.len() {
+            let (index, lanes) = self.state_flips[i];
             self.state[index as usize] ^= lanes;
-            self.changed_flops.push(index / W as u32);
+            let s = index as usize / W;
+            self.changed_flops.push(s as u32);
+            self.mark(comb_len + s);
         }
+        self.state_flips.clear();
         self.cycles += 1;
         evals
+    }
+
+    /// Clocks the flip-flop at position `p` against `golden` and files
+    /// it for the next cycle ([`WideSim::clock_diff`]).
+    #[inline(always)]
+    fn clock_flop_diff(&mut self, p: usize, golden: &[u64]) {
+        let soa = self.soa;
+        let s = p - soa.comb.len();
+        let flop = &soa.seq[s];
+        let arity = flop.arity as usize;
+        let mut ins = [[0u64; W]; MAX_PINS];
+        let mut golden_ins = [[0u64; 1]; MAX_PINS];
+        let (mut live, mut control) = (0, 0);
+        for pin in 0..arity {
+            let net = flop.in_nets[pin] as usize;
+            let g = bit_lanes(golden, net);
+            golden_ins[pin][0] = g;
+            let mut differs = 0;
+            for (lanes, &d) in ins[pin].iter_mut().zip(self.net_lanes(net)) {
+                *lanes = g ^ d;
+                differs |= d;
+            }
+            live |= differs;
+            if pin > 0 {
+                control |= differs;
+            }
+        }
+        let d_diff = *self.net_lanes(flop.in_nets[0] as usize);
+        let forced = self.is_forced(p);
+        if forced {
+            self.apply_pin_masks(flop.gate_id as usize, &mut ins, arity);
+        }
+        // The golden register publishes its state unforced.
+        let golden_q = bit_lanes(golden, flop.out_net as usize);
+        let mut q = [golden_q; W];
+        for (w, lanes) in q.iter_mut().enumerate() {
+            *lanes ^= self.state[s * W + w];
+        }
+        let next = eval_wide::<W>(flop.kind, &ins, &q);
+        let golden_next = eval_wide::<1>(flop.kind, &golden_ins, &[golden_q])[0];
+        let (mut changed, mut unsteady) = (0, 0);
+        for (w, &lanes) in next.iter().enumerate() {
+            let diff = lanes ^ golden_next;
+            changed |= diff ^ self.state[s * W + w];
+            self.state[s * W + w] = diff;
+            live |= diff;
+            unsteady |= diff ^ d_diff[w];
+        }
+        if changed != 0 {
+            self.changed_flops.push(s as u32);
+        }
+        self.set_live(p, live != 0 || forced);
+        // An eager register's next difference reads golden D and Q.
+        if control != 0 || forced {
+            self.mark(p);
+        }
+        set_bit(&mut self.steady[p >> 6], 1u64 << (p & 63), unsteady == 0);
+    }
+
+    /// Differential mode: per word, the lanes in which some primary
+    /// output differs from golden. Reads only the outputs that differ.
+    pub fn output_mismatch(&self) -> [u64; W] {
+        let mut mismatch = [0u64; W];
+        for (k, &word) in self.live_outputs.iter().enumerate() {
+            let mut slots = word;
+            while slots != 0 {
+                let slot = k * 64 + slots.trailing_zeros() as usize;
+                slots &= slots - 1;
+                let net = self.soa.output_nets[slot] as usize;
+                for (m, &d) in mismatch.iter_mut().zip(self.net_lanes(net)) {
+                    *m |= d;
+                }
+            }
+        }
+        mismatch
     }
 
     /// Leaves differential mode after a [`WideSim::clock_diff`]: register
@@ -1138,14 +1224,14 @@ impl<'a, const W: usize> WideSim<'a, W> {
     fn collect_seeds(&mut self) {
         let soa = self.soa;
         self.forced_positions.fill(0);
-        self.seed_nets.clear();
+        self.seed_nets.fill(0);
         for &net in &self.forced_nets {
             match soa.net_driver[net as usize] {
                 NO_DRIVER => {}
                 p if (p as usize) < soa.comb.len() => {
                     self.forced_positions[p as usize >> 6] |= 1u64 << (p & 63);
                 }
-                _ => self.seed_nets.push(net),
+                _ => self.seed_nets[net as usize >> 6] |= 1u64 << (net & 63),
             }
         }
         for &gate in &self.pin_forced_gates {
@@ -1153,6 +1239,35 @@ impl<'a, const W: usize> WideSim<'a, W> {
             self.forced_positions[p as usize >> 6] |= 1u64 << (p & 63);
         }
         self.seeds_stale = false;
+    }
+
+    /// Republishes the seed nets of net word `i` that `bits` names.
+    #[inline(always)]
+    fn publish_seeds(&mut self, i: usize, mut bits: u64, golden: &[u64]) {
+        while bits != 0 {
+            let net = i * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            match self.soa.net_driver[net] {
+                DRIVER_INPUT => {
+                    let g = bit_lanes(golden, net);
+                    self.write_diff(net, self.masked(net, [g; W]), g);
+                }
+                p => self.publish_flop_diff(p as usize - self.soa.comb.len(), golden),
+            }
+        }
+    }
+
+    /// Publishes the `s`-th flip-flop's state difference on its output
+    /// net.
+    #[inline(always)]
+    fn publish_flop_diff(&mut self, s: usize, golden: &[u64]) {
+        let net = self.soa.seq[s].out_net as usize;
+        let g = bit_lanes(golden, net);
+        let mut v = [g; W];
+        for (lanes, &d) in v.iter_mut().zip(&self.state[s * W..s * W + W]) {
+            *lanes ^= d;
+        }
+        self.write_diff(net, self.masked(net, v), g);
     }
 
     /// The `W` words of `net`.
@@ -1165,7 +1280,23 @@ impl<'a, const W: usize> WideSim<'a, W> {
 
     #[inline(always)]
     fn mark(&mut self, pos: usize) {
-        self.pending[pos >> 6] |= 1u64 << (pos & 63);
+        self.mark_word(pos >> 6, 1u64 << (pos & 63));
+    }
+
+    /// Adds `bits` to pending word `i`, and `i` to the summary when
+    /// `bits` is nonzero.
+    #[inline(always)]
+    fn mark_word(&mut self, i: usize, bits: u64) {
+        self.pending[i] |= bits;
+        self.pending_summary[i >> 6] |= u64::from(bits != 0) << (i & 63);
+    }
+
+    /// Removes `bits` from pending word `i`, and `i` from the summary
+    /// when that empties it.
+    #[inline(always)]
+    fn unmark_word(&mut self, i: usize, bits: u64) {
+        self.pending[i] &= !bits;
+        self.pending_summary[i >> 6] &= !(u64::from(self.pending[i] == 0) << (i & 63));
     }
 
     #[inline(always)]
@@ -1178,27 +1309,40 @@ impl<'a, const W: usize> WideSim<'a, W> {
         (self.forced_positions[pos >> 6] >> (pos & 63)) & 1 != 0
     }
 
-    /// The lowest pending position in `from..end`, left pending.
+    /// The lowest pending word with a position in `from..end`, and the
+    /// bits of its positions in that range, left pending. Only the words
+    /// the summary marks are read.
     #[inline(always)]
-    fn next_pending(&self, from: usize, end: usize) -> Option<usize> {
+    fn pending_word(&self, from: usize, end: usize) -> Option<(usize, u64)> {
         if from >= end {
             return None;
         }
-        let last = (end - 1) >> 6;
-        let mut i = from >> 6;
-        let mut bits = self.pending[i] & (u64::MAX << (from & 63));
+        let (first, last) = (from >> 6, (end - 1) >> 6);
+        let mut k = first >> 6;
+        let mut words = self.pending_summary[k] & (u64::MAX << (first & 63));
         loop {
-            if i == last {
-                bits &= u64::MAX >> (63 - ((end - 1) & 63));
+            while words != 0 {
+                let i = k * 64 + words.trailing_zeros() as usize;
+                words &= words - 1;
+                if i > last {
+                    return None;
+                }
+                let mut bits = self.pending[i];
+                if i == first {
+                    bits &= u64::MAX << (from & 63);
+                }
+                if i == last {
+                    bits &= u64::MAX >> (63 - ((end - 1) & 63));
+                }
+                if bits != 0 {
+                    return Some((i, bits));
+                }
             }
-            if bits != 0 {
-                return Some(i * 64 + bits.trailing_zeros() as usize);
-            }
-            if i == last {
+            if k == last >> 6 {
                 return None;
             }
-            i += 1;
-            bits = self.pending[i];
+            k += 1;
+            words = self.pending_summary[k];
         }
     }
 
@@ -1229,24 +1373,18 @@ impl<'a, const W: usize> WideSim<'a, W> {
         F: Fn(&[[u64; W]; MAX_PINS]) -> [u64; W],
     {
         let mut evals = 0;
-        let last = (end - 1) >> 6;
-        for i in first >> 6..=last {
+        let mut from = first;
+        while let Some((i, mut bits)) = self.pending_word(from, end) {
             // Evaluations only mark later runs, so the run's bits of this
             // word can be claimed at once.
-            let mut bits = self.pending[i];
-            if i == first >> 6 {
-                bits &= u64::MAX << (first & 63);
-            }
-            if i == last {
-                bits &= u64::MAX >> (63 - ((end - 1) & 63));
-            }
-            self.pending[i] &= !bits;
+            self.unmark_word(i, bits);
             while bits != 0 {
                 let p = i * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 evals += 1;
                 self.eval_diff::<A, F>(p, golden, &f);
             }
+            from = (i + 1) * 64;
         }
         evals
     }
@@ -1282,19 +1420,30 @@ impl<'a, const W: usize> WideSim<'a, W> {
 
     /// Stores `net`'s faulty value `v` (after its force) as a
     /// difference from its golden lanes `g`; a difference that changed
-    /// marks the net's readers.
+    /// marks the net's readers and, on an output net, its live-output
+    /// bit.
     #[inline(always)]
     fn write_diff(&mut self, net: usize, v: [u64; W], g: u64) {
-        let mut changed = 0;
+        let (mut changed, mut differs) = (0, 0);
         for (stored, &lanes) in self.values[net * W..net * W + W].iter_mut().zip(&v) {
             let diff = lanes ^ g;
             changed |= diff ^ *stored;
+            differs |= diff;
             *stored = diff;
         }
         if changed == 0 {
             return;
         }
         let soa = self.soa;
+        let slot = soa.output_slot[net];
+        if slot != NO_OUTPUT {
+            let bit = 1u64 << (slot & 63);
+            set_bit(
+                &mut self.live_outputs[slot as usize >> 6],
+                bit,
+                differs != 0,
+            );
+        }
         for &reader in soa.readers_of(net) {
             self.mark(reader as usize);
         }
@@ -1536,26 +1685,52 @@ mod tests {
         }
     }
 
-    /// Golden snapshots of a broadcast run and the toggle sets of every
-    /// cycle (empty in cycle 0).
-    fn golden_run(soa: &SoaNetlist, vectors: &[Vec<bool>]) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    /// Golden snapshots of a broadcast run and its toggles.
+    fn golden_run(soa: &SoaNetlist, vectors: &[Vec<bool>]) -> (Vec<Vec<u64>>, ToggleTrace) {
         let mut golden = WideSim::<1>::new(soa);
         let mut snapshots = vec![vec![0u64; soa.packed_net_words()]; vectors.len()];
-        let mut toggles = vec![vec![0u64; soa.toggle_words()]; vectors.len()];
         for (cycle, vector) in vectors.iter().enumerate() {
             golden.set_vector_broadcast(vector);
             golden.settle();
             golden.snapshot_nets_packed(&mut snapshots[cycle]);
             golden.clock();
-            if cycle > 0 {
-                soa.toggled_positions(
-                    &snapshots[cycle - 1],
-                    &snapshots[cycle],
-                    &mut toggles[cycle],
-                );
+        }
+        let toggles = soa.toggle_trace(&snapshots.concat());
+        assert_eq!(toggles.ends.len(), 3 * vectors.len());
+        (snapshots, toggles)
+    }
+
+    /// The `(word, bits)` pairs of the nonzero words of `set`.
+    fn nonzero_words(set: &[u64]) -> Vec<(u32, u64)> {
+        (0..set.len())
+            .filter(|&i| set[i] != 0)
+            .map(|i| (i as u32, set[i]))
+            .collect()
+    }
+
+    /// The live-output bits must name exactly the output slots whose
+    /// difference is nonzero (each net at its first slot).
+    fn assert_live_outputs<const W: usize>(sim: &WideSim<'_, W>, context: &str) {
+        let mut expected = vec![0u64; sim.live_outputs.len()];
+        for slot in 0..sim.soa.output_count() {
+            let net = sim.soa.output_nets[slot] as usize;
+            let first = sim.soa.output_slot[net] as usize;
+            if sim.net_lanes(net).iter().any(|&d| d != 0) {
+                expected[first >> 6] |= 1u64 << (first & 63);
             }
         }
-        (snapshots, toggles)
+        assert_eq!(sim.live_outputs, expected, "{context}: live outputs");
+        let mut mismatch = [0u64; W];
+        for slot in 0..sim.soa.output_count() {
+            for (word, m) in mismatch.iter_mut().enumerate() {
+                *m |= sim.output_word(slot, word);
+            }
+        }
+        assert_eq!(
+            sim.output_mismatch(),
+            mismatch,
+            "{context}: output mismatch"
+        );
     }
 
     /// Differential stepping must reproduce the full sweep on every net
@@ -1647,8 +1822,9 @@ mod tests {
                 full.settle();
                 let differential = cycle < handoff;
                 if differential {
-                    let evals = diff.settle_diff(snapshot, &toggles[cycle]);
+                    let evals = diff.settle_diff(snapshot, toggles.cycle(cycle));
                     assert!(evals <= soa.comb.len() as u64);
+                    assert_live_outputs(&diff, &format!("{context} cycle {cycle}"));
                 } else {
                     diff.set_vector_broadcast(vector);
                     diff.settle();
@@ -1717,16 +1893,170 @@ mod tests {
         let (snapshots, toggles) = golden_run(&soa, &vectors);
         let mut diff = WideSim::<8>::new(&soa);
         diff.reset_diff();
-        for (snapshot, toggled) in snapshots.iter().zip(&toggles) {
-            assert_eq!(diff.settle_diff(snapshot, toggled), 0);
+        for (cycle, snapshot) in snapshots.iter().enumerate() {
+            assert_eq!(diff.settle_diff(snapshot, toggles.cycle(cycle)), 0);
             assert_eq!(diff.clock_diff(snapshot), 0);
         }
         assert!(diff.values.iter().all(|&d| d == 0));
     }
 
+    /// The sparse toggles of every cycle are the nonzero words of the
+    /// dense sets, derived here gate by gate from the netlist: a
+    /// combinational gate is marked when any input net changed, a
+    /// flip-flop when its enable or reset net did, the reset set when
+    /// its reset net did; the net set is the snapshots' difference.
+    #[test]
+    fn sparse_toggles_are_the_nonzero_words_of_the_dense_sets() {
+        for (seed, mixed_registers) in [(3u64, false), (3, true), (27, true), (90, true)] {
+            let netlist = random_netlist(&RandomNetlistConfig {
+                num_gates: 400,
+                sequential_fraction: 0.3,
+                seed,
+                mixed_registers,
+                ..Default::default()
+            });
+            let soa = SoaNetlist::new(&netlist);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let pi_count = netlist.primary_inputs().len();
+            let mut vectors: Vec<Vec<bool>> = Vec::new();
+            for cycle in 0..40 {
+                vectors.push(if cycle % 3 == 2 {
+                    vectors[cycle - 1].clone()
+                } else {
+                    (0..pi_count).map(|_| rng.gen()).collect()
+                });
+            }
+            let (snapshots, toggles) = golden_run(&soa, &vectors);
+            let mut reset_pairs = 0;
+            let empty = toggles.cycle(0);
+            assert!(empty.nets.is_empty() && empty.positions.is_empty() && empty.resets.is_empty());
+            for cycle in 1..vectors.len() {
+                let (prev, cur) = (&snapshots[cycle - 1], &snapshots[cycle]);
+                let changed =
+                    |net: NetId| bit_lanes(prev, net.index()) != bit_lanes(cur, net.index());
+                let mut positions = vec![0u64; soa.position_words()];
+                let mut resets = vec![0u64; soa.position_words()];
+                for g in gate_ids(&netlist) {
+                    let gate = netlist.gate(g);
+                    let p = soa.pos_of_gate[g.index()] as usize;
+                    let bit = 1u64 << (p & 63);
+                    let (controls, reset) = match gate.kind {
+                        GateKind::Dff | GateKind::Dffe => (&gate.inputs[1..], None),
+                        GateKind::Dffr | GateKind::Dffre => {
+                            (&gate.inputs[1..], gate.inputs.last().copied())
+                        }
+                        _ => (&gate.inputs[..], None),
+                    };
+                    if controls.iter().any(|&net| changed(net)) {
+                        positions[p >> 6] |= bit;
+                    }
+                    if reset.is_some_and(changed) {
+                        resets[p >> 6] |= bit;
+                    }
+                }
+                let nets: Vec<u64> = prev.iter().zip(cur).map(|(a, b)| a ^ b).collect();
+                let sparse = toggles.cycle(cycle);
+                reset_pairs += sparse.resets.len();
+                let context = format!("seed {seed} mixed {mixed_registers} cycle {cycle}");
+                assert_eq!(sparse.nets, nonzero_words(&nets), "{context}: nets");
+                assert_eq!(
+                    sparse.positions,
+                    nonzero_words(&positions),
+                    "{context}: positions"
+                );
+                assert_eq!(sparse.resets, nonzero_words(&resets), "{context}: resets");
+            }
+            // Mixed registers share reset nets that toggle, so the reset
+            // set is exercised.
+            assert_eq!(reset_pairs > 0, mixed_registers, "seed {seed}");
+        }
+    }
+
+    /// The summary-driven pending search finds what a linear scan of the
+    /// pending words finds, over random sets (marked, claimed and
+    /// re-marked) and ranges that start and end anywhere, the
+    /// comb/flop boundary word and an unaligned design end among them.
+    /// The summary bit of a word is set exactly when the word is
+    /// nonzero.
+    #[test]
+    fn pending_search_matches_a_linear_scan() {
+        // More than 64 position words, so the summary spans words too.
+        let netlist = random_netlist(&RandomNetlistConfig {
+            num_gates: 4500,
+            sequential_fraction: 0.2,
+            seed: 64,
+            ..Default::default()
+        });
+        let soa = SoaNetlist::new(&netlist);
+        let total = soa.comb.len() + soa.seq.len();
+        assert!(soa.position_words() > 64 && !total.is_multiple_of(64));
+        let mut sim = WideSim::<1>::new(&soa);
+        let mut rng = ChaCha8Rng::seed_from_u64(64);
+        let linear = |sim: &WideSim<'_, 1>, from: usize, end: usize| {
+            (from..end).find(|&p| (sim.pending[p >> 6] >> (p & 63)) & 1 == 1)
+        };
+        let boundary = soa.comb.len();
+        for trial in 0..200 {
+            match trial % 3 {
+                0 => {
+                    for _ in 0..rng.gen_range(0..40) {
+                        sim.mark(rng.gen_range(0..total));
+                    }
+                }
+                1 => {
+                    let i = rng.gen_range(0..soa.position_words());
+                    let bits = if rng.gen_bool(0.2) {
+                        0
+                    } else {
+                        rng.gen::<u64>() & rng.gen::<u64>()
+                    };
+                    sim.mark_word(i, bits);
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(0..8) {
+                        let i = rng.gen_range(0..soa.position_words());
+                        sim.unmark_word(i, rng.gen());
+                    }
+                }
+            }
+            for (i, &word) in sim.pending.iter().enumerate() {
+                assert_eq!(
+                    (sim.pending_summary[i >> 6] >> (i & 63)) & 1 == 1,
+                    word != 0,
+                    "word {i}"
+                );
+            }
+            let mut ranges = vec![
+                (0, total),
+                (0, boundary),
+                (boundary, total),
+                (boundary - 1, boundary + 1),
+            ];
+            for _ in 0..20 {
+                let from = rng.gen_range(0..total);
+                ranges.push((from, rng.gen_range(from..=total)));
+            }
+            for (from, end) in ranges {
+                let found = sim.pending_word(from, end);
+                assert_eq!(
+                    found.map(|(i, bits)| i * 64 + bits.trailing_zeros() as usize),
+                    linear(&sim, from, end),
+                    "trial {trial} range {from}..{end}"
+                );
+                if let Some((i, bits)) = found {
+                    let expected: u64 = (from.max(i * 64)..end.min(i * 64 + 64))
+                        .filter(|&p| (sim.pending[i] >> (p & 63)) & 1 == 1)
+                        .map(|p| 1u64 << (p & 63))
+                        .sum();
+                    assert_eq!(bits, expected, "trial {trial} range {from}..{end} word {i}");
+                }
+            }
+        }
+    }
+
     /// A net's toggle marks its combinational readers, and a flip-flop
     /// only through its enable or reset pin; a reset toggle also lands
-    /// in the reset set, which covers the flip-flop words alone.
+    /// in the reset set. The net set is the snapshots' difference.
     #[test]
     fn toggles_mark_combinational_readers_and_register_controls() {
         let mut b = NetlistBuilder::new("controls");
@@ -1749,9 +2079,6 @@ mod tests {
         }
         let netlist = b.finish().unwrap();
         let soa = SoaNetlist::new(&netlist);
-        let words = soa.toggle_words();
-        let flop_words = soa.flop_words();
-        assert_eq!(words, soa.position_words() + flop_words);
 
         let sets = |toggled: &[NetId]| {
             let prev = vec![0u64; soa.packed_net_words()];
@@ -1759,16 +2086,17 @@ mod tests {
             for net in toggled {
                 cur[net.index() >> 6] |= 1u64 << (net.index() & 63);
             }
-            let mut out = vec![u64::MAX; words];
-            soa.toggled_positions(&prev, &cur, &mut out);
-            let (toggled, reset) = out.split_at(words - flop_words);
-            let bit = |set: &[u64], p: usize| (set[p >> 6] >> (p & 63)) & 1 == 1;
+            let trace = soa.toggle_trace(&[prev, cur.clone()].concat());
+            let cycle = trace.cycle(1);
+            assert_eq!(cycle.nets, nonzero_words(&cur));
+            let bit = |pairs: &[(u32, u64)], p: usize| {
+                pairs
+                    .iter()
+                    .any(|&(word, bits)| word as usize == p >> 6 && (bits >> (p & 63)) & 1 == 1)
+            };
             let marked = |name: &str| {
                 let p = soa.pos_of_gate[netlist.find_gate(name).unwrap().index()] as usize;
-                let reset_bit = p
-                    .checked_sub(soa.first_flop_word() * 64)
-                    .is_some_and(|q| bit(reset, q));
-                (bit(toggled, p), reset_bit)
+                (bit(cycle.positions, p), bit(cycle.resets, p))
             };
             ["Z", "PLAIN", "RESET", "ENABLE", "BOTH", "SHARED"].map(marked)
         };
@@ -1812,11 +2140,12 @@ mod tests {
         let z_lanes = 0xF0F0;
         diff.force_lanes(z, true, 1, z_lanes);
         diff.reset_diff();
-        for (cycle, (snapshot, toggled)) in snapshots.iter().zip(&toggles).enumerate() {
+        for (cycle, snapshot) in snapshots.iter().enumerate() {
             if cycle == 3 {
                 diff.schedule_state_flip(r_gate, 0, 0b101);
             }
-            let evals = diff.settle_diff(snapshot, toggled) + diff.clock_diff(snapshot);
+            let evals =
+                diff.settle_diff(snapshot, toggles.cycle(cycle)) + diff.clock_diff(snapshot);
             assert_eq!(diff.output_word(0, 1), z_lanes, "cycle {cycle}");
             if cycle >= 6 {
                 assert_eq!(evals, 0, "cycle {cycle} is past the transient");

@@ -383,11 +383,18 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "fsck",
         positionals: "<run-dir|checkpoint>",
-        flags: &[FlagSpec {
-            name: "--repair",
-            value: None,
-            help: "rewrite a damaged checkpoint keeping every intact unit record",
-        }],
+        flags: &[
+            FlagSpec {
+                name: "--repair",
+                value: None,
+                help: "rewrite a damaged checkpoint keeping every intact unit record",
+            },
+            FlagSpec {
+                name: "--design",
+                value: Some("NAME|FILE"),
+                help: "design of the resume hints (default: the design named in the checkpoint header)",
+            },
+        ],
         run_options: false,
         help: "validate (and repair) campaign storage: checkpoint, manifest, status",
     },
@@ -1629,11 +1636,13 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `fusa fsck <run-dir|checkpoint> [--repair]`: validates campaign
-/// storage line by line, reporting exact damage (file, line, unit,
-/// cause); `--repair` rewrites the checkpoint keeping the valid header
-/// and every intact, digest-passing unit record. Exits 1 when damage
-/// remains unrepaired.
+/// `fusa fsck <run-dir|checkpoint> [--repair] [--design NAME|FILE]`:
+/// validates campaign storage line by line, reporting exact damage
+/// (file, line, unit, cause); `--repair` rewrites the checkpoint keeping
+/// the valid header and every intact, digest-passing unit record. Exits
+/// 1 when damage remains unrepaired. The resume hints name `--design`
+/// when given (a file design's header holds only its module name), else
+/// the header's design when that loads.
 fn cmd_fsck(args: &Args) -> Result<(), String> {
     use fusa::faultsim::{fsck_path, FsckOptions};
 
@@ -1641,11 +1650,21 @@ fn cmd_fsck(args: &Args) -> Result<(), String> {
     let options = FsckOptions {
         repair: args.has("--repair"),
     };
+    let design = match args.value("--design") {
+        Some(arg) => Some((arg, load_design(arg)?)),
+        None => None,
+    };
     let mut report = fsck_path(&path, &options).map_err(|e| e.to_string())?;
     if let Some(header) = &report.header {
-        let netlist = load_design(&header.design).ok();
-        let design = netlist.as_ref().map(|n| (header.design.as_str(), n));
-        runnable_hints(&mut report.resume_commands, header, design);
+        let (arg, netlist) = match design {
+            Some((arg, netlist)) => (arg, Some(netlist)),
+            None => (header.design.as_str(), load_design(&header.design).ok()),
+        };
+        runnable_hints(
+            &mut report.resume_commands,
+            header,
+            netlist.as_ref().map(|n| (arg, n)),
+        );
     }
     out!("{}", report.render());
     if !report.sound() {

@@ -1214,6 +1214,58 @@ fn the_fsck_resume_hint_of_a_fast_checkpoint_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A file design's checkpoint header holds only its module name, so
+/// `fusa fsck` needs `--design` to make the resume hint of a partial
+/// `--fast` campaign of a `fusa synth 10k` file runnable: the hint names
+/// the file and ends in `--fast`, and it runs to exit 0.
+#[test]
+fn the_fsck_resume_hint_of_a_file_design_runs_with_design() {
+    let dir = std::env::temp_dir().join("fusa_cli_resume_hint_file");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let design = dir.join("synth_10k.v");
+    let output = fusa()
+        .args(["synth", "10k", "--out", design.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let run_dir = dir.join("partial");
+    let output = fusa()
+        .args([
+            "faults",
+            design.to_str().unwrap(),
+            "--fast",
+            "--quiet-stats",
+        ])
+        .args(["--run-dir", run_dir.to_str().unwrap()])
+        .env("FUSA_CAMPAIGN_INTERRUPT_AFTER_UNITS", "5")
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(130), "{output:?}");
+
+    let output = fusa()
+        .args(["fsck", run_dir.to_str().unwrap()])
+        .args(["--design", design.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let hint = stdout
+        .lines()
+        .map(str::trim)
+        .find(|line| line.starts_with("fusa faults"))
+        .unwrap_or_else(|| panic!("no resume hint in {stdout}"));
+    let expected = format!("fusa faults {} ", design.display());
+    assert!(hint.starts_with(&expected), "{hint}");
+    assert!(hint.ends_with("--resume --fast"), "{hint}");
+
+    // Run it verbatim; its default run directory lands under `dir`.
+    let words: Vec<&str> = hint.split_whitespace().collect();
+    let output = fusa().args(&words[1..]).current_dir(&dir).output().unwrap();
+    assert!(output.status.success(), "{hint}: {output:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One `--fast` campaign exercises the whole telemetry surface: the
 /// final `status.json` snapshot, `report --json`, `trace` over the
 /// `--trace-out` stream, `export --prometheus`, and the `--no-status`
