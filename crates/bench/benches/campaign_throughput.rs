@@ -5,8 +5,7 @@
 //! (`fusa_faultsim::reference::stuck_at`: one thread, per-gate full
 //! sweep) on the built-in designs. Both paths are bit-identical (see
 //! `crates/faultsim/tests/cone_equivalence.rs`), so the delta here is
-//! pure throughput. `bench_campaign` (the companion `--bin`) turns the
-//! same measurement into `BENCH_campaign.json`.
+//! pure throughput.
 //!
 //! The `accelerated_*` variants double as the progress-overhead guard:
 //! they run with no trace sink and `--progress` off, the default in
@@ -15,14 +14,14 @@
 //! `traced_*` variants attach a null sink so the heartbeat thread and
 //! per-event serialization are included; comparing the two bounds the
 //! telemetry cost when tracing is enabled. Cross-run rot on the
-//! default path is caught by `fusa compare --append-bench` trajectories
-//! and the `./ci` compare gate.
+//! default path is caught by the `./ci` compare gate and by
+//! `bench_pipeline`, which times whole commands.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fusa_faultsim::{reference, CampaignConfig, FaultCampaign, FaultList};
 use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
-use fusa_netlist::designs::{or1200_icfsm, synth_10k, uart_ctrl};
-use fusa_netlist::{GateId, Netlist};
+use fusa_netlist::designs::{or1200_icfsm, uart_ctrl};
+use fusa_netlist::Netlist;
 use std::hint::black_box;
 
 fn workloads_for(netlist: &Netlist) -> WorkloadSuite {
@@ -41,64 +40,6 @@ fn accelerated() -> CampaignConfig {
         threads: 1,
         ..Default::default()
     }
-}
-
-/// Differential stepping + early exit at a given lane width, everything
-/// else held at the accelerated default.
-fn at_width(lane_words: usize) -> CampaignConfig {
-    CampaignConfig {
-        threads: 1,
-        lane_words,
-        ..Default::default()
-    }
-}
-
-/// A deterministic fault sample built from contiguous gate blocks
-/// spread across the design. Contiguity matters: consecutive 64-fault
-/// chunks then share fanout logic, as they do in a full-list campaign,
-/// so one pass's fault effects overlap across its words. Strided
-/// single-gate sampling would spread every pass over the whole netlist
-/// and hide the wide kernel's sharing.
-fn sampled_faults(netlist: &Netlist, count: usize) -> FaultList {
-    const BLOCK: usize = 256;
-    let total = netlist.gate_count();
-    let count = count.min(total);
-    let blocks = count.div_ceil(BLOCK).max(1);
-    let mut gates: Vec<GateId> = Vec::with_capacity(count);
-    for b in 0..blocks {
-        let start = (total / (2 * blocks) + b * total / blocks).min(total.saturating_sub(BLOCK));
-        for i in start..(start + BLOCK).min(total) {
-            if gates.len() < count {
-                gates.push(GateId(i as u32));
-            }
-        }
-    }
-    FaultList::for_gates(netlist, &gates)
-}
-
-/// Lane-width sweep of the structure-of-arrays kernel on one builtin
-/// and one ~10k-gate synthesized design (sampled faults). Bit-identity
-/// across these configurations is enforced by
-/// `crates/faultsim/tests/lane_equivalence.rs`.
-fn bench_lane_widths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lane_widths");
-    group.sample_size(10);
-    let builtin = or1200_icfsm();
-    let synthetic = synth_10k(1);
-    let cases = [
-        (FaultList::all_gate_outputs(&builtin), &builtin),
-        (sampled_faults(&synthetic, 128), &synthetic),
-    ];
-    for (faults, netlist) in &cases {
-        let workloads = workloads_for(netlist);
-        for (label, lane_words) in [("w1", 1usize), ("w4", 4), ("w8", 8)] {
-            group.bench_function(&format!("{label}_{}", netlist.name()), |b| {
-                let campaign = FaultCampaign::new(at_width(lane_words));
-                b.iter(|| black_box(campaign.run(netlist, faults, &workloads)))
-            });
-        }
-    }
-    group.finish();
 }
 
 fn bench_campaign_throughput(c: &mut Criterion) {
@@ -128,6 +69,6 @@ fn bench_campaign_throughput(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_campaign_throughput, bench_lane_widths
+    targets = bench_campaign_throughput
 }
 criterion_main!(benches);

@@ -171,10 +171,7 @@ fn bench_gcn(c: &mut Criterion) {
             &model,
             &graph,
             &features,
-            ExplainerConfig {
-                iterations: 20,
-                ..Default::default()
-            },
+            ExplainerConfig { iterations: 20 },
         );
         b.iter(|| black_box(explainer.explain(3)))
     });

@@ -16,7 +16,6 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let explainer_config = ExplainerConfig {
         iterations: if smoke { 25 } else { 100 },
-        ..Default::default()
     };
 
     if which.as_deref() != Some("b") {

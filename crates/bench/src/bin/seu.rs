@@ -7,7 +7,7 @@
 //! Usage: `cargo run --release -p fusa-bench --bin seu [-- --smoke]`
 
 use fusa_bench::{config_from_args, paper_designs, save_results};
-use fusa_faultsim::{FaultCampaign, FaultList, SeuCampaign, SeuConfig};
+use fusa_faultsim::{FaultCampaign, FaultList, SeuCampaign};
 use fusa_logicsim::WorkloadSuite;
 use fusa_neuro::metrics::{pearson, spearman};
 use std::fmt::Write as _;
@@ -21,7 +21,7 @@ fn main() {
         let workloads = WorkloadSuite::generate(&netlist, &config.workloads);
 
         // Transient campaign over all flops.
-        let seu_report = SeuCampaign::new(SeuConfig::default()).run(&netlist, &workloads);
+        let seu_report = SeuCampaign::new().run(&netlist, &workloads);
 
         // Stuck-at criticality via Algorithm 1 (same settings as the
         // pipeline).

@@ -27,7 +27,6 @@ fn main() {
         let run = run_design(&netlist, &config);
         let explainer = run.analysis.explainer(ExplainerConfig {
             iterations: if smoke { 20 } else { 100 },
-            ..Default::default()
         });
         let (_regressor, scores) = run.analysis.train_regressor(&TrainConfig {
             epochs: if smoke { 60 } else { 200 },

@@ -26,34 +26,28 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 
-/// Hyper-parameters of the mask optimization.
+/// Adam learning rate for the mask logits.
+const LEARNING_RATE: f64 = 0.1;
+/// Size penalty on the edge mask (λ · Σ σ(θ)).
+const EDGE_SIZE_PENALTY: f64 = 0.005;
+/// Size penalty on the feature mask.
+const FEATURE_SIZE_PENALTY: f64 = 0.05;
+/// Entropy penalty pushing masks towards 0/1.
+const ENTROPY_PENALTY: f64 = 0.05;
+/// Seed for mask initialization, mixed with the explained node.
+const SEED: u64 = 0xE81A;
+
+/// Parameters of the mask optimization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainerConfig {
     /// Gradient-descent iterations per node (the paper passes an
     /// iteration count when building the explainer object).
     pub iterations: usize,
-    /// Adam learning rate for the mask logits.
-    pub learning_rate: f64,
-    /// Size penalty on the edge mask (λ · Σ σ(θ)).
-    pub edge_size_penalty: f64,
-    /// Size penalty on the feature mask.
-    pub feature_size_penalty: f64,
-    /// Entropy penalty pushing masks towards 0/1.
-    pub entropy_penalty: f64,
-    /// Seed for mask initialization.
-    pub seed: u64,
 }
 
 impl Default for ExplainerConfig {
     fn default() -> Self {
-        ExplainerConfig {
-            iterations: 100,
-            learning_rate: 0.1,
-            edge_size_penalty: 0.005,
-            feature_size_penalty: 0.05,
-            entropy_penalty: 0.05,
-            seed: 0xE81A,
-        }
+        ExplainerConfig { iterations: 100 }
     }
 }
 
@@ -197,7 +191,7 @@ impl<'a> Explainer<'a> {
         obs.add("explain.iterations", self.config.iterations as u64);
         let num_edges = self.graph.edge_count();
         let num_features = self.features.cols();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ node as u64);
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ node as u64);
 
         // Mask logits initialized near σ≈0.5 (maximum gradient flow,
         // GNNExplainer's recommended regime) with slight noise so
@@ -216,7 +210,7 @@ impl<'a> Explainer<'a> {
                 .map(|_| rng.gen_range(-0.1..0.1))
                 .collect(),
         ));
-        let mut optimizer = Adam::new(self.config.learning_rate);
+        let mut optimizer = Adam::new(LEARNING_RATE);
         let mut model = self.model.clone();
 
         // The explanation targets the model's own unmasked prediction.
@@ -266,8 +260,8 @@ impl<'a> Explainer<'a> {
             for (e, &s) in edge_mask.iter().enumerate().take(num_edges) {
                 let ds = s * (1.0 - s);
                 let mut g = edge_logits.grad.get(0, e);
-                g += self.config.edge_size_penalty * ds;
-                g += self.config.entropy_penalty * entropy_grad(s) * ds;
+                g += EDGE_SIZE_PENALTY * ds;
+                g += ENTROPY_PENALTY * entropy_grad(s) * ds;
                 edge_logits.grad.set(0, e, g);
             }
 
@@ -279,8 +273,8 @@ impl<'a> Explainer<'a> {
                     g += grad_x.get(r, c) * self.features.get(r, c);
                 }
                 g *= ds;
-                g += self.config.feature_size_penalty * ds;
-                g += self.config.entropy_penalty * entropy_grad(s) * ds;
+                g += FEATURE_SIZE_PENALTY * ds;
+                g += ENTROPY_PENALTY * entropy_grad(s) * ds;
                 feature_logits.grad.set(0, c, g);
             }
 
@@ -411,7 +405,6 @@ mod tests {
                 epochs: 150,
                 learning_rate: 0.05,
                 weight_decay: 0.0,
-                keep_best: true,
             },
         );
         assert!(eval.accuracy > 0.9, "setup: model must learn the task");
@@ -434,15 +427,7 @@ mod tests {
     #[test]
     fn explainer_finds_the_decisive_feature() {
         let (graph, x, model) = single_feature_task();
-        let explainer = Explainer::new(
-            &model,
-            &graph,
-            &x,
-            ExplainerConfig {
-                iterations: 80,
-                ..Default::default()
-            },
-        );
+        let explainer = Explainer::new(&model, &graph, &x, ExplainerConfig { iterations: 80 });
         let explanation = explainer.explain(4);
         let top = explanation.ranked_features()[0];
         assert_eq!(
@@ -456,15 +441,7 @@ mod tests {
     #[test]
     fn feature_ranks_are_a_permutation() {
         let (graph, x, model) = single_feature_task();
-        let explainer = Explainer::new(
-            &model,
-            &graph,
-            &x,
-            ExplainerConfig {
-                iterations: 10,
-                ..Default::default()
-            },
-        );
+        let explainer = Explainer::new(&model, &graph, &x, ExplainerConfig { iterations: 10 });
         let explanation = explainer.explain(0);
         let mut ranks = explanation.feature_ranks();
         ranks.sort_unstable();
@@ -474,15 +451,7 @@ mod tests {
     #[test]
     fn importance_scores_average_to_one() {
         let (graph, x, model) = single_feature_task();
-        let explainer = Explainer::new(
-            &model,
-            &graph,
-            &x,
-            ExplainerConfig {
-                iterations: 20,
-                ..Default::default()
-            },
-        );
+        let explainer = Explainer::new(&model, &graph, &x, ExplainerConfig { iterations: 20 });
         let explanation = explainer.explain(2);
         let mean: f64 = explanation.feature_importance.iter().sum::<f64>() / FEATURE_COUNT as f64;
         assert!((mean - 1.0).abs() < 1e-9);
@@ -491,15 +460,7 @@ mod tests {
     #[test]
     fn prediction_loss_decreases_or_stays_low() {
         let (graph, x, model) = single_feature_task();
-        let explainer = Explainer::new(
-            &model,
-            &graph,
-            &x,
-            ExplainerConfig {
-                iterations: 60,
-                ..Default::default()
-            },
-        );
+        let explainer = Explainer::new(&model, &graph, &x, ExplainerConfig { iterations: 60 });
         let explanation = explainer.explain(6);
         let first = explanation.loss_trace[0];
         let last = *explanation.loss_trace.last().unwrap();
@@ -511,15 +472,7 @@ mod tests {
     #[test]
     fn edge_importance_is_restricted_to_neighborhood() {
         let (graph, x, model) = single_feature_task();
-        let explainer = Explainer::new(
-            &model,
-            &graph,
-            &x,
-            ExplainerConfig {
-                iterations: 5,
-                ..Default::default()
-            },
-        );
+        let explainer = Explainer::new(&model, &graph, &x, ExplainerConfig { iterations: 5 });
         let node = 10;
         let explanation = explainer.explain(node);
         let hops = model.config().hidden.len() + 1;
@@ -533,15 +486,7 @@ mod tests {
     #[test]
     fn global_importance_aggregates_ranks() {
         let (graph, x, model) = single_feature_task();
-        let explainer = Explainer::new(
-            &model,
-            &graph,
-            &x,
-            ExplainerConfig {
-                iterations: 40,
-                ..Default::default()
-            },
-        );
+        let explainer = Explainer::new(&model, &graph, &x, ExplainerConfig { iterations: 40 });
         let global = explainer.global_importance(&[0, 3, 7, 12]);
         assert_eq!(global.nodes_explained, 4);
         // Ranks are averages of 1..=5.

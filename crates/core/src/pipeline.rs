@@ -523,10 +523,7 @@ mod tests {
     #[test]
     fn explainer_runs_on_pipeline_output() {
         let analysis = fast_analysis();
-        let explainer = analysis.explainer(ExplainerConfig {
-            iterations: 10,
-            ..Default::default()
-        });
+        let explainer = analysis.explainer(ExplainerConfig { iterations: 10 });
         let node = analysis.split.validation[0];
         let explanation = explainer.explain(node);
         assert_eq!(explanation.feature_importance.len(), 5);

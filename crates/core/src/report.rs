@@ -9,13 +9,12 @@
 use crate::pipeline::FusaAnalysis;
 use std::fmt::Write as _;
 
+/// Number of top-ranked nodes the text report lists.
+const TOP_NODES: usize = 15;
+
 /// Options for [`render_text_report`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReportOptions {
-    /// Number of top-ranked nodes to list.
-    pub top_nodes: usize,
-    /// Include the per-epoch training trace.
-    pub include_history: bool,
     /// Include the campaign wall-time / throughput line. Disable when the
     /// text feeds a reproducibility digest: every other line of the
     /// report is deterministic for a seeded run, timing never is.
@@ -25,8 +24,6 @@ pub struct ReportOptions {
 impl Default for ReportOptions {
     fn default() -> Self {
         ReportOptions {
-            top_nodes: 15,
-            include_history: false,
             include_stats: true,
         }
     }
@@ -125,7 +122,7 @@ pub fn render_text_report(
         "  {:<24} {:>10} {:>12} {:>8}",
         "node", "P(crit)", "truth score", "held-out"
     );
-    for (node, probability) in ranked.into_iter().take(options.top_nodes) {
+    for (node, probability) in ranked.into_iter().take(TOP_NODES) {
         let _ = writeln!(
             out,
             "  {:<24} {:>10.3} {:>12.2} {:>8}",
@@ -138,21 +135,6 @@ pub fn render_text_report(
                 ""
             },
         );
-    }
-
-    if options.include_history {
-        let _ = writeln!(out, "\ntraining trace (epoch, loss, val acc):");
-        for (epoch, (loss, metric)) in analysis
-            .history
-            .train_loss
-            .iter()
-            .zip(&analysis.history.validation_metric)
-            .enumerate()
-            .step_by(10)
-        {
-            let _ = writeln!(out, "  {epoch:>4} {loss:>9.4} {metric:>8.3}");
-        }
-        let _ = writeln!(out, "best epoch: {}", analysis.history.best_epoch);
     }
     out
 }
@@ -207,23 +189,6 @@ mod tests {
         assert!(text.contains("fault-cycles/s"));
         assert!(text.contains("confusion:"));
         assert!(text.contains("top predicted-critical nodes"));
-        assert!(!text.contains("training trace"));
-    }
-
-    #[test]
-    fn history_section_is_optional() {
-        let (analysis, netlist) = analysis_pair();
-        let text = render_text_report(
-            &analysis,
-            &netlist,
-            &ReportOptions {
-                include_history: true,
-                top_nodes: 3,
-                ..Default::default()
-            },
-        );
-        assert!(text.contains("training trace"));
-        assert!(text.contains("best epoch"));
     }
 
     #[test]

@@ -17,8 +17,6 @@ pub struct TrainConfig {
     pub learning_rate: f64,
     /// L2 weight decay.
     pub weight_decay: f64,
-    /// Keep the parameter snapshot with the best validation accuracy.
-    pub keep_best: bool,
 }
 
 impl Default for TrainConfig {
@@ -27,7 +25,6 @@ impl Default for TrainConfig {
             epochs: 300,
             learning_rate: 0.02,
             weight_decay: 5e-4,
-            keep_best: true,
         }
     }
 }
@@ -161,10 +158,8 @@ pub fn train_classifier(
 
     // The evaluation below sizes buffers of its own.
     drop(workspace);
-    if train_config.keep_best {
-        if let Some((_, snapshot)) = best {
-            model.restore(snapshot);
-        }
+    if let Some((_, snapshot)) = best {
+        model.restore(snapshot);
     }
     let evaluation = evaluate_classifier(&model, adj, features, labels, split);
     (model, history, evaluation)
@@ -310,10 +305,8 @@ pub fn train_regressor(
 
     // The predictions below size buffers of their own.
     drop(workspace);
-    if train_config.keep_best {
-        if let Some((_, snapshot)) = best {
-            model.restore(snapshot);
-        }
+    if let Some((_, snapshot)) = best {
+        model.restore(snapshot);
     }
     let predictions = model.predict_scores(adj, features);
     (model, history, predictions)
@@ -464,7 +457,6 @@ mod tests {
             epochs: 120,
             learning_rate: 0.02,
             weight_decay: 1e-4,
-            keep_best: true,
         }
     }
 
@@ -519,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn keep_best_returns_best_epoch_weights() {
+    fn training_returns_best_epoch_weights() {
         let (adj, x, labels) = community_task();
         let split = Split::stratified(&labels, 0.7, 5);
         let (model, history, eval) = train_classifier(

@@ -13,19 +13,18 @@
 //!   no difference reads only those two golden inputs); a pass whose
 //!   activity grows past a measured break-even share of the gates
 //!   (`DENSE_HANDOFF_SHARE`, 0.3) finishes on the full sweep;
-//! * **wide lanes** — `W = lane_words` consecutive 64-fault chunks of one
-//!   workload are packed into the `[u64; W]` words of a
-//!   structure-of-arrays [`WideSim`], so each pass advances up to `64·W`
+//! * **wide lanes** — `LANE_WORDS` (4) consecutive 64-fault chunks of
+//!   one workload are packed into the `[u64; 4]` words of a
+//!   structure-of-arrays [`WideSim`], so each pass advances up to 256
 //!   fault machines through one branch-light sweep over flat tables;
 //! * **chunk-grained scheduling** — `(workload × chunk-group)` work items
 //!   are pulled from an atomic counter; the golden traces of up to 64
 //!   workloads come from one bit-parallel pass, one lane per workload,
 //!   are shared read-only by that workload's groups and released when
 //!   its last group finishes; results land in per-slot `OnceLock`s
-//!   (workers never contend on a lock to publish them); checkpoint
-//!   unit identity stays the lane-width-invariant
-//!   `(workload × 64-fault chunk)`, so a campaign may be resumed under a
-//!   different `lane_words`;
+//!   (workers never contend on a lock to publish them); the checkpoint
+//!   unit is the `(workload × 64-fault chunk)`, so a resume may complete
+//!   a group that a checkpoint holds only in part;
 //! * **early exit** — once every lane of every chunk in a group has
 //!   diverged for `min_divergent_cycles`, no later cycle can change any
 //!   outcome and the group stops stepping.
@@ -41,7 +40,7 @@ use crate::durability::{
 use crate::fault::{Fault, FaultList, FaultSite};
 use crate::report::{CampaignReport, CampaignStats, FaultOutcome, WorkloadReport};
 use crate::shard::ShardSpec;
-use fusa_logicsim::soa::{bit_lanes, ToggleTrace};
+use fusa_logicsim::soa::{bit_lanes, CycleToggles, ToggleTrace};
 use fusa_logicsim::{SoaNetlist, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::Netlist;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,13 +49,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Faults per chunk — one per lane of the `u64` simulation word. Chunks
-/// are the checkpoint unit and stay this size at every `lane_words`.
+/// are the checkpoint unit.
 pub(crate) const LANES: usize = u64::BITS as usize;
+
+/// Width of the campaign's simulation word in 64-lane `u64` words: each
+/// pass advances up to `64 · LANE_WORDS` = 256 fault machines (or SEU
+/// flips) through the structure-of-arrays [`WideSim`] kernel.
+pub(crate) const LANE_WORDS: usize = 4;
 
 /// Share of the gate count above which differential stepping costs more
 /// than a full sweep: a chunk group whose cycle evaluates more than this
 /// share of the gates finishes on the full sweep. Measured on a 2-vCPU
-/// Xeon host at `lane_words = 4`, one thread, default configuration:
+/// Xeon host at 256 lanes, one thread, default configuration:
 /// one differential evaluation (event bookkeeping, golden reads, random
 /// access) cost 3.2–5.3× a full-sweep gate (26–52 ns against 6.5–12 ns
 /// on the built-in designs), so a cycle breaks even at 0.19–0.31 of the
@@ -93,19 +97,11 @@ pub struct CampaignConfig {
     /// Bit-identical to a full-netlist run; `false` sweeps the full
     /// netlist every cycle, the in-kernel reference of `--no-cone`.
     pub restrict_to_cone: bool,
-    /// Width of the simulation word in 64-lane `u64` words: each pass
-    /// advances `64 · lane_words` fault machines through the
-    /// structure-of-arrays [`WideSim`] kernel. Supported widths are `1`,
-    /// `4` and `8`; any other value is rejected with
-    /// [`CampaignError::InvalidLaneWords`]. Outcomes are bit-identical at
-    /// every setting, and checkpoints resume across settings, because
-    /// the checkpoint unit is always the 64-fault chunk.
-    pub lane_words: usize,
     /// Restrict the campaign to the units owned by one shard of an
     /// `n`-way split (`--shard i/n`). Ownership is a digest-stable
     /// function of the unit index alone (see [`ShardSpec::owns`]), so
-    /// shards can run on different hosts with different `threads` /
-    /// `lane_words` settings and still merge bit-identically via
+    /// shards can run on different hosts with different `threads`
+    /// settings and still merge bit-identically via
     /// [`crate::merge`]. `None` runs the full campaign.
     pub shard: Option<ShardSpec>,
 }
@@ -117,21 +113,20 @@ impl Default for CampaignConfig {
             classify_latent: true,
             min_divergence_fraction: 0.0,
             restrict_to_cone: true,
-            lane_words: 4,
             shard: None,
         }
     }
 }
 
 /// Runs stuck-at campaigns: every fault in a [`FaultList`] against every
-/// workload of a [`WorkloadSuite`], `64 · lane_words` fault machines per
-/// simulation pass (256 by default).
+/// workload of a [`WorkloadSuite`], 256 fault machines per simulation
+/// pass.
 ///
 /// For each workload the golden (fault-free) trace is computed once and
 /// shared read-only; fault machines then run the same vectors with
 /// per-lane stuck-at forces and are compared lane-wise against the golden
 /// values each cycle. Results are deterministic and independent of
-/// `threads`, `restrict_to_cone` and `lane_words`.
+/// `threads` and `restrict_to_cone`.
 ///
 /// # Example
 ///
@@ -160,8 +155,9 @@ pub(crate) struct GoldenTrace {
     /// The golden toggles of every cycle, as the nonzero words of its
     /// position, reset and net toggle sets
     /// ([`SoaNetlist::toggle_trace`]; none in cycle 0). Built from
-    /// `packed_nets` by the first group that needs them, so only the
-    /// workloads in flight hold them.
+    /// `packed_nets` by the first group that steps a cycle after cycle 0
+    /// differentially, so only the workloads in flight that read them
+    /// hold them.
     toggles: OnceLock<ToggleTrace>,
     /// Golden end-of-workload flop state, one bit per flip-flop in
     /// [`Netlist::sequential_gates`] order; empty unless
@@ -304,15 +300,11 @@ struct Plan<'a> {
     /// workers the rest.
     results: Vec<OnceLock<UnitOutput>>,
     /// Work items: a workload and the pending units of one of its chunk
-    /// groups (`lane_words` consecutive chunks), in claim order.
+    /// groups (`LANE_WORDS` consecutive chunks), in claim order.
     pending: Vec<(usize, Vec<usize>)>,
     writer: Option<CheckpointWriter>,
     /// The checkpoint could not be opened: degraded from the first unit.
     checkpoint_lost: bool,
-    /// The worker of the configured lane width: it claims pending
-    /// groups until none is left or a stop is requested, and returns its
-    /// busy seconds.
-    worker: fn(&Work<'_>) -> f64,
     tally: Tally,
 }
 
@@ -434,12 +426,6 @@ impl FaultCampaign {
         workloads: &'a WorkloadSuite,
     ) -> Result<Plan<'a>, CampaignError> {
         let config = self.config;
-        let worker: fn(&Work<'_>) -> f64 = match config.lane_words {
-            1 => worker::<1>,
-            4 => worker::<4>,
-            8 => worker::<8>,
-            lane_words => return Err(CampaignError::InvalidLaneWords { lane_words }),
-        };
         if let Some(shard) = config.shard {
             if shard.total == 0 || shard.index == 0 || shard.index > shard.total {
                 return Err(CampaignError::InvalidShard {
@@ -461,7 +447,6 @@ impl FaultCampaign {
             pending: Vec::new(),
             writer: None,
             checkpoint_lost: false,
-            worker,
             tally: Tally::default(),
         };
         plan.units_in_shard = (0..unit_count).filter(|&unit| plan.owns(unit)).count();
@@ -501,8 +486,8 @@ impl FaultCampaign {
         }
 
         for w in 0..plan.workloads.len() {
-            for first in (0..chunk_count).step_by(config.lane_words) {
-                let members: Vec<usize> = (first..chunk_count.min(first + config.lane_words))
+            for first in (0..chunk_count).step_by(LANE_WORDS) {
+                let members: Vec<usize> = (first..chunk_count.min(first + LANE_WORDS))
                     .map(|c| w * chunk_count + c)
                     .filter(|&unit| plan.owns(unit) && plan.results[unit].get().is_none())
                     .collect();
@@ -565,7 +550,7 @@ impl FaultCampaign {
         let work = &work;
         std::thread::scope(|scope| {
             for slot in busy.iter_mut() {
-                scope.spawn(move || *slot = (plan.worker)(work));
+                scope.spawn(move || *slot = worker(work));
             }
         });
         busy
@@ -608,7 +593,6 @@ impl<'a> Plan<'a> {
             unit_retries: *tally.retries.get_mut(),
             checkpoint_write_retries: writer.map_or(0, |w| w.write_retries()),
             durability_degraded: self.checkpoint_lost || writer.is_some_and(|w| w.degraded()),
-            lane_words: self.config.lane_words,
             dense_handoffs: *tally.dense_handoffs.get_mut(),
             ..CampaignStats::default()
         };
@@ -671,10 +655,11 @@ impl<'a> Plan<'a> {
     }
 }
 
-/// The worker at lane width `W` (see [`Plan::worker`]).
-fn worker<const W: usize>(work: &Work<'_>) -> f64 {
+/// One worker: claims pending groups until none is left or a stop is
+/// requested, and returns its busy seconds.
+fn worker(work: &Work<'_>) -> f64 {
     let obs = fusa_obs::global();
-    let mut sim = WideSim::<W>::new(work.soa);
+    let mut sim = WideSim::<LANE_WORDS>::new(work.soa);
     let mut busy = 0.0;
     // Thread-local latency/work histograms, merged into the recorder
     // once per worker so the hot loop stays lock-free.
@@ -755,9 +740,9 @@ impl<'a> Work<'a> {
     /// per pass, with its own fresh retry budget so one poisoned chunk
     /// cannot quarantine its groupmates. The group attempt is not a
     /// retry.
-    fn run_group<const W: usize>(
+    fn run_group(
         &self,
-        sim: &mut WideSim<'a, W>,
+        sim: &mut WideSim<'a, LANE_WORDS>,
         workload: &Workload,
         members: &[usize],
         trace: &GoldenTrace,
@@ -779,9 +764,9 @@ impl<'a> Work<'a> {
 
     /// Runs `unit` alone until an attempt succeeds, or quarantines it
     /// (`None`) once `max_attempts` attempts have panicked.
-    fn retry<const W: usize>(
+    fn retry(
         &self,
-        sim: &mut WideSim<'a, W>,
+        sim: &mut WideSim<'a, LANE_WORDS>,
         unit: usize,
         chunk: &[Fault],
         workload: &Workload,
@@ -821,9 +806,9 @@ impl<'a> Work<'a> {
     /// One pass over `chunks` under `catch_unwind`, after panicking with
     /// `inject` when it is set. A panic leaves the simulator in an
     /// unknown state, so it is rebuilt.
-    fn attempt<const W: usize>(
+    fn attempt(
         &self,
-        sim: &mut WideSim<'a, W>,
+        sim: &mut WideSim<'a, LANE_WORDS>,
         chunks: &[&[Fault]],
         workload: &Workload,
         trace: &GoldenTrace,
@@ -852,9 +837,9 @@ impl<'a> Work<'a> {
 
 /// Forces the faults of `chunks[i]` into word `i` of `sim`, one per
 /// lane, and returns each word's mask of lanes that hold a fault.
-fn force_chunks<const W: usize>(sim: &mut WideSim<'_, W>, chunks: &[&[Fault]]) -> [u64; W] {
+fn force_chunks(sim: &mut WideSim<'_, LANE_WORDS>, chunks: &[&[Fault]]) -> [u64; LANE_WORDS] {
     sim.clear_forces();
-    let mut valid = [0u64; W];
+    let mut valid = [0u64; LANE_WORDS];
     for (co, chunk) in chunks.iter().enumerate() {
         valid[co] = u64::MAX >> (LANES - chunk.len());
         for (lane, fault) in chunk.iter().enumerate() {
@@ -868,42 +853,42 @@ fn force_chunks<const W: usize>(sim: &mut WideSim<'_, W>, chunks: &[&[Fault]]) -
     valid
 }
 
-/// Simulates up to `W` 64-fault chunks of one workload in a single wide
-/// pass: chunk `i` occupies word `i`, every word shares the broadcast
-/// inputs and the golden trace, and each member's lanes are classified
-/// exactly as [`crate::reference::stuck_at`] classifies them. Returns
-/// one output per member, and whether the pass finished on the full
-/// sweep.
+/// Simulates up to `LANE_WORDS` 64-fault chunks of one workload in a
+/// single wide pass: chunk `i` occupies word `i`, every word shares the
+/// broadcast inputs and the golden trace, and each member's lanes are
+/// classified exactly as [`crate::reference::stuck_at`] classifies
+/// them. Returns one output per member, and whether the pass finished
+/// on the full sweep.
 ///
 /// With `restrict_to_cone` the pass steps differentially against the
 /// golden snapshots and toggles, where a differing output net *is* a
 /// mismatch, until the first cycle that evaluates more than
 /// [`DENSE_HANDOFF_SHARE`] of the gates; from the next cycle on it
 /// sweeps the full netlist, with register state loaded as golden XOR
-/// difference.
+/// difference. Cycle 0 reads no toggles, so a pass that hands off after
+/// it never builds the workload's toggle trace.
 ///
 /// Early exit fires only when *every* member is fully decided; a word
 /// that is decided earlier keeps stepping harmlessly (its Dangerous
 /// verdicts are monotone and its first-divergence cycles are already
 /// fixed), so per-lane outcomes stay bit-identical to a single-chunk
 /// pass.
-fn run_wide_group<const W: usize>(
-    sim: &mut WideSim<'_, W>,
+fn run_wide_group(
+    sim: &mut WideSim<'_, LANE_WORDS>,
     chunks: &[&[Fault]],
     workload: &Workload,
     trace: &GoldenTrace,
     config: &CampaignConfig,
 ) -> (Vec<UnitOutput>, bool) {
     let members = chunks.len();
-    debug_assert!(0 < members && members <= W);
+    debug_assert!(0 < members && members <= LANE_WORDS);
     let output_count = sim.soa().output_count();
     let min_divergent_cycles =
         ((config.min_divergence_fraction * workload.len() as f64).ceil() as u32).max(1);
     let valid = force_chunks(sim, chunks);
-    // The golden toggles while the pass steps differentially, `None` on
-    // the full sweep.
-    let mut toggles = config.restrict_to_cone.then(|| trace.toggles(sim.soa()));
-    if toggles.is_some() {
+    // Whether the pass still steps differentially.
+    let mut differential = config.restrict_to_cone;
+    if differential {
         sim.reset_diff();
     } else {
         sim.reset();
@@ -913,8 +898,8 @@ fn run_wide_group<const W: usize>(
     let handoff_evals = (DENSE_HANDOFF_SHARE * full_evals as f64) as u64;
     let words = trace.packed_words;
     let mut dense_handoff = false;
-    let mut diverged = [0u64; W];
-    let mut satisfied = [0u64; W];
+    let mut diverged = [0u64; LANE_WORDS];
+    let mut satisfied = [0u64; LANE_WORDS];
     let mut divergent_cycles = vec![0u32; members * LANES];
     let mut first_divergence: Vec<Vec<Option<u32>>> =
         chunks.iter().map(|chunk| vec![None; chunk.len()]).collect();
@@ -922,16 +907,20 @@ fn run_wide_group<const W: usize>(
     let mut gate_evals = 0u64;
 
     for (cycle, vector) in workload.vectors.iter().enumerate() {
-        let mut mismatch = [0u64; W];
-        if let Some(cycle_toggles) = toggles.map(|toggles| toggles.cycle(cycle)) {
+        let mut mismatch = [0u64; LANE_WORDS];
+        if differential {
+            let toggles = match cycle {
+                0 => CycleToggles::default(),
+                _ => trace.toggles(sim.soa()).cycle(cycle),
+            };
             let golden = &trace.packed_nets[cycle * words..][..words];
-            let mut evals = sim.settle_diff(golden, cycle_toggles);
+            let mut evals = sim.settle_diff(golden, toggles);
             mismatch = sim.output_mismatch();
             evals += sim.clock_diff(golden);
             gate_evals += evals;
             if evals > handoff_evals && cycle + 1 < workload.len() {
                 sim.end_diff(&trace.packed_nets[(cycle + 1) * words..][..words]);
-                toggles = None;
+                differential = false;
                 dense_handoff = true;
             }
         } else {
@@ -988,7 +977,7 @@ fn run_wide_group<const W: usize>(
             let mut latent = diverged[co];
             if config.classify_latent && satisfied[co] != valid[co] {
                 for s in 0..sim.soa().seq_count() {
-                    let golden = if toggles.is_some() {
+                    let golden = if differential {
                         0
                     } else {
                         trace.final_state_lanes(s)
@@ -1268,57 +1257,6 @@ mod tests {
         }
     }
 
-    /// Every supported lane width must agree lane-for-lane with the
-    /// oracle, under both acceleration settings.
-    #[test]
-    fn lane_widths_are_bit_identical_to_the_oracle() {
-        let netlist = fusa_netlist::designs::or1200_icfsm();
-        let faults = FaultList::all_sites(&netlist);
-        let workloads = tiny_suite(&netlist, 2, 24);
-        let reference =
-            crate::reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
-        for lane_words in [1usize, 4, 8] {
-            for restrict_to_cone in [true, false] {
-                let candidate = FaultCampaign::new(CampaignConfig {
-                    threads: 2,
-                    lane_words,
-                    restrict_to_cone,
-                    ..Default::default()
-                })
-                .run(&netlist, &faults, &workloads)
-                .unwrap();
-                assert_eq!(candidate.stats().lane_words, lane_words);
-                for (a, b) in reference
-                    .workload_reports()
-                    .iter()
-                    .zip(candidate.workload_reports())
-                {
-                    assert_eq!(
-                        a.outcomes, b.outcomes,
-                        "lane_words={lane_words} cone={restrict_to_cone}"
-                    );
-                    assert_eq!(a.first_divergence, b.first_divergence);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn invalid_lane_words_is_a_typed_error() {
-        let netlist = inverter_netlist();
-        let faults = FaultList::all_gate_outputs(&netlist);
-        let workloads = tiny_suite(&netlist, 1, 8);
-        for lane_words in [0, 3] {
-            let err = FaultCampaign::new(CampaignConfig {
-                lane_words,
-                ..Default::default()
-            })
-            .run(&netlist, &faults, &workloads)
-            .unwrap_err();
-            assert_eq!(err, CampaignError::InvalidLaneWords { lane_words });
-        }
-    }
-
     /// Early exit must be invisible even with a nonzero Dangerous
     /// threshold (the satisfied mask tracks the threshold, not just the
     /// first divergence): the oracle never exits early.
@@ -1378,7 +1316,6 @@ mod tests {
         assert!(stats.gate_evals_saved_fraction() > 0.0);
         assert_eq!(stats.worker_busy_seconds.len(), 1);
         assert!(stats.fault_cycles_per_second() > 0.0);
-        assert_eq!(stats.lane_words, 4, "default width is 4 words");
     }
 
     #[test]
@@ -1638,48 +1575,48 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The headline durability invariant of the wide kernel: checkpoint
-    /// unit identity is the 64-fault chunk at every width, so a run
-    /// interrupted at one `lane_words` resumes bit-identically at
-    /// another.
+    /// The checkpoint unit is the 64-fault chunk, not the group of
+    /// `LANE_WORDS` chunks a pass packs: interrupted after 3 units on
+    /// one thread, the run leaves its first group with one member to
+    /// simulate, and the resume runs that member alone.
     #[test]
-    fn resume_across_lane_widths_is_bit_identical() {
+    fn resume_of_a_partly_checkpointed_group_is_bit_identical() {
         let netlist = fusa_netlist::designs::or1200_icfsm();
         let faults = FaultList::all_sites(&netlist);
+        assert!(
+            faults.len().div_ceil(LANES) >= LANE_WORDS,
+            "a full first group"
+        );
         let workloads = tiny_suite(&netlist, 2, 24);
         let reference =
             crate::reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
-        let path = temp_checkpoint("lane_width_resume");
-        let partial = FaultCampaign::new(CampaignConfig {
+        let path = temp_checkpoint("partial_group_resume");
+        let config = CampaignConfig {
             threads: 1,
-            lane_words: 1,
             ..Default::default()
-        })
-        .with_durability(DurabilityConfig {
-            checkpoint: Some(path.clone()),
-            ..Default::default()
-        })
-        .with_injection(FaultInjection {
-            interrupt_after_units: Some(3),
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap();
+        };
+        let partial = FaultCampaign::new(config)
+            .with_durability(DurabilityConfig {
+                checkpoint: Some(path.clone()),
+                ..Default::default()
+            })
+            .with_injection(FaultInjection {
+                interrupt_after_units: Some(3),
+                ..Default::default()
+            })
+            .run(&netlist, &faults, &workloads)
+            .unwrap();
         assert!(partial.interrupted());
-        let resumed = FaultCampaign::new(CampaignConfig {
-            threads: 2,
-            lane_words: 8,
-            ..Default::default()
-        })
-        .with_durability(DurabilityConfig {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap();
+        let resumed = FaultCampaign::new(config)
+            .with_durability(DurabilityConfig {
+                checkpoint: Some(path.clone()),
+                resume: true,
+                ..Default::default()
+            })
+            .run(&netlist, &faults, &workloads)
+            .unwrap();
         assert!(!resumed.interrupted());
-        assert!(resumed.stats().units_from_checkpoint >= 3);
+        assert_eq!(resumed.stats().units_from_checkpoint, 3);
         for (a, b) in reference
             .workload_reports()
             .iter()
@@ -1690,6 +1627,58 @@ mod tests {
         }
         assert_eq!(reference.summary_opts(false), resumed.summary_opts(false));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A chain of ten buffers from one input to one output, the last
+    /// named `LAST`.
+    fn buffer_chain() -> Netlist {
+        let mut b = NetlistBuilder::new("chain");
+        let mut net = b.primary_input("a");
+        for _ in 0..9 {
+            net = b.gate(GateKind::Buf, &[net]);
+        }
+        let last = b.gate_named("LAST", GateKind::Buf, &[net]);
+        b.primary_output("z", last);
+        b.finish().unwrap()
+    }
+
+    /// Runs `chunk` as one differential group over an 8-cycle workload
+    /// and returns whether it handed off, and whether the workload's
+    /// toggle trace was built.
+    fn group_builds_toggles(netlist: &Netlist, chunk: &[Fault]) -> (bool, bool) {
+        let soa = SoaNetlist::new(netlist);
+        let workloads = tiny_suite(netlist, 1, 8);
+        let workload = &workloads.workloads()[0];
+        let config = CampaignConfig::default();
+        let trace = GoldenTrace::compute_all(&soa, &[workload], &config).remove(0);
+        let mut sim = WideSim::<LANE_WORDS>::new(&soa);
+        let (_, dense_handoff) = run_wide_group(&mut sim, &[chunk], workload, &trace, &config);
+        (dense_handoff, trace.toggles.get().is_some())
+    }
+
+    /// Cycle 0 reads no toggles: a group that hands off after it never
+    /// builds the workload's toggle trace.
+    #[test]
+    fn a_group_that_hands_off_at_cycle_0_builds_no_toggle_trace() {
+        // Every buffer forced: all ten evaluate in cycle 0, past 0.3.
+        let netlist = buffer_chain();
+        let faults = FaultList::all_gate_outputs(&netlist);
+        assert_eq!(
+            group_builds_toggles(&netlist, faults.faults()),
+            (true, false)
+        );
+    }
+
+    /// A group still stepping differentially after cycle 0 reads the
+    /// toggles of cycle 1, so it builds the trace.
+    #[test]
+    fn a_group_that_stays_differential_builds_the_toggle_trace() {
+        // Both faults of the last buffer: one evaluation a cycle, and
+        // one of the two cannot diverge in cycle 0.
+        let netlist = buffer_chain();
+        let last = netlist.find_gate("LAST").unwrap();
+        let chunk = [StuckAt::Zero, StuckAt::One].map(|v| Fault::at_output(&netlist, last, v));
+        assert_eq!(group_builds_toggles(&netlist, &chunk), (false, true));
     }
 
     #[test]

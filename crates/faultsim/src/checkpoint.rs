@@ -23,12 +23,12 @@
 //! fault list digest (count, sites, polarities), the workload digest
 //! (names and vector bits, which cover the seeds), `classify_latent`,
 //! `min_divergence_fraction`, and — since schema v2 — the shard spec of
-//! a `--shard i/n` partial campaign. Not bound: `threads`,
-//! `restrict_to_cone` and `lane_words`, which are bit-identical by
-//! construction (see the differential tests), so a campaign may be
-//! resumed under a different thread count, acceleration setting or lane
-//! width — the checkpoint unit is always the 64-fault chunk regardless
-//! of how many chunks a pass packs together.
+//! a `--shard i/n` partial campaign. Not bound: `threads` and
+//! `restrict_to_cone`, which are bit-identical by construction (see the
+//! differential tests), so a campaign may be resumed under a different
+//! thread count or acceleration setting — the checkpoint unit is always
+//! the 64-fault chunk regardless of how many chunks a pass packs
+//! together.
 //!
 //! The shard spec sits in between: it does not change any unit's
 //! outcome, but it changes which units a resumed process is allowed to

@@ -30,12 +30,6 @@ pub enum CampaignError {
     Checkpoint(CheckpointError),
     /// `resume` was requested without a checkpoint path to resume from.
     ResumeWithoutCheckpoint,
-    /// `CampaignConfig::lane_words` is not one of the supported widths
-    /// `1`, `4` and `8` (64, 256 and 512 fault lanes per pass).
-    InvalidLaneWords {
-        /// The rejected width.
-        lane_words: usize,
-    },
     /// `CampaignConfig::shard` does not satisfy `1 <= index <= total`.
     InvalidShard {
         /// 1-based index of the rejected spec.
@@ -61,11 +55,6 @@ impl fmt::Display for CampaignError {
             CampaignError::ResumeWithoutCheckpoint => {
                 write!(f, "--resume requires a checkpoint path")
             }
-            CampaignError::InvalidLaneWords { lane_words } => write!(
-                f,
-                "unsupported lane_words {lane_words}: use 1, 4 or 8 \
-                 (64/256/512 fault lanes per pass)"
-            ),
             CampaignError::InvalidShard { index, total } => write!(
                 f,
                 "invalid shard {index}/{total}: expected 1 <= index <= total"
@@ -266,9 +255,6 @@ mod tests {
         assert!(CampaignError::ResumeWithoutCheckpoint
             .to_string()
             .contains("--resume"));
-        assert!(CampaignError::InvalidLaneWords { lane_words: 3 }
-            .to_string()
-            .contains("lane_words 3"));
     }
 
     #[test]

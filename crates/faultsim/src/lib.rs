@@ -58,5 +58,5 @@ pub use fault::{Fault, FaultList, FaultSite, StuckAt};
 pub use fsck::{fsck_path, FsckError, FsckIssue, FsckOptions, FsckReport};
 pub use merge::{merge_checkpoints, MergeError, MergeOutcome, MergeSource};
 pub use report::{CampaignReport, CampaignStats, FaultOutcome, WorkloadReport};
-pub use seu::{SeuCampaign, SeuConfig, SeuOutcome, SeuReport};
+pub use seu::{SeuCampaign, SeuOutcome, SeuReport};
 pub use shard::{shard_of, ShardSpec};

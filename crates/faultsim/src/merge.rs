@@ -2,8 +2,8 @@
 //!
 //! A `--shard i/n` campaign writes a checkpoint containing only the
 //! units that shard owns (see [`ShardSpec::owns`]). [`merge_checkpoints`]
-//! takes the N shard checkpoints — produced on any mix of hosts, thread
-//! counts and lane widths — and unions their unit records into a single
+//! takes the N shard checkpoints — produced on any mix of hosts and
+//! thread counts — and unions their unit records into a single
 //! merged checkpoint that is indistinguishable from one written by an
 //! uninterrupted single-process campaign. Resuming a campaign from the
 //! merged file therefore simulates nothing and reproduces the full

@@ -15,7 +15,7 @@
 use crate::campaign::CampaignConfig;
 use crate::fault::{FaultList, FaultSite};
 use crate::report::{CampaignReport, CampaignStats, FaultOutcome, WorkloadReport};
-use crate::seu::{SeuConfig, SeuReport};
+use crate::seu::{SeuReport, INJECTION_POINTS};
 use fusa_logicsim::{BitSim, Workload, WorkloadSuite};
 use fusa_netlist::Netlist;
 use std::time::Instant;
@@ -62,8 +62,7 @@ fn state_mismatch(sim: &BitSim, golden_state: &[u64]) -> u64 {
 /// kernel and cannot change an outcome. The report's stable summary
 /// ([`CampaignReport::summary_opts`] with `false`) therefore equals a
 /// clean full campaign's. Its stats count every fault-cycle as stepped
-/// and every gate of every cycle as evaluated, on one thread, with
-/// `lane_words` left at `0`.
+/// and every gate of every cycle as evaluated, on one thread.
 ///
 /// [`FaultCampaign`]: crate::FaultCampaign
 pub fn stuck_at(
@@ -161,11 +160,10 @@ fn classify(
     }
 }
 
-/// Flips every flip-flop once at each of `config.injection_points` of
-/// every workload and scores the flips exactly as
-/// [`SeuCampaign`](crate::SeuCampaign) does. Of `config` it reads only
-/// `injection_points`.
-pub fn seu(netlist: &Netlist, workloads: &WorkloadSuite, config: &SeuConfig) -> SeuReport {
+/// Flips every flip-flop once at each injection point of every workload
+/// and scores the flips exactly as [`SeuCampaign`](crate::SeuCampaign)
+/// does.
+pub fn seu(netlist: &Netlist, workloads: &WorkloadSuite) -> SeuReport {
     let flops = netlist.sequential_gates();
     let output_count = netlist.primary_outputs().len();
     let mut sim = BitSim::new(netlist);
@@ -175,7 +173,7 @@ pub fn seu(netlist: &Netlist, workloads: &WorkloadSuite, config: &SeuConfig) -> 
     let mut experiments = 0usize;
     for workload in workloads.workloads() {
         let (golden_outputs, golden_state) = golden_run(netlist, workload);
-        for &fraction in &config.injection_points {
+        for fraction in INJECTION_POINTS {
             let inject_cycle =
                 ((workload.len() as f64 * fraction) as usize).min(workload.len().saturating_sub(1));
             experiments += 1;
@@ -327,7 +325,7 @@ mod tests {
                 seed: 3,
             },
         );
-        let report = seu(&netlist, &workloads, &SeuConfig::default());
+        let report = seu(&netlist, &workloads);
         assert_eq!(report.experiments, 2 * 3);
         let hold = report
             .flops

@@ -103,9 +103,6 @@ pub struct CampaignStats {
     pub durability_degraded: bool,
     /// Units never attempted because the campaign was interrupted.
     pub units_skipped: usize,
-    /// Lane width the run used, in 64-lane `u64` words (`1`, `4` or
-    /// `8`; `0` in a report of [`crate::reference::stuck_at`]).
-    pub lane_words: usize,
     /// Chunk-group passes of this run that switched from differential
     /// stepping to the full sweep because one cycle evaluated more than
     /// the break-even share (0.3) of the gates.
@@ -160,7 +157,6 @@ impl CampaignStats {
             self.gate_evals_saved_fraction(),
         );
         recorder.gauge_set("campaign.utilization", self.mean_utilization());
-        recorder.gauge_set("campaign.lane_words", self.lane_words as f64);
         recorder.add("campaign.dense_handoffs", self.dense_handoffs);
         // Durability counters are published only when nonzero so clean
         // runs keep their established manifest shape.

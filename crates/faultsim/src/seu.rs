@@ -5,36 +5,18 @@
 //! equally cares about *transient* upsets: a particle strike flips one
 //! register bit once, and the question is whether the error is flushed,
 //! stays latent in state, or corrupts the outputs. This module injects
-//! one flip per flip-flop per injection cycle, `64 · lane_words` flops
-//! per pass, and aggregates per-flop SEU vulnerability scores analogous
-//! to Algorithm 1's criticality scores. [`crate::reference::seu`] is the
-//! independent oracle the kernel is tested against.
+//! one flip per flip-flop per injection cycle, 256 flops per pass, and
+//! aggregates per-flop SEU vulnerability scores analogous to Algorithm
+//! 1's criticality scores. [`crate::reference::seu`] is the independent
+//! oracle the kernel is tested against.
 
-use crate::campaign::{CampaignConfig, GoldenTrace};
+use crate::campaign::{CampaignConfig, GoldenTrace, LANE_WORDS};
 use fusa_logicsim::{SoaNetlist, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::{GateId, Netlist};
 
-/// Parameters of an [`SeuCampaign`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeuConfig {
-    /// Cycles (fractions of workload length) at which flips are
-    /// injected; each fraction is one injection experiment.
-    pub injection_points: [f64; 3],
-    /// Width of the simulation word in 64-lane `u64` words: each pass
-    /// flips `64 · lane_words` flops through the structure-of-arrays
-    /// [`WideSim`] kernel. Supported widths are `1`, `4` and `8`. Rates
-    /// are identical at every setting.
-    pub lane_words: usize,
-}
-
-impl Default for SeuConfig {
-    fn default() -> Self {
-        SeuConfig {
-            injection_points: [0.25, 0.5, 0.75],
-            lane_words: 4,
-        }
-    }
-}
+/// Cycles, as fractions of the workload length, at which flips are
+/// injected; each fraction is one injection experiment.
+pub(crate) const INJECTION_POINTS: [f64; 3] = [0.25, 0.5, 0.75];
 
 /// Outcome of one (flop, workload, injection point) experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,17 +71,13 @@ impl SeuReport {
 /// Runs transient bit-flip campaigns over every flip-flop of a design.
 #[derive(Debug, Clone, Default)]
 pub struct SeuCampaign {
-    config: SeuConfig,
     interrupt: Option<&'static std::sync::atomic::AtomicBool>,
 }
 
 impl SeuCampaign {
     /// Creates a campaign runner.
-    pub fn new(config: SeuConfig) -> SeuCampaign {
-        SeuCampaign {
-            config,
-            interrupt: None,
-        }
+    pub fn new() -> SeuCampaign {
+        SeuCampaign::default()
     }
 
     /// Installs a cooperative interruption flag (typically the process
@@ -110,21 +88,12 @@ impl SeuCampaign {
         self
     }
 
-    /// Injects one flip per flop at each configured injection point of
-    /// each workload and aggregates vulnerability rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_words` is not `1`, `4` or `8`.
+    /// Injects one flip per flop at each injection point (a quarter,
+    /// half and three quarters through) of each workload and aggregates
+    /// vulnerability rates.
     pub fn run(&self, netlist: &Netlist, workloads: &WorkloadSuite) -> SeuReport {
         let obs = fusa_obs::global();
         let _span = obs.span("seu");
-        let sweep = match self.config.lane_words {
-            1 => run_chunks_wide::<1>,
-            4 => run_chunks_wide::<4>,
-            8 => run_chunks_wide::<8>,
-            other => panic!("unsupported lane_words {other}: use 1, 4 or 8"),
-        };
         let flops = netlist.sequential_gates();
         let soa = (!flops.is_empty()).then(|| SoaNetlist::new(netlist));
         // One golden pass per 64 workloads, outputs and end state only.
@@ -147,7 +116,7 @@ impl SeuCampaign {
         };
 
         'campaign: for (w, workload) in workloads.workloads().iter().enumerate() {
-            for &fraction in &self.config.injection_points {
+            for fraction in INJECTION_POINTS {
                 if stop_requested() {
                     interrupted = true;
                     break 'campaign;
@@ -156,7 +125,7 @@ impl SeuCampaign {
                     .min(workload.len().saturating_sub(1));
                 experiments += 1;
                 if let (Some(soa), Some(golden)) = (&soa, &golden) {
-                    sweep(
+                    run_chunks_wide(
                         soa,
                         workload,
                         &golden[w],
@@ -183,12 +152,11 @@ impl SeuCampaign {
     }
 }
 
-/// One injection experiment: `64 · W` flops flipped per pass at
+/// One injection experiment: 256 flops flipped per pass at
 /// `inject_cycle` (flop `i` of a group in word `i / 64`, lane `i % 64`),
 /// scored against the workload's golden trace (its broadcast
-/// `0`/`u64::MAX` lanes compare against any word), so every lane width
-/// scores identically.
-fn run_chunks_wide<const W: usize>(
+/// `0`/`u64::MAX` lanes compare against any word).
+fn run_chunks_wide(
     soa: &SoaNetlist,
     workload: &Workload,
     golden: &GoldenTrace,
@@ -197,12 +165,12 @@ fn run_chunks_wide<const W: usize>(
     corrupted: &mut [usize],
     latent: &mut [usize],
 ) {
-    let mut sim = WideSim::<W>::new(soa);
-    for (group_index, group) in flops.chunks(64 * W).enumerate() {
+    let mut sim = WideSim::<LANE_WORDS>::new(soa);
+    for (group_index, group) in flops.chunks(64 * LANE_WORDS).enumerate() {
         sim.reset();
         sim.clear_forces();
         let members = group.len().div_ceil(64);
-        let mut diverged = [0u64; W];
+        let mut diverged = [0u64; LANE_WORDS];
         for (cycle, vector) in workload.vectors.iter().enumerate() {
             if cycle == inject_cycle {
                 for (i, &flop) in group.iter().enumerate() {
@@ -221,7 +189,7 @@ fn run_chunks_wide<const W: usize>(
             }
             sim.clock();
         }
-        let mut state_differs = [0u64; W];
+        let mut state_differs = [0u64; LANE_WORDS];
         for (s, &g) in flops.iter().enumerate() {
             let golden = golden.final_state_lanes(s);
             for (co, word) in state_differs.iter_mut().enumerate().take(members) {
@@ -229,7 +197,7 @@ fn run_chunks_wide<const W: usize>(
             }
         }
         for (i, _) in group.iter().enumerate() {
-            let index = group_index * 64 * W + i;
+            let index = group_index * 64 * LANE_WORDS + i;
             let mask = 1u64 << (i % 64);
             if diverged[i / 64] & mask != 0 {
                 corrupted[index] += 1;
@@ -327,39 +295,31 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_agree_with_the_oracle() {
-        // Differential: every wide width scores the exact same rates as
-        // the oracle on a random sequential netlist with more flops than
-        // one 64-lane word holds.
+    fn two_groups_agree_with_the_oracle() {
+        // Differential: the campaign scores the exact same rates as the
+        // oracle on a random sequential netlist with more flops than one
+        // 256-lane pass holds, so its second group is partial.
         use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
         let netlist = random_netlist(&RandomNetlistConfig {
             num_inputs: 6,
-            num_gates: 400,
+            num_gates: 700,
             sequential_fraction: 0.5,
             num_outputs: 5,
             seed: 11,
             ..Default::default()
         });
         let workloads = suite(&netlist);
-        let run = |lane_words: usize| {
-            SeuCampaign::new(SeuConfig {
-                lane_words,
-                ..SeuConfig::default()
-            })
-            .run(&netlist, &workloads)
-        };
-        let reference = crate::reference::seu(&netlist, &workloads, &SeuConfig::default());
-        assert!(reference.flops.len() > 64, "want multi-word flop count");
-        for lane_words in [1usize, 4, 8] {
-            let wide = run(lane_words);
-            assert_eq!(reference.flops, wide.flops, "W={lane_words}");
-            assert_eq!(
-                reference.corruption_rate, wide.corruption_rate,
-                "W={lane_words}"
-            );
-            assert_eq!(reference.latent_rate, wide.latent_rate, "W={lane_words}");
-            assert_eq!(reference.experiments, wide.experiments, "W={lane_words}");
-        }
+        let reference = crate::reference::seu(&netlist, &workloads);
+        let flops = reference.flops.len();
+        assert!(
+            flops > 64 * LANE_WORDS && !flops.is_multiple_of(64 * LANE_WORDS),
+            "want a full and a partial group, got {flops} flops"
+        );
+        let wide = SeuCampaign::new().run(&netlist, &workloads);
+        assert_eq!(reference.flops, wide.flops);
+        assert_eq!(reference.corruption_rate, wide.corruption_rate);
+        assert_eq!(reference.latent_rate, wide.latent_rate);
+        assert_eq!(reference.experiments, wide.experiments);
     }
 
     #[test]

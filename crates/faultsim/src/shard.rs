@@ -7,8 +7,8 @@
 //! result bit-identical to a single uninterrupted run.
 //!
 //! The assignment must therefore depend on nothing but the unit index
-//! and the shard count: not on thread count, lane width, scheduling
-//! order, or which shard resumed after a crash. [`ShardSpec::owns`]
+//! and the shard count: not on thread count, scheduling order, or which
+//! shard resumed after a crash. [`ShardSpec::owns`]
 //! hashes the little-endian unit index with FNV-1a64 and reduces it
 //! modulo the shard total, which satisfies all of those invariants and
 //! spreads expensive units (which cluster by workload) roughly evenly.
@@ -62,9 +62,9 @@ impl ShardSpec {
     ///
     /// The assignment is a pure function of `(unit, total)`: FNV-1a64
     /// over the little-endian unit index, reduced modulo `total`. It is
-    /// deliberately independent of thread count, lane width, and
-    /// scheduling order so that checkpoints written by different shard
-    /// configurations stay mergeable and digest-stable.
+    /// deliberately independent of thread count and scheduling order
+    /// so that checkpoints written by different shard configurations
+    /// stay mergeable and digest-stable.
     pub fn owns(&self, unit: usize) -> bool {
         shard_of(unit, self.total) == self.index
     }

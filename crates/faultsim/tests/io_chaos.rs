@@ -1,6 +1,6 @@
 //! Chaos property suite for the storage-fault layer: random injected
 //! I/O failures (ENOSPC, EIO, short writes) against the checkpoint
-//! append path, across thread counts, lane widths and resume.
+//! append path, across thread counts and resume.
 //!
 //! The invariant under chaos is two-sided:
 //!
@@ -109,9 +109,9 @@ proptest! {
 
     /// One failed write attempt inside the default retry budget is
     /// invisible: the run completes undegraded and digests identically
-    /// to the oracle, whatever the fault kind, thread count
-    /// or lane width — and whatever torn fragment the failed attempt
-    /// left behind, `fsck` can always repair the checkpoint to clean.
+    /// to the oracle, whatever the fault kind or thread count — and
+    /// whatever torn fragment the failed attempt left behind, `fsck`
+    /// can always repair the checkpoint to clean.
     #[test]
     fn transient_write_fault_is_absorbed_by_retry(
         seed in 0u64..1u64 << 48,
@@ -119,7 +119,6 @@ proptest! {
         fail_op in 2u64..5,
         kind_index in 0usize..3,
         threads in 1usize..4,
-        lane_index in 0usize..3,
     ) {
         let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let netlist = chaos_netlist(seed, num_gates);
@@ -127,7 +126,6 @@ proptest! {
         let workloads = workloads_for(&netlist, seed ^ 0x5eed);
         let config = CampaignConfig {
             threads,
-            lane_words: [1, 4, 8][lane_index],
             ..CampaignConfig::default()
         };
 
@@ -184,7 +182,6 @@ proptest! {
         fail_every in 2u64..5,
         kind_index in 0usize..3,
         threads in 1usize..4,
-        lane_index in 0usize..3,
     ) {
         let _guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let netlist = chaos_netlist(seed, num_gates);
@@ -192,7 +189,6 @@ proptest! {
         let workloads = workloads_for(&netlist, seed ^ 0xdead);
         let config = CampaignConfig {
             threads,
-            lane_words: [1, 4, 8][lane_index],
             ..CampaignConfig::default()
         };
 

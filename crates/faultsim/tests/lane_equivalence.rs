@@ -1,5 +1,5 @@
-//! Differential tests: the wide `[u64; W]` structure-of-arrays kernel
-//! must be bit-identical to the oracle,
+//! Differential tests: the wide structure-of-arrays kernel (256 fault
+//! lanes a pass) must be bit-identical to the oracle,
 //! `fusa_faultsim::reference::stuck_at` (one thread, per-gate `BitSim`
 //! full sweep, a golden run of its own).
 //!
@@ -8,15 +8,16 @@
 //! nets), injects every stuck-at site (gate outputs *and* input pins,
 //! register enables and resets among them), and compares every
 //! `FaultOutcome` and every `first_divergence` cycle between the oracle
-//! and each wide width, across thread counts, differential stepping
-//! versus the full sweep, both Dangerous thresholds (`0.0` and the pipeline's
-//! `0.2`) and latent classification on and off. A second property
-//! checks durability: a checkpoint written at one lane width resumes
-//! bit-identically at another, because the checkpoint unit is always
-//! the 64-fault chunk regardless of how many chunks a pass packs. The
-//! design tests pin both sides of the dense hand-off: a built-in design
-//! whose passes switch to the full sweep, and a synthetic one whose
-//! passes mostly stay differential.
+//! and the campaign, across thread counts, differential stepping versus
+//! the full sweep, both Dangerous thresholds (`0.0` and the pipeline's
+//! `0.2`) and latent classification on and off, and with every 64-fault
+//! chunk campaigned alone. A second property checks durability: a
+//! checkpoint written by a differential run on one thread resumes
+//! bit-identically on two threads and the full sweep, because the
+//! checkpoint unit is always the 64-fault chunk regardless of how many
+//! chunks a pass packs. The design tests pin both sides of the dense
+//! hand-off: a built-in design whose passes switch to the full sweep,
+//! and a synthetic one whose passes mostly stay differential.
 
 use fusa_faultsim::{
     reference, CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign, FaultInjection,
@@ -40,13 +41,12 @@ fn workloads_for(netlist: &Netlist, seed: u64) -> WorkloadSuite {
 }
 
 /// Latent classification on, classic detection threshold.
-fn config(threads: usize, restrict_to_cone: bool, lane_words: usize) -> CampaignConfig {
+fn config(threads: usize, restrict_to_cone: bool) -> CampaignConfig {
     CampaignConfig {
         threads,
         classify_latent: true,
         min_divergence_fraction: 0.0,
         restrict_to_cone,
-        lane_words,
         shard: None,
     }
 }
@@ -62,9 +62,9 @@ fn run_with(
         .expect("campaign runs")
 }
 
-/// Chunk groups one campaign simulates at `lane_words`.
-fn group_count(faults: &FaultList, workloads: &WorkloadSuite, lane_words: usize) -> u64 {
-    (workloads.workloads().len() * faults.len().div_ceil(64).div_ceil(lane_words)) as u64
+/// Chunk groups one campaign simulates: four 64-fault chunks a pass.
+fn group_count(faults: &FaultList, workloads: &WorkloadSuite) -> u64 {
+    (workloads.workloads().len() * faults.len().div_ceil(64).div_ceil(4)) as u64
 }
 
 fn assert_reports_identical(context: &str, reference: &CampaignReport, candidate: &CampaignReport) {
@@ -91,8 +91,8 @@ fn assert_reports_identical(context: &str, reference: &CampaignReport, candidate
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6 })]
 
-    /// Every wide width, under every acceleration combination and
-    /// thread count, reproduces the oracle bit for bit — on
+    /// The campaign, under both stepping modes and thread counts, and
+    /// one chunk at a time, reproduces the oracle bit for bit — on
     /// random netlists with every register kind, over every stuck-at
     /// site including input pins, at both Dangerous thresholds and with
     /// latent classification on and off.
@@ -124,31 +124,45 @@ proptest! {
             &netlist, &faults, &workloads,
             &with_thresholds(CampaignConfig::default()),
         );
-        for lane_words in [1usize, 4, 8] {
-            for threads in [1usize, 4] {
-                for restrict_to_cone in [false, true] {
-                    let candidate = run_with(
-                        &netlist, &faults, &workloads,
-                        with_thresholds(config(threads, restrict_to_cone, lane_words)),
-                    );
-                    assert_reports_identical(
-                        &format!(
-                            "W={lane_words} threads={threads} cone={restrict_to_cone} \
-                             fraction={min_divergence_fraction} latent={classify_latent}"
-                        ),
-                        &reference,
-                        &candidate,
-                    );
-                }
+        for threads in [1usize, 4] {
+            for restrict_to_cone in [false, true] {
+                let candidate = run_with(
+                    &netlist, &faults, &workloads,
+                    with_thresholds(config(threads, restrict_to_cone)),
+                );
+                assert_reports_identical(
+                    &format!(
+                        "threads={threads} cone={restrict_to_cone} \
+                         fraction={min_divergence_fraction} latent={classify_latent}"
+                    ),
+                    &reference,
+                    &candidate,
+                );
+            }
+        }
+        // Each 64-fault chunk campaigned alone, a pass of one chunk: the
+        // quietest passes, which stay differential the longest.
+        for (c, chunk) in faults.faults().chunks(64).enumerate() {
+            let alone: FaultList = chunk.iter().copied().collect();
+            let candidate = run_with(
+                &netlist, &alone, &workloads,
+                with_thresholds(config(1, true)),
+            );
+            let range = c * 64..c * 64 + chunk.len();
+            for (x, y) in reference.workload_reports().iter().zip(candidate.workload_reports()) {
+                prop_assert_eq!(&x.outcomes[range.clone()], &y.outcomes[..], "chunk {}", c);
+                prop_assert_eq!(
+                    &x.first_divergence[range.clone()], &y.first_divergence[..], "chunk {}", c
+                );
             }
         }
     }
 
-    /// A `--lanes 512` (`lane_words: 8`) resume of a checkpoint written
-    /// by a `--lanes 64` (`lane_words: 1`) run is bit-identical to the
-    /// oracle, wherever the interruption lands.
+    /// A resume on two threads and the full sweep of a checkpoint
+    /// written by a differential run on one thread is bit-identical to
+    /// the oracle, wherever the interruption lands.
     #[test]
-    fn resume_across_lane_widths_is_bit_identical(
+    fn resume_across_schedules_is_bit_identical(
         seed in 0u64..1u64 << 48,
         num_gates in 40usize..100,
         interrupt_after in 1usize..6,
@@ -171,11 +185,7 @@ proptest! {
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
-        let partial = FaultCampaign::new(CampaignConfig {
-            threads: 1,
-            lane_words: 1,
-            ..CampaignConfig::default()
-        })
+        let partial = FaultCampaign::new(config(1, true))
         .with_durability(DurabilityConfig {
             checkpoint: Some(path.clone()),
             ..DurabilityConfig::default()
@@ -188,11 +198,7 @@ proptest! {
         .expect("partial campaign runs");
         prop_assert!(partial.interrupted());
 
-        let resumed = FaultCampaign::new(CampaignConfig {
-            threads: 2,
-            lane_words: 8,
-            ..CampaignConfig::default()
-        })
+        let resumed = FaultCampaign::new(config(2, false))
         .with_durability(DurabilityConfig {
             checkpoint: Some(path.clone()),
             resume: true,
@@ -204,32 +210,25 @@ proptest! {
 
         prop_assert!(!resumed.interrupted());
         prop_assert!(resumed.stats().units_from_checkpoint >= interrupt_after);
-        assert_reports_identical("lane 1 -> lane 8 resume", &reference, &resumed);
+        assert_reports_identical("differential -> full sweep resume", &reference, &resumed);
         prop_assert_eq!(reference.summary_opts(false), resumed.summary_opts(false));
     }
 }
 
-/// The built-in designs, checked once per width (cheap config): the
-/// proptest covers the space, this pins the real designs CI ships. Their
-/// fault effects fill most of the logic, so some passes must hand off
-/// to the full sweep.
+/// The built-in designs (cheap config): the proptest covers the space,
+/// this pins the real designs CI ships. Their fault effects fill most of
+/// the logic, so some passes must hand off to the full sweep.
 #[test]
-fn builtin_designs_all_widths_agree() {
+fn builtin_designs_agree() {
     let mut handoffs = 0;
     for netlist in fusa_netlist::designs::all_designs() {
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = workloads_for(&netlist, 7);
         let reference =
             reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
-        for lane_words in [1usize, 4, 8] {
-            let wide = run_with(&netlist, &faults, &workloads, config(4, true, lane_words));
-            assert_reports_identical(
-                &format!("{} W={lane_words}", netlist.name()),
-                &reference,
-                &wide,
-            );
-            handoffs += wide.stats().dense_handoffs;
-        }
+        let wide = run_with(&netlist, &faults, &workloads, config(4, true));
+        assert_reports_identical(netlist.name(), &reference, &wide);
+        handoffs += wide.stats().dense_handoffs;
     }
     assert!(
         handoffs > 0,
@@ -238,9 +237,9 @@ fn builtin_designs_all_widths_agree() {
 }
 
 /// The synthetic scaling designs run the wide kernel too: a 10k-gate
-/// generator output at widths 4 and 8 matches the oracle.
+/// generator output matches the oracle.
 #[test]
-fn synthetic_design_widths_agree() {
+fn synthetic_design_agrees() {
     let netlist =
         fusa_netlist::designs::synthetic_design(&fusa_netlist::designs::SyntheticConfig {
             name: "lane_probe".to_string(),
@@ -253,15 +252,13 @@ fn synthetic_design_widths_agree() {
     let faults = FaultList::all_gate_outputs(&netlist);
     let workloads = workloads_for(&netlist, 11);
     let reference = reference::stuck_at(&netlist, &faults, &workloads, &CampaignConfig::default());
-    for lane_words in [4usize, 8] {
-        let wide = run_with(&netlist, &faults, &workloads, config(2, true, lane_words));
-        assert_reports_identical(&format!("synthetic W={lane_words}"), &reference, &wide);
-        // Sparse fault effects: most passes finish differentially.
-        assert!(
-            wide.stats().dense_handoffs < group_count(&faults, &workloads, lane_words),
-            "synthetic W={lane_words}: every pass handed off"
-        );
-    }
+    let wide = run_with(&netlist, &faults, &workloads, config(2, true));
+    assert_reports_identical("synthetic", &reference, &wide);
+    // Sparse fault effects: most passes finish differentially.
+    assert!(
+        wide.stats().dense_handoffs < group_count(&faults, &workloads),
+        "synthetic: every pass handed off"
+    );
 }
 
 /// A reset edge that reaches a steady register holding a difference
@@ -333,18 +330,11 @@ fn reset_edges_and_forced_registers_match_the_oracle() {
                 &workloads,
                 &with_fraction(CampaignConfig::default()),
             );
-            for lane_words in [1usize, 4, 8] {
-                let candidate = run_with(
-                    &netlist,
-                    faults,
-                    &workloads,
-                    with_fraction(config(1, true, lane_words)),
-                );
-                let context = format!("{label} W={lane_words} fraction={min_divergence_fraction}");
-                assert_reports_identical(&context, &reference, &candidate);
-                if label != "all" {
-                    assert_eq!(candidate.stats().dense_handoffs, 0, "{context}: hand-off");
-                }
+            let candidate = run_with(&netlist, faults, &workloads, with_fraction(config(1, true)));
+            let context = format!("{label} fraction={min_divergence_fraction}");
+            assert_reports_identical(&context, &reference, &candidate);
+            if label != "all" {
+                assert_eq!(candidate.stats().dense_handoffs, 0, "{context}: hand-off");
             }
         }
     }

@@ -1,13 +1,13 @@
 //! Differential tests: a campaign split into N shards, merged with
 //! [`merge_checkpoints`], must be bit-identical to the oracle
-//! (`fusa_faultsim::reference::stuck_at`) — across shard counts,
-//! per-shard thread counts and lane widths, with one shard interrupted
-//! mid-run and resumed.
+//! (`fusa_faultsim::reference::stuck_at`) — across shard counts and
+//! per-shard thread counts, with one shard interrupted mid-run and
+//! resumed.
 //!
 //! This is the property the whole sharding feature rests on: shard
-//! assignment depends only on the unit id (never on threads, lanes or
-//! resume state), so the union of the shard checkpoints carries exactly
-//! the information of one full campaign.
+//! assignment depends only on the unit id (never on threads or resume
+//! state), so the union of the shard checkpoints carries exactly the
+//! information of one full campaign.
 
 use fusa_faultsim::{
     merge_checkpoints, reference, CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign,
@@ -72,7 +72,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6 })]
 
     /// Run every shard of an N-way partition (each with its own thread
-    /// count and lane width, one interrupted mid-run and resumed), merge
+    /// count, one interrupted mid-run and resumed), merge
     /// the shard checkpoints, and resume a campaign from the merged
     /// checkpoint: the result is bit-identical to the oracle's single
     /// uninterrupted run, down to the digested summary.
@@ -110,11 +110,10 @@ proptest! {
         let mut paths = Vec::new();
         for index in 1..=total {
             let shard = ShardSpec { index, total };
-            // Every shard gets its own scheduling: assignment and
-            // outcomes must not depend on threads or lane width.
+            // Every shard gets its own thread count: assignment and
+            // outcomes must not depend on it.
             let config = CampaignConfig {
                 threads: (schedule_seed >> index) as usize % 3 + 1,
-                lane_words: [1usize, 4, 8][(schedule_seed >> (2 * index)) as usize % 3],
                 shard: Some(shard),
                 ..base
             };
@@ -163,7 +162,7 @@ proptest! {
 
         // Resuming from the merged checkpoint finds every unit complete:
         // zero simulation, and the report equals the oracle's.
-        let merged = FaultCampaign::new(CampaignConfig { threads: 1, lane_words: 1, ..base })
+        let merged = FaultCampaign::new(CampaignConfig { threads: 1, ..base })
             .with_durability(DurabilityConfig {
                 checkpoint: Some(merged_path.clone()),
                 resume: true,

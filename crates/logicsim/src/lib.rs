@@ -37,7 +37,6 @@
 //! ```
 
 pub mod bitsim;
-pub mod cop;
 pub mod eval;
 pub mod probability;
 pub mod sim;

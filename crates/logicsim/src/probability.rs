@@ -9,7 +9,8 @@
 //!
 //! Estimation is Monte-Carlo over the [`crate::BitSim`] pattern-parallel
 //! engine: each simulated cycle evaluates 64 random input lanes at once,
-//! so `cycles = 512` samples 32,768 patterns per net.
+//! every input bit a fair coin, so `cycles = 512` samples 32,768
+//! patterns per net.
 
 use crate::bitsim::BitSim;
 use fusa_netlist::{GateId, Netlist};
@@ -23,8 +24,6 @@ pub struct SignalStatsConfig {
     pub cycles: usize,
     /// Cycles discarded before counting (flushes reset bias).
     pub warmup: usize,
-    /// Probability that a primary input is `1` each cycle.
-    pub input_density: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -34,7 +33,6 @@ impl Default for SignalStatsConfig {
         SignalStatsConfig {
             cycles: 512,
             warmup: 16,
-            input_density: 0.5,
             seed: 0x51671A15,
         }
     }
@@ -65,17 +63,12 @@ impl SignalStats {
     ///
     /// # Panics
     ///
-    /// Panics if `config.cycles <= config.warmup` or `input_density` is
-    /// outside `[0, 1]`.
+    /// Panics if `config.cycles <= config.warmup`.
     pub fn estimate(netlist: &Netlist, config: &SignalStatsConfig) -> SignalStats {
         let _span = fusa_obs::global().span("signal-stats");
         assert!(
             config.cycles > config.warmup,
             "need more cycles than warmup"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.input_density),
-            "input_density must be in [0, 1]"
         );
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut sim = BitSim::new(netlist);
@@ -87,28 +80,13 @@ impl SignalStats {
         let mut previous = vec![0u64; gate_count];
         let mut counted_cycles = 0u64;
 
-        let random_lanes = |rng: &mut ChaCha8Rng| -> u64 {
-            if (config.input_density - 0.5).abs() < f64::EPSILON {
-                rng.gen::<u64>()
-            } else {
-                let mut lanes = 0u64;
-                for bit in 0..64 {
-                    if rng.gen_bool(config.input_density) {
-                        lanes |= 1 << bit;
-                    }
-                }
-                lanes
-            }
-        };
-
         // Flat per-gate output-net indices so the per-cycle counting loop
         // avoids a struct walk per gate.
         let output_net: Vec<usize> = netlist.gates().iter().map(|g| g.output.index()).collect();
 
         for cycle in 0..config.cycles {
             for i in 0..pi_count {
-                let lanes = random_lanes(&mut rng);
-                sim.set_input_lanes(i, lanes);
+                sim.set_input_lanes(i, rng.gen::<u64>());
             }
             sim.settle();
             if cycle >= config.warmup {
@@ -221,25 +199,6 @@ mod tests {
         assert_eq!(stats.probability_one(GateId(0)), 1.0);
         assert_eq!(stats.probability_one(GateId(1)), 0.0);
         assert_eq!(stats.transition_probability(GateId(0)), 0.0);
-    }
-
-    #[test]
-    fn biased_inputs_shift_probability() {
-        let mut b = NetlistBuilder::new("buf");
-        let a = b.primary_input("a");
-        let z = b.gate(GateKind::Buf, &[a]);
-        b.primary_output("z", z);
-        let netlist = b.finish().unwrap();
-        let stats = SignalStats::estimate(
-            &netlist,
-            &SignalStatsConfig {
-                cycles: 300,
-                warmup: 8,
-                input_density: 0.9,
-                seed: 3,
-            },
-        );
-        assert!(stats.probability_one(GateId(0)) > 0.85);
     }
 
     #[test]

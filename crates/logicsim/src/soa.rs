@@ -476,8 +476,9 @@ impl ToggleTrace {
 /// One cycle of a [`ToggleTrace`]: the nonzero words of its golden net
 /// changes (over net words) and of its position and reset toggle sets
 /// (over position words), each as `(word, bits)` pairs in ascending
-/// word order.
-#[derive(Debug, Clone, Copy)]
+/// word order. The default holds none, as the first cycle of a trace
+/// does.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CycleToggles<'t> {
     nets: &'t [(u32, u64)],
     positions: &'t [(u32, u64)],

@@ -17,10 +17,7 @@
 //! - **Peak RSS** — tolerance-gated when both runs measured it, skipped
 //!   when either platform reported it absent.
 //!
-//! The result renders as a text delta table or JSON, and
-//! [`append_bench_trajectory`] folds it into `BENCH_campaign.json` so
-//! repeated `fusa compare --append-bench` runs accumulate a performance
-//! trajectory next to the committed benchmark numbers.
+//! The result renders as a text delta table or JSON.
 
 use crate::json::Json;
 use crate::manifest::RunManifest;
@@ -619,74 +616,6 @@ pub fn load_manifest_arg(path: &std::path::Path) -> Result<RunManifest, String> 
     RunManifest::parse(&text).map_err(|e| format!("{}: {e}", file.display()))
 }
 
-/// Appends one trajectory entry for `comparison` to the
-/// `BENCH_campaign.json` document in `existing` (pass an empty string
-/// when the file does not exist yet) and returns the rewritten text.
-///
-/// The entry lands in a top-level `"trajectory"` array, created on
-/// first use; all other document content is preserved.
-pub fn append_bench_trajectory(
-    existing: &str,
-    comparison: &Comparison,
-    baseline: &RunManifest,
-    candidate: &RunManifest,
-) -> Result<String, String> {
-    let mut root = if existing.trim().is_empty() {
-        Json::Obj(Vec::new())
-    } else {
-        Json::parse(existing).map_err(|e| format!("existing bench file: {e}"))?
-    };
-    let Json::Obj(members) = &mut root else {
-        return Err("existing bench file is not a JSON object".into());
-    };
-
-    let entry = Json::Obj(vec![
-        (
-            "recorded_unix".into(),
-            Json::Num(candidate.created_unix as f64),
-        ),
-        ("design".into(), Json::Str(comparison.design.clone())),
-        (
-            "baseline_run".into(),
-            Json::Str(comparison.baseline_id.clone()),
-        ),
-        (
-            "candidate_run".into(),
-            Json::Str(comparison.candidate_id.clone()),
-        ),
-        (
-            "baseline_wall_seconds".into(),
-            Json::Num(baseline.wall_seconds),
-        ),
-        (
-            "candidate_wall_seconds".into(),
-            Json::Num(candidate.wall_seconds),
-        ),
-        ("same_seed".into(), Json::Bool(comparison.same_seed)),
-        (
-            "digest_mismatches".into(),
-            Json::Num(comparison.digest_mismatches.len() as f64),
-        ),
-        (
-            "tolerance_pct".into(),
-            Json::Num(comparison.options.tolerance_pct),
-        ),
-        ("regression".into(), Json::Bool(comparison.has_regression())),
-    ]);
-
-    match members.iter_mut().find(|(k, _)| k == "trajectory") {
-        Some((_, Json::Arr(entries))) => entries.push(entry),
-        Some((_, other)) => {
-            return Err(format!(
-                "existing `trajectory` member is not an array: {}",
-                other.render()
-            ))
-        }
-        None => members.push(("trajectory".into(), Json::Arr(vec![entry]))),
-    }
-    Ok(root.render_pretty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1044,48 +973,5 @@ mod tests {
         let reparsed = Json::parse(&json.render()).unwrap();
         assert_eq!(reparsed.get("regression"), Some(&Json::Bool(true)));
         assert!(reparsed.get("rows").and_then(Json::as_arr).unwrap().len() > 3);
-    }
-
-    #[test]
-    fn bench_trajectory_appends_and_preserves_document() {
-        let base = manifest("a");
-        let cand = manifest("b");
-        let cmp = compare_manifests(&base, &cand, CompareOptions::default());
-
-        // Fresh file.
-        let first = append_bench_trajectory("", &cmp, &base, &cand).unwrap();
-        let parsed = Json::parse(&first).unwrap();
-        let entries = parsed.get("trajectory").and_then(Json::as_arr).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].get("regression"), Some(&Json::Bool(false)));
-
-        // Existing document with unrelated content: preserved, entry appended.
-        let existing = r#"{"benchmark": "campaign", "designs": [{"name": "d"}]}"#;
-        let second = append_bench_trajectory(existing, &cmp, &base, &cand).unwrap();
-        let parsed = Json::parse(&second).unwrap();
-        assert_eq!(parsed.get("benchmark"), Some(&Json::Str("campaign".into())));
-        assert_eq!(
-            parsed
-                .get("trajectory")
-                .and_then(Json::as_arr)
-                .unwrap()
-                .len(),
-            1
-        );
-        // And appending again grows the array.
-        let third = append_bench_trajectory(&second, &cmp, &base, &cand).unwrap();
-        assert_eq!(
-            Json::parse(&third)
-                .unwrap()
-                .get("trajectory")
-                .and_then(Json::as_arr)
-                .unwrap()
-                .len(),
-            2
-        );
-
-        // A malformed trajectory member is rejected, not clobbered.
-        let bad = r#"{"trajectory": 5}"#;
-        assert!(append_bench_trajectory(bad, &cmp, &base, &cand).is_err());
     }
 }

@@ -13,8 +13,7 @@
 //! call still reports failure, leaving exactly the torn data that
 //! recovery tooling (`fusa fsck`) must cope with.
 //!
-//! Disarmed, the fast path is a single relaxed atomic load; the
-//! `bench_campaign` `io_retry` section holds that to the noise floor.
+//! Disarmed, the fast path is a single relaxed atomic load.
 //!
 //! The same module owns the **durability-degraded** flag: when a
 //! storage-side failure survives its retry budget, the writer calls

@@ -163,8 +163,7 @@ impl Json {
     }
 
     /// Renders pretty-printed JSON (two-space indent, one member or
-    /// element per line), used when rewriting documents meant to live
-    /// in version control such as `BENCH_campaign.json`.
+    /// element per line), for documents a person reads.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.render_pretty_into(&mut out, 0);

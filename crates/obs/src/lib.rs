@@ -60,8 +60,7 @@ mod status;
 mod tracequery;
 
 pub use compare::{
-    append_bench_trajectory, compare_manifests, load_manifest_arg, CompareOptions, Comparison,
-    DeltaRow, RowStatus,
+    compare_manifests, load_manifest_arg, CompareOptions, Comparison, DeltaRow, RowStatus,
 };
 pub use digest::{fnv1a64, fnv1a64_hex, Fnv64};
 pub use fleet::{discover_status_files, FleetDamage, FleetOptions, FleetRow, FleetRun, FleetView};

@@ -5,7 +5,7 @@
 //! cargo run --release --example seu_analysis
 //! ```
 
-use fusa::faultsim::{SeuCampaign, SeuConfig};
+use fusa::faultsim::SeuCampaign;
 use fusa::logicsim::{WorkloadConfig, WorkloadSuite};
 use fusa::netlist::designs::sdram_ctrl;
 
@@ -20,7 +20,7 @@ fn main() {
         },
     );
 
-    let report = SeuCampaign::new(SeuConfig::default()).run(&design, &workloads);
+    let report = SeuCampaign::new().run(&design, &workloads);
     println!(
         "{}: {} flip-flops, {} injection experiments each",
         design.name(),

@@ -18,7 +18,7 @@
 
 use fusa::faultsim::{
     CampaignReport, CheckpointHeader, DurabilityConfig, FaultCampaign, FaultList, QuarantinedUnit,
-    SeuCampaign, SeuConfig, ShardSpec,
+    SeuCampaign, ShardSpec,
 };
 use fusa::gcn::pipeline::{FusaAnalysis, FusaPipeline, PipelineConfig, PipelineError};
 use fusa::gcn::report::{render_csv_report, render_text_report, ReportOptions};
@@ -102,11 +102,6 @@ const RUN_FLAGS: &[FlagSpec] = &[
         name: "--threads",
         value: Some("N"),
         help: "campaign worker threads (0 = one per CPU)",
-    },
-    FlagSpec {
-        name: "--lanes",
-        value: Some("N"),
-        help: "fault lanes per simulation pass: 64, 256 or 512 (default 256)",
     },
     FlagSpec {
         name: "--no-cone",
@@ -497,16 +492,6 @@ const COMMANDS: &[CommandSpec] = &[
                 value: None,
                 help: "JSON delta table",
             },
-            FlagSpec {
-                name: "--append-bench",
-                value: None,
-                help: "append a trajectory entry to the bench file",
-            },
-            FlagSpec {
-                name: "--bench-file",
-                value: Some("FILE"),
-                help: "bench file for --append-bench (default BENCH_campaign.json)",
-            },
         ],
         run_options: false,
         help: "diff two run manifests; exit 1 on regression",
@@ -756,14 +741,6 @@ fn pipeline_config(args: &Args) -> Result<PipelineConfig, String> {
     }
     if let Some(threads) = args.number("--threads")? {
         config.campaign.threads = threads;
-    }
-    if let Some(lanes) = args.value("--lanes") {
-        config.campaign.lane_words = match lanes {
-            "64" => 1,
-            "256" => 4,
-            "512" => 8,
-            other => return Err(format!("bad --lanes value `{other}`: use 64, 256 or 512")),
-        };
     }
     if args.has("--structural-features") {
         config.structural_features = true;
@@ -1045,17 +1022,6 @@ fn manifest_config(config: &PipelineConfig) -> (ConfigEntries, SeedEntries) {
             config.campaign.restrict_to_cone.to_string(),
         ),
         (
-            "campaign.lane_words".to_string(),
-            config.campaign.lane_words.to_string(),
-        ),
-        // The checkpoint unit is always a 64-fault chunk, whatever the
-        // lane width packs into one pass.
-        ("campaign.chunk_faults".to_string(), "64".to_string()),
-        (
-            "campaign.faults_per_pass".to_string(),
-            (64 * config.campaign.lane_words).to_string(),
-        ),
-        (
             "criticality_threshold".to_string(),
             config.criticality_threshold.to_string(),
         ),
@@ -1230,7 +1196,6 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         netlist,
         &ReportOptions {
             include_stats: false,
-            ..ReportOptions::default()
         },
     );
     let csv = render_csv_report(&analysis, netlist);
@@ -1472,12 +1437,9 @@ fn cmd_seu(args: &Args) -> Result<(), String> {
     }
     let netlist = &run.netlist;
     let workloads = WorkloadSuite::generate(netlist, &run.config.workloads);
-    let report = SeuCampaign::new(SeuConfig {
-        lane_words: run.config.campaign.lane_words,
-        ..SeuConfig::default()
-    })
-    .with_interrupt(fusa::obs::shutdown_flag())
-    .run(netlist, &workloads);
+    let report = SeuCampaign::new()
+        .with_interrupt(fusa::obs::shutdown_flag())
+        .run(netlist, &workloads);
     if report.interrupted {
         run.exit_interrupted();
     }
@@ -1861,9 +1823,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// the candidate regressed (digest mismatch on same-seed runs, or a
 /// time metric beyond tolerance).
 fn cmd_compare(args: &Args) -> Result<(), String> {
-    use fusa::obs::{
-        append_bench_trajectory, compare_manifests, load_manifest_arg, CompareOptions,
-    };
+    use fusa::obs::{compare_manifests, load_manifest_arg, CompareOptions};
 
     let baseline = load_manifest_arg(std::path::Path::new(args.positionals[0]))?;
     let candidate = load_manifest_arg(std::path::Path::new(args.positionals[1]))?;
@@ -1881,14 +1841,6 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         outln!("{}", comparison.to_json().render());
     } else {
         out!("{}", comparison.render_text());
-    }
-
-    if args.has("--append-bench") {
-        let path = args.value("--bench-file").unwrap_or("BENCH_campaign.json");
-        let existing = std::fs::read_to_string(path).unwrap_or_default();
-        let updated = append_bench_trajectory(&existing, &comparison, &baseline, &candidate)?;
-        std::fs::write(path, updated).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        outln!("trajectory entry appended to {path}");
     }
 
     if comparison.has_regression() {

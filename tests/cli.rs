@@ -377,7 +377,7 @@ fn runtime_error_prints_one_line_without_usage() {
     let nan_truth = tmp.join(format!("fusa_cli_nan_truth_{}.csv", std::process::id()));
     std::fs::write(&nan_truth, "gate,score,label\nU0,NaN,1\n").unwrap();
     let nan_truth = nan_truth.to_str().unwrap();
-    let cases: [(&[&str], &[&str]); 8] = [
+    let cases: [(&[&str], &[&str]); 6] = [
         (&["analyze", missing, "--fast"], &["error: cannot read"]),
         (
             &["stats", wide],
@@ -386,29 +386,6 @@ fn runtime_error_prints_one_line_without_usage() {
         (
             &["stats", many],
             &["error: cannot parse", "line 2", "19660800 bits"],
-        ),
-        // `scalar` was a lane width once; it is an unknown value now.
-        (
-            &[
-                "faults",
-                "uart_ctrl",
-                "--lanes",
-                "scalar",
-                "--run-dir",
-                run_dir,
-            ],
-            &["error: bad --lanes value `scalar`", "64", "256", "512"],
-        ),
-        (
-            &[
-                "seu",
-                "uart_ctrl",
-                "--lanes",
-                "scalar",
-                "--run-dir",
-                run_dir,
-            ],
-            &["error: bad --lanes value `scalar`", "64", "256", "512"],
         ),
         // A thread count that does not parse is an error, not the
         // one-per-CPU default.
@@ -657,42 +634,6 @@ fn compare_gates_same_seed_runs_and_detects_regressions() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("result: REGRESSION"), "{stdout}");
     assert!(stdout.contains("REGRESSION"), "{stdout}");
-
-    // --append-bench writes a well-formed trajectory entry.
-    let bench_file = dir.join("bench.json");
-    let _ = std::fs::remove_file(&bench_file);
-    let output = fusa()
-        .args([
-            "compare",
-            baseline.to_str().unwrap(),
-            candidate.to_str().unwrap(),
-            "--tolerance-pct",
-            "200",
-            "--min-seconds",
-            "0.2",
-            "--append-bench",
-            "--bench-file",
-            bench_file.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(output.status.success(), "{:?}", output);
-    let bench = Json::parse(&std::fs::read_to_string(&bench_file).unwrap()).unwrap();
-    let trajectory = bench
-        .get("trajectory")
-        .and_then(Json::as_arr)
-        .expect("trajectory array");
-    assert_eq!(trajectory.len(), 1);
-    let entry = &trajectory[0];
-    assert_eq!(
-        entry.get("design").and_then(Json::as_str),
-        Some("or1200_icfsm")
-    );
-    assert_eq!(entry.get("regression"), Some(&Json::Bool(false)));
-    assert!(entry
-        .get("candidate_wall_seconds")
-        .and_then(Json::as_f64)
-        .is_some());
 }
 
 #[test]

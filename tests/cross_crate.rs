@@ -453,26 +453,3 @@ mod uart_behaviour {
         assert_eq!(recovered, byte, "recovered byte");
     }
 }
-
-#[test]
-fn analytic_and_monte_carlo_probabilities_correlate() {
-    use fusa::logicsim::cop::{CopConfig, CopEstimate};
-    use fusa::neuro::metrics::pearson;
-    for design in paper_designs() {
-        let cop = CopEstimate::analyze(&design, &CopConfig::default());
-        let mc = SignalStats::estimate(
-            &design,
-            &SignalStatsConfig {
-                cycles: 256,
-                warmup: 16,
-                ..Default::default()
-            },
-        );
-        let r = pearson(cop.p_one_slice(), mc.p_one_slice());
-        assert!(
-            r > 0.75,
-            "{}: COP and Monte-Carlo disagree (r = {r})",
-            design.name()
-        );
-    }
-}

@@ -80,10 +80,7 @@ fn regression_scores_conform_with_classification() {
 #[test]
 fn explanations_cover_every_feature_and_respect_locality() {
     let analysis = analysis();
-    let explainer = analysis.explainer(ExplainerConfig {
-        iterations: 25,
-        ..Default::default()
-    });
+    let explainer = analysis.explainer(ExplainerConfig { iterations: 25 });
     let node = analysis.split.validation[1];
     let explanation = explainer.explain(node);
     assert_eq!(
