@@ -177,13 +177,15 @@ fn bench_gcn(c: &mut Criterion) {
     });
 }
 
-/// One graph convolution's fused passes at the shapes of Table 1's layer
-/// 3 (32 → 64 features) on synth_10k's graph (9.7k nodes), so a kernel
-/// regression shows without the pipeline. The forward pass gathers
-/// `Â·H`, multiplies it into `W` and adds the bias; the backward pass
-/// streams the weight and bias gradients, writes `G·Wᵀ` and gathers
-/// `Âᵀ·(G·Wᵀ)`, the input gradient. The input is ReLU-like, about half
-/// zero.
+/// One graph convolution's fused passes on synth_10k's graph (9.7k
+/// nodes), so a kernel regression shows without the pipeline: at the
+/// shapes of Table 1's layer 3 (32 → 64 features, linear) and of its
+/// classifier head (64 → 2, log-softmax), which takes the narrow path
+/// (row-blocked product, weight gradient across the input dimension).
+/// The forward pass gathers `Â·H`, multiplies it into `W` and adds the
+/// bias; the backward pass streams the weight and bias gradients, writes
+/// `G·Wᵀ` and gathers `Âᵀ·(G·Wᵀ)`, the input gradient. The input is
+/// ReLU-like, about half zero.
 fn bench_gcn_passes(c: &mut Criterion) {
     use fusa_neuro::conv::{ConvStack, GraphConv, Workspace};
     use fusa_neuro::layers::Dropout;
@@ -204,17 +206,20 @@ fn bench_gcn_passes(c: &mut Criterion) {
             .collect();
         fusa_neuro::Matrix::from_vec(rows, cols, data)
     };
-    let h = dense(n, 32, true);
-    let grad = dense(n, 64, false);
-    let convs = vec![GraphConv::new(32, 64, 0x6C4)];
-    let mut stack = ConvStack::new(convs, Dropout::new(0.0, 0), 0, false);
-    let mut workspace = Workspace::new(&adj);
-    c.bench_function("gcn/conv_forward_10k_32x64", |b| {
-        b.iter(|| black_box(stack.forward(&mut workspace, &h, true).get(0, 0)))
-    });
-    c.bench_function("gcn/conv_backward_10k_32x64", |b| {
-        b.iter(|| black_box(stack.backward(&mut workspace, &grad)))
-    });
+    for (in_width, out_width, log_softmax) in [(32, 64, false), (64, 2, true)] {
+        let h = dense(n, in_width, true);
+        let grad = dense(n, out_width, false);
+        let convs = vec![GraphConv::new(in_width, out_width, 0x6C4)];
+        let mut stack = ConvStack::new(convs, Dropout::new(0.0, 0), 0, log_softmax);
+        let mut workspace = Workspace::new(&adj);
+        let shape = format!("10k_{in_width}x{out_width}");
+        c.bench_function(&format!("gcn/conv_forward_{shape}"), |b| {
+            b.iter(|| black_box(stack.forward(&mut workspace, &h, true).get(0, 0)))
+        });
+        c.bench_function(&format!("gcn/conv_backward_{shape}"), |b| {
+            b.iter(|| black_box(stack.backward(&mut workspace, &grad)))
+        });
+    }
 }
 
 /// The zero-simulation layer on the ~10k-gate synthetic design: the

@@ -188,7 +188,8 @@ fn infer_once(stack: &ConvStack, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) ->
 #[derive(Debug, Clone)]
 pub struct GcnClassifier {
     config: GcnConfig,
-    stack: ConvStack,
+    /// The convolutions; training drives their trunk pass directly.
+    pub(crate) stack: ConvStack,
 }
 
 /// Number of output classes (Critical / Non-critical).
@@ -241,17 +242,6 @@ impl GcnClassifier {
     /// Panics if `plan` was built for a different depth.
     pub fn forward_inference_rows(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
         infer_once(&self.stack, adj, x, plan)
-    }
-
-    /// [`GcnClassifier::forward_inference_rows`] into the buffers of `ws`,
-    /// whose adjacency `plan` was built for.
-    pub(crate) fn infer_rows<'w>(
-        &self,
-        ws: &'w mut Workspace<'_>,
-        x: &Matrix,
-        plan: &RowPlan,
-    ) -> &'w Matrix {
-        self.stack.infer(ws, x, plan)
     }
 
     /// A [`RowPlan`] producing the output rows of nodes `rows`.
@@ -339,7 +329,8 @@ impl GcnClassifier {
 #[derive(Debug, Clone)]
 pub struct GcnRegressor {
     config: GcnConfig,
-    stack: ConvStack,
+    /// The convolutions; training drives their trunk pass directly.
+    pub(crate) stack: ConvStack,
 }
 
 impl GcnRegressor {
@@ -384,17 +375,6 @@ impl GcnRegressor {
     /// Panics if `plan` was built for a different depth.
     pub fn forward_inference_rows(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
         infer_once(&self.stack, adj, x, plan)
-    }
-
-    /// [`GcnRegressor::forward_inference_rows`] into the buffers of `ws`,
-    /// whose adjacency `plan` was built for.
-    pub(crate) fn infer_rows<'w>(
-        &self,
-        ws: &'w mut Workspace<'_>,
-        x: &Matrix,
-        plan: &RowPlan,
-    ) -> &'w Matrix {
-        self.stack.infer(ws, x, plan)
     }
 
     /// A [`RowPlan`] producing the output rows of nodes `rows`.

@@ -73,6 +73,21 @@ pub fn train_classifier(
     model_config: GcnConfig,
     train_config: &TrainConfig,
 ) -> (GcnClassifier, TrainHistory, EvaluationReport) {
+    let (model, history) = fit_classifier(adj, features, labels, split, model_config, train_config);
+    let evaluation = evaluate_classifier(&model, adj, features, labels, split);
+    (model, history, evaluation)
+}
+
+/// The epochs of [`train_classifier`]: the model, with the parameters of
+/// its best validation epoch restored, and its history.
+fn fit_classifier(
+    adj: &CsrMatrix,
+    features: &Matrix,
+    labels: &[bool],
+    split: &Split,
+    model_config: GcnConfig,
+    train_config: &TrainConfig,
+) -> (GcnClassifier, TrainHistory) {
     assert_eq!(labels.len(), features.rows(), "label count mismatch");
     let obs = fusa_obs::global();
     let targets: Vec<usize> = labels.iter().map(|&l| usize::from(l)).collect();
@@ -82,8 +97,9 @@ pub fn train_classifier(
     let mut history = TrainHistory::default();
     let mut best: Option<(f64, TrunkSnapshot)> = None;
     // Validation reads the model's output on validation nodes only, so
-    // its eval pass computes just the rows those outputs depend on.
-    let validation_plan = model.row_plan(adj, &split.validation);
+    // its eval pass computes, from the trunk, just the rows those outputs
+    // depend on.
+    let validation_plan = model.stack.head_plan(adj, &split.validation);
     // Every graph-sized buffer of the run, sized by the first epoch.
     let mut workspace = Workspace::new(adj);
     let progress = fusa_obs::Progress::start(
@@ -94,10 +110,13 @@ pub fn train_classifier(
         fusa_obs::ProgressConfig::default(),
     );
 
+    obs.time("train.trunk", || {
+        model.stack.trunk(&mut workspace, features)
+    });
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
         let (loss, grad) = obs.time("train.forward", || {
-            let log_probs = model.forward(&mut workspace, features, true);
+            let log_probs = model.stack.forward_from_trunk(&mut workspace);
             nll_loss(log_probs, &targets, &split.train)
         });
         obs.time("train.backward", || {
@@ -109,12 +128,17 @@ pub fn train_classifier(
         obs.time("train.optimizer", || {
             optimizer.step(&mut model.params_mut())
         });
+        // One trunk pass with the new parameters serves this epoch's
+        // validation and the next epoch's forward pass, so it runs also
+        // when there is nothing to validate.
+        obs.time("train.trunk", || {
+            model.stack.trunk(&mut workspace, features)
+        });
 
         let val_accuracy = obs.time("train.validation", || {
             validation_accuracy(
                 &model,
                 &mut workspace,
-                features,
                 labels,
                 &split.validation,
                 &validation_plan,
@@ -155,22 +179,18 @@ pub fn train_classifier(
     if let Some(&loss) = history.train_loss.last() {
         obs.gauge_set("train.final_loss", loss);
     }
-
-    // The evaluation below sizes buffers of its own.
-    drop(workspace);
     if let Some((_, snapshot)) = best {
         model.restore(snapshot);
     }
-    let evaluation = evaluate_classifier(&model, adj, features, labels, split);
-    (model, history, evaluation)
+    (model, history)
 }
 
-/// Accuracy on `validation`, from an eval pass restricted by `plan`
-/// (built for exactly those rows) to the rows it reads.
+/// Accuracy on `validation`, from an eval pass over the trunk pass in
+/// `workspace` restricted by `plan` (built for exactly those rows) to the
+/// rows it reads.
 fn validation_accuracy(
     model: &GcnClassifier,
     workspace: &mut Workspace<'_>,
-    features: &Matrix,
     labels: &[bool],
     validation: &[usize],
     plan: &RowPlan,
@@ -178,7 +198,7 @@ fn validation_accuracy(
     if validation.is_empty() {
         return 0.0;
     }
-    let predictions = model.infer_rows(workspace, features, plan).argmax_rows();
+    let predictions = model.stack.infer_from_trunk(workspace, plan).argmax_rows();
     let correct = validation
         .iter()
         .zip(predictions)
@@ -244,7 +264,7 @@ pub fn train_regressor(
         Adam::with_weight_decay(train_config.learning_rate, train_config.weight_decay);
     let mut history = TrainHistory::default();
     let mut best: Option<(f64, TrunkSnapshot)> = None;
-    let validation_plan = model.row_plan(adj, &split.validation);
+    let validation_plan = model.stack.head_plan(adj, &split.validation);
     // The restricted eval pass yields validation rows in split order, so
     // the validation MSE runs over positions 0..len of those rows.
     let validation_scores: Vec<f64> = split.validation.iter().map(|&i| scores[i]).collect();
@@ -258,10 +278,13 @@ pub fn train_regressor(
         fusa_obs::ProgressConfig::default(),
     );
 
+    obs.time("train.trunk", || {
+        model.stack.trunk(&mut workspace, features)
+    });
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
         let (loss, grad) = obs.time("train.forward", || {
-            let predictions = model.forward(&mut workspace, features, true);
+            let predictions = model.stack.forward_from_trunk(&mut workspace);
             mse_loss(predictions, scores, &split.train)
         });
         obs.time("train.backward", || {
@@ -273,9 +296,14 @@ pub fn train_regressor(
         obs.time("train.optimizer", || {
             optimizer.step(&mut model.params_mut())
         });
+        obs.time("train.trunk", || {
+            model.stack.trunk(&mut workspace, features)
+        });
 
         let val_loss = obs.time("train.validation", || {
-            let val_predictions = model.infer_rows(&mut workspace, features, &validation_plan);
+            let val_predictions = model
+                .stack
+                .infer_from_trunk(&mut workspace, &validation_plan);
             mse_loss(val_predictions, &validation_scores, &validation_positions).0
         });
         history.train_loss.push(loss);
@@ -532,6 +560,40 @@ mod tests {
         let val_actual: Vec<bool> = split.validation.iter().map(|&i| labels[i]).collect();
         assert!((accuracy(&val_preds, &val_actual) - best_metric).abs() < 1e-9);
         let _ = model;
+    }
+
+    #[test]
+    fn validation_rows_never_change_training() {
+        // The trunk pass after each optimizer step feeds validation and
+        // the next forward pass alike: without validation rows, both
+        // models' losses must be the same bits. The classifier runs its
+        // epochs alone, as its evaluation reads validation rows.
+        let (adj, x, labels) = community_task();
+        let scores: Vec<f64> = labels.iter().map(|&l| if l { 0.8 } else { 0.2 }).collect();
+        let split = Split::stratified(&labels, 0.7, 5);
+        let unvalidated = Split {
+            train: split.train.clone(),
+            validation: Vec::new(),
+        };
+        let config = TrainConfig {
+            epochs: 12,
+            ..tiny_train_config()
+        };
+        let bits = |history: TrainHistory| -> Vec<u64> {
+            history.train_loss.iter().map(|v| v.to_bits()).collect()
+        };
+        let classifier = |split: &Split| {
+            let (_, history) =
+                fit_classifier(&adj, &x, &labels, split, tiny_model_config(), &config);
+            bits(history)
+        };
+        let regressor = |split: &Split| {
+            let (_, history, _) =
+                train_regressor(&adj, &x, &scores, split, tiny_model_config(), &config);
+            bits(history)
+        };
+        assert_eq!(classifier(&split), classifier(&unvalidated));
+        assert_eq!(regressor(&split), regressor(&unvalidated));
     }
 
     #[test]

@@ -370,8 +370,10 @@ impl SoaNetlist {
     ///   value: a register whose state difference equals its D
     ///   difference ignores its enable but not its reset
     ///   ([`WideSim::settle_diff`]);
-    /// * the golden *net* changes, one bit per net: the previous
-    ///   snapshot XOR this one.
+    /// * the golden *net* changes of the nets a seed can name, those
+    ///   driven by a primary input or a flip-flop: the previous snapshot
+    ///   XOR this one, over those nets. Only seed republication reads
+    ///   them ([`WideSim::settle_diff`]), and a seed is such a net.
     ///
     /// # Panics
     ///
@@ -381,6 +383,7 @@ impl SoaNetlist {
         let net_words = self.packed_net_words();
         assert_eq!(snapshots.len() % net_words, 0, "whole snapshots only");
         let words = self.position_words();
+        let seedable = self.seedable_nets();
         let mut trace = ToggleTrace::default();
         let mut sets = vec![0u64; 2 * words];
         let mut prev: Option<&[u64]> = None;
@@ -388,8 +391,9 @@ impl SoaNetlist {
             if let Some(prev) = prev {
                 let (toggled, reset_toggled) = sets.split_at_mut(words);
                 for (i, (&a, &b)) in prev.iter().zip(cur).enumerate() {
-                    if a != b {
-                        trace.pairs.push((i as u32, a ^ b));
+                    let seeds = (a ^ b) & seedable[i];
+                    if seeds != 0 {
+                        trace.pairs.push((i as u32, seeds));
                     }
                     let mut changed = a ^ b;
                     while changed != 0 {
@@ -425,6 +429,19 @@ impl SoaNetlist {
             prev = Some(cur);
         }
         trace
+    }
+
+    /// One bit per net a seed can name ([`WideSim::collect_seeds`]): the
+    /// nets driven by a primary input or a flip-flop.
+    fn seedable_nets(&self) -> Vec<u64> {
+        let mut bits = vec![0u64; self.packed_net_words()];
+        for (net, &driver) in self.net_driver.iter().enumerate() {
+            if driver == DRIVER_INPUT || (driver != NO_DRIVER && driver as usize >= self.comb.len())
+            {
+                bits[net >> 6] |= 1u64 << (net & 63);
+            }
+        }
+        bits
     }
 
     /// Index into the flip-flop tables of `gate`, `None` when it is
@@ -1905,7 +1922,9 @@ mod tests {
     /// dense sets, derived here gate by gate from the netlist: a
     /// combinational gate is marked when any input net changed, a
     /// flip-flop when its enable or reset net did, the reset set when
-    /// its reset net did; the net set is the snapshots' difference.
+    /// its reset net did; the net set is the snapshots' difference over
+    /// the primary inputs and the flip-flop outputs, the nets a seed can
+    /// name.
     #[test]
     fn sparse_toggles_are_the_nonzero_words_of_the_dense_sets() {
         for (seed, mixed_registers) in [(3u64, false), (3, true), (27, true), (90, true)] {
@@ -1928,6 +1947,14 @@ mod tests {
                 });
             }
             let (snapshots, toggles) = golden_run(&soa, &vectors);
+            let mut seedable = vec![0u64; soa.packed_net_words()];
+            let flop_outputs = gate_ids(&netlist)
+                .map(|g| netlist.gate(g))
+                .filter(|gate| gate.kind.is_sequential())
+                .map(|gate| gate.output);
+            for net in netlist.primary_inputs().iter().copied().chain(flop_outputs) {
+                seedable[net.index() >> 6] |= 1u64 << (net.index() & 63);
+            }
             let mut reset_pairs = 0;
             let empty = toggles.cycle(0);
             assert!(empty.nets.is_empty() && empty.positions.is_empty() && empty.resets.is_empty());
@@ -1955,7 +1982,12 @@ mod tests {
                         resets[p >> 6] |= bit;
                     }
                 }
-                let nets: Vec<u64> = prev.iter().zip(cur).map(|(a, b)| a ^ b).collect();
+                let nets: Vec<u64> = prev
+                    .iter()
+                    .zip(cur)
+                    .zip(&seedable)
+                    .map(|((a, b), seeds)| (a ^ b) & seeds)
+                    .collect();
                 let sparse = toggles.cycle(cycle);
                 reset_pairs += sparse.resets.len();
                 let context = format!("seed {seed} mixed {mixed_registers} cycle {cycle}");

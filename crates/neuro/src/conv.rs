@@ -20,8 +20,18 @@
 //! gathers `Âᵀ·D` from the gradient `D` of the layer above (over `Âᵀ`,
 //! built once per workspace, whose rows ascend in source row), applies
 //! the masks, adds its terms to `∂L/∂W` and `∂L/∂b`, and writes its row of
-//! `D = G·Wᵀ` for the layer below. Activations going up and `D` coming
-//! down take turns in two buffers.
+//! `D = G·Wᵀ` for the layer below, skipping the zeros of `G` where that
+//! is exact. Activations going up and `D` coming down take turns in two
+//! buffers.
+//!
+//! **One trunk pass per epoch.** The trunk is the layers up to the
+//! dropout. Its output depends on the parameters only, so a training run
+//! computes it once per epoch, right after the optimizer step, with its
+//! caches and masks ([`ConvStack::trunk`]; `Â·X` only in the first, since
+//! the features are fixed): the epoch's validation rows come from it
+//! through a plan for the head layers ([`ConvStack::infer_from_trunk`]),
+//! and the next epoch's forward pass starts at its dropout draw
+//! ([`ConvStack::forward_from_trunk`]).
 //!
 //! Every float keeps the exact sequence of operations of the layered
 //! passes (one product per call) these replaced: the differential suite
@@ -34,6 +44,7 @@ use crate::layers::Dropout;
 use crate::matrix::Matrix;
 use crate::param::Param;
 use crate::sparse::{CsrMatrix, RowPlan};
+use std::ops::Range;
 
 /// The parameters of one graph convolution `H' = Â·H·W + b`.
 #[derive(Debug, Clone)]
@@ -68,6 +79,12 @@ impl GraphConv {
 /// inverted dropout after the ReLU of hidden layer `dropout_after` while
 /// training, and an optional row-wise log-softmax on the output.
 ///
+/// The layers up to the dropout are the *trunk* and the ones above it
+/// the *head*. A training run computes the trunk once per epoch
+/// ([`ConvStack::trunk`]) and runs only the head for its validation
+/// rows ([`ConvStack::infer_from_trunk`]) and, from the dropout draw up,
+/// for the next training forward pass ([`ConvStack::forward_from_trunk`]).
+///
 /// # Example
 ///
 /// ```
@@ -89,6 +106,13 @@ impl GraphConv {
 /// // Inference reproduces the training output when nothing is dropped.
 /// let inferred = stack.infer(&mut workspace, &x, &RowPlan::all());
 /// assert_eq!(inferred, &log_probs);
+///
+/// // A training run shares one trunk pass (here the first layer) between
+/// // an epoch's validation rows and the next epoch's forward pass.
+/// stack.trunk(&mut workspace, &x);
+/// let validation = stack.infer_from_trunk(&mut workspace, &stack.head_plan(&adj, &[1]));
+/// assert_eq!(validation.row(0), log_probs.row(1));
+/// assert_eq!(stack.forward_from_trunk(&mut workspace), &log_probs);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConvStack {
@@ -113,6 +137,13 @@ enum Cached {
 /// later passes reuse them, so a run allocates its graph-sized buffers in
 /// its first epoch only. An inference pass has an output of its own, so
 /// it may run between a forward pass and the backward pass that follows.
+///
+/// A training run keeps one more thing here: the trunk, the layers up to
+/// the dropout, computed once per epoch by [`ConvStack::trunk`] with its
+/// `Â·H` caches and ReLU masks. Its output stays in the ping-pong buffer
+/// its last layer writes, where [`ConvStack::infer_from_trunk`] (the
+/// validation rows) and [`ConvStack::forward_from_trunk`] (the next
+/// training forward, which draws the dropout over it in place) read it.
 #[derive(Debug)]
 pub struct Workspace<'a> {
     adj: &'a CsrMatrix,
@@ -121,6 +152,12 @@ pub struct Workspace<'a> {
     adj_t: Option<CsrMatrix>,
     /// What the last caching forward pass kept for backward.
     cached: Option<Cached>,
+    /// The input of the last trunk pass, whose `Â·X` is `aggregated[0]`.
+    /// It is borrowed for the workspace's lifetime, so it cannot change.
+    trunk_input: Option<&'a Matrix>,
+    /// Whether a trunk pass's output, caches and masks are in place and
+    /// no pass has overwritten them since.
+    trunk: bool,
     /// Per layer, `Â·H` of every row: the weight gradient's cache.
     aggregated: Vec<Vec<f64>>,
     /// Per hidden layer, its ReLU mask.
@@ -132,6 +169,10 @@ pub struct Workspace<'a> {
     /// Hidden activations going up and `D = G·Wᵀ` coming down: layer `l`
     /// writes `buffers[l % 2]` and reads the other.
     buffers: [Vec<f64>; 2],
+    /// Where an inference from the trunk keeps the trunk's buffer while
+    /// it runs, so that a head of more than two layers may write both
+    /// ping-pong buffers; the Table-1 head of two never touches it.
+    spare: Vec<f64>,
     /// The output of the last caching forward pass.
     output: Matrix,
     /// The output of the last inference pass.
@@ -155,11 +196,14 @@ impl<'a> Workspace<'a> {
             version: Version::detect(),
             adj_t: None,
             cached: None,
+            trunk_input: None,
+            trunk: false,
             aggregated: Vec::new(),
             relu: Vec::new(),
             dropout: Vec::new(),
             inputs: Vec::new(),
             buffers: [Vec::new(), Vec::new()],
+            spare: Vec::new(),
             output: Matrix::zeros(0, 0),
             inferred: Matrix::zeros(0, 0),
         }
@@ -277,41 +321,121 @@ impl ConvStack {
         let n = ws.adj.rows();
         assert_eq!(x.shape(), (n, self.in_features()), "input shape");
         let depth = self.convs.len();
-        let dropout = training && self.dropout.p > 0.0 && depth > 1;
+        // Layer 0's cache is about to hold `Â·x`, and the buffers to hold
+        // this pass's activations.
+        ws.trunk_input = None;
+        ws.trunk = false;
+        if training && depth > 1 {
+            self.caching_layers(ws, x.as_slice(), 0..self.trunk_depth(), false, false);
+            self.finish_training(ws);
+        } else {
+            if !training {
+                ws.inputs.resize_with(depth, Vec::new);
+                sized(&mut ws.inputs[0], x.as_slice().len()).copy_from_slice(x.as_slice());
+            }
+            self.caching_layers(ws, x.as_slice(), 0..depth, !training, false);
+            ws.cached = Some(if training {
+                Cached::Training { dropout: false }
+            } else {
+                Cached::Eval
+            });
+        }
+        &ws.output
+    }
+
+    /// The trunk pass of a training run: the layers up to the dropout over
+    /// every row, with the current parameters, keeping their `Â·H` caches
+    /// and ReLU masks and leaving the output undropped. Then
+    /// [`ConvStack::infer_from_trunk`] reads validation rows from it, and
+    /// [`ConvStack::forward_from_trunk`] continues it into a training
+    /// forward pass: the same operations, in the same order, as
+    /// [`ConvStack::forward`] with these parameters.
+    ///
+    /// `Â·X` is gathered only when `x` is not the input of the workspace's
+    /// last trunk pass (a training run's features are fixed, so its
+    /// first). A caller that changes the parameters runs the trunk again
+    /// before either pass reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack has one convolution (no hidden layer) or `x`
+    /// is not one row of the input width per node.
+    pub fn trunk<'a>(&self, ws: &mut Workspace<'a>, x: &'a Matrix) {
+        assert_eq!(
+            x.shape(),
+            (ws.adj.rows(), self.in_features()),
+            "input shape"
+        );
+        let gathered = ws.trunk_input.is_some_and(|kept| std::ptr::eq(kept, x));
+        self.caching_layers(ws, x.as_slice(), 0..self.trunk_depth(), false, gathered);
+        ws.trunk_input = Some(x);
+        ws.trunk = true;
+        // The head layers' caches belong to an earlier pass.
+        ws.cached = None;
+    }
+
+    /// The training forward pass that continues the workspace's trunk
+    /// pass: the dropout draw over the trunk's output, in element order,
+    /// then the layers above it, caching for a backward pass. Returns the
+    /// output, as [`ConvStack::forward`] with `training` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a [`ConvStack::trunk`] pass over `ws` came first and
+    /// no other pass has overwritten it; each trunk pass serves one
+    /// training forward pass.
+    pub fn forward_from_trunk<'w>(&mut self, ws: &'w mut Workspace<'_>) -> &'w Matrix {
+        assert!(
+            std::mem::take(&mut ws.trunk),
+            "a forward pass from the trunk needs a trunk pass over the workspace first"
+        );
+        self.finish_training(ws);
+        &ws.output
+    }
+
+    /// The layers from the dropout up of a training forward pass whose
+    /// trunk is in place: the draw over the trunk's output, in element
+    /// order, then the caching head layers.
+    fn finish_training(&mut self, ws: &mut Workspace<'_>) {
+        let n = ws.adj.rows();
+        let dropout = self.dropout.p > 0.0;
+        if dropout {
+            let width = self.convs[self.dropout_after].out_features();
+            let (_, trunk) = ping_pong(&mut ws.buffers, self.dropout_after);
+            self.dropout
+                .draw(sized(&mut ws.dropout, n * width), &mut trunk[..n * width]);
+        }
+        self.caching_layers(ws, &[], self.trunk_depth()..self.convs.len(), false, false);
+        ws.cached = Some(Cached::Training { dropout });
+    }
+
+    /// The caching forward rows of `layers`, each keeping its `Â·H` and,
+    /// on a hidden layer, its ReLU mask. Layer 0 reads `x`, or with
+    /// `gathered` its cache, which already holds `Â·X`. An eval pass
+    /// (`keep_inputs`) writes each output to the next layer's kept input;
+    /// otherwise the layers take turns in the ping-pong buffers.
+    fn caching_layers(
+        &self,
+        ws: &mut Workspace<'_>,
+        x: &[f64],
+        layers: Range<usize>,
+        keep_inputs: bool,
+        gathered: bool,
+    ) {
+        let n = ws.adj.rows();
+        let depth = self.convs.len();
         ws.aggregated.resize_with(depth, Vec::new);
         ws.relu.resize_with(depth - 1, Vec::new);
-        if !training {
-            ws.inputs.resize_with(depth, Vec::new);
-            sized(&mut ws.inputs[0], x.as_slice().len()).copy_from_slice(x.as_slice());
-        }
-        for (l, conv) in self.convs.iter().enumerate() {
+        for l in layers {
+            let conv = &self.convs[l];
             let (in_width, out_width) = conv.weight.value.shape();
             let last = l + 1 == depth;
             let epilogue = if last {
                 self.head()
             } else {
-                let relu = sized(&mut ws.relu[l], n * out_width);
-                if dropout && l == self.dropout_after {
-                    Epilogue::ReluDropout {
-                        relu,
-                        mask: sized(&mut ws.dropout, n * out_width),
-                        dropout: &mut self.dropout,
-                    }
-                } else {
-                    Epilogue::Relu(Some(relu))
-                }
+                Epilogue::Relu(Some(sized(&mut ws.relu[l], n * out_width)))
             };
-            let (input, output) = if training {
-                let (read, write) = ping_pong(&mut ws.buffers, l);
-                let input = if l == 0 { x.as_slice() } else { read };
-                let output = if last {
-                    ws.output.resize(n, out_width);
-                    ws.output.as_mut_slice()
-                } else {
-                    sized(write, n * out_width)
-                };
-                (input, output)
-            } else {
+            let (input, output) = if keep_inputs {
                 let (kept, above) = ws.inputs.split_at_mut(l + 1);
                 let output = if last {
                     ws.output.resize(n, out_width);
@@ -320,12 +444,21 @@ impl ConvStack {
                     sized(&mut above[0], n * out_width)
                 };
                 (&kept[l][..], output)
+            } else {
+                let (read, write) = ping_pong(&mut ws.buffers, l);
+                let output = if last {
+                    ws.output.resize(n, out_width);
+                    ws.output.as_mut_slice()
+                } else {
+                    sized(write, n * out_width)
+                };
+                (if l == 0 { x } else { read }, output)
             };
             kernels::conv_forward(
                 ws.version,
                 Forward {
                     adj: ws.adj,
-                    input,
+                    input: (l > 0 || !gathered).then_some(input),
                     weight: &conv.weight.value,
                     bias: conv.bias.value.as_slice(),
                     aggregated: Some(sized(&mut ws.aggregated[l], n * in_width)),
@@ -334,12 +467,16 @@ impl ConvStack {
                 },
             );
         }
-        ws.cached = Some(if training {
-            Cached::Training { dropout }
-        } else {
-            Cached::Eval
-        });
-        &ws.output
+    }
+
+    /// Layers in the trunk: up to and including the one the dropout
+    /// follows.
+    fn trunk_depth(&self) -> usize {
+        assert!(
+            self.convs.len() > 1,
+            "a stack of one convolution has no trunk"
+        );
+        self.dropout_after + 1
     }
 
     /// Backward pass from `grad_output = ∂L/∂output` (the log-probability
@@ -493,9 +630,65 @@ impl ConvStack {
             (ws.adj.rows(), self.in_features()),
             "input shape"
         );
+        // The layers below write the buffer that holds the trunk.
+        ws.trunk = false;
+        self.infer_layers(ws, x.as_slice(), plan, 0..depth);
+        &ws.inferred
+    }
+
+    /// The output rows of a plan from [`ConvStack::head_plan`], computed
+    /// by the layers above the dropout from the workspace's trunk pass:
+    /// each row bit-identical to the same row of [`ConvStack::infer`]
+    /// with the trunk's parameters and input.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a [`ConvStack::trunk`] pass over `ws` came first and
+    /// no other pass has overwritten it, or if `plan` was built for a
+    /// different depth.
+    pub fn infer_from_trunk<'w>(&self, ws: &'w mut Workspace<'_>, plan: &RowPlan) -> &'w Matrix {
+        assert!(
+            ws.trunk,
+            "an inference from the trunk needs a trunk pass over the workspace first"
+        );
+        let head = self.trunk_depth()..self.convs.len();
+        assert!(
+            plan.depth().is_none_or(|d| d == head.len()),
+            "row plan depth does not match the head"
+        );
+        // The trunk's buffer is held apart while the head runs (`spare`).
+        let t = self.dropout_after % 2;
+        let trunk = std::mem::replace(&mut ws.buffers[t], std::mem::take(&mut ws.spare));
+        self.infer_layers(ws, &trunk, plan, head);
+        ws.spare = std::mem::replace(&mut ws.buffers[t], trunk);
+        &ws.inferred
+    }
+
+    /// A [`RowPlan`] for [`ConvStack::infer_from_trunk`] that yields the
+    /// output rows `rows`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// As [`RowPlan::new`], and if the stack has one convolution.
+    pub fn head_plan(&self, adj: &CsrMatrix, rows: &[usize]) -> RowPlan {
+        RowPlan::new(adj, rows, self.convs.len() - self.trunk_depth())
+    }
+
+    /// Cache-free inference through `layers`, the first reading `x` and
+    /// multiplying by the plan's first adjacency.
+    fn infer_layers(
+        &self,
+        ws: &mut Workspace<'_>,
+        x: &[f64],
+        plan: &RowPlan,
+        layers: Range<usize>,
+    ) {
         let full = ws.adj;
-        for (l, conv) in self.convs.iter().enumerate() {
-            let adj = plan.adjacency(l, full);
+        let first = layers.start;
+        let depth = self.convs.len();
+        for l in layers {
+            let conv = &self.convs[l];
+            let adj = plan.adjacency(l - first, full);
             let out_width = conv.out_features();
             let last = l + 1 == depth;
             let (read, write) = ping_pong(&mut ws.buffers, l);
@@ -509,7 +702,7 @@ impl ConvStack {
                 ws.version,
                 Forward {
                     adj,
-                    input: if l == 0 { x.as_slice() } else { read },
+                    input: Some(if l == first { x } else { read }),
                     weight: &conv.weight.value,
                     bias: conv.bias.value.as_slice(),
                     aggregated: None,
@@ -522,7 +715,6 @@ impl ConvStack {
                 },
             );
         }
-        &ws.inferred
     }
 
     /// The epilogue of the last layer.
@@ -621,22 +813,33 @@ mod tests {
     fn check(seed: u64, n: usize, widths: &[usize], p: f64, log_softmax: bool, special: bool) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let adj = random_adjacency(&mut rng, n, special);
-        let depth = widths.len() - 1;
         let stack = random_stack(&mut rng, widths, p, log_softmax, special);
         let x = random_matrix(&mut rng, n, widths[0], special);
         let grad = random_matrix(&mut rng, n, stack.out_features(), special);
+        let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+        let what = format!("n {n}, widths {widths:?}, p {p}, {log_softmax}, {special}");
+        check_stack(&adj, &stack, &x, &grad, &rows, &what);
+    }
+
+    /// [`check`] on given operands; `rows` is a partial row set to infer.
+    fn check_stack(
+        adj: &CsrMatrix,
+        stack: &ConvStack,
+        x: &Matrix,
+        grad: &Matrix,
+        rows: &[usize],
+        what: &str,
+    ) {
+        let n = adj.rows();
+        let depth = stack.depth();
         for version in versions() {
-            let what = |part: &str| {
-                format!(
-                    "{part}: n {n}, widths {widths:?}, p {p}, {log_softmax}, {special}, {version:?}"
-                )
-            };
-            let (mut fused, mut layered) = (stack.clone(), Layered::new(&stack));
-            let mut ws = Workspace::new(&adj);
+            let what = |part: &str| format!("{part}: {what}, {version:?}");
+            let (mut fused, mut layered) = (stack.clone(), Layered::new(stack));
+            let mut ws = Workspace::new(adj);
             ws.version = version;
             for training in [true, false] {
-                let output = fused.forward(&mut ws, &x, training).clone();
-                let reference = layered.forward(&adj, &x, training);
+                let output = fused.forward(&mut ws, x, training).clone();
+                let reference = layered.forward(adj, x, training);
                 assert_bits_eq(output.as_slice(), reference.as_slice(), &what("output"));
                 for (l, mask) in layered.relu_masks().iter().enumerate() {
                     assert_eq!(&ws.relu[l], mask, "{}", what("ReLU mask"));
@@ -646,13 +849,19 @@ mod tests {
                     assert_bits_eq(&ws.dropout, mask, &what("dropout mask"));
                 }
                 let (grad_x, edges) = if training {
-                    (fused.backward(&mut ws, &grad), None)
+                    (fused.backward(&mut ws, grad), None)
                 } else {
-                    let (grad_x, edges) = fused.backward_with_edge_grads(&mut ws, &grad);
+                    let (grad_x, edges) = fused.backward_with_edge_grads(&mut ws, grad);
                     (grad_x, Some(edges))
                 };
-                let (reference_x, reference_edges) = layered.backward(&adj, &grad, !training);
+                let (reference_x, reference_edges) = layered.backward(adj, grad, !training);
                 assert_bits_eq(grad_x.as_slice(), reference_x.as_slice(), &what("dL/dX"));
+                // Layer 0's `G·Wᵀ` is in `buffers[0]` and layer 1's in
+                // `buffers[1]`, signed zeros and all.
+                for l in 0..depth.min(2) {
+                    let below = layered.below(l).as_slice();
+                    assert_bits_eq(&ws.buffers[l][..below.len()], below, &what("G·Wᵀ"));
+                }
                 if let (Some(edges), Some(reference)) = (edges, reference_edges) {
                     assert_bits_eq(&edges, &reference, &what("edge gradients"));
                 }
@@ -664,21 +873,99 @@ mod tests {
                     p.zero_grad();
                 }
                 layered.zero_grads();
-                fused.backward_params(&mut ws, &grad);
-                layered.backward(&adj, &grad, false);
+                fused.backward_params(&mut ws, grad);
+                layered.backward(adj, grad, false);
                 for (l, (g, r)) in grads(&fused).iter().zip(layered.grads()).enumerate() {
                     assert_bits_eq(g, &r, &what(&format!("parameter {l} gradient only")));
                 }
             }
             // Inference of every row, and of a partial, repeating row set.
-            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            let reference = layered.infer(&adj, &x);
-            for rows in [(0..n).collect(), rows] {
-                let plan = RowPlan::new(&adj, &rows, depth);
-                let inferred = fused.infer(&mut ws, &x, &plan);
+            let reference = layered.infer(adj, x);
+            for rows in [(0..n).collect(), rows.to_vec()] {
+                let plan = RowPlan::new(adj, &rows, depth);
+                let inferred = fused.infer(&mut ws, x, &plan);
                 assert_eq!(inferred.rows(), rows.len());
                 for (i, &r) in rows.iter().enumerate() {
                     assert_bits_eq(inferred.row(i), reference.row(r), &what("inference"));
+                }
+            }
+        }
+    }
+
+    /// A training run of `epochs` epochs through the trunk passes, fused
+    /// (in each version) and layered: per epoch the forward pass from the
+    /// trunk, the parameter gradients, a plain gradient step taken by
+    /// both, then the trunk pass with the new parameters and the
+    /// `validation` rows inferred from it.
+    #[allow(clippy::too_many_arguments)]
+    fn check_training(
+        seed: u64,
+        n: usize,
+        widths: &[usize],
+        p: f64,
+        log_softmax: bool,
+        special: bool,
+        validation: &[usize],
+        epochs: usize,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let adj = random_adjacency(&mut rng, n, special);
+        let stack = random_stack(&mut rng, widths, p, log_softmax, special);
+        let x = random_matrix(&mut rng, n, widths[0], special);
+        let grad = random_matrix(&mut rng, n, stack.out_features(), special);
+        for version in versions() {
+            let what = |part: &str, epoch: usize| {
+                format!(
+                    "{part}, epoch {epoch}: n {n}, widths {widths:?}, p {p}, {log_softmax}, \
+                     {special}, {} validation rows, {version:?}",
+                    validation.len()
+                )
+            };
+            let (mut fused, mut layered) = (stack.clone(), Layered::new(&stack));
+            let plan = fused.head_plan(&adj, validation);
+            let mut ws = Workspace::new(&adj);
+            ws.version = version;
+            fused.trunk(&mut ws, &x);
+            for epoch in 0..epochs {
+                let output = fused.forward_from_trunk(&mut ws).clone();
+                let reference = layered.forward(&adj, &x, true);
+                assert_bits_eq(
+                    output.as_slice(),
+                    reference.as_slice(),
+                    &what("output", epoch),
+                );
+                for (l, mask) in layered.relu_masks().iter().enumerate() {
+                    assert_eq!(&ws.relu[l], mask, "{}", what("ReLU mask", epoch));
+                }
+                if let Some(mask) = layered.dropout_mask() {
+                    assert_bits_eq(&ws.dropout, mask, &what("dropout mask", epoch));
+                }
+                for p in fused.params_mut() {
+                    p.zero_grad();
+                }
+                layered.zero_grads();
+                fused.backward_params(&mut ws, &grad);
+                layered.backward(&adj, &grad, false);
+                for (l, (g, r)) in grads(&fused).iter().zip(layered.grads()).enumerate() {
+                    assert_bits_eq(g, &r, &what(&format!("parameter {l} gradient"), epoch));
+                }
+                for param in fused.params_mut() {
+                    let step = param.grad.clone();
+                    for (v, g) in param.value.as_mut_slice().iter_mut().zip(step.as_slice()) {
+                        *v -= 0.25 * g;
+                    }
+                }
+                layered.set_params(&fused);
+                fused.trunk(&mut ws, &x);
+                let inferred = fused.infer_from_trunk(&mut ws, &plan);
+                let reference = layered.infer(&adj, &x);
+                assert_eq!(inferred.rows(), validation.len());
+                for (i, &r) in validation.iter().enumerate() {
+                    assert_bits_eq(
+                        inferred.row(i),
+                        reference.row(r),
+                        &what("validation", epoch),
+                    );
                 }
             }
         }
@@ -711,6 +998,264 @@ mod tests {
                 0.3,
                 seed % 2 == 0,
                 seed >= 2,
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn training_from_the_trunk_matches_the_layered_reference(
+            seed: u64,
+            n in 1usize..40,
+            widths in proptest::collection::vec(0usize..40, 3..7),
+            dropout in any::<bool>(),
+            log_softmax in any::<bool>(),
+            special in any::<bool>(),
+            share in 0.0..1.0f64,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            let validation: Vec<usize> = (0..n).filter(|_| rng.gen_bool(share)).collect();
+            let p = if dropout { 0.3 } else { 0.0 };
+            check_training(seed, n, &widths, p, log_softmax, special, &validation, 3);
+        }
+    }
+
+    #[test]
+    fn narrow_outputs_over_many_rows_match_the_layered_reference() {
+        // Output widths 1–3 take the row-blocked product and the weight
+        // gradient across the input dimension; 70–90 rows span several
+        // blocks and end in a short one. The widths of Table 1's head,
+        // and a narrow hidden layer.
+        for out in 1..=3 {
+            for seed in 0..4 {
+                let n = 70 + 7 * seed as usize;
+                let (log_softmax, special) = (seed % 2 == 0, seed >= 2);
+                check(seed, n, &[5, 16, 64, out], 0.3, log_softmax, special);
+                check(seed, n, &[3, out, 6, out], 0.3, log_softmax, special);
+                let validation: Vec<usize> = (0..n).step_by(3).collect();
+                check_training(
+                    seed,
+                    n,
+                    &[5, 16, 32, 64, out],
+                    0.3,
+                    log_softmax,
+                    special,
+                    &validation,
+                    2,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn training_without_validation_rows_or_dropout_matches_the_layered_reference() {
+        // No validation rows: the trunk pass still feeds the next forward
+        // pass. No dropout: the forward pass reads the trunk as it is.
+        for seed in 0..6 {
+            let p = if seed % 2 == 0 { 0.0 } else { 0.3 };
+            check_training(seed, 30, &[5, 16, 32, 64, 2], p, true, seed >= 3, &[], 3);
+            check_training(
+                seed,
+                30,
+                &[5, 16, 32, 64, 2],
+                0.0,
+                true,
+                seed >= 3,
+                &[3, 1, 3],
+                3,
+            );
+            // Heads of one to four layers above the dropout.
+            check_training(
+                seed,
+                20,
+                &[4, 5, 6, 7, 8, 1],
+                p,
+                false,
+                seed >= 3,
+                &[0, 19],
+                2,
+            );
+        }
+    }
+
+    /// A one-convolution linear stack with the given weight, so that `G` is
+    /// the output gradient itself, on the identity adjacency.
+    fn linear_layer(weight: Matrix) -> (CsrMatrix, ConvStack) {
+        let (in_features, out_features) = weight.shape();
+        let n = 6;
+        let identity: Vec<_> = (0..n).map(|i| (i, i, 1.0)).collect();
+        let mut conv = GraphConv::new(in_features, out_features, 1);
+        conv.weight.value = weight;
+        let stack = ConvStack::new(vec![conv], Dropout::new(0.0, 1), 0, false);
+        (CsrMatrix::from_triplets(n, n, &identity), stack)
+    }
+
+    /// `height × width`, row `i` being `rows[i % rows.len()]` repeated
+    /// across the columns: the sign pattern of each row is kept.
+    fn tiled(rows: &[[f64; 3]], height: usize, width: usize) -> Matrix {
+        let data = (0..height)
+            .flat_map(|i| (0..width).map(move |j| rows[i % rows.len()][j % 3]))
+            .collect();
+        Matrix::from_vec(height, width, data)
+    }
+
+    /// `n × width` inputs without zeros.
+    fn inputs(n: usize, width: usize) -> Matrix {
+        Matrix::from_vec(
+            n,
+            width,
+            (0..n * width).map(|i| (i % 7) as f64 - 3.5).collect(),
+        )
+    }
+
+    // `G·Wᵀ` skips zeros only where `D` is wider than one 16-column tile,
+    // so the weights below have 20 rows (`D` is 20 wide).
+
+    #[test]
+    fn zero_gradient_rows_keep_the_signs_of_their_zero_products() {
+        // Rows of `W` all negative, all positive (signed zeros among
+        // them), mixed, and all zeros of each sign; rows of `G` all +0,
+        // all -0, mixed zeros, and zeros beside nonzero entries, each
+        // pattern repeated across 3, 6 and 70 output columns. An all-zero
+        // row of `G` sums to -0.0 exactly where every product is -0.0,
+        // and a skipped sum is -0.0 where the full one is +0.0.
+        let weight_rows = [
+            [-1.0, -2.0, -0.0],
+            [1.0, 0.0, 3.0],
+            [-1.0, 2.0, 0.5],
+            [-0.0, -0.0, -0.0],
+            [0.0, 0.0, 0.0],
+        ];
+        let grad_rows = [
+            [0.0, 0.0, 0.0],
+            [-0.0, -0.0, -0.0],
+            [0.0, -0.0, 0.0],
+            [0.0, 1.0, -0.0],
+            [-0.0, -2.0, 0.0],
+            [1.0, 0.0, 1.0],
+        ];
+        for width in [3, 6, 70] {
+            let (adj, stack) = linear_layer(tiled(&weight_rows, 20, width));
+            let grad = tiled(&grad_rows, 6, width);
+            let what = format!("zero rows of G, {width} wide");
+            check_stack(&adj, &stack, &inputs(6, 20), &grad, &[5, 0], &what);
+        }
+    }
+
+    #[test]
+    fn cancelling_and_vanishing_sums_are_summed_again_in_full() {
+        // Row 0's nonzero products cancel to +0.0. In row 1 the one
+        // nonzero product is 1·(-0.0): skipping the +0.0 product before
+        // it leaves -0.0, where the full sum is +0.0. In row 2 the
+        // product underflows to -0.0 beside a skipped +0.0 product.
+        let weight = tiled(
+            &[[1.0, -1.0, 4.0], [2.0, -0.0, -5.0], [3.0, -1e-300, 1.0]],
+            20,
+            3,
+        );
+        let grad = tiled(
+            &[
+                [1.0, 1.0, 0.0],
+                [0.0, 1.0, 0.0],
+                [0.0, 1e-300, -0.0],
+                [2.0, 0.0, -0.0],
+                [0.0, 0.0, 0.0],
+                [-0.0, 3.0, 0.0],
+            ],
+            6,
+            3,
+        );
+        let (adj, stack) = linear_layer(weight);
+        check_stack(&adj, &stack, &inputs(6, 20), &grad, &[2], "cancelling sums");
+    }
+
+    #[test]
+    fn weights_with_infinities_or_nan_take_every_product() {
+        // A zero of `G` against ±∞ or NaN makes a NaN product, so no zero
+        // may be skipped; against a finite row it is a signed zero.
+        for special in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let weight = tiled(
+                &[[1.0, special, 2.0], [-1.0, 0.5, -0.0], [0.0, 0.0, 1.0]],
+                20,
+                3,
+            );
+            let grad = tiled(
+                &[
+                    [1.0, 0.0, 2.0],
+                    [0.0, 0.0, 0.0],
+                    [-0.0, 1.0, 0.0],
+                    [0.0, -0.0, 0.0],
+                    [3.0, 1.0, -1.0],
+                    [0.0, 0.0, -2.0],
+                ],
+                6,
+                3,
+            );
+            let (adj, stack) = linear_layer(weight);
+            let what = format!("W holding {special}");
+            check_stack(&adj, &stack, &inputs(6, 20), &grad, &[4], &what);
+        }
+    }
+
+    #[test]
+    fn masked_products_skip_zero_aggregates_against_infinities() {
+        // Rows of `Â·H` with zeros (a -0.0 input gathers to +0.0),
+        // subnormals and NaN, into a 2-wide and a 1-wide layer whose `W`
+        // and output gradient hold ±∞: 0·∞ is NaN, so only the mask keeps
+        // a zero term out of the product and the weight gradient.
+        let x = Matrix::from_rows(&[
+            &[0.0, 1.0, -0.0, 2.0],
+            &[-0.0, -0.0, 0.0, 0.0],
+            &[f64::from_bits(1), 0.0, -1e-310, 1.0],
+            &[f64::NAN, 0.0, 1.0, 0.0],
+            &[1.0, 2.0, 3.0, 4.0],
+            &[0.0, f64::MIN_POSITIVE, 0.0, -3.0],
+        ]);
+        for out in [1, 2] {
+            let weight = Matrix::from_vec(
+                4,
+                out,
+                [
+                    f64::INFINITY,
+                    1.0,
+                    -2.0,
+                    f64::NEG_INFINITY,
+                    0.5,
+                    -0.0,
+                    3.0,
+                    1.0,
+                ][..4 * out]
+                    .to_vec(),
+            );
+            let grad = Matrix::from_vec(
+                6,
+                out,
+                [
+                    1.0,
+                    f64::INFINITY,
+                    -1.0,
+                    0.0,
+                    2.0,
+                    f64::NEG_INFINITY,
+                    0.5,
+                    1.0,
+                    -3.0,
+                    0.0,
+                    1.0,
+                    2.0,
+                ][..6 * out]
+                    .to_vec(),
+            );
+            let (adj, stack) = linear_layer(weight);
+            check_stack(
+                &adj,
+                &stack,
+                &x,
+                &grad,
+                &[3, 0],
+                &format!("masked products, {out} wide"),
             );
         }
     }

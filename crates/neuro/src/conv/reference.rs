@@ -20,6 +20,8 @@ pub(super) struct Layered {
     dropout_mask: Option<Vec<f64>>,
     /// Every layer's input, kept by an eval pass.
     inputs: Vec<Matrix>,
+    /// Per layer, `D = G·Wᵀ` of the last backward pass.
+    below: Vec<Matrix>,
 }
 
 impl Layered {
@@ -42,6 +44,16 @@ impl Layered {
             relu_masks: Vec::new(),
             dropout_mask: None,
             inputs: Vec::new(),
+            below: Vec::new(),
+        }
+    }
+
+    /// Takes the weights and biases of `stack`, keeping the dropout
+    /// generator's state.
+    pub(super) fn set_params(&mut self, stack: &ConvStack) {
+        for (dense, conv) in self.linears.iter_mut().zip(&stack.convs) {
+            dense.weight.value = conv.weight.value.clone();
+            dense.bias.value = conv.bias.value.clone();
         }
     }
 
@@ -87,6 +99,7 @@ impl Layered {
             None => grad_output.clone(),
         };
         let mut edge_grads: Vec<f64> = Vec::new();
+        self.below = vec![Matrix::zeros(0, 0); depth];
         for l in (0..depth).rev() {
             if l + 1 < depth {
                 if let (Some(mask), true) = (&self.dropout_mask, l == self.dropout_after) {
@@ -110,6 +123,7 @@ impl Layered {
                 }
             }
             grad = spmm_transpose(adj, &grad_aggregated);
+            self.below[l] = grad_aggregated;
         }
         (grad, edges.then_some(edge_grads))
     }
@@ -133,6 +147,11 @@ impl Layered {
 
     pub(super) fn dropout_mask(&self) -> Option<&[f64]> {
         self.dropout_mask.as_deref()
+    }
+
+    /// `D = G·Wᵀ` of layer `l` in the last backward pass.
+    pub(super) fn below(&self, l: usize) -> &Matrix {
+        &self.below[l]
     }
 
     /// Every weight and bias gradient, bottom layer first.

@@ -6,7 +6,7 @@
 //! | [`transpose_matmul`] | `Xᵀ·G` | `Matrix::transpose_matmul` |
 //! | [`matmul_transpose`] | `G·Wᵀ` | `Matrix::matmul_transpose` |
 //! | [`spmm_into`] | `Â·H` | `CsrMatrix::matmul`, the `∂L/∂X` gather of a [`ConvStack`] |
-//! | [`conv_forward`] | a graph convolution's forward rows | every [`ConvStack`] forward and inference pass |
+//! | [`conv_forward`] | a graph convolution's forward rows | every [`ConvStack`] forward, trunk and inference pass |
 //! | [`conv_backward`] | a graph convolution's backward rows | every [`ConvStack`] backward pass |
 //!
 //! Each product is one computation seen per output row: add
@@ -16,7 +16,11 @@
 //! list, instead of loading and storing the output row once per term as
 //! a row-axpy does. The two graph-convolution kernels run every product
 //! of one layer and direction inside one loop over the rows (DESIGN.md
-//! §16 lists the operations of each row).
+//! §16 lists the operations of each row). A layer narrower than one
+//! vector ([`NARROW`]: the 64→2 classifier head, the 64→1 regressor)
+//! has too few output columns to fill a tile, so its forward product
+//! runs across a block of [`ROW_BLOCK`] rows and its weight gradient
+//! across the input dimension, each skipped term a masked product.
 //!
 //! **Bit-identity.** Every output element performs exactly the
 //! operations of the loop it replaced (kept as a test reference): the
@@ -24,6 +28,11 @@
 //! from the same start value (`+0.0`, or `-0.0` for `G·Wᵀ`), with the same
 //! zero skips. Storing and reloading a partial sum does not round it, so
 //! a kernel may also split a reduction into consecutive blocks or rows.
+//! Two rules change which terms a sum takes without changing a bit of
+//! it: a sum that starts at `+0.0` may add `+0.0` for a skipped term
+//! ([`masked`]), and `G·Wᵀ` may skip the zeros of `G` when `W` is finite,
+//! summing again in full each element that comes out `±0`; it does where
+//! `D` is wider than one tile ([`below_row`]).
 //!
 //! **Two compiled versions.** Each kernel is one safe generic body,
 //! compiled as a plain function and, on x86_64, as a
@@ -36,7 +45,7 @@
 //!
 //! [`ConvStack`]: crate::conv::ConvStack
 
-use crate::layers::{log_softmax_row, Dropout};
+use crate::layers::log_softmax_row;
 use crate::matrix::Matrix;
 use crate::sparse::CsrMatrix;
 
@@ -172,12 +181,16 @@ pub(crate) fn conv_backward(version: Version, pass: Backward<'_>) {
 /// Each row gathers `Â[r,:]·H` (from `+0.0`, entries in stored order),
 /// multiplies its nonzero entries into `W` (from `+0.0`, in column
 /// order), adds `b` and applies `f`: the operations, per element, of the
-/// separate products, bias add and activation passes it replaces.
+/// separate products, bias add and activation passes it replaces. A
+/// layer narrower than [`NARROW`] runs its product across a block of
+/// [`ROW_BLOCK`] rows, with a masked product standing in for each skipped
+/// term (see [`masked`]).
 pub(crate) struct Forward<'a> {
     /// `Â`: one output row per row, one row of `input` per column.
     pub(crate) adj: &'a CsrMatrix,
-    /// `H`, row-major with `weight.rows()` columns.
-    pub(crate) input: &'a [f64],
+    /// `H`, row-major with `weight.rows()` columns; `None` when
+    /// `aggregated` already holds every row's `Â·H`.
+    pub(crate) input: Option<&'a [f64]>,
     /// `W`, `in × out`.
     pub(crate) weight: &'a Matrix,
     /// `b`, `out` wide.
@@ -199,13 +212,6 @@ pub(crate) enum Epilogue<'a> {
     LogSoftmax,
     /// ReLU, writing `v > 0` per element into the mask when there is one.
     Relu(Option<&'a mut [bool]>),
-    /// ReLU with its mask, then inverted dropout, whose mask entries are
-    /// drawn in element order.
-    ReluDropout {
-        relu: &'a mut [bool],
-        mask: &'a mut [f64],
-        dropout: &'a mut Dropout,
-    },
 }
 
 /// The operands of one graph convolution's backward rows.
@@ -214,8 +220,9 @@ pub(crate) enum Epilogue<'a> {
 /// the dropout and ReLU masks. It adds `Â·H[r,k] · G[r,:]` to row `k` of
 /// `∂L/∂W` for every nonzero `k`, and `G[r,:]` to `∂L/∂b`: over the rows
 /// in ascending order, that is each element's order in `(Â·H)ᵀ·G` and in
-/// the column sums of `G`. Last it writes `D[r,:] = G[r,:]·Wᵀ` (from
-/// `-0.0`), the gradient of `Â·H` that the layer below gathers.
+/// the column sums of `G` (a narrow layer adds a masked product for
+/// every `k` instead). Last it writes `D[r,:] = G[r,:]·Wᵀ` (from `-0.0`),
+/// the gradient of `Â·H` that the layer below gathers ([`below_row`]).
 pub(crate) struct Backward<'a> {
     /// Rows of the layer: of `Â`, `Â·H` and `G`.
     pub(crate) rows: usize,
@@ -409,8 +416,80 @@ fn spmm_body(adj: &CsrMatrix, width: usize, h: &[f64], out: &mut [f64]) {
     }
 }
 
+/// Output widths below this, one 256-bit vector of `f64`, make a layer
+/// narrow: its forward product runs across a block of rows and its weight
+/// gradient across the input dimension, where a row's own terms are too
+/// few to fill a vector.
+const NARROW: usize = 4;
+
+/// Rows a narrow layer's forward product runs across at once.
+const ROW_BLOCK: usize = 8;
+
+/// `h·x`, or `+0.0` where `h` is zero (NaN counts as nonzero).
+///
+/// Added to a sum that starts at `+0.0`, this stands in for skipping the
+/// term: such a sum never holds `-0.0` (in round-to-nearest `a + b` is
+/// `-0.0` only when both are), and `s + 0.0 = s` for every other `s`. So
+/// the sum keeps every bit of the one that skips the zeros, also where a
+/// skipped `0·∞` would have made a NaN.
+#[inline(always)]
+fn masked(h: f64, x: f64) -> f64 {
+    let product = h * x;
+    if h != 0.0 {
+        product
+    } else {
+        0.0
+    }
+}
+
 #[inline(always)]
 fn conv_forward_body(pass: Forward<'_>) {
+    let (in_width, out_width) = pass.weight.shape();
+    let rows = pass.adj.rows();
+    match (pass.input, &pass.aggregated) {
+        (Some(input), _) => assert_eq!(
+            input.len(),
+            pass.adj.cols() * in_width,
+            "forward input shape"
+        ),
+        (None, None) => panic!("a forward pass without input reads its cache"),
+        (None, Some(_)) => {}
+    }
+    assert_eq!(pass.bias.len(), out_width, "forward bias shape");
+    assert_eq!(pass.output.len(), rows * out_width, "forward output shape");
+    if let Some(cache) = &pass.aggregated {
+        assert_eq!(cache.len(), rows * in_width, "forward cache shape");
+    }
+    pass.epilogue.check(rows * out_width);
+    match out_width {
+        1 => narrow_forward::<1>(pass),
+        2 => narrow_forward::<2>(pass),
+        3 => narrow_forward::<3>(pass),
+        _ => wide_forward(pass),
+    }
+}
+
+/// Row `r`'s `Â·H` into `row`, unless the cache already holds it.
+#[inline(always)]
+fn aggregate(row: &mut [f64], adj: &CsrMatrix, r: usize, input: Option<&[f64]>) {
+    if let Some(input) = input {
+        gather(row, adj, r, input);
+    }
+}
+
+/// The bias and the epilogue of output row `r`.
+#[inline(always)]
+fn finish_row(out: &mut [f64], r: usize, bias: &[f64], epilogue: &mut Epilogue<'_>) {
+    for (o, &b) in out.iter_mut().zip(bias) {
+        *o += b;
+    }
+    epilogue.apply(r * out.len()..(r + 1) * out.len(), out);
+}
+
+/// The forward rows one at a time: each row's nonzero `Â·H` entries
+/// accumulate into a tile of its output.
+#[inline(always)]
+fn wide_forward(pass: Forward<'_>) {
     let Forward {
         adj,
         input,
@@ -421,43 +500,87 @@ fn conv_forward_body(pass: Forward<'_>) {
         mut epilogue,
     } = pass;
     let (in_width, out_width) = weight.shape();
-    let rows = adj.rows();
-    assert_eq!(input.len(), adj.cols() * in_width, "forward input shape");
-    assert_eq!(bias.len(), out_width, "forward bias shape");
-    assert_eq!(output.len(), rows * out_width, "forward output shape");
-    if let Some(cache) = &aggregated {
-        assert_eq!(cache.len(), rows * in_width, "forward cache shape");
-    }
-    epilogue.check(rows * out_width);
     let mut row = vec![0.0; in_width];
     let (mut terms, mut coefs) = (vec![0; in_width], vec![0.0; in_width]);
-    for r in 0..rows {
+    for r in 0..adj.rows() {
         let aggregated_row = match aggregated.as_deref_mut() {
             Some(cache) => &mut cache[r * in_width..(r + 1) * in_width],
             None => &mut row[..],
         };
-        gather(aggregated_row, adj, r, input);
+        aggregate(aggregated_row, adj, r, input);
         let count = nonzeros(aggregated_row.iter().copied(), 0, &mut terms, &mut coefs);
         let out = &mut output[r * out_width..(r + 1) * out_width];
         out.fill(0.0);
         accumulate(out, &terms[..count], &coefs[..count], weight.as_slice());
-        for (o, &b) in out.iter_mut().zip(bias) {
-            *o += b;
+        finish_row(out, r, bias, &mut epilogue);
+    }
+}
+
+/// The forward rows of a layer `OUT` wide, [`ROW_BLOCK`] at a time: the
+/// block's `Â·H` is laid out input-major, so that each step of the sum
+/// over the input dimension is one vector operation across the block's
+/// rows, a masked product per row and output column.
+#[inline(always)]
+fn narrow_forward<const OUT: usize>(pass: Forward<'_>) {
+    let Forward {
+        adj,
+        input,
+        weight,
+        bias,
+        mut aggregated,
+        output,
+        mut epilogue,
+    } = pass;
+    let in_width = weight.rows();
+    let rows = adj.rows();
+    let mut block = vec![
+        0.0;
+        if aggregated.is_some() {
+            0
+        } else {
+            ROW_BLOCK * in_width
         }
-        epilogue.apply(r * out_width..(r + 1) * out_width, out);
+    ];
+    // Entry `k` holds `Â·H[first + b, k]` at position `b`; positions past a
+    // short last block keep stale values, whose sums are never read.
+    let mut columns = vec![[0.0; ROW_BLOCK]; in_width];
+    for first in (0..rows).step_by(ROW_BLOCK) {
+        let count = ROW_BLOCK.min(rows - first);
+        let h = match aggregated.as_deref_mut() {
+            Some(cache) => &mut cache[first * in_width..(first + count) * in_width],
+            None => &mut block[..count * in_width],
+        };
+        for b in 0..count {
+            let row = &mut h[b * in_width..(b + 1) * in_width];
+            aggregate(row, adj, first + b, input);
+            for (column, &v) in columns.iter_mut().zip(row.iter()) {
+                column[b] = v;
+            }
+        }
+        let mut sums = [[0.0; ROW_BLOCK]; OUT];
+        for (column, w) in columns.iter().zip(weight.as_slice().chunks_exact(OUT)) {
+            for (sum, &w) in sums.iter_mut().zip(w) {
+                for (s, &h) in sum.iter_mut().zip(column) {
+                    *s += masked(h, w);
+                }
+            }
+        }
+        for b in 0..count {
+            let r = first + b;
+            let out = &mut output[r * OUT..(r + 1) * OUT];
+            for (o, sum) in out.iter_mut().zip(&sums) {
+                *o = sum[b];
+            }
+            finish_row(out, r, bias, &mut epilogue);
+        }
     }
 }
 
 impl Epilogue<'_> {
-    /// Panics unless every mask covers `len` elements.
+    /// Panics unless the mask covers `len` elements.
     fn check(&self, len: usize) {
-        match self {
-            Epilogue::Linear | Epilogue::LogSoftmax | Epilogue::Relu(None) => {}
-            Epilogue::Relu(Some(relu)) => assert_eq!(relu.len(), len, "ReLU mask shape"),
-            Epilogue::ReluDropout { relu, mask, .. } => {
-                assert_eq!(relu.len(), len, "ReLU mask shape");
-                assert_eq!(mask.len(), len, "dropout mask shape");
-            }
+        if let Epilogue::Relu(Some(relu)) = self {
+            assert_eq!(relu.len(), len, "ReLU mask shape");
         }
     }
 
@@ -473,14 +596,6 @@ impl Epilogue<'_> {
                 }
             }
             Epilogue::Relu(Some(relu)) => relu_row(out, &mut relu[span]),
-            Epilogue::ReluDropout {
-                relu,
-                mask,
-                dropout,
-            } => {
-                relu_row(out, &mut relu[span.clone()]);
-                dropout.draw(&mut mask[span], out);
-            }
         }
     }
 }
@@ -492,6 +607,77 @@ fn relu_row(out: &mut [f64], keep: &mut [bool]) {
     for (v, keep) in out.iter_mut().zip(keep) {
         *keep = *v > 0.0;
         *v = v.max(0.0);
+    }
+}
+
+/// `W` as the backward rows read it: `Wᵀ` for `G·Wᵀ`, and what decides
+/// whether that product may skip the zeros of `G`.
+struct BelowWeight<'a> {
+    /// `W`, `in × out`: a row of it sums an element again in full.
+    weight: &'a Matrix,
+    /// `Wᵀ`, `out × in`.
+    transposed: Matrix,
+    /// The zeros of `G` may be skipped: every entry of `W` is finite, so
+    /// a zero of `G` makes only `±0` products, and `D` is wider than one
+    /// tile, so a skipped term saves more than compacting the row costs.
+    skip: bool,
+}
+
+impl BelowWeight<'_> {
+    fn new(weight: &Matrix) -> BelowWeight<'_> {
+        BelowWeight {
+            weight,
+            transposed: weight.transpose(),
+            skip: weight.rows() > TILE && weight.as_slice().iter().all(|w| w.is_finite()),
+        }
+    }
+}
+
+/// Writes `d = g·Wᵀ`, each element summed from `-0.0` over every column
+/// `j` of `g` in order, as the dot product that defines it.
+///
+/// When `W` is finite (and `d` wider than one tile, so that skipping
+/// pays), a zero `g[j]` adds only a `±0` product, which
+/// changes no running sum but a zero one, and only in its sign. So the
+/// sums that skip those terms and the full sums agree wherever either is
+/// nonzero: by induction, they are equal or both `±0` after every term
+/// (a term both add turns equal sums into equal sums, and two zeros into
+/// the term itself, or two zeros again). The sums that skip them are
+/// taken, and an element that comes out `±0` is summed again in full. A
+/// row without a zero, or with nothing but zeros, takes the full product:
+/// the one has no term to skip, and the other would sum every element
+/// again.
+#[inline(always)]
+fn below_row(
+    d: &mut [f64],
+    g: &[f64],
+    below: &BelowWeight<'_>,
+    every: &[usize],
+    terms: &mut [usize],
+    coefs: &mut [f64],
+) {
+    d.fill(-0.0);
+    let count = if below.skip {
+        nonzeros(g.iter().copied(), 0, terms, coefs)
+    } else {
+        g.len()
+    };
+    if count == 0 || count == g.len() {
+        accumulate(d, every, g, below.transposed.as_slice());
+        return;
+    }
+    accumulate(
+        d,
+        &terms[..count],
+        &coefs[..count],
+        below.transposed.as_slice(),
+    );
+    let out_width = g.len();
+    for (i, v) in d.iter_mut().enumerate() {
+        if *v == 0.0 {
+            let row = &below.weight.as_slice()[i * out_width..(i + 1) * out_width];
+            *v = g.iter().zip(row).fold(-0.0, |sum, (&x, &w)| sum + x * w);
+        }
     }
 }
 
@@ -548,10 +734,15 @@ fn conv_backward_body(pass: Backward<'_>) {
         );
         assert_eq!(edges.grads.len(), edges.adj.nnz(), "edge gradient count");
     }
-    let weight_t = weight.transpose();
+    let below_weight = below.is_some().then(|| BelowWeight::new(weight));
+    // A narrow layer sums `∂L/∂Wᵀ`, so that each output column's terms of
+    // a row run across the input dimension at vector width.
+    let narrow = out_width < NARROW;
+    let mut grad_weight_t = vec![0.0; if narrow { in_width * out_width } else { 0 }];
     let every: Vec<usize> = (0..out_width).collect();
     let mut grad = vec![0.0; out_width];
     let (mut terms, mut coefs) = (vec![0; in_width], vec![0.0; in_width]);
+    let (mut grad_terms, mut grad_coefs) = (vec![0; out_width], vec![0.0; out_width]);
     for r in 0..rows {
         let span = r * out_width..(r + 1) * out_width;
         match source {
@@ -580,22 +771,37 @@ fn conv_backward_body(pass: Backward<'_>) {
             }
         }
         let aggregated_row = &aggregated[r * in_width..(r + 1) * in_width];
-        let count = nonzeros(aggregated_row.iter().copied(), 0, &mut terms, &mut coefs);
-        for (&k, &coef) in terms[..count].iter().zip(&coefs[..count]) {
-            let weight_row = &mut grad_weight[k * out_width..(k + 1) * out_width];
-            for (w, &g) in weight_row.iter_mut().zip(&grad) {
-                *w += coef * g;
+        if narrow {
+            for (j, &g) in grad.iter().enumerate() {
+                let column = &mut grad_weight_t[j * in_width..(j + 1) * in_width];
+                for (w, &h) in column.iter_mut().zip(aggregated_row) {
+                    *w += masked(h, g);
+                }
+            }
+        } else {
+            let count = nonzeros(aggregated_row.iter().copied(), 0, &mut terms, &mut coefs);
+            for (&k, &coef) in terms[..count].iter().zip(&coefs[..count]) {
+                let weight_row = &mut grad_weight[k * out_width..(k + 1) * out_width];
+                for (w, &g) in weight_row.iter_mut().zip(&grad) {
+                    *w += coef * g;
+                }
             }
         }
         for (b, &g) in grad_bias.iter_mut().zip(&grad) {
             *b += g;
         }
-        let Some(below) = below.as_deref_mut() else {
+        let (Some(below), Some(below_weight)) = (below.as_deref_mut(), &below_weight) else {
             continue;
         };
         let d = &mut below[r * in_width..(r + 1) * in_width];
-        d.fill(-0.0);
-        accumulate(d, &every, &grad, weight_t.as_slice());
+        below_row(
+            d,
+            &grad,
+            below_weight,
+            &every,
+            &mut grad_terms,
+            &mut grad_coefs,
+        );
         if let Some(Edges { adj, input, grads }) = edges.as_mut() {
             let (row_ptr, col_idx, _) = adj.parts();
             for k in row_ptr[r]..row_ptr[r + 1] {
@@ -603,6 +809,15 @@ fn conv_backward_body(pass: Backward<'_>) {
                 let h = &input[c * in_width..(c + 1) * in_width];
                 let dot: f64 = d.iter().zip(h).map(|(&a, &b)| a * b).sum();
                 grads[k] += dot;
+            }
+        }
+    }
+    if narrow {
+        // `grad_weight` starts at `+0.0`, and `+0.0 + s = s` for a sum `s`
+        // that started at `+0.0`.
+        for k in 0..in_width {
+            for j in 0..out_width {
+                grad_weight[k * out_width + j] += grad_weight_t[j * in_width + k];
             }
         }
     }

@@ -333,10 +333,17 @@ fn train_stage_children_cover_its_wall_time() {
             .unwrap_or_else(|| panic!("stage `{path}` missing"))
     };
     let train = seconds("train");
-    let children: f64 = ["forward", "backward", "optimizer", "validation", "snapshot"]
-        .iter()
-        .map(|child| seconds(&format!("train/train.{child}")))
-        .sum();
+    let children: f64 = [
+        "forward",
+        "backward",
+        "optimizer",
+        "trunk",
+        "validation",
+        "snapshot",
+    ]
+    .iter()
+    .map(|child| seconds(&format!("train/train.{child}")))
+    .sum();
     assert!(
         children >= 0.9 * train,
         "train children cover {children:.4}s of {train:.4}s"
@@ -508,6 +515,157 @@ fn analyze_rejects_a_design_too_small_to_validate() {
             lines[0].starts_with("error: no node left for validation"),
             "{mode}: {stderr}"
         );
+    }
+}
+
+/// Every file under `dir`, recursively.
+fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// The degenerate-design matrix. Designs whose every node is critical (a
+/// lone gate, a bare `assign`, a 41-inverter chain) stop `analyze` and
+/// `explain` with one typed line, while `faults`, `rank` and `seu`, which
+/// need no labels, run; none of their JSON, JSONL or CSV artifacts holds
+/// a NaN number. A design without outputs and a net with two drivers are
+/// rejected at parse.
+#[test]
+fn degenerate_designs_stop_on_one_line_or_run_without_nan() {
+    let dir = std::env::temp_dir().join("fusa_cli_degenerate");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut chain = String::from("module chain (a, y);\n  input a;\n  output y;\n");
+    for i in 1..=40 {
+        chain += &format!("  wire n{i};\n");
+    }
+    chain += "  IV g0 (.A(a), .Z(n1));\n";
+    for i in 1..40 {
+        chain += &format!("  IV g{i} (.A(n{i}), .Z(n{}));\n", i + 1);
+    }
+    chain += "  IV g40 (.A(n40), .Z(y));\nendmodule\n";
+    let designs = [
+        (
+            "one_gate",
+            "module one_gate (a, b, y);\n  input a, b;\n  output y;\n  \
+             ND2 g1 (.A(a), .B(b), .Z(y));\nendmodule\n"
+                .to_string(),
+            "g1",
+            1,
+        ),
+        (
+            "bare_assign",
+            "module bare_assign (a, y);\n  input a;\n  output y;\n  assign y = a;\nendmodule\n"
+                .to_string(),
+            "ASSIGN0",
+            1,
+        ),
+        ("chain", chain, "g20", 41),
+    ];
+    let one_line = |output: &std::process::Output| -> String {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let lines: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
+        assert_eq!(lines.len(), 1, "{stderr}");
+        lines[0].to_string()
+    };
+    for (name, source, gate, nodes) in designs {
+        let path = dir.join(format!("{name}.v"));
+        std::fs::write(&path, source).unwrap();
+        let degenerate = format!("error: degenerate labels: {nodes}/{nodes} nodes critical;");
+        for (command, gate) in [("analyze", None), ("explain", Some(gate))] {
+            let output = fusa()
+                .arg(command)
+                .arg(&path)
+                .args(gate)
+                .arg("--fast")
+                .arg("--run-dir")
+                .arg(dir.join(format!("{name}-{command}")))
+                .output()
+                .unwrap();
+            assert_eq!(
+                output.status.code(),
+                Some(1),
+                "{name} {command}: {output:?}"
+            );
+            let line = one_line(&output);
+            assert!(line.starts_with(&degenerate), "{name} {command}: {line}");
+        }
+        for (command, args) in [
+            ("faults", vec!["--fast", "--csv"]),
+            ("rank", vec!["--csv"]),
+            ("seu", vec!["--fast"]),
+        ] {
+            let run_dir = dir.join("ok").join(format!("{name}-{command}"));
+            std::fs::create_dir_all(&run_dir).unwrap();
+            let mut cmd = fusa();
+            cmd.arg(command).arg(&path).args(&args);
+            if args.contains(&"--csv") {
+                cmd.arg(run_dir.join(format!("{command}.csv")));
+            }
+            let output = cmd.arg("--run-dir").arg(&run_dir).output().unwrap();
+            assert!(output.status.success(), "{name} {command}: {output:?}");
+        }
+    }
+    // A NaN number is the token, whatever its case; `dominance` holds the
+    // letters but is no such token.
+    let artifacts: Vec<_> = files_under(&dir.join("ok"))
+        .into_iter()
+        .filter(|p| {
+            p.extension()
+                .is_some_and(|e| e == "json" || e == "jsonl" || e == "csv")
+        })
+        .collect();
+    assert!(artifacts.len() >= 9, "{artifacts:?}");
+    for path in artifacts {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let nan = text
+            .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+            .any(|token| token.eq_ignore_ascii_case("nan"));
+        assert!(!nan, "{} holds a NaN: {text}", path.display());
+    }
+    for (name, source, message) in [
+        (
+            "no_outputs",
+            "module no_outputs (a, b);\n  input a, b;\n  wire n1;\n  \
+             ND2 g1 (.A(a), .B(b), .Z(n1));\nendmodule\n",
+            "design has no primary outputs",
+        ),
+        (
+            "two_drivers",
+            "module two_drivers (a, b, y);\n  input a, b;\n  output y;\n  \
+             IV g1 (.A(a), .Z(y));\n  IV g2 (.A(b), .Z(y));\nendmodule\n",
+            "net `y` has multiple drivers",
+        ),
+    ] {
+        let path = dir.join(format!("{name}.v"));
+        std::fs::write(&path, source).unwrap();
+        for command in ["analyze", "faults", "rank"] {
+            let output = fusa()
+                .arg(command)
+                .arg(&path)
+                .arg("--run-dir")
+                .arg(dir.join(format!("{name}-{command}")))
+                .output()
+                .unwrap();
+            assert_eq!(
+                output.status.code(),
+                Some(1),
+                "{name} {command}: {output:?}"
+            );
+            let line = one_line(&output);
+            assert!(
+                line.starts_with("error: cannot parse") && line.ends_with(message),
+                "{name} {command}: {line}"
+            );
+        }
     }
 }
 
