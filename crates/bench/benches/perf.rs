@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fusa_faultsim::{CampaignConfig, FaultCampaign, FaultList};
 use fusa_gcn::pipeline::{FusaPipeline, PipelineConfig};
-use fusa_gcn::{train_classifier, ExplainerConfig, GcnConfig, TrainConfig};
+use fusa_gcn::{try_train_classifier, ExplainerConfig, GcnConfig, TrainConfig};
 use fusa_graph::{normalized_adjacency, CircuitGraph, FeatureMatrix};
 use fusa_logicsim::{
     BitSim, SignalStats, SignalStatsConfig, Simulator, WorkloadConfig, WorkloadSuite,
@@ -134,23 +134,26 @@ fn bench_gcn(c: &mut Criterion) {
         b.iter_batched(
             || (),
             |_| {
-                black_box(train_classifier(
-                    &adj,
-                    &features,
-                    &labels,
-                    &split,
-                    GcnConfig::default(),
-                    &TrainConfig {
-                        epochs: 10,
-                        ..Default::default()
-                    },
-                ))
+                black_box(
+                    try_train_classifier(
+                        &adj,
+                        &features,
+                        &labels,
+                        &split,
+                        GcnConfig::default(),
+                        &TrainConfig {
+                            epochs: 10,
+                            ..Default::default()
+                        },
+                    )
+                    .expect("the split validates"),
+                )
             },
             BatchSize::SmallInput,
         )
     });
 
-    let (model, _, _) = train_classifier(
+    let (model, _, _) = try_train_classifier(
         &adj,
         &features,
         &labels,
@@ -160,7 +163,8 @@ fn bench_gcn(c: &mut Criterion) {
             epochs: 20,
             ..Default::default()
         },
-    );
+    )
+    .expect("the split validates");
     c.bench_function("gcn/inference_full_graph_icfsm", |b| {
         b.iter(|| black_box(model.predict_critical_probability(&adj, &features)))
     });

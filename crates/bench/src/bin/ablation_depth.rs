@@ -5,7 +5,7 @@
 
 use fusa_bench::{config_from_args, paper_designs, save_results};
 use fusa_gcn::pipeline::FusaPipeline;
-use fusa_gcn::{train_classifier, GcnConfig};
+use fusa_gcn::{try_train_classifier, GcnConfig};
 use std::fmt::Write as _;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
             .expect("pipeline runs");
         println!("=== {} ===", netlist.name());
         for hidden in &depth_candidates {
-            let (_, _, evaluation) = train_classifier(
+            let (_, _, evaluation) = try_train_classifier(
                 &analysis.adjacency,
                 &analysis.features,
                 analysis.labels(),
@@ -37,7 +37,8 @@ fn main() {
                     ..config.model.clone()
                 },
                 &config.train,
-            );
+            )
+            .expect("the pipeline's split validates");
             println!(
                 "  {} conv layers (hidden {:?}): accuracy {:.2}%, AUC {:.3}",
                 hidden.len() + 1,

@@ -6,7 +6,7 @@
 
 use fusa_bench::{config_from_args, paper_designs, save_results};
 use fusa_gcn::pipeline::FusaPipeline;
-use fusa_gcn::{train_classifier, GcnConfig};
+use fusa_gcn::{try_train_classifier, GcnConfig};
 use fusa_graph::{FEATURE_COUNT, FEATURE_NAMES};
 use fusa_neuro::Matrix;
 use std::fmt::Write as _;
@@ -45,7 +45,7 @@ fn main() {
             let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
             let reduced = Matrix::from_rows(&refs);
 
-            let (_, _, evaluation) = train_classifier(
+            let (_, _, evaluation) = try_train_classifier(
                 &analysis.adjacency,
                 &reduced,
                 analysis.labels(),
@@ -55,7 +55,8 @@ fn main() {
                     ..config.model.clone()
                 },
                 &config.train,
-            );
+            )
+            .expect("the pipeline's split validates");
             let delta = evaluation.accuracy - full_accuracy;
             println!(
                 "  - {:<36} {:.2}% ({:+.2}%)",

@@ -26,12 +26,14 @@ fn main() {
         netlist.name(),
         grid.hidden_candidates.len() * grid.dropout_candidates.len() * grid.learning_rates.len()
     );
-    let results = grid.run(
-        &analysis.adjacency,
-        &analysis.features,
-        analysis.labels(),
-        &analysis.split,
-    );
+    let results = grid
+        .run(
+            &analysis.adjacency,
+            &analysis.features,
+            analysis.labels(),
+            &analysis.split,
+        )
+        .expect("the pipeline's split validates");
 
     let mut csv = String::from("hidden,dropout,learning_rate,validation_accuracy\n");
     println!(

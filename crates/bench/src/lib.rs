@@ -111,7 +111,7 @@ pub fn run_design(netlist: &Netlist, config: &PipelineConfig) -> DesignRun {
 /// the model with the best validation accuracy. The paper grid-searches
 /// layers, layer types and feature dimensions the same way.
 pub fn select_best_gcn(analysis: &mut FusaAnalysis, config: &PipelineConfig) {
-    use fusa_gcn::{train_classifier, GcnConfig};
+    use fusa_gcn::{try_train_classifier, GcnConfig};
     let candidates: Vec<GcnConfig> = [
         (vec![16, 32, 64], 0.3, 0x6C4u64),
         (vec![16, 32, 64], 0.1, 0x1A7),
@@ -131,14 +131,15 @@ pub fn select_best_gcn(analysis: &mut FusaAnalysis, config: &PipelineConfig) {
         if candidate == *analysis.classifier.config() {
             continue;
         }
-        let (model, history, evaluation) = train_classifier(
+        let (model, history, evaluation) = try_train_classifier(
             &analysis.adjacency,
             &analysis.features,
             analysis.dataset.labels(),
             &analysis.split,
             candidate,
             &config.train,
-        );
+        )
+        .expect("the analysis's split validates");
         if evaluation.accuracy > analysis.evaluation.accuracy {
             analysis.classifier = model;
             analysis.history = history;

@@ -362,7 +362,7 @@ fn entropy_grad(s: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::model::GcnConfig;
-    use crate::train::{train_classifier, TrainConfig};
+    use crate::train::{try_train_classifier, TrainConfig};
     use fusa_graph::{FEATURE_COUNT, FEATURE_NAMES};
     use fusa_neuro::split::Split;
 
@@ -390,7 +390,7 @@ mod tests {
         let x = Matrix::from_rows(&row_refs);
 
         let split = Split::stratified(&labels, 0.8, 4);
-        let (model, _, eval) = train_classifier(
+        let (model, _, eval) = try_train_classifier(
             &adj,
             &x,
             &labels,
@@ -406,7 +406,8 @@ mod tests {
                 learning_rate: 0.05,
                 weight_decay: 0.0,
             },
-        );
+        )
+        .expect("the split validates");
         assert!(eval.accuracy > 0.9, "setup: model must learn the task");
         (graph, x, model)
     }

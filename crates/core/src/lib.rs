@@ -47,5 +47,6 @@ pub use rank::{
 };
 pub use sgc::{SgcClassifier, SgcConfig};
 pub use train::{
-    train_classifier, train_regressor, EvaluationReport, GridSearch, TrainConfig, TrainHistory,
+    train_classifier, train_regressor, try_train_classifier, EvaluationReport, GridSearch,
+    TrainConfig, TrainError, TrainHistory,
 };

@@ -4,7 +4,7 @@
 use crate::explain::{Explainer, ExplainerConfig};
 use crate::model::{GcnConfig, GcnRegressor};
 use crate::train::{
-    train_classifier, train_regressor, EvaluationReport, TrainConfig, TrainHistory,
+    train_regressor, try_train_classifier, EvaluationReport, TrainConfig, TrainError, TrainHistory,
 };
 use fusa_faultsim::{
     CampaignConfig, CampaignError, CampaignStats, CriticalityDataset, DurabilityConfig,
@@ -371,23 +371,24 @@ impl FusaPipeline {
             self.config.train_fraction,
             self.config.split_seed,
         );
-        if split.validation.is_empty() {
-            return Err(PipelineError::EmptyValidation { total });
-        }
         let model_config = GcnConfig {
             in_features: features.cols(),
             ..self.config.model.clone()
         };
-        let (classifier, history, evaluation) = obs.time("train", || {
-            train_classifier(
-                &adjacency,
-                &features,
-                dataset.labels(),
-                &split,
-                model_config,
-                &self.config.train,
-            )
-        });
+        let (classifier, history, evaluation) = obs
+            .time("train", || {
+                try_train_classifier(
+                    &adjacency,
+                    &features,
+                    dataset.labels(),
+                    &split,
+                    model_config,
+                    &self.config.train,
+                )
+            })
+            .map_err(|error| match error {
+                TrainError::EmptyValidation { total } => PipelineError::EmptyValidation { total },
+            })?;
 
         Ok(FusaAnalysis {
             design_name: netlist.name().to_string(),

@@ -7,6 +7,8 @@ use fusa_neuro::metrics::{Confusion, RocCurve};
 use fusa_neuro::optim::Adam;
 use fusa_neuro::split::Split;
 use fusa_neuro::{CsrMatrix, Matrix, RowPlan};
+use std::error::Error;
+use std::fmt;
 
 /// Training hyper-parameters (§3.3.3 / §4.1).
 #[derive(Debug, Clone, PartialEq)]
@@ -58,13 +60,67 @@ pub struct EvaluationReport {
     pub critical_probability: Vec<f64>,
 }
 
+/// Why [`try_train_classifier`] trained nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TrainError {
+    /// The split holds no validation row, so a trained classifier could
+    /// not be evaluated.
+    EmptyValidation {
+        /// Number of nodes.
+        total: usize,
+    },
+}
+
+impl fmt::Display for TrainError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrainError::EmptyValidation { total } => write!(
+                f,
+                "no node left for validation: the split of {total} nodes put every node in training"
+            ),
+        }
+    }
+}
+
+impl Error for TrainError {}
+
 /// Trains a [`GcnClassifier`] with masked NLL loss on `split.train` and
 /// returns the trained model, its history and the validation evaluation.
+///
+/// # Errors
+///
+/// Returns [`TrainError::EmptyValidation`], before the first epoch, if
+/// `split` has no validation row.
 ///
 /// # Panics
 ///
 /// Panics if `labels.len() != features.rows()` or the split references
 /// out-of-range nodes.
+pub fn try_train_classifier(
+    adj: &CsrMatrix,
+    features: &Matrix,
+    labels: &[bool],
+    split: &Split,
+    model_config: GcnConfig,
+    train_config: &TrainConfig,
+) -> Result<(GcnClassifier, TrainHistory, EvaluationReport), TrainError> {
+    if split.validation.is_empty() {
+        return Err(TrainError::EmptyValidation {
+            total: labels.len(),
+        });
+    }
+    let (model, history) = fit_classifier(adj, features, labels, split, model_config, train_config);
+    let evaluation = evaluate_classifier(&model, adj, features, labels, split);
+    Ok((model, history, evaluation))
+}
+
+/// [`try_train_classifier`] for callers that take the tuple.
+///
+/// # Panics
+///
+/// Panics with the [`TrainError`] message, before the first epoch, if
+/// `split` has no validation row, and where [`try_train_classifier`]
+/// panics.
 pub fn train_classifier(
     adj: &CsrMatrix,
     features: &Matrix,
@@ -73,12 +129,11 @@ pub fn train_classifier(
     model_config: GcnConfig,
     train_config: &TrainConfig,
 ) -> (GcnClassifier, TrainHistory, EvaluationReport) {
-    let (model, history) = fit_classifier(adj, features, labels, split, model_config, train_config);
-    let evaluation = evaluate_classifier(&model, adj, features, labels, split);
-    (model, history, evaluation)
+    try_train_classifier(adj, features, labels, split, model_config, train_config)
+        .unwrap_or_else(|error| panic!("{error}"))
 }
 
-/// The epochs of [`train_classifier`]: the model, with the parameters of
+/// The epochs of [`try_train_classifier`]: the model, with the parameters of
 /// its best validation epoch restored, and its history.
 fn fit_classifier(
     adj: &CsrMatrix,
@@ -384,13 +439,18 @@ pub struct GridSearchResult {
 
 impl GridSearch {
     /// Runs the sweep; returns all trial results sorted best-first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainError::EmptyValidation`], before any training, if
+    /// `split` has no validation row.
     pub fn run(
         &self,
         adj: &CsrMatrix,
         features: &Matrix,
         labels: &[bool],
         split: &Split,
-    ) -> Vec<GridSearchResult> {
+    ) -> Result<Vec<GridSearchResult>, TrainError> {
         let mut results = Vec::new();
         for hidden in &self.hidden_candidates {
             for &dropout in &self.dropout_candidates {
@@ -406,8 +466,14 @@ impl GridSearch {
                         learning_rate,
                         ..Default::default()
                     };
-                    let (_, history, _) =
-                        train_classifier(adj, features, labels, split, model_config, &train_config);
+                    let (_, history, _) = try_train_classifier(
+                        adj,
+                        features,
+                        labels,
+                        split,
+                        model_config,
+                        &train_config,
+                    )?;
                     let best = history
                         .validation_metric
                         .iter()
@@ -427,7 +493,7 @@ impl GridSearch {
                 .partial_cmp(&a.validation_accuracy)
                 .expect("no NaN accuracies")
         });
-        results
+        Ok(results)
     }
 }
 
@@ -501,14 +567,15 @@ mod tests {
     fn classifier_learns_community_structure() {
         let (adj, x, labels) = community_task();
         let split = Split::stratified(&labels, 0.7, 5);
-        let (_model, history, eval) = train_classifier(
+        let (_model, history, eval) = try_train_classifier(
             &adj,
             &x,
             &labels,
             &split,
             tiny_model_config(),
             &tiny_train_config(),
-        );
+        )
+        .unwrap();
         assert!(
             eval.accuracy >= 0.8,
             "GCN should solve the community task, got {}",
@@ -522,14 +589,15 @@ mod tests {
     fn loss_decreases_during_training() {
         let (adj, x, labels) = community_task();
         let split = Split::stratified(&labels, 0.7, 5);
-        let (_, history, _) = train_classifier(
+        let (_, history, _) = try_train_classifier(
             &adj,
             &x,
             &labels,
             &split,
             tiny_model_config(),
             &tiny_train_config(),
-        );
+        )
+        .unwrap();
         let early: f64 = history.train_loss[..10].iter().sum::<f64>() / 10.0;
         let late: f64 = history.train_loss[history.train_loss.len() - 10..]
             .iter()
@@ -542,14 +610,15 @@ mod tests {
     fn training_returns_best_epoch_weights() {
         let (adj, x, labels) = community_task();
         let split = Split::stratified(&labels, 0.7, 5);
-        let (model, history, eval) = train_classifier(
+        let (model, history, eval) = try_train_classifier(
             &adj,
             &x,
             &labels,
             &split,
             tiny_model_config(),
             &tiny_train_config(),
-        );
+        )
+        .unwrap();
         let best_metric = history.validation_metric[history.best_epoch];
         // The returned model's evaluation matches the best epoch metric.
         let val_preds: Vec<bool> = split
@@ -597,6 +666,27 @@ mod tests {
     }
 
     #[test]
+    fn a_split_without_validation_rows_is_an_error_before_training() {
+        let (adj, x, labels) = community_task();
+        let split = Split {
+            train: (0..labels.len()).collect(),
+            validation: Vec::new(),
+        };
+        let trained = try_train_classifier(
+            &adj,
+            &x,
+            &labels,
+            &split,
+            tiny_model_config(),
+            &tiny_train_config(),
+        );
+        assert_eq!(
+            trained.err(),
+            Some(TrainError::EmptyValidation { total: 40 })
+        );
+    }
+
+    #[test]
     fn regressor_fits_continuous_scores() {
         let (adj, x, labels) = community_task();
         let scores: Vec<f64> = labels.iter().map(|&l| if l { 0.8 } else { 0.2 }).collect();
@@ -629,7 +719,7 @@ mod tests {
             epochs: 40,
             seed: 1,
         };
-        let results = grid.run(&adj, &x, &labels, &split);
+        let results = grid.run(&adj, &x, &labels, &split).unwrap();
         assert_eq!(results.len(), 4);
         for pair in results.windows(2) {
             assert!(pair[0].validation_accuracy >= pair[1].validation_accuracy);
@@ -647,7 +737,7 @@ mod tests {
         let labels: Vec<bool> = (0..n).map(|i| graph.degree(i) >= 4).collect();
         let x = Matrix::filled(n, 2, 1.0);
         let split = Split::stratified(&labels, 0.8, 2);
-        let (_, _, eval) = train_classifier(
+        let (_, _, eval) = try_train_classifier(
             &adj,
             &x,
             &labels,
@@ -662,7 +752,8 @@ mod tests {
                 epochs: 30,
                 ..tiny_train_config()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(eval.predicted_labels.len(), n);
         assert_eq!(eval.critical_probability.len(), n);
         assert!(eval.accuracy > 0.5);

@@ -8,7 +8,7 @@
 //! for one epoch and for three: both runs must make the same number of
 //! such allocations.
 
-use fusa_gcn::train::{train_classifier, train_regressor, TrainConfig};
+use fusa_gcn::train::{train_regressor, try_train_classifier, TrainConfig};
 use fusa_gcn::GcnConfig;
 use fusa_neuro::split::Split;
 use fusa_neuro::{CsrMatrix, Matrix};
@@ -103,14 +103,15 @@ fn epochs_after_the_first_allocate_nothing_activation_sized() {
 
     let classifier = |epochs| {
         large_allocations(|| {
-            train_classifier(
+            try_train_classifier(
                 &adj,
                 &features,
                 &labels,
                 &split,
                 model.clone(),
                 &config(epochs),
-            );
+            )
+            .expect("the split validates");
         })
     };
     let (one, three) = (classifier(1), classifier(3));

@@ -171,9 +171,10 @@ impl GoldenTrace {
         bit_lanes(&self.outputs[cycle * self.output_words..], slot)
     }
 
-    /// Golden lanes of the `seq`-th flip-flop's state at workload end.
-    pub(crate) fn final_state_lanes(&self, seq: usize) -> u64 {
-        bit_lanes(&self.final_state, seq)
+    /// Golden flop state at workload end, one bit per flip-flop in
+    /// [`Netlist::sequential_gates`] order.
+    pub(crate) fn final_state(&self) -> &[u64] {
+        &self.final_state
     }
 
     /// The golden toggles of every cycle.
@@ -453,7 +454,9 @@ impl FaultCampaign {
 
         let durability = &self.durability;
         if let Some(path) = &durability.checkpoint {
-            let header = CheckpointHeader::capture(netlist, faults, workloads, &config);
+            let header = fusa_obs::global().time_rooted("campaign/header", || {
+                CheckpointHeader::capture(netlist, faults, workloads, &config)
+            });
             if durability.resume {
                 let units = fusa_obs::global().time_rooted("campaign/replay", || {
                     let scan = checkpoint::scan(path)?;
@@ -966,25 +969,22 @@ fn run_wide_group(
         }
     }
 
+    // Latent sweep: one pass over the register words serves every
+    // member, skipped when every member is fully Dangerous (Dangerous
+    // takes priority). Differential state already is the difference
+    // from the golden final state.
+    let undecided = (0..members).any(|co| satisfied[co] != valid[co]);
+    let state_differs = if config.classify_latent && undecided {
+        sim.state_mismatch((!differential).then_some(trace.final_state()))
+    } else {
+        [0; LANE_WORDS]
+    };
     let outputs = chunks
         .iter()
         .zip(first_divergence)
         .enumerate()
         .map(|(co, (chunk, first_divergence))| {
-            // Latent sweep, skipped for fully-Dangerous members (Dangerous
-            // takes priority). Differential state already is the
-            // difference from the golden final state.
-            let mut latent = diverged[co];
-            if config.classify_latent && satisfied[co] != valid[co] {
-                for s in 0..sim.soa().seq_count() {
-                    let golden = if differential {
-                        0
-                    } else {
-                        trace.final_state_lanes(s)
-                    };
-                    latent |= sim.state_word(s, co) ^ golden;
-                }
-            }
+            let latent = diverged[co] | state_differs[co];
             let outcome = |lane: usize| match 1u64 << lane {
                 mask if satisfied[co] & mask != 0 => FaultOutcome::Dangerous,
                 mask if latent & mask != 0 => FaultOutcome::Latent,

@@ -73,7 +73,7 @@ use fusa_netlist::Netlist;
 use fusa_obs::{Fnv64, Json};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -414,6 +414,44 @@ impl CheckpointHeader {
     }
 }
 
+/// Decimal text without `fmt`: the bytes `Display` prints for an
+/// integer, written from the back of a buffer.
+struct Decimal {
+    buf: [u8; 21],
+    at: usize,
+}
+
+impl Decimal {
+    fn unsigned(v: u64) -> Decimal {
+        let mut text = Decimal {
+            buf: [0; 21],
+            at: 21,
+        };
+        let mut rest = v;
+        loop {
+            text.at -= 1;
+            text.buf[text.at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                return text;
+            }
+        }
+    }
+
+    fn signed(v: i64) -> Decimal {
+        let mut text = Decimal::unsigned(v.unsigned_abs());
+        if v < 0 {
+            text.at -= 1;
+            text.buf[text.at] = b'-';
+        }
+        text
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.at..]
+    }
+}
+
 /// The record digest `crc`: FNV-1a64 of
 /// `{unit}|{outcomes}|{first_divergence}|{stepped}|{evals}`, where
 /// `{first_divergence}` is the lanes' entries as comma-separated
@@ -421,23 +459,42 @@ impl CheckpointHeader {
 /// built; the writer and the reader both digest through here.
 fn unit_crc(
     unit: usize,
-    outcomes: &str,
+    outcomes: &[u8],
     first_divergence: impl IntoIterator<Item = i64>,
     stepped: u64,
     evals: u64,
 ) -> String {
-    // Formatting into a hasher cannot fail.
     let mut crc = Fnv64::new();
-    let _ = write!(crc, "{unit}|{outcomes}|");
+    crc.write(Decimal::unsigned(unit as u64).bytes());
+    crc.write(b"|");
+    crc.write(outcomes);
+    crc.write(b"|");
     for (i, d) in first_divergence.into_iter().enumerate() {
-        let _ = write!(crc, "{}{d}", if i > 0 { "," } else { "" });
+        if i > 0 {
+            crc.write(b",");
+        }
+        crc.write(Decimal::signed(d).bytes());
     }
-    let _ = write!(crc, "|{stepped}|{evals}");
+    crc.write(b"|");
+    crc.write(Decimal::unsigned(stepped).bytes());
+    crc.write(b"|");
+    crc.write(Decimal::unsigned(evals).bytes());
     crc.hex()
 }
 
+/// Appends counter `v` as a `Json::Num` of `v as f64` renders it: its
+/// digits below 2^53, where `v as f64` is exact, and f64 `Display` from
+/// there on.
+fn push_counter(line: &mut Vec<u8>, v: u64) {
+    if v < 1 << 53 {
+        line.extend_from_slice(Decimal::unsigned(v).bytes());
+    } else {
+        line.extend_from_slice(Json::Num(v as f64).render().as_bytes());
+    }
+}
+
 /// Serializes one completed unit as a checkpoint JSONL line (no
-/// newline), written straight into one string: the bytes
+/// newline), written straight into one buffer: the bytes
 /// [`Json::render`] gives the record's object. The counters print as a
 /// `Json::Num` of `x as f64` does; a lane's first divergence (`-1` to
 /// `u32::MAX`) prints the same digits as that number; and no string
@@ -450,14 +507,15 @@ pub(crate) fn encode_unit(unit: usize, output: &UnitOutput) -> String {
             .iter()
             .map(|d| d.map_or(-1, i64::from))
     };
-    // Formatting into a string cannot fail.
-    let mut line = String::with_capacity(160 + 12 * output.first_divergence.len());
-    let _ = write!(line, "{{\"unit\":{},\"outcomes\":\"", unit as f64);
+    let mut line = Vec::with_capacity(160 + 12 * output.first_divergence.len());
+    line.extend_from_slice(b"{\"unit\":");
+    push_counter(&mut line, unit as u64);
+    line.extend_from_slice(b",\"outcomes\":\"");
     let outcomes_at = line.len();
     line.extend(output.outcomes.iter().map(|o| match o {
-        FaultOutcome::Dangerous => 'D',
-        FaultOutcome::Latent => 'L',
-        FaultOutcome::Benign => 'B',
+        FaultOutcome::Dangerous => b'D',
+        FaultOutcome::Latent => b'L',
+        FaultOutcome::Benign => b'B',
     }));
     let crc = unit_crc(
         unit,
@@ -466,16 +524,21 @@ pub(crate) fn encode_unit(unit: usize, output: &UnitOutput) -> String {
         output.stepped_fault_cycles,
         output.gate_evals,
     );
-    line.push_str("\",\"first_divergence\":[");
+    line.extend_from_slice(b"\",\"first_divergence\":[");
     for (i, d) in first_divergence().enumerate() {
-        let _ = write!(line, "{}{d}", if i > 0 { "," } else { "" });
+        if i > 0 {
+            line.push(b',');
+        }
+        line.extend_from_slice(Decimal::signed(d).bytes());
     }
-    let _ = write!(
-        line,
-        "],\"stepped_fault_cycles\":{},\"gate_evals\":{},\"crc\":\"{crc}\"}}",
-        output.stepped_fault_cycles as f64, output.gate_evals as f64,
-    );
-    line
+    line.extend_from_slice(b"],\"stepped_fault_cycles\":");
+    push_counter(&mut line, output.stepped_fault_cycles);
+    line.extend_from_slice(b",\"gate_evals\":");
+    push_counter(&mut line, output.gate_evals);
+    line.extend_from_slice(b",\"crc\":\"");
+    line.extend_from_slice(crc.as_bytes());
+    line.extend_from_slice(b"\"}");
+    String::from_utf8(line).expect("a record line is ASCII")
 }
 
 /// Why a unit line does not decode: the first check the line failed,
@@ -595,7 +658,7 @@ pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), UnitLineErr
     // so a valid non-canonical line checks against what it holds.
     let expected_crc = unit_crc(
         unit,
-        outcome_text,
+        outcome_text.as_bytes(),
         divergence.iter().filter_map(Json::as_f64).map(|v| v as i64),
         stepped_fault_cycles,
         gate_evals,

@@ -189,13 +189,9 @@ fn run_chunks_wide(
             }
             sim.clock();
         }
-        let mut state_differs = [0u64; LANE_WORDS];
-        for (s, &g) in flops.iter().enumerate() {
-            let golden = golden.final_state_lanes(s);
-            for (co, word) in state_differs.iter_mut().enumerate().take(members) {
-                *word |= sim.flop_word(g, co) ^ golden;
-            }
-        }
+        // `flops` are the sequential gates in order, as the golden
+        // final state holds them.
+        let state_differs = sim.state_mismatch(Some(golden.final_state()));
         for (i, _) in group.iter().enumerate() {
             let index = group_index * 64 * LANE_WORDS + i;
             let mask = 1u64 << (i % 64);

@@ -508,6 +508,19 @@ fn set_bit(word: &mut u64, bit: u64, on: bool) {
     *word = (*word & !bit) | (bit * u64::from(on));
 }
 
+/// Zeroes the `W` words of every item `touched` names in `words`, and
+/// clears `touched`.
+fn clear_touched<const W: usize>(words: &mut [u64], touched: &mut [u64]) {
+    for (k, bits) in touched.iter_mut().enumerate() {
+        let mut rest = std::mem::take(bits);
+        while rest != 0 {
+            let i = k * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            words[i * W..i * W + W].fill(0);
+        }
+    }
+}
+
 /// Bit `i` of a packed bit vector (such as a golden snapshot from
 /// [`WideSim::snapshot_nets_packed`]) as a 64-lane broadcast word.
 #[inline(always)]
@@ -728,6 +741,17 @@ pub struct WideSim<'a, const W: usize> {
     /// `seed_nets` and `forced_positions` no longer match the installed
     /// forces.
     seeds_stale: bool,
+    /// Differential mode: one bit per net that may hold a nonzero
+    /// difference, set when [`WideSim::write_diff`] stores one.
+    touched_nets: Vec<u64>,
+    /// Differential mode: one bit per flip-flop whose state difference
+    /// may be nonzero, set when a clock edge or a state flip changes it.
+    touched_flops: Vec<u64>,
+    /// A step outside differential mode ([`WideSim::reset`], `settle`,
+    /// `clock`, `end_diff`) has run since the last
+    /// [`WideSim::reset_diff`], so the touched bitsets do not cover every
+    /// nonzero word.
+    untracked: bool,
 }
 
 impl<'a, const W: usize> WideSim<'a, W> {
@@ -757,6 +781,9 @@ impl<'a, const W: usize> WideSim<'a, W> {
             seed_nets: vec![0; soa.packed_net_words()],
             live_outputs: vec![0; soa.output_nets.len().div_ceil(64)],
             seeds_stale: false,
+            touched_nets: vec![0; soa.packed_net_words()],
+            touched_flops: vec![0; soa.seq.len().div_ceil(64)],
+            untracked: false,
         }
     }
 
@@ -769,6 +796,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
     pub fn reset(&mut self) {
         self.state.fill(0);
         self.cycles = 0;
+        self.untracked = true;
     }
 
     /// Number of clock edges since construction or [`WideSim::reset`].
@@ -983,6 +1011,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
     /// logic (one levelized pass over the full schedule).
     pub fn settle(&mut self) {
         let soa = self.soa;
+        self.untracked = true;
         for i in 0..soa.pi_nets.len() {
             let net = soa.pi_nets[i] as usize;
             self.masked_write(net, [self.input_drive[i]; W]);
@@ -996,6 +1025,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
     /// Applies one rising clock edge to every flip-flop.
     pub fn clock(&mut self) {
         let soa = self.soa;
+        self.untracked = true;
         for (s, flop) in soa.seq.iter().enumerate() {
             self.clock_flop(s, flop);
         }
@@ -1008,12 +1038,24 @@ impl<'a, const W: usize> WideSim<'a, W> {
     /// machine, which also powers up at `0`, and every fault site is
     /// due in the first cycle. Forces and pending state flips stay;
     /// forces must not change again before [`WideSim::end_diff`].
+    ///
+    /// After a differential pass only the nets and registers that pass
+    /// made nonzero are cleared; after any other step since the last
+    /// reset, all of them are.
     pub fn reset_diff(&mut self) {
         if self.seeds_stale {
             self.collect_seeds();
         }
-        self.values.fill(0);
-        self.state.fill(0);
+        if self.untracked {
+            self.values.fill(0);
+            self.state.fill(0);
+            self.touched_nets.fill(0);
+            self.touched_flops.fill(0);
+            self.untracked = false;
+        } else {
+            clear_touched::<W>(&mut self.values, &mut self.touched_nets);
+            clear_touched::<W>(&mut self.state, &mut self.touched_flops);
+        }
         self.pending.fill(0);
         self.pending_summary.fill(0);
         for i in 0..self.forced_positions.len() {
@@ -1139,6 +1181,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
             let (index, lanes) = self.state_flips[i];
             self.state[index as usize] ^= lanes;
             let s = index as usize / W;
+            self.touched_flops[s >> 6] |= 1u64 << (s & 63);
             self.changed_flops.push(s as u32);
             self.mark(comb_len + s);
         }
@@ -1194,6 +1237,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
             unsteady |= diff ^ d_diff[w];
         }
         if changed != 0 {
+            self.touched_flops[s >> 6] |= 1u64 << (s & 63);
             self.changed_flops.push(s as u32);
         }
         self.set_live(p, live != 0 || forced);
@@ -1222,6 +1266,25 @@ impl<'a, const W: usize> WideSim<'a, W> {
         mismatch
     }
 
+    /// Per word, the lanes in which some register's state differs from
+    /// `golden`, one bit per flip-flop in [`Netlist::sequential_gates`]
+    /// order; `None` in differential mode, where the state already is
+    /// the difference. One pass over the state words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `golden` holds fewer bits than there are flip-flops.
+    pub fn state_mismatch(&self, golden: Option<&[u64]>) -> [u64; W] {
+        let mut mismatch = [0u64; W];
+        for (s, words) in self.state.chunks_exact(W).enumerate() {
+            let g = golden.map_or(0, |bits| bit_lanes(bits, s));
+            for (m, &lanes) in mismatch.iter_mut().zip(words) {
+                *m |= lanes ^ g;
+            }
+        }
+        mismatch
+    }
+
     /// Leaves differential mode after a [`WideSim::clock_diff`]: register
     /// state becomes absolute (golden XOR difference), read from
     /// `golden_next`, the golden snapshot of the *next* cycle, so
@@ -1229,6 +1292,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
     /// machines. Net values are stale until the next settle.
     pub fn end_diff(&mut self, golden_next: &[u64]) {
         assert_eq!(golden_next.len(), self.soa.packed_net_words());
+        self.untracked = true;
         for (s, flop) in self.soa.seq.iter().enumerate() {
             let golden_q = bit_lanes(golden_next, flop.out_net as usize);
             for lanes in &mut self.state[s * W..s * W + W] {
@@ -1439,7 +1503,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
     /// Stores `net`'s faulty value `v` (after its force) as a
     /// difference from its golden lanes `g`; a difference that changed
     /// marks the net's readers and, on an output net, its live-output
-    /// bit.
+    /// bit, and a nonzero one marks the net touched.
     #[inline(always)]
     fn write_diff(&mut self, net: usize, v: [u64; W], g: u64) {
         let (mut changed, mut differs) = (0, 0);
@@ -1452,6 +1516,7 @@ impl<'a, const W: usize> WideSim<'a, W> {
         if changed == 0 {
             return;
         }
+        self.touched_nets[net >> 6] |= u64::from(differs != 0) << (net & 63);
         let soa = self.soa;
         let slot = soa.output_slot[net];
         if slot != NO_OUTPUT {
@@ -1888,6 +1953,108 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `reset_diff` clears only what the last differential pass made
+    /// nonzero, and every word after a step outside differential mode.
+    /// One simulator runs a differential pass, a pass that hands off to
+    /// the full sweep, and two differential passes under other forces;
+    /// the last flips, at its final clock, a register no difference of
+    /// that pass reached, so only the flip marks it. After every reset
+    /// and every pass, each net and register word equals that of a
+    /// simulator built fresh for the pass.
+    #[test]
+    fn reset_diff_after_any_pass_matches_a_fresh_simulator() {
+        let netlist = random_netlist(&RandomNetlistConfig {
+            num_gates: 150,
+            sequential_fraction: 0.2,
+            seed: 23,
+            mixed_registers: true,
+            ..Default::default()
+        });
+        let soa = SoaNetlist::new(&netlist);
+        let ids: Vec<GateId> = gate_ids(&netlist).collect();
+        let flops = netlist.sequential_gates();
+        let pi_count = netlist.primary_inputs().len();
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let vectors: Vec<Vec<bool>> = (0..12)
+            .map(|_| (0..pi_count).map(|_| rng.gen()).collect())
+            .collect();
+        let (snapshots, toggles) = golden_run(&soa, &vectors);
+        let last = vectors.len() - 1;
+
+        // Installs `forces` in words 0-2 and resets into differential
+        // mode.
+        let start = |sim: &mut WideSim<'_, 4>, forces: &[(NetId, bool, u64)]| {
+            sim.clear_forces();
+            for (i, &(net, high, lanes)) in forces.iter().enumerate() {
+                sim.force_lanes(net, high, i % 3, lanes);
+            }
+            sim.reset_diff();
+        };
+        // Steps one cycle, differentially until `handoff` and on the full
+        // sweep after it, with an optional state flip at its clock edge.
+        let step = |sim: &mut WideSim<'_, 4>,
+                    cycle: usize,
+                    handoff: Option<usize>,
+                    flip: Option<GateId>| {
+            if let Some(flop) = flip {
+                sim.schedule_state_flip(flop, 3, 1 << 9);
+            }
+            if handoff.is_none_or(|h| cycle <= h) {
+                sim.settle_diff(&snapshots[cycle], toggles.cycle(cycle));
+                sim.clock_diff(&snapshots[cycle]);
+                if handoff == Some(cycle) {
+                    sim.end_diff(&snapshots[cycle + 1]);
+                }
+            } else {
+                sim.set_vector_broadcast(&vectors[cycle]);
+                sim.settle();
+                sim.clock();
+            }
+        };
+        let assert_same = |reused: &WideSim<'_, 4>, fresh: &WideSim<'_, 4>, context: &str| {
+            assert_eq!(reused.values, fresh.values, "{context}: net words");
+            assert_eq!(reused.state, fresh.state, "{context}: register words");
+        };
+
+        let mut reused = WideSim::<4>::new(&soa);
+        for (pass, handoff) in [None, Some(5), None, None].into_iter().enumerate() {
+            let forces: Vec<(NetId, bool, u64)> = (0..2 + pass)
+                .map(|_| {
+                    let gate = ids[rng.gen_range(0..ids.len())];
+                    (netlist.gate(gate).output, rng.gen(), rng.gen())
+                })
+                .collect();
+            // The last pass flips a register no difference reaches: a dry
+            // run finds one whose state never differs.
+            let flip = (pass == 3).then(|| {
+                let mut dry = WideSim::<4>::new(&soa);
+                start(&mut dry, &forces);
+                let mut reached = vec![false; flops.len()];
+                for cycle in 0..vectors.len() {
+                    step(&mut dry, cycle, handoff, None);
+                    for (s, reached) in reached.iter_mut().enumerate() {
+                        *reached |= (0..4).any(|word| dry.state_word(s, word) != 0);
+                    }
+                }
+                let unreached = reached.iter().position(|&r| !r);
+                flops[unreached.expect("a register the forces never reach")]
+            });
+            let mut fresh = WideSim::<4>::new(&soa);
+            start(&mut reused, &forces);
+            start(&mut fresh, &forces);
+            assert_same(&reused, &fresh, &format!("pass {pass} reset"));
+            for cycle in 0..vectors.len() {
+                let flip = flip.filter(|_| cycle == last);
+                step(&mut reused, cycle, handoff, flip);
+                step(&mut fresh, cycle, handoff, flip);
+            }
+            assert_same(&reused, &fresh, &format!("pass {pass} end"));
+        }
+        let fresh = WideSim::<4>::new(&soa);
+        reused.reset_diff();
+        assert_same(&reused, &fresh, "reset after the flip");
     }
 
     /// An unforced machine is the golden machine: differential stepping

@@ -403,7 +403,20 @@ impl Parser<'_> {
         ) {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ASCII");
+        let token = &self.bytes[start..self.at];
+        // At most 15 digits, after an optional `-`, make an integer below
+        // 2^53: `as f64` is exact, so these are the bits `str::parse`
+        // gives, `-0` included, without its general path.
+        let (negative, digits) = match token.strip_prefix(b"-") {
+            Some(digits) => (true, digits),
+            None => (false, token),
+        };
+        if (1..=15).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+            let magnitude = digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0'));
+            let value = magnitude as f64;
+            return Ok(Json::Num(if negative { -value } else { value }));
+        }
+        let text = std::str::from_utf8(token).expect("ASCII");
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error("bad number"))
@@ -413,6 +426,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -420,6 +434,8 @@ mod tests {
         assert_eq!(Json::parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse("false").unwrap(), Json::Bool(false));
         assert_eq!(Json::parse("-12.5e2").unwrap(), Json::Num(-1250.0));
+        let minus_zero = Json::parse("-0").unwrap().as_f64().map(f64::to_bits);
+        assert_eq!(minus_zero, Some((-0.0f64).to_bits()));
         assert_eq!(
             Json::parse("\"a\\n\\\"b\\u0041\"").unwrap(),
             Json::Str("a\n\"bA".into())
@@ -441,6 +457,8 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("true false").is_err());
+        assert!(Json::parse("-").is_err());
+        assert!(Json::parse("--5").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         let err = Json::parse("nope").unwrap_err();
         assert!(err.to_string().contains("at byte"));
@@ -520,6 +538,28 @@ mod tests {
         let rendered = Json::Arr(vec![Json::Str(text.clone())]).render();
         let parsed = Json::parse(&rendered).unwrap();
         assert_eq!(parsed.as_arr().unwrap()[0].as_str(), Some(text.as_str()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512 })]
+
+        /// Integer tokens of 1–20 digits, short ones through the exact
+        /// integer path and long ones through `str::parse`, read as the
+        /// bits `str::parse` gives, signed or not, with leading zeros.
+        #[test]
+        fn integer_tokens_parse_to_the_bits_of_str_parse(
+            negative in any::<bool>(),
+            zeros in 0usize..4,
+            digits in proptest::collection::vec(0u8..10, 1..21),
+        ) {
+            let mut token = String::from(if negative { "-" } else { "" });
+            for (i, &d) in digits.iter().enumerate() {
+                token.push(char::from(b'0' + if i < zeros { 0 } else { d }));
+            }
+            let expected = token.parse::<f64>().unwrap().to_bits();
+            let parsed = Json::parse(&token).unwrap().as_f64().map(f64::to_bits);
+            prop_assert_eq!(parsed, Some(expected), "{}", token);
+        }
     }
 
     #[test]

@@ -184,7 +184,9 @@ fn faults_summarizes_campaign() {
     for child in ["structural.scoap", "structural.graph"] {
         has_stage(&manifest, &format!("lint/lint.testability/{child}"));
     }
-    // Writing the checkpoint and replaying it on resume are timed.
+    // Fingerprinting the campaign for its checkpoint header, writing the
+    // checkpoint and replaying it on resume are timed.
+    has_stage(&manifest, "campaign/header");
     has_stage(&manifest, "campaign/checkpoint");
     let output = fusa()
         .args([
@@ -202,6 +204,7 @@ fn faults_summarizes_campaign() {
         &std::fs::read_to_string(run_dir.join("manifest.json")).unwrap(),
     )
     .expect("manifest parses");
+    has_stage(&resumed, "campaign/header");
     has_stage(&resumed, "campaign/replay");
 }
 
