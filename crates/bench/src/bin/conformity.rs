@@ -23,7 +23,7 @@ fn main() {
     );
     for netlist in paper_designs() {
         let run = run_design(&netlist, &config);
-        let (_regressor, predicted_scores) = run.analysis.train_regressor(&TrainConfig {
+        let predicted_scores = run.analysis.train_regressor(&TrainConfig {
             epochs: if smoke { 60 } else { 200 },
             ..Default::default()
         });

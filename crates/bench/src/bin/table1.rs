@@ -10,6 +10,5 @@ fn main() {
     println!("{}", model.summary());
     println!("trainable parameters: {}", model.parameter_count());
     println!("\nRegression variant (§3.4): output dim 1, no LogSoftmax:");
-    let regressor = fusa_gcn::GcnRegressor::new(GcnConfig::default());
-    println!("{}", regressor.summary());
+    println!("{}", GcnConfig::default().summary(1, false));
 }

@@ -28,7 +28,7 @@ fn main() {
         let explainer = run.analysis.explainer(ExplainerConfig {
             iterations: if smoke { 20 } else { 100 },
         });
-        let (_regressor, scores) = run.analysis.train_regressor(&TrainConfig {
+        let scores = run.analysis.train_regressor(&TrainConfig {
             epochs: if smoke { 60 } else { 200 },
             ..Default::default()
         });

@@ -6,9 +6,11 @@
 //! Analysis for Enhancing Functional Safety of E/E Systems"* (DAC 2024):
 //!
 //! * [`model`] — the GCN classifier of Table 1 (GC→ReLU→GC→ReLU→Dropout→
-//!   GC→ReLU→GC→LogSoftmax) and its regression variant (§3.4);
-//! * [`train`] — masked semi-supervised training, evaluation, and the
-//!   grid-search hyper-parameter optimization of §3.3.2;
+//!   GC→ReLU→GC→LogSoftmax) and the convolutions of its regression
+//!   variant (§3.4), the same with one output and no LogSoftmax;
+//! * [`train`] — masked semi-supervised training of both heads through
+//!   one epoch loop, evaluation, and the grid-search hyper-parameter
+//!   optimization of §3.3.2;
 //! * [`explain`] — a GNNExplainer-style post-hoc explainer (§3.5):
 //!   per-node feature/edge masks plus the Eq. 3 global feature ranking;
 //! * [`pipeline`] — the end-to-end flow of Figure 2: netlist → graph →
@@ -40,7 +42,7 @@ pub mod sgc;
 pub mod train;
 
 pub use explain::{Explainer, ExplainerConfig, Explanation, GlobalFeatureImportance};
-pub use model::{GcnClassifier, GcnConfig, GcnRegressor};
+pub use model::{GcnClassifier, GcnConfig};
 pub use pipeline::{FusaAnalysis, FusaPipeline, PipelineConfig, PipelineError};
 pub use rank::{
     parse_ground_truth, RankEvaluation, StaticRank, CHANNEL_WEIGHTS, RANK_CHANNEL_NAMES,

@@ -1,12 +1,15 @@
-//! The GCN models: Table-1 classifier and §3.4 regressor.
+//! The GCN model of Table 1 and the convolution stacks of both heads:
+//! the classifier's log-softmax over two classes, and the §3.4
+//! regressor's single score, which only
+//! [`train_regressor`](crate::train::train_regressor) builds.
 
 use fusa_neuro::conv::{ConvStack, GraphConv, Workspace};
 use fusa_neuro::layers::Dropout;
 use fusa_neuro::{CsrMatrix, Matrix, Param, RowPlan};
 use rand_chacha::ChaCha8Rng;
 
-/// Architecture hyper-parameters for [`GcnClassifier`] /
-/// [`GcnRegressor`].
+/// Architecture hyper-parameters for [`GcnClassifier`] and the
+/// regressor of [`train_regressor`](crate::train::train_regressor).
 ///
 /// The default reproduces Table 1 of the paper: hidden widths
 /// `[16, 32, 64]`, one dropout layer (p = 0.3) after the second
@@ -108,8 +111,9 @@ impl GcnConfig {
 
 /// The convolution stack of `config` with `out_features` outputs: its
 /// weights seeded per layer, its dropout after the hidden layer Table 1
-/// places it.
-fn conv_stack(config: &GcnConfig, out_features: usize, log_softmax: bool) -> ConvStack {
+/// places it. The classifier's is `(NUM_CLASSES, true)`, the
+/// regressor's `(1, false)`.
+pub(crate) fn conv_stack(config: &GcnConfig, out_features: usize, log_softmax: bool) -> ConvStack {
     assert!(!config.hidden.is_empty(), "need at least one hidden layer");
     let mut widths = vec![config.in_features];
     widths.extend_from_slice(&config.hidden);
@@ -138,14 +142,14 @@ pub(crate) struct TrunkSnapshot {
     dropout_rng: ChaCha8Rng,
 }
 
-fn snapshot(stack: &ConvStack) -> TrunkSnapshot {
+pub(crate) fn snapshot(stack: &ConvStack) -> TrunkSnapshot {
     TrunkSnapshot {
         params: stack.params().into_iter().cloned().collect(),
         dropout_rng: stack.dropout().rng().clone(),
     }
 }
 
-fn restore(stack: &mut ConvStack, snapshot: TrunkSnapshot) {
+pub(crate) fn restore(stack: &mut ConvStack, snapshot: TrunkSnapshot) {
     for (param, saved) in stack.params_mut().into_iter().zip(snapshot.params) {
         *param = saved;
     }
@@ -153,7 +157,7 @@ fn restore(stack: &mut ConvStack, snapshot: TrunkSnapshot) {
 }
 
 /// The output rows of `plan` from a workspace of their own.
-fn infer_once(stack: &ConvStack, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
+pub(crate) fn infer_once(stack: &ConvStack, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
     stack.infer(&mut Workspace::new(adj), x, plan).clone()
 }
 
@@ -255,12 +259,6 @@ impl GcnClassifier {
         self.stack.backward(ws, grad_log_probs)
     }
 
-    /// Backward pass that accumulates parameter gradients only, skipping
-    /// `∂L/∂X` of the input features (the training step).
-    pub(crate) fn backward_params(&mut self, ws: &mut Workspace<'_>, grad_log_probs: &Matrix) {
-        self.stack.backward_params(ws, grad_log_probs);
-    }
-
     /// Backward pass that also returns per-CSR-entry adjacency gradients
     /// (summed over all convolution layers) for the explainer.
     ///
@@ -299,16 +297,6 @@ impl GcnClassifier {
         self.stack.params_mut()
     }
 
-    /// Parameters and dropout state, for [`GcnClassifier::restore`].
-    pub(crate) fn snapshot(&self) -> TrunkSnapshot {
-        snapshot(&self.stack)
-    }
-
-    /// Puts parameters and dropout state back to a snapshot's.
-    pub(crate) fn restore(&mut self, snapshot: TrunkSnapshot) {
-        restore(&mut self.stack, snapshot);
-    }
-
     /// Total scalar parameter count.
     pub fn parameter_count(&self) -> usize {
         self.params().iter().map(|p| p.len()).sum()
@@ -317,111 +305,6 @@ impl GcnClassifier {
     /// A Table-1-style architecture listing.
     pub fn summary(&self) -> String {
         self.config.summary(NUM_CLASSES, true)
-    }
-}
-
-/// The criticality-score regressor of §3.4: the classifier trunk with the
-/// log-softmax removed and output width 1.
-///
-/// Scores are trained against the Algorithm-1 criticality fractions and
-/// therefore live in `[0, 1]` (predictions are not clamped, matching the
-/// paper's plain regression head).
-#[derive(Debug, Clone)]
-pub struct GcnRegressor {
-    config: GcnConfig,
-    /// The convolutions; training drives their trunk pass directly.
-    pub(crate) stack: ConvStack,
-}
-
-impl GcnRegressor {
-    /// Builds a freshly initialized regressor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.hidden` is empty.
-    pub fn new(config: GcnConfig) -> GcnRegressor {
-        GcnRegressor {
-            stack: conv_stack(&config, 1, false),
-            config,
-        }
-    }
-
-    /// The architecture configuration.
-    pub fn config(&self) -> &GcnConfig {
-        &self.config
-    }
-
-    /// Caching forward pass over the workspace's adjacency, returning an
-    /// `N × 1` score matrix.
-    pub fn forward<'w>(
-        &mut self,
-        ws: &'w mut Workspace<'_>,
-        x: &Matrix,
-        training: bool,
-    ) -> &'w Matrix {
-        self.stack.forward(ws, x, training)
-    }
-
-    /// Cache-free inference pass over every node.
-    pub fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        self.forward_inference_rows(adj, x, &RowPlan::all())
-    }
-
-    /// Cache-free inference of just the output rows `plan` was built for;
-    /// see [`GcnClassifier::forward_inference_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` was built for a different depth.
-    pub fn forward_inference_rows(&self, adj: &CsrMatrix, x: &Matrix, plan: &RowPlan) -> Matrix {
-        infer_once(&self.stack, adj, x, plan)
-    }
-
-    /// A [`RowPlan`] producing the output rows of nodes `rows`.
-    pub fn row_plan(&self, adj: &CsrMatrix, rows: &[usize]) -> RowPlan {
-        RowPlan::new(adj, rows, self.stack.depth())
-    }
-
-    /// Backward pass, after a forward pass over `ws`. Returns `∂L/∂X`.
-    pub fn backward(&mut self, ws: &mut Workspace<'_>, grad_output: &Matrix) -> Matrix {
-        self.stack.backward(ws, grad_output)
-    }
-
-    /// Backward pass that accumulates parameter gradients only (the
-    /// training step).
-    pub(crate) fn backward_params(&mut self, ws: &mut Workspace<'_>, grad_output: &Matrix) {
-        self.stack.backward_params(ws, grad_output);
-    }
-
-    /// Per-node predicted criticality scores.
-    pub fn predict_scores(&self, adj: &CsrMatrix, x: &Matrix) -> Vec<f64> {
-        let out = self.forward_inference(adj, x);
-        (0..out.rows()).map(|r| out.get(r, 0)).collect()
-    }
-
-    /// All trainable parameters in a stable order.
-    pub fn params(&self) -> Vec<&Param> {
-        self.stack.params()
-    }
-
-    /// All trainable parameters in a stable order, mutably.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.stack.params_mut()
-    }
-
-    /// Parameters and dropout state, for [`GcnRegressor::restore`].
-    pub(crate) fn snapshot(&self) -> TrunkSnapshot {
-        snapshot(&self.stack)
-    }
-
-    /// Puts parameters and dropout state back to a snapshot's.
-    pub(crate) fn restore(&mut self, snapshot: TrunkSnapshot) {
-        restore(&mut self.stack, snapshot);
-    }
-
-    /// A Table-1-style architecture listing (no log-softmax row).
-    pub fn summary(&self) -> String {
-        self.config.summary(1, false)
     }
 }
 
@@ -566,16 +449,6 @@ mod tests {
                 edge_grads[k]
             );
         }
-    }
-
-    #[test]
-    fn regressor_outputs_single_column() {
-        let mut model = GcnRegressor::new(tiny_config());
-        let adj = tiny_adj();
-        let mut ws = Workspace::new(&adj);
-        let out = model.forward(&mut ws, &tiny_x(), false);
-        assert_eq!(out.shape(), (3, 1));
-        assert_eq!(model.predict_scores(&tiny_adj(), &tiny_x()).len(), 3);
     }
 
     #[test]

@@ -137,7 +137,13 @@ pub fn load_classifier<R: std::io::Read>(reader: R) -> Result<GcnClassifier, Per
         .split_whitespace()
         .map(|t| t.parse().map_err(|_| malformed("bad hidden width")))
         .collect::<Result<_, _>>()?;
+    if hidden.is_empty() {
+        return Err(malformed("hidden lists no width"));
+    }
     let dropout: f64 = parse_keyword(&next_line()?, "dropout")?;
+    if !(0.0..1.0).contains(&dropout) {
+        return Err(malformed("dropout outside [0, 1)"));
+    }
     let seed: u64 = parse_keyword(&next_line()?, "seed")?;
 
     let mut model = GcnClassifier::new(GcnConfig {
@@ -259,6 +265,28 @@ mod tests {
             load_classifier(tampered.as_bytes()).unwrap_err(),
             PersistError::ShapeMismatch
         );
+    }
+
+    #[test]
+    fn architectures_a_classifier_cannot_have_are_malformed() {
+        let mut buffer = Vec::new();
+        save_classifier(&trained_ish_model(), &mut buffer).unwrap();
+        let text = String::from_utf8(buffer).unwrap();
+        for (line, detail) in [
+            ("hidden ", "hidden lists no width"),
+            ("dropout 1", "dropout outside [0, 1)"),
+            ("dropout NaN", "dropout outside [0, 1)"),
+            ("dropout -0.5", "dropout outside [0, 1)"),
+        ] {
+            let keyword = line.split(' ').next().unwrap();
+            let original = text.lines().find(|l| l.starts_with(keyword)).unwrap();
+            let tampered = text.replacen(original, line, 1);
+            assert_eq!(
+                load_classifier(tampered.as_bytes()).unwrap_err(),
+                malformed(detail),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! injection → GCN training → classification / scoring / explanation.
 
 use crate::explain::{Explainer, ExplainerConfig};
-use crate::model::{GcnConfig, GcnRegressor};
+use crate::model::GcnConfig;
 use crate::train::{
     train_regressor, try_train_classifier, EvaluationReport, TrainConfig, TrainError, TrainHistory,
 };
@@ -208,14 +208,13 @@ impl FusaAnalysis {
     }
 
     /// Trains the §3.4 regression variant against the Algorithm-1
-    /// criticality scores; returns the regressor and per-node predicted
-    /// scores.
-    pub fn train_regressor(&self, train: &TrainConfig) -> (GcnRegressor, Vec<f64>) {
+    /// criticality scores; returns the per-node predicted scores.
+    pub fn train_regressor(&self, train: &TrainConfig) -> Vec<f64> {
         let model_config = GcnConfig {
             in_features: self.features.cols(),
             ..self.classifier.config().clone()
         };
-        let (model, _history, predictions) = train_regressor(
+        let (_history, predictions) = train_regressor(
             &self.adjacency,
             &self.features,
             self.dataset.scores(),
@@ -223,7 +222,7 @@ impl FusaAnalysis {
             model_config,
             train,
         );
-        (model, predictions)
+        predictions
     }
 
     /// Conformity between regression scores and classifier predictions:
@@ -513,7 +512,7 @@ mod tests {
     #[test]
     fn regressor_conforms_with_classifier() {
         let analysis = fast_analysis();
-        let (_regressor, scores) = analysis.train_regressor(&TrainConfig {
+        let scores = analysis.train_regressor(&TrainConfig {
             epochs: 80,
             ..Default::default()
         });

@@ -1,7 +1,7 @@
 //! Training, evaluation and grid-search hyper-parameter optimization.
 
-use crate::model::{GcnClassifier, GcnConfig, GcnRegressor, TrunkSnapshot};
-use fusa_neuro::conv::Workspace;
+use crate::model::{self, GcnClassifier, GcnConfig, TrunkSnapshot};
+use fusa_neuro::conv::{ConvStack, Workspace};
 use fusa_neuro::loss::{mse_loss, nll_loss};
 use fusa_neuro::metrics::{Confusion, RocCurve};
 use fusa_neuro::optim::Adam;
@@ -109,7 +109,17 @@ pub fn try_train_classifier(
             total: labels.len(),
         });
     }
-    let (model, history) = fit_classifier(adj, features, labels, split, model_config, train_config);
+    assert_eq!(labels.len(), features.rows(), "label count mismatch");
+    let mut model = GcnClassifier::new(model_config);
+    let target = Target::labels(labels);
+    let history = fit(
+        &mut model.stack,
+        adj,
+        features,
+        split,
+        train_config,
+        &target,
+    );
     let evaluation = evaluate_classifier(&model, adj, features, labels, split);
     Ok((model, history, evaluation))
 }
@@ -133,86 +143,141 @@ pub fn train_classifier(
         .unwrap_or_else(|error| panic!("{error}"))
 }
 
-/// The epochs of [`try_train_classifier`]: the model, with the parameters of
-/// its best validation epoch restored, and its history.
-fn fit_classifier(
+/// What a training run fits; the only difference between the heads.
+enum Target<'a> {
+    /// Classes (`0` Non-critical, `1` Critical), fitted by masked NLL and
+    /// validated by accuracy.
+    Labels(Vec<usize>),
+    /// Criticality scores, fitted by masked MSE and validated by −MSE.
+    Scores {
+        scores: &'a [f64],
+        /// The scores of the validation rows, in split order: the order
+        /// in which the restricted eval pass yields those rows.
+        validation: Vec<f64>,
+        /// `0..validation.len()`, the MSE mask over those rows.
+        positions: Vec<usize>,
+    },
+}
+
+impl<'a> Target<'a> {
+    fn labels(labels: &[bool]) -> Target<'a> {
+        Target::Labels(labels.iter().map(|&l| usize::from(l)).collect())
+    }
+
+    fn scores(scores: &'a [f64], split: &Split) -> Target<'a> {
+        Target::Scores {
+            scores,
+            validation: split.validation.iter().map(|&i| scores[i]).collect(),
+            positions: (0..split.validation.len()).collect(),
+        }
+    }
+
+    /// The progress stage, the epoch counter and the epoch event's
+    /// validation field.
+    fn names(&self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Target::Labels(_) => ("train", "train.epochs", "val_accuracy"),
+            Target::Scores { .. } => ("train-regressor", "train.regressor_epochs", "val_loss"),
+        }
+    }
+
+    /// The masked loss over `train` and its gradient.
+    fn loss(&self, output: &Matrix, train: &[usize]) -> (f64, Matrix) {
+        match self {
+            Target::Labels(classes) => nll_loss(output, classes, train),
+            Target::Scores { scores, .. } => mse_loss(output, scores, train),
+        }
+    }
+
+    /// The validation score, higher is better, from `output`, the rows of
+    /// `validation` in split order; `0` without validation rows.
+    fn score(&self, output: &Matrix, validation: &[usize]) -> f64 {
+        match self {
+            Target::Labels(classes) => {
+                let correct = validation
+                    .iter()
+                    .zip(output.argmax_rows())
+                    .filter(|&(&i, class)| class == classes[i])
+                    .count();
+                correct as f64 / validation.len().max(1) as f64
+            }
+            Target::Scores {
+                validation,
+                positions,
+                ..
+            } => -mse_loss(output, validation, positions).0,
+        }
+    }
+
+    /// The epoch event's validation value: the accuracy, or the MSE.
+    fn reported(&self, score: f64) -> f64 {
+        match self {
+            Target::Labels(_) => score,
+            Target::Scores { .. } => -score,
+        }
+    }
+}
+
+/// The epochs of one training run of `stack` on `target`: the stack ends
+/// with the parameters of its best validation epoch restored.
+fn fit(
+    stack: &mut ConvStack,
     adj: &CsrMatrix,
     features: &Matrix,
-    labels: &[bool],
     split: &Split,
-    model_config: GcnConfig,
     train_config: &TrainConfig,
-) -> (GcnClassifier, TrainHistory) {
-    assert_eq!(labels.len(), features.rows(), "label count mismatch");
+    target: &Target<'_>,
+) -> TrainHistory {
     let obs = fusa_obs::global();
-    let targets: Vec<usize> = labels.iter().map(|&l| usize::from(l)).collect();
-    let mut model = GcnClassifier::new(model_config);
+    let (stage, counter, field) = target.names();
     let mut optimizer =
         Adam::with_weight_decay(train_config.learning_rate, train_config.weight_decay);
     let mut history = TrainHistory::default();
     let mut best: Option<(f64, TrunkSnapshot)> = None;
-    // Validation reads the model's output on validation nodes only, so
-    // its eval pass computes, from the trunk, just the rows those outputs
-    // depend on.
-    let validation_plan = model.stack.head_plan(adj, &split.validation);
+    // Validation reads the output on validation nodes only, so its eval
+    // pass computes, from the trunk, just the rows those outputs depend on.
+    let validation_plan = stack.head_plan(adj, &split.validation);
     // Every graph-sized buffer of the run, sized by the first epoch.
     let mut workspace = Workspace::new(adj);
     let progress = fusa_obs::Progress::start(
         obs,
-        "train",
+        stage,
         "epochs",
         train_config.epochs as u64,
         fusa_obs::ProgressConfig::default(),
     );
 
-    obs.time("train.trunk", || {
-        model.stack.trunk(&mut workspace, features)
-    });
+    obs.time("train.trunk", || stack.trunk(&mut workspace, features));
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
         let (loss, grad) = obs.time("train.forward", || {
-            let log_probs = model.stack.forward_from_trunk(&mut workspace);
-            nll_loss(log_probs, &targets, &split.train)
+            target.loss(stack.forward_from_trunk(&mut workspace), &split.train)
         });
         obs.time("train.backward", || {
-            for p in model.params_mut() {
+            for p in stack.params_mut() {
                 p.zero_grad();
             }
-            model.backward_params(&mut workspace, &grad);
+            stack.backward_params(&mut workspace, &grad);
         });
         obs.time("train.optimizer", || {
-            optimizer.step(&mut model.params_mut())
+            optimizer.step(&mut stack.params_mut())
         });
         // One trunk pass with the new parameters serves this epoch's
         // validation and the next epoch's forward pass, so it runs also
         // when there is nothing to validate.
-        obs.time("train.trunk", || {
-            model.stack.trunk(&mut workspace, features)
-        });
+        obs.time("train.trunk", || stack.trunk(&mut workspace, features));
 
-        let val_accuracy = obs.time("train.validation", || {
-            validation_accuracy(
-                &model,
-                &mut workspace,
-                labels,
-                &split.validation,
-                &validation_plan,
-            )
+        let score = obs.time("train.validation", || {
+            let output = stack.infer_from_trunk(&mut workspace, &validation_plan);
+            target.score(output, &split.validation)
         });
         history.train_loss.push(loss);
-        history.validation_metric.push(val_accuracy);
-        if best
-            .as_ref()
-            .map(|(b, _)| val_accuracy > *b)
-            .unwrap_or(true)
-        {
+        history.validation_metric.push(score);
+        if best.as_ref().map(|(b, _)| score > *b).unwrap_or(true) {
             history.best_epoch = history.validation_metric.len() - 1;
-            best = Some((
-                val_accuracy,
-                obs.time("train.snapshot", || model.snapshot()),
-            ));
+            best = Some((score, obs.time("train.snapshot", || model::snapshot(stack))));
         }
-        obs.add("train.epochs", 1);
+        obs.add(counter, 1);
         obs.observe("train.epoch_seconds", epoch_started.elapsed().as_secs_f64());
         obs.observe("train.loss", loss);
         progress.advance(1);
@@ -224,7 +289,7 @@ fn fit_classifier(
                 &[
                     ("epoch", U64(epoch as u64)),
                     ("loss", F64(loss)),
-                    ("val_accuracy", F64(val_accuracy)),
+                    (field, F64(target.reported(score))),
                     ("seconds", F64(epoch_started.elapsed().as_secs_f64())),
                 ],
             );
@@ -235,31 +300,9 @@ fn fit_classifier(
         obs.gauge_set("train.final_loss", loss);
     }
     if let Some((_, snapshot)) = best {
-        model.restore(snapshot);
+        model::restore(stack, snapshot);
     }
-    (model, history)
-}
-
-/// Accuracy on `validation`, from an eval pass over the trunk pass in
-/// `workspace` restricted by `plan` (built for exactly those rows) to the
-/// rows it reads.
-fn validation_accuracy(
-    model: &GcnClassifier,
-    workspace: &mut Workspace<'_>,
-    labels: &[bool],
-    validation: &[usize],
-    plan: &RowPlan,
-) -> f64 {
-    if validation.is_empty() {
-        return 0.0;
-    }
-    let predictions = model.stack.infer_from_trunk(workspace, plan).argmax_rows();
-    let correct = validation
-        .iter()
-        .zip(predictions)
-        .filter(|&(&i, class)| (class == 1) == labels[i])
-        .count();
-    correct as f64 / validation.len() as f64
+    history
 }
 
 /// Evaluates a trained classifier on the validation nodes of `split`.
@@ -297,13 +340,18 @@ pub fn evaluate_classifier(
     }
 }
 
-/// Trains a [`GcnRegressor`] against continuous criticality scores with
-/// masked MSE. Returns the model, its history, and the predicted scores
-/// for every node.
+/// Trains the §3.4 regressor, the classifier's convolutions with one
+/// output and no log-softmax, against continuous criticality scores with
+/// masked MSE. Returns its history and the predicted score of every node.
+///
+/// Scores are trained against the Algorithm-1 criticality fractions and
+/// therefore live in `[0, 1]` (predictions are not clamped, matching the
+/// paper's plain regression head).
 ///
 /// # Panics
 ///
-/// Panics if `scores.len() != features.rows()`.
+/// Panics if `scores.len() != features.rows()` or `model_config.hidden`
+/// is empty.
 pub fn train_regressor(
     adj: &CsrMatrix,
     features: &Matrix,
@@ -311,88 +359,13 @@ pub fn train_regressor(
     split: &Split,
     model_config: GcnConfig,
     train_config: &TrainConfig,
-) -> (GcnRegressor, TrainHistory, Vec<f64>) {
+) -> (TrainHistory, Vec<f64>) {
     assert_eq!(scores.len(), features.rows(), "score count mismatch");
-    let obs = fusa_obs::global();
-    let mut model = GcnRegressor::new(model_config);
-    let mut optimizer =
-        Adam::with_weight_decay(train_config.learning_rate, train_config.weight_decay);
-    let mut history = TrainHistory::default();
-    let mut best: Option<(f64, TrunkSnapshot)> = None;
-    let validation_plan = model.stack.head_plan(adj, &split.validation);
-    // The restricted eval pass yields validation rows in split order, so
-    // the validation MSE runs over positions 0..len of those rows.
-    let validation_scores: Vec<f64> = split.validation.iter().map(|&i| scores[i]).collect();
-    let validation_positions: Vec<usize> = (0..split.validation.len()).collect();
-    let mut workspace = Workspace::new(adj);
-    let progress = fusa_obs::Progress::start(
-        obs,
-        "train-regressor",
-        "epochs",
-        train_config.epochs as u64,
-        fusa_obs::ProgressConfig::default(),
-    );
-
-    obs.time("train.trunk", || {
-        model.stack.trunk(&mut workspace, features)
-    });
-    for epoch in 0..train_config.epochs {
-        let epoch_started = std::time::Instant::now();
-        let (loss, grad) = obs.time("train.forward", || {
-            let predictions = model.stack.forward_from_trunk(&mut workspace);
-            mse_loss(predictions, scores, &split.train)
-        });
-        obs.time("train.backward", || {
-            for p in model.params_mut() {
-                p.zero_grad();
-            }
-            model.backward_params(&mut workspace, &grad);
-        });
-        obs.time("train.optimizer", || {
-            optimizer.step(&mut model.params_mut())
-        });
-        obs.time("train.trunk", || {
-            model.stack.trunk(&mut workspace, features)
-        });
-
-        let val_loss = obs.time("train.validation", || {
-            let val_predictions = model
-                .stack
-                .infer_from_trunk(&mut workspace, &validation_plan);
-            mse_loss(val_predictions, &validation_scores, &validation_positions).0
-        });
-        history.train_loss.push(loss);
-        history.validation_metric.push(-val_loss);
-        if best.as_ref().map(|(b, _)| -val_loss > *b).unwrap_or(true) {
-            history.best_epoch = history.validation_metric.len() - 1;
-            best = Some((-val_loss, obs.time("train.snapshot", || model.snapshot())));
-        }
-        obs.add("train.regressor_epochs", 1);
-        obs.observe("train.epoch_seconds", epoch_started.elapsed().as_secs_f64());
-        obs.observe("train.loss", loss);
-        progress.advance(1);
-        progress.set_metric(loss);
-        if obs.has_sink() {
-            use fusa_obs::EventField::{F64, U64};
-            obs.event(
-                "epoch",
-                &[
-                    ("epoch", U64(epoch as u64)),
-                    ("loss", F64(loss)),
-                    ("val_loss", F64(val_loss)),
-                    ("seconds", F64(epoch_started.elapsed().as_secs_f64())),
-                ],
-            );
-        }
-    }
-
-    // The predictions below size buffers of their own.
-    drop(workspace);
-    if let Some((_, snapshot)) = best {
-        model.restore(snapshot);
-    }
-    let predictions = model.predict_scores(adj, features);
-    (model, history, predictions)
+    let mut stack = model::conv_stack(&model_config, 1, false);
+    let target = Target::scores(scores, split);
+    let history = fit(&mut stack, adj, features, split, train_config, &target);
+    let predictions = model::infer_once(&stack, adj, features, &RowPlan::all());
+    (history, predictions.as_slice().to_vec())
 }
 
 /// Grid-search hyper-parameter optimization (§3.3.2): sweeps layer
@@ -500,6 +473,7 @@ impl GridSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::NUM_CLASSES;
     use fusa_graph::{normalized_adjacency, CircuitGraph};
     use fusa_neuro::metrics::accuracy;
 
@@ -635,7 +609,7 @@ mod tests {
     fn validation_rows_never_change_training() {
         // The trunk pass after each optimizer step feeds validation and
         // the next forward pass alike: without validation rows, both
-        // models' losses must be the same bits. The classifier runs its
+        // heads' losses must be the same bits. The classifier runs its
         // epochs alone, as its evaluation reads validation rows.
         let (adj, x, labels) = community_task();
         let scores: Vec<f64> = labels.iter().map(|&l| if l { 0.8 } else { 0.2 }).collect();
@@ -652,12 +626,18 @@ mod tests {
             history.train_loss.iter().map(|v| v.to_bits()).collect()
         };
         let classifier = |split: &Split| {
-            let (_, history) =
-                fit_classifier(&adj, &x, &labels, split, tiny_model_config(), &config);
-            bits(history)
+            let mut stack = model::conv_stack(&tiny_model_config(), NUM_CLASSES, true);
+            bits(fit(
+                &mut stack,
+                &adj,
+                &x,
+                split,
+                &config,
+                &Target::labels(&labels),
+            ))
         };
         let regressor = |split: &Split| {
-            let (_, history, _) =
+            let (history, _) =
                 train_regressor(&adj, &x, &scores, split, tiny_model_config(), &config);
             bits(history)
         };
@@ -691,7 +671,7 @@ mod tests {
         let (adj, x, labels) = community_task();
         let scores: Vec<f64> = labels.iter().map(|&l| if l { 0.8 } else { 0.2 }).collect();
         let split = Split::stratified(&labels, 0.7, 5);
-        let (_, _, predictions) = train_regressor(
+        let (_, predictions) = train_regressor(
             &adj,
             &x,
             &scores,
@@ -699,6 +679,7 @@ mod tests {
             tiny_model_config(),
             &tiny_train_config(),
         );
+        assert_eq!(predictions.len(), scores.len());
         let mse: f64 = split
             .validation
             .iter()

@@ -6,7 +6,7 @@
 //! graph — including nodes with no stored entries at all — and for empty,
 //! partial (unordered, repeated) and complete row sets.
 
-use fusa_gcn::{GcnClassifier, GcnConfig, GcnRegressor};
+use fusa_gcn::{GcnClassifier, GcnConfig};
 use fusa_neuro::{CsrMatrix, Matrix};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -78,21 +78,13 @@ proptest! {
             dropout: 0.3,
             seed,
         };
-        let classifier = GcnClassifier::new(config.clone());
-        let regressor = GcnRegressor::new(config);
-        let full_class = classifier.forward_inference(&adj, &x);
-        let full_score = regressor.forward_inference(&adj, &x);
+        let classifier = GcnClassifier::new(config);
+        let full = classifier.forward_inference(&adj, &x);
         for rows in row_sets(&mut rng, n) {
             let plan = classifier.row_plan(&adj, &rows);
             assert_rows_bit_identical(
-                &full_class,
+                &full,
                 &classifier.forward_inference_rows(&adj, &x, &plan),
-                &rows,
-            );
-            let plan = regressor.row_plan(&adj, &rows);
-            assert_rows_bit_identical(
-                &full_score,
-                &regressor.forward_inference_rows(&adj, &x, &plan),
                 &rows,
             );
         }

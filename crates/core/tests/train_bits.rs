@@ -52,7 +52,7 @@ fn classifier_training_bits_are_pinned() {
 fn regressor_training_bits_are_pinned() {
     let analysis = fast_analysis();
     let config = PipelineConfig::fast();
-    let (_, history, predictions) = train_regressor(
+    let (history, predictions) = train_regressor(
         &analysis.adjacency,
         &analysis.features,
         analysis.dataset.scores(),

@@ -1,11 +1,8 @@
-//! The register-tiled kernels of the dense and graph layers.
+//! The register-tiled kernels of the graph convolutions.
 //!
 //! | Kernel | Computes | Called by |
 //! |---|---|---|
-//! | [`matmul`] | `X·W` | `Matrix::matmul` |
-//! | [`transpose_matmul`] | `Xᵀ·G` | `Matrix::transpose_matmul` |
-//! | [`matmul_transpose`] | `G·Wᵀ` | `Matrix::matmul_transpose` |
-//! | [`spmm_into`] | `Â·H` | `CsrMatrix::matmul`, the `∂L/∂X` gather of a [`ConvStack`] |
+//! | [`spmm_into`] | `Â·H` | the `∂L/∂X` gather of a [`ConvStack`] |
 //! | [`conv_forward`] | a graph convolution's forward rows | every [`ConvStack`] forward, trunk and inference pass |
 //! | [`conv_backward`] | a graph convolution's backward rows | every [`ConvStack`] backward pass |
 //!
@@ -23,16 +20,19 @@
 //! across the input dimension, each skipped term a masked product.
 //!
 //! **Bit-identity.** Every output element performs exactly the
-//! operations of the loop it replaced (kept as a test reference): the
-//! same products, multiplied then added (never fused), in the same order,
-//! from the same start value (`+0.0`, or `-0.0` for `G·Wᵀ`), with the same
-//! zero skips. Storing and reloading a partial sum does not round it, so
-//! a kernel may also split a reduction into consecutive blocks or rows.
-//! Two rules change which terms a sum takes without changing a bit of
-//! it: a sum that starts at `+0.0` may add `+0.0` for a skipped term
-//! ([`masked`]), and `G·Wᵀ` may skip the zeros of `G` when `W` is finite,
-//! summing again in full each element that comes out `±0`; it does where
-//! `D` is wider than one tile ([`below_row`]).
+//! operations of the plain loops the tests hold it to: `CsrMatrix::matmul`
+//! for [`spmm_into`], and for the two passes the layered stack of
+//! `conv/reference.rs`, built on `CsrMatrix::matmul` and the `Matrix`
+//! products. It takes the same products, multiplied then added (never
+//! fused), in the same order, from the same start value (`+0.0`, or
+//! `-0.0` for `G·Wᵀ`), with the same zero skips. Storing and reloading a
+//! partial sum does not round it, so a kernel may also split a reduction
+//! into consecutive blocks or rows. Two rules change which terms a sum
+//! takes without changing a bit of it: a sum that starts at `+0.0` may
+//! add `+0.0` for a skipped term ([`masked`]), and `G·Wᵀ` may skip the
+//! zeros of `G` when `W` is finite, summing again in full each element
+//! that comes out `±0`; it does where `D` is wider than one tile
+//! ([`below_row`]).
 //!
 //! **Two compiled versions.** Each kernel is one safe generic body,
 //! compiled as a plain function and, on x86_64, as a
@@ -51,10 +51,6 @@ use crate::sparse::CsrMatrix;
 
 /// Output columns one tile keeps in registers: four 256-bit registers.
 const TILE: usize = 16;
-
-/// Rows of the reduction `Xᵀ·G` accumulates per pass over its output; a
-/// block of `G` stays in cache while every output row reads it.
-const BLOCK_ROWS: usize = 64;
 
 /// A compiled version of the kernels. Holding one with AVX2 proves the
 /// CPU runs AVX2: only [`Version::detect`] creates it.
@@ -76,51 +72,6 @@ impl Version {
         }
         Version::BASELINE
     }
-}
-
-/// `a × b`, skipping the zero entries of `a`.
-pub(crate) fn matmul(version: Version, a: &Matrix, b: &Matrix) -> Matrix {
-    #[cfg(target_arch = "x86_64")]
-    if version.avx2 {
-        #[target_feature(enable = "avx2")]
-        fn avx2(a: &Matrix, b: &Matrix) -> Matrix {
-            matmul_body(a, b)
-        }
-        // SAFETY: a `Version` with `avx2` set comes only from `detect`,
-        // which found AVX2 on this CPU.
-        return unsafe { avx2(a, b) };
-    }
-    matmul_body(a, b)
-}
-
-/// `aᵀ × g`, skipping the zero entries of `a`.
-pub(crate) fn transpose_matmul(version: Version, a: &Matrix, g: &Matrix) -> Matrix {
-    #[cfg(target_arch = "x86_64")]
-    if version.avx2 {
-        #[target_feature(enable = "avx2")]
-        fn avx2(a: &Matrix, g: &Matrix) -> Matrix {
-            transpose_matmul_body(a, g)
-        }
-        // SAFETY: a `Version` with `avx2` set comes only from `detect`,
-        // which found AVX2 on this CPU.
-        return unsafe { avx2(a, g) };
-    }
-    transpose_matmul_body(a, g)
-}
-
-/// `g × wᵀ`, every element summed from `-0.0`.
-pub(crate) fn matmul_transpose(version: Version, g: &Matrix, w: &Matrix) -> Matrix {
-    #[cfg(target_arch = "x86_64")]
-    if version.avx2 {
-        #[target_feature(enable = "avx2")]
-        fn avx2(g: &Matrix, w: &Matrix) -> Matrix {
-            matmul_transpose_body(g, w)
-        }
-        // SAFETY: a `Version` with `avx2` set comes only from `detect`,
-        // which found AVX2 on this CPU.
-        return unsafe { avx2(g, w) };
-    }
-    matmul_transpose_body(g, w)
 }
 
 /// `adj × h` into `out`, each row summed from `+0.0` over its entries
@@ -336,65 +287,6 @@ fn nonzeros(
         count += usize::from(value != 0.0);
     }
     count
-}
-
-#[inline(always)]
-fn matmul_body(a: &Matrix, b: &Matrix) -> Matrix {
-    let (n, k) = a.shape();
-    let width = b.cols();
-    let mut out = Matrix::zeros(n, width);
-    if width == 0 {
-        return out;
-    }
-    let (mut rows, mut coefs) = (vec![0; k], vec![0.0; k]);
-    for (arow, orow) in a
-        .as_slice()
-        .chunks_exact(k.max(1))
-        .zip(out.as_mut_slice().chunks_exact_mut(width))
-    {
-        let count = nonzeros(arow.iter().copied(), 0, &mut rows, &mut coefs);
-        accumulate(orow, &rows[..count], &coefs[..count], b.as_slice());
-    }
-    out
-}
-
-#[inline(always)]
-fn transpose_matmul_body(a: &Matrix, g: &Matrix) -> Matrix {
-    let (n, k) = a.shape();
-    let width = g.cols();
-    let mut out = Matrix::zeros(k, width);
-    if width == 0 {
-        return out;
-    }
-    let (mut rows, mut coefs) = (vec![0; BLOCK_ROWS], vec![0.0; BLOCK_ROWS]);
-    for first in (0..n).step_by(BLOCK_ROWS) {
-        let block = &a.as_slice()[first * k..(first + BLOCK_ROWS).min(n) * k];
-        for (i, orow) in out.as_mut_slice().chunks_exact_mut(width).enumerate() {
-            let column = block.iter().skip(i).step_by(k).copied();
-            let count = nonzeros(column, first, &mut rows, &mut coefs);
-            accumulate(orow, &rows[..count], &coefs[..count], g.as_slice());
-        }
-    }
-    out
-}
-
-#[inline(always)]
-fn matmul_transpose_body(g: &Matrix, w: &Matrix) -> Matrix {
-    let w_t = w.transpose();
-    let width = w.rows();
-    let mut out = Matrix::filled(g.rows(), width, -0.0);
-    if width == 0 {
-        return out;
-    }
-    let rows: Vec<usize> = (0..g.cols()).collect();
-    for (grow, orow) in g
-        .as_slice()
-        .chunks_exact(g.cols().max(1))
-        .zip(out.as_mut_slice().chunks_exact_mut(width))
-    {
-        accumulate(orow, &rows, grow, w_t.as_slice());
-    }
-    out
 }
 
 /// Writes `Σ adj[r, c] · b[c, :]` over row `r`'s stored entries, in
@@ -910,101 +802,20 @@ mod tests {
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
-    // The row-axpy loops the kernels replaced, and for `G·Wᵀ` the dot
-    // product that defines it: the bit-identity references.
-
-    fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for k in 0..a.cols() {
-                let x = a.get(i, k);
-                if x == 0.0 {
-                    continue;
-                }
-                for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
-                    *o += x * y;
-                }
-            }
-        }
-        out
-    }
-
-    fn transpose_matmul_reference(a: &Matrix, g: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.cols(), g.cols());
-        for r in 0..a.rows() {
-            for (i, &x) in a.row(r).iter().enumerate() {
-                if x == 0.0 {
-                    continue;
-                }
-                for (o, &y) in out.row_mut(i).iter_mut().zip(g.row(r)) {
-                    *o += x * y;
-                }
-            }
-        }
-        out
-    }
-
-    fn matmul_transpose_reference(g: &Matrix, w: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(g.rows(), w.rows());
-        for i in 0..g.rows() {
-            for j in 0..w.rows() {
-                let dot: f64 = g.row(i).iter().zip(w.row(j)).map(|(&x, &y)| x * y).sum();
-                out.set(i, j, dot);
-            }
-        }
-        out
-    }
-
-    fn spmm_reference(adj: &CsrMatrix, h: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(adj.rows(), h.cols());
-        for r in 0..adj.rows() {
-            for (c, v) in adj.row_entries(r) {
-                for (o, &y) in out.row_mut(r).iter_mut().zip(h.row(c)) {
-                    *o += v * y;
-                }
-            }
-        }
-        out
-    }
-
-    fn spmm(version: Version, adj: &CsrMatrix, h: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(adj.rows(), h.cols());
-        spmm_into(version, adj, h.cols(), h.as_slice(), out.as_mut_slice());
-        out
-    }
-
-    /// The dense kernels and `Â·H`, in every compiled version, against
-    /// their references on operands whose product has `n` rows, inner
-    /// dimension `k` and `m` columns.
+    /// `Â·H` in every compiled version against `CsrMatrix::matmul`, the
+    /// loop it replaced, on an `n × k` adjacency and `m` columns.
     fn check_all(seed: u64, n: usize, k: usize, m: usize) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = matrix(&mut rng, n, k);
-        let b = matrix(&mut rng, k, m);
-        let g = matrix(&mut rng, n, m);
-        let w = matrix(&mut rng, m, k);
         let adj = sparse(&mut rng, n, k);
         let h = matrix(&mut rng, k, m);
+        let reference = adj.matmul(&h);
         for version in versions() {
-            let what = |kernel: &str| format!("{kernel} {n}x{k}x{m}, {version:?}");
+            let mut out = Matrix::zeros(n, m);
+            spmm_into(version, &adj, m, h.as_slice(), out.as_mut_slice());
             assert_bits_eq(
-                matmul(version, &a, &b).as_slice(),
-                matmul_reference(&a, &b).as_slice(),
-                &what("matmul"),
-            );
-            assert_bits_eq(
-                transpose_matmul(version, &a, &g).as_slice(),
-                transpose_matmul_reference(&a, &g).as_slice(),
-                &what("transpose_matmul"),
-            );
-            assert_bits_eq(
-                matmul_transpose(version, &a, &w).as_slice(),
-                matmul_transpose_reference(&a, &w).as_slice(),
-                &what("matmul_transpose"),
-            );
-            assert_bits_eq(
-                spmm(version, &adj, &h).as_slice(),
-                spmm_reference(&adj, &h).as_slice(),
-                &what("spmm"),
+                out.as_slice(),
+                reference.as_slice(),
+                &format!("spmm {n}x{k}x{m}, {version:?}"),
             );
         }
     }
@@ -1026,33 +837,6 @@ mod tests {
         for m in 0..=2 * TILE + 7 {
             check_all(m as u64, 9, 11, m);
             check_all(m as u64, 3, 1, m);
-        }
-        // Reductions that span several row blocks of `Xᵀ·G`.
-        check_all(7, 3 * BLOCK_ROWS + 5, 6, 19);
-    }
-
-    #[test]
-    fn matmul_transpose_keeps_signed_zero_of_dot_product() {
-        // All-(-0.0) rows sum to -0.0 only from a -0.0 start; mixed-sign
-        // zero products must round to +0.0 exactly as the dot does.
-        let g = Matrix::from_rows(&[&[-0.0, -0.0], &[0.0, -0.0], &[0.0, 0.0]]);
-        let w = Matrix::from_rows(&[&[1.0, 2.0], &[-1.0, 3.0], &[-0.0, 0.0]]);
-        // An empty inner dimension yields the sum of nothing: -0.0.
-        let (g0, w0) = (Matrix::zeros(2, 0), Matrix::zeros(3, 0));
-        for version in versions() {
-            let what = format!("{version:?}");
-            assert_bits_eq(
-                matmul_transpose(version, &g, &w).as_slice(),
-                matmul_transpose_reference(&g, &w).as_slice(),
-                &what,
-            );
-            let empty = matmul_transpose(version, &g0, &w0);
-            assert_bits_eq(
-                empty.as_slice(),
-                matmul_transpose_reference(&g0, &w0).as_slice(),
-                &what,
-            );
-            assert!(empty.get(1, 2).is_sign_negative());
         }
     }
 }

@@ -5,7 +5,8 @@
 //! crate provides the numerical stack from scratch:
 //!
 //! * [`Matrix`] — dense row-major `f64` matrices with the usual BLAS-ish
-//!   operations;
+//!   operations, their products plain loops (the graph convolutions run
+//!   register-tiled kernels of their own);
 //! * [`CsrMatrix`] — compressed-sparse-row matrices for normalized graph
 //!   adjacency, with sparse×dense products and per-edge gradients (needed
 //!   by the GNN explainer), and [`RowPlan`] — the rows each layer of a

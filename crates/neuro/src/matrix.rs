@@ -1,6 +1,5 @@
 //! Dense row-major matrices.
 
-use crate::kernels::{self, Version};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -155,7 +154,9 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix product `self × other`.
+    /// Matrix product `self × other`: each output row adds
+    /// `self[i,k] · other[k, :]` over `k` in order, from `+0.0`, skipping
+    /// the zero entries of `self`.
     ///
     /// # Panics
     ///
@@ -166,33 +167,63 @@ impl Matrix {
             "matmul shape mismatch: {}x{} × {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        kernels::matmul(Version::detect(), self, other)
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        for i in 0..self.rows {
+            for (k, &x) in self.row(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(i).iter_mut().zip(other.row(k)) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
     }
 
-    /// `selfᵀ × other` without materializing the transpose.
+    /// `selfᵀ × other` without materializing the transpose: output row
+    /// `i` adds `self[r,i] · other[r, :]` over `r` in order, from `+0.0`,
+    /// skipping the zero entries of `self`.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != other.rows()`.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
-        kernels::transpose_matmul(Version::detect(), self, other)
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        for r in 0..self.rows {
+            for (i, &x) in self.row(r).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(i).iter_mut().zip(other.row(r)) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
     }
 
     /// `self × otherᵀ`, the input gradient `G·Wᵀ` of a dense layer.
     ///
-    /// Every element is bit-identical to the dot product
-    /// `Σ_k self[i,k]·other[j,k]` computed by `Iterator::sum`: the same
-    /// products, in the same order, from the same `-0.0` start. There is
-    /// no zero-skip: adding a `±0` product can flip the sign of a zero
-    /// accumulator.
+    /// Every element is the dot product `Σ_k self[i,k]·other[j,k]` of
+    /// `Iterator::sum`: the products in order, from a `-0.0` start. There
+    /// is no zero-skip: adding a `±0` product can flip the sign of a zero
+    /// sum.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_transpose shape mismatch");
-        kernels::matmul_transpose(Version::detect(), self, other)
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        for i in 0..self.rows {
+            for j in 0..other.rows {
+                let products = self.row(i).iter().zip(other.row(j)).map(|(&x, &y)| x * y);
+                out.set(i, j, products.sum());
+            }
+        }
+        out
     }
 
     /// The transposed matrix.
@@ -395,6 +426,31 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0], &[9.0, 1.0]]);
         assert_eq!(a.matmul_transpose(&b), a.matmul(&b.transpose()));
+    }
+
+    #[test]
+    fn matmul_transpose_keeps_signed_zero_of_dot_product() {
+        // All-(-0.0) products sum to -0.0 only from a -0.0 start, and
+        // mixed-sign zero products round to +0.0 exactly as the dot does.
+        let g = Matrix::from_rows(&[&[-0.0, -0.0], &[0.0, -0.0], &[0.0, 0.0]]);
+        let w = Matrix::from_rows(&[&[1.0, 2.0], &[-1.0, 3.0], &[-0.0, 0.0]]);
+        let negative: Vec<bool> = g
+            .matmul_transpose(&w)
+            .as_slice()
+            .iter()
+            .map(|v| {
+                assert_eq!(*v, 0.0);
+                v.is_sign_negative()
+            })
+            .collect();
+        let expected = [true, false, false, false, true, true, false, false, false];
+        assert_eq!(negative, expected);
+        // An empty inner dimension yields the sum of nothing: -0.0.
+        let empty = Matrix::zeros(2, 0).matmul_transpose(&Matrix::zeros(3, 0));
+        assert!(empty
+            .as_slice()
+            .iter()
+            .all(|v| v.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]

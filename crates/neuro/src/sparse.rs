@@ -1,6 +1,5 @@
 //! Compressed-sparse-row matrices for graph adjacency.
 
-use crate::kernels::{self, Version};
 use crate::matrix::Matrix;
 
 /// A square-or-rectangular sparse matrix in CSR layout.
@@ -131,7 +130,9 @@ impl CsrMatrix {
         out
     }
 
-    /// Sparse × dense product.
+    /// Sparse × dense product: each output row adds
+    /// `self[r,c] · dense[c, :]` over the row's stored entries, in stored
+    /// order, from `+0.0`.
     ///
     /// # Panics
     ///
@@ -147,13 +148,13 @@ impl CsrMatrix {
             dense.cols()
         );
         let mut out = Matrix::zeros(self.rows, dense.cols());
-        kernels::spmm_into(
-            Version::detect(),
-            self,
-            dense.cols(),
-            dense.as_slice(),
-            out.as_mut_slice(),
-        );
+        for r in 0..self.rows {
+            for (c, v) in self.row_entries(r) {
+                for (o, &y) in out.row_mut(r).iter_mut().zip(dense.row(c)) {
+                    *o += v * y;
+                }
+            }
+        }
         out
     }
 

@@ -73,7 +73,7 @@ pub use iofault::{
 pub use json::{Json, JsonError};
 pub use manifest::{
     ManifestError, MergeSourceRecord, QuarantinedUnitRecord, RunManifest, ShardRecord, StageTime,
-    MANIFEST_SCHEMA, MANIFEST_SCHEMA_V1, MANIFEST_SCHEMA_V2, MANIFEST_SCHEMA_V3,
+    MANIFEST_SCHEMA,
 };
 pub use progress::{progress_stderr, set_progress_stderr, Progress, ProgressConfig};
 pub use prom::{render_prometheus, PromRun};

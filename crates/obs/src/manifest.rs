@@ -17,21 +17,6 @@ use std::fmt::Write as _;
 /// Schema identifier stamped into every newly written manifest.
 pub const MANIFEST_SCHEMA: &str = "fusa-obs/manifest/v4";
 
-/// The v3 schema; still accepted by [`RunManifest::parse`]. v3
-/// manifests predate sharded campaigns: no `shard` spec and no
-/// `merged_from` provenance (both default to a plain full run).
-pub const MANIFEST_SCHEMA_V3: &str = "fusa-obs/manifest/v3";
-
-/// The v2 schema; still accepted by [`RunManifest::parse`]. v2
-/// manifests predate campaign durability: no `interrupted` flag and no
-/// `quarantined` section (both default to clean-run values).
-pub const MANIFEST_SCHEMA_V2: &str = "fusa-obs/manifest/v2";
-
-/// The original schema; still accepted by [`RunManifest::parse`].
-/// v1 manifests have no `build` or `histograms` sections and encode an
-/// unknown peak RSS as `0` (v2+ uses `null`).
-pub const MANIFEST_SCHEMA_V1: &str = "fusa-obs/manifest/v1";
-
 /// One quarantined campaign unit, as recorded in the manifest (the
 /// obs-side mirror of the fault simulator's quarantine record).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -144,8 +129,8 @@ pub struct RunManifest {
 pub enum ManifestError {
     /// The document is not valid JSON.
     Json(crate::json::JsonError),
-    /// The document is JSON but not a known `fusa-obs/manifest/*`
-    /// schema version.
+    /// The document is JSON but not a manifest of [`MANIFEST_SCHEMA`]:
+    /// another schema, or a field missing or malformed.
     Schema(String),
 }
 
@@ -337,25 +322,20 @@ impl RunManifest {
         out
     }
 
-    /// Parses a manifest previously produced by [`RunManifest::to_json`],
-    /// accepting the current v4 schema and legacy v1–v3 documents
-    /// (v1: no `build`/`histograms`, peak RSS `0` means unknown;
-    /// v1/v2: no `interrupted`/`quarantined`, which default to a clean,
-    /// complete run; v1–v3: no `shard`/`merged_from`, which default to
-    /// a full unmerged run).
+    /// Parses a manifest previously produced by [`RunManifest::to_json`].
+    /// Only the current schema is accepted. The durability and shard
+    /// fields (`interrupted`, `degraded`, `shard`, `merged_from`,
+    /// `quarantined`) default to a clean, complete, unmerged run when
+    /// absent, as `degraded` was added within the schema.
     pub fn parse(text: &str) -> Result<RunManifest, ManifestError> {
         let root = Json::parse(text).map_err(ManifestError::Json)?;
         let schema = root
             .get("schema")
             .and_then(Json::as_str)
             .ok_or_else(|| ManifestError::Schema("missing `schema` field".into()))?;
-        let legacy_v1 = schema == MANIFEST_SCHEMA_V1;
-        let legacy_v2 = schema == MANIFEST_SCHEMA_V2;
-        let legacy_v3 = schema == MANIFEST_SCHEMA_V3;
-        if !legacy_v1 && !legacy_v2 && !legacy_v3 && schema != MANIFEST_SCHEMA {
+        if schema != MANIFEST_SCHEMA {
             return Err(ManifestError::Schema(format!(
-                "unsupported schema `{schema}` (expected `{MANIFEST_SCHEMA}`, \
-                 `{MANIFEST_SCHEMA_V3}`, `{MANIFEST_SCHEMA_V2}` or `{MANIFEST_SCHEMA_V1}`)"
+                "unsupported schema `{schema}` (expected `{MANIFEST_SCHEMA}`)"
             )));
         }
         let str_field = |key: &str| -> Result<String, ManifestError> {
@@ -395,39 +375,22 @@ impl RunManifest {
             });
         }
 
-        // v2 writes `null` for an unavailable RSS; v1 wrote `0`.
+        // An unavailable RSS is written as `null`.
         let peak_rss_bytes = match root.get("peak_rss_bytes") {
             Some(Json::Null) => None,
             Some(value) => {
                 let bytes = value.as_u64().ok_or_else(|| {
                     ManifestError::Schema("bad value for `peak_rss_bytes`".into())
                 })?;
-                if legacy_v1 && bytes == 0 {
-                    None
-                } else {
-                    Some(bytes)
-                }
+                Some(bytes)
             }
             None => return Err(ManifestError::Schema("missing `peak_rss_bytes`".into())),
         };
 
-        let build = if legacy_v1 {
-            Vec::new()
-        } else {
-            parse_str_map(&root, "build")?
-        };
-        let histograms = if legacy_v1 {
-            Vec::new()
-        } else {
-            parse_map(&root, "histograms", parse_histogram_summary)?
-        };
-
-        // v3 durability fields; lenient defaults keep v1/v2 parsing.
         let interrupted = matches!(root.get("interrupted"), Some(Json::Bool(true)));
         // Degraded-durability flag; lenient so pre-flag manifests parse.
         let degraded = matches!(root.get("degraded"), Some(Json::Bool(true)));
 
-        // v4 shard/merge fields; lenient defaults keep v1–v3 parsing.
         let shard = match root.get("shard") {
             Some(Json::Null) | None => None,
             Some(value) => Some(ShardRecord {
@@ -494,13 +457,13 @@ impl RunManifest {
             quarantined,
             merged_from,
             peak_rss_bytes,
-            build,
+            build: parse_str_map(&root, "build")?,
             config: parse_str_map(&root, "config")?,
             seeds: parse_map(&root, "seeds", Json::as_u64)?,
             stages,
             counters: parse_map(&root, "counters", Json::as_u64)?,
             gauges: parse_map(&root, "gauges", Json::as_f64)?,
-            histograms,
+            histograms: parse_map(&root, "histograms", parse_histogram_summary)?,
             digests: parse_str_map(&root, "digests")?,
         })
     }
@@ -680,86 +643,20 @@ mod tests {
     }
 
     #[test]
-    fn parses_legacy_v1_manifests() {
-        // A v1 document: no build/histograms, RSS 0 means unknown.
-        let v1 = r#"{
-  "schema": "fusa-obs/manifest/v1",
-  "run_id": "analyze-d",
-  "command": "fusa analyze d",
-  "design": "d",
-  "created_unix": 1754000000,
-  "wall_seconds": 1.5,
-  "threads": 4,
-  "peak_rss_bytes": 0,
-  "config": {},
-  "seeds": {"split": 7},
-  "stages": [{"name": "campaign", "seconds": 1.0, "count": 1}],
-  "counters": {"campaign.gate_evals": 10},
-  "gauges": {},
-  "digests": {"nodes_csv": "fnv1a64:0000000000000001"}
-}"#;
-        let manifest = RunManifest::parse(v1).expect("v1 parses");
-        assert_eq!(manifest.peak_rss_bytes, None);
-        assert!(manifest.build.is_empty());
-        assert!(manifest.histograms.is_empty());
-        assert_eq!(manifest.stages.len(), 1);
-        // Re-serializing upgrades the document to the current schema.
-        assert!(manifest
+    fn absent_durability_and_shard_fields_read_as_a_clean_full_run() {
+        // `degraded` was added within v4, so a v4 document may lack it;
+        // the other durability and shard fields default the same way.
+        let clean = sample();
+        let text = clean
             .to_json()
-            .starts_with("{\n  \"schema\": \"fusa-obs/manifest/v4\""));
-
-        // A nonzero v1 RSS is preserved.
-        let with_rss = v1.replace("\"peak_rss_bytes\": 0", "\"peak_rss_bytes\": 42");
-        assert_eq!(
-            RunManifest::parse(&with_rss).unwrap().peak_rss_bytes,
-            Some(42)
-        );
-    }
-
-    #[test]
-    fn parses_legacy_v2_manifests() {
-        // A v2 document is a v4 one minus the durability and shard
-        // fields.
-        let mut v2 = sample();
-        v2.interrupted = false;
-        v2.quarantined = Vec::new();
-        let text = v2
-            .to_json()
-            .replace("fusa-obs/manifest/v4", "fusa-obs/manifest/v2")
             .replace("  \"interrupted\": false,\n", "")
             .replace("  \"degraded\": false,\n", "")
             .replace("  \"shard\": null,\n", "")
             .replace("  \"quarantined\": [],\n", "")
             .replace("  \"merged_from\": [],\n", "");
-        assert!(!text.contains("interrupted"));
-        let manifest = RunManifest::parse(&text).expect("v2 parses");
-        assert!(!manifest.interrupted);
-        assert!(manifest.quarantined.is_empty());
-        assert_eq!(manifest, v2);
-        // Re-serializing upgrades to v4 with clean defaults.
-        assert!(manifest.to_json().contains("\"interrupted\": false"));
-        assert!(manifest.to_json().contains("\"shard\": null"));
-    }
-
-    #[test]
-    fn parses_legacy_v3_manifests() {
-        // A v3 document is a v4 one minus the shard/merge fields.
-        let v3 = sample();
-        let text = v3
-            .to_json()
-            .replace("fusa-obs/manifest/v4", "fusa-obs/manifest/v3")
-            .replace("  \"shard\": null,\n", "")
-            .replace("  \"merged_from\": [],\n", "")
-            .replace("  \"degraded\": false,\n", "");
-        assert!(!text.contains("shard"));
-        let manifest = RunManifest::parse(&text).expect("v3 parses");
-        assert_eq!(manifest.shard, None);
-        assert!(manifest.merged_from.is_empty());
-        assert_eq!(manifest, v3);
-        // Re-serializing upgrades to v4 with full-run defaults.
-        assert!(manifest
-            .to_json()
-            .starts_with("{\n  \"schema\": \"fusa-obs/manifest/v4\""));
+        assert!(!text.contains("interrupted") && !text.contains("degraded"));
+        assert!(!text.contains("shard") && !text.contains("merged_from"));
+        assert_eq!(RunManifest::parse(&text).expect("parses"), clean);
     }
 
     #[test]
@@ -829,6 +726,14 @@ mod tests {
         let wrong = r#"{"schema": "something/else"}"#;
         let err = RunManifest::parse(wrong).unwrap_err();
         assert!(err.to_string().contains("unsupported schema"));
+        // An older schema is rejected the same way, even with every
+        // current field present.
+        let v3 = sample()
+            .to_json()
+            .replace("fusa-obs/manifest/v4", "fusa-obs/manifest/v3");
+        let err = RunManifest::parse(&v3).unwrap_err();
+        assert!(matches!(err, ManifestError::Schema(_)), "{err}");
+        assert!(err.to_string().contains("fusa-obs/manifest/v3"), "{err}");
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = or1200_if();
     let analysis = FusaPipeline::new(PipelineConfig::default()).run(&design)?;
 
-    let (_regressor, predicted) = analysis.train_regressor(&TrainConfig::default());
+    let predicted = analysis.train_regressor(&TrainConfig::default());
 
     // Compare predicted scores to fault-injection ground truth on the
     // held-out nodes.

@@ -259,17 +259,26 @@ fn analyze_writes_parseable_manifest_with_stage_coverage() {
             manifest.stages.iter().map(|s| &s.name).collect::<Vec<_>>()
         );
     }
+    // `--fast` trains 80 epochs and records the best epoch and the last
+    // loss.
     assert!(manifest
         .counters
         .iter()
-        .any(|(name, value)| name == "train.epochs" && *value > 0));
+        .any(|(name, value)| name == "train.epochs" && *value == 80));
+    for gauge in ["train.best_epoch", "train.final_loss"] {
+        assert!(
+            manifest.gauges.iter().any(|(name, _)| name == gauge),
+            "gauge `{gauge}` missing from {:?}",
+            manifest.gauges
+        );
+    }
     assert!(manifest.seeds.iter().any(|(name, _)| name == "split"));
     assert_eq!(manifest.digests.len(), 3); // report.txt, nodes.csv, lint.csv
     for (_, digest) in &manifest.digests {
         assert!(digest.starts_with("fnv1a64:"), "{digest}");
     }
 
-    // Acceptance: the v2 manifest carries the four pipeline histograms
+    // Acceptance: the manifest carries the four pipeline histograms
     // with ordered quantile estimates.
     for name in [
         "campaign.unit_seconds",
@@ -298,13 +307,19 @@ fn analyze_writes_parseable_manifest_with_stage_coverage() {
     let mut kinds = std::collections::BTreeSet::new();
     for line in trace_text.lines() {
         let event = fusa::obs::Json::parse(line).expect("trace line parses");
-        kinds.insert(
-            event
-                .get("kind")
-                .and_then(fusa::obs::Json::as_str)
-                .expect("event has kind")
-                .to_string(),
-        );
+        let kind = event
+            .get("kind")
+            .and_then(fusa::obs::Json::as_str)
+            .expect("event has kind");
+        if kind == "epoch" {
+            for field in ["epoch", "loss", "val_accuracy", "seconds"] {
+                assert!(
+                    event.get(field).is_some(),
+                    "epoch event without `{field}`: {line}"
+                );
+            }
+        }
+        kinds.insert(kind.to_string());
     }
     assert!(kinds.contains("span"), "{kinds:?}");
     assert!(kinds.contains("epoch"), "{kinds:?}");

@@ -64,7 +64,7 @@ fn regression_scores_conform_with_classification() {
     // §4.2.2: the regressor's thresholded scores agree with the
     // classifier on most validation nodes.
     let analysis = analysis();
-    let (_model, predicted) = analysis.train_regressor(&TrainConfig {
+    let predicted = analysis.train_regressor(&TrainConfig {
         epochs: 100,
         ..Default::default()
     });

@@ -6,26 +6,13 @@
 //! regenerate `tests/data/golden_report.txt` with
 //! `fusa report tests/data/golden_manifest.json`.
 //!
-//! Four manifest generations are pinned: the current v4 schema (shard
-//! spec + merge provenance), the v3 generation (durability state:
-//! `interrupted` flag + `quarantined` units), the v2 generation (build
-//! provenance + histograms, no durability fields) and a legacy v1
-//! document, which must keep loading and rendering — v1 has no
-//! histograms and records an unknown peak RSS as `0`, rendered as
-//! `n/a`.
+//! The fixture is a manifest of the current schema, the only one
+//! `RunManifest::parse` reads.
 
-use fusa::obs::{
-    render_manifest_report, RunManifest, MANIFEST_SCHEMA, MANIFEST_SCHEMA_V1, MANIFEST_SCHEMA_V2,
-    MANIFEST_SCHEMA_V3,
-};
+use fusa::obs::{render_manifest_report, RunManifest, MANIFEST_SCHEMA};
 
 const GOLDEN_MANIFEST: &str = include_str!("data/golden_manifest.json");
 const GOLDEN_REPORT: &str = include_str!("data/golden_report.txt");
-const GOLDEN_MANIFEST_V1: &str = include_str!("data/golden_manifest_v1.json");
-const GOLDEN_REPORT_V1: &str = include_str!("data/golden_report_v1.txt");
-const GOLDEN_MANIFEST_V2: &str = include_str!("data/golden_manifest_v2.json");
-const GOLDEN_REPORT_V2: &str = include_str!("data/golden_report_v2.txt");
-const GOLDEN_MANIFEST_V3: &str = include_str!("data/golden_manifest_v3.json");
 
 #[test]
 fn report_rendering_matches_golden_file() {
@@ -56,47 +43,4 @@ fn golden_manifest_summary_fields() {
     assert_eq!(manifest.histograms.len(), 3);
     assert_eq!(manifest.build.len(), 4);
     assert!(GOLDEN_MANIFEST.contains(MANIFEST_SCHEMA));
-}
-
-#[test]
-fn legacy_v1_manifest_still_loads_and_renders() {
-    assert!(GOLDEN_MANIFEST_V1.contains(MANIFEST_SCHEMA_V1));
-    let manifest = RunManifest::parse(GOLDEN_MANIFEST_V1).expect("v1 manifest parses");
-    assert!(manifest.histograms.is_empty());
-    assert!(manifest.build.is_empty());
-    assert_eq!(manifest.design, "sdram_ctrl");
-    assert_eq!(render_manifest_report(&manifest), GOLDEN_REPORT_V1);
-    // Rewriting a v1 document upgrades it to the current schema.
-    assert!(manifest.to_json().contains(MANIFEST_SCHEMA));
-}
-
-#[test]
-fn legacy_v2_manifest_still_loads_and_renders() {
-    assert!(GOLDEN_MANIFEST_V2.contains(MANIFEST_SCHEMA_V2));
-    let manifest = RunManifest::parse(GOLDEN_MANIFEST_V2).expect("v2 manifest parses");
-    // Pre-durability manifests read as clean, complete runs...
-    assert!(!manifest.interrupted);
-    assert!(manifest.quarantined.is_empty());
-    // ...and render identically to the upgraded v4 fixture, which holds
-    // the same run.
-    assert_eq!(render_manifest_report(&manifest), GOLDEN_REPORT_V2);
-    // Rewriting upgrades the document to the current schema, and the
-    // result is byte-identical to the v4 fixture.
-    assert!(manifest.to_json().contains(MANIFEST_SCHEMA));
-    assert_eq!(manifest.to_json(), GOLDEN_MANIFEST);
-}
-
-#[test]
-fn legacy_v3_manifest_still_loads_and_renders() {
-    assert!(GOLDEN_MANIFEST_V3.contains(MANIFEST_SCHEMA_V3));
-    let manifest = RunManifest::parse(GOLDEN_MANIFEST_V3).expect("v3 manifest parses");
-    // Pre-sharding manifests read as unsharded, unmerged runs...
-    assert!(manifest.shard.is_none());
-    assert!(manifest.merged_from.is_empty());
-    // ...and render identically to the upgraded v4 fixture (the shard
-    // and merge sections only appear when populated).
-    assert_eq!(render_manifest_report(&manifest), GOLDEN_REPORT);
-    // Rewriting upgrades the document to the current schema, and the
-    // result is byte-identical to the v4 fixture.
-    assert_eq!(manifest.to_json(), GOLDEN_MANIFEST);
 }
